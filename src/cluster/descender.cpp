@@ -1,14 +1,184 @@
 #include "cluster/descender.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <deque>
-#include <numeric>
+#include <limits>
 
 #include "common/contracts.h"
 
 namespace dbaugur::cluster {
+
+namespace {
+
+// Endpoint grid for the batch sweep: hands each new row the earlier rows
+// whose pair with it passes LB_Kim, the cascade's first tier, without
+// touching the rest.
+//
+// LB_Kim reads only the first and last distance values, so the grid keeps
+// those in flat arrays and applies dtw::LbKim itself to spans over them —
+// the same function on the same operands as the cascade, hence the same bits
+// and decisions. To avoid even that for most pairs it buckets rows on
+// square cells of side h, a hair above ρ, keyed by (⌊first/h⌋, ⌊last/h⌋).
+// In IEEE arithmetic LB_Kim = √(Δfirst² + Δlast²) ≥ max(|Δfirst|, |Δlast|)
+// whenever those squares stay out of the subnormal range, so a pair with
+// either gap above ρ is a pair LB_Kim rejects; any pair within ρ on both
+// lies in the same or an adjacent cell even after rounding, so a row visits
+// only its 3×3 neighbourhood and drops gaps above ρ before calling LbKim.
+//
+// Rows whose cell cannot be computed that exactly — non-finite endpoints, or
+// |v/h| so large that rounding could shift ⌊v/h⌋ by more than a cell — go
+// on a scan-all list: they are compared with every row, and every row with
+// them. A radius too small (or infinite) for the argument above puts every
+// row there, so exactness never depends on the data's range.
+class EndpointGrid {
+ public:
+  /// Indexes rows [begin, begin + n) given ends[2k], ends[2k + 1] = row
+  /// begin + k's first and last distance values, each row `len` long.
+  EndpointGrid(std::vector<double> ends, size_t len, size_t begin,
+               double radius)
+      : begin_(begin),
+        radius_(radius),
+        // LB_Kim reads front and back; for one-value traces both are the
+        // same value and the bound takes its single-cell form.
+        ends_len_(std::min<size_t>(len, 2)),
+        ends_(std::move(ends)),
+        cell_(ends_.size() / 2, kScanAll) {
+    const double h = radius * (1.0 + kCellMargin);
+    const bool usable = radius >= kMinGridRadius && std::isfinite(h);
+    std::vector<std::pair<uint64_t, size_t>> entries;
+    for (size_t k = 0; k < cell_.size(); ++k) {
+      if (!usable) {
+        scan_all_.push_back(begin_ + k);
+        continue;
+      }
+      const double qf = ends_[2 * k] / h;
+      const double ql = ends_[2 * k + 1] / h;
+      // Written so that NaN quotients fail too.
+      if (!(std::fabs(qf) <= kMaxCell) || !(std::fabs(ql) <= kMaxCell)) {
+        scan_all_.push_back(begin_ + k);
+        continue;
+      }
+      cell_[k] = CellKey(static_cast<int64_t>(std::floor(qf)),
+                         static_cast<int64_t>(std::floor(ql)));
+      entries.emplace_back(cell_[k], k);
+    }
+    // By cell, then by row: each cell's rows ascend.
+    std::sort(entries.begin(), entries.end());
+    rows_.reserve(entries.size());
+    sorted_ends_.reserve(2 * entries.size());
+    for (size_t t = 0; t < entries.size(); ++t) {
+      const auto [key, k] = entries[t];
+      if (t == 0 || key != cell_keys_.back()) {
+        cell_keys_.push_back(key);
+        cell_start_.push_back(t);
+      }
+      rows_.push_back(begin_ + k);
+      sorted_ends_.push_back(ends_[2 * k]);
+      sorted_ends_.push_back(ends_[2 * k + 1]);
+    }
+    cell_start_.push_back(entries.size());
+  }
+
+  /// Appends to `out` every j in [begin, gi) whose pair with row gi passes
+  /// LB_Kim (all of them when ρ is infinite: the cascade then skips its
+  /// bounds). The other gi - begin pairs are exactly the pairs the
+  /// cascade's LB_Kim tier rejects. Order is unspecified.
+  void Candidates(size_t gi, std::vector<size_t>* out) const {
+    const size_t k = gi - begin_;
+    const size_t start = out->size();
+    if (cell_[k] == kScanAll) {
+      for (size_t j = begin_; j < gi; ++j) out->push_back(j);
+    } else {
+      const double f = ends_[2 * k];
+      const double l = ends_[2 * k + 1];
+      const int64_t kf = static_cast<int64_t>(cell_[k] >> 32) - kKeyOffset;
+      const int64_t kl =
+          static_cast<int64_t>(cell_[k] & 0xffffffffU) - kKeyOffset;
+      for (int64_t dkf = -1; dkf <= 1; ++dkf) {
+        // Cells (kf + dkf, kl - 1 .. kl + 1) are adjacent in key order.
+        const uint64_t last_key = CellKey(kf + dkf, kl + 1);
+        for (auto c = static_cast<size_t>(
+                 std::lower_bound(cell_keys_.begin(), cell_keys_.end(),
+                                  CellKey(kf + dkf, kl - 1)) -
+                 cell_keys_.begin());
+             c < cell_keys_.size() && cell_keys_[c] <= last_key; ++c) {
+          // A cell's rows ascend, so those below gi are a prefix of it.
+          size_t end = cell_start_[c];
+          while (end < cell_start_[c + 1] && rows_[end] < gi) ++end;
+          // Drop rows more than ρ away on either endpoint. Branch-free:
+          // about half of them are dropped, unpredictably.
+          size_t kept = out->size();
+          out->resize(kept + (end - cell_start_[c]));
+          for (size_t t = cell_start_[c]; t < end; ++t) {
+            (*out)[kept] = rows_[t];
+            kept += static_cast<size_t>(
+                !(std::fabs(f - sorted_ends_[2 * t]) > radius_) &
+                !(std::fabs(l - sorted_ends_[2 * t + 1]) > radius_));
+          }
+          out->resize(kept);
+        }
+      }
+      for (size_t j : scan_all_) {
+        if (j >= gi) break;
+        out->push_back(j);
+      }
+    }
+    if (radius_ == dtw::kNoBound) return;
+    // The cascade's LB_Kim tier itself, on the endpoint arrays: it rejects
+    // when the bound exceeds ρ (so a NaN bound passes). Branch-free as above.
+    const std::span<const double> query = Ends(k);
+    size_t kept = start;
+    for (size_t p = start; p < out->size(); ++p) {
+      const size_t j = (*out)[p];
+      (*out)[kept] = j;
+      kept += static_cast<size_t>(
+          !(dtw::LbKim(query, Ends(j - begin_)) > radius_));
+    }
+    out->resize(kept);
+  }
+
+ private:
+  // Below this radius a gap just above ρ could square into the subnormal
+  // range, where √(Δ²) may round below Δ.
+  static constexpr double kMinGridRadius = 0x1p-500;
+  // h = ρ · (1 + kCellMargin). The margin absorbs the rounding of the gap
+  // and of both quotients while |v/h| ≤ kMaxCell.
+  static constexpr double kCellMargin = 0x1p-20;
+  static constexpr double kMaxCell = 0x1p30;
+  // Cell indices lie in [-2^30 - 1, 2^30 + 1]; the offset packs a pair of
+  // them into one order-preserving 64-bit key.
+  static constexpr int64_t kKeyOffset = int64_t{1} << 31;
+  static constexpr uint64_t kScanAll = std::numeric_limits<uint64_t>::max();
+
+  static uint64_t CellKey(int64_t kf, int64_t kl) {
+    return (static_cast<uint64_t>(kf + kKeyOffset) << 32) |
+           static_cast<uint64_t>(kl + kKeyOffset);
+  }
+  std::span<const double> Ends(size_t k) const {
+    return {ends_.data() + 2 * k, ends_len_};
+  }
+
+  size_t begin_;
+  double radius_;
+  size_t ends_len_;
+  std::vector<double> ends_;       // by row - begin_
+  std::vector<uint64_t> cell_;     // by row - begin_; kScanAll if listed
+  std::vector<size_t> scan_all_;   // ascending
+  // Bucketed rows in (cell key, row) order, and where each cell starts.
+  std::vector<size_t> rows_;
+  std::vector<double> sorted_ends_;
+  std::vector<uint64_t> cell_keys_;
+  std::vector<size_t> cell_start_;  // one past the last cell: rows_.size()
+};
+
+double Volume(const ts::Series& trace) {
+  double vol = 0.0;
+  for (double v : trace.values()) vol += v;
+  return vol;
+}
+
+}  // namespace
 
 Descender::Descender(const DescenderOptions& opts) : opts_(opts) {
   DBAUGUR_CHECK_GE(opts.radius, 0.0,
@@ -17,19 +187,28 @@ Descender::Descender(const DescenderOptions& opts) : opts_(opts) {
                    "Descender: thread count must be at least 1");
 }
 
-std::vector<double> Descender::DistanceValues(const ts::Series& trace) const {
-  if (!opts_.znormalize) return trace.values();
+void Descender::AppendRow(const ts::Series& trace) {
   const std::vector<double>& v = trace.values();
-  double mean = 0.0;
-  for (double x : v) mean += x;
-  mean /= static_cast<double>(v.size());
-  double var = 0.0;
-  for (double x : v) var += (x - mean) * (x - mean);
-  double sd = std::sqrt(var / static_cast<double>(v.size()));
-  if (sd <= 0.0) sd = 1.0;
-  std::vector<double> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - mean) / sd;
-  return out;
+  const size_t len = v.size();
+  row_len_ = len;
+  const size_t base = arena_.size();
+  arena_.resize(base + 3 * len);
+  const std::span<double> row(arena_.data() + base, 3 * len);
+  const std::span<double> values = row.first(len);
+  if (opts_.znormalize) {
+    double mean = 0.0;
+    for (double x : v) mean += x;
+    mean /= static_cast<double>(len);
+    double var = 0.0;
+    for (double x : v) var += (x - mean) * (x - mean);
+    double sd = std::sqrt(var / static_cast<double>(len));
+    if (sd <= 0.0) sd = 1.0;
+    for (size_t i = 0; i < len; ++i) values[i] = (v[i] - mean) / sd;
+  } else {
+    std::copy(v.begin(), v.end(), values.begin());
+  }
+  dtw::BuildEnvelope(values, opts_.dtw.window, row.subspan(len, len),
+                     row.subspan(2 * len, len));
 }
 
 Status Descender::EnsureTreeFresh() {
@@ -37,7 +216,12 @@ Status Descender::EnsureTreeFresh() {
   if (n - tree_covered_ <= opts_.ball_tree_rebuild_pending) return Status::OK();
   // Rebuild over every current trace; until the pending budget is exceeded
   // again, new traces are searched exactly via the cascade instead.
-  std::vector<std::vector<double>> pts(distance_values_);
+  std::vector<std::vector<double>> pts;
+  pts.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const std::span<const double> row = DistanceRow(i);
+    pts.emplace_back(row.begin(), row.end());
+  }
   dtw::DtwOptions dtw_opts = opts_.dtw;
   auto tree = BallTree::Build(
       std::move(pts),
@@ -53,7 +237,7 @@ Status Descender::EnsureTreeFresh() {
 }
 
 StatusOr<std::vector<size_t>> Descender::Neighbors(
-    const std::vector<double>& values) {
+    std::span<const double> values) {
   std::vector<size_t> out;
   if (traces_.empty()) return out;
   size_t scan_begin = 0;
@@ -66,7 +250,7 @@ StatusOr<std::vector<size_t>> Descender::Neighbors(
     if (tree_) {
       int64_t evals_before = tree_->distance_evals();
       int64_t pruned_before = tree_->pruned_points();
-      out = tree_->RangeQuery(values, opts_.radius);
+      out = tree_->RangeQuery({values.begin(), values.end()}, opts_.radius);
       // Every non-pruned tree probe pays for a full DTW.
       stats_.full_dtw += tree_->distance_evals() - evals_before;
       stats_.tree_rejections += tree_->pruned_points() - pruned_before;
@@ -78,8 +262,8 @@ StatusOr<std::vector<size_t>> Descender::Neighbors(
   dtw::CascadingDtw cascade(opts_.dtw);
   for (size_t i = scan_begin; i < traces_.size(); ++i) {
     ++distance_evals_;
-    auto within = cascade.WithinRadius(values, distance_values_[i],
-                                       envelopes_[i], opts_.radius);
+    auto within = cascade.WithinRadius(values, DistanceRow(i), EnvelopeRow(i),
+                                       opts_.radius);
     if (!within.ok()) return within.status();
     if (*within) out.push_back(i);
   }
@@ -92,23 +276,23 @@ StatusOr<size_t> Descender::AddTrace(ts::Series trace) {
   if (!traces_.empty() && trace.size() != traces_[0].size()) {
     return Status::InvalidArgument("Descender: trace length mismatch");
   }
-  std::vector<double> dvalues = DistanceValues(trace);
-  auto nbrs = Neighbors(dvalues);
-  if (!nbrs.ok()) return nbrs.status();
-  size_t idx = traces_.size();
-  envelopes_.push_back(dtw::BuildEnvelope(dvalues, opts_.dtw.window));
-  distance_values_.push_back(std::move(dvalues));
-  double vol = 0.0;
-  for (double v : trace.values()) vol += v;
-  volumes_.push_back(vol);
+  // The new row is the query; Neighbors scans only rows below it.
+  const size_t idx = traces_.size();
+  AppendRow(trace);
+  auto nbrs = Neighbors(DistanceRow(idx));
+  if (!nbrs.ok()) {
+    arena_.resize(3 * row_len_ * idx);
+    return nbrs.status();
+  }
+  volumes_.push_back(Volume(trace));
   traces_.push_back(std::move(trace));
-  adjacency_.emplace_back(*nbrs);
-  for (size_t n : *nbrs) adjacency_[n].push_back(idx);
+  adjacency_.push_back(std::move(nbrs).value());
+  for (size_t n : adjacency_[idx]) adjacency_[n].push_back(idx);
   Relabel();
   return idx;
 }
 
-Status Descender::AddTraces(std::vector<ts::Series> traces) {
+Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
   // Atomic validation: reject the whole batch up front so a bad trace in the
   // middle cannot leave the clustering half-updated.
   size_t len = traces_.empty()
@@ -132,18 +316,16 @@ Status Descender::AddTraces(std::vector<ts::Series> traces) {
     sweep_begin = tree_covered_;
   }
 
-  // Precompute every envelope and distance series up front; the sweep then
-  // reads distance_values_/envelopes_ concurrently without any mutation.
+  // Write every new row (distance values + envelope) into the arena up
+  // front; the sweep then reads it concurrently without any mutation.
+  arena_.reserve(3 * len * (old_n + batch));
   for (auto& t : traces) {
-    std::vector<double> dvalues = DistanceValues(t);
-    envelopes_.push_back(dtw::BuildEnvelope(dvalues, opts_.dtw.window));
-    distance_values_.push_back(std::move(dvalues));
-    double vol = 0.0;
-    for (double v : t.values()) vol += v;
-    volumes_.push_back(vol);
+    AppendRow(t);
+    volumes_.push_back(Volume(t));
     traces_.push_back(std::move(t));
     adjacency_.emplace_back();
   }
+  const size_t n = traces_.size();
 
   // Old-trace neighbors via the Ball-Tree index (serial: queries mutate the
   // tree's telemetry counters, and this part is cheap next to the sweep).
@@ -151,50 +333,70 @@ Status Descender::AddTraces(std::vector<ts::Series> traces) {
   if (opts_.search == NeighborSearch::kBallTree && tree_) {
     tree_nbrs.resize(batch);
     for (size_t bi = 0; bi < batch; ++bi) {
+      const std::span<const double> row = DistanceRow(old_n + bi);
       int64_t evals_before = tree_->distance_evals();
       int64_t pruned_before = tree_->pruned_points();
-      tree_nbrs[bi] =
-          tree_->RangeQuery(distance_values_[old_n + bi], opts_.radius);
+      tree_nbrs[bi] = tree_->RangeQuery({row.begin(), row.end()}, opts_.radius);
       stats_.full_dtw += tree_->distance_evals() - evals_before;
       stats_.tree_rejections += tree_->pruned_points() - pruned_before;
       distance_evals_ += tree_->distance_evals() - evals_before;
     }
   }
 
-  // Pairwise half-matrix sweep: row bi decides every pair (old_n + bi, j)
-  // for j in [sweep_begin, old_n + bi) exactly once, with the symmetric
-  // two-sided LB_Keogh (both envelopes are available, unlike the incremental
-  // path). Rows write disjoint slots, so any schedule yields the same
-  // result; the merge below runs in index order regardless.
+  std::vector<double> ends;
+  ends.reserve(2 * (n - sweep_begin));
+  for (size_t r = sweep_begin; r < n; ++r) {
+    ends.push_back(DistanceRow(r).front());
+    ends.push_back(DistanceRow(r).back());
+  }
+  const EndpointGrid grid(std::move(ends), len, sweep_begin, opts_.radius);
+
+  // Half-matrix sweep: row bi decides every pair (old_n + bi, j) for j in
+  // [sweep_begin, old_n + bi) exactly once. The grid hands it the pairs that
+  // pass LB_Kim; those run the cascade with the symmetric two-sided LB_Keogh
+  // (both envelopes are available, unlike the incremental path), and the
+  // rest are counted as the LB_Kim rejections they are. Rows write disjoint
+  // slots, so any schedule yields the same result; the merge below runs in
+  // index order regardless.
   std::vector<std::vector<size_t>> row_nbrs(batch);
   std::vector<dtw::PruningStats> row_stats(batch);
   std::vector<Status> row_status(batch);
-  {
-    ThreadPool pool(opts_.threads);
-    pool.ParallelFor(batch, 1, [&](size_t row_begin, size_t row_end) {
-      for (size_t bi = row_begin; bi < row_end; ++bi) {
-        size_t gi = old_n + bi;
-        dtw::CascadingDtw cascade(opts_.dtw);
-        for (size_t j = sweep_begin; j < gi; ++j) {
-          auto within =
-              cascade.WithinRadius(distance_values_[gi], distance_values_[j],
-                                   envelopes_[j], opts_.radius, &envelopes_[gi]);
-          if (!within.ok()) {
-            row_status[bi] = within.status();
-            break;
-          }
-          if (*within) row_nbrs[bi].push_back(j);
+  auto sweep_rows = [&](size_t row_begin, size_t row_end) {
+    std::vector<size_t> cand;
+    for (size_t bi = row_begin; bi < row_end; ++bi) {
+      const size_t gi = old_n + bi;
+      const std::span<const double> query = DistanceRow(gi);
+      const dtw::EnvelopeView query_env = EnvelopeRow(gi);
+      cand.clear();
+      grid.Candidates(gi, &cand);
+      dtw::CascadingDtw cascade(opts_.dtw);
+      for (size_t j : cand) {
+        auto within = cascade.WithinRadius(query, DistanceRow(j),
+                                           EnvelopeRow(j), opts_.radius,
+                                           &query_env);
+        if (!within.ok()) {
+          row_status[bi] = within.status();
+          break;
         }
-        row_stats[bi] = cascade.stats();
+        if (*within) row_nbrs[bi].push_back(j);
       }
-    });
+      std::sort(row_nbrs[bi].begin(), row_nbrs[bi].end());
+      row_stats[bi] = cascade.stats();
+      row_stats[bi].kim_rejections +=
+          static_cast<int64_t>(gi - sweep_begin - cand.size());
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(batch, 1, sweep_rows);
+  } else {
+    ThreadPool own(opts_.threads);
+    own.ParallelFor(batch, 1, sweep_rows);
   }
   for (const Status& st : row_status) {
     if (!st.ok()) {
       // Roll the appended per-trace state back so a failure stays atomic.
       traces_.resize(old_n);
-      distance_values_.resize(old_n);
-      envelopes_.resize(old_n);
+      arena_.resize(3 * len * old_n);
       volumes_.resize(old_n);
       adjacency_.resize(old_n);
       return st;
@@ -250,35 +452,33 @@ void Descender::Relabel() {
   for (size_t i = 0; i < n; ++i) {
     if (labels_[i] == -1) labels_[i] = next++;
   }
-}
-
-size_t Descender::cluster_count() const {
-  int mx = -1;
-  for (int l : labels_) mx = std::max(mx, l);
-  return static_cast<size_t>(mx + 1);
+  cluster_volumes_.assign(static_cast<size_t>(next), 0.0);
+  cluster_sizes_.assign(static_cast<size_t>(next), 0);
+  for (size_t i = 0; i < n; ++i) {
+    const auto c = static_cast<size_t>(labels_[i]);
+    cluster_volumes_[c] += volumes_[i];
+    ++cluster_sizes_[c];
+  }
 }
 
 size_t Descender::density_cluster_count() const {
-  size_t count = 0;
-  std::vector<size_t> sizes(cluster_count(), 0);
-  for (int l : labels_) ++sizes[static_cast<size_t>(l)];
-  std::vector<bool> has_core(sizes.size(), false);
+  std::vector<bool> has_core(cluster_count(), false);
   for (size_t i = 0; i < labels_.size(); ++i) {
     if (core_[i]) has_core[static_cast<size_t>(labels_[i])] = true;
   }
-  for (size_t c = 0; c < sizes.size(); ++c) {
-    if (has_core[c]) ++count;
-  }
-  return count;
+  return static_cast<size_t>(
+      std::count(has_core.begin(), has_core.end(), true));
 }
 
 std::vector<ClusterInfo> Descender::TopKClusters(size_t k) const {
   std::vector<ClusterInfo> infos(cluster_count());
-  for (size_t c = 0; c < infos.size(); ++c) infos[c].id = static_cast<int>(c);
+  for (size_t c = 0; c < infos.size(); ++c) {
+    infos[c].id = static_cast<int>(c);
+    infos[c].volume = cluster_volumes_[c];
+    infos[c].members.reserve(cluster_sizes_[c]);
+  }
   for (size_t i = 0; i < labels_.size(); ++i) {
-    auto& info = infos[static_cast<size_t>(labels_[i])];
-    info.members.push_back(i);
-    info.volume += volumes_[i];
+    infos[static_cast<size_t>(labels_[i])].members.push_back(i);
   }
   for (auto& info : infos) {
     info.singleton_outlier =
@@ -308,19 +508,12 @@ StatusOr<ts::Series> Descender::ClusterRepresentative(int cluster_id) const {
 
 StatusOr<double> Descender::TraceProportion(size_t i) const {
   if (i >= traces_.size()) return Status::OutOfRange("Descender: bad index");
-  double cluster_volume = 0.0;
-  for (size_t j = 0; j < labels_.size(); ++j) {
-    if (labels_[j] == labels_[i]) cluster_volume += volumes_[j];
-  }
-  if (cluster_volume <= 0.0) {
+  const auto c = static_cast<size_t>(labels_[i]);
+  if (cluster_volumes_[c] <= 0.0) {
     // Zero-volume cluster: split evenly among members.
-    size_t count = 0;
-    for (int l : labels_) {
-      if (l == labels_[i]) ++count;
-    }
-    return 1.0 / static_cast<double>(count);
+    return 1.0 / static_cast<double>(cluster_sizes_[c]);
   }
-  return volumes_[i] / cluster_volume;
+  return volumes_[i] / cluster_volumes_[c];
 }
 
 }  // namespace dbaugur::cluster

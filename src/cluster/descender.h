@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cluster/ball_tree.h"
@@ -50,8 +51,9 @@ struct DescenderOptions {
   /// lets one radius ρ group by *shape*, which is what the paper's pattern
   /// clustering is after. Volumes/representatives still use raw values.
   bool znormalize = true;
-  /// Worker lanes for the batch AddTraces pairwise sweep. Results are
-  /// deterministic for any value; 1 runs fully inline (no threads spawned).
+  /// Worker lanes for the batch AddTraces pairwise sweep when the caller
+  /// passes no pool. Results are deterministic for any value; 1 runs fully
+  /// inline (no threads spawned).
   size_t threads = DefaultThreadCount();
 };
 
@@ -74,13 +76,16 @@ class Descender {
 
   /// Batch fast path: inserts every trace, then relabels once. Produces the
   /// same labels/core flags/adjacency as an equivalent AddTrace loop but
-  /// much cheaper — envelopes are precomputed up front, the pairwise
-  /// neighbor sweep runs over the half-matrix with the symmetric two-sided
-  /// LB_Keogh bound (d(i,j) decided once, adjacency filled both ways), rows
-  /// are distributed over opts.threads lanes with a deterministic merge, and
-  /// in Ball-Tree mode the index is rebuilt at most once per batch.
-  /// Validation is atomic: on error no trace is added.
-  Status AddTraces(std::vector<ts::Series> traces);
+  /// much cheaper — every new row is written to the arena up front, an
+  /// endpoint grid hands each new trace only the earlier traces that can
+  /// pass LB_Kim (the pairs it skips count as LB_Kim rejections), those go
+  /// through the cascade with the symmetric two-sided LB_Keogh bound (d(i,j)
+  /// decided once, adjacency filled both ways), rows are distributed over
+  /// `pool` (or, when null, a pool of opts.threads lanes built for the call)
+  /// with a deterministic merge, and in Ball-Tree mode the index is rebuilt
+  /// at most once per batch. Validation is atomic: on error no trace is
+  /// added.
+  Status AddTraces(std::vector<ts::Series> traces, ThreadPool* pool = nullptr);
 
   size_t trace_count() const { return traces_.size(); }
   const ts::Series& trace(size_t i) const { return traces_[i]; }
@@ -89,8 +94,10 @@ class Descender {
   int label(size_t i) const { return labels_[i]; }
   /// True iff trace i is a core point.
   bool is_core(size_t i) const { return core_[i]; }
+  /// Trace i's ρ-neighbors (itself excluded), in ascending index order.
+  const std::vector<size_t>& neighbors(size_t i) const { return adjacency_[i]; }
   /// Number of clusters including singleton outliers.
-  size_t cluster_count() const;
+  size_t cluster_count() const { return cluster_sizes_.size(); }
   /// Number of non-singleton (density) clusters.
   size_t density_cluster_count() const;
 
@@ -103,7 +110,8 @@ class Descender {
 
   /// Trace i's share of its cluster's volume — used to scale a cluster-level
   /// forecast back to the individual trace (paper: "we also track each trace
-  /// and its proportion in the corresponding cluster").
+  /// and its proportion in the corresponding cluster"). O(1): Relabel caches
+  /// each cluster's volume and size.
   StatusOr<double> TraceProportion(size_t i) const;
 
   /// Total DTW/LB evaluations (telemetry for the clustering ablation).
@@ -115,25 +123,40 @@ class Descender {
 
  private:
   /// Indices within ρ of `values` among current traces.
-  StatusOr<std::vector<size_t>> Neighbors(const std::vector<double>& values);
+  StatusOr<std::vector<size_t>> Neighbors(std::span<const double> values);
   /// Ball-Tree maintenance: rebuilds the index over all current traces when
   /// more than opts.ball_tree_rebuild_pending traces sit outside it.
   Status EnsureTreeFresh();
   /// Recomputes core flags and labels from the adjacency lists (exact DBSCAN
-  /// semantics, then singletons for leftover noise).
+  /// semantics, then singletons for leftover noise), and each cluster's
+  /// volume and size.
   void Relabel();
 
-  /// The values used for distance computation (z-normalized when enabled).
-  std::vector<double> DistanceValues(const ts::Series& trace) const;
+  /// Appends `trace`'s distance values (z-normalized when enabled) and
+  /// their Keogh envelope to the arena as the next row.
+  void AppendRow(const ts::Series& trace);
+  /// Row i of the arena: distance values and their envelope.
+  std::span<const double> DistanceRow(size_t i) const {
+    return {arena_.data() + 3 * row_len_ * i, row_len_};
+  }
+  dtw::EnvelopeView EnvelopeRow(size_t i) const {
+    const double* lower = arena_.data() + 3 * row_len_ * i + row_len_;
+    return {{lower, row_len_}, {lower + row_len_, row_len_}};
+  }
 
   DescenderOptions opts_;
   std::vector<ts::Series> traces_;
-  std::vector<std::vector<double>> distance_values_;
-  std::vector<dtw::Envelope> envelopes_;
+  // Every trace's distance row in index order, 3 * row_len_ doubles each:
+  // the distance values, then the lower and the upper Keogh envelope.
+  std::vector<double> arena_;
+  size_t row_len_ = 0;
   std::vector<std::vector<size_t>> adjacency_;  // ρ-neighbors, excl. self
   std::vector<bool> core_;
   std::vector<int> labels_;
   std::vector<double> volumes_;
+  // Per cluster id: summed member volume (in ascending trace order) and size.
+  std::vector<double> cluster_volumes_;
+  std::vector<size_t> cluster_sizes_;
   int64_t distance_evals_ = 0;
   dtw::PruningStats stats_;
   // Ball-Tree mode: persistent index over traces [0, tree_covered_); traces

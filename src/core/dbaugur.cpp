@@ -53,9 +53,10 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   }
 
   TrainedState state;
-  // 1. Cluster with Descender.
+  // 1. Cluster with Descender. The pairwise sweep runs on the caller's pool
+  // when there is one, instead of a pool built for this call.
   state.descender = std::make_unique<cluster::Descender>(opts.clustering);
-  DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(traces));
+  DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(traces, fit_pool));
   state.trace_cluster.resize(traces.size());
   state.trace_proportion.resize(traces.size());
   for (size_t i = 0; i < traces.size(); ++i) {

@@ -81,12 +81,13 @@ struct TrainedState {
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const std::vector<ts::Series>& traces);
 
-/// As above, but the independent per-cluster ensemble fits run on the
-/// caller-owned `fit_pool` instead of a pool constructed per call. The sharded
-/// serving layer passes one long-lived pool per retrain worker so concurrent
-/// shard builds don't each pay thread spawn/join. Null falls back to the
-/// default policy. Each ensemble is seeded and self-contained, so results are
-/// bit-identical at any lane count and on any pool. The parallel path is
+/// As above, but Descender's pairwise sweep and the independent per-cluster
+/// ensemble fits run on the caller-owned `fit_pool` instead of pools
+/// constructed per call. The sharded serving layer passes one long-lived pool
+/// per retrain worker so concurrent shard builds don't each pay thread
+/// spawn/join. Null falls back to the default policy. The sweep merges in
+/// index order and each ensemble is seeded and self-contained, so results are
+/// bit-identical at any lane count and on any pool. The parallel fit path is
 /// skipped when a global GEMM pool is installed (ThreadPool::ParallelFor is
 /// not reentrant, and the fits may run GEMMs on that pool).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,

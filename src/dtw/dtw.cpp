@@ -63,9 +63,9 @@ const DtwKernels* ActiveDtwKernels() {
 
 }  // namespace
 
-StatusOr<double> DtwDistance(const std::vector<double>& a,
-                             const std::vector<double>& b,
-                             const DtwOptions& opts, double upper_bound) {
+StatusOr<double> DtwDistance(std::span<const double> a,
+                             std::span<const double> b, const DtwOptions& opts,
+                             double upper_bound) {
   if (a.empty() || b.empty()) {
     return Status::InvalidArgument("DTW: empty trace");
   }
@@ -129,18 +129,24 @@ StatusOr<double> DtwDistance(const std::vector<double>& a,
   return std::sqrt(result);
 }
 
-Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
+StatusOr<double> DtwDistance(const std::vector<double>& a,
+                             const std::vector<double>& b,
+                             const DtwOptions& opts, double upper_bound) {
+  return DtwDistance(std::span<const double>(a), b, opts, upper_bound);
+}
+
+void BuildEnvelope(std::span<const double> seq, int window,
+                   std::span<double> lower, std::span<double> upper) {
   size_t n = seq.size();
+  DBAUGUR_DCHECK(lower.size() == n && upper.size() == n,
+                 "BuildEnvelope: output spans must match the sequence length");
   size_t w = window < 0 ? n : static_cast<size_t>(window);
-  Envelope env;
-  env.lower.resize(n);
-  env.upper.resize(n);
 #if defined(DBAUGUR_DTW_HAS_VECTOR_TIERS)
   if (const DtwKernels* kern = ActiveDtwKernels();
       kern != nullptr && n != 0) {
     // Exact sliding min/max — bit-identical to the loop below on any tier.
-    kern->envelope(seq.data(), n, w, env.lower.data(), env.upper.data());
-    return env;
+    kern->envelope(seq.data(), n, w, lower.data(), upper.data());
+    return;
   }
 #endif
   for (size_t i = 0; i < n; ++i) {
@@ -151,13 +157,20 @@ Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
       mn = std::min(mn, seq[j]);
       mx = std::max(mx, seq[j]);
     }
-    env.lower[i] = mn;
-    env.upper[i] = mx;
+    lower[i] = mn;
+    upper[i] = mx;
   }
+}
+
+Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
+  Envelope env;
+  env.lower.resize(seq.size());
+  env.upper.resize(seq.size());
+  BuildEnvelope(seq, window, env.lower, env.upper);
   return env;
 }
 
-double LbKeogh(const std::vector<double>& query, const Envelope& cand_env) {
+double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env) {
   DBAUGUR_DCHECK_EQ(cand_env.lower.size(), cand_env.upper.size(),
                     "LbKeogh: malformed envelope");
   if (query.size() != cand_env.lower.size()) return 0.0;
@@ -184,12 +197,17 @@ double LbKeogh(const std::vector<double>& query, const Envelope& cand_env) {
   return std::sqrt(s);
 }
 
+double LbKeogh(const std::vector<double>& query, const Envelope& cand_env) {
+  return LbKeogh(std::span<const double>(query),
+                 EnvelopeView{cand_env.lower, cand_env.upper});
+}
+
 double LbKeoghSymmetric(const std::vector<double>& a, const Envelope& env_a,
                         const std::vector<double>& b, const Envelope& env_b) {
   return std::max(LbKeogh(a, env_b), LbKeogh(b, env_a));
 }
 
-double LbKim(const std::vector<double>& a, const std::vector<double>& b) {
+double LbKim(std::span<const double> a, std::span<const double> b) {
   if (a.empty() || b.empty()) return 0.0;
   // Any warping path must match first-with-first and last-with-last.
   double df = std::fabs(a.front() - b.front());
@@ -205,28 +223,47 @@ double LbKim(const std::vector<double>& a, const std::vector<double>& b) {
   return std::sqrt(df * df + dl * dl);
 }
 
-StatusOr<bool> CascadingDtw::WithinRadius(const std::vector<double>& query,
-                                          const std::vector<double>& candidate,
-                                          const Envelope& cand_env,
+double LbKim(const std::vector<double>& a, const std::vector<double>& b) {
+  return LbKim(std::span<const double>(a), b);
+}
+
+StatusOr<bool> CascadingDtw::WithinRadius(std::span<const double> query,
+                                          std::span<const double> candidate,
+                                          const EnvelopeView& cand_env,
                                           double radius,
-                                          const Envelope* query_env) {
+                                          const EnvelopeView* query_env) {
   auto d = Distance(query, candidate, cand_env, radius, query_env);
   if (!d.ok()) return d.status();
   return *d <= radius;
 }
 
-StatusOr<double> CascadingDtw::Distance(const std::vector<double>& query,
-                                        const std::vector<double>& candidate,
-                                        const Envelope& cand_env,
+StatusOr<bool> CascadingDtw::WithinRadius(const std::vector<double>& query,
+                                          const std::vector<double>& candidate,
+                                          const Envelope& cand_env,
+                                          double radius,
+                                          const Envelope* query_env) {
+  const EnvelopeView qv = query_env != nullptr
+                              ? EnvelopeView{query_env->lower, query_env->upper}
+                              : EnvelopeView{};
+  return WithinRadius(std::span<const double>(query), candidate,
+                      {cand_env.lower, cand_env.upper}, radius,
+                      query_env != nullptr ? &qv : nullptr);
+}
+
+StatusOr<double> CascadingDtw::Distance(std::span<const double> query,
+                                        std::span<const double> candidate,
+                                        const EnvelopeView& cand_env,
                                         double upper_bound,
-                                        const Envelope* query_env) {
+                                        const EnvelopeView* query_env) {
   if (upper_bound != kNoBound) {
     if (LbKim(query, candidate) > upper_bound) {
       ++stats_.kim_rejections;
       return std::numeric_limits<double>::infinity();
     }
+    // The two-sided bound is the max of both directions; once the first
+    // alone exceeds the bound the max does too, so the second is skipped.
     double lb = LbKeogh(query, cand_env);
-    if (query_env != nullptr) {
+    if (query_env != nullptr && !(lb > upper_bound)) {
       lb = std::max(lb, LbKeogh(candidate, *query_env));
     }
     if (lb > upper_bound) {
@@ -236,6 +273,19 @@ StatusOr<double> CascadingDtw::Distance(const std::vector<double>& query,
   }
   ++stats_.full_dtw;
   return DtwDistance(query, candidate, opts_, upper_bound);
+}
+
+StatusOr<double> CascadingDtw::Distance(const std::vector<double>& query,
+                                        const std::vector<double>& candidate,
+                                        const Envelope& cand_env,
+                                        double upper_bound,
+                                        const Envelope* query_env) {
+  const EnvelopeView qv = query_env != nullptr
+                              ? EnvelopeView{query_env->lower, query_env->upper}
+                              : EnvelopeView{};
+  return Distance(std::span<const double>(query), candidate,
+                  {cand_env.lower, cand_env.upper}, upper_bound,
+                  query_env != nullptr ? &qv : nullptr);
 }
 
 void CascadingDtw::ResetCounters() { stats_ = PruningStats(); }

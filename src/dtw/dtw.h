@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -31,6 +32,9 @@ struct DtwOptions {
 /// unequal lengths). `upper_bound` enables early abandoning: if the distance
 /// provably exceeds it, returns +infinity immediately.
 /// Returns InvalidArgument for empty inputs.
+StatusOr<double> DtwDistance(std::span<const double> a,
+                             std::span<const double> b, const DtwOptions& opts,
+                             double upper_bound = kNoBound);
 StatusOr<double> DtwDistance(const std::vector<double>& a,
                              const std::vector<double>& b,
                              const DtwOptions& opts,
@@ -43,12 +47,24 @@ struct Envelope {
   std::vector<double> upper;
 };
 
+/// Non-owning view of a Keogh envelope, whether held by an Envelope or by
+/// other storage (Descender keeps every trace's envelope in one flat arena).
+struct EnvelopeView {
+  std::span<const double> lower;
+  std::span<const double> upper;
+};
+
 /// Builds the Keogh envelope of `seq` for band half-width `window`.
 Envelope BuildEnvelope(const std::vector<double>& seq, int window);
+/// Same, written into caller storage; `lower` and `upper` hold seq.size()
+/// elements each.
+void BuildEnvelope(std::span<const double> seq, int window,
+                   std::span<double> lower, std::span<double> upper);
 
 /// LB_Keogh lower bound of DTW(query, candidate) given the candidate's
 /// envelope (equal lengths required; returns 0 — a trivially valid bound —
 /// when lengths differ).
+double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env);
 double LbKeogh(const std::vector<double>& query, const Envelope& cand_env);
 
 /// Two-sided LB_Keogh: the max of both directions (a against b's envelope
@@ -58,6 +74,7 @@ double LbKeoghSymmetric(const std::vector<double>& a, const Envelope& env_a,
                         const std::vector<double>& b, const Envelope& env_b);
 
 /// LB_Kim-style constant-time lower bound from the first and last points.
+double LbKim(std::span<const double> a, std::span<const double> b);
 double LbKim(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Per-tier telemetry for the neighbor-search cascade: how many candidates
@@ -65,7 +82,10 @@ double LbKim(const std::vector<double>& a, const std::vector<double>& b);
 /// from CascadingDtw / BallTree through Descender and core::DBAugur into the
 /// efficiency benches.
 struct PruningStats {
-  int64_t kim_rejections = 0;    ///< Candidates rejected by LB_Kim.
+  /// Candidates rejected by LB_Kim. Descender's batch sweep counts here the
+  /// pairs its endpoint grid never hands to the cascade: exactly the pairs
+  /// LB_Kim rejects.
+  int64_t kim_rejections = 0;
   int64_t keogh_rejections = 0;  ///< Candidates rejected by LB_Keogh.
   int64_t tree_rejections = 0;   ///< Points skipped by Ball-Tree ball pruning.
   int64_t full_dtw = 0;          ///< Full (possibly early-abandoned) DTW runs.
@@ -90,6 +110,10 @@ class CascadingDtw {
   /// candidate's envelope for the same window. When `query_env` is supplied
   /// the Keogh tier uses the symmetric two-sided bound, which prunes
   /// strictly more candidates without changing any accept/reject decision.
+  StatusOr<bool> WithinRadius(std::span<const double> query,
+                              std::span<const double> candidate,
+                              const EnvelopeView& cand_env, double radius,
+                              const EnvelopeView* query_env = nullptr);
   StatusOr<bool> WithinRadius(const std::vector<double>& query,
                               const std::vector<double>& candidate,
                               const Envelope& cand_env, double radius,
@@ -97,6 +121,10 @@ class CascadingDtw {
 
   /// Exact distance with the cascade used as a fast reject against
   /// `upper_bound`; returns +infinity if the bound proves distance > bound.
+  StatusOr<double> Distance(std::span<const double> query,
+                            std::span<const double> candidate,
+                            const EnvelopeView& cand_env, double upper_bound,
+                            const EnvelopeView* query_env = nullptr);
   StatusOr<double> Distance(const std::vector<double>& query,
                             const std::vector<double>& candidate,
                             const Envelope& cand_env, double upper_bound,

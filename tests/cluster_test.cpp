@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "cluster/ball_tree.h"
@@ -283,6 +285,38 @@ TEST(DescenderTest, RepresentativeIsMemberAverage) {
   EXPECT_DOUBLE_EQ((*rep)[2], 4.0);
 }
 
+// TraceProportion's definition, evaluated the O(n) way: trace i's volume over
+// its cluster's, the cluster volume summed over members in ascending index
+// order; an even split when that volume is not positive.
+double ProportionByDefinition(const Descender& desc, size_t i) {
+  auto volume = [&](size_t j) {
+    double v = 0.0;
+    for (double x : desc.trace(j).values()) v += x;
+    return v;
+  };
+  double cluster_volume = 0.0;
+  size_t members = 0;
+  for (size_t j = 0; j < desc.trace_count(); ++j) {
+    if (desc.label(j) == desc.label(i)) {
+      cluster_volume += volume(j);
+      ++members;
+    }
+  }
+  if (cluster_volume <= 0.0) return 1.0 / static_cast<double>(members);
+  return volume(i) / cluster_volume;
+}
+
+void ExpectProportionsPinned(const Descender& desc) {
+  for (size_t i = 0; i < desc.trace_count(); ++i) {
+    auto p = desc.TraceProportion(i);
+    ASSERT_TRUE(p.ok()) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(*p),
+              std::bit_cast<uint64_t>(ProportionByDefinition(desc, i)))
+        << "trace " << i << ": " << *p;
+  }
+  EXPECT_FALSE(desc.TraceProportion(desc.trace_count()).ok());
+}
+
 TEST(DescenderTest, TraceProportions) {
   Descender desc(MakeOpts(100.0, 2));
   ASSERT_TRUE(desc.AddTrace(ts::Series(0, 60, {1, 1, 1})).ok());  // volume 3
@@ -294,6 +328,49 @@ TEST(DescenderTest, TraceProportions) {
   EXPECT_DOUBLE_EQ(*p0, 0.25);
   EXPECT_DOUBLE_EQ(*p1, 0.75);
   EXPECT_FALSE(desc.TraceProportion(5).ok());
+  ExpectProportionsPinned(desc);
+
+  // Zero- and negative-volume clusters split evenly. The three constant
+  // traces z-normalize to zeros and form one cluster of volume 0; {2, -2, 0}
+  // stays a singleton of volume 0. The later {-5, -5, -5} joins the zeros
+  // and turns their cluster's volume negative.
+  Descender flat(MakeOpts(0.5, 2));
+  std::vector<ts::Series> constant = {
+      ts::Series(0, 60, {1, 1, 1}), ts::Series(0, 60, {-1, -1, -1}),
+      ts::Series(0, 60, {0, 0, 0}), ts::Series(0, 60, {2, -2, 0})};
+  ASSERT_TRUE(flat.AddTraces(constant).ok());
+  ASSERT_EQ(flat.label(0), flat.label(2));
+  EXPECT_DOUBLE_EQ(*flat.TraceProportion(0), 1.0 / 3.0);
+  ExpectProportionsPinned(flat);
+  ASSERT_TRUE(flat.AddTrace(ts::Series(0, 60, {-5, -5, -5})).ok());
+  ExpectProportionsPinned(flat);
+
+  // Many members with volumes whose sum depends on the addition order, over
+  // a first batch, a single insert and a second batch on the non-empty
+  // Descender.
+  std::vector<ts::Series> first, second;
+  Rng rng(41);
+  for (size_t fam = 0; fam < 3; ++fam) {
+    workloads::WarpedFamilyOptions opts =
+        TightFamily(static_cast<double>(fam) * 2.0 * M_PI / 3.0, 42 + fam);
+    opts.members = 12;
+    auto members = workloads::GenerateWarpedFamily(opts);
+    for (size_t m = 0; m < members.size(); ++m) {
+      // Scales spanning orders of magnitude (shape, hence clusters, kept).
+      const double scale = std::pow(10.0, rng.Uniform(-3.0, 3.0));
+      for (double& v : members[m].mutable_values()) v = v * scale + 0.1;
+      (m % 2 == 0 ? first : second).push_back(std::move(members[m]));
+    }
+  }
+  Descender mixed(MakeOpts(3.0, 3, 4));
+  ASSERT_TRUE(mixed.AddTraces(first).ok());
+  ExpectProportionsPinned(mixed);
+  ASSERT_TRUE(mixed.AddTrace(second.back()).ok());
+  second.pop_back();
+  ExpectProportionsPinned(mixed);
+  ASSERT_TRUE(mixed.AddTraces(second).ok());
+  EXPECT_LT(mixed.cluster_count(), mixed.trace_count());
+  ExpectProportionsPinned(mixed);
 }
 
 TEST(DescenderTest, InputValidation) {

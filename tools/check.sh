@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One-command correctness gate for DBAugur. Builds and tests the tree under:
 #   1. Release            (-O2 -DNDEBUG — proves DBAUGUR_CHECK survives NDEBUG)
+#                          plus the bench smokes and bench/table2_efficiency
+#                          (cluster labels identical on scalar and SIMD tiers)
 #   2. ASan + UBSan       (-fno-sanitize-recover=all, DCHECKs forced on)
 #   2b. Fault injection   (serve_fault suite re-run under ASan with a
 #                          DBAUGUR_FAULT_SPEC storm armed from the environment)
@@ -113,6 +115,20 @@ if [[ -x build-release/bench/serve_scale ]]; then
   fi
 else
   record "serve_scale-smoke" "SKIPPED (Release build failed)"
+fi
+
+# --- 1e. Table II efficiency bench: exits non-zero when cluster labels differ
+# between the forced-scalar and the dispatched SIMD tier, through both the
+# sequential AddTrace loop and the batch AddTraces sweep.
+if [[ -x build-release/bench/table2_efficiency ]]; then
+  note "bench/table2_efficiency (Release)"
+  if ./build-release/bench/table2_efficiency > /dev/null; then
+    record "table2_efficiency" "OK"
+  else
+    record "table2_efficiency" "FAIL"
+  fi
+else
+  record "table2_efficiency" "SKIPPED (Release build failed)"
 fi
 
 # --- 2. ASan + UBSan. --------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/simd.h"
@@ -65,15 +66,17 @@ inline Dataset MakeAlibabaDataset(size_t days = 6) {
   return d;
 }
 
-/// Writes the SIMD provenance fields every bench JSON carries: the host CPU's
-/// feature set and the dispatch tier the process is actually running (env
-/// caps and forced tiers included), so committed BENCH_*.json results are
-/// comparable across machines. Emits two complete `"key": "value",` lines at
-/// two-space indent.
+/// Writes the provenance fields every bench JSON carries: the host CPU's
+/// feature set, the dispatch tier the process is actually running (env caps
+/// and forced tiers included) and the core count, so committed BENCH_*.json
+/// results are comparable across machines. Emits three complete
+/// `"key": value,` lines at two-space indent.
 inline void WriteSimdProvenance(std::FILE* out) {
   std::fprintf(out, "  \"cpu_features\": \"%s\",\n  \"simd_tier\": \"%s\",\n",
                simd::CpuFeatures().c_str(),
                simd::TierName(simd::ActiveTier()));
+  std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
+               std::thread::hardware_concurrency());
 }
 
 /// Default bench hyper-parameters (paper: window 30, lr 1e-3; epochs reduced

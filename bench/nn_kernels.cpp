@@ -1,18 +1,21 @@
 // GEMM kernel and training-hot-path benchmark with machine-readable output.
 //
-// Two families of cases:
+// Three families of cases:
 //   1. Microkernels: each fused GEMM variant vs the pre-PR naive kernel
 //      (nn::ref) including the fresh-allocation-per-call behavior of the old
 //      Matrix wrappers, at the shapes the WFGAN/LSTM/MLP hot paths hit.
-//   2. wfgan_lstm_epoch: one WFGAN-shaped training epoch worth of LSTM
-//      forward+backward passes. The legacy side is a faithful replica of the
-//      pre-PR LSTM (per-step allocations, unfused gate loops, naive kernels);
-//      the fused side runs the current nn::LSTM workspaces.
+//   2. wfgan_lstm_epoch: one WFGAN-shaped epoch worth of nn::LSTM forward +
+//      backward passes, in f64 and through the f32 training path.
+//   3. wfgan_train_epoch_ms / tcn_train_epoch_ms: one TrainEpoch of the real
+//      WfganForecaster and TcnForecaster on the paper-ensemble shape (window
+//      30, batch 32, 581 points), median over the timed epochs.
 //
 // Output is a single JSON object (stdout, or --out FILE). `--smoke` shrinks
 // rep counts so CI can run it in seconds.
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -20,8 +23,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/math_utils.h"
 #include "common/rng.h"
+#include "models/tcn.h"
+#include "models/wfgan.h"
 #include "nn/gemm.h"
 #include "nn/lstm.h"
 #include "nn/matrix.h"
@@ -169,141 +173,19 @@ CaseResult RunKernelCase(const KernelCase& kc, bool smoke, Rng* rng) {
   return r;
 }
 
-// --- Legacy LSTM replica (verbatim structure of the pre-PR nn::LSTM:
-// std::vector caches rebuilt per pass, six unfused gate loops, operator()
-// indexing, naive kernels, fresh result matrices everywhere).
-
-struct LegacyLstm {
-  size_t input, hidden;
-  Matrix wx, wh, b, dwx, dwh, db;
-
-  struct StepCache {
-    Matrix x, h_prev, c_prev, i, f, g, o, c, tanh_c;
-  };
-  std::vector<StepCache> cache;
-
-  LegacyLstm(size_t in, size_t hid, Rng* rng)
-      : input(in),
-        hidden(hid),
-        wx(RandomMatrix(in, 4 * hid, rng)),
-        wh(RandomMatrix(hid, 4 * hid, rng)),
-        b(RandomMatrix(1, 4 * hid, rng)),
-        dwx(in, 4 * hid),
-        dwh(hid, 4 * hid),
-        db(1, 4 * hid) {}
-
-  std::vector<Matrix> ForwardSequence(const std::vector<Matrix>& xs) {
-    cache.clear();
-    cache.reserve(xs.size());
-    std::vector<Matrix> hs;
-    hs.reserve(xs.size());
-    size_t batch = xs[0].rows();
-    Matrix h(batch, hidden), c(batch, hidden);
-    for (const Matrix& x : xs) {
-      StepCache sc;
-      sc.x = x;
-      sc.h_prev = h;
-      sc.c_prev = c;
-      Matrix z = LegacyMatMul(x, wx);
-      z.Add(LegacyMatMul(h, wh));
-      z.AddRowVector(b);
-      sc.i = Matrix(batch, hidden);
-      sc.f = Matrix(batch, hidden);
-      sc.g = Matrix(batch, hidden);
-      sc.o = Matrix(batch, hidden);
-      for (size_t r = 0; r < batch; ++r) {
-        const double* zr = z.row(r);
-        for (size_t j = 0; j < hidden; ++j) {
-          sc.i(r, j) = Sigmoid(zr[j]);
-          sc.f(r, j) = Sigmoid(zr[hidden + j]);
-          sc.g(r, j) = std::tanh(zr[2 * hidden + j]);
-          sc.o(r, j) = Sigmoid(zr[3 * hidden + j]);
-        }
-      }
-      sc.c = Matrix(batch, hidden);
-      sc.tanh_c = Matrix(batch, hidden);
-      Matrix h_new(batch, hidden);
-      for (size_t r = 0; r < batch; ++r) {
-        for (size_t j = 0; j < hidden; ++j) {
-          sc.c(r, j) = sc.f(r, j) * c(r, j) + sc.i(r, j) * sc.g(r, j);
-          sc.tanh_c(r, j) = std::tanh(sc.c(r, j));
-          h_new(r, j) = sc.o(r, j) * sc.tanh_c(r, j);
-        }
-      }
-      c = sc.c;
-      h = h_new;
-      hs.push_back(h);
-      cache.push_back(std::move(sc));
-    }
-    return hs;
-  }
-
-  std::vector<Matrix> BackwardSequence(const std::vector<Matrix>& grad_hs) {
-    size_t steps = cache.size();
-    std::vector<Matrix> dxs(steps);
-    size_t batch = cache[0].x.rows();
-    Matrix dh_next(batch, hidden);
-    Matrix dc_next(batch, hidden);
-    for (size_t t = steps; t-- > 0;) {
-      const StepCache& sc = cache[t];
-      Matrix dh = grad_hs[t];
-      dh.Add(dh_next);
-      Matrix do_gate(batch, hidden), dc(batch, hidden);
-      for (size_t r = 0; r < batch; ++r) {
-        for (size_t j = 0; j < hidden; ++j) {
-          double tc = sc.tanh_c(r, j);
-          do_gate(r, j) = dh(r, j) * tc;
-          dc(r, j) = dh(r, j) * sc.o(r, j) * (1.0 - tc * tc) + dc_next(r, j);
-        }
-      }
-      Matrix di(batch, hidden), df(batch, hidden), dg(batch, hidden);
-      Matrix dc_prev(batch, hidden);
-      for (size_t r = 0; r < batch; ++r) {
-        for (size_t j = 0; j < hidden; ++j) {
-          di(r, j) = dc(r, j) * sc.g(r, j);
-          df(r, j) = dc(r, j) * sc.c_prev(r, j);
-          dg(r, j) = dc(r, j) * sc.i(r, j);
-          dc_prev(r, j) = dc(r, j) * sc.f(r, j);
-        }
-      }
-      Matrix dz(batch, 4 * hidden);
-      for (size_t r = 0; r < batch; ++r) {
-        for (size_t j = 0; j < hidden; ++j) {
-          double iv = sc.i(r, j), fv = sc.f(r, j), gv = sc.g(r, j),
-                 ov = sc.o(r, j);
-          dz(r, j) = di(r, j) * iv * (1.0 - iv);
-          dz(r, hidden + j) = df(r, j) * fv * (1.0 - fv);
-          dz(r, 2 * hidden + j) = dg(r, j) * (1.0 - gv * gv);
-          dz(r, 3 * hidden + j) = do_gate(r, j) * ov * (1.0 - ov);
-        }
-      }
-      dwx.Add(LegacyTransposeMatMul(sc.x, dz));
-      dwh.Add(LegacyTransposeMatMul(sc.h_prev, dz));
-      db.Add(dz.ColSum());
-      dxs[t] = LegacyMatMulTranspose(dz, wx);
-      dh_next = LegacyMatMulTranspose(dz, wh);
-      dc_next = dc_prev;
-    }
-    return dxs;
-  }
-};
-
 struct EpochResult {
   int reps = 0;
   int batches = 0;
   int seq_passes = 0;
   size_t batch = 0, steps = 0, hidden = 0;
-  double naive_ms = 0.0;
   double fused_ms = 0.0;
-  double speedup = 0.0;
   double fused_f32_ms = 0.0;  // same epoch through the f32 training path
-  double speedup_f32 = 0.0;
 };
 
-// One WFGAN training batch runs the generator trunk fwd+bwd once and the
-// discriminator trunk fwd+bwd three times (two D-step passes, one G-step
-// pass); both trunks are the same LSTM shape, so a batch is 4 sequence
-// passes through an LSTM(1, hidden).
+// A fixed kernel-level proxy: 4 full forward+backward sequence passes
+// through an LSTM(1, hidden) per batch, what a WFGAN batch cost before its
+// exact fast path (generator once, discriminator three times). The real
+// epochs, fast path included, are timed by RunModelEpochCase.
 EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
   EpochResult r;
   r.batch = 32;
@@ -320,25 +202,10 @@ EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
   }
 
   double sink = 0.0;
-  LegacyLstm legacy(1, r.hidden, rng);
-  // Warm one pass so both sides start with faulted-in pages.
-  sink += legacy.ForwardSequence(xs)[0].data()[0];
-  double t0 = NowSeconds();
-  for (int rep = 0; rep < r.reps; ++rep) {
-    for (int bi = 0; bi < r.batches; ++bi) {
-      for (int p = 0; p < r.seq_passes; ++p) {
-        auto hs = legacy.ForwardSequence(xs);
-        auto dxs = legacy.BackwardSequence(grads);
-        sink += hs.back().data()[0] + dxs[0].data()[0];
-      }
-    }
-  }
-  double t1 = NowSeconds();
-
   nn::LSTM fused(1, r.hidden, rng);
   fused.ForwardSequence(xs);
   fused.BackwardSequence(grads);
-  double t2 = NowSeconds();
+  double t0 = NowSeconds();
   for (int rep = 0; rep < r.reps; ++rep) {
     for (int bi = 0; bi < r.batches; ++bi) {
       for (int p = 0; p < r.seq_passes; ++p) {
@@ -348,7 +215,7 @@ EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
       }
     }
   }
-  double t3 = NowSeconds();
+  double t1 = NowSeconds();
 
   // f32 leg: the same epoch through the single-precision training path a
   // model opts into with Precision::kF32.
@@ -372,7 +239,7 @@ EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
   nn::LSTMF fused32(1, r.hidden, rng);
   fused32.ForwardSequence(xs32);
   fused32.BackwardSequence(grads32);
-  double t4 = NowSeconds();
+  double t2 = NowSeconds();
   for (int rep = 0; rep < r.reps; ++rep) {
     for (int bi = 0; bi < r.batches; ++bi) {
       for (int p = 0; p < r.seq_passes; ++p) {
@@ -383,19 +250,66 @@ EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
       }
     }
   }
-  double t5 = NowSeconds();
+  double t3 = NowSeconds();
 
   if (sink == 12345.6789) std::fprintf(stderr, "~");
-  r.naive_ms = (t1 - t0) * 1e3 / r.reps;
-  r.fused_ms = (t3 - t2) * 1e3 / r.reps;
-  r.speedup = r.fused_ms > 0.0 ? r.naive_ms / r.fused_ms : 0.0;
-  r.fused_f32_ms = (t5 - t4) * 1e3 / r.reps;
-  r.speedup_f32 = r.fused_f32_ms > 0.0 ? r.naive_ms / r.fused_f32_ms : 0.0;
+  r.fused_ms = (t1 - t0) * 1e3 / r.reps;
+  r.fused_f32_ms = (t3 - t2) * 1e3 / r.reps;
+  return r;
+}
+
+struct ModelEpochResult {
+  size_t points = 581;  // the paper-ensemble cluster series length
+  size_t window = 30;
+  size_t batch = 32;
+  int epochs = 0;  // timed epochs after one warm-up epoch
+  double wfgan_ms = 0.0;
+  double tcn_ms = 0.0;
+};
+
+// Median milliseconds of one TrainEpoch over `epochs` timed epochs, after
+// PrepareTraining and one warm-up epoch.
+template <typename Model>
+double MedianEpochMs(const models::ForecasterOptions& opts,
+                     const std::vector<double>& series, int epochs) {
+  Model model(opts);
+  if (!model.PrepareTraining(series).ok() || !model.TrainEpoch().ok()) {
+    std::fprintf(stderr, "%s: training failed\n", model.name().c_str());
+    return 0.0;
+  }
+  std::vector<double> ms;
+  for (int e = 0; e < epochs; ++e) {
+    double t0 = NowSeconds();
+    const bool ok = model.TrainEpoch().ok();
+    ms.push_back((NowSeconds() - t0) * 1e3);
+    if (!ok) return 0.0;
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+// The real forecasters' epochs, so the model-level fast paths (which the
+// LSTM-pass leg above cannot see) show up here.
+ModelEpochResult RunModelEpochCase(bool smoke, Rng* rng) {
+  ModelEpochResult r;
+  r.epochs = smoke ? 1 : 9;
+  std::vector<double> series(r.points);
+  for (size_t i = 0; i < r.points; ++i) {
+    const double day = 2.0 * M_PI * static_cast<double>(i) / 144.0;
+    series[i] = 100.0 + 60.0 * std::sin(day) + 20.0 * std::sin(7.0 * day) +
+                rng->Uniform(-5.0, 5.0);
+  }
+  models::ForecasterOptions opts;
+  opts.window = r.window;
+  opts.batch_size = r.batch;
+  r.wfgan_ms = MedianEpochMs<models::WfganForecaster>(opts, series, r.epochs);
+  r.tcn_ms = MedianEpochMs<models::TcnForecaster>(opts, series, r.epochs);
   return r;
 }
 
 void WriteJson(std::FILE* out, bool smoke,
-               const std::vector<CaseResult>& cases, const EpochResult& ep) {
+               const std::vector<CaseResult>& cases, const EpochResult& ep,
+               const ModelEpochResult& me) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"nn_kernels\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
@@ -415,12 +329,15 @@ void WriteJson(std::FILE* out, bool smoke,
   std::fprintf(out,
                "  \"wfgan_lstm_epoch\": {\"batch\": %zu, \"steps\": %zu, "
                "\"hidden\": %zu, \"batches\": %d, \"seq_passes\": %d, "
-               "\"reps\": %d, \"naive_ms\": %.2f, \"fused_ms\": %.2f, "
-               "\"speedup\": %.3f, \"fused_f32_ms\": %.2f, "
-               "\"speedup_f32\": %.3f}\n",
+               "\"reps\": %d, \"fused_ms\": %.2f, \"fused_f32_ms\": %.2f},\n",
                ep.batch, ep.steps, ep.hidden, ep.batches, ep.seq_passes,
-               ep.reps, ep.naive_ms, ep.fused_ms, ep.speedup, ep.fused_f32_ms,
-               ep.speedup_f32);
+               ep.reps, ep.fused_ms, ep.fused_f32_ms);
+  std::fprintf(out,
+               "  \"model_epochs\": {\"points\": %zu, \"window\": %zu, "
+               "\"batch\": %zu, \"epochs\": %d},\n",
+               me.points, me.window, me.batch, me.epochs);
+  std::fprintf(out, "  \"wfgan_train_epoch_ms\": %.2f,\n", me.wfgan_ms);
+  std::fprintf(out, "  \"tcn_train_epoch_ms\": %.2f\n", me.tcn_ms);
   std::fprintf(out, "}\n");
 }
 
@@ -447,10 +364,11 @@ int Main(int argc, char** argv) {
                  cases.back().fused_ns, cases.back().speedup);
   }
   EpochResult ep = RunWfganEpochCase(smoke, &rng);
-  std::fprintf(stderr, "wfgan_lstm_epoch   naive %10.2f ms  fused %10.2f ms  %5.2fx\n",
-               ep.naive_ms, ep.fused_ms, ep.speedup);
-  std::fprintf(stderr, "wfgan_lstm_epoch   f32 fused %10.2f ms  %5.2fx\n",
-               ep.fused_f32_ms, ep.speedup_f32);
+  std::fprintf(stderr, "wfgan_lstm_epoch   fused %10.2f ms  f32 %10.2f ms\n",
+               ep.fused_ms, ep.fused_f32_ms);
+  ModelEpochResult me = RunModelEpochCase(smoke, &rng);
+  std::fprintf(stderr, "train_epoch        wfgan %10.2f ms  tcn %10.2f ms\n",
+               me.wfgan_ms, me.tcn_ms);
 
   std::FILE* out = stdout;
   if (out_path != nullptr) {
@@ -460,7 +378,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  WriteJson(out, smoke, cases, ep);
+  WriteJson(out, smoke, cases, ep, me);
   if (out != stdout) std::fclose(out);
   return 0;
 }

@@ -19,6 +19,15 @@ TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
         in_ch, tcn_opts_.channels, tcn_opts_.kernel, d, &rng_));
     in_ch = tcn_opts_.channels;
   }
+  // The head reads only the last step of the last block. Walking that step's
+  // dependency cone back through the blocks leaves each conv computing just
+  // the steps a later layer reads (Paine et al., "Fast Wavenet Generation").
+  if (opts_.window > 0) {
+    std::vector<size_t> steps = {opts_.window - 1};
+    for (size_t b = blocks_.size(); b-- > 0;) {
+      steps = blocks_[b]->RestrictOutputSteps(std::move(steps));
+    }
+  }
 }
 
 size_t TcnForecaster::ReceptiveField() const {
@@ -54,23 +63,12 @@ Status TcnForecaster::TrainEpoch() {
     size_t count = std::min(opts_.batch_size, order.size() - begin);
     BatchWindowsInto(train_samples_, order, begin, count, &xb_);
     BatchTargetsInto(train_samples_, order, begin, count, &y_);
-    ToTensor3Into(xb_, &t_in_);
-    // Chain block workspaces by reference; each block owns its output.
-    const nn::Tensor3* t = &t_in_;
-    for (auto& b : blocks_) t = &b->Forward(*t);
-    // Head reads the final time step across channels.
-    size_t last = t->time() - 1;
-    feats_.Resize(count, tcn_opts_.channels);
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t c = 0; c < tcn_opts_.channels; ++c) {
-        feats_(r, c) = (*t)(r, c, last);
-      }
-    }
-    const nn::Matrix& pred = head_.Forward(feats_);
+    const nn::Matrix& pred = ForwardBatch(xb_);
     nn::MSELoss(pred, y_, &grad_);
     for (auto& p : params) p.grad->Fill(0.0);
     const nn::Matrix& dfeats = head_.Backward(grad_);
-    dt_.Resize(count, tcn_opts_.channels, t->time());
+    const size_t last = xb_.cols() - 1;
+    dt_.Resize(count, tcn_opts_.channels, last + 1);
     dt_.Fill(0.0);
     for (size_t r = 0; r < count; ++r) {
       for (size_t c = 0; c < tcn_opts_.channels; ++c) {
@@ -96,8 +94,10 @@ Status TcnForecaster::Fit(const std::vector<double>& series) {
 
 const nn::Matrix& TcnForecaster::ForwardBatch(const nn::Matrix& xb) const {
   ToTensor3Into(xb, &t_in_);
+  // Chain block workspaces by reference; each block owns its output.
   const nn::Tensor3* t = &t_in_;
   for (auto& b : blocks_) t = &b->Forward(*t);
+  // Head reads the final time step across channels.
   size_t last = t->time() - 1;
   feats_.Resize(xb.rows(), tcn_opts_.channels);
   for (size_t r = 0; r < xb.rows(); ++r) {

@@ -61,21 +61,29 @@ void WfganForecaster::GeneratorBackward(const nn::Matrix& grad_pred,
 }
 
 const nn::Matrix& WfganForecaster::DiscriminatorForward(
-    const std::vector<nn::Matrix>& xs) const {
-  const std::vector<nn::Matrix>& hs = d_lstm_.ForwardSequence(xs);
+    const std::vector<nn::Matrix>& xs, size_t first_step) const {
+  const std::vector<nn::Matrix>& hs = d_lstm_.ForwardSequence(xs, first_step);
   const nn::Matrix& context =
-      gan_.use_attention ? d_attn_.Forward(hs) : hs.back();
+      gan_.use_attention ? d_attn_.Forward(hs, first_step) : hs.back();
   return d_head_.Forward(context);
 }
 
-const std::vector<nn::Matrix>& WfganForecaster::DiscriminatorBackward(
-    const nn::Matrix& grad_logit, size_t steps, size_t batch) const {
+void WfganForecaster::DiscriminatorBackward(const nn::Matrix& grad_logit,
+                                            size_t steps, size_t batch) const {
   const nn::Matrix& dcontext = d_head_.Backward(grad_logit);
   if (gan_.use_attention) {
-    return d_lstm_.BackwardSequence(d_attn_.Backward(dcontext));
+    d_lstm_.BackwardSequence(d_attn_.Backward(dcontext));
+    return;
   }
   LastStepGradSequence(dcontext, steps, batch, gan_.hidden, &d_grad_hs_);
-  return d_lstm_.BackwardSequence(d_grad_hs_);
+  d_lstm_.BackwardSequence(d_grad_hs_);
+}
+
+const nn::Matrix& WfganForecaster::DiscriminatorLastInputGrad(
+    const nn::Matrix& grad_logit) const {
+  const nn::Matrix& dcontext = d_head_.InputGrad(grad_logit);
+  return d_lstm_.LastStepInputGrad(
+      gan_.use_attention ? d_attn_.LastStepInputGrad(dcontext) : dcontext);
 }
 
 Status WfganForecaster::PrepareTraining(const std::vector<double>& series) {
@@ -104,22 +112,29 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
     BatchTargetsInto(train_samples_, order, begin, count, &y_);
     ToTimeMajorInto(xb_, &xs_);
 
+    // Generator output on xs_ whose layer caches are still intact: nothing
+    // changes the generator between the D-steps' forward and the first
+    // G-step, which reuses it.
+    const nn::Matrix* fake = nullptr;
     if (gan_.adversarial) {
       // --- D-steps (Algorithm 2, lines 5-7): fake forecasts are detached.
-      const nn::Matrix& fake = GeneratorForward(xs_);
+      fake = &GeneratorForward(xs_);
       CopySequenceWithTail(xs_, y_, &xs_real_);
-      CopySequenceWithTail(xs_, fake, &xs_fake_);
+      CopySequenceWithTail(xs_, *fake, &xs_fake_);
       real_labels_.Resize(count, 1);
       real_labels_.Fill(gan_.real_label);
       fake_labels_.Resize(count, 1);
       fake_labels_.Fill(0.0);
+      // The fake batch equals the real one before its tail, and D does not
+      // change between the two passes: the fake pass starts at the tail.
+      const size_t tail = xs_.size();
       for (size_t s = 0; s < gan_.d_steps; ++s) {
         zero(dparams);
         const nn::Matrix& real_logits = DiscriminatorForward(xs_real_);
         double loss_real =
             nn::BCEWithLogitsLoss(real_logits, real_labels_, &grad_real_);
         DiscriminatorBackward(grad_real_, xs_real_.size(), count);
-        const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_);
+        const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_, tail);
         double loss_fake =
             nn::BCEWithLogitsLoss(fake_logits, fake_labels_, &grad_fake_);
         DiscriminatorBackward(grad_fake_, xs_fake_.size(), count);
@@ -132,39 +147,44 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
     // --- G-steps (Algorithm 2, lines 8-10) plus the supervised MSE term.
     for (size_t s = 0; s < gan_.g_steps; ++s) {
       zero(gparams);
-      const nn::Matrix& fake = GeneratorForward(xs_);
+      if (fake == nullptr) fake = &GeneratorForward(xs_);
       grad_pred_.Resize(count, 1);
       grad_pred_.Fill(0.0);
 
-      double mse = nn::MSELoss(fake, y_, &mse_grad_);
+      double mse = nn::MSELoss(*fake, y_, &mse_grad_);
       grad_pred_.AddScaled(mse_grad_, gan_.supervised_weight);
       stats.g_mse += mse;
 
       if (gan_.adversarial) {
-        CopySequenceWithTail(xs_, fake, &xs_fake_);
-        zero(dparams);  // D grads from this pass are discarded below.
+        CopySequenceWithTail(xs_, *fake, &xs_fake_);
         const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_);
         double adv =
             gan_.saturating_g_loss
                 ? nn::GeneratorGanLossSaturating(fake_logits, &grad_logit_)
                 : nn::GeneratorGanLoss(fake_logits, &grad_logit_);
         stats.g_adv += adv;
-        const std::vector<nn::Matrix>& dxs =
-            DiscriminatorBackward(grad_logit_, xs_fake_.size(), count);
-        grad_pred_.AddScaled(dxs.back(), gan_.adversarial_weight);
-        zero(dparams);
+        // Only the forecast's own input gradient feeds G; D's parameter
+        // gradients are never formed here.
+        grad_pred_.AddScaled(DiscriminatorLastInputGrad(grad_logit_),
+                             gan_.adversarial_weight);
       }
 
       GeneratorBackward(grad_pred_, xs_.size(), count);
       nn::ClipGradNorm(gparams, opts_.grad_clip);
       g_adam_.Step(gparams);
+      fake = nullptr;  // the step changed the generator
     }
     ++batches;
   }
   if (batches > 0) {
-    stats.d_loss /= static_cast<double>(batches * std::max<size_t>(1, gan_.d_steps));
-    stats.g_adv /= static_cast<double>(batches * gan_.g_steps);
-    stats.g_mse /= static_cast<double>(batches * gan_.g_steps);
+    // With no D- or G-steps the sums stay 0; max(1, .) keeps them off 0/0.
+    const double d_div =
+        static_cast<double>(batches * std::max<size_t>(1, gan_.d_steps));
+    const double g_div =
+        static_cast<double>(batches * std::max<size_t>(1, gan_.g_steps));
+    stats.d_loss /= d_div;
+    stats.g_adv /= g_div;
+    stats.g_mse /= g_div;
   }
   last_stats_ = stats;
   return stats;

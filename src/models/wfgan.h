@@ -89,13 +89,20 @@ class WfganForecaster : public Forecaster {
   /// Generator backward from dLoss/dForecast.
   void GeneratorBackward(const nn::Matrix& grad_pred, size_t steps,
                          size_t batch) const;
-  /// Discriminator forward on a time-major batch of length T+1.
-  const nn::Matrix& DiscriminatorForward(
-      const std::vector<nn::Matrix>& xs) const;
-  /// Discriminator backward; returns dLoss/dInput per step (network-owned
-  /// workspace, valid until the next call).
-  const std::vector<nn::Matrix>& DiscriminatorBackward(
-      const nn::Matrix& grad_logit, size_t steps, size_t batch) const;
+  /// Discriminator forward on a time-major batch of length T+1. With
+  /// first_step > 0 the steps before it are reused from the previous call,
+  /// under the contract of nn::LSTM::ForwardSequence (same weights, equal
+  /// inputs there).
+  const nn::Matrix& DiscriminatorForward(const std::vector<nn::Matrix>& xs,
+                                         size_t first_step = 0) const;
+  /// Discriminator backward: accumulates D's parameter gradients.
+  void DiscriminatorBackward(const nn::Matrix& grad_logit, size_t steps,
+                             size_t batch) const;
+  /// dLoss/dInput of the last step alone (what the G-step reads), without
+  /// any parameter gradient; network-owned workspace, valid until the next
+  /// discriminator call.
+  const nn::Matrix& DiscriminatorLastInputGrad(
+      const nn::Matrix& grad_logit) const;
   std::vector<nn::Param> GeneratorParams() const;
   std::vector<nn::Param> DiscriminatorParams() const;
 

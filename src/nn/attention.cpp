@@ -24,7 +24,8 @@ TemporalAttention::TemporalAttention(size_t hidden, size_t attn_dim, Rng* rng)
   XavierInit(&v_, rng);
 }
 
-const Matrix& TemporalAttention::Forward(const std::vector<Matrix>& hs) {
+const Matrix& TemporalAttention::Forward(const std::vector<Matrix>& hs,
+                                         size_t first_step) {
   size_t steps = hs.size();
   size_t batch = steps == 0 ? 0 : hs[0].rows();
   // Contracts hoisted out of the step loop.
@@ -33,10 +34,23 @@ const Matrix& TemporalAttention::Forward(const std::vector<Matrix>& hs) {
     DBAUGUR_CHECK_EQ(h.rows(), batch,
                      "TemporalAttention::Forward inconsistent batch size");
   }
-  hs_ = hs;
+  if (first_step > 0) {
+    DBAUGUR_CHECK(steps == hs_.size() && first_step <= steps &&
+                      batch == scores_.rows(),
+                  "TemporalAttention::Forward reuses steps [0, ", first_step,
+                  ") of the cached pass, which has ", hs_.size(),
+                  " steps; this one has ", steps);
+    for (size_t t = 0; t < first_step; ++t) {
+      DBAUGUR_DCHECK(hs[t].BitwiseEqual(hs_[t]),
+                     "TemporalAttention::Forward reused step ", t,
+                     " differs from the cached pass");
+    }
+  }
+  hs_.resize(steps);
   u_.resize(steps);
-  scores_.Resize(batch, steps);
-  for (size_t t = 0; t < steps; ++t) {
+  scores_.Resize(batch, steps);  // same shape when reusing: scores kept
+  for (size_t t = first_step; t < steps; ++t) {
+    hs_[t] = hs[t];
     Matrix& u = u_[t];
     u.MatMulInto(hs[t], wa_);
     u.AddRowVector(ba_);
@@ -70,10 +84,10 @@ const Matrix& TemporalAttention::Forward(const std::vector<Matrix>& hs) {
   return context_;
 }
 
-const std::vector<Matrix>& TemporalAttention::Backward(
-    const Matrix& grad_context) {
-  size_t steps = hs_.size();
-  size_t batch = steps == 0 ? 0 : hs_[0].rows();
+void TemporalAttention::ScoreGrads(const Matrix& grad_context,
+                                   size_t first_step) {
+  const size_t steps = hs_.size();
+  const size_t batch = steps == 0 ? 0 : hs_[0].rows();
   if (steps > 0) {
     DBAUGUR_CHECK(grad_context.rows() == batch &&
                       grad_context.cols() == hidden_,
@@ -82,22 +96,22 @@ const std::vector<Matrix>& TemporalAttention::Backward(
                   " does not match context ", batch, "x", hidden_);
   }
   dhs_.resize(steps);
-
   // dL/dalpha_{r,t} = grad_context_r . h_t_r ; context term dh = alpha * dc.
   dalpha_.Resize(batch, steps);
   for (size_t t = 0; t < steps; ++t) {
-    dhs_[t].Resize(batch, hidden_);
+    const bool context_term = t >= first_step;
+    if (context_term) dhs_[t].Resize(batch, hidden_);
     for (size_t r = 0; r < batch; ++r) {
       const double* hrow = hs_[t].row(r);
       const double* crow = grad_context.row(r);
-      const double a = alpha_(r, t);
-      double* drow = dhs_[t].row(r);
       double dot = 0.0;
-      for (size_t j = 0; j < hidden_; ++j) {
-        dot += crow[j] * hrow[j];
-        drow[j] = a * crow[j];
-      }
+      for (size_t j = 0; j < hidden_; ++j) dot += crow[j] * hrow[j];
       dalpha_(r, t) = dot;
+      if (context_term) {
+        const double a = alpha_(r, t);
+        double* drow = dhs_[t].row(r);
+        for (size_t j = 0; j < hidden_; ++j) drow[j] = a * crow[j];
+      }
     }
   }
   // Softmax backward: ds_t = alpha_t * (dalpha_t - sum_k alpha_k dalpha_k).
@@ -109,24 +123,45 @@ const std::vector<Matrix>& TemporalAttention::Backward(
       dscore_(r, t) = alpha_(r, t) * (dalpha_(r, t) - dot);
     }
   }
+}
+
+void TemporalAttention::ProjectionGrad(size_t t, bool param_grads) {
   // Through s_t = u_t . v and u_t = tanh(h_t Wa + ba).
-  for (size_t t = 0; t < steps; ++t) {
-    s_.Resize(batch, 1);
-    for (size_t r = 0; r < batch; ++r) s_(r, 0) = dscore_(r, t);
-    // dv += u_t^T ds ; du = ds v^T.
-    dv_.AddTransposeMatMul(u_[t], s_);
-    du_.MatMulTransposeInto(s_, v_);  // [batch, attn]
-    // Through tanh.
-    const double* ud = u_[t].data();
-    double* dud = du_.data();
-    for (size_t i = 0, n = du_.size(); i < n; ++i) {
-      dud[i] *= 1.0 - ud[i] * ud[i];
-    }
+  const size_t batch = hs_[t].rows();
+  s_.Resize(batch, 1);
+  for (size_t r = 0; r < batch; ++r) s_(r, 0) = dscore_(r, t);
+  // dv += u_t^T ds ; du = ds v^T.
+  if (param_grads) dv_.AddTransposeMatMul(u_[t], s_);
+  du_.MatMulTransposeInto(s_, v_);  // [batch, attn]
+  // Through tanh.
+  const double* ud = u_[t].data();
+  double* dud = du_.data();
+  for (size_t i = 0, n = du_.size(); i < n; ++i) {
+    dud[i] *= 1.0 - ud[i] * ud[i];
+  }
+  if (param_grads) {
     dwa_.AddTransposeMatMul(hs_[t], du_);
     dba_.AddColSumOf(du_);
-    dhs_[t].AddMatMulTranspose(du_, wa_);
   }
+  dhs_[t].AddMatMulTranspose(du_, wa_);
+}
+
+const std::vector<Matrix>& TemporalAttention::Backward(
+    const Matrix& grad_context) {
+  ScoreGrads(grad_context, 0);
+  for (size_t t = 0; t < hs_.size(); ++t) ProjectionGrad(t, true);
   return dhs_;
+}
+
+const Matrix& TemporalAttention::LastStepInputGrad(
+    const Matrix& grad_context) {
+  DBAUGUR_CHECK(!hs_.empty(),
+                "TemporalAttention::LastStepInputGrad needs a cached forward "
+                "pass");
+  const size_t last = hs_.size() - 1;
+  ScoreGrads(grad_context, last);
+  ProjectionGrad(last, false);
+  return dhs_[last];
 }
 
 std::vector<Param> TemporalAttention::Params() {

@@ -24,12 +24,27 @@ class TemporalAttention {
   /// Computes the context vector; caches activations for Backward. The
   /// returned matrix is a layer-owned workspace valid until the next Forward
   /// call; steady-state calls with the same shapes do not touch the heap.
-  const Matrix& Forward(const std::vector<Matrix>& hs);
+  ///
+  /// With first_step > 0 only the projections u_t and scores of steps
+  /// >= first_step are computed; earlier ones are reused from the previous
+  /// Forward call. The softmax and the context always cover every step, so
+  /// the result is bit-identical to a full pass. Contract as for
+  /// LSTMT::ForwardSequence: the weights are unchanged since that call, hs
+  /// has its shape, and hs[t] equals its input for every t < first_step
+  /// (DCHECKed). A Backward or LastStepInputGrad in between only reads the
+  /// caches.
+  const Matrix& Forward(const std::vector<Matrix>& hs, size_t first_step = 0);
 
   /// Given dLoss/dContext, accumulates parameter gradients and returns
   /// dLoss/dh_t for every step (layer-owned workspace, valid until the next
-  /// Backward call).
+  /// Backward or LastStepInputGrad call).
   const std::vector<Matrix>& Backward(const Matrix& grad_context);
+
+  /// dLoss/dh_{T-1} alone, bit-identical to Backward(grad_context).back()
+  /// but without the other steps' projection gradients or any parameter
+  /// gradient. The softmax term still reads every step (one dot product per
+  /// step and row). Same workspace rules as Backward.
+  const Matrix& LastStepInputGrad(const Matrix& grad_context);
 
   std::vector<Param> Params();
   void ZeroGrad();
@@ -38,6 +53,13 @@ class TemporalAttention {
   const Matrix& last_weights() const { return alpha_; }
 
  private:
+  /// dalpha_ and dscore_ for every step (the softmax couples them all), and
+  /// the context term alpha_t * dContext of dhs_[t] for t >= first_step.
+  void ScoreGrads(const Matrix& grad_context, size_t first_step);
+  /// Adds step t's projection term to dhs_[t]; with `param_grads` also
+  /// accumulates dv_, dwa_ and dba_.
+  void ProjectionGrad(size_t t, bool param_grads);
+
   size_t hidden_;
   size_t attn_;
   Matrix wa_;  // [hidden, attn]

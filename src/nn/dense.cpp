@@ -73,14 +73,20 @@ const MatrixT<T>& DenseT<T>::Forward(const MatrixT<T>& input) {
 
 template <typename T>
 const MatrixT<T>& DenseT<T>::Backward(const MatrixT<T>& grad_output) {
+  InputGrad(grad_output);  // fills g_ and dx_
+  dw_.AddTransposeMatMul(input_, g_);
+  db_.AddColSumOf(g_);
+  return dx_;
+}
+
+template <typename T>
+const MatrixT<T>& DenseT<T>::InputGrad(const MatrixT<T>& grad_output) {
   DBAUGUR_CHECK(grad_output.SameShape(output_),
                 "Dense::Backward gradient shape ", grad_output.rows(), "x",
                 grad_output.cols(), " does not match forward output ",
                 output_.rows(), "x", output_.cols());
   g_ = grad_output;
   ApplyActivationGrad(act_, pre_act_, output_, &g_);
-  dw_.AddTransposeMatMul(input_, g_);
-  db_.AddColSumOf(g_);
   dx_.MatMulTransposeInto(g_, w_);
   return dx_;
 }

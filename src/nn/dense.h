@@ -18,6 +18,9 @@ class DenseT : public LayerT<T> {
 
   const MatrixT<T>& Forward(const MatrixT<T>& input) override;
   const MatrixT<T>& Backward(const MatrixT<T>& grad_output) override;
+  /// dLoss/dInput alone: Backward without the parameter gradients (same
+  /// result and workspace).
+  const MatrixT<T>& InputGrad(const MatrixT<T>& grad_output);
   std::vector<ParamT<T>> Params() override;
 
   size_t in_features() const { return in_; }

@@ -30,8 +30,14 @@ LSTMT<T>::LSTMT(size_t input_size, size_t hidden_size, Rng* rng)
 
 template <typename T>
 const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
-    const std::vector<MatrixT<T>>& xs) {
+    const std::vector<MatrixT<T>>& xs, size_t first_step) {
   const size_t steps = xs.size();
+  if (first_step > 0) {
+    DBAUGUR_CHECK(steps == steps_ && first_step <= steps,
+                  "LSTM::ForwardSequence reuses steps [0, ", first_step,
+                  ") of the cached pass, which has ", steps_,
+                  " steps; this one has ", steps);
+  }
   steps_ = steps;
   hs_.resize(steps);
   if (cache_.size() < steps) cache_.resize(steps);
@@ -44,9 +50,20 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
     DBAUGUR_CHECK_EQ(x.rows(), batch,
                      "LSTM::ForwardSequence inconsistent batch size");
   }
-  zeros_.Resize(batch, hidden_);
-  zeros_.Fill(T(0));
-  for (size_t t = 0; t < steps; ++t) {
+  if (first_step > 0) {
+    DBAUGUR_CHECK_EQ(zeros_.rows(), batch,
+                     "LSTM::ForwardSequence batch differs from the cached "
+                     "pass it reuses");
+    for (size_t t = 0; t < first_step; ++t) {
+      DBAUGUR_DCHECK(xs[t].BitwiseEqual(cache_[t].x),
+                     "LSTM::ForwardSequence reused step ", t,
+                     " differs from the cached pass");
+    }
+  } else {
+    zeros_.Resize(batch, hidden_);
+    zeros_.Fill(T(0));
+  }
+  for (size_t t = first_step; t < steps; ++t) {
     StepCache& sc = cache_[t];
     const MatrixT<T>& h_prev = t == 0 ? zeros_ : hs_[t - 1];
     const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
@@ -71,6 +88,29 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
 }
 
 template <typename T>
+void LSTMT<T>::ResetCarriedGrads(size_t batch) {
+  dh_next_.Resize(batch, hidden_);
+  dh_next_.Fill(T(0));
+  dc_next_.Resize(batch, hidden_);
+  dc_next_.Fill(T(0));
+  dc_prev_.Resize(batch, hidden_);
+  dz_.Resize(batch, 4 * hidden_);
+}
+
+template <typename T>
+void LSTMT<T>::StepGateGrads(size_t t, const MatrixT<T>& grad_h) {
+  const StepCache& sc = cache_[t];
+  const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
+  dh_ = grad_h;
+  dh_.Add(dh_next_);
+  // All element-wise gate gradients fuse into one pass producing dz and the
+  // carried cell gradient; the per-gate intermediates never materialise.
+  LstmGatesBackward(sc.x.rows(), hidden_, dh_.data(), dc_next_.data(),
+                    sc.tanh_c.data(), sc.i.data(), sc.f.data(), sc.g.data(),
+                    sc.o.data(), c_prev.data(), dz_.data(), dc_prev_.data());
+}
+
+template <typename T>
 const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
     const std::vector<MatrixT<T>>& grad_hs) {
   const size_t steps = steps_;
@@ -86,24 +126,11 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
                   g.cols(), " does not match hidden states ", batch, "x",
                   hidden_);
   }
-  dh_next_.Resize(batch, hidden_);
-  dh_next_.Fill(T(0));
-  dc_next_.Resize(batch, hidden_);
-  dc_next_.Fill(T(0));
-  dc_prev_.Resize(batch, hidden_);
-  dz_.Resize(batch, 4 * hidden_);
+  ResetCarriedGrads(batch);
   for (size_t t = steps; t-- > 0;) {
-    const StepCache& sc = cache_[t];
+    StepGateGrads(t, grad_hs[t]);
     const MatrixT<T>& h_prev = t == 0 ? zeros_ : hs_[t - 1];
-    const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
-    dh_ = grad_hs[t];
-    dh_.Add(dh_next_);
-    // All element-wise gate gradients fuse into one pass producing dz and the
-    // carried cell gradient; the per-gate intermediates never materialise.
-    LstmGatesBackward(batch, hidden_, dh_.data(), dc_next_.data(),
-                      sc.tanh_c.data(), sc.i.data(), sc.f.data(), sc.g.data(),
-                      sc.o.data(), c_prev.data(), dz_.data(), dc_prev_.data());
-    dwx_.AddTransposeMatMul(sc.x, dz_);
+    dwx_.AddTransposeMatMul(cache_[t].x, dz_);
     dwh_.AddTransposeMatMul(h_prev, dz_);
     db_.AddColSumOf(dz_);
     dxs_[t].MatMulTransposeInto(dz_, wx_);
@@ -111,6 +138,23 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
     std::swap(dc_next_, dc_prev_);
   }
   return dxs_;
+}
+
+template <typename T>
+const MatrixT<T>& LSTMT<T>::LastStepInputGrad(const MatrixT<T>& grad_h) {
+  DBAUGUR_CHECK(steps_ > 0,
+                "LSTM::LastStepInputGrad needs a cached forward pass");
+  const size_t last = steps_ - 1;
+  const size_t batch = cache_[last].x.rows();
+  DBAUGUR_CHECK(grad_h.rows() == batch && grad_h.cols() == hidden_,
+                "LSTM::LastStepInputGrad gradient shape ", grad_h.rows(), "x",
+                grad_h.cols(), " does not match hidden states ", batch, "x",
+                hidden_);
+  ResetCarriedGrads(batch);
+  StepGateGrads(last, grad_h);
+  dxs_.resize(steps_);
+  dxs_[last].MatMulTransposeInto(dz_, wx_);
+  return dxs_[last];
 }
 
 template <typename T>

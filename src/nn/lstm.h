@@ -32,14 +32,29 @@ class LSTMT {
   /// BackwardSequence. The returned vector is a layer-owned workspace valid
   /// until the next ForwardSequence call; steady-state calls with the same
   /// shapes do not touch the heap.
+  ///
+  /// With first_step > 0 only steps >= first_step are computed; the hidden
+  /// states and caches of the earlier steps are reused from the previous
+  /// ForwardSequence call, so the result is bit-identical to a full pass.
+  /// Contract: the weights are unchanged since that call, xs has its shape,
+  /// and xs[t] equals its input for every t < first_step (DCHECKed). A
+  /// BackwardSequence or LastStepInputGrad in between only reads the caches.
   const std::vector<MatrixT<T>>& ForwardSequence(
-      const std::vector<MatrixT<T>>& xs);
+      const std::vector<MatrixT<T>>& xs, size_t first_step = 0);
 
   /// grad_hs[t] = dLoss/dh_t (zero matrices allowed). Accumulates parameter
   /// gradients and returns dLoss/dx_t for each step (layer-owned workspace,
-  /// valid until the next BackwardSequence call).
+  /// valid until the next BackwardSequence or LastStepInputGrad call).
   const std::vector<MatrixT<T>>& BackwardSequence(
       const std::vector<MatrixT<T>>& grad_hs);
+
+  /// dLoss/dx_{T-1} of the cached pass from dLoss/dh_{T-1} alone: the last
+  /// input enters only the last step, which has no successor, so this is one
+  /// gate backward and one matmul. Bit-identical to
+  /// BackwardSequence(grad_hs).back() for any grad_hs ending in grad_h, but
+  /// accumulates no parameter gradient. Same workspace rules as
+  /// BackwardSequence.
+  const MatrixT<T>& LastStepInputGrad(const MatrixT<T>& grad_h);
 
   std::vector<ParamT<T>> Params();
   void ZeroGrad();
@@ -55,6 +70,13 @@ class LSTMT {
     MatrixT<T> i, f, g, o;  // gate activations, each [batch, hidden]
     MatrixT<T> c, tanh_c;
   };
+
+  /// Zeroes the gradients carried into the last step (it has no successor)
+  /// and sizes the backward workspaces.
+  void ResetCarriedGrads(size_t batch);
+  /// Gate gradients of step t into dz_ and dc_prev_, from the upstream
+  /// grad_h and the carried dh_next_ / dc_next_.
+  void StepGateGrads(size_t t, const MatrixT<T>& grad_h);
 
   size_t input_;
   size_t hidden_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -200,6 +201,14 @@ double MatrixT<T>::SquaredNorm() const {
   double s = 0.0;
   for (T x : data_) s += static_cast<double>(x) * static_cast<double>(x);
   return s;
+}
+
+template <typename T>
+bool MatrixT<T>::BitwiseEqual(const MatrixT& o) const {
+  return SameShape(o) &&
+         (data_.empty() ||
+          std::memcmp(data_.data(), o.data_.data(), data_.size() * sizeof(T)) ==
+              0);
 }
 
 template <typename T>

@@ -146,6 +146,11 @@ class MatrixT {
     return rows_ == o.rows_ && cols_ == o.cols_;
   }
 
+  /// Same shape and the same bit pattern in every element (-0.0 differs
+  /// from +0.0; a NaN equals itself). Checks the reuse contracts of the
+  /// layers' partial passes.
+  bool BitwiseEqual(const MatrixT& o) const;
+
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;

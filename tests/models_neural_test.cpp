@@ -233,14 +233,20 @@ TEST(WfganTest, EpochStatsAreFinite) {
   auto series = SineSeries(400, 24.0, 0.1, 35);
   ForecasterOptions opts = FastOpts(1);
   opts.epochs = 2;
-  WfganForecaster gan(opts);
-  ASSERT_TRUE(gan.PrepareTraining(series).ok());
-  auto stats = gan.TrainEpoch();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(std::isfinite(stats->d_loss));
-  EXPECT_TRUE(std::isfinite(stats->g_adv));
-  EXPECT_TRUE(std::isfinite(stats->g_mse));
-  EXPECT_GT(stats->d_loss, 0.0);
+  // g_steps = 0 trains D alone; the G means must not become 0/0.
+  for (size_t g_steps : {1u, 0u}) {
+    SCOPED_TRACE(testing::Message() << "g_steps " << g_steps);
+    WfganOptions gopts;
+    gopts.g_steps = g_steps;
+    WfganForecaster gan(opts, gopts);
+    ASSERT_TRUE(gan.PrepareTraining(series).ok());
+    auto stats = gan.TrainEpoch();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_TRUE(std::isfinite(stats->d_loss));
+    EXPECT_TRUE(std::isfinite(stats->g_adv));
+    EXPECT_TRUE(std::isfinite(stats->g_mse));
+    EXPECT_GT(stats->d_loss, 0.0);
+  }
 }
 
 TEST(WfganTest, NonAdversarialAblationStillLearns) {

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "common/rng.h"
+#include "models/tcn.h"
+#include "models/wfgan.h"
 #include "nn/attention.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
@@ -145,6 +148,143 @@ TEST(AllocTest, ConvAndTcnBlockSteadyStateIsAllocationFree) {
   }
   n = AllocCount();
   EXPECT_EQ(n, 0) << "TCN block fwd/bwd allocated " << n << " times";
+}
+
+TEST(AllocTest, DenseInputGradIsAllocationFree) {
+  Rng rng(6);
+  Dense layer(13, 7, Activation::kTanh, &rng);
+  Matrix x = RandomMatrix(8, 13, &rng);
+  Matrix g = RandomMatrix(8, 7, &rng);
+  layer.Forward(x);
+  layer.InputGrad(g);
+  ResetAllocCount();
+  for (int i = 0; i < 3; ++i) {
+    layer.Forward(x);
+    layer.InputGrad(g);
+  }
+  long n = AllocCount();
+  EXPECT_EQ(n, 0) << "Dense InputGrad allocated " << n << " times";
+}
+
+// The WFGAN D-step pattern: full pass, backward, reusing pass, backward;
+// then the G-step's last-step input gradient.
+TEST(AllocTest, LstmPartialPassesAreAllocationFree) {
+  Rng rng(7);
+  LSTM lstm(1, 11, &rng);
+  std::vector<Matrix> xs, xs2, grads;
+  for (int t = 0; t < 6; ++t) {
+    xs.push_back(RandomMatrix(4, 1, &rng));
+    grads.push_back(RandomMatrix(4, 11, &rng));
+  }
+  xs2 = xs;
+  xs2.back() = RandomMatrix(4, 1, &rng);
+  auto pass = [&] {
+    lstm.ForwardSequence(xs);
+    lstm.BackwardSequence(grads);
+    lstm.ForwardSequence(xs2, xs2.size() - 1);
+    lstm.BackwardSequence(grads);
+    lstm.LastStepInputGrad(grads.back());
+  };
+  pass();
+  ResetAllocCount();
+  for (int i = 0; i < 3; ++i) pass();
+  long n = AllocCount();
+  EXPECT_EQ(n, 0) << "LSTM partial passes allocated " << n << " times";
+}
+
+TEST(AllocTest, AttentionPartialPassesAreAllocationFree) {
+  Rng rng(8);
+  TemporalAttention attn(11, 5, &rng);
+  std::vector<Matrix> hs, hs2;
+  for (int t = 0; t < 6; ++t) hs.push_back(RandomMatrix(4, 11, &rng));
+  hs2 = hs;
+  hs2.back() = RandomMatrix(4, 11, &rng);
+  Matrix dc = RandomMatrix(4, 11, &rng);
+  auto pass = [&] {
+    attn.Forward(hs);
+    attn.Backward(dc);
+    attn.Forward(hs2, hs2.size() - 1);
+    attn.Backward(dc);
+    attn.LastStepInputGrad(dc);
+  };
+  pass();
+  ResetAllocCount();
+  for (int i = 0; i < 3; ++i) pass();
+  long n = AllocCount();
+  EXPECT_EQ(n, 0) << "attention partial passes allocated " << n << " times";
+}
+
+TEST(AllocTest, RestrictedConvAndTcnBlockAreAllocationFree) {
+  Rng rng(9);
+  Tensor3 x(4, 2, 16);
+  for (size_t b = 0; b < 4; ++b) {
+    for (size_t c = 0; c < 2; ++c) {
+      double* lane = x.lane(b, c);
+      for (size_t t = 0; t < 16; ++t) lane[t] = rng.Uniform(-1.0, 1.0);
+    }
+  }
+  CausalConv1D conv(2, 3, 2, 2, &rng);
+  conv.set_steps({3, 7, 15});
+  Tensor3 g(4, 3, 16, 0.5);
+  conv.Forward(x);
+  conv.Backward(g);
+  ResetAllocCount();
+  for (int i = 0; i < 3; ++i) {
+    conv.Forward(x);
+    conv.Backward(g);
+  }
+  long n = AllocCount();
+  EXPECT_EQ(n, 0) << "restricted conv fwd/bwd allocated " << n << " times";
+
+  TCNBlock block(2, 3, 2, 4, &rng);
+  block.RestrictOutputSteps({15});
+  Tensor3 gb(4, 3, 16, 0.25);
+  block.Forward(x);
+  block.Backward(gb);
+  ResetAllocCount();
+  for (int i = 0; i < 3; ++i) {
+    block.Forward(x);
+    block.Backward(gb);
+  }
+  n = AllocCount();
+  EXPECT_EQ(n, 0) << "restricted TCN block fwd/bwd allocated " << n
+                  << " times";
+}
+
+std::vector<double> Wave(size_t n) {
+  std::vector<double> s(n);
+  for (size_t i = 0; i < n; ++i) {
+    s[i] = 10.0 + std::sin(static_cast<double>(i) * 0.3) +
+           0.1 * static_cast<double>(i % 7);
+  }
+  return s;
+}
+
+// Allocations of one steady-state epoch (the second) over `n` points.
+template <typename Model>
+long SecondEpochAllocs(size_t n) {
+  models::ForecasterOptions opts;
+  opts.window = 12;
+  opts.batch_size = 8;
+  Model model(opts);
+  EXPECT_TRUE(model.PrepareTraining(Wave(n)).ok());
+  EXPECT_TRUE(model.TrainEpoch().ok());
+  ResetAllocCount();
+  const bool ok = model.TrainEpoch().ok();
+  long allocs = AllocCount();
+  EXPECT_TRUE(ok);
+  return allocs;
+}
+
+// An epoch may allocate its per-epoch bookkeeping (the shuffled order, the
+// parameter lists) but nothing per batch: 8 and 20 batches cost the same.
+TEST(AllocTest, WfganAndTcnEpochAllocationsDoNotDependOnBatchCount) {
+  const long wfgan_short = SecondEpochAllocs<models::WfganForecaster>(76);
+  const long wfgan_long = SecondEpochAllocs<models::WfganForecaster>(172);
+  EXPECT_EQ(wfgan_short, wfgan_long);
+  const long tcn_short = SecondEpochAllocs<models::TcnForecaster>(76);
+  const long tcn_long = SecondEpochAllocs<models::TcnForecaster>(172);
+  EXPECT_EQ(tcn_short, tcn_long);
 }
 
 TEST(AllocTest, LossGradReuseIsAllocationFree) {

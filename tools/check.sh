@@ -3,6 +3,8 @@
 #   1. Release            (-O2 -DNDEBUG — proves DBAUGUR_CHECK survives NDEBUG)
 #                          plus the bench smokes and bench/table2_efficiency
 #                          (cluster labels identical on scalar and SIMD tiers)
+#   1f. perfbench checks  (every repository-benchmark workload, traced, with
+#                          its output checks; needs python3)
 #   2. ASan + UBSan       (-fno-sanitize-recover=all, DCHECKs forced on)
 #   2b. Fault injection   (serve_fault suite re-run under ASan with a
 #                          DBAUGUR_FAULT_SPEC storm armed from the environment)
@@ -129,6 +131,23 @@ if [[ -x build-release/bench/table2_efficiency ]]; then
   fi
 else
   record "table2_efficiency" "SKIPPED (Release build failed)"
+fi
+
+# --- 1f. Repository benchmark output checks: every perfbench workload, traced,
+# for a short run. No speed gates; the value is its correctness checks, among
+# them the traced Retrainer::Rebuild replay (bit-identical to the published
+# generation) and save/restore equality, which pin the training fast paths
+# end to end. perfbench builds its own tree in .bench_build/.
+if command -v python3 > /dev/null 2>&1; then
+  note "perfbench: all workloads, traced, output checks"
+  if python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 1 \
+      > /dev/null; then
+    record "perfbench-checks" "OK"
+  else
+    record "perfbench-checks" "FAIL"
+  fi
+else
+  record "perfbench-checks" "SKIPPED (python3 not installed)"
 fi
 
 # --- 2. ASan + UBSan. --------------------------------------------------------

@@ -5,7 +5,7 @@
 //      (nn::ref) including the fresh-allocation-per-call behavior of the old
 //      Matrix wrappers, at the shapes the WFGAN/LSTM/MLP hot paths hit.
 //   2. wfgan_lstm_epoch: one WFGAN-shaped epoch worth of nn::LSTM forward +
-//      backward passes, in f64 and through the f32 training path.
+//      backward passes.
 //   3. wfgan_train_epoch_ms / tcn_train_epoch_ms: one TrainEpoch of the real
 //      WfganForecaster and TcnForecaster on the paper-ensemble shape (window
 //      30, batch 32, 581 points), median over the timed epochs.
@@ -179,7 +179,6 @@ struct EpochResult {
   int seq_passes = 0;
   size_t batch = 0, steps = 0, hidden = 0;
   double fused_ms = 0.0;
-  double fused_f32_ms = 0.0;  // same epoch through the f32 training path
 };
 
 // A fixed kernel-level proxy: 4 full forward+backward sequence passes
@@ -217,44 +216,8 @@ EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
   }
   double t1 = NowSeconds();
 
-  // f32 leg: the same epoch through the single-precision training path a
-  // model opts into with Precision::kF32.
-  std::vector<nn::MatrixF> xs32, grads32;
-  xs32.reserve(xs.size());
-  grads32.reserve(grads.size());
-  for (const Matrix& x : xs) {
-    nn::MatrixF m(x.rows(), x.cols());
-    for (size_t i = 0; i < x.size(); ++i) {
-      m.data()[i] = static_cast<float>(x.data()[i]);
-    }
-    xs32.push_back(std::move(m));
-  }
-  for (const Matrix& g : grads) {
-    nn::MatrixF m(g.rows(), g.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      m.data()[i] = static_cast<float>(g.data()[i]);
-    }
-    grads32.push_back(std::move(m));
-  }
-  nn::LSTMF fused32(1, r.hidden, rng);
-  fused32.ForwardSequence(xs32);
-  fused32.BackwardSequence(grads32);
-  double t2 = NowSeconds();
-  for (int rep = 0; rep < r.reps; ++rep) {
-    for (int bi = 0; bi < r.batches; ++bi) {
-      for (int p = 0; p < r.seq_passes; ++p) {
-        const std::vector<nn::MatrixF>& hs = fused32.ForwardSequence(xs32);
-        const std::vector<nn::MatrixF>& dxs = fused32.BackwardSequence(grads32);
-        sink += static_cast<double>(hs.back().data()[0]) +
-                static_cast<double>(dxs[0].data()[0]);
-      }
-    }
-  }
-  double t3 = NowSeconds();
-
   if (sink == 12345.6789) std::fprintf(stderr, "~");
   r.fused_ms = (t1 - t0) * 1e3 / r.reps;
-  r.fused_f32_ms = (t3 - t2) * 1e3 / r.reps;
   return r;
 }
 
@@ -329,9 +292,9 @@ void WriteJson(std::FILE* out, bool smoke,
   std::fprintf(out,
                "  \"wfgan_lstm_epoch\": {\"batch\": %zu, \"steps\": %zu, "
                "\"hidden\": %zu, \"batches\": %d, \"seq_passes\": %d, "
-               "\"reps\": %d, \"fused_ms\": %.2f, \"fused_f32_ms\": %.2f},\n",
+               "\"reps\": %d, \"fused_ms\": %.2f},\n",
                ep.batch, ep.steps, ep.hidden, ep.batches, ep.seq_passes,
-               ep.reps, ep.fused_ms, ep.fused_f32_ms);
+               ep.reps, ep.fused_ms);
   std::fprintf(out,
                "  \"model_epochs\": {\"points\": %zu, \"window\": %zu, "
                "\"batch\": %zu, \"epochs\": %d},\n",
@@ -364,8 +327,7 @@ int Main(int argc, char** argv) {
                  cases.back().fused_ns, cases.back().speedup);
   }
   EpochResult ep = RunWfganEpochCase(smoke, &rng);
-  std::fprintf(stderr, "wfgan_lstm_epoch   fused %10.2f ms  f32 %10.2f ms\n",
-               ep.fused_ms, ep.fused_f32_ms);
+  std::fprintf(stderr, "wfgan_lstm_epoch   fused %10.2f ms\n", ep.fused_ms);
   ModelEpochResult me = RunModelEpochCase(smoke, &rng);
   std::fprintf(stderr, "train_epoch        wfgan %10.2f ms  tcn %10.2f ms\n",
                me.wfgan_ms, me.tcn_ms);

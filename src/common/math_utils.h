@@ -38,17 +38,6 @@ inline double Sigmoid(double x) {
   return z / (1.0 + z);
 }
 
-/// f32 twin of Sigmoid: the same stable two-branch form at float width
-/// (used by the opt-in f32 neural training path).
-inline float Sigmoid(float x) {
-  if (x >= 0.0f) {
-    float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  float z = std::exp(x);
-  return z / (1.0f + z);
-}
-
 /// Hyperbolic tangent passthrough (kept for symmetry with Sigmoid).
 inline double Tanh(double x) { return std::tanh(x); }
 

@@ -5,7 +5,7 @@
 //
 // This header is the ONLY place in the tree where raw x86 intrinsics may
 // appear (enforced by tools/lint.py rule `raw-simd-intrinsics`). Kernels are
-// written once against the `VecD` / `VecF` wrapper types and compiled into
+// written once against the f64 `VecD` wrapper type and compiled into
 // per-tier translation units (src/nn/simd_tier_*.cpp, src/dtw/simd_tier_*.cpp)
 // with the matching -m<isa> flags; a function-pointer dispatch keyed on
 // `ActiveTier()` picks the widest tier the host CPU, the build, and the
@@ -31,7 +31,7 @@
 //    two-rounding on SSE2/scalar. Kernels that must stay bit-identical to the
 //    scalar tier (DTW) use explicit `a*b + c` instead.
 //  - Exp/Sigmoid/Tanh are Cephes-style polynomial approximations, within a
-//    few ULP of libm; inputs outside ±709 (f64) / ±87 (f32) saturate.
+//    few ULP of libm; inputs outside ±709 saturate.
 
 #include <bit>
 #include <cmath>
@@ -98,10 +98,10 @@ std::string CpuFeatures();
 
 namespace detail {
 
-// Cephes exp() for f64 lanes: range-reduce by ln2 with an extended-precision
-// split, then a degree-2/3 rational approximation. ~1-2 ULP vs libm.
+// Cephes exp(): range-reduce by ln2 with an extended-precision split, then a
+// degree-2/3 rational approximation. ~1-2 ULP vs libm.
 template <typename V>
-inline V ExpPoly64(V x) {
+inline V ExpImpl(V x) {
   x = Min(Max(x, V::Broadcast(-708.3964185322641)), V::Broadcast(709.436));
   const V n = RoundNearest(x * V::Broadcast(1.4426950408889634073599));
   x = x - n * V::Broadcast(6.93145751953125e-1);
@@ -120,39 +120,11 @@ inline V ExpPoly64(V x) {
   return e * Pow2(n);
 }
 
-// Cephes expf() for f32 lanes: degree-5 polynomial after ln2 reduction.
-template <typename V>
-inline V ExpPoly32(V x) {
-  x = Min(Max(x, V::Broadcast(-87.3365447504019f)),
-          V::Broadcast(88.3762626647949f));
-  const V n = RoundNearest(x * V::Broadcast(1.44269504088896341f));
-  x = x - n * V::Broadcast(0.693359375f);
-  x = x - n * V::Broadcast(-2.12194440e-4f);
-  V y = V::Broadcast(1.9875691500e-4f);
-  y = Fmadd(y, x, V::Broadcast(1.3981999507e-3f));
-  y = Fmadd(y, x, V::Broadcast(8.3334519073e-3f));
-  y = Fmadd(y, x, V::Broadcast(4.1665795894e-2f));
-  y = Fmadd(y, x, V::Broadcast(1.6666665459e-1f));
-  y = Fmadd(y, x, V::Broadcast(5.0000001201e-1f));
-  y = Fmadd(y, x * x, x + V::Broadcast(1.0f));
-  return y * Pow2(n);
-}
-
-template <typename V>
-inline V ExpImpl(V x) {
-  if constexpr (sizeof(typename V::Elem) == 8) {
-    return ExpPoly64(x);
-  } else {
-    return ExpPoly32(x);
-  }
-}
-
 // Numerically stable logistic, mirroring the two-branch scalar
 // dbaugur::Sigmoid: both branches share e = exp(-|x|) in (0, 1].
 template <typename V>
 inline V SigmoidImpl(V x) {
-  using E = typename V::Elem;
-  const V one = V::Broadcast(E(1));
+  const V one = V::Broadcast(1.0);
   const V e = Exp(V::Zero() - Abs(x));
   const V denom = one + e;
   return Select(CmpGe(x, V::Zero()), one / denom, e / denom);
@@ -163,11 +135,9 @@ inline V SigmoidImpl(V x) {
 // error of ~1 machine epsilon (documented in the kernel ULP policy).
 template <typename V>
 inline V TanhImpl(V x) {
-  using E = typename V::Elem;
-  const V one = V::Broadcast(E(1));
-  const V two = V::Broadcast(E(2));
-  const E clamp = sizeof(E) == 8 ? E(708) : E(87);
-  const V a = Min(two * Abs(x), V::Broadcast(clamp));
+  const V one = V::Broadcast(1.0);
+  const V two = V::Broadcast(2.0);
+  const V a = Min(two * Abs(x), V::Broadcast(708.0));
   const V e = Exp(a);
   const V t = one - two / (e + one);
   return Or(t, And(x, V::SignMask()));
@@ -186,12 +156,8 @@ namespace isa_scalar {
 struct MaskD {
   bool m;
 };
-struct MaskF {
-  bool m;
-};
 
 struct VecD {
-  using Elem = double;
   static constexpr std::size_t kWidth = 1;
   double v;
   static VecD Load(const double* p) { return {p[0]}; }
@@ -204,21 +170,6 @@ struct VecD {
   friend VecD operator-(VecD a, VecD b) { return {a.v - b.v}; }
   friend VecD operator*(VecD a, VecD b) { return {a.v * b.v}; }
   friend VecD operator/(VecD a, VecD b) { return {a.v / b.v}; }
-};
-
-struct VecF {
-  using Elem = float;
-  static constexpr std::size_t kWidth = 1;
-  float v;
-  static VecF Load(const float* p) { return {p[0]}; }
-  static VecF Broadcast(float x) { return {x}; }
-  static VecF Zero() { return {0.0f}; }
-  static VecF SignMask() { return {-0.0f}; }
-  void Store(float* p) const { p[0] = v; }
-  friend VecF operator+(VecF a, VecF b) { return {a.v + b.v}; }
-  friend VecF operator-(VecF a, VecF b) { return {a.v - b.v}; }
-  friend VecF operator*(VecF a, VecF b) { return {a.v * b.v}; }
-  friend VecF operator/(VecF a, VecF b) { return {a.v / b.v}; }
 };
 
 inline VecD Min(VecD a, VecD b) { return {b.v < a.v ? b.v : a.v}; }
@@ -241,29 +192,9 @@ inline double ReduceMin(VecD a) { return a.v; }
 inline VecD RoundNearest(VecD a) { return {std::nearbyint(a.v)}; }
 inline VecD Pow2(VecD n) { return {std::ldexp(1.0, static_cast<int>(n.v))}; }
 
-inline VecF Min(VecF a, VecF b) { return {b.v < a.v ? b.v : a.v}; }
-inline VecF Max(VecF a, VecF b) { return {a.v < b.v ? b.v : a.v}; }
-inline VecF Fmadd(VecF a, VecF b, VecF c) { return {a.v * b.v + c.v}; }
-inline VecF Abs(VecF a) { return {std::fabs(a.v)}; }
-inline VecF And(VecF a, VecF b) {
-  return {std::bit_cast<float>(std::bit_cast<std::uint32_t>(a.v) &
-                               std::bit_cast<std::uint32_t>(b.v))};
-}
-inline VecF Or(VecF a, VecF b) {
-  return {std::bit_cast<float>(std::bit_cast<std::uint32_t>(a.v) |
-                               std::bit_cast<std::uint32_t>(b.v))};
-}
-inline MaskF CmpGe(VecF a, VecF b) { return {a.v >= b.v}; }
-inline MaskF CmpEq(VecF a, VecF b) { return {a.v == b.v}; }
-inline VecF Select(MaskF m, VecF a, VecF b) { return m.m ? a : b; }
-inline float ReduceAdd(VecF a) { return a.v; }
-inline VecF RoundNearest(VecF a) { return {std::nearbyintf(a.v)}; }
-inline VecF Pow2(VecF n) { return {std::ldexp(1.0f, static_cast<int>(n.v))}; }
-
 // On non-x86 the dispatch never leaves the scalar tier, so accuracy beats
 // polynomial-consistency here: defer to libm.
 inline VecD Exp(VecD x) { return {std::exp(x.v)}; }
-inline VecF Exp(VecF x) { return {std::exp(x.v)}; }
 inline VecD Sigmoid(VecD x) {
   if (x.v >= 0.0) {
     const double z = std::exp(-x.v);
@@ -272,23 +203,14 @@ inline VecD Sigmoid(VecD x) {
   const double z = std::exp(x.v);
   return {z / (1.0 + z)};
 }
-inline VecF Sigmoid(VecF x) {
-  if (x.v >= 0.0f) {
-    const float z = std::exp(-x.v);
-    return {1.0f / (1.0f + z)};
-  }
-  const float z = std::exp(x.v);
-  return {z / (1.0f + z)};
-}
 inline VecD Tanh(VecD x) { return {std::tanh(x.v)}; }
-inline VecF Tanh(VecF x) { return {std::tanh(x.v)}; }
 
 }  // namespace isa_scalar
 
 #if DBAUGUR_SIMD_X86 && defined(__SSE2__)
 
 // ---------------------------------------------------------------------------
-// SSE2: 2 × f64, 4 × f32. Baseline on x86-64, no FMA (Fmadd rounds twice).
+// SSE2: 2 × f64. Baseline on x86-64, no FMA (Fmadd rounds twice).
 // ---------------------------------------------------------------------------
 
 namespace isa_sse2 {
@@ -296,12 +218,8 @@ namespace isa_sse2 {
 struct MaskD {
   __m128d m;
 };
-struct MaskF {
-  __m128 m;
-};
 
 struct VecD {
-  using Elem = double;
   static constexpr std::size_t kWidth = 2;
   __m128d v;
   static VecD Load(const double* p) { return {_mm_loadu_pd(p)}; }
@@ -318,21 +236,6 @@ struct VecD {
   friend VecD operator-(VecD a, VecD b) { return {_mm_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm_mul_pd(a.v, b.v)}; }
   friend VecD operator/(VecD a, VecD b) { return {_mm_div_pd(a.v, b.v)}; }
-};
-
-struct VecF {
-  using Elem = float;
-  static constexpr std::size_t kWidth = 4;
-  __m128 v;
-  static VecF Load(const float* p) { return {_mm_loadu_ps(p)}; }
-  static VecF Broadcast(float x) { return {_mm_set1_ps(x)}; }
-  static VecF Zero() { return {_mm_setzero_ps()}; }
-  static VecF SignMask() { return {_mm_set1_ps(-0.0f)}; }
-  void Store(float* p) const { _mm_storeu_ps(p, v); }
-  friend VecF operator+(VecF a, VecF b) { return {_mm_add_ps(a.v, b.v)}; }
-  friend VecF operator-(VecF a, VecF b) { return {_mm_sub_ps(a.v, b.v)}; }
-  friend VecF operator*(VecF a, VecF b) { return {_mm_mul_ps(a.v, b.v)}; }
-  friend VecF operator/(VecF a, VecF b) { return {_mm_div_ps(a.v, b.v)}; }
 };
 
 inline VecD Min(VecD a, VecD b) { return {_mm_min_pd(a.v, b.v)}; }
@@ -368,42 +271,9 @@ inline VecD Pow2(VecD n) {
   return {_mm_castsi128_pd(_mm_slli_epi64(i64, 52))};
 }
 
-inline VecF Min(VecF a, VecF b) { return {_mm_min_ps(a.v, b.v)}; }
-inline VecF Max(VecF a, VecF b) { return {_mm_max_ps(a.v, b.v)}; }
-inline VecF Fmadd(VecF a, VecF b, VecF c) {
-  return {_mm_add_ps(_mm_mul_ps(a.v, b.v), c.v)};
-}
-inline VecF And(VecF a, VecF b) { return {_mm_and_ps(a.v, b.v)}; }
-inline VecF Or(VecF a, VecF b) { return {_mm_or_ps(a.v, b.v)}; }
-inline VecF Abs(VecF a) {
-  return {_mm_andnot_ps(_mm_set1_ps(-0.0f), a.v)};
-}
-inline MaskF CmpGe(VecF a, VecF b) { return {_mm_cmpge_ps(a.v, b.v)}; }
-inline MaskF CmpEq(VecF a, VecF b) { return {_mm_cmpeq_ps(a.v, b.v)}; }
-inline VecF Select(MaskF m, VecF a, VecF b) {
-  return {_mm_or_ps(_mm_and_ps(m.m, a.v), _mm_andnot_ps(m.m, b.v))};
-}
-inline float ReduceAdd(VecF a) {
-  const __m128 hi = _mm_movehl_ps(a.v, a.v);
-  const __m128 sum2 = _mm_add_ps(a.v, hi);
-  const __m128 hi1 = _mm_shuffle_ps(sum2, sum2, 0x1);
-  return _mm_cvtss_f32(_mm_add_ss(sum2, hi1));
-}
-inline VecF RoundNearest(VecF a) {
-  return {_mm_cvtepi32_ps(_mm_cvtps_epi32(a.v))};
-}
-inline VecF Pow2(VecF n) {
-  const __m128i i32 = _mm_cvtps_epi32(n.v);
-  const __m128i biased = _mm_add_epi32(i32, _mm_set1_epi32(127));
-  return {_mm_castsi128_ps(_mm_slli_epi32(biased, 23))};
-}
-
 inline VecD Exp(VecD x) { return detail::ExpImpl(x); }
-inline VecF Exp(VecF x) { return detail::ExpImpl(x); }
 inline VecD Sigmoid(VecD x) { return detail::SigmoidImpl(x); }
-inline VecF Sigmoid(VecF x) { return detail::SigmoidImpl(x); }
 inline VecD Tanh(VecD x) { return detail::TanhImpl(x); }
-inline VecF Tanh(VecF x) { return detail::TanhImpl(x); }
 
 }  // namespace isa_sse2
 
@@ -412,7 +282,7 @@ inline VecF Tanh(VecF x) { return detail::TanhImpl(x); }
 #if DBAUGUR_SIMD_X86 && defined(__AVX2__) && defined(__FMA__)
 
 // ---------------------------------------------------------------------------
-// AVX2 + FMA: 4 × f64, 8 × f32.
+// AVX2 + FMA: 4 × f64.
 // ---------------------------------------------------------------------------
 
 namespace isa_avx2 {
@@ -420,12 +290,8 @@ namespace isa_avx2 {
 struct MaskD {
   __m256d m;
 };
-struct MaskF {
-  __m256 m;
-};
 
 struct VecD {
-  using Elem = double;
   static constexpr std::size_t kWidth = 4;
   __m256d v;
   static VecD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
@@ -441,21 +307,6 @@ struct VecD {
   friend VecD operator-(VecD a, VecD b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend VecD operator/(VecD a, VecD b) { return {_mm256_div_pd(a.v, b.v)}; }
-};
-
-struct VecF {
-  using Elem = float;
-  static constexpr std::size_t kWidth = 8;
-  __m256 v;
-  static VecF Load(const float* p) { return {_mm256_loadu_ps(p)}; }
-  static VecF Broadcast(float x) { return {_mm256_set1_ps(x)}; }
-  static VecF Zero() { return {_mm256_setzero_ps()}; }
-  static VecF SignMask() { return {_mm256_set1_ps(-0.0f)}; }
-  void Store(float* p) const { _mm256_storeu_ps(p, v); }
-  friend VecF operator+(VecF a, VecF b) { return {_mm256_add_ps(a.v, b.v)}; }
-  friend VecF operator-(VecF a, VecF b) { return {_mm256_sub_ps(a.v, b.v)}; }
-  friend VecF operator*(VecF a, VecF b) { return {_mm256_mul_ps(a.v, b.v)}; }
-  friend VecF operator/(VecF a, VecF b) { return {_mm256_div_ps(a.v, b.v)}; }
 };
 
 inline VecD Min(VecD a, VecD b) { return {_mm256_min_pd(a.v, b.v)}; }
@@ -499,47 +350,9 @@ inline VecD Pow2(VecD n) {
   return {_mm256_castsi256_pd(_mm256_slli_epi64(i64, 52))};
 }
 
-inline VecF Min(VecF a, VecF b) { return {_mm256_min_ps(a.v, b.v)}; }
-inline VecF Max(VecF a, VecF b) { return {_mm256_max_ps(a.v, b.v)}; }
-inline VecF Fmadd(VecF a, VecF b, VecF c) {
-  return {_mm256_fmadd_ps(a.v, b.v, c.v)};
-}
-inline VecF And(VecF a, VecF b) { return {_mm256_and_ps(a.v, b.v)}; }
-inline VecF Or(VecF a, VecF b) { return {_mm256_or_ps(a.v, b.v)}; }
-inline VecF Abs(VecF a) {
-  return {_mm256_andnot_ps(_mm256_set1_ps(-0.0f), a.v)};
-}
-inline MaskF CmpGe(VecF a, VecF b) {
-  return {_mm256_cmp_ps(a.v, b.v, _CMP_GE_OQ)};
-}
-inline MaskF CmpEq(VecF a, VecF b) {
-  return {_mm256_cmp_ps(a.v, b.v, _CMP_EQ_OQ)};
-}
-inline VecF Select(MaskF m, VecF a, VecF b) {
-  return {_mm256_blendv_ps(b.v, a.v, m.m)};
-}
-inline float ReduceAdd(VecF a) {
-  const __m128 lo = _mm256_castps256_ps128(a.v);
-  const __m128 hi = _mm256_extractf128_ps(a.v, 1);
-  const __m128 s = _mm_add_ps(lo, hi);
-  const __m128 s2 = _mm_add_ps(s, _mm_movehl_ps(s, s));
-  return _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps(s2, s2, 0x1)));
-}
-inline VecF RoundNearest(VecF a) {
-  return {_mm256_round_ps(a.v, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC)};
-}
-inline VecF Pow2(VecF n) {
-  const __m256i i32 = _mm256_cvtps_epi32(n.v);
-  const __m256i biased = _mm256_add_epi32(i32, _mm256_set1_epi32(127));
-  return {_mm256_castsi256_ps(_mm256_slli_epi32(biased, 23))};
-}
-
 inline VecD Exp(VecD x) { return detail::ExpImpl(x); }
-inline VecF Exp(VecF x) { return detail::ExpImpl(x); }
 inline VecD Sigmoid(VecD x) { return detail::SigmoidImpl(x); }
-inline VecF Sigmoid(VecF x) { return detail::SigmoidImpl(x); }
 inline VecD Tanh(VecD x) { return detail::TanhImpl(x); }
-inline VecF Tanh(VecF x) { return detail::TanhImpl(x); }
 
 }  // namespace isa_avx2
 
@@ -549,7 +362,7 @@ inline VecF Tanh(VecF x) { return detail::TanhImpl(x); }
     defined(__AVX512VL__)
 
 // ---------------------------------------------------------------------------
-// AVX-512 (F + DQ + VL): 8 × f64, 16 × f32. Masks are native __mmask.
+// AVX-512 (F + DQ + VL): 8 × f64. Masks are native __mmask.
 // ---------------------------------------------------------------------------
 
 namespace isa_avx512 {
@@ -557,12 +370,8 @@ namespace isa_avx512 {
 struct MaskD {
   __mmask8 m;
 };
-struct MaskF {
-  __mmask16 m;
-};
 
 struct VecD {
-  using Elem = double;
   static constexpr std::size_t kWidth = 8;
   __m512d v;
   static VecD Load(const double* p) { return {_mm512_loadu_pd(p)}; }
@@ -578,21 +387,6 @@ struct VecD {
   friend VecD operator-(VecD a, VecD b) { return {_mm512_sub_pd(a.v, b.v)}; }
   friend VecD operator*(VecD a, VecD b) { return {_mm512_mul_pd(a.v, b.v)}; }
   friend VecD operator/(VecD a, VecD b) { return {_mm512_div_pd(a.v, b.v)}; }
-};
-
-struct VecF {
-  using Elem = float;
-  static constexpr std::size_t kWidth = 16;
-  __m512 v;
-  static VecF Load(const float* p) { return {_mm512_loadu_ps(p)}; }
-  static VecF Broadcast(float x) { return {_mm512_set1_ps(x)}; }
-  static VecF Zero() { return {_mm512_setzero_ps()}; }
-  static VecF SignMask() { return {_mm512_set1_ps(-0.0f)}; }
-  void Store(float* p) const { _mm512_storeu_ps(p, v); }
-  friend VecF operator+(VecF a, VecF b) { return {_mm512_add_ps(a.v, b.v)}; }
-  friend VecF operator-(VecF a, VecF b) { return {_mm512_sub_ps(a.v, b.v)}; }
-  friend VecF operator*(VecF a, VecF b) { return {_mm512_mul_ps(a.v, b.v)}; }
-  friend VecF operator/(VecF a, VecF b) { return {_mm512_div_ps(a.v, b.v)}; }
 };
 
 inline VecD Min(VecD a, VecD b) { return {_mm512_min_pd(a.v, b.v)}; }
@@ -624,46 +418,16 @@ inline VecD Pow2(VecD n) {
   return {_mm512_castsi512_pd(_mm512_slli_epi64(i64, 52))};
 }
 
-inline VecF Min(VecF a, VecF b) { return {_mm512_min_ps(a.v, b.v)}; }
-inline VecF Max(VecF a, VecF b) { return {_mm512_max_ps(a.v, b.v)}; }
-inline VecF Fmadd(VecF a, VecF b, VecF c) {
-  return {_mm512_fmadd_ps(a.v, b.v, c.v)};
-}
-inline VecF And(VecF a, VecF b) { return {_mm512_and_ps(a.v, b.v)}; }
-inline VecF Or(VecF a, VecF b) { return {_mm512_or_ps(a.v, b.v)}; }
-inline VecF Abs(VecF a) {
-  return {_mm512_andnot_ps(_mm512_set1_ps(-0.0f), a.v)};
-}
-inline MaskF CmpGe(VecF a, VecF b) {
-  return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_GE_OQ)};
-}
-inline MaskF CmpEq(VecF a, VecF b) {
-  return {_mm512_cmp_ps_mask(a.v, b.v, _CMP_EQ_OQ)};
-}
-inline VecF Select(MaskF m, VecF a, VecF b) {
-  return {_mm512_mask_blend_ps(m.m, b.v, a.v)};
-}
-inline float ReduceAdd(VecF a) { return _mm512_reduce_add_ps(a.v); }
-inline VecF RoundNearest(VecF a) { return {_mm512_roundscale_ps(a.v, 0)}; }
-inline VecF Pow2(VecF n) {
-  const __m512i i32 = _mm512_cvtps_epi32(n.v);
-  const __m512i biased = _mm512_add_epi32(i32, _mm512_set1_epi32(127));
-  return {_mm512_castsi512_ps(_mm512_slli_epi32(biased, 23))};
-}
-
 inline VecD Exp(VecD x) { return detail::ExpImpl(x); }
-inline VecF Exp(VecF x) { return detail::ExpImpl(x); }
 inline VecD Sigmoid(VecD x) { return detail::SigmoidImpl(x); }
-inline VecF Sigmoid(VecF x) { return detail::SigmoidImpl(x); }
 inline VecD Tanh(VecD x) { return detail::TanhImpl(x); }
-inline VecF Tanh(VecF x) { return detail::TanhImpl(x); }
 
 }  // namespace isa_avx512
 
 #endif  // __AVX512F__ && __AVX512DQ__ && __AVX512VL__
 
 // Widest ISA namespace this TU's compile flags allow. Tier TUs define their
-// kernels against `best::VecD` / `best::VecF`.
+// kernels against `best::VecD`.
 namespace best = DBAUGUR_SIMD_ISA;
 
 }  // namespace dbaugur::simd

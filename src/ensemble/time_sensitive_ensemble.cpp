@@ -127,8 +127,8 @@ Status TimeSensitiveEnsemble::LoadState(const std::vector<uint8_t>& buffer) {
   if (!r.U32(&count) || count != members_.size()) {
     return Status::InvalidArgument("ensemble state member count mismatch");
   }
-  // Parse everything before mutating any member, so a truncated tail cannot
-  // leave the ensemble half-restored with stale caches.
+  // Parse the whole frame before mutating any member, so a truncated tail
+  // leaves the ensemble as it was.
   std::vector<std::vector<uint8_t>> states(members_.size());
   for (size_t i = 0; i < members_.size(); ++i) {
     std::string member_name;
@@ -147,8 +147,20 @@ Status TimeSensitiveEnsemble::LoadState(const std::vector<uint8_t>& buffer) {
       return Status::InvalidArgument("truncated ensemble state gamma section");
     }
   }
+  // A member that rejects its state leaves itself unchanged, but the members
+  // before it already hold the blob's weights. Such a mix of two fits must
+  // not serve: drop the cache and count as unfitted until the next Fit or
+  // LoadState succeeds.
   for (size_t i = 0; i < members_.size(); ++i) {
-    DBAUGUR_RETURN_IF_ERROR(members_[i]->LoadState(states[i]));
+    Status st = members_[i]->LoadState(states[i]);
+    if (!st.ok()) {
+      if (i > 0) {
+        cached_window_.clear();
+        cached_preds_.clear();
+        fitted_ = false;
+      }
+      return st;
+    }
   }
   gamma_ = std::move(gamma);
   cached_window_.clear();

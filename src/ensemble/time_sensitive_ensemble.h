@@ -69,7 +69,10 @@ class TimeSensitiveEnsemble : public models::Forecaster {
   /// cannot serialize (classical models).
   StatusOr<std::vector<uint8_t>> SaveState() const override;
   /// Restores a SaveState blob into an ensemble with the same member names
-  /// in the same order; corrupt or mismatched blobs are rejected.
+  /// in the same order; corrupt or mismatched blobs are rejected. A rejected
+  /// blob leaves the ensemble as it was, except when a member rejects its
+  /// state after an earlier member was restored: then the ensemble counts as
+  /// unfitted and Predict fails with FailedPrecondition.
   Status LoadState(const std::vector<uint8_t>& buffer) override;
 
  private:

@@ -16,14 +16,6 @@
 
 namespace dbaugur::models {
 
-/// Training/inference element width for models that support it (currently
-/// the LSTM and MLP forecasters; other models ignore the option and stay
-/// f64). kF32 doubles the SIMD lanes per vector on every dispatch tier at
-/// the cost of ~7 decimal digits of precision; weight init draws the same
-/// RNG stream at both widths, so an f32 model starts from the rounded
-/// weights of its f64 twin.
-enum class Precision { kF64, kF32 };
-
 /// Shared hyper-parameters for all forecasting models.
 struct ForecasterOptions {
   size_t window = 30;        ///< T — condition window length.
@@ -33,7 +25,6 @@ struct ForecasterOptions {
   double learning_rate = 1e-3;
   uint64_t seed = 42;        ///< RNG seed for weight init & batch order.
   double grad_clip = 5.0;    ///< Global-norm gradient clip (0 disables).
-  Precision precision = Precision::kF64;  ///< Neural training width.
 };
 
 /// Abstract single-trace forecaster.

@@ -10,86 +10,14 @@
 
 namespace dbaugur::models {
 
-// Layer graph, optimizer state, and reusable batch workspaces at width T.
-// Construction draws the same RNG stream at both widths (init.h casts after
-// drawing), so an f32 core starts from the rounded weights of its f64 twin.
-template <typename T>
-struct LstmForecaster::Core {
-  nn::LSTMT<T> lstm;
-  nn::DenseT<T> head;
-  nn::AdamT<T> adam;
-  nn::MatrixT<T> xb, y, grad;
-  std::vector<nn::MatrixT<T>> xs, grad_hs;
-
-  Core(size_t hidden, Rng* rng, double lr)
-      : lstm(1, hidden, rng),
-        head(hidden, 1, nn::Activation::kIdentity, rng),
-        adam(lr) {}
-
-  std::vector<nn::ParamT<T>> AllParams() {
-    std::vector<nn::ParamT<T>> params = lstm.Params();
-    for (auto& p : head.Params()) params.push_back(p);
-    return params;
-  }
-};
-
-namespace {
-
-template <typename T, typename CoreT>
-Status TrainEpochWith(CoreT& c, const ForecasterOptions& opts, size_t hidden,
-                      const std::vector<ts::WindowSample>& samples, Rng* rng) {
-  std::vector<size_t> order = rng->Permutation(samples.size());
-  std::vector<nn::ParamT<T>> params = c.AllParams();
-  for (size_t begin = 0; begin < order.size(); begin += opts.batch_size) {
-    size_t count = std::min(opts.batch_size, order.size() - begin);
-    BatchWindowsInto(samples, order, begin, count, &c.xb);
-    BatchTargetsInto(samples, order, begin, count, &c.y);
-    ToTimeMajorInto(c.xb, &c.xs);
-    const std::vector<nn::MatrixT<T>>& hs = c.lstm.ForwardSequence(c.xs);
-    const nn::MatrixT<T>& pred = c.head.Forward(hs.back());
-    nn::MSELoss(pred, c.y, &c.grad);
-    for (auto& p : params) p.grad->Fill(T(0));
-    const nn::MatrixT<T>& dh_last = c.head.Backward(c.grad);
-    c.grad_hs.resize(hs.size());
-    for (size_t t = 0; t + 1 < c.grad_hs.size(); ++t) {
-      c.grad_hs[t].Resize(count, hidden);
-      c.grad_hs[t].Fill(T(0));
-    }
-    c.grad_hs.back() = dh_last;
-    c.lstm.BackwardSequence(c.grad_hs);
-    nn::ClipGradNorm(params, opts.grad_clip);
-    c.adam.Step(params);
-  }
-  return Status::OK();
-}
-
-template <typename T, typename CoreT>
-double PredictWith(CoreT& c, const ts::MinMaxScaler& scaler,
-                   const std::vector<double>& window) {
-  std::vector<nn::MatrixT<T>> xs(window.size(), nn::MatrixT<T>(1, 1));
-  for (size_t t = 0; t < window.size(); ++t) {
-    xs[t](0, 0) = static_cast<T>(scaler.Transform(window[t]));
-  }
-  const std::vector<nn::MatrixT<T>>& hs = c.lstm.ForwardSequence(xs);
-  const nn::MatrixT<T>& pred = c.head.Forward(hs.back());
-  return scaler.Inverse(static_cast<double>(pred(0, 0)));
-}
-
-}  // namespace
-
 LstmForecaster::LstmForecaster(const ForecasterOptions& opts,
                                const LstmOptions& lstm)
-    : opts_(opts), lstm_opts_(lstm), rng_(opts.seed) {
-  if (opts.precision == Precision::kF32) {
-    core32_ = std::make_unique<Core<float>>(lstm.hidden, &rng_,
-                                            opts.learning_rate);
-  } else {
-    core64_ = std::make_unique<Core<double>>(lstm.hidden, &rng_,
-                                             opts.learning_rate);
-  }
-}
-
-LstmForecaster::~LstmForecaster() = default;
+    : opts_(opts),
+      lstm_opts_(lstm),
+      rng_(opts.seed),
+      lstm_(1, lstm.hidden, &rng_),
+      head_(lstm.hidden, 1, nn::Activation::kIdentity, &rng_),
+      adam_(opts.learning_rate) {}
 
 Status LstmForecaster::PrepareTraining(const std::vector<double>& series) {
   auto ds = BuildScaledDataset(series, opts_);
@@ -103,24 +31,30 @@ Status LstmForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
     return Status::FailedPrecondition("LSTM: PrepareTraining not called");
   }
-  if (core32_ != nullptr) {
-    return TrainEpochWith<float>(*core32_, opts_, lstm_opts_.hidden,
-                                 train_samples_, &rng_);
+  std::vector<size_t> order = rng_.Permutation(train_samples_.size());
+  std::vector<nn::Param> params = Params();
+  for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
+    size_t count = std::min(opts_.batch_size, order.size() - begin);
+    BatchWindowsInto(train_samples_, order, begin, count, &xb_);
+    BatchTargetsInto(train_samples_, order, begin, count, &y_);
+    ToTimeMajorInto(xb_, &xs_);
+    const std::vector<nn::Matrix>& hs = lstm_.ForwardSequence(xs_);
+    const nn::Matrix& pred = head_.Forward(hs.back());
+    nn::MSELoss(pred, y_, &grad_);
+    for (auto& p : params) p.grad->Fill(0.0);
+    LastStepGradSequence(head_.Backward(grad_), hs.size(), count,
+                         lstm_opts_.hidden, &grad_hs_);
+    lstm_.BackwardSequence(grad_hs_);
+    nn::ClipGradNorm(params, opts_.grad_clip);
+    adam_.Step(params);
   }
-  return TrainEpochWith<double>(*core64_, opts_, lstm_opts_.hidden,
-                                train_samples_, &rng_);
+  return Status::OK();
 }
 
 std::vector<nn::Param> LstmForecaster::Params() const {
-  DBAUGUR_CHECK(core64_ != nullptr,
-                "LSTM::Params requires Precision::kF64 (use ParamsF)");
-  return core64_->AllParams();
-}
-
-std::vector<nn::ParamF> LstmForecaster::ParamsF() const {
-  DBAUGUR_CHECK(core32_ != nullptr,
-                "LSTM::ParamsF requires Precision::kF32 (use Params)");
-  return core32_->AllParams();
+  std::vector<nn::Param> params = lstm_.Params();
+  for (auto& p : head_.Params()) params.push_back(p);
+  return params;
 }
 
 Status LstmForecaster::Fit(const std::vector<double>& series) {
@@ -138,45 +72,32 @@ StatusOr<double> LstmForecaster::Predict(
   if (window.size() != opts_.window) {
     return Status::InvalidArgument("LSTM: window size mismatch");
   }
-  if (core32_ != nullptr) {
-    return PredictWith<float>(*core32_, scaler_, window);
+  std::vector<nn::Matrix> xs(window.size(), nn::Matrix(1, 1));
+  for (size_t t = 0; t < window.size(); ++t) {
+    xs[t](0, 0) = scaler_.Transform(window[t]);
   }
-  return PredictWith<double>(*core64_, scaler_, window);
+  const std::vector<nn::Matrix>& hs = lstm_.ForwardSequence(xs);
+  const nn::Matrix& pred = head_.Forward(hs.back());
+  return scaler_.Inverse(pred(0, 0));
 }
 
 StatusOr<std::vector<uint8_t>> LstmForecaster::SaveState() const {
-  if (core32_ != nullptr) return SerializeNeuralState({&scaler_}, ParamsF());
   return SerializeNeuralState({&scaler_}, Params());
 }
 
 Status LstmForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  if (core32_ != nullptr) {
-    DBAUGUR_RETURN_IF_ERROR(
-        DeserializeNeuralState(buffer, {&scaler_}, ParamsF()));
-  } else {
-    DBAUGUR_RETURN_IF_ERROR(
-        DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  }
+  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
   fitted_ = true;
   return Status::OK();
 }
 
 int64_t LstmForecaster::StorageBytes() const {
-  if (core32_ != nullptr) return nn::StorageBytes(ParamsF());
   return nn::StorageBytes(Params());
 }
 
 int64_t LstmForecaster::ParameterCount() const {
   int64_t n = 0;
-  if (core32_ != nullptr) {
-    for (auto& p : core32_->AllParams()) {
-      n += static_cast<int64_t>(p.value->size());
-    }
-  } else {
-    for (auto& p : core64_->AllParams()) {
-      n += static_cast<int64_t>(p.value->size());
-    }
-  }
+  for (auto& p : Params()) n += static_cast<int64_t>(p.value->size());
   return n;
 }
 

@@ -1,14 +1,7 @@
 // LSTM forecaster baseline (paper setup: input length 30, hidden/output
 // dimension 16, dense head producing the final value).
-//
-// Supports both training precisions (ForecasterOptions::precision): the
-// model owns exactly one Core<double> or Core<float> — same layer graph,
-// optimizer, and batch schedule, instantiated at the chosen element width.
-// The f32 core doubles the SIMD lanes per vector on every dispatch tier.
 
 #pragma once
-
-#include <memory>
 
 #include "common/rng.h"
 #include "models/forecaster.h"
@@ -30,7 +23,6 @@ class LstmForecaster : public Forecaster {
   LstmForecaster(const ForecasterOptions& opts, const LstmOptions& lstm);
   explicit LstmForecaster(const ForecasterOptions& opts)
       : LstmForecaster(opts, LstmOptions{}) {}
-  ~LstmForecaster() override;
 
   Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
@@ -42,26 +34,22 @@ class LstmForecaster : public Forecaster {
   Status TrainEpoch();
 
   /// Parameter tensors in layer order (lstm, head) — used by serialization.
-  /// Params() requires Precision::kF64, ParamsF() requires Precision::kF32
-  /// (checked).
   std::vector<nn::Param> Params() const;
-  std::vector<nn::ParamF> ParamsF() const;
 
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots) at
-  /// either precision — the float64 wire form is exact for both widths.
+  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
   StatusOr<std::vector<uint8_t>> SaveState() const override;
   Status LoadState(const std::vector<uint8_t>& buffer) override;
 
  private:
-  template <typename T>
-  struct Core;  // layers + optimizer + batch workspaces at width T
-
   ForecasterOptions opts_;
   LstmOptions lstm_opts_;
   mutable Rng rng_;
-  // Exactly one of the two cores is non-null, per opts_.precision.
-  std::unique_ptr<Core<double>> core64_;
-  std::unique_ptr<Core<float>> core32_;
+  mutable nn::LSTM lstm_;
+  mutable nn::Dense head_;
+  nn::Adam adam_;
+  // Batch workspaces reused across batches.
+  nn::Matrix xb_, y_, grad_;
+  std::vector<nn::Matrix> xs_, grad_hs_;
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
   bool fitted_ = false;

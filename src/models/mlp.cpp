@@ -10,77 +10,15 @@
 
 namespace dbaugur::models {
 
-// Layer graph, optimizer state, and reusable batch workspaces at width T
-// (same RNG-stream weight init at both widths; see lstm_forecaster.cpp).
-template <typename T>
-struct MlpForecaster::Core {
-  nn::DenseT<T> l1, l2, l3;
-  nn::AdamT<T> adam;
-  nn::MatrixT<T> x, y, grad;
-
-  Core(const ForecasterOptions& opts, const MlpOptions& mlp, Rng* rng)
-      : l1(opts.window, mlp.hidden1, nn::Activation::kRelu, rng),
-        l2(mlp.hidden1, mlp.hidden2, nn::Activation::kRelu, rng),
-        l3(mlp.hidden2, 1, nn::Activation::kIdentity, rng),
-        adam(opts.learning_rate) {}
-
-  std::vector<nn::ParamT<T>> AllParams() {
-    std::vector<nn::ParamT<T>> params = l1.Params();
-    for (auto& p : l2.Params()) params.push_back(p);
-    for (auto& p : l3.Params()) params.push_back(p);
-    return params;
-  }
-
-  const nn::MatrixT<T>& ForwardBatch(const nn::MatrixT<T>& in) {
-    return l3.Forward(l2.Forward(l1.Forward(in)));
-  }
-};
-
-namespace {
-
-template <typename T, typename CoreT>
-Status TrainEpochWith(CoreT& c, const ForecasterOptions& opts,
-                      const std::vector<ts::WindowSample>& samples, Rng* rng) {
-  std::vector<size_t> order = rng->Permutation(samples.size());
-  std::vector<nn::ParamT<T>> params = c.AllParams();
-  for (size_t begin = 0; begin < order.size(); begin += opts.batch_size) {
-    size_t count = std::min(opts.batch_size, order.size() - begin);
-    BatchWindowsInto(samples, order, begin, count, &c.x);
-    BatchTargetsInto(samples, order, begin, count, &c.y);
-    const nn::MatrixT<T>& pred = c.ForwardBatch(c.x);
-    nn::MSELoss(pred, c.y, &c.grad);
-    for (auto& p : params) p.grad->Fill(T(0));
-    c.l1.Backward(c.l2.Backward(c.l3.Backward(c.grad)));
-    nn::ClipGradNorm(params, opts.grad_clip);
-    c.adam.Step(params);
-  }
-  return Status::OK();
-}
-
-template <typename T, typename CoreT>
-double PredictWith(CoreT& c, const ts::MinMaxScaler& scaler,
-                   const std::vector<double>& window) {
-  nn::MatrixT<T> x(1, window.size());
-  for (size_t j = 0; j < window.size(); ++j) {
-    x(0, j) = static_cast<T>(scaler.Transform(window[j]));
-  }
-  const nn::MatrixT<T>& pred = c.ForwardBatch(x);
-  return scaler.Inverse(static_cast<double>(pred(0, 0)));
-}
-
-}  // namespace
-
 MlpForecaster::MlpForecaster(const ForecasterOptions& opts,
                              const MlpOptions& mlp)
-    : opts_(opts), mlp_(mlp), rng_(opts.seed) {
-  if (opts.precision == Precision::kF32) {
-    core32_ = std::make_unique<Core<float>>(opts, mlp, &rng_);
-  } else {
-    core64_ = std::make_unique<Core<double>>(opts, mlp, &rng_);
-  }
-}
-
-MlpForecaster::~MlpForecaster() = default;
+    : opts_(opts),
+      mlp_(mlp),
+      rng_(opts.seed),
+      l1_(opts.window, mlp.hidden1, nn::Activation::kRelu, &rng_),
+      l2_(mlp.hidden1, mlp.hidden2, nn::Activation::kRelu, &rng_),
+      l3_(mlp.hidden2, 1, nn::Activation::kIdentity, &rng_),
+      adam_(opts.learning_rate) {}
 
 Status MlpForecaster::PrepareTraining(const std::vector<double>& series) {
   auto ds = BuildScaledDataset(series, opts_);
@@ -94,22 +32,27 @@ Status MlpForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
     return Status::FailedPrecondition("MLP: PrepareTraining not called");
   }
-  if (core32_ != nullptr) {
-    return TrainEpochWith<float>(*core32_, opts_, train_samples_, &rng_);
+  std::vector<size_t> order = rng_.Permutation(train_samples_.size());
+  std::vector<nn::Param> params = Params();
+  for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
+    size_t count = std::min(opts_.batch_size, order.size() - begin);
+    BatchWindowsInto(train_samples_, order, begin, count, &x_);
+    BatchTargetsInto(train_samples_, order, begin, count, &y_);
+    const nn::Matrix& pred = ForwardBatch(x_);
+    nn::MSELoss(pred, y_, &grad_);
+    for (auto& p : params) p.grad->Fill(0.0);
+    l1_.Backward(l2_.Backward(l3_.Backward(grad_)));
+    nn::ClipGradNorm(params, opts_.grad_clip);
+    adam_.Step(params);
   }
-  return TrainEpochWith<double>(*core64_, opts_, train_samples_, &rng_);
+  return Status::OK();
 }
 
 std::vector<nn::Param> MlpForecaster::Params() const {
-  DBAUGUR_CHECK(core64_ != nullptr,
-                "MLP::Params requires Precision::kF64 (use ParamsF)");
-  return core64_->AllParams();
-}
-
-std::vector<nn::ParamF> MlpForecaster::ParamsF() const {
-  DBAUGUR_CHECK(core32_ != nullptr,
-                "MLP::ParamsF requires Precision::kF32 (use Params)");
-  return core32_->AllParams();
+  std::vector<nn::Param> params = l1_.Params();
+  for (auto& p : l2_.Params()) params.push_back(p);
+  for (auto& p : l3_.Params()) params.push_back(p);
+  return params;
 }
 
 Status MlpForecaster::Fit(const std::vector<double>& series) {
@@ -121,51 +64,41 @@ Status MlpForecaster::Fit(const std::vector<double>& series) {
   return Status::OK();
 }
 
+const nn::Matrix& MlpForecaster::ForwardBatch(const nn::Matrix& x) const {
+  return l3_.Forward(l2_.Forward(l1_.Forward(x)));
+}
+
 StatusOr<double> MlpForecaster::Predict(
     const std::vector<double>& window) const {
   if (!fitted_) return Status::FailedPrecondition("MLP: Fit not called");
   if (window.size() != opts_.window) {
     return Status::InvalidArgument("MLP: window size mismatch");
   }
-  if (core32_ != nullptr) {
-    return PredictWith<float>(*core32_, scaler_, window);
+  nn::Matrix x(1, window.size());
+  for (size_t j = 0; j < window.size(); ++j) {
+    x(0, j) = scaler_.Transform(window[j]);
   }
-  return PredictWith<double>(*core64_, scaler_, window);
+  const nn::Matrix& pred = ForwardBatch(x);
+  return scaler_.Inverse(pred(0, 0));
 }
 
 StatusOr<std::vector<uint8_t>> MlpForecaster::SaveState() const {
-  if (core32_ != nullptr) return SerializeNeuralState({&scaler_}, ParamsF());
   return SerializeNeuralState({&scaler_}, Params());
 }
 
 Status MlpForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  if (core32_ != nullptr) {
-    DBAUGUR_RETURN_IF_ERROR(
-        DeserializeNeuralState(buffer, {&scaler_}, ParamsF()));
-  } else {
-    DBAUGUR_RETURN_IF_ERROR(
-        DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  }
+  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
   fitted_ = true;
   return Status::OK();
 }
 
 int64_t MlpForecaster::StorageBytes() const {
-  if (core32_ != nullptr) return nn::StorageBytes(ParamsF());
   return nn::StorageBytes(Params());
 }
 
 int64_t MlpForecaster::ParameterCount() const {
   int64_t n = 0;
-  if (core32_ != nullptr) {
-    for (auto& p : core32_->AllParams()) {
-      n += static_cast<int64_t>(p.value->size());
-    }
-  } else {
-    for (auto& p : core64_->AllParams()) {
-      n += static_cast<int64_t>(p.value->size());
-    }
-  }
+  for (auto& p : Params()) n += static_cast<int64_t>(p.value->size());
   return n;
 }
 

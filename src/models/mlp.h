@@ -1,12 +1,7 @@
 // MLP forecaster (the paper's short-term "local view" model): two hidden
 // layers of 32 and 16 ReLU units over the raw condition window.
-//
-// Supports both training precisions (ForecasterOptions::precision) via one
-// Core<double> or Core<float> — see lstm_forecaster.h for the pattern.
 
 #pragma once
-
-#include <memory>
 
 #include "common/rng.h"
 #include "models/forecaster.h"
@@ -28,7 +23,6 @@ class MlpForecaster : public Forecaster {
   MlpForecaster(const ForecasterOptions& opts, const MlpOptions& mlp);
   explicit MlpForecaster(const ForecasterOptions& opts)
       : MlpForecaster(opts, MlpOptions{}) {}
-  ~MlpForecaster() override;
 
   Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
@@ -42,26 +36,22 @@ class MlpForecaster : public Forecaster {
   Status TrainEpoch();
 
   /// Parameter tensors in layer order (l1, l2, l3) — used by serialization.
-  /// Params() requires Precision::kF64, ParamsF() requires Precision::kF32
-  /// (checked).
   std::vector<nn::Param> Params() const;
-  std::vector<nn::ParamF> ParamsF() const;
 
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots) at
-  /// either precision.
+  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
   StatusOr<std::vector<uint8_t>> SaveState() const override;
   Status LoadState(const std::vector<uint8_t>& buffer) override;
 
  private:
-  template <typename T>
-  struct Core;  // layers + optimizer + batch workspaces at width T
+  const nn::Matrix& ForwardBatch(const nn::Matrix& x) const;
 
   ForecasterOptions opts_;
   MlpOptions mlp_;
   mutable Rng rng_;
-  // Exactly one of the two cores is non-null, per opts_.precision.
-  std::unique_ptr<Core<double>> core64_;
-  std::unique_ptr<Core<float>> core32_;
+  mutable nn::Dense l1_, l2_, l3_;
+  nn::Adam adam_;
+  // Batch workspaces reused across batches.
+  nn::Matrix x_, y_, grad_;
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
   bool fitted_ = false;

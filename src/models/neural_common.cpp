@@ -35,66 +35,25 @@ nn::Matrix BatchTargets(const std::vector<ts::WindowSample>& samples,
   return m;
 }
 
-namespace {
-
-template <typename T>
-void BatchWindowsIntoImpl(const std::vector<ts::WindowSample>& samples,
-                          const std::vector<size_t>& idx, size_t begin,
-                          size_t count, nn::MatrixT<T>* out) {
+void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
+                      const std::vector<size_t>& idx, size_t begin,
+                      size_t count, nn::Matrix* out) {
   size_t t = samples.empty() ? 0 : samples[0].window.size();
   out->Resize(count, t);
   for (size_t r = 0; r < count; ++r) {
     const auto& w = samples[idx[begin + r]].window;
-    T* row = out->row(r);
-    for (size_t j = 0; j < t; ++j) row[j] = static_cast<T>(w[j]);
+    double* row = out->row(r);
+    for (size_t j = 0; j < t; ++j) row[j] = w[j];
   }
 }
 
-template <typename T>
-void BatchTargetsIntoImpl(const std::vector<ts::WindowSample>& samples,
-                          const std::vector<size_t>& idx, size_t begin,
-                          size_t count, nn::MatrixT<T>* out) {
+void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
+                      const std::vector<size_t>& idx, size_t begin,
+                      size_t count, nn::Matrix* out) {
   out->Resize(count, 1);
   for (size_t r = 0; r < count; ++r) {
-    (*out)(r, 0) = static_cast<T>(samples[idx[begin + r]].target);
+    (*out)(r, 0) = samples[idx[begin + r]].target;
   }
-}
-
-template <typename T>
-void ToTimeMajorIntoImpl(const nn::MatrixT<T>& batch,
-                         std::vector<nn::MatrixT<T>>* xs) {
-  xs->resize(batch.cols());
-  for (size_t t = 0; t < batch.cols(); ++t) {
-    nn::MatrixT<T>& x = (*xs)[t];
-    x.Resize(batch.rows(), 1);
-    for (size_t r = 0; r < batch.rows(); ++r) x(r, 0) = batch(r, t);
-  }
-}
-
-}  // namespace
-
-void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
-                      const std::vector<size_t>& idx, size_t begin,
-                      size_t count, nn::Matrix* out) {
-  BatchWindowsIntoImpl(samples, idx, begin, count, out);
-}
-
-void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
-                      const std::vector<size_t>& idx, size_t begin,
-                      size_t count, nn::MatrixF* out) {
-  BatchWindowsIntoImpl(samples, idx, begin, count, out);
-}
-
-void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
-                      const std::vector<size_t>& idx, size_t begin,
-                      size_t count, nn::Matrix* out) {
-  BatchTargetsIntoImpl(samples, idx, begin, count, out);
-}
-
-void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
-                      const std::vector<size_t>& idx, size_t begin,
-                      size_t count, nn::MatrixF* out) {
-  BatchTargetsIntoImpl(samples, idx, begin, count, out);
 }
 
 std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch) {
@@ -104,11 +63,12 @@ std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch) {
 }
 
 void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs) {
-  ToTimeMajorIntoImpl(batch, xs);
-}
-
-void ToTimeMajorInto(const nn::MatrixF& batch, std::vector<nn::MatrixF>* xs) {
-  ToTimeMajorIntoImpl(batch, xs);
+  xs->resize(batch.cols());
+  for (size_t t = 0; t < batch.cols(); ++t) {
+    nn::Matrix& x = (*xs)[t];
+    x.Resize(batch.rows(), 1);
+    for (size_t r = 0; r < batch.rows(); ++r) x(r, 0) = batch(r, t);
+  }
 }
 
 nn::Tensor3 ToTensor3(const nn::Matrix& batch) {
@@ -149,12 +109,9 @@ namespace {
 constexpr uint32_t kModelStateMagic = 0xDBA65AE1;
 }  // namespace
 
-namespace {
-
-template <typename T>
-std::vector<uint8_t> SerializeNeuralStateImpl(
+std::vector<uint8_t> SerializeNeuralState(
     const std::vector<const ts::MinMaxScaler*>& scalers,
-    const std::vector<nn::ParamT<T>>& params) {
+    const std::vector<nn::Param>& params) {
   BufWriter w;
   w.U32(kModelStateMagic);
   w.U32(static_cast<uint32_t>(scalers.size()));
@@ -167,25 +124,9 @@ std::vector<uint8_t> SerializeNeuralStateImpl(
   return w.Take();
 }
 
-}  // namespace
-
-std::vector<uint8_t> SerializeNeuralState(
-    const std::vector<const ts::MinMaxScaler*>& scalers,
-    const std::vector<nn::Param>& params) {
-  return SerializeNeuralStateImpl(scalers, params);
-}
-
-std::vector<uint8_t> SerializeNeuralState(
-    const std::vector<const ts::MinMaxScaler*>& scalers,
-    const std::vector<nn::ParamF>& params) {
-  return SerializeNeuralStateImpl(scalers, params);
-}
-
-template <typename T>
-static Status DeserializeNeuralStateImpl(
-    const std::vector<uint8_t>& buffer,
-    const std::vector<ts::MinMaxScaler*>& scalers,
-    std::vector<nn::ParamT<T>> params) {
+Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
+                              const std::vector<ts::MinMaxScaler*>& scalers,
+                              std::vector<nn::Param> params) {
   BufReader r(buffer);
   uint32_t magic = 0, nscalers = 0;
   if (!r.U32(&magic) || magic != kModelStateMagic) {
@@ -215,7 +156,8 @@ static Status DeserializeNeuralStateImpl(
   if (!r.Bytes(&param_blob)) {
     return Status::InvalidArgument("truncated model state parameter section");
   }
-  // Reuses nn/serialize's magic / count / shape / truncation rejection.
+  // Reuses nn/serialize's magic / count / shape / truncation rejection,
+  // which leaves every parameter untouched unless the whole blob is valid.
   DBAUGUR_RETURN_IF_ERROR(nn::DeserializeParams(param_blob, params));
   // Scalers are only touched once every fallible step has passed.
   for (size_t i = 0; i < scalers.size(); ++i) {
@@ -225,18 +167,6 @@ static Status DeserializeNeuralStateImpl(
     }
   }
   return Status::OK();
-}
-
-Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
-                              const std::vector<ts::MinMaxScaler*>& scalers,
-                              std::vector<nn::Param> params) {
-  return DeserializeNeuralStateImpl(buffer, scalers, std::move(params));
-}
-
-Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
-                              const std::vector<ts::MinMaxScaler*>& scalers,
-                              std::vector<nn::ParamF> params) {
-  return DeserializeNeuralStateImpl(buffer, scalers, std::move(params));
 }
 
 }  // namespace dbaugur::models

@@ -36,22 +36,15 @@ nn::Matrix BatchTargets(const std::vector<ts::WindowSample>& samples,
 // Into-variants reuse the destination's buffer so training loops can hold one
 // batch workspace across all batches of an epoch instead of reallocating.
 
-/// BatchWindows writing into an existing matrix. The MatrixF overloads cast
-/// each (double) sample value to float for the f32 training path.
+/// BatchWindows writing into an existing matrix.
 void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out);
-void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
-                      const std::vector<size_t>& idx, size_t begin,
-                      size_t count, nn::MatrixF* out);
 
 /// BatchTargets writing into an existing matrix.
 void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out);
-void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
-                      const std::vector<size_t>& idx, size_t begin,
-                      size_t count, nn::MatrixF* out);
 
 /// Converts a [batch, T] matrix into a time-major sequence of [batch, 1]
 /// matrices for recurrent layers.
@@ -59,7 +52,6 @@ std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch);
 
 /// ToTimeMajor writing into an existing sequence (per-step buffers reused).
 void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs);
-void ToTimeMajorInto(const nn::MatrixF& batch, std::vector<nn::MatrixF>* xs);
 
 /// Converts a [batch, T] matrix into a [batch, 1 channel, T] tensor for
 /// convolutional layers.
@@ -89,23 +81,15 @@ void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
 // nn/serialize's count+shape+truncation rejection) and restores in place.
 
 /// Packs scaler states and parameter values into one self-describing blob.
-/// The ParamF overload serves f32 models; the float64 wire form represents
-/// every float exactly, so the f32 round trip is also lossless.
 std::vector<uint8_t> SerializeNeuralState(
     const std::vector<const ts::MinMaxScaler*>& scalers,
     const std::vector<nn::Param>& params);
-std::vector<uint8_t> SerializeNeuralState(
-    const std::vector<const ts::MinMaxScaler*>& scalers,
-    const std::vector<nn::ParamF>& params);
 
 /// Restores a SerializeNeuralState blob. `scalers` and `params` must match
 /// the saving model's layout; corrupt/truncated/mismatched blobs are
-/// rejected with InvalidArgument without partially applying scaler state.
+/// rejected with InvalidArgument before any scaler or parameter changes.
 Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
                               const std::vector<ts::MinMaxScaler*>& scalers,
                               std::vector<nn::Param> params);
-Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
-                              const std::vector<ts::MinMaxScaler*>& scalers,
-                              std::vector<nn::ParamF> params);
 
 }  // namespace dbaugur::models

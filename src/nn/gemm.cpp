@@ -1,7 +1,6 @@
 #include "nn/gemm.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -17,9 +16,8 @@ ThreadPool* g_gemm_pool = nullptr;
 constexpr size_t kParallelFlops = size_t{1} << 18;
 
 // --------------------------------------------------------------------------
-// Scalar tier: the PR-3 register-tiled kernels, verbatim but templated on the
-// element type (the double instantiation is token-identical to the original
-// code, so the forced-scalar tier stays bit-identical to the PR-3 kernels).
+// Scalar tier: the register-tiled kernels that predate the vector tiers,
+// unchanged, so the forced-scalar tier stays bit-identical to them.
 // All three kernels are built from R x C register tiles: the R*C partial sums
 // live in registers for the whole reduction, so C-matrix traffic drops from
 // one load+store per multiply-add (the naive loops' bottleneck) to one
@@ -32,17 +30,17 @@ constexpr size_t kParallelFlops = size_t{1} << 18;
 
 // R x C tile of c = [c +] a * b. `a` points at the tile's first row (stride
 // k), `b` at the tile's first column (stride n), `c` at the tile origin.
-template <typename T, size_t R, size_t C>
-inline void NNTile(const T* a, const T* b, T* c, size_t k, size_t n,
-                   bool accumulate) {
-  T acc[R][C];
+template <size_t R, size_t C>
+inline void NNTile(const double* a, const double* b, double* c, size_t k,
+                   size_t n, bool accumulate) {
+  double acc[R][C];
   for (size_t r = 0; r < R; ++r) {
-    for (size_t j = 0; j < C; ++j) acc[r][j] = accumulate ? c[r * n + j] : T(0);
+    for (size_t j = 0; j < C; ++j) acc[r][j] = accumulate ? c[r * n + j] : 0.0;
   }
   for (size_t kk = 0; kk < k; ++kk) {
-    const T* br = b + kk * n;
+    const double* br = b + kk * n;
     for (size_t r = 0; r < R; ++r) {
-      const T av = a[r * k + kk];
+      const double av = a[r * k + kk];
       for (size_t j = 0; j < C; ++j) acc[r][j] += av * br[j];
     }
   }
@@ -52,20 +50,20 @@ inline void NNTile(const T* a, const T* b, T* c, size_t k, size_t n,
 }
 
 // Rows [r0, r1) of c = [c +] a (m x k) * b (k x n).
-template <typename T>
-void GemmNNRowsScalar(size_t r0, size_t r1, size_t k, size_t n, const T* a,
-                      const T* b, T* c, bool accumulate) {
+void GemmNNRowsScalar(size_t r0, size_t r1, size_t k, size_t n,
+                      const double* a, const double* b, double* c,
+                      bool accumulate) {
   if (k < 8) {
     // Tiny reduction (e.g. the LSTM's 1-wide input projection): the register
     // tile's init/store overhead exceeds its k FMAs per element, so stream C
     // rows axpy-style instead. Still ascending-kk per element.
     for (size_t i = r0; i < r1; ++i) {
-      T* cr = c + i * n;
-      const T* ar = a + i * k;
-      if (!accumulate) std::fill(cr, cr + n, T(0));
+      double* cr = c + i * n;
+      const double* ar = a + i * k;
+      if (!accumulate) std::fill(cr, cr + n, 0.0);
       for (size_t kk = 0; kk < k; ++kk) {
-        const T av = ar[kk];
-        const T* br = b + kk * n;
+        const double av = ar[kk];
+        const double* br = b + kk * n;
         for (size_t j = 0; j < n; ++j) cr[j] += av * br[j];
       }
     }
@@ -75,19 +73,19 @@ void GemmNNRowsScalar(size_t r0, size_t r1, size_t k, size_t n, const T* a,
   for (; i + 4 <= r1; i += 4) {
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-      NNTile<T, 4, 4>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
+      NNTile<4, 4>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
     }
     for (; j < n; ++j) {
-      NNTile<T, 4, 1>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
+      NNTile<4, 1>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
     }
   }
   for (; i < r1; ++i) {
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-      NNTile<T, 1, 4>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
+      NNTile<1, 4>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
     }
     for (; j < n; ++j) {
-      NNTile<T, 1, 1>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
+      NNTile<1, 1>(a + i * k, b + j, c + i * n + j, k, n, accumulate);
     }
   }
 }
@@ -95,16 +93,16 @@ void GemmNNRowsScalar(size_t r0, size_t r1, size_t k, size_t n, const T* a,
 // R x C tile of c = [c +] a * b^T. `a` points at the tile's first row (stride
 // k), `b` at the first of C rows of b (each length k), `c` at the tile
 // origin (stride p).
-template <typename T, size_t R, size_t C>
-inline void NTTile(const T* a, const T* b, T* c, size_t k, size_t p,
-                   bool accumulate) {
-  T acc[R][C];
+template <size_t R, size_t C>
+inline void NTTile(const double* a, const double* b, double* c, size_t k,
+                   size_t p, bool accumulate) {
+  double acc[R][C];
   for (size_t r = 0; r < R; ++r) {
-    for (size_t j = 0; j < C; ++j) acc[r][j] = T(0);
+    for (size_t j = 0; j < C; ++j) acc[r][j] = 0.0;
   }
   for (size_t kk = 0; kk < k; ++kk) {
     for (size_t r = 0; r < R; ++r) {
-      const T av = a[r * k + kk];
+      const double av = a[r * k + kk];
       for (size_t j = 0; j < C; ++j) acc[r][j] += av * b[j * k + kk];
     }
   }
@@ -120,26 +118,26 @@ inline void NTTile(const T* a, const T* b, T* c, size_t k, size_t p,
 }
 
 // Rows [r0, r1) of c = [c +] a (m x k) * b^T, b is (p x k).
-template <typename T>
-void GemmNTRowsScalar(size_t r0, size_t r1, size_t k, size_t p, const T* a,
-                      const T* b, T* c, bool accumulate) {
+void GemmNTRowsScalar(size_t r0, size_t r1, size_t k, size_t p,
+                      const double* a, const double* b, double* c,
+                      bool accumulate) {
   size_t i = r0;
   for (; i + 4 <= r1; i += 4) {
     size_t j = 0;
     for (; j + 4 <= p; j += 4) {
-      NTTile<T, 4, 4>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
+      NTTile<4, 4>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
     }
     for (; j < p; ++j) {
-      NTTile<T, 4, 1>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
+      NTTile<4, 1>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
     }
   }
   for (; i < r1; ++i) {
     size_t j = 0;
     for (; j + 4 <= p; j += 4) {
-      NTTile<T, 1, 4>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
+      NTTile<1, 4>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
     }
     for (; j < p; ++j) {
-      NTTile<T, 1, 1>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
+      NTTile<1, 1>(a + i * k, b + j * k, c + i * p + j, k, p, accumulate);
     }
   }
 }
@@ -147,18 +145,18 @@ void GemmNTRowsScalar(size_t r0, size_t r1, size_t k, size_t p, const T* a,
 // R x C tile of c = [c +] a^T * b, reducing over the m rows of a and b.
 // `a` points at column kk0 of a's first row (stride k), `b` at column j0 of
 // b's first row (stride n), `c` at the tile origin (stride n).
-template <typename T, size_t R, size_t C>
-inline void TNTile(const T* a, const T* b, T* c, size_t m, size_t k, size_t n,
-                   bool accumulate) {
-  T acc[R][C];
+template <size_t R, size_t C>
+inline void TNTile(const double* a, const double* b, double* c, size_t m,
+                   size_t k, size_t n, bool accumulate) {
+  double acc[R][C];
   for (size_t r = 0; r < R; ++r) {
-    for (size_t j = 0; j < C; ++j) acc[r][j] = accumulate ? c[r * n + j] : T(0);
+    for (size_t j = 0; j < C; ++j) acc[r][j] = accumulate ? c[r * n + j] : 0.0;
   }
   for (size_t i = 0; i < m; ++i) {
-    const T* ar = a + i * k;
-    const T* br = b + i * n;
+    const double* ar = a + i * k;
+    const double* br = b + i * n;
     for (size_t r = 0; r < R; ++r) {
-      const T av = ar[r];
+      const double av = ar[r];
       for (size_t j = 0; j < C; ++j) acc[r][j] += av * br[j];
     }
   }
@@ -168,99 +166,76 @@ inline void TNTile(const T* a, const T* b, T* c, size_t m, size_t k, size_t n,
 }
 
 // Rows [k0, k1) of c (k x n) = [c +] a^T * b; a is (m x k), b is (m x n).
-template <typename T>
 void GemmTNRowsScalar(size_t k0, size_t k1, size_t m, size_t k, size_t n,
-                      const T* a, const T* b, T* c, bool accumulate) {
+                      const double* a, const double* b, double* c,
+                      bool accumulate) {
   size_t kk = k0;
   for (; kk + 4 <= k1; kk += 4) {
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-      TNTile<T, 4, 4>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
+      TNTile<4, 4>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
     }
     for (; j < n; ++j) {
-      TNTile<T, 4, 1>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
+      TNTile<4, 1>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
     }
   }
   for (; kk < k1; ++kk) {
     size_t j = 0;
     for (; j + 4 <= n; j += 4) {
-      TNTile<T, 1, 4>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
+      TNTile<1, 4>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
     }
     for (; j < n; ++j) {
-      TNTile<T, 1, 1>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
+      TNTile<1, 1>(a + kk, b + j, c + kk * n + j, m, k, n, accumulate);
     }
   }
 }
 
 // --------------------------------------------------------------------------
-// Dispatch: one table of row-range kernels per element type, indexed by the
-// runtime tier. The scalar tier is the templated PR-3 code above; vector
-// tiers come from the per-ISA TUs declared in simd_kernels.h.
+// Dispatch: one table of row-range kernels, indexed by the runtime tier. The
+// scalar tier is the code above; vector tiers come from the per-ISA TUs
+// declared in simd_kernels.h.
 // --------------------------------------------------------------------------
 
-template <typename T>
 struct RowKernels {
-  void (*nn)(size_t, size_t, size_t, size_t, const T*, const T*, T*, bool);
-  void (*tn)(size_t, size_t, size_t, size_t, size_t, const T*, const T*, T*,
-             bool);
-  void (*nt)(size_t, size_t, size_t, size_t, const T*, const T*, T*, bool);
+  void (*nn)(size_t, size_t, size_t, size_t, const double*, const double*,
+             double*, bool);
+  void (*tn)(size_t, size_t, size_t, size_t, size_t, const double*,
+             const double*, double*, bool);
+  void (*nt)(size_t, size_t, size_t, size_t, const double*, const double*,
+             double*, bool);
 };
 
-template <typename T>
-constexpr RowKernels<T> kScalarKernels = {&GemmNNRowsScalar<T>,
-                                          &GemmTNRowsScalar<T>,
-                                          &GemmNTRowsScalar<T>};
+constexpr RowKernels kScalarKernels = {&GemmNNRowsScalar, &GemmTNRowsScalar,
+                                       &GemmNTRowsScalar};
 
-template <typename T>
-const RowKernels<T>& ActiveKernels() {
+const RowKernels& ActiveKernels() {
   switch (simd::ActiveTier()) {
 #if defined(DBAUGUR_SIMD_HAS_AVX512)
     case simd::Tier::kAvx512: {
-      if constexpr (std::is_same_v<T, double>) {
-        static constexpr RowKernels<T> k = {&tier_avx512::GemmNNRowsD,
-                                            &tier_avx512::GemmTNRowsD,
-                                            &tier_avx512::GemmNTRowsD};
-        return k;
-      } else {
-        static constexpr RowKernels<T> k = {&tier_avx512::GemmNNRowsF,
-                                            &tier_avx512::GemmTNRowsF,
-                                            &tier_avx512::GemmNTRowsF};
-        return k;
-      }
+      static constexpr RowKernels k = {&tier_avx512::GemmNNRowsD,
+                                       &tier_avx512::GemmTNRowsD,
+                                       &tier_avx512::GemmNTRowsD};
+      return k;
     }
 #endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
     case simd::Tier::kAvx2: {
-      if constexpr (std::is_same_v<T, double>) {
-        static constexpr RowKernels<T> k = {&tier_avx2::GemmNNRowsD,
-                                            &tier_avx2::GemmTNRowsD,
-                                            &tier_avx2::GemmNTRowsD};
-        return k;
-      } else {
-        static constexpr RowKernels<T> k = {&tier_avx2::GemmNNRowsF,
-                                            &tier_avx2::GemmTNRowsF,
-                                            &tier_avx2::GemmNTRowsF};
-        return k;
-      }
+      static constexpr RowKernels k = {&tier_avx2::GemmNNRowsD,
+                                       &tier_avx2::GemmTNRowsD,
+                                       &tier_avx2::GemmNTRowsD};
+      return k;
     }
 #endif
 #if defined(DBAUGUR_SIMD_HAS_SSE2)
     case simd::Tier::kSse2: {
-      if constexpr (std::is_same_v<T, double>) {
-        static constexpr RowKernels<T> k = {&tier_sse2::GemmNNRowsD,
-                                            &tier_sse2::GemmTNRowsD,
-                                            &tier_sse2::GemmNTRowsD};
-        return k;
-      } else {
-        static constexpr RowKernels<T> k = {&tier_sse2::GemmNNRowsF,
-                                            &tier_sse2::GemmTNRowsF,
-                                            &tier_sse2::GemmNTRowsF};
-        return k;
-      }
+      static constexpr RowKernels k = {&tier_sse2::GemmNNRowsD,
+                                       &tier_sse2::GemmTNRowsD,
+                                       &tier_sse2::GemmNTRowsD};
+      return k;
     }
 #endif
     default:
-      return kScalarKernels<T>;
+      return kScalarKernels;
   }
 }
 
@@ -274,10 +249,15 @@ size_t Grain(size_t rows) {
   return std::max<size_t>(1, rows / (4 * g_gemm_pool->size()));
 }
 
-template <typename T>
-void GemmNNImpl(size_t m, size_t k, size_t n, const T* a, const T* b, T* c,
-                bool accumulate) {
-  const RowKernels<T>& kern = ActiveKernels<T>();
+}  // namespace
+
+void SetGemmThreadPool(ThreadPool* pool) { g_gemm_pool = pool; }
+
+ThreadPool* GetGemmThreadPool() { return g_gemm_pool; }
+
+void GemmNN(size_t m, size_t k, size_t n, const double* a, const double* b,
+            double* c, bool accumulate) {
+  const RowKernels& kern = ActiveKernels();
   if (UsePool(m, 2 * m * k * n)) {
     g_gemm_pool->ParallelFor(m, Grain(m), [&](size_t r0, size_t r1) {
       kern.nn(r0, r1, k, n, a, b, c, accumulate);
@@ -287,10 +267,9 @@ void GemmNNImpl(size_t m, size_t k, size_t n, const T* a, const T* b, T* c,
   }
 }
 
-template <typename T>
-void GemmTNImpl(size_t m, size_t k, size_t n, const T* a, const T* b, T* c,
-                bool accumulate) {
-  const RowKernels<T>& kern = ActiveKernels<T>();
+void GemmTN(size_t m, size_t k, size_t n, const double* a, const double* b,
+            double* c, bool accumulate) {
+  const RowKernels& kern = ActiveKernels();
   if (UsePool(k, 2 * m * k * n)) {
     g_gemm_pool->ParallelFor(k, Grain(k), [&](size_t k0, size_t k1) {
       kern.tn(k0, k1, m, k, n, a, b, c, accumulate);
@@ -300,10 +279,9 @@ void GemmTNImpl(size_t m, size_t k, size_t n, const T* a, const T* b, T* c,
   }
 }
 
-template <typename T>
-void GemmNTImpl(size_t m, size_t k, size_t p, const T* a, const T* b, T* c,
-                bool accumulate) {
-  const RowKernels<T>& kern = ActiveKernels<T>();
+void GemmNT(size_t m, size_t k, size_t p, const double* a, const double* b,
+            double* c, bool accumulate) {
+  const RowKernels& kern = ActiveKernels();
   if (UsePool(m, 2 * m * k * p)) {
     g_gemm_pool->ParallelFor(m, Grain(m), [&](size_t r0, size_t r1) {
       kern.nt(r0, r1, k, p, a, b, c, accumulate);
@@ -311,42 +289,6 @@ void GemmNTImpl(size_t m, size_t k, size_t p, const T* a, const T* b, T* c,
   } else {
     kern.nt(0, m, k, p, a, b, c, accumulate);
   }
-}
-
-}  // namespace
-
-void SetGemmThreadPool(ThreadPool* pool) { g_gemm_pool = pool; }
-
-ThreadPool* GetGemmThreadPool() { return g_gemm_pool; }
-
-void GemmNN(size_t m, size_t k, size_t n, const double* a, const double* b,
-            double* c, bool accumulate) {
-  GemmNNImpl(m, k, n, a, b, c, accumulate);
-}
-
-void GemmTN(size_t m, size_t k, size_t n, const double* a, const double* b,
-            double* c, bool accumulate) {
-  GemmTNImpl(m, k, n, a, b, c, accumulate);
-}
-
-void GemmNT(size_t m, size_t k, size_t p, const double* a, const double* b,
-            double* c, bool accumulate) {
-  GemmNTImpl(m, k, p, a, b, c, accumulate);
-}
-
-void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c, bool accumulate) {
-  GemmNNImpl(m, k, n, a, b, c, accumulate);
-}
-
-void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c, bool accumulate) {
-  GemmTNImpl(m, k, n, a, b, c, accumulate);
-}
-
-void GemmNT(size_t m, size_t k, size_t p, const float* a, const float* b,
-            float* c, bool accumulate) {
-  GemmNTImpl(m, k, p, a, b, c, accumulate);
 }
 
 }  // namespace dbaugur::nn

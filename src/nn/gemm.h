@@ -58,16 +58,6 @@ void GemmTN(size_t m, size_t k, size_t n, const double* a, const double* b,
 void GemmNT(size_t m, size_t k, size_t p, const double* a, const double* b,
             double* c, bool accumulate);
 
-/// f32 twins of the three kernels, for the per-model f32 training path.
-/// Same tiling, dispatch, pooling, and determinism contract at f32 width
-/// (twice the lanes per vector on every tier).
-void GemmNN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c, bool accumulate);
-void GemmTN(size_t m, size_t k, size_t n, const float* a, const float* b,
-            float* c, bool accumulate);
-void GemmNT(size_t m, size_t k, size_t p, const float* a, const float* b,
-            float* c, bool accumulate);
-
 namespace ref {
 
 // Verbatim pre-PR kernels (naive loops, zero-skip branch, fresh allocation

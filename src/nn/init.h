@@ -1,8 +1,4 @@
 // Weight initialization helpers.
-//
-// Both helpers draw from the RNG in double and cast to the matrix element
-// type, so an f32 model initialized from a given seed holds exactly the
-// rounded values of its f64 twin (and consumes the same RNG stream).
 
 #pragma once
 
@@ -14,25 +10,23 @@
 namespace dbaugur::nn {
 
 /// Xavier/Glorot uniform initialization for a (fan_in x fan_out) weight.
-template <typename T>
-inline void XavierInit(MatrixT<T>* w, Rng* rng) {
+inline void XavierInit(Matrix* w, Rng* rng) {
   double fan_in = static_cast<double>(w->rows());
   double fan_out = static_cast<double>(w->cols());
   double limit = std::sqrt(6.0 / (fan_in + fan_out));
   for (size_t i = 0; i < w->rows(); ++i) {
     for (size_t j = 0; j < w->cols(); ++j) {
-      (*w)(i, j) = static_cast<T>(rng->Uniform(-limit, limit));
+      (*w)(i, j) = rng->Uniform(-limit, limit);
     }
   }
 }
 
 /// Uniform init with explicit limit (conv kernels where fan-in differs from
 /// the matrix shape).
-template <typename T>
-inline void UniformInit(MatrixT<T>* w, Rng* rng, double limit) {
+inline void UniformInit(Matrix* w, Rng* rng, double limit) {
   for (size_t i = 0; i < w->rows(); ++i) {
     for (size_t j = 0; j < w->cols(); ++j) {
-      (*w)(i, j) = static_cast<T>(rng->Uniform(-limit, limit));
+      (*w)(i, j) = rng->Uniform(-limit, limit);
     }
   }
 }

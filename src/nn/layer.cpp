@@ -4,18 +4,14 @@
 
 namespace dbaugur::nn {
 
-template <typename T>
-void ClipGradNorm(std::vector<ParamT<T>>& params, double max_norm) {
+void ClipGradNorm(std::vector<Param>& params, double max_norm) {
   if (max_norm <= 0.0) return;
   double total = 0.0;
-  for (ParamT<T>& p : params) total += p.grad->SquaredNorm();
+  for (Param& p : params) total += p.grad->SquaredNorm();
   double norm = std::sqrt(total);
   if (norm <= max_norm || norm == 0.0) return;
   double scale = max_norm / norm;
-  for (ParamT<T>& p : params) p.grad->Scale(static_cast<T>(scale));
+  for (Param& p : params) p.grad->Scale(scale);
 }
-
-template void ClipGradNorm<double>(std::vector<Param>&, double);
-template void ClipGradNorm<float>(std::vector<ParamF>&, double);
 
 }  // namespace dbaugur::nn

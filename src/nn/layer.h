@@ -4,10 +4,6 @@
 // Forward, then Backward with the loss gradient, then hands the layer's
 // parameter list to an Optimizer. Gradients accumulate across Backward calls
 // until ZeroGrad().
-//
-// Everything is templated on the element type (double or float) so the same
-// training loops run at either precision; `Param`/`Layer` are the f64
-// aliases the bulk of the codebase uses, `ParamF`/`LayerF` the f32 twins.
 
 #pragma once
 
@@ -20,15 +16,11 @@
 namespace dbaugur::nn {
 
 /// A trainable parameter: value plus its gradient accumulator.
-template <typename T>
-struct ParamT {
-  MatrixT<T>* value = nullptr;
-  MatrixT<T>* grad = nullptr;
+struct Param {
+  Matrix* value = nullptr;
+  Matrix* grad = nullptr;
   std::string name;
 };
-
-using Param = ParamT<double>;
-using ParamF = ParamT<float>;
 
 /// Base class for layers mapping [batch, in] -> [batch, out].
 ///
@@ -36,45 +28,36 @@ using ParamF = ParamT<float>;
 /// steady-state training step performs no heap allocation inside layer code;
 /// the referenced matrix stays valid until the next call on the same layer.
 /// Callers that need the value beyond that must copy it.
-template <typename T>
-class LayerT {
+class Layer {
  public:
-  virtual ~LayerT() = default;
+  virtual ~Layer() = default;
 
   /// Computes the output and caches whatever Backward needs.
-  virtual const MatrixT<T>& Forward(const MatrixT<T>& input) = 0;
+  virtual const Matrix& Forward(const Matrix& input) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
   /// dLoss/dInput. Must be called after Forward on the same input.
-  virtual const MatrixT<T>& Backward(const MatrixT<T>& grad_output) = 0;
+  virtual const Matrix& Backward(const Matrix& grad_output) = 0;
 
   /// Trainable parameters (empty for stateless layers).
-  virtual std::vector<ParamT<T>> Params() { return {}; }
+  virtual std::vector<Param> Params() { return {}; }
 
   /// Resets accumulated gradients to zero.
   void ZeroGrad() {
-    for (ParamT<T>& p : Params()) p.grad->Fill(T(0));
+    for (Param& p : Params()) p.grad->Fill(0.0);
   }
 
   /// Total number of scalar parameters.
   int64_t ParameterCount() {
     int64_t n = 0;
-    for (ParamT<T>& p : Params()) n += static_cast<int64_t>(p.value->size());
+    for (Param& p : Params()) n += static_cast<int64_t>(p.value->size());
     return n;
   }
 };
 
-using Layer = LayerT<double>;
-using LayerF = LayerT<float>;
-
 /// Clips every gradient in `params` so the global L2 norm is at most
 /// `max_norm` (no-op if already within bounds). Guards LSTM training against
-/// exploding gradients. The norm is always computed in double (see
-/// MatrixT::SquaredNorm) so both precisions clip at the same threshold.
-template <typename T>
-void ClipGradNorm(std::vector<ParamT<T>>& params, double max_norm);
-
-extern template void ClipGradNorm<double>(std::vector<Param>&, double);
-extern template void ClipGradNorm<float>(std::vector<ParamF>&, double);
+/// exploding gradients.
+void ClipGradNorm(std::vector<Param>& params, double max_norm);
 
 }  // namespace dbaugur::nn

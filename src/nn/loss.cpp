@@ -7,11 +7,7 @@
 
 namespace dbaugur::nn {
 
-namespace {
-
-template <typename T>
-double MSELossImpl(const MatrixT<T>& pred, const MatrixT<T>& target,
-                   MatrixT<T>* grad) {
+double MSELoss(const Matrix& pred, const Matrix& target, Matrix* grad) {
   DBAUGUR_CHECK(pred.SameShape(target), "MSELoss shape mismatch: ",
                 pred.rows(), "x", pred.cols(), " vs ", target.rows(), "x",
                 target.cols());
@@ -20,22 +16,11 @@ double MSELossImpl(const MatrixT<T>& pred, const MatrixT<T>& target,
   double loss = 0.0;
   if (grad != nullptr) grad->Resize(pred.rows(), pred.cols());
   for (size_t i = 0; i < pred.size(); ++i) {
-    double d = static_cast<double>(pred.data()[i]) -
-               static_cast<double>(target.data()[i]);
+    double d = pred.data()[i] - target.data()[i];
     loss += d * d;
-    if (grad != nullptr) grad->data()[i] = static_cast<T>(2.0 * d / n);
+    if (grad != nullptr) grad->data()[i] = 2.0 * d / n;
   }
   return loss / n;
-}
-
-}  // namespace
-
-double MSELoss(const Matrix& pred, const Matrix& target, Matrix* grad) {
-  return MSELossImpl(pred, target, grad);
-}
-
-double MSELoss(const MatrixF& pred, const MatrixF& target, MatrixF* grad) {
-  return MSELossImpl(pred, target, grad);
 }
 
 double BCEWithLogitsLoss(const Matrix& logits, const Matrix& target,

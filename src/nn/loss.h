@@ -11,11 +11,6 @@ namespace dbaugur::nn {
 /// dLoss/dPred; pass nullptr to skip the gradient.
 double MSELoss(const Matrix& pred, const Matrix& target, Matrix* grad);
 
-/// f32 twin for the opt-in f32 training path. The loss and per-element
-/// residuals are accumulated in double (only the stored gradient entries
-/// round to float), so reported losses are comparable across precisions.
-double MSELoss(const MatrixF& pred, const MatrixF& target, MatrixF* grad);
-
 /// Numerically stable sigmoid binary cross-entropy taking *logits*.
 /// target entries must be 0 or 1. `grad` receives dLoss/dLogit.
 double BCEWithLogitsLoss(const Matrix& logits, const Matrix& target,

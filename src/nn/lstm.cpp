@@ -9,8 +9,7 @@
 
 namespace dbaugur::nn {
 
-template <typename T>
-LSTMT<T>::LSTMT(size_t input_size, size_t hidden_size, Rng* rng)
+LSTM::LSTM(size_t input_size, size_t hidden_size, Rng* rng)
     : input_(input_size),
       hidden_(hidden_size),
       wx_(input_size, 4 * hidden_size),
@@ -25,12 +24,11 @@ LSTMT<T>::LSTMT(size_t input_size, size_t hidden_size, Rng* rng)
   XavierInit(&wx_, rng);
   XavierInit(&wh_, rng);
   // Forget-gate bias starts at 1 so early training retains state.
-  for (size_t j = hidden_; j < 2 * hidden_; ++j) b_(0, j) = T(1);
+  for (size_t j = hidden_; j < 2 * hidden_; ++j) b_(0, j) = 1.0;
 }
 
-template <typename T>
-const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
-    const std::vector<MatrixT<T>>& xs, size_t first_step) {
+const std::vector<Matrix>& LSTM::ForwardSequence(
+    const std::vector<Matrix>& xs, size_t first_step) {
   const size_t steps = xs.size();
   if (first_step > 0) {
     DBAUGUR_CHECK(steps == steps_ && first_step <= steps,
@@ -45,7 +43,7 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
   const size_t batch = xs[0].rows();
   // Contracts hoisted out of the step loop: validate the whole sequence once,
   // then run the hot loop contract-free.
-  for (const MatrixT<T>& x : xs) {
+  for (const Matrix& x : xs) {
     DBAUGUR_CHECK_EQ(x.cols(), input_, "LSTM::ForwardSequence step width");
     DBAUGUR_CHECK_EQ(x.rows(), batch,
                      "LSTM::ForwardSequence inconsistent batch size");
@@ -61,12 +59,12 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
     }
   } else {
     zeros_.Resize(batch, hidden_);
-    zeros_.Fill(T(0));
+    zeros_.Fill(0.0);
   }
   for (size_t t = first_step; t < steps; ++t) {
     StepCache& sc = cache_[t];
-    const MatrixT<T>& h_prev = t == 0 ? zeros_ : hs_[t - 1];
-    const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
+    const Matrix& h_prev = t == 0 ? zeros_ : hs_[t - 1];
+    const Matrix& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
     sc.x = xs[t];
     // Fused gate pre-activation: z = x Wx + h_prev Wh + b, one workspace.
     z_.MatMulInto(sc.x, wx_);
@@ -87,20 +85,18 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
   return hs_;
 }
 
-template <typename T>
-void LSTMT<T>::ResetCarriedGrads(size_t batch) {
+void LSTM::ResetCarriedGrads(size_t batch) {
   dh_next_.Resize(batch, hidden_);
-  dh_next_.Fill(T(0));
+  dh_next_.Fill(0.0);
   dc_next_.Resize(batch, hidden_);
-  dc_next_.Fill(T(0));
+  dc_next_.Fill(0.0);
   dc_prev_.Resize(batch, hidden_);
   dz_.Resize(batch, 4 * hidden_);
 }
 
-template <typename T>
-void LSTMT<T>::StepGateGrads(size_t t, const MatrixT<T>& grad_h) {
+void LSTM::StepGateGrads(size_t t, const Matrix& grad_h) {
   const StepCache& sc = cache_[t];
-  const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
+  const Matrix& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
   dh_ = grad_h;
   dh_.Add(dh_next_);
   // All element-wise gate gradients fuse into one pass producing dz and the
@@ -110,9 +106,8 @@ void LSTMT<T>::StepGateGrads(size_t t, const MatrixT<T>& grad_h) {
                     sc.o.data(), c_prev.data(), dz_.data(), dc_prev_.data());
 }
 
-template <typename T>
-const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
-    const std::vector<MatrixT<T>>& grad_hs) {
+const std::vector<Matrix>& LSTM::BackwardSequence(
+    const std::vector<Matrix>& grad_hs) {
   const size_t steps = steps_;
   DBAUGUR_CHECK_EQ(grad_hs.size(), steps,
                    "LSTM::BackwardSequence gradient count does not match the "
@@ -120,7 +115,7 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
   dxs_.resize(steps);
   if (steps == 0) return dxs_;
   const size_t batch = cache_[0].x.rows();
-  for (const MatrixT<T>& g : grad_hs) {
+  for (const Matrix& g : grad_hs) {
     DBAUGUR_CHECK(g.rows() == batch && g.cols() == hidden_,
                   "LSTM::BackwardSequence gradient shape ", g.rows(), "x",
                   g.cols(), " does not match hidden states ", batch, "x",
@@ -129,7 +124,7 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
   ResetCarriedGrads(batch);
   for (size_t t = steps; t-- > 0;) {
     StepGateGrads(t, grad_hs[t]);
-    const MatrixT<T>& h_prev = t == 0 ? zeros_ : hs_[t - 1];
+    const Matrix& h_prev = t == 0 ? zeros_ : hs_[t - 1];
     dwx_.AddTransposeMatMul(cache_[t].x, dz_);
     dwh_.AddTransposeMatMul(h_prev, dz_);
     db_.AddColSumOf(dz_);
@@ -140,8 +135,7 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
   return dxs_;
 }
 
-template <typename T>
-const MatrixT<T>& LSTMT<T>::LastStepInputGrad(const MatrixT<T>& grad_h) {
+const Matrix& LSTM::LastStepInputGrad(const Matrix& grad_h) {
   DBAUGUR_CHECK(steps_ > 0,
                 "LSTM::LastStepInputGrad needs a cached forward pass");
   const size_t last = steps_ - 1;
@@ -157,21 +151,16 @@ const MatrixT<T>& LSTMT<T>::LastStepInputGrad(const MatrixT<T>& grad_h) {
   return dxs_[last];
 }
 
-template <typename T>
-std::vector<ParamT<T>> LSTMT<T>::Params() {
+std::vector<Param> LSTM::Params() {
   return {{&wx_, &dwx_, "lstm.wx"},
           {&wh_, &dwh_, "lstm.wh"},
           {&b_, &db_, "lstm.b"}};
 }
 
-template <typename T>
-void LSTMT<T>::ZeroGrad() {
-  dwx_.Fill(T(0));
-  dwh_.Fill(T(0));
-  db_.Fill(T(0));
+void LSTM::ZeroGrad() {
+  dwx_.Fill(0.0);
+  dwh_.Fill(0.0);
+  db_.Fill(0.0);
 }
-
-template class LSTMT<double>;
-template class LSTMT<float>;
 
 }  // namespace dbaugur::nn

@@ -23,10 +23,9 @@ namespace dbaugur::nn {
 /// The fused element-wise gate math routes through the runtime-dispatched
 /// kernels in nn/lstm_kernels.h (see there for the per-tier determinism
 /// contract); the matmuls route through nn/gemm.h as before.
-template <typename T>
-class LSTMT {
+class LSTM {
  public:
-  LSTMT(size_t input_size, size_t hidden_size, Rng* rng);
+  LSTM(size_t input_size, size_t hidden_size, Rng* rng);
 
   /// Runs the full sequence from zero initial state, caching activations for
   /// BackwardSequence. The returned vector is a layer-owned workspace valid
@@ -39,14 +38,14 @@ class LSTMT {
   /// Contract: the weights are unchanged since that call, xs has its shape,
   /// and xs[t] equals its input for every t < first_step (DCHECKed). A
   /// BackwardSequence or LastStepInputGrad in between only reads the caches.
-  const std::vector<MatrixT<T>>& ForwardSequence(
-      const std::vector<MatrixT<T>>& xs, size_t first_step = 0);
+  const std::vector<Matrix>& ForwardSequence(
+      const std::vector<Matrix>& xs, size_t first_step = 0);
 
   /// grad_hs[t] = dLoss/dh_t (zero matrices allowed). Accumulates parameter
   /// gradients and returns dLoss/dx_t for each step (layer-owned workspace,
   /// valid until the next BackwardSequence or LastStepInputGrad call).
-  const std::vector<MatrixT<T>>& BackwardSequence(
-      const std::vector<MatrixT<T>>& grad_hs);
+  const std::vector<Matrix>& BackwardSequence(
+      const std::vector<Matrix>& grad_hs);
 
   /// dLoss/dx_{T-1} of the cached pass from dLoss/dh_{T-1} alone: the last
   /// input enters only the last step, which has no successor, so this is one
@@ -54,9 +53,9 @@ class LSTMT {
   /// BackwardSequence(grad_hs).back() for any grad_hs ending in grad_h, but
   /// accumulates no parameter gradient. Same workspace rules as
   /// BackwardSequence.
-  const MatrixT<T>& LastStepInputGrad(const MatrixT<T>& grad_h);
+  const Matrix& LastStepInputGrad(const Matrix& grad_h);
 
-  std::vector<ParamT<T>> Params();
+  std::vector<Param> Params();
   void ZeroGrad();
 
   size_t input_size() const { return input_; }
@@ -66,9 +65,9 @@ class LSTMT {
   // h_prev/c_prev are not stored per step: backward reads hs_[t-1] /
   // cache_[t-1].c (zeros_ at t == 0) instead of keeping copies.
   struct StepCache {
-    MatrixT<T> x;           // input copy (callers may mutate theirs)
-    MatrixT<T> i, f, g, o;  // gate activations, each [batch, hidden]
-    MatrixT<T> c, tanh_c;
+    Matrix x;           // input copy (callers may mutate theirs)
+    Matrix i, f, g, o;  // gate activations, each [batch, hidden]
+    Matrix c, tanh_c;
   };
 
   /// Zeroes the gradients carried into the last step (it has no successor)
@@ -76,29 +75,23 @@ class LSTMT {
   void ResetCarriedGrads(size_t batch);
   /// Gate gradients of step t into dz_ and dc_prev_, from the upstream
   /// grad_h and the carried dh_next_ / dc_next_.
-  void StepGateGrads(size_t t, const MatrixT<T>& grad_h);
+  void StepGateGrads(size_t t, const Matrix& grad_h);
 
   size_t input_;
   size_t hidden_;
-  MatrixT<T> wx_;  // [input, 4*hidden]
-  MatrixT<T> wh_;  // [hidden, 4*hidden]
-  MatrixT<T> b_;   // [1, 4*hidden]
-  MatrixT<T> dwx_, dwh_, db_;
+  Matrix wx_;  // [input, 4*hidden]
+  Matrix wh_;  // [hidden, 4*hidden]
+  Matrix b_;   // [1, 4*hidden]
+  Matrix dwx_, dwh_, db_;
   std::vector<StepCache> cache_;  // persistent; first steps_ entries valid
   size_t steps_ = 0;              // steps of the cached forward pass
 
   // Persistent workspaces (capacity survives across calls).
-  std::vector<MatrixT<T>> hs_;   // per-step hidden states returned by forward
-  std::vector<MatrixT<T>> dxs_;  // per-step input grads returned by backward
-  MatrixT<T> zeros_;             // [batch, hidden] zero initial h/c
-  MatrixT<T> z_;                 // fused gate pre-activation [batch, 4*hidden]
-  MatrixT<T> dh_, dz_, dh_next_, dc_next_, dc_prev_;
+  std::vector<Matrix> hs_;   // per-step hidden states returned by forward
+  std::vector<Matrix> dxs_;  // per-step input grads returned by backward
+  Matrix zeros_;             // [batch, hidden] zero initial h/c
+  Matrix z_;                 // fused gate pre-activation [batch, 4*hidden]
+  Matrix dh_, dz_, dh_next_, dc_next_, dc_prev_;
 };
-
-extern template class LSTMT<double>;
-extern template class LSTMT<float>;
-
-using LSTM = LSTMT<double>;
-using LSTMF = LSTMT<float>;
 
 }  // namespace dbaugur::nn

@@ -1,7 +1,6 @@
 #include "nn/lstm_kernels.h"
 
 #include <cmath>
-#include <type_traits>
 
 #include "common/math_utils.h"
 #include "common/simd.h"
@@ -10,33 +9,27 @@
 namespace dbaugur::nn {
 namespace {
 
-// Scalar tier: the PR-3 fused gate loops from lstm.cpp, verbatim modulo the
-// template parameter (double instantiation is expression-identical, so the
-// forced-scalar tier stays bit-identical to the PR-3 LSTM).
-template <typename T>
-inline T ScalarSigmoid(T x) {
-  return Sigmoid(x);  // common/math_utils.h; overloaded for double and float.
-}
-
-template <typename T>
-void GatesForwardScalar(std::size_t batch, std::size_t hidden, const T* z,
-                        const T* c_prev, T* ig, T* fg, T* gg, T* og, T* c,
-                        T* tanh_c, T* h) {
+// Scalar tier: the fused gate loops that lstm.cpp had before the vector
+// tiers, unchanged, so the forced-scalar tier stays bit-identical to them.
+void GatesForwardScalar(std::size_t batch, std::size_t hidden, const double* z,
+                        const double* c_prev, double* ig, double* fg,
+                        double* gg, double* og, double* c, double* tanh_c,
+                        double* h) {
   for (std::size_t r = 0; r < batch; ++r) {
-    const T* zr = z + r * 4 * hidden;
-    const T* cpr = c_prev + r * hidden;
-    T* ir = ig + r * hidden;
-    T* fr = fg + r * hidden;
-    T* gr = gg + r * hidden;
-    T* orow = og + r * hidden;
-    T* cr = c + r * hidden;
-    T* tr = tanh_c + r * hidden;
-    T* hr = h + r * hidden;
+    const double* zr = z + r * 4 * hidden;
+    const double* cpr = c_prev + r * hidden;
+    double* ir = ig + r * hidden;
+    double* fr = fg + r * hidden;
+    double* gr = gg + r * hidden;
+    double* orow = og + r * hidden;
+    double* cr = c + r * hidden;
+    double* tr = tanh_c + r * hidden;
+    double* hr = h + r * hidden;
     for (std::size_t j = 0; j < hidden; ++j) {
-      ir[j] = ScalarSigmoid(zr[j]);
-      fr[j] = ScalarSigmoid(zr[hidden + j]);
+      ir[j] = Sigmoid(zr[j]);
+      fr[j] = Sigmoid(zr[hidden + j]);
       gr[j] = std::tanh(zr[2 * hidden + j]);
-      orow[j] = ScalarSigmoid(zr[3 * hidden + j]);
+      orow[j] = Sigmoid(zr[3 * hidden + j]);
       cr[j] = fr[j] * cpr[j] + ir[j] * gr[j];
       tr[j] = std::tanh(cr[j]);
       hr[j] = orow[j] * tr[j];
@@ -44,95 +37,76 @@ void GatesForwardScalar(std::size_t batch, std::size_t hidden, const T* z,
   }
 }
 
-template <typename T>
-void GatesBackwardScalar(std::size_t batch, std::size_t hidden, const T* dh,
-                         const T* dc_next, const T* tanh_c, const T* ig,
-                         const T* fg, const T* gg, const T* og, const T* c_prev,
-                         T* dz, T* dc_prev) {
+void GatesBackwardScalar(std::size_t batch, std::size_t hidden,
+                         const double* dh, const double* dc_next,
+                         const double* tanh_c, const double* ig,
+                         const double* fg, const double* gg, const double* og,
+                         const double* c_prev, double* dz, double* dc_prev) {
   for (std::size_t r = 0; r < batch; ++r) {
-    const T* dhr = dh + r * hidden;
-    const T* dcn = dc_next + r * hidden;
-    const T* tcr = tanh_c + r * hidden;
-    const T* ir = ig + r * hidden;
-    const T* fr = fg + r * hidden;
-    const T* gr = gg + r * hidden;
-    const T* orow = og + r * hidden;
-    const T* cpr = c_prev + r * hidden;
-    T* dzr = dz + r * 4 * hidden;
-    T* dcp = dc_prev + r * hidden;
+    const double* dhr = dh + r * hidden;
+    const double* dcn = dc_next + r * hidden;
+    const double* tcr = tanh_c + r * hidden;
+    const double* ir = ig + r * hidden;
+    const double* fr = fg + r * hidden;
+    const double* gr = gg + r * hidden;
+    const double* orow = og + r * hidden;
+    const double* cpr = c_prev + r * hidden;
+    double* dzr = dz + r * 4 * hidden;
+    double* dcp = dc_prev + r * hidden;
     for (std::size_t j = 0; j < hidden; ++j) {
-      const T tc = tcr[j];
-      const T iv = ir[j];
-      const T fv = fr[j];
-      const T gv = gr[j];
-      const T ov = orow[j];
-      const T dov = dhr[j] * tc;
-      const T dcv = dhr[j] * ov * (T(1) - tc * tc) + dcn[j];
-      dzr[j] = dcv * gv * iv * (T(1) - iv);
-      dzr[hidden + j] = dcv * cpr[j] * fv * (T(1) - fv);
-      dzr[2 * hidden + j] = dcv * iv * (T(1) - gv * gv);
-      dzr[3 * hidden + j] = dov * ov * (T(1) - ov);
+      const double tc = tcr[j];
+      const double iv = ir[j];
+      const double fv = fr[j];
+      const double gv = gr[j];
+      const double ov = orow[j];
+      const double dov = dhr[j] * tc;
+      const double dcv = dhr[j] * ov * (1.0 - tc * tc) + dcn[j];
+      dzr[j] = dcv * gv * iv * (1.0 - iv);
+      dzr[hidden + j] = dcv * cpr[j] * fv * (1.0 - fv);
+      dzr[2 * hidden + j] = dcv * iv * (1.0 - gv * gv);
+      dzr[3 * hidden + j] = dov * ov * (1.0 - ov);
       dcp[j] = dcv * fv;
     }
   }
 }
 
-template <typename T>
 struct GateKernels {
-  void (*forward)(std::size_t, std::size_t, const T*, const T*, T*, T*, T*, T*,
-                  T*, T*, T*);
-  void (*backward)(std::size_t, std::size_t, const T*, const T*, const T*,
-                   const T*, const T*, const T*, const T*, const T*, T*, T*);
+  void (*forward)(std::size_t, std::size_t, const double*, const double*,
+                  double*, double*, double*, double*, double*, double*,
+                  double*);
+  void (*backward)(std::size_t, std::size_t, const double*, const double*,
+                   const double*, const double*, const double*, const double*,
+                   const double*, const double*, double*, double*);
 };
 
-template <typename T>
-constexpr GateKernels<T> kScalarGates = {&GatesForwardScalar<T>,
-                                         &GatesBackwardScalar<T>};
+constexpr GateKernels kScalarGates = {&GatesForwardScalar,
+                                      &GatesBackwardScalar};
 
-template <typename T>
-const GateKernels<T>& ActiveGates() {
+const GateKernels& ActiveGates() {
   switch (simd::ActiveTier()) {
 #if defined(DBAUGUR_SIMD_HAS_AVX512)
     case simd::Tier::kAvx512: {
-      if constexpr (std::is_same_v<T, double>) {
-        static constexpr GateKernels<T> k = {&tier_avx512::LstmGatesForwardD,
-                                             &tier_avx512::LstmGatesBackwardD};
-        return k;
-      } else {
-        static constexpr GateKernels<T> k = {&tier_avx512::LstmGatesForwardF,
-                                             &tier_avx512::LstmGatesBackwardF};
-        return k;
-      }
+      static constexpr GateKernels k = {&tier_avx512::LstmGatesForwardD,
+                                        &tier_avx512::LstmGatesBackwardD};
+      return k;
     }
 #endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
     case simd::Tier::kAvx2: {
-      if constexpr (std::is_same_v<T, double>) {
-        static constexpr GateKernels<T> k = {&tier_avx2::LstmGatesForwardD,
-                                             &tier_avx2::LstmGatesBackwardD};
-        return k;
-      } else {
-        static constexpr GateKernels<T> k = {&tier_avx2::LstmGatesForwardF,
-                                             &tier_avx2::LstmGatesBackwardF};
-        return k;
-      }
+      static constexpr GateKernels k = {&tier_avx2::LstmGatesForwardD,
+                                        &tier_avx2::LstmGatesBackwardD};
+      return k;
     }
 #endif
 #if defined(DBAUGUR_SIMD_HAS_SSE2)
     case simd::Tier::kSse2: {
-      if constexpr (std::is_same_v<T, double>) {
-        static constexpr GateKernels<T> k = {&tier_sse2::LstmGatesForwardD,
-                                             &tier_sse2::LstmGatesBackwardD};
-        return k;
-      } else {
-        static constexpr GateKernels<T> k = {&tier_sse2::LstmGatesForwardF,
-                                             &tier_sse2::LstmGatesBackwardF};
-        return k;
-      }
+      static constexpr GateKernels k = {&tier_sse2::LstmGatesForwardD,
+                                        &tier_sse2::LstmGatesBackwardD};
+      return k;
     }
 #endif
     default:
-      return kScalarGates<T>;
+      return kScalarGates;
   }
 }
 
@@ -141,15 +115,8 @@ const GateKernels<T>& ActiveGates() {
 void LstmGatesForward(std::size_t batch, std::size_t hidden, const double* z,
                       const double* c_prev, double* ig, double* fg, double* gg,
                       double* og, double* c, double* tanh_c, double* h) {
-  ActiveGates<double>().forward(batch, hidden, z, c_prev, ig, fg, gg, og, c,
-                                tanh_c, h);
-}
-
-void LstmGatesForward(std::size_t batch, std::size_t hidden, const float* z,
-                      const float* c_prev, float* ig, float* fg, float* gg,
-                      float* og, float* c, float* tanh_c, float* h) {
-  ActiveGates<float>().forward(batch, hidden, z, c_prev, ig, fg, gg, og, c,
-                               tanh_c, h);
+  ActiveGates().forward(batch, hidden, z, c_prev, ig, fg, gg, og, c, tanh_c,
+                        h);
 }
 
 void LstmGatesBackward(std::size_t batch, std::size_t hidden, const double* dh,
@@ -157,17 +124,8 @@ void LstmGatesBackward(std::size_t batch, std::size_t hidden, const double* dh,
                        const double* ig, const double* fg, const double* gg,
                        const double* og, const double* c_prev, double* dz,
                        double* dc_prev) {
-  ActiveGates<double>().backward(batch, hidden, dh, dc_next, tanh_c, ig, fg, gg,
-                                 og, c_prev, dz, dc_prev);
-}
-
-void LstmGatesBackward(std::size_t batch, std::size_t hidden, const float* dh,
-                       const float* dc_next, const float* tanh_c,
-                       const float* ig, const float* fg, const float* gg,
-                       const float* og, const float* c_prev, float* dz,
-                       float* dc_prev) {
-  ActiveGates<float>().backward(batch, hidden, dh, dc_next, tanh_c, ig, fg, gg,
-                                og, c_prev, dz, dc_prev);
+  ActiveGates().backward(batch, hidden, dh, dc_next, tanh_c, ig, fg, gg, og,
+                         c_prev, dz, dc_prev);
 }
 
 }  // namespace dbaugur::nn

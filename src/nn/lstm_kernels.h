@@ -22,9 +22,6 @@ namespace dbaugur::nn {
 void LstmGatesForward(std::size_t batch, std::size_t hidden, const double* z,
                       const double* c_prev, double* ig, double* fg, double* gg,
                       double* og, double* c, double* tanh_c, double* h);
-void LstmGatesForward(std::size_t batch, std::size_t hidden, const float* z,
-                      const float* c_prev, float* ig, float* fg, float* gg,
-                      float* og, float* c, float* tanh_c, float* h);
 
 /// Gate gradients into dz (same [i|f|g|o] layout) and dc_prev, from upstream
 /// dh and the carried dc_next.
@@ -33,10 +30,5 @@ void LstmGatesBackward(std::size_t batch, std::size_t hidden, const double* dh,
                        const double* ig, const double* fg, const double* gg,
                        const double* og, const double* c_prev, double* dz,
                        double* dc_prev);
-void LstmGatesBackward(std::size_t batch, std::size_t hidden, const float* dh,
-                       const float* dc_next, const float* tanh_c,
-                       const float* ig, const float* fg, const float* gg,
-                       const float* og, const float* c_prev, float* dz,
-                       float* dc_prev);
 
 }  // namespace dbaugur::nn

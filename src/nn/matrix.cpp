@@ -10,95 +10,82 @@
 
 namespace dbaugur::nn {
 
-template <typename T>
-MatrixT<T>::MatrixT(size_t rows, size_t cols, std::vector<T> data)
+Matrix::Matrix(size_t rows, size_t cols, std::vector<double> data)
     : rows_(rows), cols_(cols), data_(std::move(data)) {
   DBAUGUR_CHECK_EQ(data_.size(), rows_ * cols_,
                    "Matrix data does not match shape ", rows_, "x", cols_);
 }
 
-template <typename T>
-void MatrixT<T>::Fill(T v) {
-  for (T& x : data_) x = v;
+void Matrix::Fill(double v) {
+  for (double& x : data_) x = v;
 }
 
-template <typename T>
-void MatrixT<T>::Add(const MatrixT& other) {
+void Matrix::Add(const Matrix& other) {
   DBAUGUR_CHECK(SameShape(other), "Matrix::Add shape mismatch: ", rows_, "x",
                 cols_, " vs ", other.rows_, "x", other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
-template <typename T>
-void MatrixT<T>::AddScaled(const MatrixT& other, T alpha) {
+void Matrix::AddScaled(const Matrix& other, double alpha) {
   DBAUGUR_CHECK(SameShape(other), "Matrix::AddScaled shape mismatch: ", rows_,
                 "x", cols_, " vs ", other.rows_, "x", other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
 }
 
-template <typename T>
-void MatrixT<T>::Sub(const MatrixT& other) {
+void Matrix::Sub(const Matrix& other) {
   DBAUGUR_CHECK(SameShape(other), "Matrix::Sub shape mismatch: ", rows_, "x",
                 cols_, " vs ", other.rows_, "x", other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
 }
 
-template <typename T>
-void MatrixT<T>::Hadamard(const MatrixT& other) {
+void Matrix::Hadamard(const Matrix& other) {
   DBAUGUR_CHECK(SameShape(other), "Matrix::Hadamard shape mismatch: ", rows_,
                 "x", cols_, " vs ", other.rows_, "x", other.cols_);
   for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
 }
 
-template <typename T>
-void MatrixT<T>::Scale(T alpha) {
-  for (T& x : data_) x *= alpha;
+void Matrix::Scale(double alpha) {
+  for (double& x : data_) x *= alpha;
 }
 
 namespace {
 
 // Shape/aliasing contracts for the fused kernels, validated once at kernel
 // entry (never in inner loops — those stay DCHECK-only via operator()).
-template <typename T>
-void CheckNoAlias(const MatrixT<T>& dest, const MatrixT<T>& a,
-                  const MatrixT<T>& b, const char* op) {
+void CheckNoAlias(const Matrix& dest, const Matrix& a, const Matrix& b,
+                  const char* op) {
   DBAUGUR_CHECK(dest.data() != a.data() && dest.data() != b.data(),
                 op, " destination must not alias an operand");
 }
 
 }  // namespace
 
-template <typename T>
-MatrixT<T> MatrixT<T>::MatMul(const MatrixT& other) const {
-  MatrixT out;
+Matrix Matrix::MatMul(const Matrix& other) const {
+  Matrix out;
   out.MatMulInto(*this, other);
   return out;
 }
 
-template <typename T>
-MatrixT<T> MatrixT<T>::TransposeMatMul(const MatrixT& other) const {
-  MatrixT out;
+Matrix Matrix::TransposeMatMul(const Matrix& other) const {
+  Matrix out;
   out.TransposeMatMulInto(*this, other);
   return out;
 }
 
-template <typename T>
-MatrixT<T> MatrixT<T>::MatMulTranspose(const MatrixT& other) const {
-  MatrixT out;
+Matrix Matrix::MatMulTranspose(const Matrix& other) const {
+  Matrix out;
   out.MatMulTransposeInto(*this, other);
   return out;
 }
 
-template <typename T>
-void MatrixT<T>::MatMulInto(const MatrixT& a, const MatrixT& b) {
+void Matrix::MatMulInto(const Matrix& a, const Matrix& b) {
   DBAUGUR_CHECK_EQ(a.cols_, b.rows_, "Matrix::MatMul inner dimensions");
   Resize(a.rows_, b.cols_);
   CheckNoAlias(*this, a, b, "Matrix::MatMulInto");
   GemmNN(a.rows_, a.cols_, b.cols_, a.data(), b.data(), data(), false);
 }
 
-template <typename T>
-void MatrixT<T>::AddMatMul(const MatrixT& a, const MatrixT& b) {
+void Matrix::AddMatMul(const Matrix& a, const Matrix& b) {
   DBAUGUR_CHECK_EQ(a.cols_, b.rows_, "Matrix::AddMatMul inner dimensions");
   DBAUGUR_CHECK(rows_ == a.rows_ && cols_ == b.cols_,
                 "Matrix::AddMatMul destination shape ", rows_, "x", cols_,
@@ -107,8 +94,7 @@ void MatrixT<T>::AddMatMul(const MatrixT& a, const MatrixT& b) {
   GemmNN(a.rows_, a.cols_, b.cols_, a.data(), b.data(), data(), true);
 }
 
-template <typename T>
-void MatrixT<T>::TransposeMatMulInto(const MatrixT& a, const MatrixT& b) {
+void Matrix::TransposeMatMulInto(const Matrix& a, const Matrix& b) {
   // (a^T * b): a is (m x n), b is (m x p), result (n x p).
   DBAUGUR_CHECK_EQ(a.rows_, b.rows_, "Matrix::TransposeMatMul row counts");
   Resize(a.cols_, b.cols_);
@@ -116,8 +102,7 @@ void MatrixT<T>::TransposeMatMulInto(const MatrixT& a, const MatrixT& b) {
   GemmTN(a.rows_, a.cols_, b.cols_, a.data(), b.data(), data(), false);
 }
 
-template <typename T>
-void MatrixT<T>::AddTransposeMatMul(const MatrixT& a, const MatrixT& b) {
+void Matrix::AddTransposeMatMul(const Matrix& a, const Matrix& b) {
   DBAUGUR_CHECK_EQ(a.rows_, b.rows_, "Matrix::AddTransposeMatMul row counts");
   DBAUGUR_CHECK(rows_ == a.cols_ && cols_ == b.cols_,
                 "Matrix::AddTransposeMatMul destination shape ", rows_, "x",
@@ -126,8 +111,7 @@ void MatrixT<T>::AddTransposeMatMul(const MatrixT& a, const MatrixT& b) {
   GemmTN(a.rows_, a.cols_, b.cols_, a.data(), b.data(), data(), true);
 }
 
-template <typename T>
-void MatrixT<T>::MatMulTransposeInto(const MatrixT& a, const MatrixT& b) {
+void Matrix::MatMulTransposeInto(const Matrix& a, const Matrix& b) {
   // (a * b^T): a is (m x n), b is (p x n), result (m x p).
   DBAUGUR_CHECK_EQ(a.cols_, b.cols_, "Matrix::MatMulTranspose column counts");
   Resize(a.rows_, b.rows_);
@@ -135,8 +119,7 @@ void MatrixT<T>::MatMulTransposeInto(const MatrixT& a, const MatrixT& b) {
   GemmNT(a.rows_, a.cols_, b.rows_, a.data(), b.data(), data(), false);
 }
 
-template <typename T>
-void MatrixT<T>::AddMatMulTranspose(const MatrixT& a, const MatrixT& b) {
+void Matrix::AddMatMulTranspose(const Matrix& a, const Matrix& b) {
   DBAUGUR_CHECK_EQ(a.cols_, b.cols_,
                    "Matrix::AddMatMulTranspose column counts");
   DBAUGUR_CHECK(rows_ == a.rows_ && cols_ == b.rows_,
@@ -146,14 +129,13 @@ void MatrixT<T>::AddMatMulTranspose(const MatrixT& a, const MatrixT& b) {
   GemmNT(a.rows_, a.cols_, b.rows_, a.data(), b.data(), data(), true);
 }
 
-template <typename T>
-MatrixT<T> MatrixT<T>::Transposed() const {
-  MatrixT out(cols_, rows_);
+Matrix Matrix::Transposed() const {
+  Matrix out(cols_, rows_);
   // Blocked so both the read and write side stay within a few cache lines
   // per tile instead of striding the full matrix on one side.
   constexpr size_t kTile = 32;
-  const T* src = data();
-  T* dst = out.data();
+  const double* src = data();
+  double* dst = out.data();
   for (size_t ib = 0; ib < rows_; ib += kTile) {
     const size_t ie = std::min(rows_, ib + kTile);
     for (size_t jb = 0; jb < cols_; jb += kTile) {
@@ -168,51 +150,45 @@ MatrixT<T> MatrixT<T>::Transposed() const {
   return out;
 }
 
-template <typename T>
-void MatrixT<T>::AddRowVector(const MatrixT& v) {
+void Matrix::AddRowVector(const Matrix& v) {
   DBAUGUR_CHECK_EQ(v.size(), cols_, "Matrix::AddRowVector width mismatch");
   for (size_t i = 0; i < rows_; ++i) {
-    T* r = row(i);
+    double* r = row(i);
     for (size_t j = 0; j < cols_; ++j) r[j] += v.data_[j];
   }
 }
 
-template <typename T>
-MatrixT<T> MatrixT<T>::ColSum() const {
-  MatrixT out(1, cols_, T(0));
+Matrix Matrix::ColSum() const {
+  Matrix out(1, cols_, 0.0);
   out.AddColSumOf(*this);
   return out;
 }
 
-template <typename T>
-void MatrixT<T>::AddColSumOf(const MatrixT& other) {
+void Matrix::AddColSumOf(const Matrix& other) {
   DBAUGUR_CHECK(rows_ == 1 && cols_ == other.cols_,
                 "Matrix::AddColSumOf needs a 1x", other.cols_,
                 " destination, got ", rows_, "x", cols_);
-  T* acc = data();
+  double* acc = data();
   for (size_t i = 0; i < other.rows_; ++i) {
-    const T* r = other.row(i);
+    const double* r = other.row(i);
     for (size_t j = 0; j < cols_; ++j) acc[j] += r[j];
   }
 }
 
-template <typename T>
-double MatrixT<T>::SquaredNorm() const {
+double Matrix::SquaredNorm() const {
   double s = 0.0;
-  for (T x : data_) s += static_cast<double>(x) * static_cast<double>(x);
+  for (double x : data_) s += x * x;
   return s;
 }
 
-template <typename T>
-bool MatrixT<T>::BitwiseEqual(const MatrixT& o) const {
+bool Matrix::BitwiseEqual(const Matrix& o) const {
   return SameShape(o) &&
          (data_.empty() ||
-          std::memcmp(data_.data(), o.data_.data(), data_.size() * sizeof(T)) ==
-              0);
+          std::memcmp(data_.data(), o.data_.data(),
+                      data_.size() * sizeof(double)) == 0);
 }
 
-template <typename T>
-std::string MatrixT<T>::ToString(int precision) const {
+std::string Matrix::ToString(int precision) const {
   std::ostringstream oss;
   oss.setf(std::ios::fixed);
   oss.precision(precision);
@@ -226,9 +202,6 @@ std::string MatrixT<T>::ToString(int precision) const {
   }
   return oss.str();
 }
-
-template class MatrixT<double>;
-template class MatrixT<float>;
 
 void Tensor3::Fill(double v) {
   for (double& x : data_) x = v;

@@ -6,11 +6,6 @@
 // existing matrix, so training loops can run with zero steady-state heap
 // allocation: Resize() reuses the underlying buffer whenever capacity
 // suffices, exactly like std::vector.
-//
-// MatrixT is templated on the element type so the same layer/optimizer code
-// can train in f64 (the default, bit-stable reference path) or f32 (twice the
-// SIMD lanes per vector; see the Precision option on the model wrappers).
-// Only double and float are instantiated (explicitly, in matrix.cpp).
 
 #pragma once
 
@@ -22,17 +17,14 @@
 
 namespace dbaugur::nn {
 
-/// Row-major dense matrix of T (double or float).
-template <typename T>
-class MatrixT {
+/// Row-major dense matrix of doubles.
+class Matrix {
  public:
-  using value_type = T;
-
-  MatrixT() = default;
-  MatrixT(size_t rows, size_t cols, T fill = T(0))
+  Matrix() = default;
+  Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
   /// Builds from explicit data (size must equal rows*cols).
-  MatrixT(size_t rows, size_t cols, std::vector<T> data);
+  Matrix(size_t rows, size_t cols, std::vector<double> data);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -42,30 +34,30 @@ class MatrixT {
   // Element access is the innermost loop of every kernel, so the bounds
   // checks are DCHECK-tier: free in Release, active in debug and sanitizer
   // builds (which define DBAUGUR_ENABLE_DCHECKS).
-  T& operator()(size_t r, size_t c) {
+  double& operator()(size_t r, size_t c) {
     DBAUGUR_DCHECK(r < rows_ && c < cols_, "Matrix(", r, ",", c,
                    ") out of bounds for ", rows_, "x", cols_);
     return data_[r * cols_ + c];
   }
-  T operator()(size_t r, size_t c) const {
+  double operator()(size_t r, size_t c) const {
     DBAUGUR_DCHECK(r < rows_ && c < cols_, "Matrix(", r, ",", c,
                    ") out of bounds for ", rows_, "x", cols_);
     return data_[r * cols_ + c];
   }
 
-  T* data() { return data_.data(); }
-  const T* data() const { return data_.data(); }
-  T* row(size_t r) {
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+  double* row(size_t r) {
     DBAUGUR_DCHECK_LT(r, rows_, "Matrix::row out of bounds");
     return &data_[r * cols_];
   }
-  const T* row(size_t r) const {
+  const double* row(size_t r) const {
     DBAUGUR_DCHECK_LT(r, rows_, "Matrix::row out of bounds");
     return &data_[r * cols_];
   }
 
   /// Sets every element to `v`.
-  void Fill(T v);
+  void Fill(double v);
 
   /// Reshapes to rows x cols, reusing the existing buffer when its capacity
   /// suffices (no heap traffic in steady-state training). Element values are
@@ -77,93 +69,83 @@ class MatrixT {
   }
 
   /// this += other (shapes must match).
-  void Add(const MatrixT& other);
+  void Add(const Matrix& other);
   /// this += alpha * other.
-  void AddScaled(const MatrixT& other, T alpha);
+  void AddScaled(const Matrix& other, double alpha);
   /// this -= other.
-  void Sub(const MatrixT& other);
+  void Sub(const Matrix& other);
   /// Element-wise multiply in place.
-  void Hadamard(const MatrixT& other);
+  void Hadamard(const Matrix& other);
   /// Scale all elements.
-  void Scale(T alpha);
+  void Scale(double alpha);
 
   /// Returns this * other.
-  MatrixT MatMul(const MatrixT& other) const;
+  Matrix MatMul(const Matrix& other) const;
   /// Returns this^T * other (avoids materializing the transpose).
-  MatrixT TransposeMatMul(const MatrixT& other) const;
+  Matrix TransposeMatMul(const Matrix& other) const;
   /// Returns this * other^T.
-  MatrixT MatMulTranspose(const MatrixT& other) const;
+  Matrix MatMulTranspose(const Matrix& other) const;
   /// Returns the transpose.
-  MatrixT Transposed() const;
+  Matrix Transposed() const;
 
   // Fused into/accumulate products. The destination (this) is resized as
   // needed by the Into forms and must already have the product shape for the
   // Add forms; it must not alias either operand (checked).
 
   /// this = a * b.
-  void MatMulInto(const MatrixT& a, const MatrixT& b);
+  void MatMulInto(const Matrix& a, const Matrix& b);
   /// this += a * b.
-  void AddMatMul(const MatrixT& a, const MatrixT& b);
+  void AddMatMul(const Matrix& a, const Matrix& b);
   /// this = a^T * b.
-  void TransposeMatMulInto(const MatrixT& a, const MatrixT& b);
+  void TransposeMatMulInto(const Matrix& a, const Matrix& b);
   /// this += a^T * b (the dw accumulation pattern, one pass, no temporary).
-  void AddTransposeMatMul(const MatrixT& a, const MatrixT& b);
+  void AddTransposeMatMul(const Matrix& a, const Matrix& b);
   /// this = a * b^T.
-  void MatMulTransposeInto(const MatrixT& a, const MatrixT& b);
+  void MatMulTransposeInto(const Matrix& a, const Matrix& b);
   /// this += a * b^T.
-  void AddMatMulTranspose(const MatrixT& a, const MatrixT& b);
+  void AddMatMulTranspose(const Matrix& a, const Matrix& b);
 
   /// Adds a row vector (1 x cols or plain cols-length matrix row) to each row.
-  void AddRowVector(const MatrixT& v);
+  void AddRowVector(const Matrix& v);
   /// Column-wise sum producing a 1 x cols matrix (bias gradients).
-  MatrixT ColSum() const;
+  Matrix ColSum() const;
   /// this (1 x n) += column-wise sum of other (m x n); fuses the
   /// db.Add(g.ColSum()) pattern without the temporary.
-  void AddColSumOf(const MatrixT& other);
+  void AddColSumOf(const Matrix& other);
 
   /// Applies f element-wise in place.
   template <typename F>
   void Apply(F f) {
-    for (T& x : data_) x = f(x);
+    for (double& x : data_) x = f(x);
   }
   /// Returns a copy with f applied element-wise.
   template <typename F>
-  MatrixT Map(F f) const {
-    MatrixT out = *this;
+  Matrix Map(F f) const {
+    Matrix out = *this;
     out.Apply(f);
     return out;
   }
 
-  /// Frobenius-norm squared (used in tests and gradient clipping). Always
-  /// accumulated and returned in double, even for f32 matrices, so gradient
-  /// clipping thresholds behave identically across precisions.
+  /// Frobenius-norm squared (used in tests and gradient clipping).
   double SquaredNorm() const;
 
   /// Debug rendering.
   std::string ToString(int precision = 3) const;
 
-  bool SameShape(const MatrixT& o) const {
+  bool SameShape(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_;
   }
 
   /// Same shape and the same bit pattern in every element (-0.0 differs
   /// from +0.0; a NaN equals itself). Checks the reuse contracts of the
   /// layers' partial passes.
-  bool BitwiseEqual(const MatrixT& o) const;
+  bool BitwiseEqual(const Matrix& o) const;
 
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<double> data_;
 };
-
-extern template class MatrixT<double>;
-extern template class MatrixT<float>;
-
-/// The default (f64) matrix — the name the rest of the codebase uses.
-using Matrix = MatrixT<double>;
-/// The f32 twin used by the opt-in f32 training path.
-using MatrixF = MatrixT<float>;
 
 /// 3-D tensor (batch, channels, time) for convolutional layers; contiguous
 /// with time innermost.

@@ -4,13 +4,11 @@
 
 namespace dbaugur::nn {
 
-template <typename T>
-void SGDT<T>::Step(std::vector<ParamT<T>>& params) {
-  for (ParamT<T>& p : params) p.value->AddScaled(*p.grad, static_cast<T>(-lr_));
+void SGD::Step(std::vector<Param>& params) {
+  for (Param& p : params) p.value->AddScaled(*p.grad, -lr_);
 }
 
-template <typename T>
-void AdamT<T>::Step(std::vector<ParamT<T>>& params) {
+void Adam::Step(std::vector<Param>& params) {
   bool needs_init = m_.size() != params.size();
   if (!needs_init) {
     for (size_t k = 0; k < params.size(); ++k) {
@@ -23,9 +21,9 @@ void AdamT<T>::Step(std::vector<ParamT<T>>& params) {
   if (needs_init) {
     m_.clear();
     v_.clear();
-    for (ParamT<T>& p : params) {
-      m_.emplace_back(p.value->rows(), p.value->cols(), T(0));
-      v_.emplace_back(p.value->rows(), p.value->cols(), T(0));
+    for (Param& p : params) {
+      m_.emplace_back(p.value->rows(), p.value->cols(), 0.0);
+      v_.emplace_back(p.value->rows(), p.value->cols(), 0.0);
     }
     t_ = 0;
   }
@@ -33,38 +31,28 @@ void AdamT<T>::Step(std::vector<ParamT<T>>& params) {
   double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
   double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
   for (size_t k = 0; k < params.size(); ++k) {
-    MatrixT<T>& value = *params[k].value;
-    const MatrixT<T>& grad = *params[k].grad;
-    MatrixT<T>& m = m_[k];
-    MatrixT<T>& v = v_[k];
-    // Moment math in double at both precisions: for T == double this is
-    // expression-identical to the pre-template optimizer; for T == float it
-    // costs only the rounding of each stored buffer/value.
+    Matrix& value = *params[k].value;
+    const Matrix& grad = *params[k].grad;
+    Matrix& m = m_[k];
+    Matrix& v = v_[k];
     for (size_t i = 0; i < value.size(); ++i) {
-      double g = static_cast<double>(grad.data()[i]);
-      double mi = beta1_ * static_cast<double>(m.data()[i]) + (1.0 - beta1_) * g;
-      double vi =
-          beta2_ * static_cast<double>(v.data()[i]) + (1.0 - beta2_) * g * g;
-      m.data()[i] = static_cast<T>(mi);
-      v.data()[i] = static_cast<T>(vi);
+      double g = grad.data()[i];
+      double mi = beta1_ * m.data()[i] + (1.0 - beta1_) * g;
+      double vi = beta2_ * v.data()[i] + (1.0 - beta2_) * g * g;
+      m.data()[i] = mi;
+      v.data()[i] = vi;
       double mhat = mi / bc1;
       double vhat = vi / bc2;
-      value.data()[i] = static_cast<T>(static_cast<double>(value.data()[i]) -
-                                       lr_ * mhat / (std::sqrt(vhat) + eps_));
+      value.data()[i] =
+          value.data()[i] - lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
 }
 
-template <typename T>
-void AdamT<T>::Reset() {
+void Adam::Reset() {
   m_.clear();
   v_.clear();
   t_ = 0;
 }
-
-template class SGDT<double>;
-template class SGDT<float>;
-template class AdamT<double>;
-template class AdamT<float>;
 
 }  // namespace dbaugur::nn

@@ -1,9 +1,4 @@
 // Gradient-based optimizers. The paper trains all neural models with Adam.
-//
-// Templated on the parameter element type; hyperparameters and the Adam
-// moment math stay in double at both precisions (an f32 model pays only the
-// final rounding on each updated value, and the f64 instantiation is
-// expression-identical to the pre-template code).
 
 #pragma once
 
@@ -14,21 +9,19 @@
 namespace dbaugur::nn {
 
 /// Optimizer interface: applies accumulated gradients to parameter values.
-template <typename T>
-class OptimizerT {
+class Optimizer {
  public:
-  virtual ~OptimizerT() = default;
+  virtual ~Optimizer() = default;
   /// Updates each parameter in place from its gradient. Gradients are NOT
   /// zeroed — callers do that via Layer::ZeroGrad between steps.
-  virtual void Step(std::vector<ParamT<T>>& params) = 0;
+  virtual void Step(std::vector<Param>& params) = 0;
 };
 
 /// Plain stochastic gradient descent (used as a baseline in tests).
-template <typename T>
-class SGDT : public OptimizerT<T> {
+class SGD : public Optimizer {
  public:
-  explicit SGDT(double lr) : lr_(lr) {}
-  void Step(std::vector<ParamT<T>>& params) override;
+  explicit SGD(double lr) : lr_(lr) {}
+  void Step(std::vector<Param>& params) override;
 
  private:
   double lr_;
@@ -37,14 +30,13 @@ class SGDT : public OptimizerT<T> {
 /// Adam (Kingma & Ba, 2015) with per-parameter first/second moment buffers.
 /// Buffers are keyed by position in the param list, so Step must always be
 /// called with the same parameter ordering.
-template <typename T>
-class AdamT : public OptimizerT<T> {
+class Adam : public Optimizer {
  public:
-  explicit AdamT(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
-                 double eps = 1e-8)
+  explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
+                double eps = 1e-8)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-  void Step(std::vector<ParamT<T>>& params) override;
+  void Step(std::vector<Param>& params) override;
 
   /// Resets the moment buffers and the step counter.
   void Reset();
@@ -55,19 +47,7 @@ class AdamT : public OptimizerT<T> {
  private:
   double lr_, beta1_, beta2_, eps_;
   int64_t t_ = 0;
-  std::vector<MatrixT<T>> m_, v_;
+  std::vector<Matrix> m_, v_;
 };
-
-extern template class SGDT<double>;
-extern template class SGDT<float>;
-extern template class AdamT<double>;
-extern template class AdamT<float>;
-
-using Optimizer = OptimizerT<double>;
-using OptimizerF = OptimizerT<float>;
-using SGD = SGDT<double>;
-using SGDF = SGDT<float>;
-using Adam = AdamT<double>;
-using AdamF = AdamT<float>;
 
 }  // namespace dbaugur::nn

@@ -22,18 +22,16 @@ bool GetU32(const std::vector<uint8_t>& buf, size_t* pos, uint32_t* v) {
   return true;
 }
 
-template <typename T>
-std::vector<uint8_t> SerializeImpl(const std::vector<ParamT<T>>& params,
-                                   bool f64) {
+std::vector<uint8_t> SerializeImpl(const std::vector<Param>& params, bool f64) {
   std::vector<uint8_t> buf;
   PutU32(&buf, f64 ? kMagicF64 : kMagicF32);
   PutU32(&buf, static_cast<uint32_t>(params.size()));
-  for (const ParamT<T>& p : params) {
+  for (const Param& p : params) {
     PutU32(&buf, static_cast<uint32_t>(p.value->rows()));
     PutU32(&buf, static_cast<uint32_t>(p.value->cols()));
     for (size_t i = 0; i < p.value->size(); ++i) {
       if (f64) {
-        double d = static_cast<double>(p.value->data()[i]);
+        double d = p.value->data()[i];
         uint8_t bytes[8];
         std::memcpy(bytes, &d, 8);
         buf.insert(buf.end(), bytes, bytes + 8);
@@ -48,9 +46,18 @@ std::vector<uint8_t> SerializeImpl(const std::vector<ParamT<T>>& params,
   return buf;
 }
 
-template <typename T>
-Status DeserializeImpl(const std::vector<uint8_t>& buffer,
-                       std::vector<ParamT<T>>& params) {
+}  // namespace
+
+std::vector<uint8_t> SerializeParams(const std::vector<Param>& params) {
+  return SerializeImpl(params, /*f64=*/false);
+}
+
+std::vector<uint8_t> SerializeParamsF64(const std::vector<Param>& params) {
+  return SerializeImpl(params, /*f64=*/true);
+}
+
+Status DeserializeParams(const std::vector<uint8_t>& buffer,
+                         std::vector<Param>& params) {
   size_t pos = 0;
   uint32_t magic = 0, count = 0;
   if (!GetU32(buffer, &pos, &magic) ||
@@ -61,7 +68,10 @@ Status DeserializeImpl(const std::vector<uint8_t>& buffer,
   if (!GetU32(buffer, &pos, &count) || count != params.size()) {
     return Status::InvalidArgument("parameter count mismatch");
   }
-  for (ParamT<T>& p : params) {
+  // Check every header, shape and length before writing any value, so a
+  // rejected buffer leaves every parameter as it was.
+  const size_t first_tensor = pos;
+  for (const Param& p : params) {
     uint32_t rows = 0, cols = 0;
     if (!GetU32(buffer, &pos, &rows) || !GetU32(buffer, &pos, &cols)) {
       return Status::InvalidArgument("truncated parameter header");
@@ -73,15 +83,20 @@ Status DeserializeImpl(const std::vector<uint8_t>& buffer,
     if (pos + width * n > buffer.size()) {
       return Status::InvalidArgument("truncated parameter data");
     }
-    for (size_t i = 0; i < n; ++i) {
+    pos += width * n;
+  }
+  pos = first_tensor;
+  for (Param& p : params) {
+    pos += 8;  // rows and cols, checked above
+    for (size_t i = 0; i < p.value->size(); ++i) {
       if (width == 8) {
         double d;
         std::memcpy(&d, &buffer[pos], 8);
-        p.value->data()[i] = static_cast<T>(d);
+        p.value->data()[i] = d;
       } else {
         float f;
         std::memcpy(&f, &buffer[pos], 4);
-        p.value->data()[i] = static_cast<T>(f);
+        p.value->data()[i] = f;
       }
       pos += width;
     }
@@ -89,49 +104,12 @@ Status DeserializeImpl(const std::vector<uint8_t>& buffer,
   return Status::OK();
 }
 
-template <typename T>
-int64_t StorageBytesImpl(const std::vector<ParamT<T>>& params) {
+int64_t StorageBytes(const std::vector<Param>& params) {
   int64_t bytes = 8;  // magic + count
-  for (const ParamT<T>& p : params) {
+  for (const Param& p : params) {
     bytes += 8 + 4 * static_cast<int64_t>(p.value->size());
   }
   return bytes;
-}
-
-}  // namespace
-
-std::vector<uint8_t> SerializeParams(const std::vector<Param>& params) {
-  return SerializeImpl(params, /*f64=*/false);
-}
-
-std::vector<uint8_t> SerializeParams(const std::vector<ParamF>& params) {
-  return SerializeImpl(params, /*f64=*/false);
-}
-
-std::vector<uint8_t> SerializeParamsF64(const std::vector<Param>& params) {
-  return SerializeImpl(params, /*f64=*/true);
-}
-
-std::vector<uint8_t> SerializeParamsF64(const std::vector<ParamF>& params) {
-  return SerializeImpl(params, /*f64=*/true);
-}
-
-Status DeserializeParams(const std::vector<uint8_t>& buffer,
-                         std::vector<Param>& params) {
-  return DeserializeImpl(buffer, params);
-}
-
-Status DeserializeParams(const std::vector<uint8_t>& buffer,
-                         std::vector<ParamF>& params) {
-  return DeserializeImpl(buffer, params);
-}
-
-int64_t StorageBytes(const std::vector<Param>& params) {
-  return StorageBytesImpl(params);
-}
-
-int64_t StorageBytes(const std::vector<ParamF>& params) {
-  return StorageBytesImpl(params);
 }
 
 }  // namespace dbaugur::nn

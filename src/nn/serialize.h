@@ -7,12 +7,7 @@
 //
 // DeserializeParams dispatches on the magic, so either buffer restores into
 // the same parameter list; corrupt magic / count / shape / truncation are all
-// rejected with InvalidArgument.
-//
-// The ParamF overloads serve the opt-in f32 training path: for f32 models the
-// float32 wire form is itself lossless (float values pass through unchanged),
-// and a float64 buffer written by an f64 twin restores with one rounding per
-// value.
+// rejected with InvalidArgument before any parameter is written.
 
 #pragma once
 
@@ -24,24 +19,19 @@
 
 namespace dbaugur::nn {
 
-/// Serializes all parameters (values only) as float32 — compact; lossy for
-/// f64 parameters, lossless for f32 parameters.
+/// Serializes all parameters (values only) as float32 — compact, lossy.
 std::vector<uint8_t> SerializeParams(const std::vector<Param>& params);
-std::vector<uint8_t> SerializeParams(const std::vector<ParamF>& params);
 
 /// Serializes all parameters as float64 — lossless round trip.
 std::vector<uint8_t> SerializeParamsF64(const std::vector<Param>& params);
-std::vector<uint8_t> SerializeParamsF64(const std::vector<ParamF>& params);
 
 /// Restores parameter values from a buffer produced by either serializer.
-/// The parameter list must have the same tensors in the same order.
+/// The parameter list must have the same tensors in the same order. The
+/// whole buffer is validated first: on error no parameter has changed.
 Status DeserializeParams(const std::vector<uint8_t>& buffer,
                          std::vector<Param>& params);
-Status DeserializeParams(const std::vector<uint8_t>& buffer,
-                         std::vector<ParamF>& params);
 
 /// Storage footprint in bytes of the serialized float32 form.
 int64_t StorageBytes(const std::vector<Param>& params);
-int64_t StorageBytes(const std::vector<ParamF>& params);
 
 }  // namespace dbaugur::nn

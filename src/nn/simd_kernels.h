@@ -8,8 +8,8 @@
 // is what makes the scheme ODR-safe: an AVX-512-codegen'd helper can never be
 // linker-merged into a binary that must run on an AVX2-only host.
 //
-// The suffix is the element type: ...D = f64 lanes, ...F = f32 lanes. All
-// buffers are fully packed row-major (leading dimension == column count).
+// The D suffix marks f64 lanes. All buffers are fully packed row-major
+// (leading dimension == column count).
 
 #pragma once
 
@@ -25,22 +25,13 @@
   void GemmNNRowsD(std::size_t r0, std::size_t r1, std::size_t k,              \
                    std::size_t n, const double* a, const double* b, double* c, \
                    bool accumulate);                                           \
-  void GemmNNRowsF(std::size_t r0, std::size_t r1, std::size_t k,              \
-                   std::size_t n, const float* a, const float* b, float* c,    \
-                   bool accumulate);                                           \
   /* Rows [k0, k1) of c (k x n) = [c +] a^T * b; a is (m x k), b (m x n). */   \
   void GemmTNRowsD(std::size_t k0, std::size_t k1, std::size_t m,              \
                    std::size_t k, std::size_t n, const double* a,              \
                    const double* b, double* c, bool accumulate);               \
-  void GemmTNRowsF(std::size_t k0, std::size_t k1, std::size_t m,              \
-                   std::size_t k, std::size_t n, const float* a,               \
-                   const float* b, float* c, bool accumulate);                 \
   /* Rows [r0, r1) of c (m x p) = [c +] a (m x k) * b^T; b is (p x k). */      \
   void GemmNTRowsD(std::size_t r0, std::size_t r1, std::size_t k,              \
                    std::size_t p, const double* a, const double* b, double* c, \
-                   bool accumulate);                                           \
-  void GemmNTRowsF(std::size_t r0, std::size_t r1, std::size_t k,              \
-                   std::size_t p, const float* a, const float* b, float* c,    \
                    bool accumulate);                                           \
   /* Fused LSTM gate forward: z is [batch, 4*hidden] in [i|f|g|o] layout,      \
      all other buffers [batch, hidden]. */                                     \
@@ -48,21 +39,12 @@
                          const double* z, const double* c_prev, double* ig,    \
                          double* fg, double* gg, double* og, double* c,        \
                          double* tanh_c, double* h);                           \
-  void LstmGatesForwardF(std::size_t batch, std::size_t hidden,                \
-                         const float* z, const float* c_prev, float* ig,       \
-                         float* fg, float* gg, float* og, float* c,            \
-                         float* tanh_c, float* h);                             \
   /* Fused LSTM gate backward: writes dz [batch, 4*hidden] and dc_prev. */     \
   void LstmGatesBackwardD(std::size_t batch, std::size_t hidden,               \
                           const double* dh, const double* dc_next,             \
                           const double* tanh_c, const double* ig,              \
                           const double* fg, const double* gg, const double* og,\
                           const double* c_prev, double* dz, double* dc_prev);  \
-  void LstmGatesBackwardF(std::size_t batch, std::size_t hidden,               \
-                          const float* dh, const float* dc_next,               \
-                          const float* tanh_c, const float* ig,                \
-                          const float* fg, const float* gg, const float* og,   \
-                          const float* c_prev, float* dz, float* dc_prev);     \
   }
 // clang-format on
 

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/binio.h"
 #include "common/rng.h"
 #include "ensemble/presets.h"
 #include "ensemble/time_sensitive_ensemble.h"
@@ -253,6 +254,37 @@ TEST(EnsembleTest, LoadStateRejectsCorruptAndMismatchedBlobs) {
   std::vector<uint8_t> renamed = *blob;
   renamed[12] ^= 0x01;
   EXPECT_FALSE((*target)->LoadState(renamed).ok());
+
+  // A well-framed blob of another fit whose last member (the MLP) has a
+  // corrupt state: the earlier members were restored before the MLP failed,
+  // so a fitted target must stop serving rather than mix the two fits.
+  models::ForecasterOptions other_opts = opts;
+  other_opts.seed = opts.seed + 1;
+  auto other = MakeDBAugur(other_opts);
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE((*other)->Fit(series).ok());
+  auto other_blob = (*other)->SaveState();
+  ASSERT_TRUE(other_blob.ok());
+  // Walk the frame (magic, count, then one (name, state) pair per member)
+  // up to the MLP's state.
+  std::vector<uint8_t> bad_mlp = *other_blob;
+  BufReader r(bad_mlp);
+  uint32_t magic = 0, count = 0;
+  ASSERT_TRUE(r.U32(&magic) && r.U32(&count));
+  std::string name;
+  std::vector<uint8_t> state;
+  for (uint32_t i = 0; i + 1 < count; ++i) {
+    ASSERT_TRUE(r.Str(&name) && r.Bytes(&state));
+  }
+  ASSERT_TRUE(r.Str(&name));
+  ASSERT_EQ(name, "MLP");
+  bad_mlp[r.pos() + 4] ^= 0xFF;  // past the length prefix: the state's magic
+  const std::vector<double> window(series.end() - 8, series.end());
+  ASSERT_TRUE((*target)->Fit(series).ok());
+  ASSERT_TRUE((*target)->Predict(window).ok());
+  EXPECT_FALSE((*target)->LoadState(bad_mlp).ok());
+  EXPECT_EQ((*target)->Predict(window).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(PresetsTest, EndToEndOnSine) {

@@ -97,58 +97,6 @@ TEST(LstmForecasterTest, LearnsSineBeatsPersistence) {
   EXPECT_LT(mse, naive * 0.5) << "mse=" << mse << " naive=" << naive;
 }
 
-// The f32 training path (ForecasterOptions::precision) must learn the same
-// signal to comparable quality, round-trip its state exactly, and report the
-// same architecture as the f64 twin.
-TEST(LstmForecasterTest, F32PathLearnsAndBeatsPersistence) {
-  auto series = SineSeries(1000, 48.0, 0.1, 23);
-  ForecasterOptions opts = FastOpts();
-  opts.precision = Precision::kF32;
-  LstmForecaster lstm(opts);
-  double mse = TrainedMse(lstm, series, 700, opts);
-  double naive = PersistenceMse(series, 700, opts.horizon);
-  EXPECT_LT(mse, naive * 0.5) << "mse=" << mse << " naive=" << naive;
-}
-
-TEST(LstmForecasterTest, F32MatchesF64ArchitectureAndRoundTripsState) {
-  auto series = SineSeries(500, 48.0, 0.1, 29);
-  ForecasterOptions opts = FastOpts();
-  opts.epochs = 3;
-  LstmForecaster f64(opts);
-  opts.precision = Precision::kF32;
-  LstmForecaster f32(opts);
-  EXPECT_EQ(f32.ParameterCount(), f64.ParameterCount());
-  ASSERT_TRUE(f32.Fit(series).ok());
-  ASSERT_TRUE(f64.Fit(series).ok());
-  std::vector<double> window(series.end() - 24, series.end());
-  // Same RNG stream at both widths: the models start from the same (rounded)
-  // weights and should end close on an easy signal.
-  EXPECT_NEAR(*f32.Predict(window), *f64.Predict(window), 0.5);
-  // State round trip through the lossless f64 wire form is bit-exact.
-  auto blob = f32.SaveState();
-  ASSERT_TRUE(blob.ok());
-  LstmForecaster restored(opts);
-  ASSERT_TRUE(restored.LoadState(*blob).ok());
-  EXPECT_DOUBLE_EQ(*restored.Predict(window), *f32.Predict(window));
-}
-
-TEST(MlpForecasterTest, F32PathLearnsAndRoundTripsState) {
-  auto series = SineSeries(1000, 48.0, 0.1, 21);
-  ForecasterOptions opts = FastOpts();
-  opts.precision = Precision::kF32;
-  MlpForecaster mlp(opts);
-  double mse = TrainedMse(mlp, series, 700, opts);
-  double naive = PersistenceMse(series, 700, opts.horizon);
-  EXPECT_LT(mse, naive * 0.3) << "mse=" << mse << " naive=" << naive;
-  std::vector<double> window(series.begin() + 700 - 24,
-                             series.begin() + 700);
-  auto blob = mlp.SaveState();
-  ASSERT_TRUE(blob.ok());
-  MlpForecaster restored(opts);
-  ASSERT_TRUE(restored.LoadState(*blob).ok());
-  EXPECT_DOUBLE_EQ(*restored.Predict(window), *mlp.Predict(window));
-}
-
 TEST(LstmForecasterTest, DeterministicAcrossRuns) {
   auto series = SineSeries(500, 48.0, 0.1, 25);
   ForecasterOptions opts = FastOpts();

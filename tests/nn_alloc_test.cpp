@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "models/lstm_forecaster.h"
+#include "models/mlp.h"
 #include "models/tcn.h"
 #include "models/wfgan.h"
 #include "nn/attention.h"
@@ -285,6 +287,12 @@ TEST(AllocTest, WfganAndTcnEpochAllocationsDoNotDependOnBatchCount) {
   const long tcn_short = SecondEpochAllocs<models::TcnForecaster>(76);
   const long tcn_long = SecondEpochAllocs<models::TcnForecaster>(172);
   EXPECT_EQ(tcn_short, tcn_long);
+  const long mlp_short = SecondEpochAllocs<models::MlpForecaster>(76);
+  const long mlp_long = SecondEpochAllocs<models::MlpForecaster>(172);
+  EXPECT_EQ(mlp_short, mlp_long);
+  const long lstm_short = SecondEpochAllocs<models::LstmForecaster>(76);
+  const long lstm_long = SecondEpochAllocs<models::LstmForecaster>(172);
+  EXPECT_EQ(lstm_short, lstm_long);
 }
 
 TEST(AllocTest, LossGradReuseIsAllocationFree) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "common/binio.h"
 #include "models/lstm_forecaster.h"
 #include "models/mlp.h"
 #include "models/tcn.h"
@@ -127,12 +129,37 @@ TEST(SerializeTest, RejectsShapeMismatch) {
   EXPECT_FALSE(DeserializeParams(buf, dst).ok());
 }
 
+// A two-tensor buffer whose first tensor is valid and whose last is cut
+// short, or has another shape than its destination, is rejected before any
+// destination tensor is written.
+void ExpectFailedLoadLeavesParamsUnchanged(bool f64) {
+  Matrix v(2, 3, 1.0), g(2, 3), v2(4, 4, 1.5), g2(4, 4);
+  std::vector<Param> src = {{&v, &g, "w"}, {&v2, &g2, "b"}};
+  std::vector<uint8_t> buf =
+      f64 ? SerializeParamsF64(src) : SerializeParams(src);
+  std::vector<uint8_t> cut(buf.begin(), buf.end() - 5);  // inside tensor 2
+  Matrix w(2, 3, 7.0), gw(2, 3), w2(4, 4, 9.0), gw2(4, 4);
+  std::vector<Param> dst = {{&w, &gw, "w"}, {&w2, &gw2, "b"}};
+  const Matrix w_before = w, w2_before = w2;
+  EXPECT_FALSE(DeserializeParams(cut, dst).ok());
+  EXPECT_TRUE(w.BitwiseEqual(w_before));
+  EXPECT_TRUE(w2.BitwiseEqual(w2_before));
+
+  Matrix x(2, 3, 7.0), gx(2, 3), x2(2, 8, 9.0), gx2(2, 8);  // 16 values too
+  std::vector<Param> reshaped = {{&x, &gx, "w"}, {&x2, &gx2, "b"}};
+  const Matrix x_before = x, x2_before = x2;
+  EXPECT_FALSE(DeserializeParams(buf, reshaped).ok());
+  EXPECT_TRUE(x.BitwiseEqual(x_before));
+  EXPECT_TRUE(x2.BitwiseEqual(x2_before));
+}
+
 TEST(SerializeTest, RejectsTruncatedBuffer) {
   Matrix v(4, 4, 2.0), g(4, 4);
   std::vector<Param> params = {{&v, &g, "w"}};
   std::vector<uint8_t> buf = SerializeParams(params);
   buf.resize(buf.size() - 5);
   EXPECT_FALSE(DeserializeParams(buf, params).ok());
+  ExpectFailedLoadLeavesParamsUnchanged(/*f64=*/false);
 }
 
 TEST(SerializeTest, F64RoundTripIsBitExact) {
@@ -172,6 +199,7 @@ TEST(SerializeTest, F64RejectsTruncationAndShapeMismatch) {
   Matrix w(3, 2, 0.0), gw(3, 2);
   std::vector<Param> bad = {{&w, &gw, "w"}};
   EXPECT_FALSE(DeserializeParams(buf, bad).ok());
+  ExpectFailedLoadLeavesParamsUnchanged(/*f64=*/true);
 }
 
 // Model-level state round trips: every ensemble member must restore to
@@ -199,6 +227,29 @@ void ExpectStateRoundTripBitExact(const models::ForecasterOptions& opts) {
   bad[0] ^= 0xFF;
   EXPECT_FALSE(fresh.LoadState(bad).ok());
   EXPECT_FALSE(fresh.Predict(w).ok());
+
+  // A blob of other weights whose parameter section ends inside its last
+  // tensor is rejected by a fitted model, which keeps forecasting exactly
+  // as before: no earlier tensor was overwritten.
+  models::ForecasterOptions other_opts = opts;
+  other_opts.seed = opts.seed + 1;
+  Model other(other_opts);
+  ASSERT_TRUE(other.Fit(series).ok());
+  auto other_blob = other.SaveState();
+  ASSERT_TRUE(other_blob.ok());
+  // The parameter section is the length-prefixed tail after the magic, the
+  // scaler count and one scaler (fitted flag, min, max). Re-frame it 3 bytes
+  // short.
+  const size_t header = 4 + 4 + 1 + 8 + 8;
+  std::vector<uint8_t> params(other_blob->begin() + header + 4,
+                              other_blob->end() - 3);
+  BufWriter cut;
+  for (size_t i = 0; i < header; ++i) cut.U8((*other_blob)[i]);
+  cut.Bytes(params);
+  EXPECT_FALSE(model.LoadState(cut.Take()).ok());
+  auto after = model.Predict(w);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, *a);
 }
 
 TEST(ModelStateTest, MlpRoundTripBitExact) {

@@ -11,7 +11,7 @@
 //    tier. Forward differs only through the polynomial Exp/Sigmoid/Tanh
 //    (a few ULP of libm).
 // Every check sweeps all dispatch tiers reachable on the host, at odd/prime
-// shapes, for both element widths.
+// shapes.
 
 #include <gtest/gtest.h>
 
@@ -98,7 +98,7 @@ TEST_F(TierSweepTest, CpuFeaturesMentionsEverySupportedVectorTier) {
 }
 
 // ---------------------------------------------------------------------------
-// GEMM vs the f64 oracle, every tier, both widths.
+// GEMM vs the f64 oracle, every tier.
 // ---------------------------------------------------------------------------
 
 struct Shape {
@@ -106,16 +106,15 @@ struct Shape {
 };
 
 // Odd/prime shapes: below, at, and straddling every vector width in play
-// (2/4/8 f64 lanes, 4/8/16 f32 lanes), plus one multi-panel size.
+// (2/4/8 f64 lanes), plus one multi-panel size.
 const Shape kShapes[] = {
     {1, 1, 1}, {1, 7, 3},   {7, 1, 13},   {3, 17, 5},
     {5, 3, 2}, {13, 7, 31}, {97, 89, 101},
 };
 
-template <typename T>
-std::vector<T> RandomVec(size_t len, Rng* rng) {
-  std::vector<T> v(len);
-  for (auto& x : v) x = static_cast<T>(rng->Uniform(-2.0, 2.0));
+std::vector<double> RandomVec(size_t len, Rng* rng) {
+  std::vector<double> v(len);
+  for (auto& x : v) x = rng->Uniform(-2.0, 2.0);
   return v;
 }
 
@@ -123,9 +122,8 @@ std::vector<T> RandomVec(size_t len, Rng* rng) {
 // contracted/W-partial vector chain are within k·eps·Σ|a||b| of the exact
 // sum, so their difference is within twice that (plus slack for the
 // accumulate input).
-template <typename T>
 double GemmTolerance(double abs_sum, size_t k) {
-  return 4.0 * std::numeric_limits<T>::epsilon() *
+  return 4.0 * std::numeric_limits<double>::epsilon() *
              (static_cast<double>(k) + 2.0) * abs_sum +
          1e-300;
 }
@@ -146,9 +144,8 @@ const char* VariantName(Variant v) {
 // f64 oracle with per-element |a||b| sums for the tolerance. Operand layout
 // matches the variant: NN a(m x k) b(k x n); TN a(k x m)^T... (a is m x k
 // interpreted transposed exactly as the kernels do); NT b(n x k).
-template <typename T>
 void OracleAndScale(Variant v, size_t m, size_t k, size_t n,
-                    const std::vector<T>& a, const std::vector<T>& b,
+                    const std::vector<double>& a, const std::vector<double>& b,
                     std::vector<double>* want, std::vector<double>* scale) {
   want->assign(m * n, 0.0);
   scale->assign(m * n, 0.0);
@@ -179,25 +176,21 @@ void OracleAndScale(Variant v, size_t m, size_t k, size_t n,
   }
 }
 
-template <typename T>
 void CheckGemmVariantOnActiveTier(Variant v, const Shape& s, uint64_t seed) {
   Rng rng(seed);
   const size_t asize = s.m * s.k;  // NN/NT row-major a (m x k)
   const size_t a_tn = s.k * s.m;   // TN a (k x m): reduction-major
-  std::vector<T> a =
-      RandomVec<T>(v == Variant::kTN ? a_tn : asize, &rng);
-  std::vector<T> b = RandomVec<T>(
-      v == Variant::kNT ? s.n * s.k : s.k * s.n, &rng);
+  std::vector<double> a = RandomVec(v == Variant::kTN ? a_tn : asize, &rng);
+  std::vector<double> b =
+      RandomVec(v == Variant::kNT ? s.n * s.k : s.k * s.n, &rng);
   std::vector<double> want, scale;
-  OracleAndScale<T>(v, s.m, s.k, s.n, a, b, &want, &scale);
+  OracleAndScale(v, s.m, s.k, s.n, a, b, &want, &scale);
   for (bool accumulate : {false, true}) {
-    std::vector<T> c(s.m * s.n, T(0));
+    std::vector<double> c(s.m * s.n, 0.0);
     if (accumulate) {
-      for (size_t i = 0; i < c.size(); ++i) {
-        c[i] = static_cast<T>(rng.Uniform(-1.0, 1.0));
-      }
+      for (size_t i = 0; i < c.size(); ++i) c[i] = rng.Uniform(-1.0, 1.0);
     }
-    std::vector<double> base(c.begin(), c.end());
+    std::vector<double> base = c;
     if (v == Variant::kNN) {
       GemmNN(s.m, s.k, s.n, a.data(), b.data(), c.data(), accumulate);
     } else if (v == Variant::kTN) {
@@ -209,11 +202,10 @@ void CheckGemmVariantOnActiveTier(Variant v, const Shape& s, uint64_t seed) {
     for (size_t i = 0; i < c.size(); ++i) {
       const double expect = want[i] + (accumulate ? base[i] : 0.0);
       const double tol =
-          GemmTolerance<T>(scale[i] + std::fabs(base[i]), s.k) +
-          2.0 * std::numeric_limits<T>::epsilon() * std::fabs(expect);
-      ASSERT_NEAR(static_cast<double>(c[i]), expect, tol)
-          << VariantName(v) << (accumulate ? "+acc" : "") << " "
-          << (sizeof(T) == 8 ? "f64" : "f32") << " tier "
+          GemmTolerance(scale[i] + std::fabs(base[i]), s.k) +
+          2.0 * std::numeric_limits<double>::epsilon() * std::fabs(expect);
+      ASSERT_NEAR(c[i], expect, tol)
+          << VariantName(v) << (accumulate ? "+acc" : "") << " tier "
           << simd::TierName(simd::ActiveTier()) << " shape " << s.m << "x"
           << s.k << "x" << s.n << " flat " << i;
     }
@@ -221,13 +213,12 @@ void CheckGemmVariantOnActiveTier(Variant v, const Shape& s, uint64_t seed) {
 }
 
 TEST_F(TierSweepTest, GemmMatchesOracleOnEveryTierAndWidth) {
-  uint64_t seed = 17;
+  uint64_t seed = 16;
   for (Tier t : HostTiers()) {
     ASSERT_TRUE(simd::ForceTier(t));
     for (const Shape& s : kShapes) {
       for (Variant v : {Variant::kNN, Variant::kTN, Variant::kNT}) {
-        CheckGemmVariantOnActiveTier<double>(v, s, ++seed);
-        CheckGemmVariantOnActiveTier<float>(v, s, ++seed);
+        CheckGemmVariantOnActiveTier(v, s, seed += 2);
       }
     }
   }
@@ -237,23 +228,22 @@ TEST_F(TierSweepTest, GemmMatchesOracleOnEveryTierAndWidth) {
 // Fused LSTM gate kernels across tiers.
 // ---------------------------------------------------------------------------
 
-template <typename T>
 struct GateBuffers {
   size_t batch, hidden;
-  std::vector<T> z, c_prev, ig, fg, gg, og, c, tanh_c, h;
+  std::vector<double> z, c_prev, ig, fg, gg, og, c, tanh_c, h;
 
   GateBuffers(size_t b, size_t hdim, uint64_t seed) : batch(b), hidden(hdim) {
     Rng rng(seed);
-    z = RandomVec<T>(b * 4 * hdim, &rng);
-    c_prev = RandomVec<T>(b * hdim, &rng);
+    z = RandomVec(b * 4 * hdim, &rng);
+    c_prev = RandomVec(b * hdim, &rng);
     const size_t n = b * hdim;
-    ig.assign(n, T(0));
-    fg.assign(n, T(0));
-    gg.assign(n, T(0));
-    og.assign(n, T(0));
-    c.assign(n, T(0));
-    tanh_c.assign(n, T(0));
-    h.assign(n, T(0));
+    ig.assign(n, 0.0);
+    fg.assign(n, 0.0);
+    gg.assign(n, 0.0);
+    og.assign(n, 0.0);
+    c.assign(n, 0.0);
+    tanh_c.assign(n, 0.0);
+    h.assign(n, 0.0);
   }
 
   void RunForward() {
@@ -269,24 +259,18 @@ const size_t kGateShapes[][2] = {{1, 1}, {3, 5}, {7, 16}, {5, 23}, {2, 61}};
 TEST_F(TierSweepTest, LstmForwardMatchesScalarTierWithinUlps) {
   for (const auto& shape : kGateShapes) {
     ASSERT_TRUE(simd::ForceTier(Tier::kScalar));
-    GateBuffers<double> ref64(shape[0], shape[1], 91);
-    ref64.RunForward();
-    GateBuffers<float> ref32(shape[0], shape[1], 92);
-    ref32.RunForward();
+    GateBuffers ref(shape[0], shape[1], 91);
+    ref.RunForward();
     for (Tier t : HostTiers()) {
       ASSERT_TRUE(simd::ForceTier(t));
-      GateBuffers<double> got64(shape[0], shape[1], 91);
-      got64.RunForward();
-      GateBuffers<float> got32(shape[0], shape[1], 92);
-      got32.RunForward();
-      for (size_t i = 0; i < got64.h.size(); ++i) {
+      GateBuffers got(shape[0], shape[1], 91);
+      got.RunForward();
+      for (size_t i = 0; i < got.h.size(); ++i) {
         // Gates/tanh live in [-1, 1]; c is a short plain-mul/add chain of
-        // them. The polynomial Exp is within a few ULP of libm, so absolute
-        // tolerances near the respective epsilons hold everywhere.
-        EXPECT_NEAR(got64.c[i], ref64.c[i], 1e-12) << simd::TierName(t);
-        EXPECT_NEAR(got64.h[i], ref64.h[i], 1e-12) << simd::TierName(t);
-        EXPECT_NEAR(got32.c[i], ref32.c[i], 1e-4f) << simd::TierName(t);
-        EXPECT_NEAR(got32.h[i], ref32.h[i], 1e-4f) << simd::TierName(t);
+        // them. The polynomial Exp is within a few ULP of libm, so an
+        // absolute tolerance near epsilon holds everywhere.
+        EXPECT_NEAR(got.c[i], ref.c[i], 1e-12) << simd::TierName(t);
+        EXPECT_NEAR(got.h[i], ref.h[i], 1e-12) << simd::TierName(t);
       }
     }
   }
@@ -299,44 +283,30 @@ TEST_F(TierSweepTest, LstmBackwardBitIdenticalAcrossTiers) {
     // One forward pass (on the scalar tier) builds self-consistent gate
     // activations; the backward inputs are then fixed across tiers.
     ASSERT_TRUE(simd::ForceTier(Tier::kScalar));
-    GateBuffers<double> f64(batch, hidden, 171);
-    f64.RunForward();
-    GateBuffers<float> f32(batch, hidden, 172);
-    f32.RunForward();
+    GateBuffers fwd(batch, hidden, 171);
+    fwd.RunForward();
     Rng rng(173);
-    std::vector<double> dh64 = RandomVec<double>(n, &rng);
-    std::vector<double> dc64 = RandomVec<double>(n, &rng);
-    std::vector<float> dh32 = RandomVec<float>(n, &rng);
-    std::vector<float> dc32 = RandomVec<float>(n, &rng);
+    std::vector<double> dh = RandomVec(n, &rng);
+    std::vector<double> dc = RandomVec(n, &rng);
 
-    std::vector<double> want_dz64, want_dcp64;
-    std::vector<float> want_dz32, want_dcp32;
+    std::vector<double> want_dz, want_dcp;
     bool first = true;
     for (Tier t : HostTiers()) {
       ASSERT_TRUE(simd::ForceTier(t));
-      std::vector<double> dz64(batch * 4 * hidden, 0.0), dcp64(n, 0.0);
-      LstmGatesBackward(batch, hidden, dh64.data(), dc64.data(),
-                        f64.tanh_c.data(), f64.ig.data(), f64.fg.data(),
-                        f64.gg.data(), f64.og.data(), f64.c_prev.data(),
-                        dz64.data(), dcp64.data());
-      std::vector<float> dz32(batch * 4 * hidden, 0.0f), dcp32(n, 0.0f);
-      LstmGatesBackward(batch, hidden, dh32.data(), dc32.data(),
-                        f32.tanh_c.data(), f32.ig.data(), f32.fg.data(),
-                        f32.gg.data(), f32.og.data(), f32.c_prev.data(),
-                        dz32.data(), dcp32.data());
+      std::vector<double> dz(batch * 4 * hidden, 0.0), dcp(n, 0.0);
+      LstmGatesBackward(batch, hidden, dh.data(), dc.data(),
+                        fwd.tanh_c.data(), fwd.ig.data(), fwd.fg.data(),
+                        fwd.gg.data(), fwd.og.data(), fwd.c_prev.data(),
+                        dz.data(), dcp.data());
       if (first) {
-        want_dz64 = dz64;
-        want_dcp64 = dcp64;
-        want_dz32 = dz32;
-        want_dcp32 = dcp32;
+        want_dz = dz;
+        want_dcp = dcp;
         first = false;
         continue;
       }
       // Plain mul/add only, compiled with -ffp-contract=off: exact match.
-      EXPECT_EQ(dz64, want_dz64) << simd::TierName(t);
-      EXPECT_EQ(dcp64, want_dcp64) << simd::TierName(t);
-      EXPECT_EQ(dz32, want_dz32) << simd::TierName(t);
-      EXPECT_EQ(dcp32, want_dcp32) << simd::TierName(t);
+      EXPECT_EQ(dz, want_dz) << simd::TierName(t);
+      EXPECT_EQ(dcp, want_dcp) << simd::TierName(t);
     }
   }
 }

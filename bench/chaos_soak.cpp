@@ -1,17 +1,18 @@
 // Chaos harness driver: deterministic repro, CI smoke, and open-ended soak.
 //
 // Three modes:
-//   repro:  chaos_soak --seed=N --profile=P [--full] [--replay] [--shards=N]
+//   repro:  chaos_soak --seed=N --profile=P [--replay] [--shards=N] ...
 //           Runs exactly the (seed, profile) a failing test or soak printed;
 //           exits 1 with the full report if the failure reproduces.
 //   smoke:  chaos_soak --smoke
-//           A fixed mini-matrix across all four profiles plus one
-//           full-service and one replay run, with a wall-clock budget so CI
-//           notices when the harness gets slow. JSON summary on stdout.
+//           A fixed mini-matrix across all four profiles plus single- and
+//           multi-shard service runs and one replay run, with a wall-clock
+//           budget so CI notices when the harness gets slow. JSON summary
+//           on stdout.
 //   soak:   chaos_soak --soak [--seconds=S] [--start-seed=N]
 //           Randomized open-ended mode: sweeps fresh seeds (wall-clock
 //           derived unless pinned) round-robin over the profiles, mixing in
-//           full-service and replay legs, until the time budget runs out. On
+//           service and replay legs, until the time budget runs out. On
 //           failure it prints the repro + a ready-to-paste corpus line,
 //           writes soak_failure.txt, and exits 1.
 //
@@ -86,9 +87,8 @@ std::string CorpusLine(const ChaosOptions& o) {
   std::string line = std::to_string(o.stream.seed);
   line += " ";
   line += chaos::ProfileName(o.stream.profile);
-  if (o.full_service) line += " full";
   if (o.replay) line += " replay";
-  if (o.service_shards > 1) {
+  if (o.service_shards > 0) {
     line += " shards=" + std::to_string(o.service_shards);
   }
   if (o.service_workers > 1) {
@@ -115,10 +115,9 @@ bool RunOne(const ChaosOptions& opts, uint64_t* events_out = nullptr) {
   return false;
 }
 
-int ReproMode(uint64_t seed, StreamProfile profile, bool full, bool replay,
+int ReproMode(uint64_t seed, StreamProfile profile, bool replay,
               size_t shards, size_t workers, double deadline, size_t budget) {
   ChaosOptions o = MatrixOptions(seed, profile);
-  o.full_service = full;
   o.replay = replay;
   o.service_shards = shards;
   o.service_workers = workers;
@@ -156,7 +155,7 @@ int SmokeMode() {
     ChaosOptions o = MatrixOptions(42, StreamProfile::kSteady);
     o.stream.bins = 28;
     o.stream.templates = 4;
-    o.full_service = true;
+    o.service_shards = 1;
     ++runs;
     if (!RunOne(o, &events)) ++failures;
   }
@@ -242,7 +241,7 @@ int SoakMode(double seconds, uint64_t start_seed, bool have_start_seed) {
     ChaosOptions o =
         MatrixOptions(start_seed + runs, profiles[runs % profiles.size()]);
     // Mix the expensive legs in at a steady cadence.
-    o.full_service = runs % 7 == 3;
+    if (runs % 7 == 3) o.service_shards = 1;
     o.replay = runs % 11 == 5;
     if (runs % 5 == 2) o.service_shards = 2 + runs % 3;
     // Every other sharded run also exercises the concurrent drain path
@@ -300,7 +299,7 @@ int SoakMode(double seconds, uint64_t start_seed, bool have_start_seed) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: chaos_soak --seed=N --profile=P [--full] [--replay] "
+               "usage: chaos_soak --seed=N --profile=P [--replay] "
                "[--shards=N] [--workers=N] [--deadline=S] [--budget=N]\n"
                "       chaos_soak --smoke\n"
                "       chaos_soak --soak [--seconds=S] [--start-seed=N]\n");
@@ -310,13 +309,12 @@ int Usage() {
 int Main(int argc, char** argv) {
   bool smoke = false;
   bool soak = false;
-  bool full = false;
   bool replay = false;
   bool have_seed = false;
   bool have_start_seed = false;
   uint64_t seed = 0;
   uint64_t start_seed = 0;
-  size_t shards = 1;
+  size_t shards = 0;
   size_t workers = 1;
   double deadline = 0.0;
   size_t budget = 0;
@@ -330,8 +328,6 @@ int Main(int argc, char** argv) {
       smoke = true;
     } else if (std::strcmp(a, "--soak") == 0) {
       soak = true;
-    } else if (std::strcmp(a, "--full") == 0) {
-      full = true;
     } else if (std::strcmp(a, "--replay") == 0) {
       replay = true;
     } else if (std::strncmp(a, "--shards=", 9) == 0) {
@@ -369,7 +365,7 @@ int Main(int argc, char** argv) {
   if (smoke) return SmokeMode();
   if (soak) return SoakMode(seconds, start_seed, have_start_seed);
   if (have_seed && have_profile) {
-    return ReproMode(seed, profile, full, replay, shards, workers, deadline,
+    return ReproMode(seed, profile, replay, shards, workers, deadline,
                      budget);
   }
   return Usage();

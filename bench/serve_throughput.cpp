@@ -1,15 +1,16 @@
 // Online serving benchmark: ingest throughput and read latency under an
 // active retrain, with machine-readable output.
 //
-// Two measurements:
+// Three measurements:
 //   1. ingest: N producer threads Offer() synthetic events into a
 //      TraceIngestor while one consumer drains, reporting sustained
 //      events/sec and the drop count under the bounded queue.
-//   2. reads_under_retrain: a reader hammers snapshot()->ForecastCluster()
-//      while a trainer thread runs back-to-back RetrainOnce() cycles. Every
-//      read is timed; p50/p99 come from the full distribution and the count
-//      of reads completed *while a retrain was in flight* demonstrates that
-//      the snapshot read path never blocks on training.
+//   2. reads_under_retrain: a reader hammers snapshot(0)->ForecastCluster()
+//      on a single-shard ShardedForecastService while a trainer thread runs
+//      back-to-back shard(0).RetrainOnce() cycles. Every read is timed;
+//      p50/p99 come from the full distribution and the count of reads
+//      completed *while a retrain was in flight* demonstrates that the
+//      snapshot read path never blocks on training (exit 1 if none did).
 //   3. fault_hook: per-iteration cost of a DBAUGUR_FAULT_POINT with no
 //      schedule installed, against an identical loop without the hook. The
 //      run FAILS (exit 1) if the disabled hook costs more than
@@ -32,7 +33,7 @@
 #include "bench_util.h"
 #include "common/fault_injection.h"
 #include "serve/ingestor.h"
-#include "serve/service.h"
+#include "serve/sharded_service.h"
 
 namespace dbaugur::bench {
 namespace {
@@ -120,7 +121,11 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
   opts.pipeline.forecaster.epochs = smoke ? 2 : 8;
   opts.pipeline.forecaster.batch_size = 16;
   opts.bin_interval_seconds = kInterval;
-  serve::ForecastService svc(opts);
+  serve::ShardedServeOptions sso;
+  sso.shard = opts;
+  sso.shard_count = 1;
+  serve::ShardedForecastService svc(sso);
+  serve::ServiceShard& shard = svc.shard(0);
 
   // Seed enough history to train, then publish generation 1 synchronously.
   const int64_t bins = smoke ? 16 : 48;
@@ -130,7 +135,7 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
       svc.Offer({t, b * kInterval, 50.0 + 20.0 * std::sin(phase)});
     }
   }
-  if (!svc.RetrainOnce().ok() || svc.generation() == 0) {
+  if (!shard.RetrainOnce().ok() || shard.generation() == 0) {
     std::fprintf(stderr, "serve_throughput: warm-up retrain failed\n");
     return r;
   }
@@ -143,7 +148,7 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
     for (int i = 0; i < retrain_cycles; ++i) {
       double t0 = NowSeconds();
       retrain_active.store(true, std::memory_order_release);
-      Status st = svc.RetrainOnce();
+      Status st = shard.RetrainOnce();
       retrain_active.store(false, std::memory_order_release);
       retrain_total_s += NowSeconds() - t0;
       if (!st.ok()) break;
@@ -157,7 +162,7 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
   while (!done.load(std::memory_order_acquire)) {
     bool in_retrain = retrain_active.load(std::memory_order_acquire);
     double t0 = NowSeconds();
-    auto snap = svc.snapshot();
+    auto snap = svc.snapshot(0);
     auto f = snap->ForecastCluster(0);
     double t1 = NowSeconds();
     if (f.ok()) sink += *f;

@@ -1,9 +1,14 @@
 #include "chaos/harness.h"
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,11 +17,11 @@
 #include "chaos/partition.h"
 #include "cluster/descender.h"
 #include "common/fault_injection.h"
+#include "common/thread_pool.h"
 #include "dbsim/bustracker_db.h"
 #include "dbsim/query.h"
 #include "dbsim/replay.h"
 #include "migrate/load_balancer.h"
-#include "serve/service.h"
 #include "serve/sharded_service.h"
 #include "trace/extractor.h"
 
@@ -78,6 +83,31 @@ namespace {
 
 Status Fail(const std::string& what) { return Status::Internal(what); }
 
+/// A private directory under the system temp dir (mkdtemp: parallel runs
+/// never share one), removed with its contents on destruction. path() is
+/// empty if it could not be created.
+class CheckpointDir {
+ public:
+  CheckpointDir() {
+    std::error_code ec;
+    const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
+    if (ec) return;
+    std::string tmpl = (tmp / "dbaugur_chaos_XXXXXX").string();
+    if (::mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+  }
+  ~CheckpointDir() {
+    std::error_code ec;
+    if (!path_.empty()) std::filesystem::remove_all(path_, ec);
+  }
+  CheckpointDir(const CheckpointDir&) = delete;
+  CheckpointDir& operator=(const CheckpointDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// One chaos run; stages share state through the members below.
 class ChaosRun {
  public:
@@ -86,9 +116,8 @@ class ChaosRun {
   ChaosReport Run() {
     report_.repro = "--seed=" + std::to_string(opts_.stream.seed) +
                     " --profile=" + ProfileName(opts_.stream.profile);
-    if (opts_.full_service) report_.repro += " --full";
     if (opts_.replay) report_.repro += " --replay";
-    if (opts_.service_shards > 1) {
+    if (opts_.service_shards > 0) {
       report_.repro += " --shards=" + std::to_string(opts_.service_shards);
     }
     if (opts_.service_workers > 1) {
@@ -107,8 +136,7 @@ class ChaosRun {
     if (!Stage("template", TemplateLeg())) return report_;
     if (!Stage("events", EventsLeg())) return report_;
     if (!Stage("cluster", ClusterLeg())) return report_;
-    if (opts_.full_service && !Stage("service", ServiceLeg())) return report_;
-    if (opts_.service_shards > 1 && !Stage("sharded", ShardedLeg())) {
+    if (opts_.service_shards > 0 && !Stage("sharded", ShardedLeg())) {
       return report_;
     }
     if (opts_.replay && !Stage("replay", ReplayLeg())) return report_;
@@ -386,7 +414,7 @@ class ChaosRun {
     return Status::OK();
   }
 
-  // ---- service: full ForecastService with save → load → resume ------------
+  // ---- sharded: ShardedForecastService, save → load → resume --------------
 
   serve::ServeOptions MakeServeOptions() const {
     serve::ServeOptions so;
@@ -410,149 +438,179 @@ class ChaosRun {
     return so;
   }
 
-  /// Per-publish invariants: generation never goes backwards, no NaN/Inf
-  /// escapes the published snapshot.
-  Status ServiceInvariants(const serve::ForecastService& svc,
-                           uint64_t* last_gen) const {
-    const uint64_t gen = svc.generation();
-    if (gen < *last_gen) {
-      return Fail("snapshot generation went backwards: " +
-                  std::to_string(*last_gen) + " -> " + std::to_string(gen));
+  /// One service under test and its per-shard generation watermarks.
+  struct ServiceRun {
+    std::unique_ptr<serve::ShardedForecastService> svc;
+    std::vector<uint64_t> last_gen;
+  };
+
+  /// One retrain cycle, then the per-shard invariants: generation never goes
+  /// backwards, and no NaN/Inf escapes a published snapshot.
+  static Status Cycle(ServiceRun* run) {
+    (void)run->svc->RetrainCycle();
+    for (size_t s = 0; s < run->svc->shard_count(); ++s) {
+      const uint64_t gen = run->svc->shard(s).generation();
+      if (gen < run->last_gen[s]) {
+        return Fail("shard " + std::to_string(s) +
+                    " generation went backwards: " +
+                    std::to_string(run->last_gen[s]) + " -> " +
+                    std::to_string(gen));
+      }
+      run->last_gen[s] = gen;
+      auto snap = run->svc->snapshot(s);
+      if (snap == nullptr) {
+        return Fail("shard " + std::to_string(s) +
+                    " published a null snapshot");
+      }
+      DBAUGUR_RETURN_IF_ERROR(CheckSnapshotFinite(*snap));
     }
-    *last_gen = gen;
-    auto snap = svc.snapshot();
-    if (snap == nullptr) return Fail("service published a null snapshot");
-    return CheckSnapshotFinite(*snap);
+    return Status::OK();
   }
 
-  /// Offers events [begin, end), retraining every `chunk` events and after
-  /// the last one; checks invariants after every retrain. Retrain failures
-  /// are tolerated (not ignored: invariants still run) only under a fault
-  /// storm, where they are the injected behavior.
-  Status FeedService(serve::ForecastService* svc, size_t begin, size_t end,
-                     size_t chunk, uint64_t* last_gen,
-                     uint64_t* offered) const {
-    size_t since = 0;
+  /// Offers events [begin, end) with a cycle every `chunk` events; `since`
+  /// carries the count across calls, so a feed split at the checkpoint keeps
+  /// the cadence of an unsplit one.
+  Status Feed(ServiceRun* run, size_t begin, size_t end, size_t chunk,
+              size_t* since) const {
     for (size_t i = begin; i < end; ++i) {
-      svc->Offer(events_[i]);
-      if (offered != nullptr) ++*offered;
-      if (++since >= chunk) {
-        since = 0;
-        Status st = svc->RetrainOnce();
-        if (!st.ok() && !fault::Active()) {
-          return Fail("retrain failed without a fault storm: " + st.message());
-        }
-        DBAUGUR_RETURN_IF_ERROR(ServiceInvariants(*svc, last_gen));
-      }
-    }
-    Status st = svc->RetrainOnce();
-    if (!st.ok() && !fault::Active()) {
-      return Fail("retrain failed without a fault storm: " + st.message());
-    }
-    return ServiceInvariants(*svc, last_gen);
-  }
-
-  Status ServiceLeg() {
-    if (events_.empty()) return Status::OK();
-    const serve::ServeOptions so = MakeServeOptions();
-    const size_t chunk = std::max<size_t>(1, events_.size() / 6);
-    const size_t mid = events_.size() / 2;
-
-    serve::ForecastService svc(so);
-    uint64_t last_gen = 0;
-    uint64_t offered = 0;
-    DBAUGUR_RETURN_IF_ERROR(
-        FeedService(&svc, 0, mid, chunk, &last_gen, &offered));
-    {
-      const serve::ServeStats stats = svc.stats();
-      if (stats.events_accepted + stats.events_dropped != offered) {
-        return Fail("service conservation: accepted " +
-                    std::to_string(stats.events_accepted) + " + dropped " +
-                    std::to_string(stats.events_dropped) + " != offered " +
-                    std::to_string(offered));
-      }
-    }
-
-    // Save at the midpoint, load into a second service, then feed both the
-    // identical tail with the identical retrain cadence.
-    auto blob = svc.Save();
-    if (!blob.ok()) {
-      if (fault::Active()) return Status::OK();  // injected save failure
-      return Fail("Save failed: " + blob.status().message());
-    }
-    serve::ForecastService restored(so);
-    Status load = restored.Load(*blob);
-    if (!load.ok()) {
-      if (fault::Active()) return Status::OK();  // injected load failure
-      return Fail("Load failed: " + load.message());
-    }
-    uint64_t restored_gen = restored.generation();
-    DBAUGUR_RETURN_IF_ERROR(
-        FeedService(&svc, mid, events_.size(), chunk, &last_gen, &offered));
-    DBAUGUR_RETURN_IF_ERROR(FeedService(&restored, mid, events_.size(), chunk,
-                                        &restored_gen, nullptr));
-    {
-      const serve::ServeStats stats = svc.stats();
-      if (stats.events_accepted + stats.events_dropped != offered) {
-        return Fail("service conservation after resume: accepted " +
-                    std::to_string(stats.events_accepted) + " + dropped " +
-                    std::to_string(stats.events_dropped) + " != offered " +
-                    std::to_string(offered));
-      }
-    }
-
-    // Resume equality: an uninterrupted run and a save→load→resume run must
-    // serve identical forecasts. Needs a fault-free run, and no stale-class
-    // skew in the stream: the ingestor's in-memory lateness reference is
-    // deliberately not part of the blob, so bursty-skewed streams may
-    // legitimately diverge on post-restore stale drops.
-    if (fault::Active() ||
-        opts_.stream.profile == StreamProfile::kBurstySkewed) {
-      return Status::OK();
-    }
-    auto a = svc.snapshot();
-    auto b = restored.snapshot();
-    if (a->generation != b->generation) {
-      return Fail("resume generation " + std::to_string(b->generation) +
-                  " != uninterrupted " + std::to_string(a->generation));
-    }
-    if (a->trace_names != b->trace_names) {
-      return Fail("resume trace names differ from the uninterrupted run");
-    }
-    if (a->trace_cluster != b->trace_cluster) {
-      return Fail("resume trace->cluster assignment differs from the"
-                  " uninterrupted run");
-    }
-    if (a->trace_proportion != b->trace_proportion) {
-      return Fail("resume trace proportions differ from the uninterrupted"
-                  " run");
-    }
-    if (a->clusters.size() != b->clusters.size()) {
-      return Fail("resume cluster count " +
-                  std::to_string(b->clusters.size()) + " != uninterrupted " +
-                  std::to_string(a->clusters.size()));
-    }
-    for (size_t r = 0; r < a->clusters.size(); ++r) {
-      const serve::SnapshotCluster& ca = a->clusters[r];
-      const serve::SnapshotCluster& cb = b->clusters[r];
-      if (ca.cluster_id != cb.cluster_id || ca.member_count != cb.member_count ||
-          ca.degraded != cb.degraded) {
-        return Fail("resume cluster rank " + std::to_string(r) +
-                    " provenance differs from the uninterrupted run");
-      }
-      if (ca.volume != cb.volume || ca.next_value != cb.next_value) {
-        return Fail("resume cluster rank " + std::to_string(r) +
-                    " forecast differs: next " + std::to_string(cb.next_value) +
-                    " != " + std::to_string(ca.next_value) + ", volume " +
-                    std::to_string(cb.volume) + " != " +
-                    std::to_string(ca.volume));
+      run->svc->Offer(events_[i]);
+      if (++*since >= chunk) {
+        *since = 0;
+        DBAUGUR_RETURN_IF_ERROR(Cycle(run));
       }
     }
     return Status::OK();
   }
 
-  // ---- sharded: ShardedForecastService vs the single-stream reference -----
+  /// Cycles until every shard's queue is empty, at least once. The overload
+  /// controller may shed shards from any one cycle (a bursty stream can grow
+  /// the backlog long enough to step the ladder up even with an unbounded
+  /// budget), so one final cycle is not enough for the exact oracles below.
+  /// With no new traffic the backlog stops growing, the ladder steps back
+  /// down, and every cycle retrains at least one pending shard — so the loop
+  /// is bounded.
+  static Status Drain(ServiceRun* run) {
+    const size_t shards = run->svc->shard_count();
+    for (size_t extra = 0;; ++extra) {
+      DBAUGUR_RETURN_IF_ERROR(Cycle(run));
+      bool drained = true;
+      for (size_t s = 0; s < shards; ++s) {
+        if (run->svc->shard(s).queue_depth() != 0) drained = false;
+      }
+      if (drained || extra >= 4 + 4 * shards) return Status::OK();
+    }
+  }
 
+  /// Router conservation (every offered event accepted or dropped by exactly
+  /// one shard, with or without fault storms) and, when neither faults nor a
+  /// watchdog are in play, no failed retrain.
+  Status CheckService(const serve::ShardedForecastService& svc,
+                      uint64_t offered, const char* which) const {
+    uint64_t accounted = 0;
+    for (size_t s = 0; s < svc.shard_count(); ++s) {
+      accounted +=
+          svc.shard(s).events_accepted() + svc.shard(s).drop_stats().total();
+      // An armed deadline can legitimately cancel a slow (but healthy)
+      // retrain on a loaded machine.
+      if (!fault::Active() && opts_.retrain_deadline_seconds <= 0.0 &&
+          svc.shard(s).retrains_failed() != 0) {
+        return Fail(std::string(which) + " shard " + std::to_string(s) +
+                    " retrain failed without a fault storm: " +
+                    svc.stats().last_error);
+      }
+    }
+    if (accounted != offered) {
+      return Fail(std::string(which) + " conservation: shards accounted " +
+                  std::to_string(accounted) + " events, offered " +
+                  std::to_string(offered));
+    }
+    return Status::OK();
+  }
+
+  /// Resume equality: the uninterrupted run and the save → load → resume
+  /// run must serve identical snapshots on every shard.
+  static Status CompareResumed(const serve::ShardedForecastService& svc,
+                               const serve::ShardedForecastService& restored) {
+    for (size_t s = 0; s < svc.shard_count(); ++s) {
+      const std::string shard = "shard " + std::to_string(s) + ": ";
+      auto a = svc.snapshot(s);
+      auto b = restored.snapshot(s);
+      if (a->generation != b->generation) {
+        return Fail(shard + "resume generation " +
+                    std::to_string(b->generation) + " != uninterrupted " +
+                    std::to_string(a->generation));
+      }
+      if (a->trace_names != b->trace_names) {
+        return Fail(shard + "resume trace names differ from the"
+                    " uninterrupted run");
+      }
+      if (a->trace_cluster != b->trace_cluster) {
+        return Fail(shard + "resume trace->cluster assignment differs from"
+                    " the uninterrupted run");
+      }
+      if (a->trace_proportion != b->trace_proportion) {
+        return Fail(shard + "resume trace proportions differ from the"
+                    " uninterrupted run");
+      }
+      if (a->clusters.size() != b->clusters.size()) {
+        return Fail(shard + "resume cluster count " +
+                    std::to_string(b->clusters.size()) +
+                    " != uninterrupted " + std::to_string(a->clusters.size()));
+      }
+      for (size_t r = 0; r < a->clusters.size(); ++r) {
+        const serve::SnapshotCluster& ca = a->clusters[r];
+        const serve::SnapshotCluster& cb = b->clusters[r];
+        if (ca.cluster_id != cb.cluster_id ||
+            ca.member_count != cb.member_count || ca.degraded != cb.degraded) {
+          return Fail(shard + "resume cluster rank " + std::to_string(r) +
+                      " provenance differs from the uninterrupted run");
+        }
+        if (ca.volume != cb.volume || ca.next_value != cb.next_value) {
+          return Fail(shard + "resume cluster rank " + std::to_string(r) +
+                      " forecast differs: next " +
+                      std::to_string(cb.next_value) + " != " +
+                      std::to_string(ca.next_value) + ", volume " +
+                      std::to_string(cb.volume) + " != " +
+                      std::to_string(ca.volume));
+        }
+      }
+    }
+    return Status::OK();
+  }
+
+  static ServiceRun StartService(const serve::ShardedServeOptions& sso) {
+    ServiceRun run;
+    run.svc = std::make_unique<serve::ShardedForecastService>(sso);
+    run.last_gen.assign(sso.shard_count, 0);
+    return run;
+  }
+
+  /// Loads the checkpoint at `base` into a fresh service, *resumed, and
+  /// carries it through events [mid, end) at the cadence `since` the
+  /// checkpointed run had reached, then drains it. Under a fault storm an
+  /// injected load failure is the storm's doing: *resumed then stays empty.
+  Status Resume(const std::string& base, const serve::ShardedServeOptions& sso,
+                size_t mid, size_t chunk, size_t since,
+                ServiceRun* resumed) const {
+    ServiceRun restored = StartService(sso);
+    Status loaded = restored.svc->LoadFromFiles(base);
+    if (!loaded.ok()) {
+      if (fault::Active()) return Status::OK();
+      return Fail("LoadFromFiles failed: " + loaded.message());
+    }
+    for (size_t s = 0; s < sso.shard_count; ++s) {
+      restored.last_gen[s] = restored.svc->shard(s).generation();
+    }
+    *resumed = std::move(restored);
+    DBAUGUR_RETURN_IF_ERROR(Feed(resumed, mid, events_.size(), chunk, &since));
+    return Drain(resumed);
+  }
+
+  /// The identical event stream through an N-shard service: retrain cycles
+  /// every `chunk` events with per-shard invariants, router conservation and
+  /// the exact single-stream differential. A single-shard run also restores
+  /// a midpoint checkpoint into a second service, feeds both the identical
+  /// tail and checks resume equality.
   Status ShardedLeg() {
     if (events_.empty()) return Status::OK();
     serve::ShardedServeOptions sso;
@@ -561,101 +619,95 @@ class ChaosRun {
     sso.retrain_workers = std::max<size_t>(1, opts_.service_workers);
     sso.retrain_deadline_seconds = opts_.retrain_deadline_seconds;
     sso.retrain_budget = opts_.retrain_budget;
-    serve::ShardedForecastService svc(sso);
-
-    // Same cadence as the single-service leg: retrain cycles every `chunk`
-    // events, per-shard invariants (generation monotone, snapshot finite)
-    // after every cycle.
     const size_t chunk = std::max<size_t>(1, events_.size() / 6);
-    std::vector<uint64_t> last_gen(sso.shard_count, 0);
-    auto invariants = [&]() -> Status {
-      for (size_t s = 0; s < sso.shard_count; ++s) {
-        const uint64_t gen = svc.shard(s).generation();
-        if (gen < last_gen[s]) {
-          return Fail("shard " + std::to_string(s) +
-                      " generation went backwards: " +
-                      std::to_string(last_gen[s]) + " -> " +
-                      std::to_string(gen));
-        }
-        last_gen[s] = gen;
-        auto snap = svc.snapshot(s);
-        if (snap == nullptr) {
-          return Fail("shard " + std::to_string(s) +
-                      " published a null snapshot");
-        }
-        DBAUGUR_RETURN_IF_ERROR(CheckSnapshotFinite(*snap));
-      }
-      return Status::OK();
-    };
+    const size_t mid = events_.size() / 2;
+
+    ServiceRun run = StartService(sso);
     size_t since = 0;
-    for (const serve::TraceEvent& e : events_) {
-      svc.Offer(e);
-      if (++since >= chunk) {
-        since = 0;
-        (void)svc.RetrainCycle();
-        DBAUGUR_RETURN_IF_ERROR(invariants());
+    DBAUGUR_RETURN_IF_ERROR(Feed(&run, 0, mid, chunk, &since));
+
+    // Checkpoint at the midpoint through the real SaveToFiles path, into a
+    // private directory (parallel runs never share one) removed when the leg
+    // ends. Under a fault storm an injected save failure is the storm's
+    // doing: the leg then goes on without the restored run. Past one shard
+    // the leg does not checkpoint: multi-shard resume equality is pinned by
+    // ShardedServiceTest.SaveMidStreamWithUnequalCycleCountsRestoresExactly,
+    // and a second service would double the work of every multi-shard run.
+    std::optional<CheckpointDir> dir;
+    std::string base;
+    if (sso.shard_count == 1) {
+      dir.emplace();
+      if (dir->path().empty()) {
+        return Fail("cannot create a checkpoint directory");
       }
-    }
-    // Drain to quiescence: the overload controller may shed shards from any
-    // one cycle (a bursty stream can grow the backlog long enough to step
-    // the ladder up even with an unbounded budget), so one final cycle is
-    // not enough for the exact oracle below. With no new traffic the
-    // backlog stops growing, the ladder steps back down, and every cycle
-    // retrains at least one pending shard — so the loop is bounded.
-    for (size_t extra = 0;; ++extra) {
-      (void)svc.RetrainCycle();
-      DBAUGUR_RETURN_IF_ERROR(invariants());
-      bool drained = true;
-      for (size_t s = 0; s < sso.shard_count; ++s) {
-        if (svc.shard(s).queue_depth() != 0) drained = false;
+      base = dir->path() + "/ckpt";
+      Status saved = run.svc->SaveToFiles(base);
+      if (!saved.ok()) {
+        if (!fault::Active()) {
+          return Fail("SaveToFiles failed: " + saved.message());
+        }
+        base.clear();
       }
-      if (drained || extra >= 4 + 4 * sso.shard_count) break;
     }
 
-    // Conservation across the router: every offered event accepted or
-    // dropped by exactly one shard (holds with or without fault storms).
-    uint64_t accounted = 0;
-    for (size_t s = 0; s < sso.shard_count; ++s) {
-      accounted +=
-          svc.shard(s).events_accepted() + svc.shard(s).drop_stats().total();
-      // An armed deadline can legitimately cancel a slow (but healthy)
-      // retrain on a loaded machine, so the no-failures invariant only
-      // applies when neither faults nor a watchdog are in play.
-      if (!fault::Active() && opts_.retrain_deadline_seconds <= 0.0 &&
-          svc.shard(s).retrains_failed() != 0) {
-        return Fail("shard " + std::to_string(s) +
-                    " retrain failed without a fault storm: " +
-                    svc.stats().last_error);
+    // The uninterrupted run carries the tail on this thread while the
+    // restored one loads the checkpoint and carries the same tail on a
+    // second lane: the two share nothing. Under a fault storm both run here
+    // in order, so which run an injected fault hits stays reproducible.
+    ServiceRun resumed;
+    std::array<Status, 2> tail;
+    const size_t resumed_since = since;
+    ThreadPool lanes(!base.empty() && !fault::Active() ? 2 : 1);
+    lanes.ParallelFor(2, 1, [&](size_t begin, size_t end) {
+      for (size_t lane = begin; lane < end; ++lane) {
+        if (lane == 0) {
+          tail[0] = Feed(&run, mid, events_.size(), chunk, &since);
+          if (tail[0].ok()) tail[0] = Drain(&run);
+        } else if (!base.empty()) {
+          tail[1] = Resume(base, sso, mid, chunk, resumed_since, &resumed);
+        }
       }
+    });
+    for (const Status& st : tail) DBAUGUR_RETURN_IF_ERROR(st);
+    DBAUGUR_RETURN_IF_ERROR(CheckService(*run.svc, events_.size(), "service"));
+    if (resumed.svc != nullptr) {
+      DBAUGUR_RETURN_IF_ERROR(
+          CheckService(*resumed.svc, events_.size() - mid, "resumed service"));
     }
-    if (accounted != events_.size()) {
-      return Fail("sharded conservation: shards accounted " +
-                  std::to_string(accounted) + " events, offered " +
-                  std::to_string(events_.size()));
+
+    // Fault storms forfeit both exact oracles below.
+    if (fault::Active()) return Status::OK();
+
+    // Resume equality. A watchdog rules it out (a cancellation depends on
+    // timing), and so does a bursty-skewed stream: the ingestor's lateness
+    // reference is not checkpointed, so post-restore stale drops may
+    // legitimately differ.
+    if (resumed.svc != nullptr && opts_.retrain_deadline_seconds <= 0.0 &&
+        opts_.stream.profile != StreamProfile::kBurstySkewed) {
+      DBAUGUR_RETURN_IF_ERROR(CompareResumed(*run.svc, *resumed.svc));
     }
 
     // Exact sharded ≡ single-stream differential. Per-shard lateness
     // watermarks legitimately diverge from the global reference once the
     // stream trips the stale cutoff (each shard only sees its own templates'
-    // timestamps), so the exact oracle self-gates on stale-free streams;
-    // fault storms gate it off entirely.
+    // timestamps), so the exact oracle self-gates on stale-free streams.
+    // A per-cycle budget leaves unscheduled shards' queues undrained at the
+    // end of the run, so their binned histories legitimately lag the
+    // reference — the exact oracle only applies to unbounded budgets.
     const ReferenceOptions ropts{opts_.max_templates,
                                  opts_.max_lateness_seconds,
                                  opts_.min_timestamp_seconds,
                                  opts_.max_timestamp_seconds,
                                  opts_.stream.interval_seconds};
     const ReferenceResult ref = RunSequentialReference(events_, ropts);
-    // A per-cycle budget leaves unscheduled shards' queues undrained at the
-    // end of the run, so their binned histories legitimately lag the
-    // reference — the exact oracle only applies to unbounded budgets.
-    if (fault::Active() || opts_.retrain_budget > 0 || ref.drops.stale != 0) {
+    if (opts_.retrain_budget > 0 || ref.drops.stale != 0) {
       return Status::OK();
     }
     std::vector<ShardIngestView> views(sso.shard_count);
     for (size_t s = 0; s < sso.shard_count; ++s) {
-      views[s].accepted = svc.shard(s).events_accepted();
-      views[s].drops = svc.shard(s).drop_stats();
-      views[s].bins = svc.shard(s).BinContents();
+      views[s].accepted = run.svc->shard(s).events_accepted();
+      views[s].drops = run.svc->shard(s).drop_stats();
+      views[s].bins = run.svc->shard(s).BinContents();
     }
     return CompareShardedIngest(ref, views);
   }

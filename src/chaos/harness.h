@@ -1,10 +1,10 @@
 // End-to-end chaos harness: generates a seeded grammar stream
 // (chaos/stream_gen.h), drives it through the full pipeline — raw text
 // through the log parser and SQL2Template, pre-parsed events through the
-// production serve ingest, clustering, optionally the whole ForecastService
-// (with save → load → resume) and the dbsim replay / migrate consumers — and
-// checks every leg against ground truth and the differential oracles
-// (chaos/oracle.h).
+// production serve ingest, clustering, optionally the forecast service
+// (ShardedForecastService, with save → load → resume) and the dbsim replay /
+// migrate consumers — and checks every leg against ground truth and the
+// differential oracles (chaos/oracle.h).
 //
 // Any failure yields a ChaosReport whose repro line ("--seed=N --profile=P")
 // regenerates the identical stream, plus — for event-differential failures —
@@ -25,18 +25,20 @@ namespace dbaugur::chaos {
 /// One chaos run's configuration.
 struct ChaosOptions {
   StreamOptions stream;
-  /// Also run the ForecastService leg: chunked ingest with periodic retrains,
-  /// snapshot-finiteness + generation-monotonicity invariants, and the
-  /// save → load → resume equality oracle.
-  bool full_service = false;
   /// Also run the dbsim replay + migrate legs over the replayable subset.
   bool replay = false;
-  /// When > 1, also run the sharded-service leg: the identical event stream
-  /// through a ShardedForecastService with this many shards, checked against
-  /// the single-stream sequential reference (routing, union of per-shard
-  /// binned histories, drop-class conservation — chaos/oracle.h's
-  /// CompareShardedIngest) plus per-shard snapshot invariants.
-  size_t service_shards = 1;
+  /// The service leg's shard count; 0 skips the leg. With N >= 1 the
+  /// identical event stream goes through an N-shard ShardedForecastService:
+  /// chunked ingest with periodic retrain cycles and per-shard snapshot
+  /// invariants (finite, generation monotone), router conservation, and the
+  /// exact differential against the single-stream sequential reference
+  /// (routing, union of per-shard binned histories, drop classes —
+  /// chaos/oracle.h's CompareShardedIngest). A single-shard run also
+  /// restores a midpoint checkpoint through SaveToFiles/LoadFromFiles into a
+  /// second service and checks resume equality. Each exact oracle skips
+  /// itself where the configuration makes it inexact (fault storms, skewed
+  /// streams, watchdogs, bounded budgets).
+  size_t service_shards = 0;
   /// Retrain workers for the sharded leg (>= 1). With > 1, scheduled shards
   /// retrain concurrently; the leg's invariants (generation monotonicity,
   /// snapshot finiteness, router conservation) must hold at any worker count.

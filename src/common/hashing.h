@@ -1,13 +1,10 @@
 // Deterministic integer mixing + shard routing.
 //
 // Mix64 is the SplitMix64 finalizer: one well-mixed word from one input word,
-// with no RNG state to carry. It backs two contracts that must stay pure
-// functions so tests can recompute them exactly:
-//   - the serve-layer backoff jitter (ForecastService::ComputeBackoffSeconds),
-//   - shard routing (ShardOfKey): which shard owns a template/cluster key.
-// Changing these constants silently re-routes every persisted shard and
-// reshuffles every backoff schedule — treat them as part of the on-disk
-// format.
+// with no RNG state to carry. It backs shard routing (ShardOfKey): which
+// shard owns a template/cluster key, a pure function so tests can recompute
+// it exactly. Changing these constants silently re-routes every persisted
+// shard — treat them as part of the on-disk format.
 
 #pragma once
 

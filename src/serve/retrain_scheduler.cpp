@@ -8,7 +8,7 @@ namespace dbaugur::serve {
 
 uint64_t BackoffCycles(uint64_t consecutive_failures) {
   if (consecutive_failures == 0) return 0;
-  uint64_t exp = std::min<uint64_t>(consecutive_failures - 1, 16);
+  uint64_t exp = std::min<uint64_t>(consecutive_failures - 1, 6);
   return uint64_t{1} << exp;
 }
 
@@ -51,6 +51,18 @@ std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
   order.reserve(take);
   for (size_t i = 0; i < take; ++i) order.push_back(eligible[i].shard_id);
   return order;
+}
+
+double OverloadIntervalScale(uint64_t level) {
+  DBAUGUR_DCHECK(level < 64, "overload level ", level, " overflows 2^level");
+  return static_cast<double>(uint64_t{1} << level);
+}
+
+OverloadController::OverloadController(const OverloadOptions& opts)
+    : opts_(opts) {
+  DBAUGUR_CHECK(opts_.max_level < 64,
+                "OverloadOptions max_level must be < 64 (the scheduler "
+                "interval scales by 2^level)");
 }
 
 uint64_t OverloadController::Observe(uint64_t backlog) {

@@ -9,8 +9,7 @@
 //
 // Policy:
 //   - Work-conserving: a shard with no queued events is never scheduled (its
-//     published snapshot already reflects everything it has seen; compare
-//     ForecastService's wall-clock loop, which re-trains unconditionally).
+//     published snapshot already reflects everything it has seen).
 //   - Priority = pending_events × (cycles_waited + 1): traffic volume scaled
 //     by staleness, so hot shards retrain first but waiting inflates cold
 //     shards until they win. Computed in 128-bit so extreme queues cannot
@@ -20,11 +19,10 @@
 //     (longest wait first). With S eligible shards and budget B, every
 //     pending shard is therefore scheduled at least once every
 //     starvation_cycles + ceil(S/B) cycles.
-//   - Failure backoff in cycles, mirroring ForecastService's wall-clock
-//     backoff: after f consecutive failures a shard is ineligible until it
-//     has waited 2^(f-1) cycles (capped), so a persistently failing shard
-//     cannot monopolize the budget — and the starvation promotion never
-//     overrides the backoff.
+//   - Failure backoff in cycles: after f consecutive failures a shard is
+//     ineligible until it has waited 2^(f-1) cycles (capped), so a
+//     persistently failing shard cannot monopolize the budget — and the
+//     starvation promotion never overrides the backoff.
 
 #pragma once
 
@@ -51,7 +49,9 @@ struct RetrainSchedulerOptions {
 
 /// Cycles a shard must wait after `consecutive_failures` failures before it
 /// is eligible again: 0 for a healthy shard, else 2^(failures-1) capped at
-/// 2^16. Pure, so tests can recompute the exact schedule.
+/// 2^6 = 64, so a shard that failed for hours is still retried about a
+/// minute after its last failure at the default 1 s retrain interval. Pure,
+/// so tests can recompute the exact schedule.
 uint64_t BackoffCycles(uint64_t consecutive_failures);
 
 /// Returns the shard ids to retrain this cycle, highest priority first.
@@ -68,9 +68,14 @@ struct OverloadOptions {
   /// Consecutive non-growth cycles before recovering one level.
   uint64_t drain_cycles = 2;
   /// Ceiling on the degradation level (each level halves the budget and
-  /// doubles the cycle interval).
+  /// doubles the cycle interval). Must be < 64: the interval multiplier is
+  /// 2^level (see OverloadIntervalScale).
   uint64_t max_level = 3;
 };
+
+/// Scheduler-interval multiplier at overload `level`: 2^level, exact for
+/// every level OverloadController can reach (max_level < 64).
+double OverloadIntervalScale(uint64_t level);
 
 /// Deterministic overload ladder for the sharded scheduler. Fed the total
 /// pending backlog (sum of shard queue depths) once per completed cycle, it
@@ -84,7 +89,8 @@ struct OverloadOptions {
 /// escalate/recover schedules.
 class OverloadController {
  public:
-  explicit OverloadController(const OverloadOptions& opts) : opts_(opts) {}
+  /// Aborts (DBAUGUR_CHECK) unless opts.max_level < 64.
+  explicit OverloadController(const OverloadOptions& opts);
 
   /// Feeds one completed cycle's backlog sample; returns the level after the
   /// update. Single-threaded by contract (the sharded service calls it under
@@ -99,9 +105,7 @@ class OverloadController {
   size_t DegradedBudget(size_t base_budget, size_t shard_count) const;
 
   /// Multiplier on the retrain interval: 2^level.
-  double IntervalScale() const {
-    return static_cast<double>(uint64_t{1} << level_);
-  }
+  double IntervalScale() const { return OverloadIntervalScale(level_); }
 
  private:
   OverloadOptions opts_;

@@ -15,7 +15,7 @@
 //
 // Thread ownership: a Retrainer has no locks of its own — it is single-
 // threaded state owned by the retrain loop. That contract is enforced at the
-// owning ForecastService, where the `retrainer_` member is
+// owning ServiceShard, where the `retrainer_` member is
 // DBAUGUR_GUARDED_BY(retrain_mu_): under Clang's -Werror=thread-safety any
 // touch of the retrainer outside the retrain/Save/Load critical section is a
 // compile error.
@@ -103,7 +103,8 @@ class Retrainer {
     return winsorized_by_trace_;
   }
 
-  /// Appends binner contents + cycle count to *w (part of the service blob).
+  /// Appends binner contents + cycle count to *w (part of a shard's
+  /// checkpoint section).
   void SaveState(BufWriter* w) const;
 
   /// Restores a SaveState section: swaps in the saved binner and replays the

@@ -195,7 +195,8 @@ Status ServiceShard::SaveStateSection(BufWriter* w) {
 StatusOr<ServiceShard::ParsedState> ServiceShard::ParseStateSection(
     BufReader* r) const {
   auto corrupt = [] {
-    return Status::InvalidArgument("serve: truncated or corrupt service blob");
+    return Status::InvalidArgument(
+        "serve: truncated or corrupt shard state section");
   };
   ParsedState out;
   std::vector<uint8_t> retr_bytes;

@@ -1,6 +1,6 @@
-// One serving shard: the single-shard unit behind both ForecastService (which
-// wraps exactly one) and ShardedForecastService (which owns N and routes by
-// template-key hash — see serve/sharded_service.h).
+// One serving shard: the single-shard unit ShardedForecastService owns N of
+// and routes to by template-key hash (see serve/sharded_service.h). A
+// single-shard deployment is that service at shard_count = 1.
 //
 // A ServiceShard owns its own bounded ingest queue, TraceBinner + Retrainer
 // with an independently positioned seed stream, published immutable snapshot
@@ -9,17 +9,16 @@
 // Shards share no mutable state, so N shards retrain concurrently without
 // contending anywhere.
 //
-// Concurrency model (unchanged from the PR-4/5 single service, now per
-// shard): producers Offer() into the bounded ingest queue; one retrain call
-// at a time drains it, re-runs the clustering + ensemble pipeline, and
-// publishes a fresh immutable ServiceSnapshot by swapping a shared_ptr under
-// a dedicated pointer-copy mutex. That mutex guards only the nanosecond-scale
-// copy/swap of the pointer — readers never hold a lock across a forecast call
-// and never contend with the retrain path. (A `std::atomic` of `shared_ptr`
-// would make the copy itself lock-free, but libstdc++ 12's _Sp_atomic
-// predates the _GLIBCXX_TSAN annotations (GCC PR 101761) and reports false
-// races under the TSan preset this repo gates on — tools/lint.py rejects the
-// type tree-wide for that reason.)
+// Concurrency model: producers Offer() into the bounded ingest queue; one
+// retrain call at a time drains it, re-runs the clustering + ensemble
+// pipeline, and publishes a fresh immutable ServiceSnapshot by swapping a
+// shared_ptr under a dedicated pointer-copy mutex. That mutex guards only the
+// nanosecond-scale copy/swap of the pointer — readers never hold a lock
+// across a forecast call and never contend with the retrain path. (A
+// `std::atomic` of `shared_ptr` would make the copy itself lock-free, but
+// libstdc++ 12's _Sp_atomic predates the _GLIBCXX_TSAN annotations (GCC PR
+// 101761) and reports false races under the TSan preset this repo gates on —
+// tools/lint.py rejects the type tree-wide for that reason.)
 //
 // Every mutex below is a capability-annotated dbaugur::Mutex and every field
 // it protects carries DBAUGUR_GUARDED_BY: retrain_mu_ serializes the training
@@ -28,10 +27,10 @@
 //
 // Failure model: a failed retrain never disturbs the published snapshot —
 // readers keep the previous generation. Failures are counted per shard and
-// logged exactly once each; backoff policy lives in the owning service
-// (wall-clock backoff in ForecastService's loop, cycle-count backoff in the
-// sharded scheduler). Individual diverged clusters degrade independently
-// inside the snapshot build (see serve/snapshot.h).
+// logged exactly once each; the owning service's scheduler backs a failing
+// shard off in cycles (serve/retrain_scheduler.h). Individual diverged
+// clusters degrade independently inside the snapshot build (see
+// serve/snapshot.h).
 
 #pragma once
 
@@ -79,8 +78,6 @@ struct ServeOptions {
   /// Per-cluster forecast sanity bound (multiples of the representative's
   /// observed span; <= 0 disables the range check).
   double divergence_multiple = 10.0;
-  /// Cap on the failure backoff delay between retrain attempts (> 0).
-  double max_backoff_seconds = 60.0;
 };
 
 /// Monotonic service counters (relaxed reads; values may trail by an event).
@@ -102,33 +99,6 @@ struct ServeStats {
   std::string last_error;
   uint64_t last_error_cycles = 0;
   uint64_t last_error_generation = 0;
-};
-
-/// Point-in-time liveness + degradation report (see Health()).
-struct ServiceHealth {
-  enum class State {
-    kUntrained,  ///< No generation published yet.
-    kHealthy,    ///< Serving, no degraded clusters, no active failures.
-    kDegraded,   ///< Serving, but >= 1 cluster is on a fallback model.
-    kBackoff,    ///< Last retrain failed; the loop is backing off.
-  };
-  struct Cluster {
-    int cluster_id = 0;
-    size_t rank = 0;          ///< Position in the top-K ordering.
-    bool degraded = false;
-    std::string reason;       ///< Empty unless degraded.
-  };
-
-  State state = State::kUntrained;
-  uint64_t generation = 0;
-  uint64_t consecutive_failures = 0;
-  /// Delay before the next retrain attempt given the current failure count.
-  double backoff_seconds = 0.0;
-  std::string last_error;     ///< Empty if no retrain has ever failed.
-  size_t queue_depth = 0;     ///< Events waiting in the ingest queue.
-  uint64_t events_quarantined = 0;
-  uint64_t values_winsorized = 0;
-  std::vector<Cluster> clusters;  ///< Per-cluster degradation flags.
 };
 
 class ServiceShard {
@@ -215,11 +185,9 @@ class ServiceShard {
   /// Serializes this shard's full state — binned history, retrain-cycle
   /// position, and the published snapshot with every model parameter in
   /// lossless float64 — appended to *w. Pending queued events are folded in
-  /// first so nothing is lost across a restart. ForecastService prefixes this
-  /// with the blob magic/version; the sharded checkpoint wraps it in its
-  /// per-shard file header. The section layout is exactly the v1 service
-  /// blob payload: U64 generation, Bytes(retrainer state), U8 trained flag,
-  /// then Bytes(snapshot) when trained.
+  /// first so nothing is lost across a restart. The sharded checkpoint wraps
+  /// it in its per-shard file header. Layout: U64 generation, Bytes(retrainer
+  /// state), U8 trained flag, then Bytes(snapshot) when trained.
   Status SaveStateSection(BufWriter* w) DBAUGUR_EXCLUDES(retrain_mu_);
 
   /// A fully parsed + validated SaveStateSection, not yet installed. Restore

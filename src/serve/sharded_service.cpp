@@ -18,7 +18,7 @@ constexpr uint32_t kShardedVersion = 1;
 }  // namespace
 
 ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
-    : opts_(opts), overload_(opts.overload) {
+    : opts_(opts), overload_(opts.overload), cycles_waited_(opts.shard_count) {
   DBAUGUR_CHECK(opts_.shard_count >= 1,
                 "ShardedForecastService shard_count must be >= 1");
   DBAUGUR_CHECK(opts_.retrain_workers >= 1,
@@ -34,7 +34,6 @@ ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
   }
   {
     MutexLock lock(&cycle_mu_);
-    cycles_waited_.assign(shards_.size(), 0);
     effective_budget_.store(
         overload_.DegradedBudget(opts_.retrain_budget, shards_.size()),
         std::memory_order_relaxed);
@@ -75,7 +74,7 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       if (s.pending_events == 0 && shards_[i]->degraded_stale()) {
         s.pending_events = 1;
       }
-      s.cycles_waited = cycles_waited_[i];
+      s.cycles_waited = cycles_waited_[i].load(std::memory_order_relaxed);
       s.consecutive_failures = shards_[i]->consecutive_failures();
       total_pending += s.pending_events;
       if (s.pending_events > 0) max_wait = std::max(max_wait, s.cycles_waited);
@@ -115,10 +114,16 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       }
     }
 
-    for (size_t i = 0; i < cycles_waited_.size(); ++i) ++cycles_waited_[i];
-    for (size_t id : order) cycles_waited_[id] = 0;
-    ++cycle_counter_;
-    cycles_done_.store(cycle_counter_, std::memory_order_release);
+    // Every shard this cycle did not retrain waited one cycle longer.
+    std::vector<char> retrained(shards_.size(), 0);
+    for (size_t id : order) retrained[id] = 1;
+    for (size_t i = 0; i < shards_.size(); ++i) {
+      const uint64_t waited = cycles_waited_[i].load(std::memory_order_relaxed);
+      cycles_waited_[i].store(retrained[i] ? 0 : waited + 1,
+                              std::memory_order_relaxed);
+    }
+    const uint64_t cycle = cycles_done_.load(std::memory_order_relaxed) + 1;
+    cycles_done_.store(cycle, std::memory_order_release);
 
     if (!order.empty()) {
       // One line per productive cycle (idle ticks stay silent), carrying the
@@ -126,7 +131,7 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       // emitted after cycle_mu_ is released — no lock is held while the
       // logging backend runs.
       std::ostringstream line;
-      line << "serve: cycle " << cycle_counter_ << " retrained "
+      line << "serve: cycle " << cycle << " retrained "
            << report.completed << "/" << order.size() << " scheduled ("
            << shards_.size() << " shards) [";
       size_t shown = std::min<size_t>(order.size(), 8);
@@ -184,14 +189,12 @@ void ShardedForecastService::SchedulerLoop() {
     }
     (void)RetrainCycle();
     // Per-shard failure backoff is in scheduler cycles (see
-    // retrain_scheduler.h), so the loop ticks at a constant period instead of
-    // stretching globally the way ForecastService's single-shard loop does —
-    // except under overload, where the degradation ladder widens the tick by
+    // retrain_scheduler.h), so the loop ticks at a constant period — except
+    // under overload, where the degradation ladder widens the tick by
     // 2^level until backlog drains (see OverloadController).
-    double interval = opts_.shard.retrain_interval_seconds *
-                      static_cast<double>(
-                          uint64_t{1}
-                          << overload_level_.load(std::memory_order_acquire));
+    double interval =
+        opts_.shard.retrain_interval_seconds *
+        OverloadIntervalScale(overload_level_.load(std::memory_order_acquire));
     auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -236,18 +239,12 @@ ServeStats ShardedForecastService::stats() const {
 
 ShardedServiceHealth ShardedForecastService::Health() const {
   ShardedServiceHealth h;
-  std::vector<uint64_t> waited;
-  {
-    MutexLock lock(&cycle_mu_);
-    waited = cycles_waited_;
-    h.cycles = cycle_counter_;
-  }
+  h.cycles = cycles_done_.load(std::memory_order_acquire);
   h.retrains_cancelled = retrains_cancelled_.load(std::memory_order_relaxed);
   h.overload_level = overload_level_.load(std::memory_order_acquire);
   h.effective_budget =
       static_cast<size_t>(effective_budget_.load(std::memory_order_relaxed));
-  h.interval_multiplier =
-      static_cast<double>(uint64_t{1} << h.overload_level);
+  h.interval_multiplier = OverloadIntervalScale(h.overload_level);
   bool any_backoff = false;
   bool any_degraded = false;
   bool any_trained = false;
@@ -276,10 +273,8 @@ ShardedServiceHealth ShardedForecastService::Health() const {
     row.last_retrain_seconds = shard.last_retrain_seconds();
     row.staleness_seconds = shard.staleness_seconds();
     row.last_error_age_seconds = shard.last_error_age_seconds();
-    row.cycles_waited = i < waited.size() ? waited[i] : 0;
+    row.cycles_waited = cycles_waited_[i].load(std::memory_order_relaxed);
     row.last_error = s.last_error;
-    // Service-wide ingest aggregates (the flat service has always reported
-    // these; the sharded Health now sums them across shards).
     h.events_accepted += s.events_accepted;
     h.events_dropped += s.events_dropped;
     h.events_quarantined += s.events_quarantined;
@@ -291,27 +286,27 @@ ShardedServiceHealth ShardedForecastService::Health() const {
     h.drops.pre_epoch += row.drops.pre_epoch;
     h.drops.future += row.drops.future;
     if (s.consecutive_failures > 0) {
-      row.state = ServiceHealth::State::kBackoff;
+      row.state = HealthState::kBackoff;
       any_backoff = true;
     } else if (snap->degraded_count() > 0) {
-      row.state = ServiceHealth::State::kDegraded;
+      row.state = HealthState::kDegraded;
       any_degraded = true;
     } else if (snap->trained()) {
-      row.state = ServiceHealth::State::kHealthy;
+      row.state = HealthState::kHealthy;
     } else {
-      row.state = ServiceHealth::State::kUntrained;
+      row.state = HealthState::kUntrained;
     }
     if (snap->trained()) any_trained = true;
     h.shards.push_back(std::move(row));
   }
   if (any_backoff) {
-    h.state = ServiceHealth::State::kBackoff;
+    h.state = HealthState::kBackoff;
   } else if (any_degraded) {
-    h.state = ServiceHealth::State::kDegraded;
+    h.state = HealthState::kDegraded;
   } else if (any_trained) {
-    h.state = ServiceHealth::State::kHealthy;
+    h.state = HealthState::kHealthy;
   } else {
-    h.state = ServiceHealth::State::kUntrained;
+    h.state = HealthState::kUntrained;
   }
   return h;
 }
@@ -381,30 +376,50 @@ Status ShardedForecastService::LoadFromFiles(const std::string& base_path,
         "replay would diverge)");
   }
 
-  std::vector<ServiceShard::ParsedState> parsed;
-  parsed.reserve(saved_count);
-  for (uint64_t i = 0; i < saved_count; ++i) {
-    auto file = ::dbaugur::LoadFromFile(ShardPath(base_path, i));
-    if (!file.ok()) return file.status();
-    BufReader r(file->blob);
+  // One shard file: its header must name this checkpoint, and the state
+  // section must fill the rest exactly. All shards share one option set, so
+  // shard 0 can validate any section.
+  auto parse_shard_file = [&](const std::vector<uint8_t>& blob, uint64_t id)
+      -> StatusOr<ServiceShard::ParsedState> {
+    BufReader r(blob);
+    uint32_t file_magic = 0;
+    uint32_t file_version = 0;
     uint64_t file_count = 0;
     uint64_t file_id = 0;
-    if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&file_count) ||
-        !r.U64(&file_id)) {
+    if (!r.U32(&file_magic) || !r.U32(&file_version) ||
+        !r.U64(&file_count) || !r.U64(&file_id)) {
       return corrupt();
     }
-    if (magic != kShardFileMagic) {
+    if (file_magic != kShardFileMagic) {
       return Status::InvalidArgument("serve: bad shard file magic");
     }
-    if (version != kShardedVersion || file_count != saved_count ||
-        file_id != i) {
+    if (file_version != kShardedVersion || file_count != saved_count ||
+        file_id != id) {
       return Status::InvalidArgument(
           "serve: shard file does not match checkpoint manifest");
     }
-    // All shards share one option set, so shard 0 can validate any section.
     auto state = shards_[0]->ParseStateSection(&r);
+    if (state.ok() && !r.AtEnd()) return corrupt();
+    return state;
+  };
+  // Not reserved by saved_count: the manifest is untrusted input, and a
+  // count with no shard files behind it fails at the first missing one.
+  std::vector<ServiceShard::ParsedState> parsed;
+  for (uint64_t i = 0; i < saved_count; ++i) {
+    const std::string path = ShardPath(base_path, i);
+    auto file = ::dbaugur::LoadFromFile(path);
+    if (!file.ok()) return file.status();
+    auto state = parse_shard_file(file->blob, i);
+    // The primary passed its checksum but failed validation; the previous
+    // good file may still restore cleanly.
+    if (!state.ok() && !file->recovered_from_backup) {
+      auto bak = ::dbaugur::LoadFromFile(path + ".bak");
+      if (bak.ok()) {
+        auto from_bak = parse_shard_file(bak->blob, i);
+        if (from_bak.ok()) state = std::move(from_bak);
+      }
+    }
     if (!state.ok()) return state.status();
-    if (!r.AtEnd()) return corrupt();
     parsed.push_back(std::move(state).value());
   }
 
@@ -447,7 +462,9 @@ Status ShardedForecastService::LoadFromFiles(const std::string& base_path,
     if (migrated != nullptr) *migrated = true;
   }
   // Restored shards start with a clean scheduling slate.
-  cycles_waited_.assign(shards_.size(), 0);
+  for (auto& waited : cycles_waited_) {
+    waited.store(0, std::memory_order_relaxed);
+  }
   return Status::OK();
 }
 

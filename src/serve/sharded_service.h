@@ -1,5 +1,6 @@
-// Sharded forecast serving: N independent ServiceShards behind a
-// deterministic hash router and a priority retrain scheduler.
+// Forecast serving: N independent ServiceShards behind a deterministic hash
+// router and a priority retrain scheduler. A single-shard deployment is
+// shard_count = 1.
 //
 //   ShardedServeOptions o;
 //   o.shard = serve_options;            // applied uniformly to every shard
@@ -18,9 +19,9 @@
 // and save/load. Every shard gets the same ServeOptions, including the same
 // base seed: shards draw from identically seeded streams at independently
 // persisted positions (cycle counters), so a shard_count=1 service is
-// bit-identical to ForecastService, and per-cluster forecasts at any shard
-// count match a single-shard run fed the same per-shard event interleavings
-// (pinned by tests/serve_shard_test.cpp).
+// bit-identical to a bare ServiceShard driven by RetrainOnce, and per-cluster
+// forecasts at any shard count match a single-shard run fed the same
+// per-shard event interleavings (pinned by tests/serve_shard_test.cpp).
 //
 // Retraining: each RetrainCycle samples per-shard signals (queue depth,
 // cycles waited, failure streak), asks serve/retrain_scheduler.h for a
@@ -45,19 +46,22 @@
 // deterministic ladder — each level halves the per-cycle retrain budget and
 // doubles the scheduler interval — shedding retrain work before queues blow
 // out, and walks back down automatically once lag drains. Level, effective
-// budget, and interval multiplier are surfaced in Health().
+// budget, and interval multiplier are surfaced in Health(), which reads
+// lock-free mirrors and so never waits behind an in-flight cycle.
 //
 // Checkpoint manifest format (all through common/binio's CRC32-framed
 // write-temp → fsync → rename path, previous good file kept as `.bak`):
 //   <base>.manifest : U32 magic, U32 version, U64 shard_count,
 //                     U64 bin_interval_seconds, U64 seed
 //   <base>.shard<i> : U32 magic, U32 version, U64 shard_count, U64 shard_id,
-//                     then the shard's v1 state section (see
+//                     then the shard's state section (see
 //                     ServiceShard::SaveStateSection)
 // Each file is individually crash-safe; restore is all-or-nothing in memory
-// (every file parsed and validated before any shard is touched). Because
-// shards persist independent seed-stream positions, a crash between shard
-// file writes leaves a mixed-epoch but still self-consistent checkpoint.
+// (every file parsed and validated before any shard is touched). A shard
+// file that passes its checksum but fails validation is retried from its
+// `.bak` previous good copy. Because shards persist independent seed-stream
+// positions, a crash between shard file writes leaves a mixed-epoch but
+// still self-consistent checkpoint.
 //
 // Shard-count migration: loading a checkpoint written with a different
 // shard_count re-partitions the binned history by re-hashing every template
@@ -106,11 +110,20 @@ struct ShardedServeOptions {
   OverloadOptions overload;
 };
 
+/// Serving state of one shard, or the worst of all shards.
+enum class HealthState {
+  kUntrained,  ///< No generation published yet.
+  kHealthy,    ///< Serving, no degraded clusters, no active failures.
+  kDegraded,   ///< Serving, but >= 1 cluster is on a fallback model.
+  kBackoff,    ///< Last retrain failed; the scheduler is backing off.
+};
+
 /// One shard's row in Health(): identity, serving state, queue pressure,
 /// retrain recency. All point-in-time, none block behind a retrain.
+/// Per-cluster degradation is on the snapshot (SnapshotCluster::degraded).
 struct ShardHealth {
   size_t shard_id = 0;
-  ServiceHealth::State state = ServiceHealth::State::kUntrained;
+  HealthState state = HealthState::kUntrained;
   uint64_t generation = 0;
   size_t cluster_count = 0;
   size_t degraded_clusters = 0;
@@ -137,12 +150,12 @@ struct ShardedServiceHealth {
   /// Worst-of aggregate: kBackoff if any shard is backing off, else
   /// kDegraded if any cluster anywhere is degraded, else kHealthy if any
   /// shard serves a trained snapshot, else kUntrained.
-  ServiceHealth::State state = ServiceHealth::State::kUntrained;
+  HealthState state = HealthState::kUntrained;
   uint64_t cycles = 0;  ///< Completed scheduler cycles.
 
-  /// Service-wide ingest aggregates (previously only per flat service):
-  /// accepted events, total drops, the quarantined subset, and the full
-  /// per-category drop breakdown summed across shards.
+  /// Service-wide ingest aggregates: accepted events, total drops, the
+  /// quarantined subset, and the full per-category drop breakdown summed
+  /// across shards.
   uint64_t events_accepted = 0;
   uint64_t events_dropped = 0;
   uint64_t events_quarantined = 0;
@@ -218,8 +231,11 @@ class ShardedForecastService {
   /// is the most recently observed one by generation).
   ServeStats stats() const;
 
-  /// Per-shard health rows + worst-of aggregate state.
-  ShardedServiceHealth Health() const DBAUGUR_EXCLUDES(cycle_mu_);
+  /// Per-shard health rows + worst-of aggregate state. Takes no service
+  /// lock, so it never waits behind an in-flight cycle; the scheduler fields
+  /// (cycles, cycles_waited, overload) are read from mirrors the last
+  /// completed cycle wrote.
+  ShardedServiceHealth Health() const;
 
   /// Writes the sharded checkpoint: one crash-safe file per shard, manifest
   /// last (see the format comment above). Queued events are folded into each
@@ -227,9 +243,10 @@ class ShardedForecastService {
   Status SaveToFiles(const std::string& base_path) DBAUGUR_EXCLUDES(cycle_mu_);
 
   /// Restores a SaveToFiles checkpoint. All-or-nothing: every file is parsed
-  /// and validated before any shard is mutated. A checkpoint written with a
-  /// different shard_count is migrated by re-hashing (see above);
-  /// `migrated` (optional) reports whether that happened.
+  /// and validated before any shard is mutated; on failure every shard keeps
+  /// serving what it served before. A checkpoint written with a different
+  /// shard_count is migrated by re-hashing (see above); `migrated`
+  /// (optional) reports whether that happened.
   Status LoadFromFiles(const std::string& base_path, bool* migrated = nullptr)
       DBAUGUR_EXCLUDES(cycle_mu_);
 
@@ -262,17 +279,19 @@ class ShardedForecastService {
   /// *under* this lock (on the pool's workers, supervised by this thread);
   /// readers never take it.
   mutable Mutex cycle_mu_;
-  std::vector<uint64_t> cycles_waited_ DBAUGUR_GUARDED_BY(cycle_mu_);
-  uint64_t cycle_counter_ DBAUGUR_GUARDED_BY(cycle_mu_) = 0;
   OverloadController overload_ DBAUGUR_GUARDED_BY(cycle_mu_);
+  /// Written only under cycle_mu_ (by each cycle and by restore), read
+  /// lock-free by Health() and SchedulerLoop: completed cycles, the cycles
+  /// each shard has waited since its last retrain, and the overload ladder.
   std::atomic<uint64_t> cycles_done_{0};
-  /// Mirrors of the overload ladder for lock-free Health()/SchedulerLoop
-  /// reads; written under cycle_mu_ each cycle.
+  std::vector<std::atomic<uint64_t>> cycles_waited_;
   std::atomic<uint64_t> overload_level_{0};
   std::atomic<uint64_t> effective_budget_{0};
   std::atomic<uint64_t> retrains_cancelled_{0};
 
-  Mutex lifecycle_mu_;  ///< Serializes Start/Stop/dtor (see ForecastService).
+  /// Serializes Start/Stop/dtor: worker_ is not a thread-safe object, so
+  /// racing Start/Stop calls must not touch it unsynchronized.
+  Mutex lifecycle_mu_;
   std::thread worker_ DBAUGUR_GUARDED_BY(lifecycle_mu_);
 
   Mutex stop_mu_;  ///< Guards stopping_, paired with stop_cv_.

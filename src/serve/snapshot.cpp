@@ -15,6 +15,16 @@ constexpr uint32_t kSnapshotMagic = 0xDBA65E01;
 // v2 added per-cluster model_kind + degraded flag/reason.
 constexpr uint32_t kSnapshotVersion = 2;
 
+// Smallest encodings of the records DeserializeSnapshot reads by count (a Str
+// or Bytes is a U32 length plus its bytes). Counts come from untrusted input,
+// so each is bounded by the records the reader can still supply before
+// anything is sized by it.
+constexpr size_t kMinTraceRecordBytes = 4 + 4 + 8;  // name, cluster, share
+constexpr size_t kMinClusterRecordBytes =
+    4 + 8 + 8 + 8 + 8 + 4 + 8 +  // id, volume, members, start, interval,
+                                 // representative name and length
+    8 + 1 + 1 + 4 + 4;           // next value, kind, degraded, reason, model
+
 // Constructs an untrained model of the given preset kind.
 StatusOr<std::unique_ptr<ensemble::TimeSensitiveEnsemble>> BuildByKind(
     const core::DBAugurOptions& opts, SnapshotCluster::ModelKind kind) {
@@ -243,6 +253,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
   auto snap = std::make_shared<ServiceSnapshot>();
   uint64_t traces = 0;
   if (!r->U64(&snap->generation) || !r->U64(&traces)) return corrupt();
+  if (traces > r->remaining() / kMinTraceRecordBytes) return corrupt();
   snap->trace_names.reserve(traces);
   snap->trace_cluster.reserve(traces);
   snap->trace_proportion.reserve(traces);
@@ -257,6 +268,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
   }
   uint64_t n_clusters = 0;
   if (!r->U64(&n_clusters)) return corrupt();
+  if (n_clusters > r->remaining() / kMinClusterRecordBytes) return corrupt();
   snap->clusters.reserve(n_clusters);
   for (uint64_t i = 0; i < n_clusters; ++i) {
     SnapshotCluster c;
@@ -273,6 +285,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
     }
     c.cluster_id = cid;
     c.member_count = members;
+    if (rep_len > r->remaining() / sizeof(double)) return corrupt();
     std::vector<double> rep_values(rep_len);
     for (uint64_t j = 0; j < rep_len; ++j) {
       if (!r->F64(&rep_values[j])) return corrupt();

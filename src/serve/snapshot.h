@@ -11,15 +11,15 @@
 // construction.
 //
 // Serialize/Deserialize turn a snapshot into one versioned binary section of
-// the full-service blob; restore rebuilds each cluster's ensemble from its
+// a shard's checkpoint file; restore rebuilds each cluster's ensemble from its
 // lossless float64 state and verifies the stored forecast reproduces
 // bit-identically, so a restarted service provably resumes with the same
 // forecasts it was serving before.
 //
 // Thread ownership: a ServiceSnapshot is deliberately lock-free — immutable
 // after construction, only ever shared as shared_ptr<const ServiceSnapshot>.
-// The one mutable hand-off (the service's snapshot pointer) lives in
-// ForecastService, where it is DBAUGUR_GUARDED_BY(snapshot_mu_) and
+// The one mutable hand-off (the shard's snapshot pointer) lives in
+// ServiceShard, where it is DBAUGUR_GUARDED_BY(snapshot_mu_) and
 // compile-checked under Clang's -Werror=thread-safety.
 
 #pragma once

@@ -5,7 +5,7 @@
 // pre-parsed events through the production ingest checked against the
 // sequential differential reference, the Descender batch/sequential cross-
 // check, and the deterministic migrate consumer. ChaosServiceTest adds the
-// whole ForecastService (retrains, invariants, save → load → resume
+// service leg at one shard (retrains, invariants, save → load → resume
 // equality); ChaosReplayTest adds the dbsim replay leg. ChaosCorpusTest
 // replays tests/chaos_corpus/corpus.txt, the regression corpus of seeds
 // worth keeping. ChaosFaultTest arms fault storms and requires the
@@ -45,7 +45,7 @@ ChaosOptions MatrixOptions(uint64_t seed, StreamProfile profile) {
 }
 
 void RunSeedRange(StreamProfile profile, uint64_t first_seed, uint64_t seeds,
-                  size_t shards = 1) {
+                  size_t shards = 0) {
   for (uint64_t s = first_seed; s < first_seed + seeds; ++s) {
     ChaosOptions o = MatrixOptions(s, profile);
     o.service_shards = shards;
@@ -57,9 +57,10 @@ void RunSeedRange(StreamProfile profile, uint64_t first_seed, uint64_t seeds,
 // --- the 200-seed deterministic matrix (50 per profile) ---------------------
 
 TEST(ChaosMatrixTest, Steady) {
-  // The steady profile runs the sharded leg too: every seed's stream through
+  // The steady profile runs the service leg too: every seed's stream through
   // a 3-shard ShardedForecastService, checked against the single-stream
-  // sequential reference (CompareShardedIngest).
+  // sequential reference (CompareShardedIngest) and, where the schedule is
+  // exact, save → load → resume equality.
   RunSeedRange(StreamProfile::kSteady, 1000, 50, /*shards=*/3);
 }
 
@@ -154,7 +155,7 @@ TEST(ChaosStreamTest, ProfileNamesRoundTrip) {
   EXPECT_FALSE(ParseProfile("no-such-profile").ok());
 }
 
-// --- full-service and replay legs -------------------------------------------
+// --- single-shard service and replay legs -----------------------------------
 
 ChaosOptions ServiceOptions(uint64_t seed, StreamProfile profile) {
   ChaosOptions o;
@@ -163,7 +164,7 @@ ChaosOptions ServiceOptions(uint64_t seed, StreamProfile profile) {
   o.stream.bins = 28;
   o.stream.templates = 4;
   o.stream.mean_rate = 2.0;
-  o.full_service = true;
+  o.service_shards = 1;
   return o;
 }
 
@@ -210,9 +211,8 @@ TEST(ChaosReplayTest, EveryProfileReplaysDeterministically) {
 struct CorpusEntry {
   uint64_t seed = 0;
   StreamProfile profile = StreamProfile::kSteady;
-  bool full = false;
   bool replay = false;
-  size_t shards = 1;
+  size_t shards = 0;
   size_t workers = 1;
   double deadline_seconds = 0.0;
   size_t budget = 0;
@@ -242,16 +242,14 @@ std::vector<CorpusEntry> LoadCorpus(const std::string& path) {
     std::string flag;
     bool bad_flag = false;
     while (fields >> flag) {
-      if (flag == "full") {
-        e.full = true;
-      } else if (flag == "replay") {
+      if (flag == "replay") {
         e.replay = true;
       } else if (flag.rfind("shards=", 0) == 0) {
         e.shards = static_cast<size_t>(
             std::strtoull(flag.c_str() + 7, nullptr, 10));
-        if (e.shards < 2) {
+        if (e.shards < 1) {
           ADD_FAILURE() << "corpus line " << lineno << ": shards=" << e.shards
-                        << " (needs >= 2 to run the sharded leg)";
+                        << " (needs >= 1 to run the service leg)";
           bad_flag = true;
         }
       } else if (flag.rfind("workers=", 0) == 0) {
@@ -282,7 +280,6 @@ TEST(ChaosCorpusTest, ReplaysEverySeedInTheCorpus) {
   ASSERT_FALSE(corpus.empty());
   for (const CorpusEntry& e : corpus) {
     ChaosOptions o = MatrixOptions(e.seed, e.profile);
-    o.full_service = e.full;
     o.replay = e.replay;
     o.service_shards = e.shards;
     o.service_workers = e.workers;
@@ -388,7 +385,7 @@ TEST_F(ChaosFaultTest, EnvArmedStormRunsFullPipeline) {
   }
   ASSERT_TRUE(fault::Configure(env).ok());
   ChaosOptions o = MatrixOptions(4244, StreamProfile::kMalformedHeavy);
-  o.full_service = true;
+  o.service_shards = 1;
   ChaosReport r = RunChaos(o);
   EXPECT_TRUE(r.ok) << r.Summary();
 }

@@ -1,9 +1,11 @@
 // Fault-tolerance tests for the serving layer: deterministic fault-injection
-// schedules, retrain backoff, input quarantine + winsorization, per-cluster
-// degraded mode with last-good / kernel-baseline fallbacks, and crash-safe
-// on-disk checkpoints (torn writes, bit flips, truncation → last-good
-// recovery). The final chaos test reads DBAUGUR_FAULT_SPEC and is what the
-// check.sh fault pass drives under ASan.
+// schedules, retrain backoff in scheduler cycles, input quarantine +
+// winsorization, per-cluster degraded mode with last-good / kernel-baseline
+// fallbacks, and crash-safe on-disk checkpoints (torn writes, bit flips,
+// truncation, CRC-valid but invalid payloads → last-good recovery; counts
+// read from disk never trusted). The service runs at shard_count = 1 unless a
+// test says otherwise. The final chaos test reads DBAUGUR_FAULT_SPEC and is
+// what the check.sh fault pass drives under ASan.
 
 #include <gtest/gtest.h>
 
@@ -13,17 +15,19 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/binio.h"
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
 #include "serve/ingestor.h"
-#include "serve/service.h"
+#include "serve/retrain_scheduler.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
 
@@ -67,9 +71,17 @@ ServeOptions FaultOptions() {
   return o;
 }
 
+// The single-shard deployment of `o`.
+ShardedServeOptions OneShard(const ServeOptions& o) {
+  ShardedServeOptions so;
+  so.shard = o;
+  so.shard_count = 1;
+  return so;
+}
+
 // Offers `bins` bins for `templates` templates with per-template scales far
 // enough apart that each template clusters alone (distinct, ordered volumes).
-void OfferScaledBins(ForecastService* svc, uint32_t templates,
+void OfferScaledBins(ShardedForecastService* svc, uint32_t templates,
                      int64_t first_bin, int64_t bins) {
   for (int64_t b = first_bin; b < first_bin + bins; ++b) {
     for (uint32_t t = 0; t < templates; ++t) {
@@ -159,62 +171,15 @@ TEST_F(FaultInjectionTest, MultiSiteSpecAndUnknownSiteStats) {
 }
 
 // --------------------------------------------------------------------------
-// Retrain failure handling: backoff schedule, last_error, Health().
-
-// Independent reimplementation of the backoff formula (SplitMix64 finalizer,
-// capped ldexp doubling, ±10% jitter) so the test pins the *schedule*, not
-// merely self-consistency.
-double ExpectedBackoff(const ServeOptions& o, uint64_t consecutive,
-                       uint64_t total) {
-  if (consecutive == 0) return o.retrain_interval_seconds;
-  int exp = static_cast<int>(std::min<uint64_t>(consecutive - 1, 60));
-  double delay =
-      std::min(std::ldexp(o.retrain_interval_seconds, exp), o.max_backoff_seconds);
-  uint64_t z = o.seed ^ total;
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
-  double unit = static_cast<double>(z >> 11) * 0x1.0p-53;
-  return delay * (0.9 + 0.2 * unit);
-}
-
-TEST_F(BackoffTest, ScheduleIsExactCappedAndJittered) {
-  ServeOptions o = FaultOptions();
-  o.retrain_interval_seconds = 1.0;
-  o.max_backoff_seconds = 60.0;
-  o.seed = 1234;
-  // Healthy: plain interval, no jitter.
-  EXPECT_EQ(ForecastService::ComputeBackoffSeconds(o, 0, 17), 1.0);
-  double prev_base = 0.0;
-  for (uint64_t f = 1; f <= 12; ++f) {
-    double got = ForecastService::ComputeBackoffSeconds(o, f, f);
-    EXPECT_EQ(got, ExpectedBackoff(o, f, f)) << "failure " << f;
-    double base = std::min(std::ldexp(1.0, static_cast<int>(f - 1)), 60.0);
-    // Jitter stays within ±10% of the capped exponential base...
-    EXPECT_GE(got, 0.9 * base - 1e-12);
-    EXPECT_LE(got, 1.1 * base + 1e-12);
-    // ...and the base itself never shrinks as failures accumulate.
-    EXPECT_GE(base, prev_base);
-    prev_base = base;
-  }
-  // Deep failure streaks saturate at the cap (±10%).
-  double deep = ForecastService::ComputeBackoffSeconds(o, 40, 40);
-  EXPECT_GE(deep, 0.9 * 60.0 - 1e-12);
-  EXPECT_LE(deep, 1.1 * 60.0 + 1e-12);
-  // The jitter is keyed on total_failures: the same streak length at a
-  // different point in history waits a different (deterministic) time.
-  EXPECT_NE(ForecastService::ComputeBackoffSeconds(o, 3, 3),
-            ForecastService::ComputeBackoffSeconds(o, 3, 7));
-}
+// Retrain failure handling: backoff in cycles, last_error, Health().
 
 TEST_F(BackoffTest, FailuresAreRecordedOnceAndClearedOnSuccess) {
-  ForecastService svc(FaultOptions());
+  ShardedForecastService svc(OneShard(FaultOptions()));
   OfferScaledBins(&svc, 2, 0, 12);
   ASSERT_TRUE(fault::Configure("serve.retrain.build=n:3").ok());
 
   for (int i = 1; i <= 3; ++i) {
-    Status st = svc.RetrainOnce();
+    Status st = svc.shard(0).RetrainOnce();
     ASSERT_FALSE(st.ok());
     EXPECT_NE(st.message().find("injected"), std::string::npos);
     ServeStats s = svc.stats();
@@ -224,35 +189,50 @@ TEST_F(BackoffTest, FailuresAreRecordedOnceAndClearedOnSuccess) {
     EXPECT_EQ(s.last_error_generation, 0u);  // failed before first publish
     EXPECT_EQ(s.last_error_cycles, 0u);
   }
-  ServiceHealth h = svc.Health();
-  EXPECT_EQ(h.state, ServiceHealth::State::kBackoff);
-  EXPECT_EQ(h.consecutive_failures, 3u);
-  EXPECT_EQ(h.backoff_seconds,
-            ForecastService::ComputeBackoffSeconds(svc.options(), 3, 3));
+  ShardedServiceHealth h = svc.Health();
+  EXPECT_EQ(h.state, HealthState::kBackoff);
+  ASSERT_EQ(h.shards.size(), 1u);
+  EXPECT_EQ(h.shards[0].state, HealthState::kBackoff);
+  EXPECT_EQ(h.shards[0].consecutive_failures, 3u);
+  EXPECT_NE(h.shards[0].last_error.find("injected"), std::string::npos);
+
+  // The scheduler backs the failing shard off in cycles: with traffic
+  // pending it stays unscheduled until it has waited BackoffCycles(3) = 4.
+  OfferScaledBins(&svc, 2, 12, 2);
+  for (uint64_t c = 0; c < BackoffCycles(3); ++c) {
+    EXPECT_TRUE(svc.RetrainCycle().empty()) << "cycle " << c;
+  }
+  EXPECT_EQ(svc.Health().shards[0].cycles_waited, BackoffCycles(3));
 
   // The schedule is exhausted: the next cycle trains, clears the streak, and
   // keeps the failure history (retrains_failed, last_error) for forensics.
-  ASSERT_TRUE(svc.RetrainOnce().ok());
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));
   ServeStats s = svc.stats();
   EXPECT_EQ(s.retrains_completed, 1u);
   EXPECT_EQ(s.retrains_failed, 3u);
   EXPECT_EQ(s.consecutive_failures, 0u);
   EXPECT_NE(s.last_error.find("injected"), std::string::npos);
   h = svc.Health();
-  EXPECT_EQ(h.state, ServiceHealth::State::kHealthy);
-  EXPECT_EQ(h.generation, 1u);
-  EXPECT_EQ(h.backoff_seconds, svc.options().retrain_interval_seconds);
-  ASSERT_EQ(h.clusters.size(), svc.snapshot()->cluster_count());
-  for (const auto& c : h.clusters) EXPECT_FALSE(c.degraded);
+  EXPECT_EQ(h.state, HealthState::kHealthy);
+  EXPECT_EQ(h.shards[0].generation, 1u);
+  EXPECT_EQ(h.shards[0].cycles_waited, 0u);
+  auto snap = svc.snapshot(0);
+  ASSERT_TRUE(snap->trained());
+  EXPECT_EQ(h.shards[0].cluster_count, snap->cluster_count());
+  EXPECT_EQ(h.shards[0].degraded_clusters, 0u);
+  for (const SnapshotCluster& c : snap->clusters) EXPECT_FALSE(c.degraded);
 }
 
 TEST_F(BackoffTest, UntrainedHealthBeforeAnyData) {
-  ForecastService svc(FaultOptions());
-  ServiceHealth h = svc.Health();
-  EXPECT_EQ(h.state, ServiceHealth::State::kUntrained);
-  EXPECT_EQ(h.generation, 0u);
-  EXPECT_TRUE(h.last_error.empty());
-  EXPECT_TRUE(h.clusters.empty());
+  ShardedForecastService svc(OneShard(FaultOptions()));
+  ShardedServiceHealth h = svc.Health();
+  EXPECT_EQ(h.state, HealthState::kUntrained);
+  ASSERT_EQ(h.shards.size(), 1u);
+  EXPECT_EQ(h.shards[0].state, HealthState::kUntrained);
+  EXPECT_EQ(h.shards[0].generation, 0u);
+  EXPECT_TRUE(h.shards[0].last_error.empty());
+  EXPECT_EQ(h.shards[0].cluster_count, 0u);
+  EXPECT_TRUE(svc.snapshot(0)->clusters.empty());
 }
 
 // --------------------------------------------------------------------------
@@ -260,8 +240,8 @@ TEST_F(BackoffTest, UntrainedHealthBeforeAnyData) {
 
 TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
   ServeOptions opts = FaultOptions();
-  ForecastService clean(opts);
-  ForecastService dirty(opts);
+  ShardedForecastService clean(OneShard(opts));
+  ShardedForecastService dirty(OneShard(opts));
   OfferScaledBins(&clean, 2, 0, 14);
   OfferScaledBins(&dirty, 2, 0, 14);
 
@@ -284,10 +264,10 @@ TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
   EXPECT_EQ(ds.events_quarantined, 7u);
   EXPECT_EQ(ds.events_dropped, 7u);
 
-  ASSERT_TRUE(clean.RetrainOnce().ok());
-  ASSERT_TRUE(dirty.RetrainOnce().ok());
-  auto a = clean.snapshot();
-  auto b = dirty.snapshot();
+  ASSERT_TRUE(clean.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(dirty.shard(0).RetrainOnce().ok());
+  auto a = clean.snapshot(0);
+  auto b = dirty.snapshot(0);
   ASSERT_TRUE(a->trained());
   ASSERT_EQ(a->cluster_count(), b->cluster_count());
   for (size_t rank = 0; rank < a->cluster_count(); ++rank) {
@@ -300,19 +280,18 @@ TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
 }
 
 TEST_F(QuarantineTest, FiniteOutlierIsWinsorizedBeforeTraining) {
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
+  ShardedForecastService svc(OneShard(FaultOptions()));
   OfferScaledBins(&svc, 2, 0, 14);
   // A finite positive spike passes the ingest quarantine (it could be a real
   // burst; it is recent enough to clear the lateness bound) but is ~1e10× the
   // series scale; the median/MAD clamp must pull it in before it reaches the
   // ensemble fit.
   ASSERT_TRUE(svc.Offer({0, 13 * kInterval + 60, 1e12}));
-  ASSERT_TRUE(svc.RetrainOnce().ok());
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
   ServeStats s = svc.stats();
   EXPECT_EQ(s.events_quarantined, 0u);
   EXPECT_GE(s.values_winsorized, 1u);
-  auto snap = svc.snapshot();
+  auto snap = svc.snapshot(0);
   ASSERT_TRUE(snap->trained());
   EXPECT_EQ(snap->degraded_count(), 0u);
   for (size_t rank = 0; rank < snap->cluster_count(); ++rank) {
@@ -328,19 +307,19 @@ TEST_F(QuarantineTest, FiniteOutlierIsWinsorizedBeforeTraining) {
 
 TEST_F(DegradedModeTest, DivergedClusterFallsBackToKernelBaselineFirstTrain) {
   ServeOptions opts = FaultOptions();
-  ForecastService control(opts);
-  ForecastService faulted(opts);
+  ShardedForecastService control(OneShard(opts));
+  ShardedForecastService faulted(OneShard(opts));
   OfferScaledBins(&control, 3, 0, 14);
   OfferScaledBins(&faulted, 3, 0, 14);
 
-  ASSERT_TRUE(control.RetrainOnce().ok());
+  ASSERT_TRUE(control.shard(0).RetrainOnce().ok());
   // Diverge exactly the first cluster examined by the snapshot build.
   ASSERT_TRUE(fault::Configure("serve.retrain.diverge=at:0").ok());
-  ASSERT_TRUE(faulted.RetrainOnce().ok());
+  ASSERT_TRUE(faulted.shard(0).RetrainOnce().ok());
   fault::Reset();
 
-  auto c = control.snapshot();
-  auto f = faulted.snapshot();
+  auto c = control.snapshot(0);
+  auto f = faulted.snapshot(0);
   ASSERT_TRUE(c->trained() && f->trained());
   ASSERT_EQ(c->cluster_count(), f->cluster_count());
   ASSERT_GE(f->cluster_count(), 2u);
@@ -367,19 +346,19 @@ TEST_F(DegradedModeTest, DivergedClusterFallsBackToKernelBaselineFirstTrain) {
     EXPECT_EQ(*fc, *ff);
   }
 
-  ServiceHealth h = faulted.Health();
-  EXPECT_EQ(h.state, ServiceHealth::State::kDegraded);
-  ASSERT_EQ(h.clusters.size(), f->cluster_count());
-  EXPECT_TRUE(h.clusters[0].degraded);
-  EXPECT_FALSE(h.clusters[1].degraded);
+  ShardedServiceHealth h = faulted.Health();
+  EXPECT_EQ(h.state, HealthState::kDegraded);
+  EXPECT_EQ(h.shards[0].state, HealthState::kDegraded);
+  EXPECT_EQ(h.shards[0].cluster_count, f->cluster_count());
+  EXPECT_EQ(h.shards[0].degraded_clusters, 1u);
 
   // A degraded snapshot round-trips: the kernel-baseline model kind is
   // persisted and the restored service reproduces every forecast bit-for-bit.
-  auto blob = faulted.Save();
-  ASSERT_TRUE(blob.ok());
-  ForecastService restored(opts);
-  ASSERT_TRUE(restored.Load(*blob).ok());
-  auto r = restored.snapshot();
+  const std::string base = ::testing::TempDir() + "dbaugur_degraded_ckpt";
+  ASSERT_TRUE(faulted.SaveToFiles(base).ok());
+  ShardedForecastService restored(OneShard(opts));
+  ASSERT_TRUE(restored.LoadFromFiles(base).ok());
+  auto r = restored.snapshot(0);
   ASSERT_EQ(r->cluster_count(), f->cluster_count());
   EXPECT_EQ(r->degraded_count(), 1u);
   EXPECT_EQ(r->clusters[0].model_kind,
@@ -394,18 +373,17 @@ TEST_F(DegradedModeTest, DivergedClusterFallsBackToKernelBaselineFirstTrain) {
 }
 
 TEST_F(DegradedModeTest, DivergedClusterServesLastGoodModelAfterFirstTrain) {
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
+  ShardedForecastService svc(OneShard(FaultOptions()));
   OfferScaledBins(&svc, 2, 0, 14);
-  ASSERT_TRUE(svc.RetrainOnce().ok());  // generation 1, all healthy
-  ASSERT_EQ(svc.snapshot()->degraded_count(), 0u);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());  // generation 1, all healthy
+  ASSERT_EQ(svc.snapshot(0)->degraded_count(), 0u);
 
   OfferScaledBins(&svc, 2, 14, 4);
   ASSERT_TRUE(fault::Configure("serve.retrain.diverge=at:0").ok());
-  ASSERT_TRUE(svc.RetrainOnce().ok());  // generation 2
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());  // generation 2
   fault::Reset();
 
-  auto snap = svc.snapshot();
+  auto snap = svc.snapshot(0);
   EXPECT_EQ(snap->generation, 2u);
   ASSERT_TRUE(snap->trained());
   EXPECT_EQ(snap->degraded_count(), 1u);
@@ -420,9 +398,9 @@ TEST_F(DegradedModeTest, DivergedClusterServesLastGoodModelAfterFirstTrain) {
 
   // Recovery: the next clean cycle re-fits everything and clears the flag.
   OfferScaledBins(&svc, 2, 18, 2);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_EQ(svc.snapshot()->degraded_count(), 0u);
-  EXPECT_EQ(svc.Health().state, ServiceHealth::State::kHealthy);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  EXPECT_EQ(svc.snapshot(0)->degraded_count(), 0u);
+  EXPECT_EQ(svc.Health().state, HealthState::kHealthy);
 }
 
 // --------------------------------------------------------------------------
@@ -442,141 +420,315 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
   ASSERT_TRUE(out.good()) << path;
 }
 
+// Removes a checkpoint's manifest and shard files with their `.bak`/`.tmp`
+// siblings, so every test starts from an empty slot.
+void RemoveCheckpoint(const std::string& base, size_t shards) {
+  std::vector<std::string> paths = {ShardedForecastService::ManifestPath(base)};
+  for (size_t i = 0; i < shards; ++i) {
+    paths.push_back(ShardedForecastService::ShardPath(base, i));
+  }
+  for (const std::string& p : paths) {
+    for (const char* suffix : {"", ".bak", ".tmp"}) {
+      std::remove((p + suffix).c_str());
+    }
+  }
+}
+
 TEST_F(CheckpointFaultTest, CorruptPrimarySweepRecoversLastGood) {
   ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
-  const std::string path = ::testing::TempDir() + "dbaugur_ckpt_sweep.bin";
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
+  ShardedForecastService svc(OneShard(opts));
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_sweep";
+  const std::string path = ShardedForecastService::ShardPath(base, 0);
+  const std::string manifest = ShardedForecastService::ManifestPath(base);
+  RemoveCheckpoint(base, 1);
 
   OfferScaledBins(&svc, 2, 0, 14);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(svc.SaveToFile(path).ok());  // generation 1 → primary
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // generation 1 → primary
   OfferScaledBins(&svc, 2, 14, 4);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(svc.SaveToFile(path).ok());  // generation 2 → primary, 1 → .bak
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // generation 2 → primary, 1 → .bak
 
   const std::vector<uint8_t> pristine = ReadFileBytes(path);
+  const std::vector<uint8_t> pristine_manifest = ReadFileBytes(manifest);
   ASSERT_GT(pristine.size(), 32u);
 
-  // Sanity: the intact primary restores generation 2 without recovery.
+  // Sanity: the intact primary restores generation 2.
   {
-    ForecastService fresh(opts);
-    bool recovered = true;
-    ASSERT_TRUE(fresh.LoadFromFile(path, &recovered).ok());
-    EXPECT_FALSE(recovered);
-    EXPECT_EQ(fresh.generation(), 2u);
+    ShardedForecastService fresh(OneShard(opts));
+    ASSERT_TRUE(fresh.LoadFromFiles(base).ok());
+    EXPECT_EQ(fresh.shard(0).generation(), 2u);
   }
 
-  ForecastService target(opts);
-  auto expect_recovers_gen1 = [&](const std::string& what) {
-    bool recovered = false;
-    Status st = target.LoadFromFile(path, &recovered);
+  // The restored generation tells which copy a load used: 2 is the primary,
+  // 1 the shard file's `.bak`.
+  ShardedForecastService target(OneShard(opts));
+  auto expect_restores = [&](uint64_t gen, const std::string& what) {
+    Status st = target.LoadFromFiles(base);
     ASSERT_TRUE(st.ok()) << what << ": " << st.message();
-    EXPECT_TRUE(recovered) << what;
-    EXPECT_EQ(target.generation(), 1u) << what;
+    EXPECT_EQ(target.shard(0).generation(), gen) << what;
   };
 
-  // Truncations: empty file, mid-header, mid-payload, missing footer byte.
-  for (size_t len : {size_t{0}, size_t{7}, size_t{15}, pristine.size() / 2,
-                     pristine.size() - 1}) {
-    std::vector<uint8_t> cut(pristine.begin(),
-                             pristine.begin() + static_cast<long>(len));
-    WriteFileBytes(path, cut);
-    expect_recovers_gen1("truncate to " + std::to_string(len));
-  }
-
-  // Bit flips: every byte of the 16-byte header and 4-byte CRC footer, plus a
-  // stride sweep across the CRC-covered payload. Every single flip must be
-  // caught by the frame checks and recover to the .bak generation.
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < 16; ++i) positions.push_back(i);
-  for (size_t i = pristine.size() - 4; i < pristine.size(); ++i) {
-    positions.push_back(i);
-  }
-  size_t stride = std::max<size_t>(1, (pristine.size() - 20) / 64);
-  for (size_t i = 16; i + 4 < pristine.size(); i += stride) {
-    positions.push_back(i);
-  }
-  for (size_t pos : positions) {
-    std::vector<uint8_t> bad = pristine;
-    bad[pos] ^= 0x40;
+  // Every single corruption of a frame — truncation (empty file, mid-header,
+  // mid-payload, missing footer byte) or a bit flip in the 16-byte header,
+  // the 4-byte CRC footer, or a stride across the CRC-covered payload — must
+  // be caught by the frame checks and recover the file's `.bak`.
+  auto corruptions = [](const std::vector<uint8_t>& good) {
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> out;
+    for (size_t len : {size_t{0}, size_t{7}, size_t{15}, good.size() / 2,
+                       good.size() - 1}) {
+      out.emplace_back(
+          "truncate to " + std::to_string(len),
+          std::vector<uint8_t>(good.begin(),
+                               good.begin() + static_cast<long>(len)));
+    }
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < 16; ++i) positions.push_back(i);
+    for (size_t i = good.size() - 4; i < good.size(); ++i) {
+      positions.push_back(i);
+    }
+    size_t stride = std::max<size_t>(1, (good.size() - 20) / 64);
+    for (size_t i = 16; i + 4 < good.size(); i += stride) {
+      positions.push_back(i);
+    }
+    for (size_t pos : positions) {
+      std::vector<uint8_t> bad = good;
+      bad[pos] ^= 0x40;
+      out.emplace_back("flip byte " + std::to_string(pos), std::move(bad));
+    }
+    return out;
+  };
+  for (const auto& [what, bad] : corruptions(pristine)) {
     WriteFileBytes(path, bad);
-    expect_recovers_gen1("flip byte " + std::to_string(pos));
+    expect_restores(1, "shard file " + what);
   }
+  WriteFileBytes(path, pristine);
+  // The manifest's `.bak` holds the same layout, so a corrupt manifest
+  // recovers without touching the generation-2 shard file.
+  for (const auto& [what, bad] : corruptions(pristine_manifest)) {
+    WriteFileBytes(manifest, bad);
+    expect_restores(2, "manifest " + what);
+  }
+  WriteFileBytes(manifest, pristine_manifest);
+  expect_restores(2, "pristine");
 
   // Both copies destroyed → a descriptive error, and the target keeps
-  // serving whatever it had (the last recovered generation).
+  // serving whatever it had (the last restored generation).
   WriteFileBytes(path, std::vector<uint8_t>{1, 2, 3});
   WriteFileBytes(path + ".bak", std::vector<uint8_t>{4, 5, 6});
-  bool recovered = false;
-  EXPECT_FALSE(target.LoadFromFile(path, &recovered).ok());
-  EXPECT_EQ(target.generation(), 1u);
+  EXPECT_FALSE(target.LoadFromFiles(base).ok());
+  EXPECT_EQ(target.shard(0).generation(), 2u);
 
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
+  RemoveCheckpoint(base, 1);
+}
+
+TEST_F(CheckpointFaultTest, CrcValidButInvalidShardFileRetriesItsBak) {
+  ServeOptions opts = FaultOptions();
+  ShardedForecastService svc(OneShard(opts));
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_bak_retry";
+  const std::string path = ShardedForecastService::ShardPath(base, 0);
+  RemoveCheckpoint(base, 1);
+
+  OfferScaledBins(&svc, 2, 0, 14);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // generation 1
+  const std::vector<uint8_t> gen1_file = ReadFileBytes(path);
+  OfferScaledBins(&svc, 2, 14, 4);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // generation 2
+
+  // Nudge the generation-2 cluster-0 forecast by one ulp and frame it with a
+  // valid CRC: the frame check passes, and it is ParseStateSection that
+  // rejects the primary (the restored ensemble no longer reproduces it).
+  auto framed = ::dbaugur::LoadFromFile(path);
+  ASSERT_TRUE(framed.ok());
+  std::vector<uint8_t> payload = framed->blob;
+  auto f0 = svc.snapshot(0)->ForecastCluster(0);
+  ASSERT_TRUE(f0.ok());
+  uint8_t pattern[8];
+  std::memcpy(pattern, &*f0, sizeof(pattern));
+  auto it = std::search(payload.begin(), payload.end(), std::begin(pattern),
+                        std::end(pattern));
+  ASSERT_NE(it, payload.end());
+  *it ^= 0x01;
+  ASSERT_TRUE(::dbaugur::SaveToFile(path, payload).ok());
+  WriteFileBytes(path + ".bak", gen1_file);
+
+  ShardedForecastService target(OneShard(opts));
+  Status st = target.LoadFromFiles(base);
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(target.shard(0).generation(), 1u);  // restored from `.bak`
+
+  // With the `.bak` invalid as well the load fails and changes nothing.
+  ASSERT_TRUE(::dbaugur::SaveToFile(path, payload).ok());
+  ShardedForecastService untouched(OneShard(opts));
+  EXPECT_FALSE(untouched.LoadFromFiles(base).ok());
+  EXPECT_EQ(untouched.shard(0).generation(), 0u);
+
+  RemoveCheckpoint(base, 1);
 }
 
 TEST_F(CheckpointFaultTest, InjectedSaveFaultsNeverDamageThePreviousFile) {
   ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
-  const std::string path = ::testing::TempDir() + "dbaugur_ckpt_faults.bin";
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
+  ShardedForecastService svc(OneShard(opts));
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_faults";
+  const std::string path = ShardedForecastService::ShardPath(base, 0);
+  RemoveCheckpoint(base, 1);
 
   OfferScaledBins(&svc, 2, 0, 14);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(svc.SaveToFile(path).ok());  // good generation-1 checkpoint
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // good generation-1 checkpoint
   const std::vector<uint8_t> good = ReadFileBytes(path);
 
   OfferScaledBins(&svc, 2, 14, 4);
-  ASSERT_TRUE(svc.RetrainOnce().ok());  // generation 2, not yet on disk
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());  // generation 2, not on disk
 
   // Torn write / failed fsync abort before any rename: the installed
-  // generation-1 primary is untouched, byte for byte.
+  // generation-1 shard file is untouched, byte for byte.
   for (const char* site : {"binio.save.write", "binio.save.sync"}) {
     ASSERT_TRUE(fault::Configure(std::string(site) + "=n:1").ok());
-    EXPECT_FALSE(svc.SaveToFile(path).ok()) << site;
+    EXPECT_FALSE(svc.SaveToFiles(base).ok()) << site;
     fault::Reset();
     EXPECT_EQ(ReadFileBytes(path), good) << site;
-    ForecastService fresh(opts);
-    bool recovered = true;
-    ASSERT_TRUE(fresh.LoadFromFile(path, &recovered).ok()) << site;
-    EXPECT_FALSE(recovered) << site;
-    EXPECT_EQ(fresh.generation(), 1u) << site;
+    ShardedForecastService fresh(OneShard(opts));
+    ASSERT_TRUE(fresh.LoadFromFiles(base).ok()) << site;
+    EXPECT_EQ(fresh.shard(0).generation(), 1u) << site;
   }
 
   // A failed final rename is the crash window between the two renames: the
   // primary has already moved to `.bak`, and recovery serves it from there.
   ASSERT_TRUE(fault::Configure("binio.save.rename=n:1").ok());
-  EXPECT_FALSE(svc.SaveToFile(path).ok());
+  EXPECT_FALSE(svc.SaveToFiles(base).ok());
   fault::Reset();
   {
-    ForecastService fresh(opts);
-    bool recovered = false;
-    ASSERT_TRUE(fresh.LoadFromFile(path, &recovered).ok());
-    EXPECT_TRUE(recovered);
-    EXPECT_EQ(fresh.generation(), 1u);
+    ShardedForecastService fresh(OneShard(opts));
+    ASSERT_TRUE(fresh.LoadFromFiles(base).ok());
+    EXPECT_EQ(fresh.shard(0).generation(), 1u);
     EXPECT_EQ(ReadFileBytes(path + ".bak"), good);
   }
 
   // With faults cleared the pending generation lands, atomically.
-  ASSERT_TRUE(svc.SaveToFile(path).ok());
-  ForecastService fresh(opts);
-  ASSERT_TRUE(fresh.LoadFromFile(path, nullptr).ok());
-  EXPECT_EQ(fresh.generation(), 2u);
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());
+  ShardedForecastService fresh(OneShard(opts));
+  ASSERT_TRUE(fresh.LoadFromFiles(base).ok());
+  EXPECT_EQ(fresh.shard(0).generation(), 2u);
 
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
-  std::remove((path + ".tmp").c_str());
+  RemoveCheckpoint(base, 1);
 }
 
 TEST_F(CheckpointFaultTest, LoadFromMissingFileFails) {
-  ForecastService svc(FaultOptions());
+  ShardedForecastService svc(OneShard(FaultOptions()));
   Status st =
-      svc.LoadFromFile(::testing::TempDir() + "dbaugur_no_such_ckpt.bin");
+      svc.LoadFromFiles(::testing::TempDir() + "dbaugur_no_such_ckpt");
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(svc.generation(), 0u);
+  EXPECT_EQ(svc.shard(0).generation(), 0u);
+}
+
+// --------------------------------------------------------------------------
+// Counts read from a checkpoint are untrusted: a CRC-valid file declaring
+// far more records than it holds is rejected before anything is sized by the
+// count, and the service keeps serving.
+
+void PutU64(std::vector<uint8_t>* b, size_t off, uint64_t v) {
+  ASSERT_LE(off + 8, b->size());
+  for (int i = 0; i < 8; ++i) {
+    (*b)[off + i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+constexpr uint64_t kHugeCount = uint64_t{1} << 60;
+
+// A generation-1 single-shard checkpoint at `base`, saved by `svc`.
+void SaveGenerationOne(ShardedForecastService* svc, const std::string& base) {
+  RemoveCheckpoint(base, 1);
+  OfferScaledBins(svc, 2, 0, 14);
+  ASSERT_TRUE(svc->shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(svc->SaveToFiles(base).ok());
+}
+
+TEST_F(CheckpointFaultTest, OversizedManifestShardCountIsRejected) {
+  ServeOptions opts = FaultOptions();
+  ShardedForecastService svc(OneShard(opts));
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_huge_manifest";
+  SaveGenerationOne(&svc, base);
+
+  // Manifest: U32 magic, U32 version, U64 shard_count, ... (sharded_service.h).
+  const std::string manifest = ShardedForecastService::ManifestPath(base);
+  auto framed = ::dbaugur::LoadFromFile(manifest);
+  ASSERT_TRUE(framed.ok());
+  std::vector<uint8_t> payload = framed->blob;
+  PutU64(&payload, 8, kHugeCount);
+  ASSERT_TRUE(::dbaugur::SaveToFile(manifest, payload).ok());
+  std::remove((manifest + ".bak").c_str());
+
+  ShardedForecastService target(OneShard(opts));
+  OfferScaledBins(&target, 2, 0, 14);
+  ASSERT_TRUE(target.shard(0).RetrainOnce().ok());
+  const auto before = target.snapshot(0);
+  EXPECT_FALSE(target.LoadFromFiles(base).ok());
+  EXPECT_EQ(target.snapshot(0), before);  // still serving its generation 1
+  EXPECT_EQ(target.shard(0).generation(), 1u);
+
+  RemoveCheckpoint(base, 1);
+}
+
+TEST_F(CheckpointFaultTest, OversizedSnapshotCountsAreRejected) {
+  ServeOptions opts = FaultOptions();
+  ShardedForecastService svc(OneShard(opts));
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_huge_counts";
+  SaveGenerationOne(&svc, base);
+  const std::string path = ShardedForecastService::ShardPath(base, 0);
+  auto framed = ::dbaugur::LoadFromFile(path);
+  ASSERT_TRUE(framed.ok());
+  const std::vector<uint8_t> payload = framed->blob;
+
+  // Walk the shard file to the three counts DeserializeSnapshot reads before
+  // any record: traces, clusters, and cluster 0's representative length.
+  BufReader r(payload);
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  uint8_t u8 = 0;
+  int32_t i32 = 0;
+  int64_t i64 = 0;
+  double f64 = 0.0;
+  std::string str;
+  std::vector<uint8_t> bytes;
+  // Shard file header, then the state section up to the snapshot's Bytes
+  // length prefix, then the snapshot's magic, version and generation.
+  ASSERT_TRUE(r.U32(&u32) && r.U32(&u32) && r.U64(&u64) && r.U64(&u64));
+  ASSERT_TRUE(r.U64(&u64) && r.Bytes(&bytes) && r.U8(&u8) && u8 == 1);
+  ASSERT_TRUE(r.U32(&u32) && r.U32(&u32) && r.U32(&u32) && r.U64(&u64));
+  const size_t traces_at = r.pos();
+  uint64_t traces = 0;
+  ASSERT_TRUE(r.U64(&traces));
+  for (uint64_t i = 0; i < traces; ++i) {
+    ASSERT_TRUE(r.Str(&str) && r.I32(&i32) && r.F64(&f64));
+  }
+  const size_t clusters_at = r.pos();
+  ASSERT_TRUE(r.U64(&u64) && u64 > 0);
+  ASSERT_TRUE(r.I32(&i32) && r.F64(&f64) && r.U64(&u64) && r.I64(&i64) &&
+              r.I64(&i64) && r.Str(&str));
+  const size_t rep_len_at = r.pos();
+
+  ShardedForecastService target(OneShard(opts));
+  OfferScaledBins(&target, 2, 0, 14);
+  ASSERT_TRUE(target.shard(0).RetrainOnce().ok());
+  const auto before = target.snapshot(0);
+  const std::pair<const char*, size_t> counts[] = {
+      {"trace count", traces_at},
+      {"cluster count", clusters_at},
+      {"representative length", rep_len_at}};
+  for (const auto& [what, at] : counts) {
+    std::vector<uint8_t> bad = payload;
+    PutU64(&bad, at, kHugeCount);
+    ASSERT_TRUE(::dbaugur::SaveToFile(path, bad).ok()) << what;
+    std::remove((path + ".bak").c_str());
+    EXPECT_FALSE(target.LoadFromFiles(base).ok()) << what;
+    EXPECT_EQ(target.snapshot(0), before) << what;  // still serving
+  }
+  EXPECT_EQ(target.shard(0).generation(), 1u);
+
+  RemoveCheckpoint(base, 1);
 }
 
 // --------------------------------------------------------------------------
@@ -613,8 +765,13 @@ TEST_F(CheckpointFaultTest, SavesDuringCancelledRetrainCyclesStayLoadable) {
     (void)svc.RetrainCycle();  // clean last-good state before the storm
     ASSERT_TRUE(fault::Configure(storm).ok()) << storm;
 
+    // The cycler starts its cycles only when the first save is issued, so
+    // that save contends with the first stalled cycle instead of finding
+    // the storm already over.
+    std::atomic<bool> go{false};
     std::atomic<bool> done{false};
     std::thread cycler([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < 3; ++i) (void)svc.RetrainCycle();
       done.store(true, std::memory_order_release);
     });
@@ -622,18 +779,16 @@ TEST_F(CheckpointFaultTest, SavesDuringCancelledRetrainCyclesStayLoadable) {
     // behind an in-flight cycle, then must write a checkpoint that loads
     // all-or-nothing into a fresh service.
     const std::string base = ::testing::TempDir() + "dbaugur_cancel_ckpt";
-    int saves = 0;
-    while (!done.load(std::memory_order_acquire)) {
+    go.store(true, std::memory_order_release);
+    do {
       ASSERT_TRUE(svc.SaveToFiles(base).ok()) << storm;
-      ++saves;
       ShardedForecastService restored(so);
       ASSERT_TRUE(restored.LoadFromFiles(base).ok()) << storm;
       for (size_t s = 0; s < so.shard_count; ++s) {
         ASSERT_NE(restored.snapshot(s), nullptr) << storm;
       }
-    }
+    } while (!done.load(std::memory_order_acquire));
     cycler.join();
-    EXPECT_GE(saves, 1) << storm;
   }
 }
 
@@ -680,8 +835,7 @@ TEST_F(ServeFaultChaosTest, SurvivesEnvConfiguredFaultStorm) {
   }
   ASSERT_TRUE(fault::Configure(spec).ok()) << "bad DBAUGUR_FAULT_SPEC";
 
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
+  ShardedForecastService svc(OneShard(FaultOptions()));
   // Offers may bounce under an ingest-corruption storm — that is the point —
   // so unlike OfferScaledBins this helper tolerates rejection.
   auto offer_bins = [&svc](int64_t first_bin, int64_t bins) {
@@ -700,8 +854,8 @@ TEST_F(ServeFaultChaosTest, SurvivesEnvConfiguredFaultStorm) {
   int failures = 0;
   for (int cycle = 0; cycle < 8; ++cycle) {
     offer_bins(14 + 2 * cycle, 2);
-    if (!svc.RetrainOnce().ok()) ++failures;
-    auto snap = svc.snapshot();
+    if (!svc.shard(0).RetrainOnce().ok()) ++failures;
+    auto snap = svc.snapshot(0);
     ASSERT_NE(snap, nullptr);
     if (snap->trained()) {
       auto f = snap->ForecastCluster(0);
@@ -711,8 +865,8 @@ TEST_F(ServeFaultChaosTest, SurvivesEnvConfiguredFaultStorm) {
   }
   // Once the storm clears, the service recovers to a healthy publish.
   fault::Reset();
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_GE(svc.generation(), 1u);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  EXPECT_GE(svc.shard(0).generation(), 1u);
   ServeStats s = svc.stats();
   EXPECT_EQ(s.retrains_failed, static_cast<uint64_t>(failures));
   EXPECT_EQ(s.consecutive_failures, 0u);

@@ -1,9 +1,10 @@
 // Sharded serving tests: hash routing invariants, deterministic priority
-// scheduling with a starvation bound, shard_count=1 bit-identity against
-// ForecastService, multi-shard per-cluster forecast identity against a
-// single-shard reference, per-shard seed-stream positions across save/load,
-// re-hash migration key-set equality, and a concurrent producers + readers +
-// scheduler smoke the sanitizer presets (ASan/TSan) exercise.
+// scheduling with a starvation bound, shard_count=1 bit-identity against a
+// bare ServiceShard, multi-shard per-cluster forecast identity against the
+// single-shard service, per-shard seed-stream positions across save/load,
+// re-hash migration key-set equality, a Health() that never waits behind a
+// cycle, option contracts, and a concurrent producers + readers + scheduler
+// smoke the sanitizer presets (ASan/TSan) exercise.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/hashing.h"
 #include "serve/retrain_scheduler.h"
-#include "serve/service.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
 
@@ -152,7 +153,9 @@ TEST(RetrainSchedulerTest, FailureBackoffGatesEligibilityInCycles) {
   EXPECT_EQ(BackoffCycles(0), 0u);
   EXPECT_EQ(BackoffCycles(1), 1u);
   EXPECT_EQ(BackoffCycles(3), 4u);
-  EXPECT_EQ(BackoffCycles(64), uint64_t{1} << 16);  // capped
+  EXPECT_EQ(BackoffCycles(7), 64u);
+  EXPECT_EQ(BackoffCycles(8), 64u);  // capped at 64 cycles
+  EXPECT_EQ(BackoffCycles(64), 64u);
 
   RetrainSchedulerOptions o;
   // 2 failures -> backoff 2 cycles: ineligible at waited 1, eligible at 2.
@@ -195,31 +198,37 @@ TEST(RetrainSchedulerTest, StarvationBoundHoldsUnderConstantPressure) {
 }
 
 // ---------------------------------------------------------------------------
-// shard_count = 1: bit-identical to ForecastService.
+// shard_count = 1: bit-identical to a bare ServiceShard.
 
-TEST(ShardedServiceTest, SingleShardIsBitIdenticalToForecastService) {
+TEST(ShardedServiceTest, SingleShardIsBitIdenticalToABareServiceShard) {
   ServeOptions base = FastOptions();
-  ForecastService reference(base);
+  ServiceShard reference(base, 0);
   ShardedServeOptions so;
   so.shard = base;
   so.shard_count = 1;
   ShardedForecastService sharded(so);
 
-  auto offer_both = [&](int64_t first_bin, int64_t bins) {
+  auto offer_both = [&](ShardedForecastService* svc, int64_t first_bin,
+                        int64_t bins) {
     for (int64_t b = first_bin; b < first_bin + bins; ++b) {
       for (uint32_t t = 0; t < 6; ++t) {
         double count = 50.0 + 20.0 * std::sin(0.4 * static_cast<double>(b) +
                                               static_cast<double>(t));
         ASSERT_TRUE(reference.Offer(EventAt(t, b, count)));
-        ASSERT_TRUE(sharded.Offer(EventAt(t, b, count)));
+        ASSERT_TRUE(svc->Offer(EventAt(t, b, count)));
       }
     }
   };
+  auto serialized = [](const ServiceSnapshot& snap) {
+    BufWriter w;
+    EXPECT_TRUE(SerializeSnapshot(snap, &w).ok());
+    return w.Take();
+  };
 
-  offer_both(0, 12);
+  offer_both(&sharded, 0, 12);
   ASSERT_TRUE(reference.RetrainOnce().ok());
   EXPECT_EQ(sharded.RetrainCycle(), (std::vector<size_t>{0}));
-  offer_both(12, 2);
+  offer_both(&sharded, 12, 2);
   ASSERT_TRUE(reference.RetrainOnce().ok());
   EXPECT_EQ(sharded.RetrainCycle(), (std::vector<size_t>{0}));
 
@@ -230,11 +239,7 @@ TEST(ShardedServiceTest, SingleShardIsBitIdenticalToForecastService) {
   EXPECT_EQ(ref_snap->generation, sh_snap->generation);
 
   // Bit-identical snapshots: the serialized forms must match byte for byte.
-  BufWriter ref_w, sh_w;
-  ASSERT_TRUE(SerializeSnapshot(*ref_snap, &ref_w).ok());
-  ASSERT_TRUE(SerializeSnapshot(*sh_snap, &sh_w).ok());
-  EXPECT_EQ(ref_w.Take(), sh_w.Take());
-
+  EXPECT_EQ(serialized(*ref_snap), serialized(*sh_snap));
   for (size_t rank = 0; rank < ref_snap->cluster_count(); ++rank) {
     auto fr = ref_snap->ForecastCluster(rank);
     auto fs = sh_snap->ForecastCluster(rank);
@@ -244,36 +249,22 @@ TEST(ShardedServiceTest, SingleShardIsBitIdenticalToForecastService) {
   }
 
   // Save/load round trip: the single-shard checkpoint restores into a fresh
-  // sharded service, and the *next* retrain is bit-identical to the
-  // reference's next retrain (same seed-stream position).
+  // service, whose *next* retrain is bit-identical to the uninterrupted
+  // shard's next retrain (same seed-stream position).
   const std::string base_path = ::testing::TempDir() + "dbaugur_shard1_ckpt";
   ASSERT_TRUE(sharded.SaveToFiles(base_path).ok());
   ShardedForecastService restored(so);
   bool migrated = true;
   ASSERT_TRUE(restored.LoadFromFiles(base_path, &migrated).ok());
   EXPECT_FALSE(migrated);
-  auto blob = reference.Save();
-  ASSERT_TRUE(blob.ok());
-  ForecastService reference2(base);
-  ASSERT_TRUE(reference2.Load(*blob).ok());
 
-  for (int64_t b = 14; b < 16; ++b) {
-    for (uint32_t t = 0; t < 6; ++t) {
-      double count = 50.0 + 20.0 * std::sin(0.4 * static_cast<double>(b) +
-                                            static_cast<double>(t));
-      ASSERT_TRUE(reference2.Offer(EventAt(t, b, count)));
-      ASSERT_TRUE(restored.Offer(EventAt(t, b, count)));
-    }
-  }
-  ASSERT_TRUE(reference2.RetrainOnce().ok());
+  offer_both(&restored, 14, 2);
+  ASSERT_TRUE(reference.RetrainOnce().ok());
   EXPECT_EQ(restored.RetrainCycle(), (std::vector<size_t>{0}));
-  auto ref2_snap = reference2.snapshot();
+  auto ref2_snap = reference.snapshot();
   auto rest_snap = restored.snapshot(0);
   EXPECT_EQ(ref2_snap->generation, rest_snap->generation);
-  BufWriter w2a, w2b;
-  ASSERT_TRUE(SerializeSnapshot(*ref2_snap, &w2a).ok());
-  ASSERT_TRUE(SerializeSnapshot(*rest_snap, &w2b).ok());
-  EXPECT_EQ(w2a.Take(), w2b.Take());
+  EXPECT_EQ(serialized(*ref2_snap), serialized(*rest_snap));
 }
 
 // ---------------------------------------------------------------------------
@@ -306,9 +297,11 @@ TEST(ShardedServiceTest, MultiShardClustersMatchSingleShardBitIdentical) {
   // Traces within a group are identical (z-normalized DTW distance 0); a
   // tight radius keeps the three groups from chaining into one cluster.
   base.pipeline.clustering.radius = 1.0;
-  ForecastService reference(base);
-  ShardedServeOptions so;
-  so.shard = base;
+  ShardedServeOptions one;
+  one.shard = base;
+  one.shard_count = 1;
+  ShardedForecastService reference(one);
+  ShardedServeOptions so = one;
   so.shard_count = kShards;
   ShardedForecastService sharded(so);
 
@@ -321,11 +314,11 @@ TEST(ShardedServiceTest, MultiShardClustersMatchSingleShardBitIdentical) {
       }
     }
   }
-  ASSERT_TRUE(reference.RetrainOnce().ok());
+  EXPECT_EQ(reference.RetrainCycle(), (std::vector<size_t>{0}));
   std::vector<size_t> order = sharded.RetrainCycle();
   EXPECT_EQ(order.size(), kShards);  // every shard had pending traffic
 
-  auto ref_map = ClusterForecastsByMembers(*reference.snapshot());
+  auto ref_map = ClusterForecastsByMembers(*reference.snapshot(0));
   ASSERT_EQ(ref_map.size(), kShards);  // one cluster per group
   size_t matched = 0;
   for (size_t s = 0; s < kShards; ++s) {
@@ -502,15 +495,62 @@ TEST(ShardedServiceTest, HealthReportsPerShardRows) {
   for (size_t s = 0; s < kShards; ++s) {
     EXPECT_EQ(h.shards[s].shard_id, s);
   }
-  EXPECT_EQ(h.shards[0].state, ServiceHealth::State::kHealthy);
+  EXPECT_EQ(h.shards[0].state, HealthState::kHealthy);
   EXPECT_GE(h.shards[0].generation, 1u);
   EXPECT_GT(h.shards[0].cluster_count, 0u);
   EXPECT_GT(h.shards[0].last_retrain_seconds, 0.0);
   EXPECT_GE(h.shards[0].staleness_seconds, 0.0);
-  EXPECT_EQ(h.shards[1].state, ServiceHealth::State::kUntrained);
+  EXPECT_EQ(h.shards[1].state, HealthState::kUntrained);
   EXPECT_GT(h.shards[1].queue_depth, 0u);
   EXPECT_EQ(h.shards[2].events_accepted, 0u);
-  EXPECT_EQ(h.state, ServiceHealth::State::kHealthy);  // worst-of aggregate
+  EXPECT_EQ(h.state, HealthState::kHealthy);  // worst-of aggregate
+}
+
+TEST(ShardedServiceTest, HealthDoesNotWaitForAnInFlightCycle) {
+  fault::Reset();
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard_count = 1;
+  ShardedForecastService svc(so);
+  for (int64_t b = 0; b < 12; ++b) {
+    for (uint32_t id = 0; id < 3; ++id) {
+      ASSERT_TRUE(svc.Offer(EventAt(id, b, 20.0 + static_cast<double>(id))));
+    }
+  }
+  // The cycle's retrain stalls ~200ms in the slow fault; Health() called
+  // meanwhile must answer from the last completed cycle, not wait for this
+  // one to finish.
+  ASSERT_TRUE(fault::Configure("serve.retrain.slow=n:1").ok());
+  std::thread cycler([&svc] { (void)svc.RetrainCycle(); });
+  for (;;) {
+    auto st = fault::Stats("serve.retrain.slow");
+    if (st.ok() && st->hits >= 1) break;
+    std::this_thread::yield();
+  }
+  ShardedServiceHealth h = svc.Health();
+  EXPECT_EQ(svc.cycles(), 0u);  // the stalled cycle is still in flight
+  EXPECT_EQ(h.cycles, 0u);
+  ASSERT_EQ(h.shards.size(), 1u);
+  EXPECT_EQ(h.shards[0].generation, 0u);
+  cycler.join();
+  fault::Reset();
+  EXPECT_EQ(svc.cycles(), 1u);
+  EXPECT_EQ(svc.Health().shards[0].generation, 1u);
+}
+
+TEST(ShardedServiceDeathTest, MaxLevelPastTheShiftWidthAborts) {
+  // The ladder's interval multiplier is 2^level, so a max_level of 64 or
+  // more would shift a uint64_t by its width once reached.
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.overload.max_level = 64;
+  EXPECT_DEATH({ ShardedForecastService svc(so); }, "max_level must be < 64");
+  OverloadOptions oo;
+  oo.max_level = 63;
+  EXPECT_EQ(OverloadController(oo).IntervalScale(), 1.0);
+  oo.max_level = 64;
+  EXPECT_DEATH({ OverloadController controller(oo); },
+               "max_level must be < 64");
 }
 
 // ---------------------------------------------------------------------------
@@ -552,12 +592,25 @@ TEST(ShardedServiceTest, ConcurrentProducersReadersSchedulerSmoke) {
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Keep the load on until a retrain has published somewhere.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (svc.stats().generation == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
   stop.store(true, std::memory_order_release);
   for (std::thread& t : threads) t.join();
   svc.Stop();
   EXPECT_FALSE(svc.running());
   EXPECT_GT(svc.cycles(), 0u);
+  EXPECT_GE(svc.stats().generation, 1u);
   EXPECT_GT(svc.stats().events_accepted, 0u);
+  // Start/Stop are idempotent.
+  svc.Stop();
+  svc.Start();
+  EXPECT_TRUE(svc.running());
+  svc.Stop();
+  EXPECT_FALSE(svc.running());
 }
 
 }  // namespace

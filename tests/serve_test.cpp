@@ -1,7 +1,8 @@
 // Online serving tests: ingest queue semantics, binning, snapshot publication
-// and generation/staleness rules, full-service save/load with bit-identical
-// forecasts, and a concurrent producers + readers + retrainer smoke that the
-// sanitizer presets (ASan/TSan) exercise.
+// and generation/staleness rules, checkpoint save/load with bit-identical
+// forecasts, and a concurrent producers + readers + scheduler smoke that the
+// sanitizer presets (ASan/TSan) exercise. The service tests run the forecast
+// service at shard_count = 1, the single-shard deployment.
 
 #include <gtest/gtest.h>
 
@@ -9,13 +10,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/binio.h"
 #include "serve/ingestor.h"
-#include "serve/service.h"
+#include "serve/sharded_service.h"
 #include "serve/snapshot.h"
 
 namespace dbaugur::serve {
@@ -39,10 +43,18 @@ ServeOptions FastOptions() {
   return o;
 }
 
+/// The single-shard deployment of `o`.
+ShardedServeOptions OneShard(const ServeOptions& o) {
+  ShardedServeOptions so;
+  so.shard = o;
+  so.shard_count = 1;
+  return so;
+}
+
 /// Offers `bins` bins of synthetic arrivals for `templates` templates,
 /// starting at bin index `first_bin`. Every event lands in-queue (asserted).
-void OfferBins(ForecastService* svc, uint32_t templates, int64_t first_bin,
-               int64_t bins) {
+void OfferBins(ShardedForecastService* svc, uint32_t templates,
+               int64_t first_bin, int64_t bins) {
   for (int64_t b = first_bin; b < first_bin + bins; ++b) {
     for (uint32_t t = 0; t < templates; ++t) {
       double phase = static_cast<double>(b) * 0.4 + t;
@@ -183,25 +195,25 @@ TEST(TraceBinnerTest, StateRoundTripAndTruncationRejection) {
 }
 
 TEST(ForecastServiceTest, EmptySnapshotBeforeTraining) {
-  ForecastService svc(FastOptions());
-  auto snap = svc.snapshot();
+  ShardedForecastService svc(OneShard(FastOptions()));
+  auto snap = svc.snapshot(0);
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->generation, 0u);
   EXPECT_FALSE(snap->trained());
-  EXPECT_EQ(svc.ForecastCluster(0).status().code(),
+  EXPECT_EQ(snap->ForecastCluster(0).status().code(),
             StatusCode::kFailedPrecondition);
   // Not enough data: the cycle is a skip, not an error.
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_EQ(svc.generation(), 0u);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  EXPECT_EQ(svc.shard(0).generation(), 0u);
   EXPECT_EQ(svc.stats().retrains_skipped, 1u);
 }
 
 TEST(ForecastServiceTest, PublishesGenerationsAndKeepsOldSnapshotsFrozen) {
-  ForecastService svc(FastOptions());
+  ShardedForecastService svc(OneShard(FastOptions()));
   OfferBins(&svc, 3, 0, 16);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_EQ(svc.generation(), 1u);
-  auto gen1 = svc.snapshot();
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  EXPECT_EQ(svc.shard(0).generation(), 1u);
+  auto gen1 = svc.snapshot(0);
   ASSERT_TRUE(gen1->trained());
   EXPECT_EQ(gen1->trace_count(), 3u);
   auto f1 = gen1->ForecastCluster(0);
@@ -210,9 +222,9 @@ TEST(ForecastServiceTest, PublishesGenerationsAndKeepsOldSnapshotsFrozen) {
 
   // New data, new generation; a reader still holding gen1 sees it unchanged.
   OfferBins(&svc, 3, 16, 8);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_EQ(svc.generation(), 2u);
-  auto gen2 = svc.snapshot();
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  EXPECT_EQ(svc.shard(0).generation(), 2u);
+  auto gen2 = svc.snapshot(0);
   EXPECT_EQ(gen2->generation, 2u);
   EXPECT_EQ(gen1->generation, 1u);
   auto f1_again = gen1->ForecastCluster(0);
@@ -222,7 +234,9 @@ TEST(ForecastServiceTest, PublishesGenerationsAndKeepsOldSnapshotsFrozen) {
   // Trace-level forecasts scale the cluster forecast; every trace resolves.
   for (size_t i = 0; i < gen2->trace_count(); ++i) {
     auto ft = gen2->ForecastTrace(i);
-    if (ft.ok()) EXPECT_TRUE(std::isfinite(*ft));
+    if (ft.ok()) {
+      EXPECT_TRUE(std::isfinite(*ft));
+    }
   }
   ServeStats st = svc.stats();
   EXPECT_EQ(st.retrains_completed, 2u);
@@ -230,17 +244,17 @@ TEST(ForecastServiceTest, PublishesGenerationsAndKeepsOldSnapshotsFrozen) {
 }
 
 TEST(ForecastServiceTest, SaveLoadRoundTripServesIdenticalForecasts) {
-  ForecastService svc(FastOptions());
+  ShardedForecastService svc(OneShard(FastOptions()));
   OfferBins(&svc, 3, 0, 16);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  auto blob = svc.Save();
-  ASSERT_TRUE(blob.ok());
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  const std::string base = ::testing::TempDir() + "dbaugur_serve_roundtrip";
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());
 
-  ForecastService restored(FastOptions());
-  ASSERT_TRUE(restored.Load(*blob).ok());
-  EXPECT_EQ(restored.generation(), svc.generation());
-  auto a = svc.snapshot();
-  auto b = restored.snapshot();
+  ShardedForecastService restored(OneShard(FastOptions()));
+  ASSERT_TRUE(restored.LoadFromFiles(base).ok());
+  EXPECT_EQ(restored.shard(0).generation(), svc.shard(0).generation());
+  auto a = svc.snapshot(0);
+  auto b = restored.snapshot(0);
   ASSERT_EQ(a->cluster_count(), b->cluster_count());
   for (size_t rank = 0; rank < a->cluster_count(); ++rank) {
     auto fa = a->ForecastCluster(rank);
@@ -253,16 +267,18 @@ TEST(ForecastServiceTest, SaveLoadRoundTripServesIdenticalForecasts) {
     auto fa = a->ForecastTrace(i);
     auto fb = b->ForecastTrace(i);
     ASSERT_EQ(fa.ok(), fb.ok());
-    if (fa.ok()) EXPECT_EQ(*fa, *fb);
+    if (fa.ok()) {
+      EXPECT_EQ(*fa, *fb);
+    }
   }
 
   // The retrain seed stream resumed where it left off: retraining both
   // services on the same (persisted) history yields identical forecasts.
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(restored.RetrainOnce().ok());
-  EXPECT_EQ(svc.generation(), restored.generation());
-  auto a2 = svc.snapshot();
-  auto b2 = restored.snapshot();
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  ASSERT_TRUE(restored.shard(0).RetrainOnce().ok());
+  EXPECT_EQ(svc.shard(0).generation(), restored.shard(0).generation());
+  auto a2 = svc.snapshot(0);
+  auto b2 = restored.snapshot(0);
   ASSERT_EQ(a2->cluster_count(), b2->cluster_count());
   for (size_t rank = 0; rank < a2->cluster_count(); ++rank) {
     auto fa = a2->ForecastCluster(rank);
@@ -273,49 +289,60 @@ TEST(ForecastServiceTest, SaveLoadRoundTripServesIdenticalForecasts) {
 }
 
 TEST(ForecastServiceTest, LoadRejectsCorruptBlobsAndKeepsServing) {
-  ForecastService svc(FastOptions());
+  ShardedForecastService svc(OneShard(FastOptions()));
   OfferBins(&svc, 2, 0, 12);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  auto blob = svc.Save();
-  ASSERT_TRUE(blob.ok());
-  auto before = svc.snapshot();
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
+  const std::string base = ::testing::TempDir() + "dbaugur_serve_corrupt";
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());
+  const std::string shard_path = ShardedForecastService::ShardPath(base, 0);
+  auto framed = ::dbaugur::LoadFromFile(shard_path);
+  ASSERT_TRUE(framed.ok());
+  const std::vector<uint8_t> blob = framed->blob;
+  auto before = svc.snapshot(0);
   auto f_before = before->ForecastCluster(0);
   ASSERT_TRUE(f_before.ok());
 
+  // Every corrupt payload is re-framed with a valid CRC and no `.bak` to fall
+  // back on, so the frame check passes and validation has to reject it.
+  auto load = [&](const std::vector<uint8_t>& payload) {
+    EXPECT_TRUE(::dbaugur::SaveToFile(shard_path, payload).ok());
+    std::remove((shard_path + ".bak").c_str());
+    return svc.LoadFromFiles(base);
+  };
   // Bad magic.
-  std::vector<uint8_t> bad = *blob;
+  std::vector<uint8_t> bad = blob;
   bad[0] ^= 0xFF;
-  EXPECT_FALSE(svc.Load(bad).ok());
+  EXPECT_FALSE(load(bad).ok());
   // Truncated.
-  std::vector<uint8_t> cut(blob->begin(),
-                           blob->begin() + static_cast<long>(blob->size() / 2));
-  EXPECT_FALSE(svc.Load(cut).ok());
+  std::vector<uint8_t> cut(blob.begin(),
+                           blob.begin() + static_cast<long>(blob.size() / 2));
+  EXPECT_FALSE(load(cut).ok());
   // Nudge the stored cluster-0 forecast by one ulp: the restored ensemble
   // then no longer reproduces it and the bit-identity check must reject.
-  std::vector<uint8_t> flipped = *blob;
+  std::vector<uint8_t> flipped = blob;
   uint8_t pattern[8];
   std::memcpy(pattern, &*f_before, sizeof(pattern));
   auto it = std::search(flipped.begin(), flipped.end(), std::begin(pattern),
                         std::end(pattern));
   ASSERT_NE(it, flipped.end());
   *it ^= 0x01;
-  EXPECT_FALSE(svc.Load(flipped).ok());
+  EXPECT_FALSE(load(flipped).ok());
 
   // The service never stopped serving its original snapshot.
-  EXPECT_EQ(svc.generation(), 1u);
-  auto f_after = svc.ForecastCluster(0);
+  EXPECT_EQ(svc.shard(0).generation(), 1u);
+  auto f_after = svc.snapshot(0)->ForecastCluster(0);
   ASSERT_TRUE(f_after.ok());
   EXPECT_EQ(*f_after, *f_before);
 
-  // The pristine blob still loads.
-  EXPECT_TRUE(svc.Load(*blob).ok());
+  // The pristine payload still loads.
+  EXPECT_TRUE(load(blob).ok());
 }
 
 TEST(ForecastServiceTest, ConcurrentProducersReadersAndRetrainerSmoke) {
   ServeOptions opts = FastOptions();
   opts.pipeline.forecaster.window = 4;
   opts.pipeline.forecaster.epochs = 1;
-  ForecastService svc(opts);
+  ShardedForecastService svc(OneShard(opts));
   // Seed enough history that the first background cycle can train.
   OfferBins(&svc, 2, 0, 10);
   svc.Start();
@@ -340,7 +367,7 @@ TEST(ForecastServiceTest, ConcurrentProducersReadersAndRetrainerSmoke) {
   for (int q = 0; q < 2; ++q) {
     readers[q] = std::thread([&svc, &stop, &reads] {
       while (!stop.load(std::memory_order_relaxed)) {
-        auto snap = svc.snapshot();
+        auto snap = svc.snapshot(0);
         if (snap->trained()) {
           auto f = snap->ForecastCluster(0);
           if (f.ok()) reads.fetch_add(1, std::memory_order_relaxed);
@@ -352,7 +379,7 @@ TEST(ForecastServiceTest, ConcurrentProducersReadersAndRetrainerSmoke) {
 
   // Wait until at least one retrain published while the others keep running.
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (svc.generation() == 0 &&
+  while (svc.shard(0).generation() == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -361,7 +388,7 @@ TEST(ForecastServiceTest, ConcurrentProducersReadersAndRetrainerSmoke) {
   for (auto& t : readers) t.join();
   svc.Stop();
 
-  EXPECT_GE(svc.generation(), 1u);
+  EXPECT_GE(svc.shard(0).generation(), 1u);
   ServeStats st = svc.stats();
   EXPECT_GE(st.retrains_completed, 1u);
   EXPECT_GT(st.events_accepted, 0u);
@@ -434,7 +461,7 @@ TEST(ForecastServiceTest, SkewBoundsPassThroughToIngest) {
   ServeOptions o = FastOptions();
   o.min_timestamp_seconds = 100;
   o.max_timestamp_seconds = 2000;
-  ForecastService svc(o);
+  ShardedForecastService svc(OneShard(o));
   EXPECT_FALSE(svc.Offer({0, 99, 1.0}));
   EXPECT_FALSE(svc.Offer({0, 2001, 1.0}));
   EXPECT_TRUE(svc.Offer({0, 150, 1.0}));

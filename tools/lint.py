@@ -16,7 +16,7 @@ checks, so they cannot erode one "just this once" at a time:
   atomic-shared-ptr  No std::atomic<std::shared_ptr<...>> anywhere: libstdc++
                      12's free-function implementation trips TSan (GCC PR
                      101761). Use a mutex-guarded shared_ptr (see
-                     serve/service.h) instead.
+                     serve/shard.h) instead.
   raw-sync           No raw std:: sync primitives (std::mutex,
                      std::condition_variable, std::lock_guard,
                      std::unique_lock, std::scoped_lock, std::shared_mutex,
@@ -213,7 +213,7 @@ def check_atomic_shared_ptr(relpath, raw, stripped):
         r"std::atomic\s*<\s*std::shared_ptr",
         "std::atomic<std::shared_ptr<>> trips TSan on libstdc++ 12 "
         "(GCC PR 101761) — use a mutex-guarded shared_ptr "
-        "(see serve/service.h)",
+        "(see serve/shard.h)",
     )
     # atomic_load/atomic_store on shared_ptr hit the same libstdc++ paths.
     hits.extend(

@@ -3,7 +3,7 @@
 // A CancelToken is a one-way latch shared between a controller (the retrain
 // watchdog, a deadline enforcer, a shutdown path) and a worker running a long
 // computation. The controller calls Cancel(reason) once; the worker polls
-// cancelled() at natural checkpoints — cluster-fit boundaries, loop
+// cancelled() at natural checkpoints — member-fit boundaries, loop
 // iterations, fault-point sleeps — and unwinds with Status::Cancelled when it
 // observes the latch. Cancellation is advisory, never preemptive: a worker
 // that ignores the token simply finishes late, and a worker that honors it
@@ -17,7 +17,7 @@
 //   // controller, on deadline overrun:
 //   token.Cancel("watchdog: shard 3 exceeded 0.5s deadline");
 //
-// cancelled() is a single acquire load — cheap enough to poll per cluster
+// cancelled() is a single acquire load — cheap enough to poll per member
 // fit. The reason string is guarded by a leaf mutex (never held across any
 // other lock) so Cancel can race with reason() safely; the first Cancel wins
 // and later calls are no-ops, so the surfaced reason names the original

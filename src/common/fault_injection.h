@@ -42,6 +42,8 @@
 //                          ~200ms (deadline-overrun exercise), completing
 //                          normally unless cancelled first
 //   serve.retrain.diverge  snapshot build — marks one cluster's fit diverged
+//   core.fit.member        core::BuildTrainedState — fails one (member,
+//                          cluster) fit task before it trains
 //   binio.save.write       binio::SaveToFile — torn half-write, then error
 //   binio.save.sync        binio::SaveToFile — fsync failure before rename
 //   binio.save.rename      binio::SaveToFile — rename failure (tmp left)

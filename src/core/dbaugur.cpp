@@ -3,9 +3,9 @@
 #include <algorithm>
 
 #include "common/cancellation.h"
+#include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "ensemble/presets.h"
-#include "nn/gemm.h"
 
 namespace dbaugur::core {
 
@@ -72,14 +72,14 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   }
 
   // 2. Fit one DBAugur ensemble per top-K cluster on its average trace.
-  // Representatives are materialized serially; the independent per-cluster
-  // ensemble fits then run on the clustering thread pool. Each ensemble is
-  // seeded and self-contained, so results are identical at any lane count.
-  // The parallel path is skipped when a global GEMM pool is installed
-  // (ThreadPool::ParallelFor is not reentrant).
+  // Representatives and the K ensembles are built serially; the fits then
+  // run as one task per (member, cluster) pair.
   std::vector<cluster::ClusterInfo> top = state.descender->TopKClusters(opts.top_k);
-  state.forecasts.resize(top.size());
-  for (size_t rank = 0; rank < top.size(); ++rank) {
+  const size_t clusters = top.size();
+  state.forecasts.resize(clusters);
+  std::vector<std::unique_ptr<ensemble::TimeSensitiveEnsemble>> models(clusters);
+  size_t members = 0;
+  for (size_t rank = 0; rank < clusters; ++rank) {
     auto rep = state.descender->ClusterRepresentative(top[rank].id);
     if (!rep.ok()) return rep.status();
     ClusterForecast& cf = state.forecasts[rank];
@@ -87,48 +87,72 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
     cf.volume = top[rank].volume;
     cf.member_count = top[rank].members.size();
     cf.representative = std::move(rep).value();
-  }
-  auto fit_one = [&](size_t rank) {
-    ClusterForecast& cf = state.forecasts[rank];
-    // Cluster-fit-granularity cancellation: a latched token skips every rank
-    // not yet started. Fits mid-flight finish their cluster — cancellation is
-    // cooperative, and a single ensemble fit is the polling quantum.
-    if (cancel != nullptr && cancel->cancelled()) {
-      cf.fit_status = Status::Cancelled("fit skipped: build cancelled");
-      return;
-    }
     auto model = ensemble::MakeDBAugur(opts.forecaster, opts.delta);
     if (!model.ok()) {
       cf.fit_status = model.status();
+      continue;
+    }
+    models[rank] = std::move(model).value();
+    members = std::max(members, models[rank]->member_count());
+  }
+  // Task t fits member t / K of cluster t mod K. ParallelFor claims indices
+  // in order, so every cluster's WFGAN starts before any TCN and the short
+  // fits fill the lanes the long ones leave idle. This relies on the preset
+  // listing its members from most to least expensive. Each member owns an
+  // RNG seeded at construction and members share no mutable state, so the
+  // results are bit-identical at any lane count and on any pool.
+  const size_t tasks = clusters * members;
+  std::vector<Status> member_status(tasks);
+  auto fit_member = [&](size_t t) {
+    // Member-fit-granularity cancellation: a latched token skips every task
+    // not yet started. Fits mid-flight finish their member — cancellation is
+    // cooperative, and a single member fit is the polling quantum.
+    if (cancel != nullptr && cancel->cancelled()) {
+      member_status[t] = Status::Cancelled("fit skipped: build cancelled");
       return;
     }
-    cf.fit_status = (*model)->Fit(cf.representative.values());
-    if (cf.fit_status.ok()) cf.model = std::move(model).value();
+    if (DBAUGUR_FAULT_POINT("core.fit.member")) {
+      member_status[t] = Status::Internal("injected member fit failure");
+      return;
+    }
+    const size_t rank = t % clusters;
+    const size_t member = t / clusters;
+    ensemble::TimeSensitiveEnsemble* model = models[rank].get();
+    if (model == nullptr || member >= model->member_count()) return;
+    member_status[t] =
+        model->FitMember(member, state.forecasts[rank].representative.values());
   };
-  size_t lanes = std::min(opts.clustering.threads, std::max<size_t>(top.size(), 1));
-  if (fit_pool != nullptr && nn::GetGemmThreadPool() == nullptr) {
+  auto run = [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) fit_member(t);
+  };
+  const size_t lanes =
+      std::min(opts.clustering.threads, std::max<size_t>(tasks, 1));
+  if (fit_pool != nullptr) {
     // Caller-owned pool (one per retrain worker in the sharded service): the
     // spawn/join cost is amortized across every shard build on this worker.
-    fit_pool->ParallelFor(top.size(), 1,
-                          [&](size_t begin, size_t end) {
-                            for (size_t rank = begin; rank < end; ++rank) {
-                              fit_one(rank);
-                            }
-                          });
-  } else if (lanes > 1 && nn::GetGemmThreadPool() == nullptr) {
+    fit_pool->ParallelFor(tasks, 1, run);
+  } else if (lanes > 1) {
     ThreadPool pool(lanes);
-    pool.ParallelFor(top.size(), 1,
-                     [&](size_t begin, size_t end) {
-                       for (size_t rank = begin; rank < end; ++rank) fit_one(rank);
-                     });
+    pool.ParallelFor(tasks, 1, run);
   } else {
-    for (size_t rank = 0; rank < top.size(); ++rank) fit_one(rank);
+    run(0, tasks);
   }
   // A cancellation observed during the fits outranks tolerate_fit_failures:
   // the caller asked the build to stop, so it must not publish a snapshot
-  // built from whatever subset of clusters happened to finish.
+  // built from whatever subset of members happened to finish.
   if (cancel != nullptr && cancel->cancelled()) {
     return CancelledStatus(*cancel, "DBAugur: training");
+  }
+  // A cluster's status is its first failing member's, in member order — what
+  // a sequential Fit returns. Any failed member leaves the cluster unmodelled.
+  for (size_t rank = 0; rank < clusters; ++rank) {
+    ClusterForecast& cf = state.forecasts[rank];
+    if (models[rank] == nullptr) continue;
+    for (size_t member = 0; member < members && cf.fit_status.ok(); ++member) {
+      cf.fit_status = member_status[member * clusters + rank];
+    }
+    if (cf.fit_status.ok()) cf.fit_status = models[rank]->FinishFit();
+    if (cf.fit_status.ok()) cf.model = std::move(models[rank]);
   }
   if (!opts.tolerate_fit_failures) {
     for (const ClusterForecast& cf : state.forecasts) {

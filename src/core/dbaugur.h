@@ -81,25 +81,26 @@ struct TrainedState {
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const std::vector<ts::Series>& traces);
 
-/// As above, but Descender's pairwise sweep and the independent per-cluster
-/// ensemble fits run on the caller-owned `fit_pool` instead of pools
-/// constructed per call. The sharded serving layer passes one long-lived pool
-/// per retrain worker so concurrent shard builds don't each pay thread
-/// spawn/join. Null falls back to the default policy. The sweep merges in
-/// index order and each ensemble is seeded and self-contained, so results are
-/// bit-identical at any lane count and on any pool. The parallel fit path is
-/// skipped when a global GEMM pool is installed (ThreadPool::ParallelFor is
-/// not reentrant, and the fits may run GEMMs on that pool).
+/// As above, but Descender's pairwise sweep and the ensemble fits run on the
+/// caller-owned `fit_pool` instead of pools constructed per call. The sharded
+/// serving layer passes one long-lived pool per retrain worker so concurrent
+/// shard builds don't each pay thread spawn/join. Null falls back to a pool
+/// of min(clustering.threads, tasks) lanes built for the call, or to serial
+/// fits at one lane. The fits run as one task per (member, cluster) pair,
+/// every cluster's WFGAN before any TCN. The sweep merges in index order and
+/// each member is seeded and self-contained, so results are bit-identical at
+/// any lane count and on any pool. A cluster's fit_status is its first
+/// failing member's in member order, as TimeSensitiveEnsemble::Fit returns.
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const std::vector<ts::Series>& traces,
                                          ThreadPool* fit_pool);
 
 /// As above, plus cooperative cancellation: `cancel` (may be null) is polled
-/// at cluster-fit granularity — before clustering, between clustering and the
-/// fits, and at the top of every per-cluster ensemble fit. When the token is
-/// observed latched the build returns Status::Cancelled (code kCancelled)
+/// at member-fit granularity — before clustering, between clustering and the
+/// fits, and at the top of every (member, cluster) fit task. When the token
+/// is observed latched the build returns Status::Cancelled (code kCancelled)
 /// carrying the token's reason; any fits already running finish their current
-/// cluster, later ranks are skipped, and no partial state escapes. The serve
+/// member, later tasks are skipped, and no partial state escapes. The serve
 /// watchdog uses this to bound how long a hung or overrunning retrain can
 /// occupy a worker (see serve/retrain_workers.h).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,

@@ -12,18 +12,42 @@ void TimeSensitiveEnsemble::AddMember(
   members_.push_back(std::move(member));
 }
 
-Status TimeSensitiveEnsemble::Fit(const std::vector<double>& series) {
+void TimeSensitiveEnsemble::CheckDelta() const {
   // δ outside (0,1) makes the forecasting-distance recurrence Γ_t = δΓ_{t-1} +
   // e_t diverge or ignore history entirely — a configuration bug, not a data
   // condition, so it is a contract rather than a Status.
   DBAUGUR_CHECK(ens_.delta > 0.0 && ens_.delta < 1.0,
                 "ensemble attenuation delta must be in (0,1), got ",
                 ens_.delta);
+}
+
+Status TimeSensitiveEnsemble::Fit(const std::vector<double>& series) {
+  // The first member fit changes what the cache and the fitted flag vouch
+  // for; a later member's failure must not leave them serving.
+  cached_window_.clear();
+  cached_preds_.clear();
+  fitted_ = false;
+  for (size_t i = 0; i < members_.size(); ++i) {
+    DBAUGUR_RETURN_IF_ERROR(FitMember(i, series));
+  }
+  return FinishFit();
+}
+
+Status TimeSensitiveEnsemble::FitMember(size_t i,
+                                        const std::vector<double>& series) {
+  CheckDelta();
+  DBAUGUR_CHECK_LT(i, members_.size(), "ensemble member index");
+  if (fitted_) {
+    return Status::FailedPrecondition(
+        "ensemble: FitMember on a fitted ensemble (refit with Fit)");
+  }
+  return members_[i]->Fit(series);
+}
+
+Status TimeSensitiveEnsemble::FinishFit() {
+  CheckDelta();
   if (members_.empty()) {
     return Status::FailedPrecondition("ensemble: no members added");
-  }
-  for (auto& m : members_) {
-    DBAUGUR_RETURN_IF_ERROR(m->Fit(series));
   }
   gamma_.assign(members_.size(), 0.0);
   cached_window_.clear();

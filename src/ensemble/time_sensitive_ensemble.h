@@ -40,8 +40,23 @@ class TimeSensitiveEnsemble : public models::Forecaster {
   size_t member_count() const { return members_.size(); }
   const models::Forecaster& member(size_t i) const { return *members_[i]; }
 
-  /// Fits every member on the training series and resets the error state.
+  /// Fits every member on the training series and resets the error state:
+  /// FitMember for each member in order, then FinishFit. The ensemble counts
+  /// as unfitted from the first member fit on, so a refit that fails partway
+  /// leaves Predict failing with FailedPrecondition rather than serving a mix
+  /// of two fits.
   Status Fit(const std::vector<double>& series) override;
+
+  /// Fits member `i` alone (i < member_count()). Members share no mutable
+  /// state, so distinct members of one ensemble may fit concurrently. The
+  /// ensemble must not be fitted yet (fresh, or its last Fit failed);
+  /// FailedPrecondition otherwise.
+  Status FitMember(size_t i, const std::vector<double>& series);
+
+  /// Completes a member-wise fit once every FitMember returned OK: resets Γ
+  /// and the prediction cache and marks the ensemble fitted.
+  /// FailedPrecondition when the ensemble has no members.
+  Status FinishFit();
 
   /// Weighted fusion of member predictions using the current weights.
   StatusOr<double> Predict(const std::vector<double>& window) const override;
@@ -78,6 +93,8 @@ class TimeSensitiveEnsemble : public models::Forecaster {
  private:
   StatusOr<std::vector<double>> MemberPredictions(
       const std::vector<double>& window) const;
+  /// Aborts on δ outside (0,1).
+  void CheckDelta() const;
 
   models::ForecasterOptions opts_;
   EnsembleOptions ens_;

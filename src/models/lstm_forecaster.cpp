@@ -62,8 +62,19 @@ Status LstmForecaster::Fit(const std::vector<double>& series) {
   for (size_t e = 0; e < opts_.epochs; ++e) {
     DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
   }
+  ReleaseTrainingBuffers();
   fitted_ = true;
   return Status::OK();
+}
+
+void LstmForecaster::ReleaseTrainingBuffers() {
+  train_samples_ = std::vector<ts::WindowSample>();
+  for (nn::Matrix* m : {&xb_, &y_, &grad_}) *m = nn::Matrix();
+  for (std::vector<nn::Matrix>* v : {&xs_, &grad_hs_}) {
+    *v = std::vector<nn::Matrix>();
+  }
+  lstm_.ReleaseWorkspaces();
+  head_.ReleaseWorkspaces();
 }
 
 StatusOr<double> LstmForecaster::Predict(

@@ -24,6 +24,10 @@ class LstmForecaster : public Forecaster {
   explicit LstmForecaster(const ForecasterOptions& opts)
       : LstmForecaster(opts, LstmOptions{}) {}
 
+  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
+  /// step-shaped buffer: a fitted model keeps only its parameters, their
+  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
+  /// keep their buffers (allocation-free steady state across epochs).
   Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "LSTM"; }
@@ -41,6 +45,9 @@ class LstmForecaster : public Forecaster {
   Status LoadState(const std::vector<uint8_t>& buffer) override;
 
  private:
+  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
+  void ReleaseTrainingBuffers();
+
   ForecasterOptions opts_;
   LstmOptions lstm_opts_;
   mutable Rng rng_;

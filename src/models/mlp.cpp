@@ -60,8 +60,17 @@ Status MlpForecaster::Fit(const std::vector<double>& series) {
   for (size_t e = 0; e < opts_.epochs; ++e) {
     DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
   }
+  ReleaseTrainingBuffers();
   fitted_ = true;
   return Status::OK();
+}
+
+void MlpForecaster::ReleaseTrainingBuffers() {
+  train_samples_ = std::vector<ts::WindowSample>();
+  for (nn::Matrix* m : {&x_, &y_, &grad_}) *m = nn::Matrix();
+  l1_.ReleaseWorkspaces();
+  l2_.ReleaseWorkspaces();
+  l3_.ReleaseWorkspaces();
 }
 
 const nn::Matrix& MlpForecaster::ForwardBatch(const nn::Matrix& x) const {

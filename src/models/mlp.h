@@ -24,15 +24,21 @@ class MlpForecaster : public Forecaster {
   explicit MlpForecaster(const ForecasterOptions& opts)
       : MlpForecaster(opts, MlpOptions{}) {}
 
+  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
+  /// step-shaped buffer: a fitted model keeps only its parameters, their
+  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
+  /// keep their buffers (allocation-free steady state across epochs).
   Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "MLP"; }
   int64_t StorageBytes() const override;
   int64_t ParameterCount() const override;
 
-  /// Runs exactly one training epoch (used by Table II timing); Fit must have
-  /// prepared the dataset via PrepareTraining or a prior Fit call.
+  /// Builds the training dataset for TrainEpoch.
   Status PrepareTraining(const std::vector<double>& series);
+  /// Runs exactly one training epoch (used by Table II timing) on the dataset
+  /// PrepareTraining built; FailedPrecondition without one (Fit frees its
+  /// own).
   Status TrainEpoch();
 
   /// Parameter tensors in layer order (l1, l2, l3) — used by serialization.
@@ -44,6 +50,8 @@ class MlpForecaster : public Forecaster {
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& x) const;
+  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
+  void ReleaseTrainingBuffers();
 
   ForecasterOptions opts_;
   MlpOptions mlp_;

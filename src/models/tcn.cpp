@@ -88,8 +88,17 @@ Status TcnForecaster::Fit(const std::vector<double>& series) {
   for (size_t e = 0; e < opts_.epochs; ++e) {
     DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
   }
+  ReleaseTrainingBuffers();
   fitted_ = true;
   return Status::OK();
+}
+
+void TcnForecaster::ReleaseTrainingBuffers() {
+  train_samples_ = std::vector<ts::WindowSample>();
+  for (nn::Matrix* m : {&xb_, &y_, &grad_, &feats_}) *m = nn::Matrix();
+  for (nn::Tensor3* t : {&t_in_, &dt_}) *t = nn::Tensor3();
+  for (auto& b : blocks_) b->ReleaseWorkspaces();
+  head_.ReleaseWorkspaces();
 }
 
 const nn::Matrix& TcnForecaster::ForwardBatch(const nn::Matrix& xb) const {

@@ -30,6 +30,10 @@ class TcnForecaster : public Forecaster {
   explicit TcnForecaster(const ForecasterOptions& opts)
       : TcnForecaster(opts, TcnOptions{}) {}
 
+  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
+  /// step-shaped buffer: a fitted model keeps only its parameters, their
+  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
+  /// keep their buffers (allocation-free steady state across epochs).
   Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "TCN"; }
@@ -51,6 +55,8 @@ class TcnForecaster : public Forecaster {
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& xb) const;
+  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
+  void ReleaseTrainingBuffers();
 
   ForecasterOptions opts_;
   TcnOptions tcn_opts_;

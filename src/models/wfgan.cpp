@@ -196,8 +196,28 @@ Status WfganForecaster::Fit(const std::vector<double>& series) {
     auto st = TrainEpoch();
     if (!st.ok()) return st.status();
   }
+  ReleaseTrainingBuffers();
   fitted_ = true;
   return Status::OK();
+}
+
+void WfganForecaster::ReleaseTrainingBuffers() {
+  train_samples_ = std::vector<ts::WindowSample>();
+  for (nn::Matrix* m : {&xb_, &y_, &grad_pred_, &mse_grad_, &grad_real_,
+                        &grad_fake_, &grad_logit_, &real_labels_,
+                        &fake_labels_}) {
+    *m = nn::Matrix();
+  }
+  for (std::vector<nn::Matrix>* v :
+       {&xs_, &xs_real_, &xs_fake_, &g_grad_hs_, &d_grad_hs_}) {
+    *v = std::vector<nn::Matrix>();
+  }
+  g_lstm_.ReleaseWorkspaces();
+  g_attn_.ReleaseWorkspaces();
+  g_head_.ReleaseWorkspaces();
+  d_lstm_.ReleaseWorkspaces();
+  d_attn_.ReleaseWorkspaces();
+  d_head_.ReleaseWorkspaces();
 }
 
 StatusOr<double> WfganForecaster::Predict(

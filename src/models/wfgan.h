@@ -58,6 +58,10 @@ class WfganForecaster : public Forecaster {
   explicit WfganForecaster(const ForecasterOptions& opts)
       : WfganForecaster(opts, WfganOptions{}) {}
 
+  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
+  /// step-shaped buffer: a fitted model keeps only its parameters, their
+  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
+  /// keep their buffers (allocation-free steady state across epochs).
   Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "WFGAN"; }
@@ -105,6 +109,8 @@ class WfganForecaster : public Forecaster {
       const nn::Matrix& grad_logit) const;
   std::vector<nn::Param> GeneratorParams() const;
   std::vector<nn::Param> DiscriminatorParams() const;
+  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
+  void ReleaseTrainingBuffers();
 
   ForecasterOptions opts_;
   WfganOptions gan_;

@@ -170,6 +170,14 @@ std::vector<Param> TemporalAttention::Params() {
           {&v_, &dv_, "attn.v"}};
 }
 
+void TemporalAttention::ReleaseWorkspaces() {
+  for (std::vector<Matrix>* v : {&hs_, &u_, &dhs_}) *v = std::vector<Matrix>();
+  for (Matrix* m :
+       {&alpha_, &scores_, &context_, &dalpha_, &dscore_, &s_, &du_}) {
+    *m = Matrix();
+  }
+}
+
 void TemporalAttention::ZeroGrad() {
   dwa_.Fill(0.0);
   dba_.Fill(0.0);

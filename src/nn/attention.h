@@ -48,6 +48,11 @@ class TemporalAttention {
 
   std::vector<Param> Params();
   void ZeroGrad();
+  /// Frees the cached inputs, activations and backward workspaces and
+  /// forgets the cached pass (parameters and gradient accumulators stay).
+  /// The next full Forward re-sizes them; a partial pass or
+  /// LastStepInputGrad before it fails its DBAUGUR_CHECK.
+  void ReleaseWorkspaces();
 
   /// Attention weights of the last Forward call: [batch, T].
   const Matrix& last_weights() const { return alpha_; }

@@ -172,6 +172,14 @@ std::vector<Param> CausalConv1D::Params() {
   return {{&w_, &dw_, "conv.w"}, {&b_, &db_, "conv.b"}};
 }
 
+void CausalConv1D::ReleaseWorkspaces() {
+  all_steps_ = std::vector<size_t>();
+  batch_ = 0;
+  time_ = 0;
+  for (Matrix* m : {&col_, &out_mat_, &go_mat_, &dcol_}) *m = Matrix();
+  for (Tensor3* t : {&out_, &dx_}) *t = Tensor3();
+}
+
 TCNBlock::TCNBlock(size_t in_channels, size_t channels, size_t kernel,
                    size_t dilation, Rng* rng)
     : conv1_(in_channels, channels, kernel, dilation, rng),
@@ -277,6 +285,14 @@ const Tensor3& TCNBlock::Backward(const Tensor3& grad_output) {
     }
   }
   return dx_;
+}
+
+void TCNBlock::ReleaseWorkspaces() {
+  conv1_.ReleaseWorkspaces();
+  conv2_.ReleaseWorkspaces();
+  if (downsample_) downsample_->ReleaseWorkspaces();
+  all_steps_ = std::vector<size_t>();
+  for (Tensor3* t : {&a1_, &out_, &g_, &g2_, &dx_}) *t = Tensor3();
 }
 
 std::vector<Param> TCNBlock::Params() {

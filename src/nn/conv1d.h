@@ -51,6 +51,11 @@ class CausalConv1D {
   std::vector<size_t> ReadSteps(const std::vector<size_t>& out) const;
 
   std::vector<Param> Params();
+  /// Frees the im2col and GEMM workspaces, the forward output and the input
+  /// gradient, and forgets the cached input shape; parameters, gradient
+  /// accumulators and the step restriction stay. The next Forward re-sizes
+  /// them, and a Backward before it fails its shape check.
+  void ReleaseWorkspaces();
 
   size_t in_channels() const { return in_ch_; }
   size_t out_channels() const { return out_ch_; }
@@ -93,6 +98,10 @@ class TCNBlock {
   const Tensor3& Forward(const Tensor3& input);
   const Tensor3& Backward(const Tensor3& grad_output);
   std::vector<Param> Params();
+  /// CausalConv1D::ReleaseWorkspaces for every conv, plus the block's own
+  /// activations and workspaces. A Backward before the next Forward fails
+  /// its shape check.
+  void ReleaseWorkspaces();
 
   /// Restricts the block to output steps `steps` (ascending, distinct):
   /// conv2 and the downsample conv compute those steps and conv1 the steps

@@ -85,6 +85,10 @@ const Matrix& Dense::InputGrad(const Matrix& grad_output) {
   return dx_;
 }
 
+void Dense::ReleaseWorkspaces() {
+  for (Matrix* m : {&input_, &pre_act_, &output_, &g_, &dx_}) *m = Matrix();
+}
+
 std::vector<Param> Dense::Params() {
   return {{&w_, &dw_, "dense.w"}, {&b_, &db_, "dense.b"}};
 }

@@ -21,6 +21,10 @@ class Dense : public Layer {
   /// result and workspace).
   const Matrix& InputGrad(const Matrix& grad_output);
   std::vector<Param> Params() override;
+  /// Frees the forward caches and backward workspaces; parameters and
+  /// gradient accumulators stay. The next Forward re-sizes them, and a
+  /// Backward before it fails its shape check.
+  void ReleaseWorkspaces();
 
   size_t in_features() const { return in_; }
   size_t out_features() const { return out_; }

@@ -3,17 +3,10 @@
 #include <algorithm>
 
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "nn/simd_kernels.h"
 
 namespace dbaugur::nn {
 namespace {
-
-ThreadPool* g_gemm_pool = nullptr;
-
-// Minimum multiply-add count before a kernel is worth splitting across the
-// pool; below this the ParallelFor handoff costs more than it saves.
-constexpr size_t kParallelFlops = size_t{1} << 18;
 
 // --------------------------------------------------------------------------
 // Scalar tier: the register-tiled kernels that predate the vector tiers,
@@ -239,56 +232,21 @@ const RowKernels& ActiveKernels() {
   }
 }
 
-// True when the kernel is large enough to fan out across `rows` output rows.
-bool UsePool(size_t rows, size_t flops2) {
-  return g_gemm_pool != nullptr && g_gemm_pool->size() > 1 && rows > 1 &&
-         flops2 >= kParallelFlops;
-}
-
-size_t Grain(size_t rows) {
-  return std::max<size_t>(1, rows / (4 * g_gemm_pool->size()));
-}
-
 }  // namespace
-
-void SetGemmThreadPool(ThreadPool* pool) { g_gemm_pool = pool; }
-
-ThreadPool* GetGemmThreadPool() { return g_gemm_pool; }
 
 void GemmNN(size_t m, size_t k, size_t n, const double* a, const double* b,
             double* c, bool accumulate) {
-  const RowKernels& kern = ActiveKernels();
-  if (UsePool(m, 2 * m * k * n)) {
-    g_gemm_pool->ParallelFor(m, Grain(m), [&](size_t r0, size_t r1) {
-      kern.nn(r0, r1, k, n, a, b, c, accumulate);
-    });
-  } else {
-    kern.nn(0, m, k, n, a, b, c, accumulate);
-  }
+  ActiveKernels().nn(0, m, k, n, a, b, c, accumulate);
 }
 
 void GemmTN(size_t m, size_t k, size_t n, const double* a, const double* b,
             double* c, bool accumulate) {
-  const RowKernels& kern = ActiveKernels();
-  if (UsePool(k, 2 * m * k * n)) {
-    g_gemm_pool->ParallelFor(k, Grain(k), [&](size_t k0, size_t k1) {
-      kern.tn(k0, k1, m, k, n, a, b, c, accumulate);
-    });
-  } else {
-    kern.tn(0, k, m, k, n, a, b, c, accumulate);
-  }
+  ActiveKernels().tn(0, k, m, k, n, a, b, c, accumulate);
 }
 
 void GemmNT(size_t m, size_t k, size_t p, const double* a, const double* b,
             double* c, bool accumulate) {
-  const RowKernels& kern = ActiveKernels();
-  if (UsePool(m, 2 * m * k * p)) {
-    g_gemm_pool->ParallelFor(m, Grain(m), [&](size_t r0, size_t r1) {
-      kern.nt(r0, r1, k, p, a, b, c, accumulate);
-    });
-  } else {
-    kern.nt(0, m, k, p, a, b, c, accumulate);
-  }
+  ActiveKernels().nt(0, m, k, p, a, b, c, accumulate);
 }
 
 }  // namespace dbaugur::nn

@@ -12,19 +12,17 @@
 //  * Scalar tier (`DBAUGUR_SIMD=off`, non-x86 hosts): the PR-3 register-tiled
 //    kernels, unchanged. For a fixed output element the floating-point
 //    accumulation order is the same as the naive textbook loop (ascending
-//    over the reduction index), independent of register blocking and of the
-//    thread count, so results are bit-identical to nn::ref at any `threads`
-//    setting. The only intended difference from the legacy kernels is the
-//    removal of their `if (a == 0.0) continue` branch, which can flip the
-//    sign of a ±0.0 result but nothing else.
+//    over the reduction index), independent of register blocking, so results
+//    are bit-identical to nn::ref. The only intended difference from the
+//    legacy kernels is the removal of their `if (a == 0.0) continue` branch,
+//    which can flip the sign of a ±0.0 result but nothing else.
 //
 //  * Vector tiers (sse2/avx2/avx512): NN and TN keep the ascending reduction
 //    order per output element (they vectorize across output *columns*), so
 //    they differ from the scalar tier only by FMA contraction — a few ULP.
 //    NT vectorizes the reduction itself with W-wide partial sums and a
 //    horizontal reduce, which reassociates the sum; tests bound the error at
-//    a documented ULP tolerance. All tiers remain thread-count independent
-//    (parallelism still only partitions output rows).
+//    a documented ULP tolerance.
 //
 // The pre-PR naive kernels are retained under nn::ref as the ground truth for
 // equivalence tests and as the baseline timed by bench/nn_kernels.
@@ -33,18 +31,7 @@
 
 #include <cstddef>
 
-namespace dbaugur {
-class ThreadPool;
-}
-
 namespace dbaugur::nn {
-
-/// Installs the pool used to split large GEMMs by output-row block. nullptr
-/// (the default) or a pool of size 1 runs every kernel inline on the calling
-/// thread. The pool is borrowed, not owned; callers must keep it alive until
-/// they reset it. Not thread-safe against concurrent GEMM calls.
-void SetGemmThreadPool(ThreadPool* pool);
-ThreadPool* GetGemmThreadPool();
 
 /// c (m x n) = [c +] a (m x k) * b (k x n).
 void GemmNN(size_t m, size_t k, size_t n, const double* a, const double* b,

@@ -157,6 +157,17 @@ std::vector<Param> LSTM::Params() {
           {&b_, &db_, "lstm.b"}};
 }
 
+void LSTM::ReleaseWorkspaces() {
+  cache_ = std::vector<StepCache>();
+  steps_ = 0;
+  hs_ = std::vector<Matrix>();
+  dxs_ = std::vector<Matrix>();
+  for (Matrix* m :
+       {&zeros_, &z_, &dh_, &dz_, &dh_next_, &dc_next_, &dc_prev_}) {
+    *m = Matrix();
+  }
+}
+
 void LSTM::ZeroGrad() {
   dwx_.Fill(0.0);
   dwh_.Fill(0.0);

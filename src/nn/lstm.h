@@ -57,6 +57,11 @@ class LSTM {
 
   std::vector<Param> Params();
   void ZeroGrad();
+  /// Frees the per-step caches and backward workspaces and forgets the
+  /// cached pass (parameters and gradient accumulators stay). The next full
+  /// ForwardSequence re-sizes them; a partial pass, BackwardSequence or
+  /// LastStepInputGrad before it fails its DBAUGUR_CHECK.
+  void ReleaseWorkspaces();
 
   size_t input_size() const { return input_; }
   size_t hidden_size() const { return hidden_; }

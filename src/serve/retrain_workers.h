@@ -14,7 +14,7 @@
 // (or a poll quantum), cancels any task that overran — which covers both slow
 // retrains and genuinely hung workers, since a hung retrain simply never
 // reports done — and keeps supervising until every task completes. Because
-// cancellation is cooperative (tokens are polled at cluster-fit granularity;
+// cancellation is cooperative (tokens are polled at member-fit granularity;
 // see core::BuildTrainedState), a cancelled worker unwinds at its next
 // checkpoint, typically well within one deadline of the overrun, and the
 // cycle as a whole can never stall the publish loop behind one stuck shard.

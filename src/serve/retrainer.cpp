@@ -111,10 +111,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
           ++clamped;
         }
       }
-      if (clamped > 0) {
-        values_winsorized_ += clamped;
-        winsorized_by_trace_[t.name()] += clamped;
-      }
+      values_winsorized_ += clamped;
     }
   }
 

@@ -4,8 +4,8 @@
 // the TraceBinner accumulating drained events, the pipeline options, and a
 // deterministic seed stream. Each successful Rebuild draws one per-cycle seed
 // from the stream, winsorizes the binned traces (median/MAD outlier clamp),
-// runs the full offline pipeline (Descender clustering on the PR-2 thread
-// pool + per-cluster ensemble fits) via core::BuildTrainedState, and returns
+// runs the full offline pipeline (Descender clustering on the thread pool +
+// one fit task per ensemble member) via core::BuildTrainedState, and returns
 // a fresh immutable snapshot for the service to publish — substituting a
 // last-good or kernel-baseline fallback for any cluster whose fit failed or
 // diverged (see serve/snapshot.h). Restart determinism: the cycle counter is
@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -75,11 +74,11 @@ class Retrainer {
   /// the currently published snapshot; a diverged cluster falls back to its
   /// last-good model state, or the kernel baseline on first train.
   /// `fit_pool` (may be null) is a caller-owned thread pool for the
-  /// per-cluster ensemble fits — the sharded service passes one per retrain
+  /// ensemble member fits — the sharded service passes one per retrain
   /// worker; results are bit-identical with or without it.
   ///
   /// `cancel` (may be null) is a cooperative cancellation token polled at
-  /// cluster-fit granularity (see core::BuildTrainedState) and inside the
+  /// member-fit granularity (see core::BuildTrainedState) and inside the
   /// `serve.retrain.hang` / `serve.retrain.slow` fault sleeps. A cancelled
   /// cycle returns Status::Cancelled with the token's reason; the binner keeps
   /// everything folded so far and the cycle counter does not advance. A
@@ -98,10 +97,6 @@ class Retrainer {
 
   /// Total trace values clamped by the winsorizer across all cycles.
   uint64_t values_winsorized() const { return values_winsorized_; }
-  /// Cumulative clamp counts keyed by trace name (template / resource).
-  const std::map<std::string, uint64_t>& winsorized_by_trace() const {
-    return winsorized_by_trace_;
-  }
 
   /// Appends binner contents + cycle count to *w (part of a shard's
   /// checkpoint section).
@@ -129,7 +124,6 @@ class Retrainer {
   Rng seed_rng_;
   uint64_t cycles_ = 0;
   uint64_t values_winsorized_ = 0;
-  std::map<std::string, uint64_t> winsorized_by_trace_;
 };
 
 }  // namespace dbaugur::serve

@@ -134,10 +134,10 @@ class ServiceShard {
   /// A failure is recorded (stats + last_error, logged once) and returned;
   /// the published snapshot is untouched. Serialized against concurrent
   /// retrains and state install via retrain_mu_. `fit_pool` (may be null) is
-  /// a caller-owned pool for the per-cluster ensemble fits.
+  /// a caller-owned pool for the ensemble member fits.
   ///
   /// `cancel` (may be null) is a cooperative deadline/watchdog token (see
-  /// common/cancellation.h) polled at cluster-fit granularity. A cancelled
+  /// common/cancellation.h) polled at member-fit granularity. A cancelled
   /// cycle counts as a failure — it feeds the consecutive_failures backoff
   /// streak and retrains_cancelled — and additionally marks the shard
   /// degraded-stale: it keeps serving the last-good snapshot, with the cancel

@@ -38,8 +38,8 @@ ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
         overload_.DegradedBudget(opts_.retrain_budget, shards_.size()),
         std::memory_order_relaxed);
   }
-  // One long-lived fit pool per retrain worker: per-cluster ensemble fits
-  // inside a shard rebuild parallelize on the worker's own pool instead of
+  // One long-lived fit pool per retrain worker: the member fits inside a
+  // shard rebuild parallelize on the worker's own pool instead of
   // spawning a pool per build (see core::BuildTrainedState). Skipped when the
   // pipeline is configured single-threaded — the serial path is identical.
   size_t fit_threads = opts_.shard.pipeline.clustering.threads;

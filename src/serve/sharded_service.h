@@ -33,7 +33,7 @@
 //
 // Deadlines + watchdog: with retrain_deadline_seconds > 0, every shard
 // retrain runs under a per-task deadline with a cooperative CancelToken
-// polled at cluster-fit granularity. The scheduler thread watchdogs the cycle
+// polled at member-fit granularity. The scheduler thread watchdogs the cycle
 // while it waits: an overrunning or hung retrain (exercised by the
 // serve.retrain.hang / serve.retrain.slow fault points) is cancelled within
 // ~one deadline of the overrun, the shard keeps serving its last-good

@@ -50,9 +50,9 @@ struct SnapshotCluster {
   double volume = 0.0;
   size_t member_count = 0;
   ts::Series representative;
-  /// Trained ensemble, kept for the *next* retrain warm start and for
-  /// persistence. Readers must not call into it (mutable caches); they use
-  /// next_value below.
+  /// Trained ensemble, kept for checkpoints and as the degraded-mode
+  /// fallback a later cycle restores when its own fit fails. Readers must
+  /// not call into it (mutable caches); they use next_value below.
   std::unique_ptr<ensemble::TimeSensitiveEnsemble> model;
   /// Precomputed forecast of the representative's next value.
   double next_value = 0.0;

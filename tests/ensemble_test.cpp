@@ -138,6 +138,76 @@ TEST(EnsembleTest, GuardsAndErrors) {
   EXPECT_FALSE(ens.Observe(ConstSeries(8, 0.0), 1.0).ok());
 }
 
+// A stub whose forecast is 100 × its completed fits and whose Fit fails on
+// call number `fail_on` (1-based; 0 never fails).
+class CountingMember : public models::Forecaster {
+ public:
+  explicit CountingMember(int fail_on) : fail_on_(fail_on) {}
+  Status Fit(const std::vector<double>&) override {
+    if (++calls_ == fail_on_) return Status::Internal("stub fit failure");
+    ++fits_;
+    return Status::OK();
+  }
+  StatusOr<double> Predict(const std::vector<double>&) const override {
+    return 100.0 * fits_;
+  }
+  std::string name() const override { return "Counting"; }
+  int64_t StorageBytes() const override { return 8; }
+
+ private:
+  int fail_on_;
+  int calls_ = 0;
+  int fits_ = 0;
+};
+
+TEST(EnsembleTest, FailedRefitStopsServing) {
+  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, true});
+  ens.AddMember(std::make_unique<CountingMember>(0));
+  ens.AddMember(std::make_unique<CountingMember>(2));
+  const std::vector<double> w = ConstSeries(8, 1.0);
+  ASSERT_TRUE(ens.Fit(ConstSeries(20, 1.0)).ok());
+  auto first = ens.Predict(w);
+  ASSERT_TRUE(first.ok());
+  EXPECT_DOUBLE_EQ(*first, 100.0);
+  // The refit changes member 0, then member 1 fails: neither the cached
+  // forecast nor the half-refit members may serve.
+  EXPECT_EQ(ens.Fit(ConstSeries(20, 1.0)).code(), StatusCode::kInternal);
+  EXPECT_EQ(ens.Predict(w).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ens.Predict(ConstSeries(8, 2.0)).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ens.Observe(w, 1.0).code(), StatusCode::kFailedPrecondition);
+  // A refit that succeeds serves again.
+  ASSERT_TRUE(ens.Fit(ConstSeries(20, 1.0)).ok());
+  auto again = ens.Predict(w);
+  ASSERT_TRUE(again.ok());
+  EXPECT_DOUBLE_EQ(*again, 250.0);  // members at 3 and 2 fits
+}
+
+TEST(EnsembleTest, MemberWiseFitMatchesFit) {
+  TimeSensitiveEnsemble whole(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble parts(SmallOpts(), {0.9, true});
+  for (TimeSensitiveEnsemble* e : {&whole, &parts}) {
+    e->AddMember(std::make_unique<BiasedNaive>(0.0));
+    e->AddMember(std::make_unique<BiasedNaive>(2.0));
+  }
+  ASSERT_TRUE(whole.Fit(ConstSeries(20, 5.0)).ok());
+  // Members fit in any order; the ensemble serves only after FinishFit.
+  ASSERT_TRUE(parts.FitMember(1, ConstSeries(20, 5.0)).ok());
+  ASSERT_TRUE(parts.FitMember(0, ConstSeries(20, 5.0)).ok());
+  EXPECT_EQ(parts.Predict(ConstSeries(8, 5.0)).status().code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(parts.FinishFit().ok());
+  auto a = whole.Predict(ConstSeries(8, 5.0));
+  auto b = parts.Predict(ConstSeries(8, 5.0));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_EQ(*a, *b);
+  // A fitted ensemble refits through Fit only.
+  EXPECT_EQ(parts.FitMember(0, ConstSeries(20, 5.0)).code(),
+            StatusCode::kFailedPrecondition);
+  TimeSensitiveEnsemble empty(SmallOpts(), {0.9, true});
+  EXPECT_EQ(empty.FinishFit().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(EnsembleTest, DynamicBeatsWorstMemberOnRegimeShift) {
   // Series whose behaviour changes mid-stream: dynamic weighting should track
   // whichever member currently fits.

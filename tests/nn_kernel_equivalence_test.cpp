@@ -1,12 +1,11 @@
 // Property tests pinning the fused GEMM kernels to the pre-PR naive kernels.
 //
 // The determinism contract (nn/gemm.h) says every fused/into variant matches
-// the naive reference bit-for-bit — same per-element accumulation order — at
-// any thread count ON THE SCALAR DISPATCH TIER (the fixture forces it; vector
-// tiers are covered by simd_gemm_test at a documented ULP tolerance). These
-// tests exercise odd shapes (1xN, Nx1, prime dims), inputs salted with exact
-// zeros (the legacy kernels skipped zero operands), and thread counts 1, 2,
-// and 4.
+// the naive reference bit-for-bit — same per-element accumulation order — ON
+// THE SCALAR DISPATCH TIER (the fixture forces it; vector tiers are covered
+// by simd_gemm_test at a documented ULP tolerance). These tests exercise odd
+// shapes (1xN, Nx1, prime dims) and inputs salted with exact zeros (the
+// legacy kernels skipped zero operands).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 
 #include "common/rng.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 #include "nn/gemm.h"
 #include "nn/matrix.h"
 
@@ -26,9 +24,8 @@ struct Shape {
   size_t m, k, n;
 };
 
-// Odd shapes: degenerate rows/cols, primes, and one size big enough to cross
-// the kernel's parallel threshold with multiple register blocks and column
-// panels.
+// Odd shapes: degenerate rows/cols, primes, and one size big enough for
+// multiple register blocks and column panels.
 const Shape kShapes[] = {
     {1, 1, 1},  {1, 7, 1},   {7, 1, 13},  {1, 13, 31}, {31, 1, 1},
     {5, 3, 2},  {13, 7, 31}, {31, 31, 31}, {2, 64, 3},  {97, 89, 101},
@@ -56,30 +53,12 @@ void ExpectBitIdentical(const Matrix& got, const Matrix& want,
   }
 }
 
-// Runs `body` with the gemm pool unset and then set to 2 and 4 threads,
-// asserting the produced matrix is bit-identical across all three.
-template <typename Body>
-void ForEachThreadCount(Body body, const char* what) {
-  SetGemmThreadPool(nullptr);
-  Matrix base = body();
-  for (size_t threads : {2u, 4u}) {
-    ThreadPool pool(threads);
-    SetGemmThreadPool(&pool);
-    Matrix got = body();
-    SetGemmThreadPool(nullptr);
-    ExpectBitIdentical(got, base, what);
-  }
-}
-
 class KernelEquivalenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(simd::ForceTier(simd::Tier::kScalar));
   }
-  void TearDown() override {
-    simd::ResetForcedTier();
-    SetGemmThreadPool(nullptr);
-  }
+  void TearDown() override { simd::ResetForcedTier(); }
   Rng rng_{20240817};
 };
 
@@ -89,7 +68,6 @@ TEST_F(KernelEquivalenceTest, MatMulMatchesNaiveReference) {
     Matrix b = RandomWithZeros(s.k, s.n, &rng_);
     Matrix want(s.m, s.n, 0.0);
     ref::MatMul(s.m, s.k, s.n, a.data(), b.data(), want.data());
-    ForEachThreadCount([&] { return a.MatMul(b); }, "MatMul");
     ExpectBitIdentical(a.MatMul(b), want, "MatMul vs ref");
   }
 }
@@ -101,13 +79,6 @@ TEST_F(KernelEquivalenceTest, AddMatMulMatchesNaiveAccumulate) {
     Matrix seed = RandomWithZeros(s.m, s.n, &rng_);
     Matrix want = seed;
     ref::MatMul(s.m, s.k, s.n, a.data(), b.data(), want.data());
-    ForEachThreadCount(
-        [&] {
-          Matrix c = seed;
-          c.AddMatMul(a, b);
-          return c;
-        },
-        "AddMatMul");
     Matrix got = seed;
     got.AddMatMul(a, b);
     ExpectBitIdentical(got, want, "AddMatMul vs ref");
@@ -121,8 +92,6 @@ TEST_F(KernelEquivalenceTest, TransposeMatMulMatchesNaiveReference) {
     Matrix b = RandomWithZeros(s.m, s.n, &rng_);
     Matrix want(s.k, s.n, 0.0);
     ref::TransposeMatMul(s.m, s.k, s.n, a.data(), b.data(), want.data());
-    ForEachThreadCount([&] { return a.TransposeMatMul(b); },
-                       "TransposeMatMul");
     ExpectBitIdentical(a.TransposeMatMul(b), want, "TransposeMatMul vs ref");
   }
 }
@@ -134,13 +103,6 @@ TEST_F(KernelEquivalenceTest, AddTransposeMatMulMatchesNaiveAccumulate) {
     Matrix seed = RandomWithZeros(s.k, s.n, &rng_);
     Matrix want = seed;
     ref::TransposeMatMul(s.m, s.k, s.n, a.data(), b.data(), want.data());
-    ForEachThreadCount(
-        [&] {
-          Matrix c = seed;
-          c.AddTransposeMatMul(a, b);
-          return c;
-        },
-        "AddTransposeMatMul");
     Matrix got = seed;
     got.AddTransposeMatMul(a, b);
     ExpectBitIdentical(got, want, "AddTransposeMatMul vs ref");
@@ -154,8 +116,6 @@ TEST_F(KernelEquivalenceTest, MatMulTransposeMatchesNaiveReference) {
     Matrix b = RandomWithZeros(s.n, s.k, &rng_);
     Matrix want(s.m, s.n, 0.0);
     ref::MatMulTranspose(s.m, s.k, s.n, a.data(), b.data(), want.data());
-    ForEachThreadCount([&] { return a.MatMulTranspose(b); },
-                       "MatMulTranspose");
     ExpectBitIdentical(a.MatMulTranspose(b), want, "MatMulTranspose vs ref");
   }
 }
@@ -171,13 +131,6 @@ TEST_F(KernelEquivalenceTest, AddMatMulTransposeMatchesNaiveAccumulate) {
     ref::MatMulTranspose(s.m, s.k, s.n, a.data(), b.data(), prod.data());
     Matrix want = seed;
     want.Add(prod);
-    ForEachThreadCount(
-        [&] {
-          Matrix c = seed;
-          c.AddMatMulTranspose(a, b);
-          return c;
-        },
-        "AddMatMulTranspose");
     Matrix got = seed;
     got.AddMatMulTranspose(a, b);
     ExpectBitIdentical(got, want, "AddMatMulTranspose vs ref");

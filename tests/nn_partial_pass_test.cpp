@@ -20,6 +20,7 @@
 #include "common/simd.h"
 #include "nn/attention.h"
 #include "nn/conv1d.h"
+#include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/matrix.h"
 
@@ -443,6 +444,48 @@ TEST(PartialPassDeathTest, ContractViolationsAbort) {
   conv.set_steps({1, 5});
   EXPECT_DEATH(conv.Forward(RandomTensor(2, 1, 4, &rng)),
                "beyond the input's time length");
+}
+
+// ReleaseWorkspaces forgets the cached pass: a partial pass or a backward
+// that would read the freed caches aborts, and a full pass re-sizes them and
+// computes the same bits as before the release.
+TEST(PartialPassDeathTest, ReleasedWorkspacesRejectPassesThatReadThem) {
+  Rng rng(82);
+  LSTM lstm(1, 4, &rng);
+  TemporalAttention attn(4, 3, &rng);
+  Dense dense(4, 1, Activation::kIdentity, &rng);
+  TCNBlock block(1, 2, 2, 1, &rng);
+  CausalConv1D conv(1, 2, 2, 1, &rng);
+  const std::vector<Matrix> xs = RandomSequence(3, 2, 1, &rng);
+  const std::vector<Matrix> hs = RandomSequence(3, 2, 4, &rng);
+  const Tensor3 x = RandomTensor(2, 1, 5, &rng);
+  const Matrix h_last = lstm.ForwardSequence(xs).back();
+  const Matrix context = attn.Forward(hs);
+  const Matrix y = dense.Forward(hs[0]);
+  const Tensor3 out = block.Forward(x);
+  const Tensor3 conv_out = conv.Forward(x);
+  lstm.ReleaseWorkspaces();
+  attn.ReleaseWorkspaces();
+  dense.ReleaseWorkspaces();
+  block.ReleaseWorkspaces();
+  conv.ReleaseWorkspaces();
+
+  EXPECT_DEATH(lstm.ForwardSequence(xs, 2), "reuses steps \\[0, 2\\)");
+  EXPECT_DEATH(lstm.BackwardSequence(hs), "gradient count does not match");
+  EXPECT_DEATH(lstm.LastStepInputGrad(hs[0]), "needs a cached forward pass");
+  EXPECT_DEATH(attn.Forward(hs, 2), "reuses steps \\[0, 2\\)");
+  EXPECT_DEATH(attn.LastStepInputGrad(context),
+               "needs a cached forward pass");
+  EXPECT_DEATH(dense.Backward(y), "does not match forward output");
+  EXPECT_DEATH(block.Backward(out), "does not match the forward output");
+  EXPECT_DEATH(conv.Backward(conv_out), "does not match forward output");
+
+  EXPECT_TRUE(Same(lstm.ForwardSequence(xs).back(), h_last));
+  EXPECT_TRUE(Same(attn.Forward(hs), context));
+  EXPECT_TRUE(Same(dense.Forward(hs[0]), y));
+  const Tensor3& again = block.Forward(x);
+  EXPECT_TRUE(SameAt(again, out, {0, 1, 2, 3, 4}));
+  EXPECT_TRUE(SameAt(conv.Forward(x), conv_out, {0, 1, 2, 3, 4}));
 }
 
 }  // namespace

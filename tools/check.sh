@@ -13,8 +13,10 @@
 #   2d. Hang-storm smoke  (watchdog cancellation / degraded-stale / overload
 #                          slice re-run explicitly under ASan)
 #   3. TSan               (skipped with a warning if the toolchain lacks it)
-#   3b. Workers stress    (serve_workers suite repeated under TSan — worker
-#                          pool, watchdog, checkpoint-vs-cancel races)
+#   3b. Workers stress    (serve_workers suite and the member-level fit tasks
+#                          repeated under TSan — worker pool, watchdog,
+#                          checkpoint-vs-cancel races, one ensemble's members
+#                          fitting on different lanes)
 #   4. clang-tidy on src/ (skipped with a warning if clang-tidy is absent)
 #   5. thread-safety      (clang++ build with -Werror=thread-safety checking
 #                          the DBAUGUR_GUARDED_BY annotations; skipped with a
@@ -241,14 +243,19 @@ else
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDBAUGUR_SANITIZE=thread \
       -DDBAUGUR_ENABLE_DCHECKS=ON
-    # --- 3b. Concurrent-retrain stress: repeat the worker-pool, watchdog and
-    # checkpoint-vs-cancel suites under the race detector. The plain ctest
-    # pass above ran them once; the repeats shake out interleavings a single
-    # run can miss (worker claim order, cancel-vs-publish, save-vs-cancel).
-    if [[ -x build-tsan/tests/serve_workers_test ]]; then
-      note "tsan: serve_workers stress (3 repeats)"
+    # --- 3b. Concurrent-retrain stress: repeat the worker-pool, watchdog,
+    # checkpoint-vs-cancel and member-level fit-task suites under the race
+    # detector. The plain ctest pass above ran them once; the repeats shake
+    # out interleavings a single run can miss (worker claim order,
+    # cancel-vs-publish, save-vs-cancel, members of one ensemble fitting on
+    # different lanes).
+    if [[ -x build-tsan/tests/serve_workers_test &&
+          -x build-tsan/tests/fit_tasks_test ]]; then
+      note "tsan: serve_workers + fit tasks stress (3 repeats)"
       if ./build-tsan/tests/serve_workers_test \
           --gtest_filter='RetrainWorkerPoolTest.*:WorkerDeterminismTest.*:ServeWorkersFaultTest.*' \
+          --gtest_repeat=3 > /dev/null 2>&1 &&
+         ./build-tsan/tests/fit_tasks_test --gtest_filter='FitTasksTest.*' \
           --gtest_repeat=3 > /dev/null 2>&1; then
         record "tsan-workers-stress" "OK"
       else

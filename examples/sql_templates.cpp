@@ -88,7 +88,12 @@ int main() {
       "seats-left lookups land together despite their time shift — the DTW\n"
       "win over lock-step distances.\n",
       desc.trace_count(), desc.cluster_count(), desc.density_cluster_count());
-  std::printf("DTW/LB distance evaluations: %lld\n",
-              static_cast<long long>(desc.distance_evals()));
+  const dtw::PruningStats& st = desc.pruning_stats();
+  std::printf(
+      "candidate pairs: %lld rejected by LB_Kim, %lld by LB_Keogh, %lld full "
+      "DTW\n",
+      static_cast<long long>(st.kim_rejections),
+      static_cast<long long>(st.keogh_rejections),
+      static_cast<long long>(st.full_dtw));
   return 0;
 }

@@ -254,14 +254,12 @@ StatusOr<std::vector<size_t>> Descender::Neighbors(
       // Every non-pruned tree probe pays for a full DTW.
       stats_.full_dtw += tree_->distance_evals() - evals_before;
       stats_.tree_rejections += tree_->pruned_points() - pruned_before;
-      distance_evals_ += tree_->distance_evals() - evals_before;
     }
     scan_begin = tree_covered_;
   }
   // Exact cascade: LB_Kim -> LB_Keogh -> early-abandoning DTW.
   dtw::CascadingDtw cascade(opts_.dtw);
   for (size_t i = scan_begin; i < traces_.size(); ++i) {
-    ++distance_evals_;
     auto within = cascade.WithinRadius(values, DistanceRow(i), EnvelopeRow(i),
                                        opts_.radius);
     if (!within.ok()) return within.status();
@@ -339,7 +337,6 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
       tree_nbrs[bi] = tree_->RangeQuery({row.begin(), row.end()}, opts_.radius);
       stats_.full_dtw += tree_->distance_evals() - evals_before;
       stats_.tree_rejections += tree_->pruned_points() - pruned_before;
-      distance_evals_ += tree_->distance_evals() - evals_before;
     }
   }
 
@@ -417,7 +414,6 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
     adj.insert(adj.end(), row_nbrs[bi].begin(), row_nbrs[bi].end());
     for (size_t j : adj) adjacency_[j].push_back(gi);
     stats_ += row_stats[bi];
-    distance_evals_ += static_cast<int64_t>(gi - sweep_begin);
   }
   Relabel();
   return Status::OK();

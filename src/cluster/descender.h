@@ -114,9 +114,6 @@ class Descender {
   /// each cluster's volume and size.
   StatusOr<double> TraceProportion(size_t i) const;
 
-  /// Total DTW/LB evaluations (telemetry for the clustering ablation).
-  int64_t distance_evals() const { return distance_evals_; }
-
   /// Per-tier pruning telemetry accumulated over every insertion: LB_Kim /
   /// LB_Keogh / Ball-Tree rejections and full DTW computations.
   const dtw::PruningStats& pruning_stats() const { return stats_; }
@@ -157,7 +154,6 @@ class Descender {
   // Per cluster id: summed member volume (in ascending trace order) and size.
   std::vector<double> cluster_volumes_;
   std::vector<size_t> cluster_sizes_;
-  int64_t distance_evals_ = 0;
   dtw::PruningStats stats_;
   // Ball-Tree mode: persistent index over traces [0, tree_covered_); traces
   // past that point are pending (searched exactly until the next rebuild).

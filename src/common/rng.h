@@ -44,11 +44,6 @@ class Rng {
     return std::bernoulli_distribution(p)(engine_);
   }
 
-  /// Exponential draw with the given rate.
-  double Exponential(double rate) {
-    return std::exponential_distribution<double>(rate)(engine_);
-  }
-
   /// Returns a random permutation of {0, ..., n-1}.
   std::vector<size_t> Permutation(size_t n);
 

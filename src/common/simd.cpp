@@ -14,9 +14,7 @@ namespace {
 // (DBAUGUR_SIMD_HAS_* are PUBLIC defines on dbaugur_common), so dispatch must
 // never select a tier whose symbols were not emitted.
 Tier MaxCompiledTier() {
-#if defined(DBAUGUR_SIMD_HAS_AVX512)
-  return Tier::kAvx512;
-#elif defined(DBAUGUR_SIMD_HAS_AVX2)
+#if defined(DBAUGUR_SIMD_HAS_AVX2)
   return Tier::kAvx2;
 #elif defined(DBAUGUR_SIMD_HAS_SSE2)
   return Tier::kSse2;
@@ -27,11 +25,6 @@ Tier MaxCompiledTier() {
 
 Tier MaxCpuTier() {
 #if DBAUGUR_SIMD_X86
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512dq") &&
-      __builtin_cpu_supports("avx512vl")) {
-    return Tier::kAvx512;
-  }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
     return Tier::kAvx2;
   }
@@ -42,20 +35,19 @@ Tier MaxCpuTier() {
   return Tier::kScalar;
 }
 
-// Parses DBAUGUR_SIMD. Returns the cap, or kAvx512 (no cap) when unset;
+// Parses DBAUGUR_SIMD. Returns the cap, or kAvx2 (no cap) when unset;
 // unknown values warn once and impose no cap.
 Tier EnvCap() {
   const char* env = std::getenv("DBAUGUR_SIMD");
-  if (env == nullptr || *env == '\0') return Tier::kAvx512;
+  if (env == nullptr || *env == '\0') return Tier::kAvx2;
   if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0) {
     return Tier::kScalar;
   }
   if (std::strcmp(env, "sse2") == 0) return Tier::kSse2;
   if (std::strcmp(env, "avx2") == 0) return Tier::kAvx2;
-  if (std::strcmp(env, "avx512") == 0) return Tier::kAvx512;
   DBAUGUR_WARN("ignoring unknown DBAUGUR_SIMD value '"
-               << env << "' (want off|scalar|sse2|avx2|avx512)");
-  return Tier::kAvx512;
+               << env << "' (want off|scalar|sse2|avx2)");
+  return Tier::kAvx2;
 }
 
 // -1 = no override; otherwise the forced tier. Relaxed is enough: the value
@@ -94,7 +86,7 @@ void ResetForcedTier() {
   g_forced_tier.store(-1, std::memory_order_relaxed);
 }
 
-int SupportedTiers(Tier out[4]) {
+int SupportedTiers(Tier out[3]) {
   const int max = static_cast<int>(MaxSupportedTier());
   for (int t = 0; t <= max; ++t) out[t] = static_cast<Tier>(t);
   return max + 1;
@@ -108,8 +100,6 @@ const char* TierName(Tier t) {
       return "sse2";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }

@@ -17,26 +17,25 @@
 //     defined in simd.cpp, compiled with baseline flags — safe to call from
 //     anywhere.
 //
-//  2. The ISA wrapper types. Each supported ISA gets its own namespace
-//     (isa_sse2 / isa_avx2 / isa_avx512 / isa_scalar) so that per-tier TUs
-//     compiled with different -m flags never share mangled symbol names: an
-//     inline helper emitted with AVX-512 codegen must not be ODR-merged into
-//     a binary that runs on an AVX2-only host. `DBAUGUR_SIMD_ISA` names the
-//     widest namespace the current TU's flags permit; tier TUs use it via the
-//     `best` alias below.
+//  2. The ISA wrapper types. Each vector ISA gets its own namespace
+//     (isa_sse2 / isa_avx2) so that per-tier TUs compiled with different -m
+//     flags never share mangled symbol names: an inline helper emitted with
+//     AVX2 codegen must not be ODR-merged into a binary that runs on an
+//     SSE2-only host. `DBAUGUR_SIMD_ISA` names the widest namespace the
+//     current TU's flags permit; tier TUs use it via the `best` alias below.
+//     Non-x86 builds have neither: they compile no tier TU, and dispatch
+//     stays on the scalar tier.
 //
 // Numerics contract (see README "SIMD kernels & runtime dispatch"):
 //  - Min/Max follow the x86 semantics (second operand returned on NaN).
 //  - Fmadd(a,b,c) is a*b+c, fused (single rounding) on FMA-capable tiers and
-//    two-rounding on SSE2/scalar. Kernels that must stay bit-identical to the
+//    two-rounding on SSE2. Kernels that must stay bit-identical to the
 //    scalar tier (DTW) use explicit `a*b + c` instead.
 //  - Exp/Sigmoid/Tanh are Cephes-style polynomial approximations, within a
 //    few ULP of libm; inputs outside ±709 saturate.
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -51,14 +50,14 @@ namespace dbaugur::simd {
 // Dispatch tiers, widest last. On x86-64 kSse2 is always reachable (SSE2 is
 // baseline); kScalar runs the original untouched C++ kernels and is the
 // bit-exactness reference.
-enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAvx512 = 3 };
+enum class Tier : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
 
 // Widest tier the host CPU *and* this build support (env override ignored).
 Tier MaxSupportedTier();
 
 // Tier the dispatch tables use right now: ForceTier() override if set, else
 // min(MaxSupportedTier(), DBAUGUR_SIMD env cap). DBAUGUR_SIMD accepts
-// off|scalar|sse2|avx2|avx512 (unknown values warn once and are ignored).
+// off|scalar|sse2|avx2 (unknown values warn once and are ignored).
 Tier ActiveTier();
 
 // Test/bench hook: pin the dispatch tier. Returns false (and changes nothing)
@@ -67,12 +66,12 @@ bool ForceTier(Tier t);
 void ResetForcedTier();
 
 // All tiers from kScalar up to MaxSupportedTier(), for test sweeps.
-// Writes up to 4 entries into `out`, returns the count.
-int SupportedTiers(Tier out[4]);
+// Writes up to 3 entries into `out`, returns the count.
+int SupportedTiers(Tier out[3]);
 
 const char* TierName(Tier t);
 
-// Host CPU feature summary (e.g. "sse2 avx2 fma avx512f avx512dq avx512vl"),
+// Host CPU feature summary (e.g. "sse2 sse4.2 avx avx2 fma"),
 // for bench JSON provenance. Reflects the CPU, not the build or env cap.
 std::string CpuFeatures();
 
@@ -80,15 +79,10 @@ std::string CpuFeatures();
 // ISA selection for the current translation unit.
 // ---------------------------------------------------------------------------
 
-#if DBAUGUR_SIMD_X86 && defined(__AVX512F__) && defined(__AVX512DQ__) && \
-    defined(__AVX512VL__)
-#define DBAUGUR_SIMD_ISA isa_avx512
-#elif DBAUGUR_SIMD_X86 && defined(__AVX2__) && defined(__FMA__)
+#if DBAUGUR_SIMD_X86 && defined(__AVX2__) && defined(__FMA__)
 #define DBAUGUR_SIMD_ISA isa_avx2
 #elif DBAUGUR_SIMD_X86 && defined(__SSE2__)
 #define DBAUGUR_SIMD_ISA isa_sse2
-#else
-#define DBAUGUR_SIMD_ISA isa_scalar
 #endif
 
 // ---------------------------------------------------------------------------
@@ -144,68 +138,6 @@ inline V TanhImpl(V x) {
 }
 
 }  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Pure-scalar fallback "vectors" (width 1). Never dispatched on x86 — the
-// scalar *tier* runs the original kernels — but keeps the generic kernel
-// sources compilable on any architecture.
-// ---------------------------------------------------------------------------
-
-namespace isa_scalar {
-
-struct MaskD {
-  bool m;
-};
-
-struct VecD {
-  static constexpr std::size_t kWidth = 1;
-  double v;
-  static VecD Load(const double* p) { return {p[0]}; }
-  static VecD LoadReversed(const double* p) { return {p[0]}; }
-  static VecD Broadcast(double x) { return {x}; }
-  static VecD Zero() { return {0.0}; }
-  static VecD SignMask() { return {-0.0}; }
-  void Store(double* p) const { p[0] = v; }
-  friend VecD operator+(VecD a, VecD b) { return {a.v + b.v}; }
-  friend VecD operator-(VecD a, VecD b) { return {a.v - b.v}; }
-  friend VecD operator*(VecD a, VecD b) { return {a.v * b.v}; }
-  friend VecD operator/(VecD a, VecD b) { return {a.v / b.v}; }
-};
-
-inline VecD Min(VecD a, VecD b) { return {b.v < a.v ? b.v : a.v}; }
-inline VecD Max(VecD a, VecD b) { return {a.v < b.v ? b.v : a.v}; }
-inline VecD Fmadd(VecD a, VecD b, VecD c) { return {a.v * b.v + c.v}; }
-inline VecD Abs(VecD a) { return {std::fabs(a.v)}; }
-inline VecD And(VecD a, VecD b) {
-  return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) &
-                                std::bit_cast<std::uint64_t>(b.v))};
-}
-inline VecD Or(VecD a, VecD b) {
-  return {std::bit_cast<double>(std::bit_cast<std::uint64_t>(a.v) |
-                                std::bit_cast<std::uint64_t>(b.v))};
-}
-inline MaskD CmpGe(VecD a, VecD b) { return {a.v >= b.v}; }
-inline MaskD CmpEq(VecD a, VecD b) { return {a.v == b.v}; }
-inline VecD Select(MaskD m, VecD a, VecD b) { return m.m ? a : b; }
-inline double ReduceAdd(VecD a) { return a.v; }
-inline double ReduceMin(VecD a) { return a.v; }
-inline VecD RoundNearest(VecD a) { return {std::nearbyint(a.v)}; }
-inline VecD Pow2(VecD n) { return {std::ldexp(1.0, static_cast<int>(n.v))}; }
-
-// On non-x86 the dispatch never leaves the scalar tier, so accuracy beats
-// polynomial-consistency here: defer to libm.
-inline VecD Exp(VecD x) { return {std::exp(x.v)}; }
-inline VecD Sigmoid(VecD x) {
-  if (x.v >= 0.0) {
-    const double z = std::exp(-x.v);
-    return {1.0 / (1.0 + z)};
-  }
-  const double z = std::exp(x.v);
-  return {z / (1.0 + z)};
-}
-inline VecD Tanh(VecD x) { return {std::tanh(x.v)}; }
-
-}  // namespace isa_scalar
 
 #if DBAUGUR_SIMD_X86 && defined(__SSE2__)
 
@@ -358,77 +290,11 @@ inline VecD Tanh(VecD x) { return detail::TanhImpl(x); }
 
 #endif  // __AVX2__ && __FMA__
 
-#if DBAUGUR_SIMD_X86 && defined(__AVX512F__) && defined(__AVX512DQ__) && \
-    defined(__AVX512VL__)
-
-// ---------------------------------------------------------------------------
-// AVX-512 (F + DQ + VL): 8 × f64. Masks are native __mmask.
-// ---------------------------------------------------------------------------
-
-namespace isa_avx512 {
-
-struct MaskD {
-  __mmask8 m;
-};
-
-struct VecD {
-  static constexpr std::size_t kWidth = 8;
-  __m512d v;
-  static VecD Load(const double* p) { return {_mm512_loadu_pd(p)}; }
-  static VecD LoadReversed(const double* p) {
-    const __m512i idx = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-    return {_mm512_permutexvar_pd(idx, _mm512_loadu_pd(p - 7))};
-  }
-  static VecD Broadcast(double x) { return {_mm512_set1_pd(x)}; }
-  static VecD Zero() { return {_mm512_setzero_pd()}; }
-  static VecD SignMask() { return {_mm512_set1_pd(-0.0)}; }
-  void Store(double* p) const { _mm512_storeu_pd(p, v); }
-  friend VecD operator+(VecD a, VecD b) { return {_mm512_add_pd(a.v, b.v)}; }
-  friend VecD operator-(VecD a, VecD b) { return {_mm512_sub_pd(a.v, b.v)}; }
-  friend VecD operator*(VecD a, VecD b) { return {_mm512_mul_pd(a.v, b.v)}; }
-  friend VecD operator/(VecD a, VecD b) { return {_mm512_div_pd(a.v, b.v)}; }
-};
-
-inline VecD Min(VecD a, VecD b) { return {_mm512_min_pd(a.v, b.v)}; }
-inline VecD Max(VecD a, VecD b) { return {_mm512_max_pd(a.v, b.v)}; }
-inline VecD Fmadd(VecD a, VecD b, VecD c) {
-  return {_mm512_fmadd_pd(a.v, b.v, c.v)};
-}
-inline VecD And(VecD a, VecD b) { return {_mm512_and_pd(a.v, b.v)}; }
-inline VecD Or(VecD a, VecD b) { return {_mm512_or_pd(a.v, b.v)}; }
-inline VecD Abs(VecD a) {
-  return {_mm512_andnot_pd(_mm512_set1_pd(-0.0), a.v)};
-}
-inline MaskD CmpGe(VecD a, VecD b) {
-  return {_mm512_cmp_pd_mask(a.v, b.v, _CMP_GE_OQ)};
-}
-inline MaskD CmpEq(VecD a, VecD b) {
-  return {_mm512_cmp_pd_mask(a.v, b.v, _CMP_EQ_OQ)};
-}
-inline VecD Select(MaskD m, VecD a, VecD b) {
-  return {_mm512_mask_blend_pd(m.m, b.v, a.v)};
-}
-inline double ReduceAdd(VecD a) { return _mm512_reduce_add_pd(a.v); }
-inline double ReduceMin(VecD a) { return _mm512_reduce_min_pd(a.v); }
-inline VecD RoundNearest(VecD a) { return {_mm512_roundscale_pd(a.v, 0)}; }
-inline VecD Pow2(VecD n) {
-  const __m256i i32 = _mm512_cvtpd_epi32(n.v);
-  const __m256i biased = _mm256_add_epi32(i32, _mm256_set1_epi32(1023));
-  const __m512i i64 = _mm512_cvtepi32_epi64(biased);
-  return {_mm512_castsi512_pd(_mm512_slli_epi64(i64, 52))};
-}
-
-inline VecD Exp(VecD x) { return detail::ExpImpl(x); }
-inline VecD Sigmoid(VecD x) { return detail::SigmoidImpl(x); }
-inline VecD Tanh(VecD x) { return detail::TanhImpl(x); }
-
-}  // namespace isa_avx512
-
-#endif  // __AVX512F__ && __AVX512DQ__ && __AVX512VL__
-
+#if defined(DBAUGUR_SIMD_ISA)
 // Widest ISA namespace this TU's compile flags allow. Tier TUs define their
 // kernels against `best::VecD`.
 namespace best = DBAUGUR_SIMD_ISA;
+#endif
 
 }  // namespace dbaugur::simd
 

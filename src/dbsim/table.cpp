@@ -123,12 +123,6 @@ const Index* Table::GetIndex(const std::string& column) const {
   return it == indexes_.end() ? nullptr : it->second.get();
 }
 
-std::vector<std::string> Table::IndexedColumns() const {
-  std::vector<std::string> out;
-  for (const auto& [col, idx] : indexes_) out.push_back(col);
-  return out;
-}
-
 StatusOr<size_t> Table::DistinctCount(const std::string& column) const {
   auto ci = ColumnIndex(column);
   if (!ci.ok()) return ci.status();

@@ -68,7 +68,6 @@ class Table {
   Status DropIndex(const std::string& column);
   bool HasIndex(const std::string& column) const;
   const Index* GetIndex(const std::string& column) const;
-  std::vector<std::string> IndexedColumns() const;
 
   /// Distinct value count of a column (for selectivity estimation).
   StatusOr<size_t> DistinctCount(const std::string& column) const;

@@ -12,8 +12,7 @@ namespace dbaugur::dtw {
 
 namespace {
 
-#if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2) || \
-    defined(DBAUGUR_SIMD_HAS_AVX512)
+#if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2)
 #define DBAUGUR_DTW_HAS_VECTOR_TIERS 1
 
 // Dispatch table over the per-tier kernels (dtw_simd.h), mirroring
@@ -30,14 +29,6 @@ struct DtwKernels {
 
 const DtwKernels* ActiveDtwKernels() {
   switch (simd::ActiveTier()) {
-#if defined(DBAUGUR_SIMD_HAS_AVX512)
-    case simd::Tier::kAvx512: {
-      static constexpr DtwKernels k = {&tier_avx512::EnvelopeD,
-                                       &tier_avx512::LbKeoghSumSqD,
-                                       &tier_avx512::DtwBandD};
-      return &k;
-    }
-#endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
     case simd::Tier::kAvx2: {
       static constexpr DtwKernels k = {&tier_avx2::EnvelopeD,

@@ -7,8 +7,8 @@
 // translation unit (src/dtw/simd_tier_<isa>.cpp) compiled with that ISA's
 // -m flags, with the bodies shared via dtw_simd.inc against the
 // `simd::best` wrapper types. Distinct per-tier namespaces keep the scheme
-// ODR-safe (an AVX-512-codegen'd helper can never be linker-merged into a
-// binary that must run on an AVX2-only host).
+// ODR-safe (an AVX2-codegen'd helper can never be linker-merged into a
+// binary that must run on an SSE2-only host).
 //
 // Numerics contract (relied on by dtw_simd_test):
 //  * EnvelopeD and DtwBandD use only exact operations (subtract, multiply,
@@ -23,8 +23,7 @@
 
 #include <cstddef>
 
-#if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2) || \
-    defined(DBAUGUR_SIMD_HAS_AVX512)
+#if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2)
 
 // clang-format off
 #define DBAUGUR_DTW_DECLARE_TIER(ns)                                           \
@@ -55,9 +54,6 @@ DBAUGUR_DTW_DECLARE_TIER(tier_sse2)
 #endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
 DBAUGUR_DTW_DECLARE_TIER(tier_avx2)
-#endif
-#if defined(DBAUGUR_SIMD_HAS_AVX512)
-DBAUGUR_DTW_DECLARE_TIER(tier_avx512)
 #endif
 
 }  // namespace dbaugur::dtw

@@ -33,13 +33,6 @@ StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> MakeQB5000(
   return Build(opts, ens, {"LR", "LSTM", "KR"});
 }
 
-StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> MakeFixedDBAugur(
-    const models::ForecasterOptions& opts) {
-  EnsembleOptions ens;
-  ens.dynamic = false;
-  return Build(opts, ens, {"WFGAN", "TCN", "MLP"});
-}
-
 StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> MakeKernelBaseline(
     const models::ForecasterOptions& opts) {
   EnsembleOptions ens;

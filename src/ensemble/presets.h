@@ -1,7 +1,6 @@
 // Preset ensembles from the paper's evaluation:
 //   * DBAugur  — dynamic time-sensitive fusion of WFGAN + TCN + MLP (δ=0.9)
 //   * QB5000   — equal average of LR + LSTM + KR (Ma et al., SIGMOD'18)
-//   * Fixed    — equal-weight fusion of WFGAN + TCN + MLP (Fig. 7 baseline)
 
 #pragma once
 
@@ -18,10 +17,6 @@ StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> MakeDBAugur(
 
 /// The QB5000 baseline: fixed equal average of LR, LSTM, and KR.
 StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> MakeQB5000(
-    const models::ForecasterOptions& opts);
-
-/// Fixed-weight variant of DBAugur's member set (Fig. 7's "fixed" curve).
-StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> MakeFixedDBAugur(
     const models::ForecasterOptions& opts);
 
 /// Single-member kernel-regression "ensemble": the serving layer's degraded-

@@ -34,8 +34,6 @@ class ArimaForecaster : public Forecaster {
   }
 
   const std::vector<double>& ar_coefficients() const { return phi_; }
-  const std::vector<double>& ma_coefficients() const { return theta_; }
-  double intercept() const { return intercept_; }
 
  private:
   ForecasterOptions opts_;

@@ -21,8 +21,6 @@ class LinearRegressionForecaster : public Forecaster {
     return static_cast<int64_t>(coef_.size());
   }
 
-  const std::vector<double>& coefficients() const { return coef_; }
-
  private:
   ForecasterOptions opts_;
   std::vector<double> coef_;  // window weights followed by bias

@@ -186,7 +186,6 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
     stats.g_adv /= g_div;
     stats.g_mse /= g_div;
   }
-  last_stats_ = stats;
   return stats;
 }
 

@@ -71,9 +71,6 @@ class WfganForecaster : public Forecaster {
   Status PrepareTraining(const std::vector<double>& series);
   StatusOr<WfganEpochStats> TrainEpoch();
 
-  /// Diagnostics from the most recent TrainEpoch.
-  const WfganEpochStats& last_stats() const { return last_stats_; }
-
   /// Discriminator probability that `window ∘ value` is a real trace
   /// (inputs in raw scale). Exposed for tests and examples.
   StatusOr<double> DiscriminatorScore(const std::vector<double>& window,
@@ -126,7 +123,6 @@ class WfganForecaster : public Forecaster {
   nn::Adam g_adam_, d_adam_;
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
-  WfganEpochStats last_stats_;
   // Batch workspaces reused across batches (mutable: used from const paths).
   mutable nn::Matrix xb_, y_, grad_pred_, mse_grad_, grad_real_, grad_fake_,
       grad_logit_, real_labels_, fake_labels_;

@@ -203,14 +203,6 @@ constexpr RowKernels kScalarKernels = {&GemmNNRowsScalar, &GemmTNRowsScalar,
 
 const RowKernels& ActiveKernels() {
   switch (simd::ActiveTier()) {
-#if defined(DBAUGUR_SIMD_HAS_AVX512)
-    case simd::Tier::kAvx512: {
-      static constexpr RowKernels k = {&tier_avx512::GemmNNRowsD,
-                                       &tier_avx512::GemmTNRowsD,
-                                       &tier_avx512::GemmNTRowsD};
-      return k;
-    }
-#endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
     case simd::Tier::kAvx2: {
       static constexpr RowKernels k = {&tier_avx2::GemmNNRowsD,

@@ -17,7 +17,7 @@
 //    legacy kernels is the removal of their `if (a == 0.0) continue` branch,
 //    which can flip the sign of a ±0.0 result but nothing else.
 //
-//  * Vector tiers (sse2/avx2/avx512): NN and TN keep the ascending reduction
+//  * Vector tiers (sse2/avx2): NN and TN keep the ascending reduction
 //    order per output element (they vectorize across output *columns*), so
 //    they differ from the scalar tier only by FMA contraction — a few ULP.
 //    NT vectorizes the reduction itself with W-wide partial sums and a

@@ -84,13 +84,6 @@ constexpr GateKernels kScalarGates = {&GatesForwardScalar,
 
 const GateKernels& ActiveGates() {
   switch (simd::ActiveTier()) {
-#if defined(DBAUGUR_SIMD_HAS_AVX512)
-    case simd::Tier::kAvx512: {
-      static constexpr GateKernels k = {&tier_avx512::LstmGatesForwardD,
-                                        &tier_avx512::LstmGatesBackwardD};
-      return k;
-    }
-#endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
     case simd::Tier::kAvx2: {
       static constexpr GateKernels k = {&tier_avx2::LstmGatesForwardD,

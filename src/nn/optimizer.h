@@ -41,9 +41,6 @@ class Adam : public Optimizer {
   /// Resets the moment buffers and the step counter.
   void Reset();
 
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
-
  private:
   double lr_, beta1_, beta2_, eps_;
   int64_t t_ = 0;

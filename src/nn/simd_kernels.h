@@ -1,12 +1,13 @@
 // Declarations of the per-tier vector kernels behind the GEMM and LSTM-gate
 // dispatch tables (see gemm.cpp / lstm_kernels.cpp).
 //
-// Each tier namespace is one translation unit (src/nn/simd_tier_<isa>.cpp)
-// compiled with that ISA's -m flags; the bodies are shared via
-// simd_kernels.inc against the `simd::best` wrapper types. Keeping the tiers
-// in distinct namespaces (instead of one inline helper compiled three ways)
-// is what makes the scheme ODR-safe: an AVX-512-codegen'd helper can never be
-// linker-merged into a binary that must run on an AVX2-only host.
+// Each tier namespace (tier_sse2, tier_avx2) is one translation unit
+// (src/nn/simd_tier_<isa>.cpp) compiled with that ISA's -m flags; the bodies
+// are shared via simd_kernels.inc against the `simd::best` wrapper types.
+// Keeping the tiers in distinct namespaces (instead of one inline helper
+// compiled twice) is what makes the scheme ODR-safe: an AVX2-codegen'd helper
+// can never be linker-merged into a binary that must run on an SSE2-only
+// host.
 //
 // The D suffix marks f64 lanes. All buffers are fully packed row-major
 // (leading dimension == column count).
@@ -15,8 +16,7 @@
 
 #include <cstddef>
 
-#if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2) || \
-    defined(DBAUGUR_SIMD_HAS_AVX512)
+#if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2)
 
 // clang-format off
 #define DBAUGUR_NN_DECLARE_TIER(ns)                                            \
@@ -55,9 +55,6 @@ DBAUGUR_NN_DECLARE_TIER(tier_sse2)
 #endif
 #if defined(DBAUGUR_SIMD_HAS_AVX2)
 DBAUGUR_NN_DECLARE_TIER(tier_avx2)
-#endif
-#if defined(DBAUGUR_SIMD_HAS_AVX512)
-DBAUGUR_NN_DECLARE_TIER(tier_avx512)
 #endif
 
 }  // namespace dbaugur::nn

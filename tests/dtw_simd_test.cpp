@@ -25,7 +25,7 @@ using simd::Tier;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::vector<Tier> HostTiers() {
-  Tier out[4];
+  Tier out[3];
   int count = simd::SupportedTiers(out);
   return std::vector<Tier>(out, out + count);
 }
@@ -42,7 +42,7 @@ class DtwTierTest : public ::testing::Test {
   void TearDown() override { simd::ResetForcedTier(); }
 };
 
-// Length pairs around every vector width (2/4/8 f64 lanes) plus long traces
+// Length pairs around every vector width (2/4 f64 lanes) plus long traces
 // with many full vector chunks per anti-diagonal; both equal and unequal.
 const size_t kLengthPairs[][2] = {{1, 1},   {1, 9},    {5, 5},    {13, 7},
                                   {29, 37}, {64, 64},  {97, 103}, {251, 257}};

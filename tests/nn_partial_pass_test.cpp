@@ -37,7 +37,7 @@ class PartialPassTest : public ::testing::Test {
   // Runs `body` once per supported tier with dispatch forced to it.
   template <typename Body>
   void ForEachTier(Body body) {
-    simd::Tier tiers[4];
+    simd::Tier tiers[3];
     const int n = simd::SupportedTiers(tiers);
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(simd::ForceTier(tiers[i]));

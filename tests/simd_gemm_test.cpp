@@ -32,7 +32,7 @@ namespace {
 using simd::Tier;
 
 std::vector<Tier> HostTiers() {
-  Tier out[4];
+  Tier out[3];
   int count = simd::SupportedTiers(out);
   return std::vector<Tier>(out, out + count);
 }
@@ -69,7 +69,7 @@ TEST_F(TierSweepTest, ForceTierPinsEverySupportedTier) {
 TEST_F(TierSweepTest, ForceTierRejectsUnsupportedTiers) {
   const int max = static_cast<int>(simd::MaxSupportedTier());
   Tier before = simd::ActiveTier();
-  for (int t = max + 1; t <= static_cast<int>(Tier::kAvx512); ++t) {
+  for (int t = max + 1; t <= static_cast<int>(Tier::kAvx2); ++t) {
     EXPECT_FALSE(simd::ForceTier(static_cast<Tier>(t)));
     EXPECT_EQ(simd::ActiveTier(), before) << "rejected force must not stick";
   }
@@ -77,7 +77,7 @@ TEST_F(TierSweepTest, ForceTierRejectsUnsupportedTiers) {
 
 TEST_F(TierSweepTest, TierNamesAreDistinct) {
   std::vector<std::string> names;
-  for (int t = 0; t <= static_cast<int>(Tier::kAvx512); ++t) {
+  for (int t = 0; t <= static_cast<int>(Tier::kAvx2); ++t) {
     names.push_back(simd::TierName(static_cast<Tier>(t)));
     EXPECT_FALSE(names.back().empty());
   }
@@ -87,6 +87,23 @@ TEST_F(TierSweepTest, TierNamesAreDistinct) {
     }
   }
 }
+
+#if defined(DBAUGUR_SIMD_HAS_AVX2)
+// AVX2+FMA is the widest tier: a host that has it runs it, however wide its
+// vectors go. A wider tier comes back only with an end-to-end measurement.
+TEST_F(TierSweepTest, Avx2IsTheWidestTier) {
+  const std::string features = " " + simd::CpuFeatures() + " ";
+  const bool avx2_fma = features.find(" avx2 ") != std::string::npos &&
+                        features.find(" fma ") != std::string::npos;
+  if (avx2_fma) {
+    EXPECT_EQ(simd::MaxSupportedTier(), Tier::kAvx2) << features;
+  } else {
+    EXPECT_LT(static_cast<int>(simd::MaxSupportedTier()),
+              static_cast<int>(Tier::kAvx2))
+        << features;
+  }
+}
+#endif
 
 TEST_F(TierSweepTest, CpuFeaturesMentionsEverySupportedVectorTier) {
   std::string features = simd::CpuFeatures();
@@ -106,7 +123,7 @@ struct Shape {
 };
 
 // Odd/prime shapes: below, at, and straddling every vector width in play
-// (2/4/8 f64 lanes), plus one multi-panel size.
+// (2/4 f64 lanes), plus one multi-panel size.
 const Shape kShapes[] = {
     {1, 1, 1}, {1, 7, 3},   {7, 1, 13},   {3, 17, 5},
     {5, 3, 2}, {13, 7, 31}, {97, 89, 101},

@@ -73,14 +73,20 @@ build_and_test "release" build-release -DCMAKE_BUILD_TYPE=Release
 
 # --- 1b. NN kernel bench smoke: the fused-GEMM fast path must run end to end
 # and emit valid JSON (full numbers are committed as BENCH_nn_kernels.json).
-# Runs twice: once on the host's best SIMD tier, once with DBAUGUR_SIMD=off so
-# the forced-scalar dispatch path stays exercised end to end.
+# Runs once per SIMD tier: the host's best, then DBAUGUR_SIMD=sse2 and
+# DBAUGUR_SIMD=off, so every dispatch path stays exercised end to end.
 if [[ -x build-release/bench/nn_kernels ]]; then
   note "bench/nn_kernels --smoke (Release)"
   if ./build-release/bench/nn_kernels --smoke > /dev/null; then
     record "nn_kernels-smoke" "OK"
   else
     record "nn_kernels-smoke" "FAIL"
+  fi
+  note "bench/nn_kernels --smoke (Release, DBAUGUR_SIMD=sse2)"
+  if DBAUGUR_SIMD=sse2 ./build-release/bench/nn_kernels --smoke > /dev/null; then
+    record "nn_kernels-smoke-sse2" "OK"
+  else
+    record "nn_kernels-smoke-sse2" "FAIL"
   fi
   note "bench/nn_kernels --smoke (Release, DBAUGUR_SIMD=off)"
   if DBAUGUR_SIMD=off ./build-release/bench/nn_kernels --smoke > /dev/null; then

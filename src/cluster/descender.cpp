@@ -11,39 +11,57 @@ namespace dbaugur::cluster {
 
 namespace {
 
+// A pair the endpoint grid hands to the batch sweep: the earlier row and its
+// 3·len doubles (distance values, lower envelope, upper envelope).
+struct Candidate {
+  size_t row;
+  const double* data;
+};
+
 // Endpoint grid for the batch sweep: hands each new row the earlier rows
 // whose pair with it passes LB_Kim, the cascade's first tier, without
 // touching the rest.
 //
-// LB_Kim reads only the first and last distance values, so the grid keeps
-// those in flat arrays and applies dtw::LbKim itself to spans over them —
-// the same function on the same operands as the cascade, hence the same bits
-// and decisions. To avoid even that for most pairs it buckets rows on
-// square cells of side h, a hair above ρ, keyed by (⌊first/h⌋, ⌊last/h⌋).
-// In IEEE arithmetic LB_Kim = √(Δfirst² + Δlast²) ≥ max(|Δfirst|, |Δlast|)
-// whenever those squares stay out of the subnormal range, so a pair with
-// either gap above ρ is a pair LB_Kim rejects; any pair within ρ on both
-// lies in the same or an adjacent cell even after rounding, so a row visits
-// only its 3×3 neighbourhood and drops gaps above ρ before calling LbKim.
+// LB_Kim reads only the first and last distance values. The grid buckets
+// rows on square cells of side h, a hair above ρ, keyed by
+// (⌊first/h⌋, ⌊last/h⌋). In IEEE arithmetic LB_Kim = √(Δfirst² + Δlast²) ≥
+// max(|Δfirst|, |Δlast|) whenever those squares stay out of the subnormal
+// range, so a pair with either gap above ρ is a pair LB_Kim rejects; any
+// pair within ρ on both lies in the same or an adjacent cell even after
+// rounding, so a row visits only its 3×3 neighbourhood. There it decides
+// LB_Kim exactly and without a square root: the sum Δfirst² + Δlast² is the
+// one dtw::LbKim roots, and √s > ρ holds exactly when s exceeds
+// dtw::SquaredRadiusThreshold(ρ). (One-value traces take LbKim's max form,
+// |Δfirst| > ρ.)
 //
 // Rows whose cell cannot be computed that exactly — non-finite endpoints, or
 // |v/h| so large that rounding could shift ⌊v/h⌋ by more than a cell — go
 // on a scan-all list: they are compared with every row, and every row with
-// them. A radius too small (or infinite) for the argument above puts every
-// row there, so exactness never depends on the data's range.
+// them, through dtw::LbKim itself. A radius too small (or infinite) for the
+// argument above puts every row there, so exactness never depends on the
+// data's range.
+//
+// Next to each bucketed row's endpoints the grid keeps a copy of its arena
+// slice in the same (cell, row) order, so the rows one query visits sit
+// together in memory; candidates point into that copy, and scan-all rows
+// into the arena.
 class EndpointGrid {
  public:
-  /// Indexes rows [begin, begin + n) given ends[2k], ends[2k + 1] = row
-  /// begin + k's first and last distance values, each row `len` long.
-  EndpointGrid(std::vector<double> ends, size_t len, size_t begin,
-               double radius)
-      : begin_(begin),
+  /// Indexes rows [begin, end) of `arena`, which holds 3·len doubles per
+  /// row: the distance values, then the lower and the upper envelope.
+  EndpointGrid(std::span<const double> arena, size_t len, size_t begin,
+               size_t end, double radius)
+      : arena_(arena),
+        len_(len),
+        begin_(begin),
         radius_(radius),
-        // LB_Kim reads front and back; for one-value traces both are the
-        // same value and the bound takes its single-cell form.
-        ends_len_(std::min<size_t>(len, 2)),
-        ends_(std::move(ends)),
-        cell_(ends_.size() / 2, kScanAll) {
+        threshold_(dtw::SquaredRadiusThreshold(radius)),
+        cell_(end - begin, kScanAll) {
+    ends_.reserve(2 * cell_.size());
+    for (size_t r = begin; r < end; ++r) {
+      ends_.push_back(Row(r)[0]);
+      ends_.push_back(Row(r)[len - 1]);
+    }
     const double h = radius * (1.0 + kCellMargin);
     const bool usable = radius >= kMinGridRadius && std::isfinite(h);
     std::vector<std::pair<uint64_t, size_t>> entries;
@@ -67,6 +85,7 @@ class EndpointGrid {
     std::sort(entries.begin(), entries.end());
     rows_.reserve(entries.size());
     sorted_ends_.reserve(2 * entries.size());
+    sorted_rows_.resize(3 * len * entries.size());
     for (size_t t = 0; t < entries.size(); ++t) {
       const auto [key, k] = entries[t];
       if (t == 0 || key != cell_keys_.back()) {
@@ -76,66 +95,47 @@ class EndpointGrid {
       rows_.push_back(begin_ + k);
       sorted_ends_.push_back(ends_[2 * k]);
       sorted_ends_.push_back(ends_[2 * k + 1]);
+      const double* row = Row(begin_ + k);
+      std::copy(row, row + 3 * len, sorted_rows_.begin() + 3 * len * t);
     }
     cell_start_.push_back(entries.size());
   }
 
   /// Appends to `out` every j in [begin, gi) whose pair with row gi passes
-  /// LB_Kim (all of them when ρ is infinite: the cascade then skips its
-  /// bounds). The other gi - begin pairs are exactly the pairs the
-  /// cascade's LB_Kim tier rejects. Order is unspecified.
-  void Candidates(size_t gi, std::vector<size_t>* out) const {
+  /// LB_Kim, with a pointer to row j's values and envelope. The other
+  /// gi - begin pairs are exactly the pairs the cascade's LB_Kim tier
+  /// rejects. Order is unspecified.
+  void Candidates(size_t gi, std::vector<Candidate>* out) const {
     const size_t k = gi - begin_;
-    const size_t start = out->size();
-    if (cell_[k] == kScanAll) {
-      for (size_t j = begin_; j < gi; ++j) out->push_back(j);
-    } else {
-      const double f = ends_[2 * k];
-      const double l = ends_[2 * k + 1];
-      const int64_t kf = static_cast<int64_t>(cell_[k] >> 32) - kKeyOffset;
-      const int64_t kl =
-          static_cast<int64_t>(cell_[k] & 0xffffffffU) - kKeyOffset;
-      for (int64_t dkf = -1; dkf <= 1; ++dkf) {
-        // Cells (kf + dkf, kl - 1 .. kl + 1) are adjacent in key order.
-        const uint64_t last_key = CellKey(kf + dkf, kl + 1);
-        for (auto c = static_cast<size_t>(
-                 std::lower_bound(cell_keys_.begin(), cell_keys_.end(),
-                                  CellKey(kf + dkf, kl - 1)) -
-                 cell_keys_.begin());
-             c < cell_keys_.size() && cell_keys_[c] <= last_key; ++c) {
-          // A cell's rows ascend, so those below gi are a prefix of it.
-          size_t end = cell_start_[c];
-          while (end < cell_start_[c + 1] && rows_[end] < gi) ++end;
-          // Drop rows more than ρ away on either endpoint. Branch-free:
-          // about half of them are dropped, unpredictably.
-          size_t kept = out->size();
-          out->resize(kept + (end - cell_start_[c]));
-          for (size_t t = cell_start_[c]; t < end; ++t) {
-            (*out)[kept] = rows_[t];
-            kept += static_cast<size_t>(
-                !(std::fabs(f - sorted_ends_[2 * t]) > radius_) &
-                !(std::fabs(l - sorted_ends_[2 * t + 1]) > radius_));
-          }
-          out->resize(kept);
-        }
-      }
-      for (size_t j : scan_all_) {
-        if (j >= gi) break;
-        out->push_back(j);
-      }
-    }
-    if (radius_ == dtw::kNoBound) return;
-    // The cascade's LB_Kim tier itself, on the endpoint arrays: it rejects
-    // when the bound exceeds ρ (so a NaN bound passes). Branch-free as above.
+    // The cascade's LB_Kim tier itself, for pairs with a scan-all row: it
+    // rejects when the bound exceeds ρ (so a NaN bound passes).
     const std::span<const double> query = Ends(k);
-    size_t kept = start;
-    for (size_t p = start; p < out->size(); ++p) {
-      const size_t j = (*out)[p];
-      (*out)[kept] = j;
-      kept += static_cast<size_t>(
-          !(dtw::LbKim(query, Ends(j - begin_)) > radius_));
+    auto scan = [&](size_t j) {
+      if (!(dtw::LbKim(query, Ends(j - begin_)) > radius_)) {
+        out->push_back({j, Row(j)});
+      }
+    };
+    if (cell_[k] == kScanAll) {
+      for (size_t j = begin_; j < gi; ++j) scan(j);
+      return;
     }
-    out->resize(kept);
+    const int64_t kf = static_cast<int64_t>(cell_[k] >> 32) - kKeyOffset;
+    const int64_t kl = static_cast<int64_t>(cell_[k] & 0xffffffffU) - kKeyOffset;
+    for (int64_t dkf = -1; dkf <= 1; ++dkf) {
+      // Cells (kf + dkf, kl - 1 .. kl + 1) are adjacent in key order.
+      const uint64_t last_key = CellKey(kf + dkf, kl + 1);
+      for (auto c = static_cast<size_t>(
+               std::lower_bound(cell_keys_.begin(), cell_keys_.end(),
+                                CellKey(kf + dkf, kl - 1)) -
+               cell_keys_.begin());
+           c < cell_keys_.size() && cell_keys_[c] <= last_key; ++c) {
+        AppendCell(k, gi, c, out);
+      }
+    }
+    for (size_t j : scan_all_) {
+      if (j >= gi) break;
+      scan(j);
+    }
   }
 
  private:
@@ -155,19 +155,55 @@ class EndpointGrid {
     return (static_cast<uint64_t>(kf + kKeyOffset) << 32) |
            static_cast<uint64_t>(kl + kKeyOffset);
   }
+  const double* Row(size_t r) const { return arena_.data() + 3 * len_ * r; }
+  // LB_Kim reads front and back; for one-value traces both are the same
+  // value and the bound takes its single-cell form.
   std::span<const double> Ends(size_t k) const {
-    return {ends_.data() + 2 * k, ends_len_};
+    return {ends_.data() + 2 * k, std::min<size_t>(len_, 2)};
   }
 
+  // Appends cell c's rows below gi that pass LB_Kim against row gi (offset
+  // k), in one branch-free pass: about half the rows of a neighbouring cell
+  // fail, unpredictably.
+  void AppendCell(size_t k, size_t gi, size_t c,
+                  std::vector<Candidate>* out) const {
+    const size_t first = cell_start_[c];
+    // A cell's rows ascend, so those below gi are a prefix of it.
+    const auto last = static_cast<size_t>(
+        std::lower_bound(rows_.begin() + static_cast<ptrdiff_t>(first),
+                         rows_.begin() + static_cast<ptrdiff_t>(
+                                             cell_start_[c + 1]),
+                         gi) -
+        rows_.begin());
+    const double f = ends_[2 * k];
+    const double l = ends_[2 * k + 1];
+    size_t kept = out->size();
+    out->resize(kept + (last - first));
+    Candidate* dst = out->data();
+    for (size_t t = first; t < last; ++t) {
+      dst[kept] = {rows_[t], sorted_rows_.data() + 3 * len_ * t};
+      const double df = f - sorted_ends_[2 * t];
+      const double dl = l - sorted_ends_[2 * t + 1];
+      const bool rejected =
+          len_ == 1 ? std::fabs(df) > radius_ : df * df + dl * dl > threshold_;
+      kept += static_cast<size_t>(!rejected);
+    }
+    out->resize(kept);
+  }
+
+  std::span<const double> arena_;
+  size_t len_;
   size_t begin_;
   double radius_;
-  size_t ends_len_;
-  std::vector<double> ends_;       // by row - begin_
+  double threshold_;               // SquaredRadiusThreshold(radius_)
+  std::vector<double> ends_;       // by row - begin_: first, last value
   std::vector<uint64_t> cell_;     // by row - begin_; kScanAll if listed
   std::vector<size_t> scan_all_;   // ascending
-  // Bucketed rows in (cell key, row) order, and where each cell starts.
+  // Bucketed rows in (cell key, row) order, with their endpoints and a copy
+  // of their arena slices, and where each cell starts.
   std::vector<size_t> rows_;
   std::vector<double> sorted_ends_;
+  std::vector<double> sorted_rows_;
   std::vector<uint64_t> cell_keys_;
   std::vector<size_t> cell_start_;  // one past the last cell: rows_.size()
 };
@@ -340,54 +376,62 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
     }
   }
 
-  std::vector<double> ends;
-  ends.reserve(2 * (n - sweep_begin));
-  for (size_t r = sweep_begin; r < n; ++r) {
-    ends.push_back(DistanceRow(r).front());
-    ends.push_back(DistanceRow(r).back());
-  }
-  const EndpointGrid grid(std::move(ends), len, sweep_begin, opts_.radius);
+  const EndpointGrid grid(arena_, len, sweep_begin, n, opts_.radius);
 
   // Half-matrix sweep: row bi decides every pair (old_n + bi, j) for j in
   // [sweep_begin, old_n + bi) exactly once. The grid hands it the pairs that
-  // pass LB_Kim; those run the cascade with the symmetric two-sided LB_Keogh
-  // (both envelopes are available, unlike the incremental path), and the
-  // rest are counted as the LB_Kim rejections they are. Rows write disjoint
-  // slots, so any schedule yields the same result; the merge below runs in
-  // index order regardless.
+  // pass LB_Kim, and the rest are counted as the LB_Kim rejections they are.
+  // The pairs handed over take the cascade's remaining tiers with the
+  // symmetric two-sided LB_Keogh (both envelopes are available, unlike the
+  // incremental path), decided on sums with the kernel and threshold
+  // resolved here, then DTW. Rows write disjoint slots, so any schedule
+  // yields the same result; the merge below runs in index order regardless.
+  const dtw::LbKeoghSumKernel keogh = dtw::ActiveLbKeoghSum();
+  const double threshold = dtw::SquaredRadiusThreshold(opts_.radius);
   std::vector<std::vector<size_t>> row_nbrs(batch);
   std::vector<dtw::PruningStats> row_stats(batch);
   std::vector<Status> row_status(batch);
   auto sweep_rows = [&](size_t row_begin, size_t row_end) {
-    std::vector<size_t> cand;
+    std::vector<Candidate> cand;
     for (size_t bi = row_begin; bi < row_end; ++bi) {
       const size_t gi = old_n + bi;
-      const std::span<const double> query = DistanceRow(gi);
-      const dtw::EnvelopeView query_env = EnvelopeRow(gi);
+      const double* q = DistanceRow(gi).data();
       cand.clear();
       grid.Candidates(gi, &cand);
-      dtw::CascadingDtw cascade(opts_.dtw);
-      for (size_t j : cand) {
-        auto within = cascade.WithinRadius(query, DistanceRow(j),
-                                           EnvelopeRow(j), opts_.radius,
-                                           &query_env);
-        if (!within.ok()) {
-          row_status[bi] = within.status();
+      dtw::PruningStats& st = row_stats[bi];
+      st.kim_rejections = static_cast<int64_t>(gi - sweep_begin - cand.size());
+      for (const Candidate& c : cand) {
+        const double* v = c.data;
+        if (dtw::KeoghSumsReject(keogh(q, v + len, v + 2 * len, len),
+                                 threshold, [&] {
+                                   return keogh(v, q + len, q + 2 * len, len);
+                                 })) {
+          ++st.keogh_rejections;
+          continue;
+        }
+        ++st.full_dtw;
+        auto d = dtw::DtwDistance(std::span<const double>(q, len),
+                                  std::span<const double>(v, len), opts_.dtw,
+                                  opts_.radius);
+        if (!d.ok()) {
+          row_status[bi] = d.status();
           break;
         }
-        if (*within) row_nbrs[bi].push_back(j);
+        if (*d <= opts_.radius) row_nbrs[bi].push_back(c.row);
       }
       std::sort(row_nbrs[bi].begin(), row_nbrs[bi].end());
-      row_stats[bi] = cascade.stats();
-      row_stats[bi].kim_rejections +=
-          static_cast<int64_t>(gi - sweep_begin - cand.size());
     }
   };
+  // A lane claims up to 16 rows at a time and reuses its candidate buffer
+  // across them. A row's cost grows with its index, so a small batch keeps
+  // about eight claims per lane to spread its costly last rows.
+  const size_t lanes = pool != nullptr ? pool->size() : opts_.threads;
+  const size_t rows_per_claim = std::clamp<size_t>(batch / (8 * lanes), 1, 16);
   if (pool != nullptr) {
-    pool->ParallelFor(batch, 1, sweep_rows);
+    pool->ParallelFor(batch, rows_per_claim, sweep_rows);
   } else {
     ThreadPool own(opts_.threads);
-    own.ParallelFor(batch, 1, sweep_rows);
+    own.ParallelFor(batch, rows_per_claim, sweep_rows);
   }
   for (const Status& st : row_status) {
     if (!st.ok()) {

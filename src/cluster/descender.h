@@ -78,13 +78,14 @@ class Descender {
   /// same labels/core flags/adjacency as an equivalent AddTrace loop but
   /// much cheaper — every new row is written to the arena up front, an
   /// endpoint grid hands each new trace only the earlier traces that can
-  /// pass LB_Kim (the pairs it skips count as LB_Kim rejections), those go
-  /// through the cascade with the symmetric two-sided LB_Keogh bound (d(i,j)
-  /// decided once, adjacency filled both ways), rows are distributed over
-  /// `pool` (or, when null, a pool of opts.threads lanes built for the call)
-  /// with a deterministic merge, and in Ball-Tree mode the index is rebuilt
-  /// at most once per batch. Validation is atomic: on error no trace is
-  /// added.
+  /// pass LB_Kim (the pairs it skips count as LB_Kim rejections), those
+  /// take the rest of the cascade — the symmetric two-sided LB_Keogh bound,
+  /// decided on its sums without a square root, then DTW — reading a
+  /// cell-ordered copy of the rows (d(i,j) decided once, adjacency filled
+  /// both ways), rows are distributed over `pool` (or, when null, a pool of
+  /// opts.threads lanes built for the call) with a deterministic merge, and
+  /// in Ball-Tree mode the index is rebuilt at most once per batch.
+  /// Validation is atomic: on error no trace is added.
   Status AddTraces(std::vector<ts::Series> traces, ThreadPool* pool = nullptr);
 
   size_t trace_count() const { return traces_.size(); }

@@ -21,8 +21,7 @@ namespace {
 // therefore runs bit-identical to it by construction.
 struct DtwKernels {
   void (*envelope)(const double*, size_t, size_t, double*, double*);
-  double (*lb_keogh_sumsq)(const double*, const double*, const double*,
-                           size_t);
+  LbKeoghSumKernel lb_keogh_sumsq;
   double (*dtw_band)(const double*, size_t, const double*, size_t, size_t,
                      double, double*, bool*);
 };
@@ -51,6 +50,23 @@ const DtwKernels* ActiveDtwKernels() {
 }
 
 #endif  // any vector tier compiled
+
+// The scalar LB_Keogh sum — the reference loop the vector kernels
+// reassociate.
+double LbKeoghSumScalar(const double* q, const double* lo, const double* up,
+                        size_t n) {
+  double s = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (q[i] > up[i]) {
+      double d = q[i] - up[i];
+      s += d * d;
+    } else if (q[i] < lo[i]) {
+      double d = lo[i] - q[i];
+      s += d * d;
+    }
+  }
+  return s;
+}
 
 }  // namespace
 
@@ -161,31 +177,27 @@ Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
   return env;
 }
 
-double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env) {
-  DBAUGUR_DCHECK_EQ(cand_env.lower.size(), cand_env.upper.size(),
-                    "LbKeogh: malformed envelope");
-  if (query.size() != cand_env.lower.size()) return 0.0;
+LbKeoghSumKernel ActiveLbKeoghSum() {
 #if defined(DBAUGUR_DTW_HAS_VECTOR_TIERS)
   if (const DtwKernels* kern = ActiveDtwKernels(); kern != nullptr) {
     // W-partial-sum reduction: a few ULP from the scalar sum (admissibility
     // is preserved to that tolerance; see dtw_simd.h).
-    return std::sqrt(kern->lb_keogh_sumsq(query.data(), cand_env.lower.data(),
-                                          cand_env.upper.data(),
-                                          query.size()));
+    return kern->lb_keogh_sumsq;
   }
 #endif
-  double s = 0.0;
-  for (size_t i = 0; i < query.size(); ++i) {
-    double q = query[i];
-    if (q > cand_env.upper[i]) {
-      double d = q - cand_env.upper[i];
-      s += d * d;
-    } else if (q < cand_env.lower[i]) {
-      double d = cand_env.lower[i] - q;
-      s += d * d;
-    }
-  }
-  return std::sqrt(s);
+  return &LbKeoghSumScalar;
+}
+
+double LbKeoghSum(std::span<const double> query, const EnvelopeView& cand_env) {
+  DBAUGUR_DCHECK_EQ(cand_env.lower.size(), cand_env.upper.size(),
+                    "LbKeogh: malformed envelope");
+  if (query.size() != cand_env.lower.size()) return 0.0;
+  return ActiveLbKeoghSum()(query.data(), cand_env.lower.data(),
+                            cand_env.upper.data(), query.size());
+}
+
+double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env) {
+  return std::sqrt(LbKeoghSum(query, cand_env));
 }
 
 double LbKeogh(const std::vector<double>& query, const Envelope& cand_env) {
@@ -216,6 +228,21 @@ double LbKim(std::span<const double> a, std::span<const double> b) {
 
 double LbKim(const std::vector<double>& a, const std::vector<double>& b) {
   return LbKim(std::span<const double>(a), b);
+}
+
+double SquaredRadiusThreshold(double radius) {
+  if (radius < 0.0) return -kNoBound;
+  // ρ² rounds to within a few ULP of the answer (or overflows to +∞ when
+  // the answer is DBL_MAX), so a few steps reach it. NaN skips both loops,
+  // and ρ = +∞ stops at once.
+  double t = radius * radius;
+  while (std::sqrt(t) > radius) t = std::nextafter(t, 0.0);
+  while (t < kNoBound) {
+    const double up = std::nextafter(t, kNoBound);
+    if (!(std::sqrt(up) <= radius)) break;
+    t = up;
+  }
+  return t;
 }
 
 StatusOr<bool> CascadingDtw::WithinRadius(std::span<const double> query,
@@ -251,13 +278,20 @@ StatusOr<double> CascadingDtw::Distance(std::span<const double> query,
       ++stats_.kim_rejections;
       return std::numeric_limits<double>::infinity();
     }
-    // The two-sided bound is the max of both directions; once the first
-    // alone exceeds the bound the max does too, so the second is skipped.
-    double lb = LbKeogh(query, cand_env);
-    if (query_env != nullptr && !(lb > upper_bound)) {
-      lb = std::max(lb, LbKeogh(candidate, *query_env));
+    // LB_Keogh decided on its sums against the threshold, which takes the
+    // decision its square root would against the bound.
+    if (upper_bound != threshold_bound_) {
+      threshold_bound_ = upper_bound;
+      threshold_ = SquaredRadiusThreshold(upper_bound);
     }
-    if (lb > upper_bound) {
+    const double first = LbKeoghSum(query, cand_env);
+    const bool rejected =
+        query_env == nullptr
+            ? first > threshold_
+            : KeoghSumsReject(first, threshold_, [&] {
+                return LbKeoghSum(candidate, *query_env);
+              });
+    if (rejected) {
       ++stats_.keogh_rejections;
       return std::numeric_limits<double>::infinity();
     }

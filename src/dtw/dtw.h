@@ -8,6 +8,8 @@
 
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -61,11 +63,52 @@ Envelope BuildEnvelope(const std::vector<double>& seq, int window);
 void BuildEnvelope(std::span<const double> seq, int window,
                    std::span<double> lower, std::span<double> upper);
 
+/// An LB_Keogh sum kernel: Σᵢ eᵢ² over n positions, where eᵢ is how far q[i]
+/// lies above up[i] or below lo[i] (0 inside the envelope). Requires
+/// lo[i] <= up[i]. The vector tiers reduce over W partial sums, so their
+/// sums may differ from the scalar loop's in the last bits (dtw_simd.h).
+using LbKeoghSumKernel = double (*)(const double* q, const double* lo,
+                                    const double* up, size_t n);
+
+/// The active SIMD tier's LB_Keogh sum kernel (the scalar loop when dispatch
+/// is off). Callers that evaluate many pairs resolve it once; LbKeoghSum and
+/// LbKeogh resolve it per call.
+LbKeoghSumKernel ActiveLbKeoghSum();
+
+/// LB_Keogh before its square root: the active kernel's sum of squared
+/// exceedances of `query` outside the candidate's envelope, or 0 when the
+/// lengths differ.
+double LbKeoghSum(std::span<const double> query, const EnvelopeView& cand_env);
+
 /// LB_Keogh lower bound of DTW(query, candidate) given the candidate's
-/// envelope (equal lengths required; returns 0 — a trivially valid bound —
-/// when lengths differ).
+/// envelope: √LbKeoghSum, so a decision taken on the sum against
+/// SquaredRadiusThreshold(ρ) is the decision taken on this bound against ρ.
+/// Equal lengths required; returns 0 — a trivially valid bound — when
+/// lengths differ.
 double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env);
 double LbKeogh(const std::vector<double>& query, const Envelope& cand_env);
+
+/// The largest double t with √t ≤ ρ (−∞ when ρ < 0, +∞ when ρ = +∞, NaN when
+/// ρ is NaN). √ is correctly rounded and monotone, so for every double s —
+/// ±∞ and NaN included — `s > t` holds exactly when `std::sqrt(s) > ρ`. A
+/// bound of the form √s can therefore be tested against ρ on s, with no
+/// square root.
+double SquaredRadiusThreshold(double radius);
+
+/// The two-sided LB_Keogh tier's decision taken on sums: true iff the
+/// cascade's max(LbKeogh(q, env_c), LbKeogh(c, env_q)) > ρ, given
+/// `first` = LbKeoghSum(q, env_c), `second()` = LbKeoghSum(c, env_q) and
+/// `threshold` = SquaredRadiusThreshold(ρ). `second` runs only when `first`
+/// does not decide: when it exceeds the threshold the max does too, and when
+/// it is NaN the max is NaN (std::max returns its first argument), which
+/// rejects nothing. A NaN second sum leaves the max at √first.
+template <typename SecondSum>
+inline bool KeoghSumsReject(double first, double threshold,
+                            SecondSum&& second) {
+  if (first > threshold) return true;
+  if (std::isnan(first)) return false;
+  return second() > threshold;
+}
 
 /// Two-sided LB_Keogh: the max of both directions (a against b's envelope
 /// and b against a's). Each direction is an admissible lower bound of the
@@ -139,6 +182,9 @@ class CascadingDtw {
  private:
   DtwOptions opts_;
   PruningStats stats_;
+  // SquaredRadiusThreshold of the last bound Distance saw (NaN: none yet).
+  double threshold_bound_ = std::numeric_limits<double>::quiet_NaN();
+  double threshold_ = 0.0;
 };
 
 }  // namespace dbaugur::dtw

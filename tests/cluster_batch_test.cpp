@@ -5,7 +5,8 @@
 // full DTW computations than the sequential path. A brute-force oracle —
 // every pair decided by an all-pairs loop over the public bounds — pins the
 // endpoint-grid sweep to the cascade's decisions and telemetry, including
-// on non-finite, huge and cell-boundary endpoints.
+// on non-finite, huge and cell-boundary endpoints, non-finite interior
+// values and crowded grid cells.
 
 #include <gtest/gtest.h>
 
@@ -645,6 +646,133 @@ TEST(ClusterBatchOracleTest, NonFiniteEndpoints) {
     // The Descender stays usable whatever the outcome.
     check.AddTraces(MixedTraces(1, 4, 2, 8, 22));
   }
+}
+
+// Runs `body(opts, pool)` at 1 lane, at 4 lanes and on a caller pool of 3.
+template <typename Body>
+void AtEveryLaneCount(DescenderOptions opts, Body body) {
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    opts.threads = threads;
+    body(opts, nullptr);
+  }
+  SCOPED_TRACE("caller pool");
+  ThreadPool pool(3);
+  opts.threads = 1;
+  body(opts, &pool);
+}
+
+TEST(ClusterBatchOracleTest, InteriorNonFiniteValues) {
+  // Finite endpoints keep these rows on the endpoint grid, so the sweep's
+  // LB_Keogh sums, not the scan-all path, meet the non-finite values.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  DescenderOptions opts = OracleOpts(1.0, 2);
+  opts.znormalize = false;
+  // Copies of the first few traces, each with one interior bin replaced.
+  auto with_values = [](std::vector<ts::Series> traces,
+                        const std::vector<std::pair<size_t, double>>& bins) {
+    for (size_t i = 0; i < bins.size(); ++i) {
+      std::vector<double> v = traces[i].values();
+      v[bins[i].first] = bins[i].second;
+      traces.emplace_back(0, 60, std::move(v));
+    }
+    return traces;
+  };
+  AtEveryLaneCount(opts, [&](const DescenderOptions& o, ThreadPool* pool) {
+    {
+      // ±inf bins more than the window apart per sign: every pair with such
+      // a row has a +inf LB_Keogh sum, in the first direction when that row
+      // is the query and in the second when it is the earlier row.
+      OracleCheck check(o);
+      ASSERT_TRUE(check.AddTraces(
+          with_values(MixedTraces(2, 6, 6, 8, 27),
+                      {{1, kInf}, {2, -kInf}, {4, kInf}, {5, -kInf}}),
+          pool));
+      EXPECT_GT(check.descender().pruning_stats().keogh_rejections, 0);
+    }
+    {
+      // NaN values add nothing to an LB_Keogh sum, so their pairs reach DTW,
+      // whose NaN distance links nothing.
+      OracleCheck check(o);
+      ASSERT_TRUE(check.AddTraces(
+          with_values(MixedTraces(2, 6, 6, 8, 28),
+                      {{3, kNaN}, {1, kNaN}, {6, kNaN}, {2, kNaN}}),
+          pool));
+    }
+    {
+      // A twin with NaN in its second-to-last bin, placed before its
+      // source: every band path of DTW(source, twin) crosses the NaN column.
+      // The scalar DP ends at +inf there and fails the batch; the vector
+      // wavefronts carry the NaN through. Either way the batch path must
+      // agree with the oracle, atomically.
+      std::vector<ts::Series> traces = MixedTraces(2, 6, 6, 8, 29);
+      std::vector<double> v = traces[0].values();
+      v[6] = kNaN;
+      traces.insert(traces.begin(), ts::Series(0, 60, std::move(v)));
+      OracleCheck check(o);
+      check.AddTraces(traces, pool);
+      // The Descender stays usable whatever the outcome.
+      check.AddTraces(MixedTraces(1, 4, 2, 8, 30), pool);
+    }
+  });
+}
+
+TEST(ClusterBatchOracleTest, CrowdedCells) {
+  // Three hundred raw traces over seven endpoint pairs, five of them in one
+  // grid cell or its neighbour: cells hold dozens of rows, each query's rows
+  // below it end mid-cell, and LB_Kim both keeps and rejects pairs within
+  // a cell. Interiors vary enough that LB_Keogh and DTW decide some pairs.
+  Rng rng(31);
+  const double kEnds[][2] = {{0.0, 0.0}, {0.0, 0.5}, {0.5, 0.0}, {0.9, 0.9},
+                             {1.2, 0.3}, {2.0, 2.0}, {2.0, 2.4}};
+  std::vector<ts::Series> traces;
+  for (size_t i = 0; i < 300; ++i) {
+    const auto e = static_cast<size_t>(rng.UniformInt(0, 6));
+    std::vector<double> v(10);
+    const double level = rng.Uniform(-0.6, 0.6);
+    for (double& x : v) x = kEnds[e][0] + level + rng.Gaussian(0.0, 0.2);
+    v.front() = kEnds[e][0];
+    v.back() = kEnds[e][1];
+    traces.emplace_back(0, 60, std::move(v));
+  }
+  DescenderOptions opts = OracleOpts(1.0, 2);
+  opts.znormalize = false;
+  AtEveryLaneCount(opts, [&](const DescenderOptions& o, ThreadPool* pool) {
+    OracleCheck check(o);
+    // Two batches: the second sweeps its rows against the first's too.
+    ASSERT_TRUE(check.AddTraces({traces.begin(), traces.begin() + 120}, pool));
+    ASSERT_TRUE(check.AddTraces({traces.begin() + 120, traces.end()}, pool));
+    const dtw::PruningStats& st = check.descender().pruning_stats();
+    EXPECT_GT(st.kim_rejections, 0);
+    EXPECT_GT(st.keogh_rejections, 0);
+    EXPECT_GT(st.full_dtw, 0);
+  });
+}
+
+TEST(ClusterBatchOracleTest, KeoghSumJustAboveRadiusSquared) {
+  // Raw traces that are 0 except for a bump of 1 and one of 2^-26: against
+  // a zero trace their LB_Keogh sum is exactly 1 + 2^-52. That is above
+  // ρ² = 1, yet its square root rounds to 1 = ρ, so the LB_Keogh tier keeps
+  // the pair and DTW decides it. A sweep or cascade that compared sums
+  // with ρ² would count a Keogh rejection instead.
+  DescenderOptions opts = OracleOpts(1.0, 1, 2);
+  opts.znormalize = false;
+  opts.min_size = 2;
+  std::vector<ts::Series> traces;
+  traces.emplace_back(0, 60, std::vector<double>(10, 0.0));
+  for (size_t k = 1; k + 3 < 10; ++k) {
+    std::vector<double> v(10, 0.0);
+    v[k] = 1.0;
+    v[k + 2] = 0x1p-26;
+    traces.emplace_back(0, 60, std::move(v));
+  }
+  traces.emplace_back(0, 60, std::vector<double>(10, 0.0));
+  OracleCheck batch(opts);
+  ASSERT_TRUE(batch.AddTraces(traces));
+  EXPECT_GT(batch.descender().pruning_stats().full_dtw, 0);
+  OracleCheck single(opts);
+  for (const ts::Series& t : traces) single.AddTrace(t);
 }
 
 TEST(ClusterBatchOracleTest, EndpointsOnCellBoundaries) {

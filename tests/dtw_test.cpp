@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "dtw/dtw.h"
 
 namespace dbaugur::dtw {
@@ -335,6 +339,116 @@ TEST(CascadeTest, CountersTrackRejections) {
   EXPECT_EQ(cascade.full_computations(), 0);
   cascade.ResetCounters();
   EXPECT_EQ(cascade.kim_rejections(), 0);
+}
+
+class ThresholdTest : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::ResetForcedTier(); }
+};
+
+TEST_F(ThresholdTest, SquaredThresholdDecidesLikeTheSquareRoot) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // 10^5 non-negative bit patterns: every exponent equally likely,
+  // subnormals and a few infinities and NaNs included.
+  Rng rng(41);
+  std::vector<double> spread(100000);
+  for (double& s : spread) s = std::bit_cast<double>(rng.engine()() >> 1);
+  for (double rho : {0.0, std::numeric_limits<double>::denorm_min(), 1e-200,
+                     0x1p-500, 0.1, 1.0 / 3.0, 0.5, 1.0, 3.0, 1e9, 1e154,
+                     1e200, DBL_MAX}) {
+    SCOPED_TRACE(testing::Message() << "rho " << rho);
+    const double t = SquaredRadiusThreshold(rho);
+    // The largest double whose square root stays within ρ.
+    EXPECT_LE(std::sqrt(t), rho);
+    EXPECT_GT(std::sqrt(std::nextafter(t, kInf)), rho);
+    std::vector<double> probes = {0.0, kInf, kNaN};
+    for (double center : {t, rho * rho}) {
+      double below = center, above = center;
+      probes.push_back(center);
+      for (int ulp = 1; ulp <= 2; ++ulp) {
+        below = std::nextafter(below, -kInf);
+        above = std::nextafter(above, kInf);
+        probes.push_back(below);
+        probes.push_back(above);
+      }
+    }
+    probes.insert(probes.end(), spread.begin(), spread.end());
+    size_t mismatches = 0;
+    for (double s : probes) {
+      if ((s > t) != (std::sqrt(s) > rho)) {
+        if (mismatches++ == 0) ADD_FAILURE() << "first mismatch at s = " << s;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST_F(ThresholdTest, KeoghSumsRejectMatchesTheMaxOfRoots) {
+  // The cascade's two-sided tier rejects when
+  // std::max(√first, √second) > ρ; the helper must take the same decision
+  // on the sums, NaN and ±inf included, and read the second sum only when
+  // the first decides nothing.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double rho : {0.0, 0.5, 1.0, 1e200}) {
+    const double t = SquaredRadiusThreshold(rho);
+    const double sums[] = {0.0,  t / 2, t, std::nextafter(t, kInf), 4 * t + 1,
+                           kInf, kNaN};
+    for (double first : sums) {
+      for (double second : sums) {
+        bool read_second = false;
+        const bool rejected = KeoghSumsReject(first, t, [&] {
+          read_second = true;
+          return second;
+        });
+        EXPECT_EQ(rejected,
+                  std::max(std::sqrt(first), std::sqrt(second)) > rho)
+            << "rho " << rho << " first " << first << " second " << second;
+        EXPECT_EQ(read_second, !(first > t) && !std::isnan(first))
+            << "rho " << rho << " first " << first;
+      }
+    }
+  }
+}
+
+TEST_F(ThresholdTest, LbKeoghIsTheRootOfTheSharedSumOnEveryTier) {
+  simd::Tier tiers[3];
+  const int count = simd::SupportedTiers(tiers);
+  Rng rng(43);
+  for (int t = 0; t < count; ++t) {
+    ASSERT_TRUE(simd::ForceTier(tiers[t]));
+    SCOPED_TRACE(simd::TierName(tiers[t]));
+    for (size_t n : {1u, 2u, 3u, 5u, 8u, 14u, 31u}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<double> q(n), c(n);
+        for (size_t i = 0; i < n; ++i) {
+          q[i] = rng.Gaussian();
+          c[i] = rng.Gaussian();
+        }
+        const Envelope env = BuildEnvelope(c, 2);
+        const EnvelopeView view{env.lower, env.upper};
+        const double sum = LbKeoghSum(q, view);
+        EXPECT_EQ(std::bit_cast<uint64_t>(LbKeogh(q, env)),
+                  std::bit_cast<uint64_t>(std::sqrt(sum)));
+        EXPECT_EQ(std::bit_cast<uint64_t>(ActiveLbKeoghSum()(
+                      q.data(), env.lower.data(), env.upper.data(), n)),
+                  std::bit_cast<uint64_t>(sum));
+        if (tiers[t] == simd::Tier::kScalar) {
+          // The scalar tier is the plain loop, in index order.
+          double want = 0.0;
+          for (size_t i = 0; i < n; ++i) {
+            if (q[i] > env.upper[i]) {
+              want += (q[i] - env.upper[i]) * (q[i] - env.upper[i]);
+            } else if (q[i] < env.lower[i]) {
+              want += (env.lower[i] - q[i]) * (env.lower[i] - q[i]);
+            }
+          }
+          EXPECT_EQ(std::bit_cast<uint64_t>(sum), std::bit_cast<uint64_t>(want));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -334,7 +334,7 @@ class ChaosRun {
       // exactly the category it was built for.
       const StreamGroundTruth& t = stream_.truth;
       if (ref.drops.template_id != t.bad_template_events) {
-        return Fail("quarantined " + std::to_string(ref.drops.template_id) +
+        return Fail("dropped " + std::to_string(ref.drops.template_id) +
                     " bad-template events, stream injected " +
                     std::to_string(t.bad_template_events));
       }

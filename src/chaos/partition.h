@@ -1,10 +1,8 @@
 // Relabel-invariant comparison of cluster partitions.
 //
 // Two clusterings of the same traces are equivalent when they induce the
-// same partition, even if the integer labels differ (online insertion and
-// the heuristic Ball-Tree index may number clusters in a different order
-// than a batch run). The chaos differential oracle and the cluster batch
-// tests share this one comparator so "same partition" means the same thing
+// same partition, even if the integer labels differ. The chaos differential
+// oracle uses this one comparator so "same partition" means the same thing
 // everywhere.
 
 #pragma once

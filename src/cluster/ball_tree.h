@@ -5,9 +5,8 @@
 // The tree is built with a pluggable distance function. With a true metric
 // (Euclidean) the triangle-inequality pruning is exact. DTW violates the
 // triangle inequality, so the paper's Ball-Tree-over-DTW search is inherently
-// heuristic; Descender therefore supports both this index and an exact
-// LB_Keogh-cascade linear scan, and the ablation bench quantifies the recall
-// difference.
+// heuristic; Descender searches exactly with the LB cascade instead, and
+// bench/ablation_clustering measures this tree's recall under DTW.
 
 #pragma once
 
@@ -59,8 +58,7 @@ class BallTree {
 
   /// Points skipped by ball pruning across all range queries so far: whenever
   /// a node's ball provably cannot intersect the query ball, its whole
-  /// subtree's point count is added here. Descender reports this as
-  /// PruningStats::tree_rejections.
+  /// subtree's point count is added here.
   int64_t pruned_points() const { return pruned_points_; }
 
  private:

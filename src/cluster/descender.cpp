@@ -47,39 +47,38 @@ struct Candidate {
 // into the arena.
 class EndpointGrid {
  public:
-  /// Indexes rows [begin, end) of `arena`, which holds 3·len doubles per
-  /// row: the distance values, then the lower and the upper envelope.
-  EndpointGrid(std::span<const double> arena, size_t len, size_t begin,
-               size_t end, double radius)
+  /// Indexes rows [0, n) of `arena`, which holds 3·len doubles per row: the
+  /// distance values, then the lower and the upper envelope.
+  EndpointGrid(std::span<const double> arena, size_t len, size_t n,
+               double radius)
       : arena_(arena),
         len_(len),
-        begin_(begin),
         radius_(radius),
         threshold_(dtw::SquaredRadiusThreshold(radius)),
-        cell_(end - begin, kScanAll) {
-    ends_.reserve(2 * cell_.size());
-    for (size_t r = begin; r < end; ++r) {
+        cell_(n, kScanAll) {
+    ends_.reserve(2 * n);
+    for (size_t r = 0; r < n; ++r) {
       ends_.push_back(Row(r)[0]);
       ends_.push_back(Row(r)[len - 1]);
     }
     const double h = radius * (1.0 + kCellMargin);
     const bool usable = radius >= kMinGridRadius && std::isfinite(h);
     std::vector<std::pair<uint64_t, size_t>> entries;
-    for (size_t k = 0; k < cell_.size(); ++k) {
+    for (size_t r = 0; r < n; ++r) {
       if (!usable) {
-        scan_all_.push_back(begin_ + k);
+        scan_all_.push_back(r);
         continue;
       }
-      const double qf = ends_[2 * k] / h;
-      const double ql = ends_[2 * k + 1] / h;
+      const double qf = ends_[2 * r] / h;
+      const double ql = ends_[2 * r + 1] / h;
       // Written so that NaN quotients fail too.
       if (!(std::fabs(qf) <= kMaxCell) || !(std::fabs(ql) <= kMaxCell)) {
-        scan_all_.push_back(begin_ + k);
+        scan_all_.push_back(r);
         continue;
       }
-      cell_[k] = CellKey(static_cast<int64_t>(std::floor(qf)),
+      cell_[r] = CellKey(static_cast<int64_t>(std::floor(qf)),
                          static_cast<int64_t>(std::floor(ql)));
-      entries.emplace_back(cell_[k], k);
+      entries.emplace_back(cell_[r], r);
     }
     // By cell, then by row: each cell's rows ascend.
     std::sort(entries.begin(), entries.end());
@@ -87,40 +86,40 @@ class EndpointGrid {
     sorted_ends_.reserve(2 * entries.size());
     sorted_rows_.resize(3 * len * entries.size());
     for (size_t t = 0; t < entries.size(); ++t) {
-      const auto [key, k] = entries[t];
+      const auto [key, r] = entries[t];
       if (t == 0 || key != cell_keys_.back()) {
         cell_keys_.push_back(key);
         cell_start_.push_back(t);
       }
-      rows_.push_back(begin_ + k);
-      sorted_ends_.push_back(ends_[2 * k]);
-      sorted_ends_.push_back(ends_[2 * k + 1]);
-      const double* row = Row(begin_ + k);
+      rows_.push_back(r);
+      sorted_ends_.push_back(ends_[2 * r]);
+      sorted_ends_.push_back(ends_[2 * r + 1]);
+      const double* row = Row(r);
       std::copy(row, row + 3 * len, sorted_rows_.begin() + 3 * len * t);
     }
     cell_start_.push_back(entries.size());
   }
 
-  /// Appends to `out` every j in [begin, gi) whose pair with row gi passes
-  /// LB_Kim, with a pointer to row j's values and envelope. The other
-  /// gi - begin pairs are exactly the pairs the cascade's LB_Kim tier
-  /// rejects. Order is unspecified.
+  /// Appends to `out` every j < gi whose pair with row gi passes LB_Kim,
+  /// with a pointer to row j's values and envelope. The other gi pairs are
+  /// exactly the pairs the cascade's LB_Kim tier rejects. Order is
+  /// unspecified.
   void Candidates(size_t gi, std::vector<Candidate>* out) const {
-    const size_t k = gi - begin_;
     // The cascade's LB_Kim tier itself, for pairs with a scan-all row: it
     // rejects when the bound exceeds ρ (so a NaN bound passes).
-    const std::span<const double> query = Ends(k);
+    const std::span<const double> query = Ends(gi);
     auto scan = [&](size_t j) {
-      if (!(dtw::LbKim(query, Ends(j - begin_)) > radius_)) {
+      if (!(dtw::LbKim(query, Ends(j)) > radius_)) {
         out->push_back({j, Row(j)});
       }
     };
-    if (cell_[k] == kScanAll) {
-      for (size_t j = begin_; j < gi; ++j) scan(j);
+    if (cell_[gi] == kScanAll) {
+      for (size_t j = 0; j < gi; ++j) scan(j);
       return;
     }
-    const int64_t kf = static_cast<int64_t>(cell_[k] >> 32) - kKeyOffset;
-    const int64_t kl = static_cast<int64_t>(cell_[k] & 0xffffffffU) - kKeyOffset;
+    const int64_t kf = static_cast<int64_t>(cell_[gi] >> 32) - kKeyOffset;
+    const int64_t kl =
+        static_cast<int64_t>(cell_[gi] & 0xffffffffU) - kKeyOffset;
     for (int64_t dkf = -1; dkf <= 1; ++dkf) {
       // Cells (kf + dkf, kl - 1 .. kl + 1) are adjacent in key order.
       const uint64_t last_key = CellKey(kf + dkf, kl + 1);
@@ -129,7 +128,7 @@ class EndpointGrid {
                                 CellKey(kf + dkf, kl - 1)) -
                cell_keys_.begin());
            c < cell_keys_.size() && cell_keys_[c] <= last_key; ++c) {
-        AppendCell(k, gi, c, out);
+        AppendCell(gi, c, out);
       }
     }
     for (size_t j : scan_all_) {
@@ -158,15 +157,14 @@ class EndpointGrid {
   const double* Row(size_t r) const { return arena_.data() + 3 * len_ * r; }
   // LB_Kim reads front and back; for one-value traces both are the same
   // value and the bound takes its single-cell form.
-  std::span<const double> Ends(size_t k) const {
-    return {ends_.data() + 2 * k, std::min<size_t>(len_, 2)};
+  std::span<const double> Ends(size_t r) const {
+    return {ends_.data() + 2 * r, std::min<size_t>(len_, 2)};
   }
 
-  // Appends cell c's rows below gi that pass LB_Kim against row gi (offset
-  // k), in one branch-free pass: about half the rows of a neighbouring cell
-  // fail, unpredictably.
-  void AppendCell(size_t k, size_t gi, size_t c,
-                  std::vector<Candidate>* out) const {
+  // Appends cell c's rows below gi that pass LB_Kim against row gi, in one
+  // branch-free pass: about half the rows of a neighbouring cell fail,
+  // unpredictably.
+  void AppendCell(size_t gi, size_t c, std::vector<Candidate>* out) const {
     const size_t first = cell_start_[c];
     // A cell's rows ascend, so those below gi are a prefix of it.
     const auto last = static_cast<size_t>(
@@ -175,8 +173,8 @@ class EndpointGrid {
                                              cell_start_[c + 1]),
                          gi) -
         rows_.begin());
-    const double f = ends_[2 * k];
-    const double l = ends_[2 * k + 1];
+    const double f = ends_[2 * gi];
+    const double l = ends_[2 * gi + 1];
     size_t kept = out->size();
     out->resize(kept + (last - first));
     Candidate* dst = out->data();
@@ -193,11 +191,10 @@ class EndpointGrid {
 
   std::span<const double> arena_;
   size_t len_;
-  size_t begin_;
   double radius_;
   double threshold_;               // SquaredRadiusThreshold(radius_)
-  std::vector<double> ends_;       // by row - begin_: first, last value
-  std::vector<uint64_t> cell_;     // by row - begin_; kScanAll if listed
+  std::vector<double> ends_;       // by row: first, last value
+  std::vector<uint64_t> cell_;     // by row; kScanAll if listed
   std::vector<size_t> scan_all_;   // ascending
   // Bucketed rows in (cell key, row) order, with their endpoints and a copy
   // of their arena slices, and where each cell starts.
@@ -247,80 +244,31 @@ void Descender::AppendRow(const ts::Series& trace) {
                      row.subspan(2 * len, len));
 }
 
-Status Descender::EnsureTreeFresh() {
-  size_t n = traces_.size();
-  if (n - tree_covered_ <= opts_.ball_tree_rebuild_pending) return Status::OK();
-  // Rebuild over every current trace; until the pending budget is exceeded
-  // again, new traces are searched exactly via the cascade instead.
-  std::vector<std::vector<double>> pts;
-  pts.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const std::span<const double> row = DistanceRow(i);
-    pts.emplace_back(row.begin(), row.end());
-  }
-  dtw::DtwOptions dtw_opts = opts_.dtw;
-  auto tree = BallTree::Build(
-      std::move(pts),
-      [dtw_opts](const std::vector<double>& a, const std::vector<double>& b) {
-        auto d = dtw::DtwDistance(a, b, dtw_opts);
-        return d.ok() ? *d : std::numeric_limits<double>::infinity();
-      },
-      {opts_.ball_tree_leaf});
-  if (!tree.ok()) return tree.status();
-  tree_ = std::make_unique<BallTree>(std::move(*tree));
-  tree_covered_ = n;
-  return Status::OK();
-}
-
-StatusOr<std::vector<size_t>> Descender::Neighbors(
-    std::span<const double> values) {
-  std::vector<size_t> out;
-  if (traces_.empty()) return out;
-  size_t scan_begin = 0;
-  if (opts_.search == NeighborSearch::kBallTree) {
-    // Heuristic mode: ball tree with DTW as the distance, maintained with a
-    // pending-insert buffer — traces past tree_covered_ are scanned exactly
-    // below, and the tree is only rebuilt once the pending budget is spent.
-    // Exact mode is the default.
-    DBAUGUR_RETURN_IF_ERROR(EnsureTreeFresh());
-    if (tree_) {
-      int64_t evals_before = tree_->distance_evals();
-      int64_t pruned_before = tree_->pruned_points();
-      out = tree_->RangeQuery({values.begin(), values.end()}, opts_.radius);
-      // Every non-pruned tree probe pays for a full DTW.
-      stats_.full_dtw += tree_->distance_evals() - evals_before;
-      stats_.tree_rejections += tree_->pruned_points() - pruned_before;
-    }
-    scan_begin = tree_covered_;
-  }
-  // Exact cascade: LB_Kim -> LB_Keogh -> early-abandoning DTW.
-  dtw::CascadingDtw cascade(opts_.dtw);
-  for (size_t i = scan_begin; i < traces_.size(); ++i) {
-    auto within = cascade.WithinRadius(values, DistanceRow(i), EnvelopeRow(i),
-                                       opts_.radius);
-    if (!within.ok()) return within.status();
-    if (*within) out.push_back(i);
-  }
-  stats_ += cascade.stats();
-  return out;
-}
-
 StatusOr<size_t> Descender::AddTrace(ts::Series trace) {
   if (trace.empty()) return Status::InvalidArgument("Descender: empty trace");
   if (!traces_.empty() && trace.size() != traces_[0].size()) {
     return Status::InvalidArgument("Descender: trace length mismatch");
   }
-  // The new row is the query; Neighbors scans only rows below it.
+  // The new row is the query. The exact cascade (LB_Kim -> LB_Keogh ->
+  // early-abandoning DTW) decides its pair with every row below it.
   const size_t idx = traces_.size();
   AppendRow(trace);
-  auto nbrs = Neighbors(DistanceRow(idx));
-  if (!nbrs.ok()) {
-    arena_.resize(3 * row_len_ * idx);
-    return nbrs.status();
+  const std::span<const double> query = DistanceRow(idx);
+  dtw::CascadingDtw cascade(opts_.dtw);
+  std::vector<size_t> nbrs;
+  for (size_t i = 0; i < idx; ++i) {
+    auto within = cascade.WithinRadius(query, DistanceRow(i), EnvelopeRow(i),
+                                       opts_.radius);
+    if (!within.ok()) {
+      arena_.resize(3 * row_len_ * idx);
+      return within.status();
+    }
+    if (*within) nbrs.push_back(i);
   }
+  stats_ += cascade.stats();
   volumes_.push_back(Volume(trace));
   traces_.push_back(std::move(trace));
-  adjacency_.push_back(std::move(nbrs).value());
+  adjacency_.push_back(std::move(nbrs));
   for (size_t n : adjacency_[idx]) adjacency_[n].push_back(idx);
   Relabel();
   return idx;
@@ -341,15 +289,6 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
   const size_t old_n = traces_.size();
   const size_t batch = traces.size();
 
-  // Ball-Tree mode: refresh the index over the pre-batch traces at most once
-  // per batch. The batch itself is covered by the exact symmetric sweep
-  // below, so the per-insert rebuilds of the old code disappear entirely.
-  size_t sweep_begin = 0;
-  if (opts_.search == NeighborSearch::kBallTree) {
-    DBAUGUR_RETURN_IF_ERROR(EnsureTreeFresh());
-    sweep_begin = tree_covered_;
-  }
-
   // Write every new row (distance values + envelope) into the arena up
   // front; the sweep then reads it concurrently without any mutation.
   arena_.reserve(3 * len * (old_n + batch));
@@ -359,28 +298,11 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
     traces_.push_back(std::move(t));
     adjacency_.emplace_back();
   }
-  const size_t n = traces_.size();
+  const EndpointGrid grid(arena_, len, traces_.size(), opts_.radius);
 
-  // Old-trace neighbors via the Ball-Tree index (serial: queries mutate the
-  // tree's telemetry counters, and this part is cheap next to the sweep).
-  std::vector<std::vector<size_t>> tree_nbrs;
-  if (opts_.search == NeighborSearch::kBallTree && tree_) {
-    tree_nbrs.resize(batch);
-    for (size_t bi = 0; bi < batch; ++bi) {
-      const std::span<const double> row = DistanceRow(old_n + bi);
-      int64_t evals_before = tree_->distance_evals();
-      int64_t pruned_before = tree_->pruned_points();
-      tree_nbrs[bi] = tree_->RangeQuery({row.begin(), row.end()}, opts_.radius);
-      stats_.full_dtw += tree_->distance_evals() - evals_before;
-      stats_.tree_rejections += tree_->pruned_points() - pruned_before;
-    }
-  }
-
-  const EndpointGrid grid(arena_, len, sweep_begin, n, opts_.radius);
-
-  // Half-matrix sweep: row bi decides every pair (old_n + bi, j) for j in
-  // [sweep_begin, old_n + bi) exactly once. The grid hands it the pairs that
-  // pass LB_Kim, and the rest are counted as the LB_Kim rejections they are.
+  // Half-matrix sweep: row bi decides every pair (old_n + bi, j) for
+  // j < old_n + bi exactly once. The grid hands it the pairs that pass
+  // LB_Kim, and the rest are counted as the LB_Kim rejections they are.
   // The pairs handed over take the cascade's remaining tiers with the
   // symmetric two-sided LB_Keogh (both envelopes are available, unlike the
   // incremental path), decided on sums with the kernel and threshold
@@ -399,7 +321,7 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
       cand.clear();
       grid.Candidates(gi, &cand);
       dtw::PruningStats& st = row_stats[bi];
-      st.kim_rejections = static_cast<int64_t>(gi - sweep_begin - cand.size());
+      st.kim_rejections = static_cast<int64_t>(gi - cand.size());
       for (const Candidate& c : cand) {
         const double* v = c.data;
         if (dtw::KeoghSumsReject(keogh(q, v + len, v + 2 * len, len),
@@ -444,19 +366,15 @@ Status Descender::AddTraces(std::vector<ts::Series> traces, ThreadPool* pool) {
     }
   }
 
-  // Deterministic merge in index order: each adjacency list is built sorted
-  // ascending (tree hits < sweep_begin first, then sweep hits), and the
+  // Deterministic merge in index order: each new row's list is its sorted
+  // sweep hits (only later rows link back to it, after this step), and the
   // symmetric back-fill appends strictly increasing indices — exactly the
   // lists the sequential AddTrace loop produces, so Relabel's BFS emits
   // identical labels.
   for (size_t bi = 0; bi < batch; ++bi) {
-    size_t gi = old_n + bi;
-    std::vector<size_t>& adj = adjacency_[gi];
-    if (!tree_nbrs.empty()) {
-      adj.insert(adj.end(), tree_nbrs[bi].begin(), tree_nbrs[bi].end());
-    }
-    adj.insert(adj.end(), row_nbrs[bi].begin(), row_nbrs[bi].end());
-    for (size_t j : adj) adjacency_[j].push_back(gi);
+    const size_t gi = old_n + bi;
+    adjacency_[gi] = row_nbrs[bi];
+    for (size_t j : adjacency_[gi]) adjacency_[j].push_back(gi);
     stats_ += row_stats[bi];
   }
   Relabel();

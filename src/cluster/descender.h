@@ -9,15 +9,17 @@
 // current clustering density"). Non-core traces outside every cluster are
 // materialized as singleton clusters, matching the paper's online rule ("we
 // will create a new cluster with that trace as its sole member").
+//
+// Neighborhoods are searched exactly, through the LB_Kim -> LB_Keogh -> DTW
+// cascade. The paper's Ball-Tree index is cluster::BallTree; DTW is not a
+// metric, so its pruning is heuristic, and Descender does not use it.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "cluster/ball_tree.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "dtw/dtw.h"
@@ -25,35 +27,20 @@
 
 namespace dbaugur::cluster {
 
-/// How ρ-neighborhoods are searched.
-enum class NeighborSearch {
-  /// Linear scan with the LB_Kim/LB_Keogh/early-abandon cascade — exact.
-  kExactCascade,
-  /// Ball-tree built over the traces with the DTW distance — faster but
-  /// heuristic because DTW violates the triangle inequality.
-  kBallTree,
-};
-
 /// Descender configuration.
 struct DescenderOptions {
   double radius = 1.0;          ///< ρ — neighborhood radius (DTW distance).
   size_t min_size = 3;          ///< MinSize — neighbors (incl. self) to be core.
   dtw::DtwOptions dtw;          ///< DTW band window.
-  NeighborSearch search = NeighborSearch::kExactCascade;
-  size_t ball_tree_leaf = 8;
-  /// Ball-Tree staleness budget: the index tolerates this many traces not yet
-  /// folded into the tree (searched exactly via the LB cascade instead)
-  /// before AddTrace triggers a full rebuild. 0 restores the old
-  /// rebuild-on-every-insert behavior.
-  size_t ball_tree_rebuild_pending = 32;
   /// Compute distances on z-normalized copies of the traces. Query-count and
   /// utilization-ratio traces live on wildly different scales; normalizing
   /// lets one radius ρ group by *shape*, which is what the paper's pattern
   /// clustering is after. Volumes/representatives still use raw values.
   bool znormalize = true;
   /// Worker lanes for the batch AddTraces pairwise sweep when the caller
-  /// passes no pool. Results are deterministic for any value; 1 runs fully
-  /// inline (no threads spawned).
+  /// passes no pool; core::BuildTrainedState sizes the one pool it builds
+  /// for the sweep and the fits from it too. Results are deterministic for
+  /// any value; 1 runs fully inline (no threads spawned).
   size_t threads = DefaultThreadCount();
 };
 
@@ -83,8 +70,7 @@ class Descender {
   /// decided on its sums without a square root, then DTW — reading a
   /// cell-ordered copy of the rows (d(i,j) decided once, adjacency filled
   /// both ways), rows are distributed over `pool` (or, when null, a pool of
-  /// opts.threads lanes built for the call) with a deterministic merge, and
-  /// in Ball-Tree mode the index is rebuilt at most once per batch.
+  /// opts.threads lanes built for the call) with a deterministic merge.
   /// Validation is atomic: on error no trace is added.
   Status AddTraces(std::vector<ts::Series> traces, ThreadPool* pool = nullptr);
 
@@ -116,15 +102,10 @@ class Descender {
   StatusOr<double> TraceProportion(size_t i) const;
 
   /// Per-tier pruning telemetry accumulated over every insertion: LB_Kim /
-  /// LB_Keogh / Ball-Tree rejections and full DTW computations.
+  /// LB_Keogh rejections and full DTW computations.
   const dtw::PruningStats& pruning_stats() const { return stats_; }
 
  private:
-  /// Indices within ρ of `values` among current traces.
-  StatusOr<std::vector<size_t>> Neighbors(std::span<const double> values);
-  /// Ball-Tree maintenance: rebuilds the index over all current traces when
-  /// more than opts.ball_tree_rebuild_pending traces sit outside it.
-  Status EnsureTreeFresh();
   /// Recomputes core flags and labels from the adjacency lists (exact DBSCAN
   /// semantics, then singletons for leftover noise), and each cluster's
   /// volume and size.
@@ -156,10 +137,6 @@ class Descender {
   std::vector<double> cluster_volumes_;
   std::vector<size_t> cluster_sizes_;
   dtw::PruningStats stats_;
-  // Ball-Tree mode: persistent index over traces [0, tree_covered_); traces
-  // past that point are pending (searched exactly until the next rebuild).
-  std::unique_ptr<BallTree> tree_;
-  size_t tree_covered_ = 0;
 };
 
 }  // namespace dbaugur::cluster

@@ -1,7 +1,7 @@
 // Runtime contracts for DBAugur (CHECK/DCHECK tiers, RocksDB/Abseil idiom).
 //
 // The forecasting pipeline chains numerically fragile stages (DTW band math →
-// Ball-Tree pruning → clustering → NN training → ensemble weighting), and a
+// LB pruning → clustering → NN training → ensemble weighting), and a
 // shape mismatch that slips through becomes silent memory corruption. Bare
 // `assert()` is compiled out by `-DNDEBUG` — i.e. in exactly the Release
 // configuration users run — so library invariants use these macros instead.

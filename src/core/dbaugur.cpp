@@ -1,6 +1,7 @@
 #include "core/dbaugur.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
@@ -20,17 +21,6 @@ Status DBAugurSystem::IngestQueryLog(
 
 void DBAugurSystem::AddResourceTrace(ts::Series series) {
   resource_traces_.push_back(std::move(series));
-}
-
-StatusOr<TrainedState> BuildTrainedState(
-    const DBAugurOptions& opts, const std::vector<ts::Series>& traces) {
-  return BuildTrainedState(opts, traces, nullptr);
-}
-
-StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces,
-                                         ThreadPool* fit_pool) {
-  return BuildTrainedState(opts, traces, fit_pool, nullptr);
 }
 
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
@@ -53,10 +43,15 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   }
 
   TrainedState state;
-  // 1. Cluster with Descender. The pairwise sweep runs on the caller's pool
-  // when there is one, instead of a pool built for this call.
+  // 1. Cluster with Descender. The sweep and the fits share one pool: the
+  // caller's (one per retrain worker in the sharded service, so the
+  // spawn/join cost is amortized across every shard build on that worker),
+  // else one built for this call.
   state.descender = std::make_unique<cluster::Descender>(opts.clustering);
-  DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(traces, fit_pool));
+  std::optional<ThreadPool> own_pool;
+  ThreadPool* pool = fit_pool;
+  if (pool == nullptr) pool = &own_pool.emplace(opts.clustering.threads);
+  DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(traces, pool));
   state.trace_cluster.resize(traces.size());
   state.trace_proportion.resize(traces.size());
   for (size_t i = 0; i < traces.size(); ++i) {
@@ -122,21 +117,9 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
     member_status[t] =
         model->FitMember(member, state.forecasts[rank].representative.values());
   };
-  auto run = [&](size_t begin, size_t end) {
+  pool->ParallelFor(tasks, 1, [&](size_t begin, size_t end) {
     for (size_t t = begin; t < end; ++t) fit_member(t);
-  };
-  const size_t lanes =
-      std::min(opts.clustering.threads, std::max<size_t>(tasks, 1));
-  if (fit_pool != nullptr) {
-    // Caller-owned pool (one per retrain worker in the sharded service): the
-    // spawn/join cost is amortized across every shard build on this worker.
-    fit_pool->ParallelFor(tasks, 1, run);
-  } else if (lanes > 1) {
-    ThreadPool pool(lanes);
-    pool.ParallelFor(tasks, 1, run);
-  } else {
-    run(0, tasks);
-  }
+  });
   // A cancellation observed during the fits outranks tolerate_fit_failures:
   // the caller asked the build to stop, so it must not publish a snapshot
   // built from whatever subset of members happened to finish.

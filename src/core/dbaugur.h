@@ -78,35 +78,30 @@ struct TrainedState {
 /// clusters with Descender, selects the top-K clusters by volume, and fits
 /// one DBAugur ensemble per cluster on the cluster's average trace. All
 /// traces must share one length (InvalidArgument otherwise).
-StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces);
-
-/// As above, but Descender's pairwise sweep and the ensemble fits run on the
-/// caller-owned `fit_pool` instead of pools constructed per call. The sharded
+///
+/// Descender's pairwise sweep and the ensemble fits run on one pool: the
+/// caller-owned `fit_pool` when given, else one of clustering.threads lanes
+/// built for the call (one lane runs inline, spawning nothing). The sharded
 /// serving layer passes one long-lived pool per retrain worker so concurrent
-/// shard builds don't each pay thread spawn/join. Null falls back to a pool
-/// of min(clustering.threads, tasks) lanes built for the call, or to serial
-/// fits at one lane. The fits run as one task per (member, cluster) pair,
-/// every cluster's WFGAN before any TCN. The sweep merges in index order and
-/// each member is seeded and self-contained, so results are bit-identical at
-/// any lane count and on any pool. A cluster's fit_status is its first
-/// failing member's in member order, as TimeSensitiveEnsemble::Fit returns.
+/// shard builds don't each pay thread spawn/join. The fits run as one task
+/// per (member, cluster) pair, every cluster's WFGAN before any TCN. The
+/// sweep merges in index order and each member is seeded and
+/// self-contained, so results are bit-identical at any lane count and on any
+/// pool. A cluster's fit_status is its first failing member's in member
+/// order, as TimeSensitiveEnsemble::Fit returns.
+///
+/// `cancel` (may be null) is polled at member-fit granularity — before
+/// clustering, between clustering and the fits, and at the top of every
+/// (member, cluster) fit task. When the token is observed latched the build
+/// returns Status::Cancelled (code kCancelled) carrying the token's reason;
+/// any fits already running finish their current member, later tasks are
+/// skipped, and no partial state escapes. The serve watchdog uses this to
+/// bound how long a hung or overrunning retrain can occupy a worker (see
+/// serve/retrain_workers.h).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const std::vector<ts::Series>& traces,
-                                         ThreadPool* fit_pool);
-
-/// As above, plus cooperative cancellation: `cancel` (may be null) is polled
-/// at member-fit granularity — before clustering, between clustering and the
-/// fits, and at the top of every (member, cluster) fit task. When the token
-/// is observed latched the build returns Status::Cancelled (code kCancelled)
-/// carrying the token's reason; any fits already running finish their current
-/// member, later tasks are skipped, and no partial state escapes. The serve
-/// watchdog uses this to bound how long a hung or overrunning retrain can
-/// occupy a worker (see serve/retrain_workers.h).
-StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces,
-                                         ThreadPool* fit_pool,
-                                         const CancelToken* cancel);
+                                         ThreadPool* fit_pool = nullptr,
+                                         const CancelToken* cancel = nullptr);
 
 /// Predicts the representative trace's next value (H steps past its end):
 /// the trailing `window` values feed the cluster's ensemble.
@@ -137,7 +132,7 @@ class DBAugurSystem {
   const ClusterForecast& forecast(size_t rank) const { return forecasts_[rank]; }
 
   /// Neighbor-search pruning telemetry from the clustering stage (LB_Kim /
-  /// LB_Keogh / Ball-Tree rejections, full DTW count). Zeros before Train.
+  /// LB_Keogh rejections, full DTW count). Zeros before Train.
   dtw::PruningStats clustering_pruning_stats() const;
 
   /// Predicts the representative trace's next value (H steps past its end)

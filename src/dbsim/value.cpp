@@ -24,12 +24,6 @@ bool ValueEquals(const Value& a, const Value& b) {
   return !less(a, b) && !less(b, a);
 }
 
-std::string ValueToString(const Value& v) {
-  if (const int64_t* i = std::get_if<int64_t>(&v)) return std::to_string(*i);
-  if (const double* d = std::get_if<double>(&v)) return std::to_string(*d);
-  return "'" + std::get<std::string>(v) + "'";
-}
-
 ColumnType TypeOf(const Value& v) {
   if (std::holds_alternative<int64_t>(v)) return ColumnType::kInt;
   if (std::holds_alternative<double>(v)) return ColumnType::kDouble;

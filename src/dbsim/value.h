@@ -23,9 +23,6 @@ struct ValueLess {
 /// Equality consistent with ValueLess.
 bool ValueEquals(const Value& a, const Value& b);
 
-/// Human-readable rendering (for examples and debugging).
-std::string ValueToString(const Value& v);
-
 /// The ColumnType a Value currently holds.
 ColumnType TypeOf(const Value& v);
 

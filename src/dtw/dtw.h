@@ -121,22 +121,21 @@ double LbKim(std::span<const double> a, std::span<const double> b);
 double LbKim(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Per-tier telemetry for the neighbor-search cascade: how many candidates
-/// each lower-bound tier rejected and how many paid for a full DTW. Threaded
-/// from CascadingDtw / BallTree through Descender and core::DBAugur into the
-/// efficiency benches.
+/// each lower-bound tier rejected and how many paid for a full DTW. Every
+/// candidate pair is decided at exactly one tier. Threaded from CascadingDtw
+/// and Descender's batch sweep through core::DBAugurSystem into the
+/// efficiency benches. (BallTree keeps its own pruned_points() counter.)
 struct PruningStats {
   /// Candidates rejected by LB_Kim. Descender's batch sweep counts here the
   /// pairs its endpoint grid never hands to the cascade: exactly the pairs
   /// LB_Kim rejects.
   int64_t kim_rejections = 0;
   int64_t keogh_rejections = 0;  ///< Candidates rejected by LB_Keogh.
-  int64_t tree_rejections = 0;   ///< Points skipped by Ball-Tree ball pruning.
   int64_t full_dtw = 0;          ///< Full (possibly early-abandoned) DTW runs.
 
   PruningStats& operator+=(const PruningStats& o) {
     kim_rejections += o.kim_rejections;
     keogh_rejections += o.keogh_rejections;
-    tree_rejections += o.tree_rejections;
     full_dtw += o.full_dtw;
     return *this;
   }

@@ -50,7 +50,7 @@ void ApplyActivationGrad(Activation act, const Matrix& pre, const Matrix& post,
 }
 
 Dense::Dense(size_t in, size_t out, Activation act, Rng* rng)
-    : in_(in), out_(out), act_(act), w_(in, out), b_(1, out),
+    : in_(in), act_(act), w_(in, out), b_(1, out),
       dw_(in, out), db_(1, out) {
   DBAUGUR_CHECK(in > 0 && out > 0, "Dense layer needs positive dims, got ", in,
                 "x", out);

@@ -26,14 +26,11 @@ class Dense : public Layer {
   /// Backward before it fails its shape check.
   void ReleaseWorkspaces();
 
-  size_t in_features() const { return in_; }
-  size_t out_features() const { return out_; }
   const Matrix& weight() const { return w_; }
   const Matrix& bias() const { return b_; }
 
  private:
   size_t in_;
-  size_t out_;
   Activation act_;
   Matrix w_, b_;
   Matrix dw_, db_;

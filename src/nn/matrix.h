@@ -118,13 +118,6 @@ class Matrix {
   void Apply(F f) {
     for (double& x : data_) x = f(x);
   }
-  /// Returns a copy with f applied element-wise.
-  template <typename F>
-  Matrix Map(F f) const {
-    Matrix out = *this;
-    out.Apply(f);
-    return out;
-  }
 
   /// Frobenius-norm squared (used in tests and gradient clipping).
   double SquaredNorm() const;

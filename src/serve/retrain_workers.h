@@ -4,8 +4,8 @@
 // spawning threads per cycle; this pool makes that execution layer persistent
 // and robust. A fixed set of worker threads lives for the service's lifetime;
 // each RunCycle hands them one cycle's schedule, and workers claim shard ids
-// in exactly the scheduled order (same shared-FIFO discipline as
-// common/work_queue.h), so "hot shards first" holds at any worker count.
+// in exactly the scheduled order from a shared FIFO, so "hot shards first"
+// holds at any worker count.
 //
 // Deadline + watchdog: every task carries its own CancelToken and, when a
 // per-retrain deadline is configured, a deadline measured from the moment its

@@ -123,7 +123,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
 
   // One seed per completed cycle, drawn from the retrainer's own stream so
   // cycle k trains identically on every run (and on every restart, via the
-  // fast-forward in LoadState).
+  // fast-forward in InstallState).
   core::DBAugurOptions opts = pipeline_;
   opts.forecaster.seed = seed_rng_.engine()();
   opts.tolerate_fit_failures = true;
@@ -152,21 +152,6 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
 void Retrainer::SaveState(BufWriter* w) const {
   w->U64(cycles_);
   binner_.Save(w);
-}
-
-Status Retrainer::LoadState(BufReader* r) {
-  uint64_t cycles = 0;
-  if (!r->U64(&cycles)) {
-    return Status::InvalidArgument("Retrainer: truncated state");
-  }
-  TraceBinner binner(binner_.interval_seconds());
-  DBAUGUR_RETURN_IF_ERROR(binner.Load(r));
-  if (binner.interval_seconds() != binner_.interval_seconds()) {
-    return Status::InvalidArgument(
-        "Retrainer: saved bin interval does not match service options");
-  }
-  InstallState(std::move(binner), cycles);
-  return Status::OK();
 }
 
 void Retrainer::InstallState(TraceBinner binner, uint64_t cycles) {

@@ -9,9 +9,9 @@
 // a fresh immutable snapshot for the service to publish — substituting a
 // last-good or kernel-baseline fallback for any cluster whose fit failed or
 // diverged (see serve/snapshot.h). Restart determinism: the cycle counter is
-// persisted, and LoadState fast-forwards the seed stream past the consumed
-// draws, so a restored service's *next* retrain uses exactly the seed the
-// original service would have used.
+// persisted, and InstallState fast-forwards the seed stream past the
+// consumed draws, so a restored service's *next* retrain uses exactly the
+// seed the original service would have used.
 //
 // Thread ownership: a Retrainer has no locks of its own — it is single-
 // threaded state owned by the retrain loop. That contract is enforced at the
@@ -99,21 +99,17 @@ class Retrainer {
   uint64_t values_winsorized() const { return values_winsorized_; }
 
   /// Appends binner contents + cycle count to *w (part of a shard's
-  /// checkpoint section).
+  /// checkpoint section; ServiceShard::ParseStateSection reads it back).
   void SaveState(BufWriter* w) const;
 
-  /// Restores a SaveState section: swaps in the saved binner and replays the
-  /// seed stream to the saved cycle count. On failure the retrainer is
-  /// unchanged.
-  Status LoadState(BufReader* r);
-
   /// Commits an already-validated state: swaps in `binner` and fast-forwards
-  /// the seed stream past `cycles` draws, exactly as LoadState would. The
-  /// sharded restore path parses and validates every shard's section first
-  /// (all-or-nothing), then installs each; shard-count migration rebuilds the
-  /// binner by re-hashing and installs it here. Aborts (DBAUGUR_CHECK) if the
-  /// binner's interval does not match this retrainer's — callers construct it
-  /// from the same options.
+  /// the seed stream past `cycles` draws, so the next cycle draws the seed
+  /// the saving service would have drawn. The sharded restore path parses
+  /// and validates every shard's section first (all-or-nothing), then
+  /// installs each; shard-count migration rebuilds the binner by re-hashing
+  /// and installs it here. Aborts (DBAUGUR_CHECK) if the binner's interval
+  /// does not match this retrainer's — callers construct it from the same
+  /// options.
   void InstallState(TraceBinner binner, uint64_t cycles);
 
  private:

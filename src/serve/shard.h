@@ -84,8 +84,11 @@ struct ServeOptions {
 struct ServeStats {
   uint64_t events_accepted = 0;
   uint64_t events_dropped = 0;     ///< All drops, including queue-full.
-  uint64_t events_quarantined = 0; ///< Malformed drops only (bad template id,
-                                   ///< non-finite / negative count, stale).
+  /// Malformed-input drops only (IngestDropStats::quarantined()): non-finite
+  /// or negative count, stale, pre-epoch or far-future timestamp.
+  /// Out-of-range template ids and queue-full drops count only in
+  /// events_dropped.
+  uint64_t events_quarantined = 0;
   uint64_t values_winsorized = 0;  ///< Trace values clamped before training.
   uint64_t retrains_completed = 0;
   uint64_t retrains_skipped = 0;   ///< Cycles with too little data to train.

@@ -1,12 +1,11 @@
 // Equivalence and determinism tests pinning the Descender batch fast path:
 // batch AddTraces must reproduce the sequential AddTrace loop exactly
-// (labels, core flags, cluster counts, TopK) across thread counts and in
-// both exact-cascade and Ball-Tree modes, while performing strictly fewer
-// full DTW computations than the sequential path. A brute-force oracle —
-// every pair decided by an all-pairs loop over the public bounds — pins the
-// endpoint-grid sweep to the cascade's decisions and telemetry, including
-// on non-finite, huge and cell-boundary endpoints, non-finite interior
-// values and crowded grid cells.
+// (labels, core flags, cluster counts, TopK) across thread counts, while
+// performing strictly fewer full DTW computations than the sequential path.
+// A brute-force oracle — every pair decided by an all-pairs loop over the
+// public bounds — pins the endpoint-grid sweep to the cascade's decisions
+// and telemetry, including on non-finite, huge and cell-boundary endpoints,
+// non-finite interior values and crowded grid cells.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +14,9 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "chaos/partition.h"
-#include "cluster/ball_tree.h"
 #include "cluster/descender.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -48,8 +44,7 @@ std::vector<ts::Series> SeededWorkload(size_t families, size_t members,
 }
 
 // Candidate pairs considered: the cascade decides each pair at exactly one
-// of LB_Kim, LB_Keogh and the full DTW, and Ball-Tree probes count as full
-// DTWs.
+// of LB_Kim, LB_Keogh and the full DTW.
 int64_t CandidatePairs(const Descender& d) {
   const dtw::PruningStats& st = d.pruning_stats();
   return st.kim_rejections + st.keogh_rejections + st.full_dtw;
@@ -147,46 +142,6 @@ TEST(ClusterBatchTest, SecondBatchOnNonEmptyDescenderMatchesSequential) {
   ExpectIdentical(seq, batch);
 }
 
-TEST(ClusterBatchTest, BallTreeBatchMatchesSequential) {
-  // 16 traces sit inside the default pending budget, so both paths resolve
-  // every pair exactly and must agree to the label.
-  auto traces = SeededWorkload(2, 8, 900);
-  DescenderOptions opts = BaseOpts();
-  opts.search = NeighborSearch::kBallTree;
-  Descender seq(opts);
-  for (const auto& s : traces) ASSERT_TRUE(seq.AddTrace(s).ok());
-  Descender batch(opts);
-  ASSERT_TRUE(batch.AddTraces(traces).ok());
-  ExpectIdentical(seq, batch);
-}
-
-TEST(ClusterBatchTest, BallTreeRebuildThresholdPreservesFamilies) {
-  // A tiny pending budget forces mid-stream tree rebuilds; on well-separated
-  // families the heuristic index must still recover the exact partition.
-  auto traces = SeededWorkload(2, 10, 1000);
-  DescenderOptions tree_opts = BaseOpts();
-  tree_opts.search = NeighborSearch::kBallTree;
-  tree_opts.ball_tree_rebuild_pending = 4;
-  Descender tree(tree_opts);
-  for (const auto& s : traces) ASSERT_TRUE(tree.AddTrace(s).ok());
-  Descender exact(BaseOpts());
-  ASSERT_TRUE(exact.AddTraces(traces).ok());
-  EXPECT_EQ(tree.density_cluster_count(), exact.density_cluster_count());
-  // Same partition up to label permutation (the heuristic index may visit
-  // neighbors in a different order than the exact scan).
-  std::vector<int> tree_labels(traces.size());
-  std::vector<int> exact_labels(traces.size());
-  for (size_t i = 0; i < traces.size(); ++i) {
-    tree_labels[i] = tree.label(i);
-    exact_labels[i] = exact.label(i);
-  }
-  std::string mismatch;
-  EXPECT_TRUE(chaos::PartitionsEquivalent(tree_labels, exact_labels, &mismatch))
-      << mismatch;
-  // The index actually pruned something, i.e. this test exercises the tree.
-  EXPECT_GT(tree.pruning_stats().tree_rejections, 0);
-}
-
 TEST(ClusterBatchTest, EmptyBatchIsNoOp) {
   Descender desc(BaseOpts());
   EXPECT_TRUE(desc.AddTraces({}).ok());
@@ -218,9 +173,8 @@ TEST(ClusterBatchTest, InvalidBatchIsAtomic) {
 // Brute-force oracle. Mirrors Descender's documented semantics with an
 // all-pairs loop: every pair a new trace forms with an earlier one is
 // decided through the public bounds in cascade order — LB_Kim, then LB_Keogh
-// (two-sided for batch inserts, one-sided for single inserts), then DTW —
-// and the Ball-Tree index is rebuilt through the public BallTree API under
-// the same pending budget. Labels are DBSCAN over the resulting adjacency.
+// (two-sided for batch inserts, one-sided for single inserts), then DTW.
+// Labels are DBSCAN over the resulting adjacency.
 // ---------------------------------------------------------------------------
 class BruteForceOracle {
  public:
@@ -230,10 +184,8 @@ class BruteForceOracle {
   /// as AddTrace/AddTraces leave the Descender.
   bool AddTrace(const ts::Series& trace) {
     const BruteForceOracle before = *this;
-    RefreshTree();
     const size_t gi = Append(trace);
-    QueryTree(gi);
-    for (size_t j = covered_; j < gi; ++j) {
+    for (size_t j = 0; j < gi; ++j) {
       if (!Decide(gi, j, /*two_sided=*/false)) return Restore(before);
     }
     Relabel();
@@ -242,13 +194,10 @@ class BruteForceOracle {
 
   bool AddTraces(const std::vector<ts::Series>& batch) {
     const BruteForceOracle before = *this;
-    RefreshTree();
-    const size_t sweep_begin = covered_;
     const size_t old_n = values_.size();
     for (const ts::Series& t : batch) Append(t);
     for (size_t gi = old_n; gi < values_.size(); ++gi) {
-      QueryTree(gi);
-      for (size_t j = sweep_begin; j < gi; ++j) {
+      for (size_t j = 0; j < gi; ++j) {
         if (!Decide(gi, j, /*two_sided=*/true)) return Restore(before);
       }
     }
@@ -306,32 +255,6 @@ class BruteForceOracle {
     volumes_.push_back(volume);
     adjacency_.emplace_back();
     return values_.size() - 1;
-  }
-
-  void RefreshTree() {
-    if (opts_.search != NeighborSearch::kBallTree) return;
-    const size_t n = values_.size();
-    if (n - covered_ <= opts_.ball_tree_rebuild_pending) return;
-    const dtw::DtwOptions dtw_opts = opts_.dtw;
-    auto tree = BallTree::Build(
-        values_,
-        [dtw_opts](const std::vector<double>& a, const std::vector<double>& b) {
-          auto d = dtw::DtwDistance(a, b, dtw_opts);
-          return d.ok() ? *d : std::numeric_limits<double>::infinity();
-        },
-        {opts_.ball_tree_leaf});
-    ASSERT_TRUE(tree.ok());
-    tree_ = std::make_shared<BallTree>(std::move(*tree));
-    covered_ = n;
-  }
-
-  void QueryTree(size_t gi) {
-    if (tree_ == nullptr) return;
-    const int64_t evals = tree_->distance_evals();
-    const int64_t pruned = tree_->pruned_points();
-    for (size_t j : tree_->RangeQuery(values_[gi], opts_.radius)) Link(gi, j);
-    stats_.full_dtw += tree_->distance_evals() - evals;
-    stats_.tree_rejections += tree_->pruned_points() - pruned;
   }
 
   bool Decide(size_t gi, size_t j, bool two_sided) {
@@ -400,8 +323,6 @@ class BruteForceOracle {
   std::vector<int> labels_;
   int clusters_ = 0;
   dtw::PruningStats stats_;
-  std::shared_ptr<const BallTree> tree_;
-  size_t covered_ = 0;
 };
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
@@ -428,7 +349,6 @@ void ExpectMatchesOracle(const Descender& desc,
   const dtw::PruningStats& b = oracle.stats();
   EXPECT_EQ(a.kim_rejections, b.kim_rejections);
   EXPECT_EQ(a.keogh_rejections, b.keogh_rejections);
-  EXPECT_EQ(a.tree_rejections, b.tree_rejections);
   EXPECT_EQ(a.full_dtw, b.full_dtw);
 }
 
@@ -816,23 +736,6 @@ TEST(ClusterBatchOracleTest, SecondBatchOnNonEmptyDescender) {
   ASSERT_TRUE(check.AddTraces(first));
   for (size_t i = 20; i < 23; ++i) check.AddTrace(traces[i]);
   ASSERT_TRUE(check.AddTraces(second));
-}
-
-TEST(ClusterBatchOracleTest, BallTreeModeWithPendingTraces) {
-  auto traces = MixedTraces(3, 10, 10, 12, 26);
-  DescenderOptions opts = OracleOpts(1.5, 2, 2);
-  opts.search = NeighborSearch::kBallTree;
-  opts.ball_tree_rebuild_pending = 8;
-  OracleCheck check(opts);
-  // 16 traces: no tree yet. The next single insert builds it over those 16;
-  // four more stay pending, inside the budget, so the second batch sweeps
-  // them together with itself while the tree answers for the first 16.
-  ASSERT_TRUE(check.AddTraces({traces.begin(), traces.begin() + 16}));
-  for (size_t i = 16; i < 21; ++i) check.AddTrace(traces[i]);
-  ASSERT_TRUE(check.AddTraces({traces.begin() + 21, traces.begin() + 30}));
-  EXPECT_GT(check.descender().pruning_stats().tree_rejections, 0);
-  // Past the budget: the third batch rebuilds the tree over all 30 first.
-  ASSERT_TRUE(check.AddTraces({traces.begin() + 30, traces.end()}));
 }
 
 }  // namespace

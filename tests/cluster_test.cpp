@@ -381,36 +381,5 @@ TEST(DescenderTest, InputValidation) {
   EXPECT_FALSE(desc.ClusterRepresentative(99).ok());
 }
 
-TEST(DescenderTest, BallTreeModeFindsSameFamilies) {
-  workloads::WarpedFamilyOptions fam;
-  fam.members = 6;
-  fam.seed = 39;
-  auto fa = workloads::GenerateWarpedFamily(fam);
-  fam.phase = M_PI;
-  fam.seed = 40;
-  auto fb = workloads::GenerateWarpedFamily(fam);
-  std::vector<ts::Series> all = fa;
-  for (auto& s : fb) all.push_back(s);
-  // Ground truth from the exact cascade scan; the Ball-Tree heuristic must
-  // recover the same partition on this workload. A tiny pending budget
-  // forces mid-stream rebuilds so the tree actually answers queries instead
-  // of everything resolving through the exact pending-buffer scan.
-  Descender exact(MakeOpts(2.0));
-  ASSERT_TRUE(exact.AddTraces(all).ok());
-  DescenderOptions topts = MakeOpts(2.0);
-  topts.search = NeighborSearch::kBallTree;
-  topts.ball_tree_rebuild_pending = 4;
-  Descender tree(topts);
-  for (const auto& s : all) ASSERT_TRUE(tree.AddTrace(s).ok());
-  EXPECT_EQ(tree.density_cluster_count(), exact.density_cluster_count());
-  for (size_t i = 0; i < all.size(); ++i) {
-    for (size_t j = i + 1; j < all.size(); ++j) {
-      EXPECT_EQ(tree.label(i) == tree.label(j), exact.label(i) == exact.label(j))
-          << i << "," << j;
-    }
-  }
-  EXPECT_GT(tree.pruning_stats().tree_rejections, 0);
-}
-
 }  // namespace
 }  // namespace dbaugur::cluster

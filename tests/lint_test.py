@@ -33,6 +33,14 @@ class FixtureRepo:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
 
+    def include_from_tests(self, *headers):
+        """Includes src-relative `headers` from a tests/ file, so fixtures
+        that are about another rule do not trip orphan-header."""
+        self.write(
+            "tests/includes_test.cpp",
+            "".join(f'#include "{h}"\n' for h in headers),
+        )
+
     def run(self, *targets, allowlist=None):
         cmd = [sys.executable, LINT, "--root", self.root]
         if allowlist is not None:
@@ -157,6 +165,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <atomic>\n#include <memory>\n"
             "std::atomic<int> g_count;\nstd::shared_ptr<int> g_ptr;\n",
         )
+        self.repo.include_from_tests("a.h")
         self.assert_clean(self.repo.run("src"))
 
     # -- raw-sync -----------------------------------------------------------
@@ -186,6 +195,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <mutex>\n"
             "class Mutex { std::mutex mu_; };\n",
         )
+        self.repo.include_from_tests("common/mutex.h")
         self.assert_clean(self.repo.run("src"))
 
     def test_raw_sync_clean(self):
@@ -295,6 +305,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <immintrin.h>\n"
             "inline __m128d Load(const double* p) { return _mm_loadu_pd(p); }\n",
         )
+        self.repo.include_from_tests("common/simd.h")
         self.assert_clean(self.repo.run("src"))
 
     def test_raw_intrinsics_clean(self):
@@ -341,6 +352,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <thread>\n"
             "void Spawn() { std::thread t([] {}); t.detach(); }\n",
         )
+        self.repo.include_from_tests("common/thread_pool.h")
         self.assert_clean(self.repo.run("src"))
 
     def test_raw_thread_clean(self):
@@ -363,6 +375,38 @@ class LintRuleTest(unittest.TestCase):
             "#include <thread>\n"
             "void Drive() { std::thread t([] {}); t.join(); }\n",
         )
+        self.assert_clean(self.repo.run("tests", "bench"))
+
+    # -- orphan-header ------------------------------------------------------
+
+    def test_orphan_header_violating(self):
+        self.repo.write("src/common/used.h", "int Used();\n")
+        self.repo.write(
+            "src/common/used.cpp",
+            '#include "common/used.h"\n'
+            '// #include "common/unused.h" is commented out: no include.\n'
+            "int Used() { return 1; }\n",
+        )
+        self.repo.write("src/common/unused.h", "int Unused();\n")
+        result = self.repo.run("src")
+        self.assert_violation(result, "orphan-header", "src/common/unused.h")
+        self.assertNotIn("src/common/used.h", result.stdout)
+
+    def test_orphan_header_clean(self):
+        # Includes count from all five directories even when only src/ is
+        # linted, resolved against src/ or the including file's directory.
+        for name in ("t", "b", "e", "p", "own"):
+            self.repo.write(f"src/mod/{name}.h", "int F();\n")
+        self.repo.write("tests/t_test.cpp", '#include "mod/t.h"\n')
+        self.repo.write("bench/b.cpp", '#include "mod/b.h"\n')
+        self.repo.write("examples/e.cpp", '#include "mod/e.h"\n')
+        self.repo.write("perfbench/src/p.cpp", '#include "mod/p.h"\n')
+        self.repo.write("src/mod/own.cpp", '#include "own.h"\n')
+        self.assert_clean(self.repo.run("src"))
+
+    def test_orphan_header_scoped_to_src(self):
+        self.repo.write("tests/helpers.h", "int Helper();\n")
+        self.repo.write("bench/bench_util.h", "int Util();\n")
         self.assert_clean(self.repo.run("tests", "bench"))
 
     # -- allowlist ----------------------------------------------------------

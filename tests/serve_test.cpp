@@ -91,6 +91,9 @@ TEST(TraceIngestorTest, DropsWhenFullAndOnBadTemplateId) {
   EXPECT_FALSE(q.Offer({99, 0, 1.0}));    // template_id >= max_templates
   EXPECT_EQ(q.accepted(), 2u);
   EXPECT_EQ(q.dropped(), 2u);
+  // A bad template id is a drop of its own class, not a quarantine.
+  EXPECT_EQ(q.drop_stats().template_id, 1u);
+  EXPECT_EQ(q.drop_stats().quarantined(), 0u);
   // Draining frees capacity.
   std::vector<TraceEvent> out;
   q.Drain(&out);
@@ -465,8 +468,11 @@ TEST(ForecastServiceTest, SkewBoundsPassThroughToIngest) {
   EXPECT_FALSE(svc.Offer({0, 99, 1.0}));
   EXPECT_FALSE(svc.Offer({0, 2001, 1.0}));
   EXPECT_TRUE(svc.Offer({0, 150, 1.0}));
+  // An out-of-range template id drops without counting as quarantined.
+  EXPECT_FALSE(svc.Offer({static_cast<uint32_t>(o.max_templates), 150, 1.0}));
   const ServeStats stats = svc.stats();
   EXPECT_EQ(stats.events_accepted, 1u);
+  EXPECT_EQ(stats.events_dropped, 3u);
   EXPECT_EQ(stats.events_quarantined, 2u);
 }
 

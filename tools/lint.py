@@ -48,6 +48,14 @@ checks, so they cannot erode one "just this once" at a time:
                      allowlist with a justification. `std::this_thread` is
                      fine — the rule targets thread *ownership*, not sleeps
                      or yields.
+  orphan-header      Every header under src/ is #included by at least one
+                     C++ file under src/, tests/, bench/, examples/ or
+                     perfbench/. The includes are collected from all five
+                     directories whatever targets are linted, and an include
+                     path resolves against src/ and against the including
+                     file's directory. No build compiles a header that
+                     nothing includes, so neither the compiler nor clang-tidy
+                     checks it: include it where it is used, or delete it.
 
 Exit codes: 0 clean, 1 violations found, 2 usage / IO error.
 
@@ -65,6 +73,9 @@ import re
 import sys
 
 SOURCE_EXTS = (".cpp", ".h", ".cc", ".hpp")
+HEADER_EXTS = (".h", ".hpp")
+# Where the orphan-header rule looks for includes, whatever is linted.
+INCLUDER_DIRS = ("src", "tests", "bench", "examples", "perfbench")
 
 # ---------------------------------------------------------------------------
 # Source preprocessing
@@ -402,6 +413,54 @@ def check_raw_thread(relpath, raw, stripped):
     )
 
 
+INCLUDE_RX = re.compile(r'^\s*#\s*include\s*[<"]([^<>"]+)[>"]', re.MULTILINE)
+
+
+def included_headers(root):
+    """Repo-relative paths that some C++ file under INCLUDER_DIRS includes.
+
+    Each include path is resolved both against src/ (the project's include
+    root) and against the including file's directory; both candidates are
+    recorded, since only the one that names a real header matters.
+    """
+    included = set()
+    for top in INCLUDER_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, top)):
+            for name in filenames:
+                if not name.endswith(SOURCE_EXTS + (".inc",)):
+                    continue
+                path = os.path.join(dirpath, name)
+                with open(path, encoding="utf-8") as f:
+                    text = f.read()
+                here = os.path.dirname(os.path.relpath(path, root))
+                for inc in INCLUDE_RX.findall(text):
+                    included.add(os.path.normpath(os.path.join("src", inc)))
+                    included.add(os.path.normpath(os.path.join(here, inc)))
+    return included
+
+
+def src_headers(relpath):
+    return in_dirs("src")(relpath) and relpath.endswith(HEADER_EXTS)
+
+
+def make_check_orphan_header(included):
+    """Builds the orphan-header check over a set from included_headers()."""
+
+    def check(relpath, raw, stripped):
+        if os.path.normpath(relpath) in included:
+            return []
+        return [
+            (
+                1,
+                "header that no file in src/, tests/, bench/, examples/ or "
+                "perfbench/ includes — no build compiles it; include it "
+                "where it is used or delete it",
+            )
+        ]
+
+    return check
+
+
 RULES = [
     ("bare-assert", in_dirs("src", "tests", "bench"), check_bare_assert),
     ("nondeterminism", in_dirs("src"), check_nondeterminism),
@@ -464,11 +523,15 @@ def collect_files(root, targets):
 
 def lint_tree(root, targets, allowlist):
     violations = []
+    rules = RULES + [
+        ("orphan-header", src_headers,
+         make_check_orphan_header(included_headers(root)))
+    ]
     for relpath in collect_files(root, targets):
         with open(os.path.join(root, relpath), encoding="utf-8") as f:
             raw = f.read()
         stripped = strip_comments_and_strings(raw)
-        for rule_id, applies, check in RULES:
+        for rule_id, applies, check in rules:
             if not applies(relpath):
                 continue
             if (rule_id, relpath) in allowlist:

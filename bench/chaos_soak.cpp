@@ -175,7 +175,7 @@ int SmokeMode() {
   {
     // Concurrent retrain drain: 2 workers over 3 shards, a deadline wide
     // enough that only a genuine hang would trip the watchdog, and a unit
-    // budget so the scheduler carries a backlog across cycles.
+    // budget so most cycles fold shards they do not retrain.
     ChaosOptions o = MatrixOptions(23, StreamProfile::kBurstySkewed);
     o.service_shards = 3;
     o.service_workers = 2;

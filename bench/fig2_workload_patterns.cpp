@@ -9,21 +9,12 @@
 #include "bench_util.h"
 #include "common/math_utils.h"
 #include "common/table_printer.h"
+#include "ts/analysis.h"
 
 using namespace dbaugur;
 using namespace dbaugur::bench;
 
 namespace {
-
-double Autocorrelation(const std::vector<double>& v, size_t lag) {
-  double mean = Mean(v);
-  double num = 0.0, den = 0.0;
-  for (size_t i = 0; i + lag < v.size(); ++i) {
-    num += (v[i] - mean) * (v[i + lag] - mean);
-  }
-  for (double x : v) den += (x - mean) * (x - mean);
-  return den > 0 ? num / den : 0.0;
-}
 
 void Summarize(const Dataset& ds, size_t day_steps) {
   const auto& v = ds.values;
@@ -39,9 +30,10 @@ void Summarize(const Dataset& ds, size_t day_steps) {
   t.AddRow({"mean", TablePrinter::Fmt(mean, 3)});
   t.AddRow({"stddev", TablePrinter::Fmt(sd, 3)});
   t.AddRow({"max / mean", TablePrinter::Fmt(mx / mean, 2)});
-  t.AddRow({"lag-1 autocorrelation", TablePrinter::Fmt(Autocorrelation(v, 1), 3)});
+  t.AddRow({"lag-1 autocorrelation",
+            TablePrinter::Fmt(ts::Autocorrelation(v, 1), 3)});
   t.AddRow({"one-day autocorrelation",
-            TablePrinter::Fmt(Autocorrelation(v, day_steps), 3)});
+            TablePrinter::Fmt(ts::Autocorrelation(v, day_steps), 3)});
   t.AddRow({"samples > mean+3sd (bursts)", std::to_string(bursts)});
   t.Print();
 

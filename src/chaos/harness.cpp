@@ -482,25 +482,6 @@ class ChaosRun {
     return Status::OK();
   }
 
-  /// Cycles until every shard's queue is empty, at least once. The overload
-  /// controller may shed shards from any one cycle (a bursty stream can grow
-  /// the backlog long enough to step the ladder up even with an unbounded
-  /// budget), so one final cycle is not enough for the exact oracles below.
-  /// With no new traffic the backlog stops growing, the ladder steps back
-  /// down, and every cycle retrains at least one pending shard — so the loop
-  /// is bounded.
-  static Status Drain(ServiceRun* run) {
-    const size_t shards = run->svc->shard_count();
-    for (size_t extra = 0;; ++extra) {
-      DBAUGUR_RETURN_IF_ERROR(Cycle(run));
-      bool drained = true;
-      for (size_t s = 0; s < shards; ++s) {
-        if (run->svc->shard(s).queue_depth() != 0) drained = false;
-      }
-      if (drained || extra >= 4 + 4 * shards) return Status::OK();
-    }
-  }
-
   /// Router conservation (every offered event accepted or dropped by exactly
   /// one shard, with or without fault storms) and, when neither faults nor a
   /// watchdog are in play, no failed retrain.
@@ -587,8 +568,9 @@ class ChaosRun {
 
   /// Loads the checkpoint at `base` into a fresh service, *resumed, and
   /// carries it through events [mid, end) at the cadence `since` the
-  /// checkpointed run had reached, then drains it. Under a fault storm an
-  /// injected load failure is the storm's doing: *resumed then stays empty.
+  /// checkpointed run had reached, then runs one final cycle, which folds
+  /// every queue. Under a fault storm an injected load failure is the
+  /// storm's doing: *resumed then stays empty.
   Status Resume(const std::string& base, const serve::ShardedServeOptions& sso,
                 size_t mid, size_t chunk, size_t since,
                 ServiceRun* resumed) const {
@@ -603,7 +585,7 @@ class ChaosRun {
     }
     *resumed = std::move(restored);
     DBAUGUR_RETURN_IF_ERROR(Feed(resumed, mid, events_.size(), chunk, &since));
-    return Drain(resumed);
+    return Cycle(resumed);
   }
 
   /// The identical event stream through an N-shard service: retrain cycles
@@ -662,7 +644,7 @@ class ChaosRun {
       for (size_t lane = begin; lane < end; ++lane) {
         if (lane == 0) {
           tail[0] = Feed(&run, mid, events_.size(), chunk, &since);
-          if (tail[0].ok()) tail[0] = Drain(&run);
+          if (tail[0].ok()) tail[0] = Cycle(&run);
         } else if (!base.empty()) {
           tail[1] = Resume(base, sso, mid, chunk, resumed_since, &resumed);
         }
@@ -691,18 +673,15 @@ class ChaosRun {
     // watermarks legitimately diverge from the global reference once the
     // stream trips the stale cutoff (each shard only sees its own templates'
     // timestamps), so the exact oracle self-gates on stale-free streams.
-    // A per-cycle budget leaves unscheduled shards' queues undrained at the
-    // end of the run, so their binned histories legitimately lag the
-    // reference — the exact oracle only applies to unbounded budgets.
+    // The final cycle folded every queue, retrained or not, so it holds at
+    // any retrain budget.
     const ReferenceOptions ropts{opts_.max_templates,
                                  opts_.max_lateness_seconds,
                                  opts_.min_timestamp_seconds,
                                  opts_.max_timestamp_seconds,
                                  opts_.stream.interval_seconds};
     const ReferenceResult ref = RunSequentialReference(events_, ropts);
-    if (opts_.retrain_budget > 0 || ref.drops.stale != 0) {
-      return Status::OK();
-    }
+    if (ref.drops.stale != 0) return Status::OK();
     std::vector<ShardIngestView> views(sso.shard_count);
     for (size_t s = 0; s < sso.shard_count; ++s) {
       views[s].accepted = run.svc->shard(s).events_accepted();

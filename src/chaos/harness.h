@@ -37,7 +37,7 @@ struct ChaosOptions {
   /// restores a midpoint checkpoint through SaveToFiles/LoadFromFiles into a
   /// second service and checks resume equality. Each exact oracle skips
   /// itself where the configuration makes it inexact (fault storms, skewed
-  /// streams, watchdogs, bounded budgets).
+  /// streams, watchdogs).
   size_t service_shards = 0;
   /// Retrain workers for the sharded leg (>= 1). With > 1, scheduled shards
   /// retrain concurrently; the leg's invariants (generation monotonicity,
@@ -48,8 +48,8 @@ struct ChaosOptions {
   /// cancel → degraded-stale → recover path under chaos streams.
   double retrain_deadline_seconds = 0.0;
   /// Per-cycle retrain budget for the sharded leg (0 = unbounded). A small
-  /// budget plus a steady stream keeps the scheduler backlogged, driving the
-  /// overload controller through its degradation ladder.
+  /// budget leaves most shards unscheduled each cycle; their queues are
+  /// folded all the same, so the exact ingest oracle still holds bin for bin.
   size_t retrain_budget = 0;
   /// Production ingest settings (mirrored into the sequential reference).
   size_t queue_capacity = 1 << 15;

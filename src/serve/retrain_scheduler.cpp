@@ -53,49 +53,4 @@ std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
   return order;
 }
 
-double OverloadIntervalScale(uint64_t level) {
-  DBAUGUR_DCHECK(level < 64, "overload level ", level, " overflows 2^level");
-  return static_cast<double>(uint64_t{1} << level);
-}
-
-OverloadController::OverloadController(const OverloadOptions& opts)
-    : opts_(opts) {
-  DBAUGUR_CHECK(opts_.max_level < 64,
-                "OverloadOptions max_level must be < 64 (the scheduler "
-                "interval scales by 2^level)");
-}
-
-uint64_t OverloadController::Observe(uint64_t backlog) {
-  if (opts_.grow_cycles == 0) return level_;  // adaptation disabled
-  bool growing = have_last_ && backlog > last_backlog_;
-  last_backlog_ = backlog;
-  have_last_ = true;
-  if (growing) {
-    drain_streak_ = 0;
-    if (++growth_streak_ >= opts_.grow_cycles) {
-      growth_streak_ = 0;
-      if (level_ < opts_.max_level) ++level_;
-    }
-  } else {
-    growth_streak_ = 0;
-    if (level_ > 0 && ++drain_streak_ >= opts_.drain_cycles) {
-      drain_streak_ = 0;
-      --level_;
-    }
-  }
-  return level_;
-}
-
-size_t OverloadController::DegradedBudget(size_t base_budget,
-                                          size_t shard_count) const {
-  size_t base = base_budget == 0 ? shard_count : base_budget;
-  if (base == 0) return 0;
-  // Halve once per level, never below 1: a fully degraded service still
-  // retrains one shard per (widened) cycle, so it always makes progress.
-  size_t shift = static_cast<size_t>(
-      std::min<uint64_t>(level_, 8 * sizeof(size_t) - 1));
-  size_t shrunk = base >> shift;
-  return shrunk == 0 ? 1 : shrunk;
-}
-
 }  // namespace dbaugur::serve

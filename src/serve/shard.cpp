@@ -82,9 +82,10 @@ Status ServiceShard::RetrainOnce(ThreadPool* fit_pool,
   // Drain + fold before any cancellation checkpoint: even a cycle the
   // watchdog kills instantly moves its queued events into the binner, so
   // cancellation never loses data — the next successful cycle trains on them.
-  std::vector<TraceEvent> events;
-  ingestor_.Drain(&events);
-  retrainer_.Fold(events);
+  // This attempt uses everything folded so far, so the traffic signal
+  // restarts from zero whatever its outcome.
+  FoldQueuedLocked();
+  folded_since_retrain_.store(0, std::memory_order_relaxed);
   uint64_t next_gen = generation_.load(std::memory_order_relaxed) + 1;
   auto last_good = snapshot();
   auto snap = retrainer_.Rebuild(next_gen, last_good.get(), fit_pool, cancel);
@@ -122,6 +123,20 @@ Status ServiceShard::RetrainOnce(ThreadPool* fit_pool,
   retrains_completed_.fetch_add(1, std::memory_order_relaxed);
   record_duration();
   return Status::OK();
+}
+
+void ServiceShard::FoldQueuedLocked() {
+  std::vector<TraceEvent> events;
+  ingestor_.Drain(&events);
+  retrainer_.Fold(events);
+  folded_since_retrain_.store(
+      folded_since_retrain_.load(std::memory_order_relaxed) + events.size(),
+      std::memory_order_relaxed);
+}
+
+void ServiceShard::FoldQueued() {
+  MutexLock lock(&retrain_mu_);
+  FoldQueuedLocked();
 }
 
 std::string ServiceShard::stale_reason() const {
@@ -173,10 +188,11 @@ ServeStats ServiceShard::stats() const {
 
 Status ServiceShard::SaveStateSection(BufWriter* w) {
   MutexLock lock(&retrain_mu_);
-  // Fold queued events first so in-flight ingest survives the restart.
-  std::vector<TraceEvent> events;
-  ingestor_.Drain(&events);
-  retrainer_.Fold(events);
+  // Fold queued events first so in-flight ingest survives the restart. A
+  // restored shard starts with no folded-but-untrained events, so the
+  // signal restarts here too: both then schedule alike.
+  FoldQueuedLocked();
+  folded_since_retrain_.store(0, std::memory_order_relaxed);
 
   w->U64(generation_.load(std::memory_order_acquire));
   BufWriter rw;
@@ -242,6 +258,7 @@ void ServiceShard::InstallParsedState(ParsedState state) {
   // interleave with the swap.
   MutexLock lock(&retrain_mu_);
   retrainer_.InstallState(std::move(state.binner), state.cycles);
+  folded_since_retrain_.store(0, std::memory_order_relaxed);
   Publish(std::move(state.snapshot), state.generation);
 }
 

@@ -5,9 +5,9 @@
 // A ServiceShard owns its own bounded ingest queue, TraceBinner + Retrainer
 // with an independently positioned seed stream, published immutable snapshot
 // pointer, and failure/degradation counters. Reads are a pointer copy under a
-// nanosecond-scale mutex; RetrainOnce drains, folds, retrains, and publishes.
-// Shards share no mutable state, so N shards retrain concurrently without
-// contending anywhere.
+// nanosecond-scale mutex; RetrainOnce drains, folds, retrains, and publishes,
+// and FoldQueued drains and folds alone. Shards share no mutable state, so N
+// shards retrain concurrently without contending anywhere.
 //
 // Concurrency model: producers Offer() into the bounded ingest queue; one
 // retrain call at a time drains it, re-runs the clustering + ensemble
@@ -151,11 +151,23 @@ class ServiceShard {
                      const CancelToken* cancel = nullptr)
       DBAUGUR_EXCLUDES(retrain_mu_);
 
+  /// Drains the ingest queue into the binned history without retraining.
+  /// The sharded scheduler calls it for every shard a cycle did not retrain,
+  /// so a queue never holds more than about one cycle of traffic.
+  void FoldQueued() DBAUGUR_EXCLUDES(retrain_mu_);
+
   ServeStats stats() const;
 
   /// Per-shard scheduler signals / health extras (all cheap; none take
   /// retrain_mu_, so they never block behind an in-flight rebuild).
   size_t queue_depth() const { return ingestor_.size(); }
+  /// The scheduler's traffic signal: events still queued plus events folded
+  /// since the last retrain attempt (or save). Counting the folded ones
+  /// keeps the signal independent of when the queue was last folded.
+  uint64_t pending_events() const {
+    return folded_since_retrain_.load(std::memory_order_relaxed) +
+           ingestor_.size();
+  }
   uint64_t events_accepted() const { return ingestor_.accepted(); }
   IngestDropStats drop_stats() const { return ingestor_.drop_stats(); }
   uint64_t retrains_failed() const {
@@ -188,7 +200,8 @@ class ServiceShard {
   /// Serializes this shard's full state — binned history, retrain-cycle
   /// position, and the published snapshot with every model parameter in
   /// lossless float64 — appended to *w. Pending queued events are folded in
-  /// first so nothing is lost across a restart. The sharded checkpoint wraps
+  /// first so nothing is lost across a restart, and pending_events() restarts
+  /// from the queue depth, as on a restored shard. The sharded checkpoint wraps
   /// it in its per-shard file header. Layout: U64 generation, Bytes(retrainer
   /// state), U8 trained flag, then Bytes(snapshot) when trained.
   Status SaveStateSection(BufWriter* w) DBAUGUR_EXCLUDES(retrain_mu_);
@@ -215,8 +228,9 @@ class ServiceShard {
 
   /// Copy of the shard's binned history (template id -> bin -> summed count):
   /// the differential-oracle surface of the chaos harness, which checks the
-  /// union of per-shard histories against a single-stream reference. Events
-  /// still queued (not yet drained by a retrain) are not included.
+  /// union of per-shard histories against a single-stream reference. It
+  /// holds every event folded so far, whether or not a retrain used it;
+  /// events offered since the last fold are still queued and not included.
   std::map<uint32_t, std::map<int64_t, double>> BinContents()
       DBAUGUR_EXCLUDES(retrain_mu_);
 
@@ -231,6 +245,11 @@ class ServiceShard {
   /// Records a retrain failure: counters, last_error, one WARN log line.
   /// Reads retrainer_.cycles(), hence the retrain_mu_ requirement.
   void RecordFailure(const Status& st) DBAUGUR_REQUIRES(retrain_mu_);
+
+  /// The one fold path (RetrainOnce, SaveStateSection, FoldQueued): drains
+  /// the ingest queue into the binner and counts the events toward
+  /// pending_events().
+  void FoldQueuedLocked() DBAUGUR_REQUIRES(retrain_mu_);
 
   ServeOptions opts_;
   size_t shard_id_ = 0;
@@ -254,6 +273,9 @@ class ServiceShard {
   std::atomic<uint64_t> retrains_cancelled_{0};
   std::atomic<uint64_t> consecutive_failures_{0};
   std::atomic<uint64_t> values_winsorized_{0};
+  /// Events folded since the last retrain attempt, save or state install.
+  /// Written under retrain_mu_, read lock-free by pending_events().
+  std::atomic<uint64_t> folded_since_retrain_{0};
   /// Set when the last retrain was cancelled; cleared on the next publish.
   std::atomic<bool> degraded_stale_{false};
 

@@ -8,6 +8,7 @@
 #include "common/binio.h"
 #include "common/contracts.h"
 #include "common/logging.h"
+#include "serve/retrain_scheduler.h"
 
 namespace dbaugur::serve {
 
@@ -15,28 +16,23 @@ namespace {
 constexpr uint32_t kShardFileMagic = 0xDBA65EF7;
 constexpr uint32_t kManifestMagic = 0xDBA65EF8;
 constexpr uint32_t kShardedVersion = 1;
+// Cycles a pending shard waits before the scheduler promotes it ahead of
+// hotter shards (RetrainSchedulerOptions::starvation_cycles).
+constexpr uint64_t kStarvationCycles = 4;
 }  // namespace
 
 ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
-    : opts_(opts), overload_(opts.overload), cycles_waited_(opts.shard_count) {
+    : opts_(opts), cycles_waited_(opts.shard_count) {
   DBAUGUR_CHECK(opts_.shard_count >= 1,
                 "ShardedForecastService shard_count must be >= 1");
   DBAUGUR_CHECK(opts_.retrain_workers >= 1,
                 "ShardedForecastService retrain_workers must be >= 1");
-  DBAUGUR_CHECK(opts_.starvation_cycles >= 1,
-                "ShardedForecastService starvation_cycles must be >= 1");
   DBAUGUR_CHECK(opts_.shard.retrain_interval_seconds > 0,
                 "ShardedForecastService retrain_interval_seconds must be "
                 "positive");
   shards_.reserve(opts_.shard_count);
   for (size_t i = 0; i < opts_.shard_count; ++i) {
     shards_.push_back(std::make_unique<ServiceShard>(opts_.shard, i));
-  }
-  {
-    MutexLock lock(&cycle_mu_);
-    effective_budget_.store(
-        overload_.DegradedBudget(opts_.retrain_budget, shards_.size()),
-        std::memory_order_relaxed);
   }
   // One long-lived fit pool per retrain worker: the member fits inside a
   // shard rebuild parallelize on the worker's own pool instead of
@@ -66,11 +62,11 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
     for (size_t i = 0; i < shards_.size(); ++i) {
       ShardSignal s;
       s.shard_id = i;
-      s.pending_events = shards_[i]->queue_depth();
-      // A cancelled retrain drained its queue into the binner without
-      // publishing, so a degraded-stale shard still owes the scheduler a
-      // retrain even when no new traffic arrives — otherwise the
-      // work-conserving skip would pin it on its last-good snapshot forever.
+      s.pending_events = shards_[i]->pending_events();
+      // A cancelled retrain counts as an attempt, which restarts the signal,
+      // so a degraded-stale shard still owes the scheduler a retrain even
+      // when no new traffic arrives — otherwise the work-conserving skip
+      // would pin it on its last-good snapshot forever.
       if (s.pending_events == 0 && shards_[i]->degraded_stale()) {
         s.pending_events = 1;
       }
@@ -80,16 +76,9 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       if (s.pending_events > 0) max_wait = std::max(max_wait, s.cycles_waited);
       signals.push_back(s);
     }
-    // Overload ladder: feed this cycle's backlog sample, then schedule within
-    // the (possibly degraded) budget. Deterministic given the same stream of
-    // backlog samples, so identical runs degrade identically.
-    uint64_t level = overload_.Observe(total_pending);
-    size_t budget =
-        overload_.DegradedBudget(opts_.retrain_budget, shards_.size());
-    overload_level_.store(level, std::memory_order_release);
-    effective_budget_.store(budget, std::memory_order_relaxed);
     order = ScheduleRetrains(
-        signals, RetrainSchedulerOptions{budget, opts_.starvation_cycles});
+        signals,
+        RetrainSchedulerOptions{opts_.retrain_budget, kStarvationCycles});
 
     RetrainCycleReport report;
     if (!order.empty()) {
@@ -114,10 +103,14 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       }
     }
 
-    // Every shard this cycle did not retrain waited one cycle longer.
+    // Every shard this cycle did not retrain waited one cycle longer, and
+    // has its queue folded now: RunCycle has returned, so no worker holds
+    // its retrain_mu_. The budget and the backoff ration retrains, never
+    // events: a queue overflows only when one cycle's traffic does.
     std::vector<char> retrained(shards_.size(), 0);
     for (size_t id : order) retrained[id] = 1;
     for (size_t i = 0; i < shards_.size(); ++i) {
+      if (!retrained[i]) shards_[i]->FoldQueued();
       const uint64_t waited = cycles_waited_[i].load(std::memory_order_relaxed);
       cycles_waited_[i].store(retrained[i] ? 0 : waited + 1,
                               std::memory_order_relaxed);
@@ -127,7 +120,7 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
 
     if (!order.empty()) {
       // One line per productive cycle (idle ticks stay silent), carrying the
-      // overload/watchdog telemetry. Built into a local buffer here and
+      // scheduler/watchdog telemetry. Built into a local buffer here and
       // emitted after cycle_mu_ is released — no lock is held while the
       // logging backend runs.
       std::ostringstream line;
@@ -140,8 +133,7 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
         line << order[i];
       }
       if (order.size() > shown) line << " ...";
-      line << "] pending=" << total_pending << " max_wait=" << max_wait
-           << " overload=" << level << " budget=" << budget;
+      line << "] pending=" << total_pending << " max_wait=" << max_wait;
       if (report.cancelled > 0) {
         line << " watchdog_cancelled=" << report.cancelled;
         for (const RetrainTaskResult& t : report.tasks) {
@@ -189,16 +181,13 @@ void ShardedForecastService::SchedulerLoop() {
     }
     (void)RetrainCycle();
     // Per-shard failure backoff is in scheduler cycles (see
-    // retrain_scheduler.h), so the loop ticks at a constant period — except
-    // under overload, where the degradation ladder widens the tick by
-    // 2^level until backlog drains (see OverloadController).
-    double interval =
-        opts_.shard.retrain_interval_seconds *
-        OverloadIntervalScale(overload_level_.load(std::memory_order_acquire));
+    // retrain_scheduler.h), so the loop ticks at a constant period. Every
+    // cycle folds every queue, so a queue must hold one period's traffic.
     auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(interval));
+            std::chrono::duration<double>(
+                opts_.shard.retrain_interval_seconds));
     // Explicit predicate loop (not a wait_for lambda): the thread-safety
     // analysis checks lambda bodies as unannotated functions, so a predicate
     // reading the guarded stopping_ flag would be rejected.
@@ -241,10 +230,6 @@ ShardedServiceHealth ShardedForecastService::Health() const {
   ShardedServiceHealth h;
   h.cycles = cycles_done_.load(std::memory_order_acquire);
   h.retrains_cancelled = retrains_cancelled_.load(std::memory_order_relaxed);
-  h.overload_level = overload_level_.load(std::memory_order_acquire);
-  h.effective_budget =
-      static_cast<size_t>(effective_budget_.load(std::memory_order_relaxed));
-  h.interval_multiplier = OverloadIntervalScale(h.overload_level);
   bool any_backoff = false;
   bool any_degraded = false;
   bool any_trained = false;

@@ -23,13 +23,18 @@
 // forecasts at any shard count match a single-shard run fed the same
 // per-shard event interleavings (pinned by tests/serve_shard_test.cpp).
 //
-// Retraining: each RetrainCycle samples per-shard signals (queue depth,
+// Retraining: each RetrainCycle samples per-shard signals (pending events,
 // cycles waited, failure streak), asks serve/retrain_scheduler.h for a
 // deterministic priority order (traffic × staleness, starvation-bounded,
 // failure-backoff in cycles), and drains that order through a persistent
 // RetrainWorkerPool (serve/retrain_workers.h) — workers claim shards in
-// schedule order, so hot shards go first regardless of worker count. Reads
-// are never blocked: they route to the shard and copy its snapshot pointer.
+// schedule order, so hot shards go first regardless of worker count. Every
+// shard the schedule skipped (budget, backoff, no traffic) then has its
+// ingest queue folded into its binned history, so every cycle empties every
+// queue: the budget decides only which shards refit, never which events
+// survive. A shard's pending events are those still queued plus those folded
+// since its last retrain attempt. Reads are never blocked: they route to the
+// shard and copy its snapshot pointer.
 //
 // Deadlines + watchdog: with retrain_deadline_seconds > 0, every shard
 // retrain runs under a per-task deadline with a cooperative CancelToken
@@ -40,14 +45,6 @@
 // snapshot marked degraded-stale (reason in Health()), and the cancellation
 // feeds the shard's failure-backoff streak. One stuck shard can therefore
 // never stall the publish loop for the others.
-//
-// Overload degradation: an OverloadController watches total backlog across
-// cycles. Sustained growth (the service is not keeping up) walks a
-// deterministic ladder — each level halves the per-cycle retrain budget and
-// doubles the scheduler interval — shedding retrain work before queues blow
-// out, and walks back down automatically once lag drains. Level, effective
-// budget, and interval multiplier are surfaced in Health(), which reads
-// lock-free mirrors and so never waits behind an in-flight cycle.
 //
 // Checkpoint manifest format (all through common/binio's CRC32-framed
 // write-temp → fsync → rename path, previous good file kept as `.bak`):
@@ -87,7 +84,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "serve/retrain_scheduler.h"
 #include "serve/retrain_workers.h"
 #include "serve/shard.h"
 
@@ -97,17 +93,14 @@ struct ShardedServeOptions {
   ServeOptions shard;        ///< Per-shard configuration (uniform).
   size_t shard_count = 1;    ///< Number of independent shards (>= 1).
   /// Max shards retrained per scheduler cycle (0 = every eligible shard).
+  /// Shards past the budget still have their queues folded that cycle.
   size_t retrain_budget = 0;
   /// Worker threads draining one cycle's schedule (>= 1).
   size_t retrain_workers = 1;
-  /// Cycles a pending shard may wait before forced promotion (>= 1).
-  uint64_t starvation_cycles = 4;
   /// Per-shard retrain deadline within a cycle, seconds (<= 0 disables the
   /// watchdog). An overrunning retrain is cooperatively cancelled; the shard
   /// serves last-good and backs off.
   double retrain_deadline_seconds = 0.0;
-  /// Overload-adaptive degradation ladder (see OverloadController).
-  OverloadOptions overload;
 };
 
 /// Serving state of one shard, or the worst of all shards.
@@ -161,12 +154,9 @@ struct ShardedServiceHealth {
   uint64_t events_quarantined = 0;
   IngestDropStats drops;
 
-  /// Watchdog + overload telemetry.
-  uint64_t retrains_cancelled = 0;   ///< Total watchdog cancellations.
-  size_t stale_shards = 0;           ///< Shards currently degraded-stale.
-  uint64_t overload_level = 0;       ///< Current degradation-ladder level.
-  size_t effective_budget = 0;       ///< Post-degradation per-cycle budget.
-  double interval_multiplier = 1.0;  ///< Scheduler-interval widening factor.
+  /// Watchdog telemetry.
+  uint64_t retrains_cancelled = 0;  ///< Total watchdog cancellations.
+  size_t stale_shards = 0;          ///< Shards currently degraded-stale.
 
   std::vector<ShardHealth> shards;
 };
@@ -207,15 +197,15 @@ class ShardedForecastService {
     return *shards_[shard_id];
   }
 
-  /// Runs one scheduler cycle synchronously: samples signals, updates the
-  /// overload ladder, schedules within the (possibly degraded) budget, and
-  /// drains the schedule through the persistent worker pool — each retrain
-  /// under the configured deadline, with this thread watchdogging overruns.
-  /// Returns the scheduled shard ids in priority order — determinism tests
-  /// pin this. Per-shard failures (cancellations included) are recorded in
-  /// the shard's stats and backed off in cycles by the scheduler; the cycle
-  /// itself always runs to completion. Serialized against concurrent cycles
-  /// and LoadFromFiles.
+  /// Runs one scheduler cycle synchronously: samples signals, schedules
+  /// within the budget, drains the schedule through the persistent worker
+  /// pool — each retrain under the configured deadline, with this thread
+  /// watchdogging overruns — and then folds the queue of every shard it did
+  /// not schedule. Returns the scheduled shard ids in priority order —
+  /// determinism tests pin this. Per-shard failures (cancellations included)
+  /// are recorded in the shard's stats and backed off in cycles by the
+  /// scheduler; the cycle itself always runs to completion. Serialized
+  /// against concurrent cycles and LoadFromFiles.
   std::vector<size_t> RetrainCycle() DBAUGUR_EXCLUDES(cycle_mu_);
 
   /// Starts the background scheduler thread (idempotent).
@@ -233,8 +223,8 @@ class ShardedForecastService {
 
   /// Per-shard health rows + worst-of aggregate state. Takes no service
   /// lock, so it never waits behind an in-flight cycle; the scheduler fields
-  /// (cycles, cycles_waited, overload) are read from mirrors the last
-  /// completed cycle wrote.
+  /// (cycles, cycles_waited) are read from mirrors the last completed cycle
+  /// wrote.
   ShardedServiceHealth Health() const;
 
   /// Writes the sharded checkpoint: one crash-safe file per shard, manifest
@@ -279,14 +269,11 @@ class ShardedForecastService {
   /// *under* this lock (on the pool's workers, supervised by this thread);
   /// readers never take it.
   mutable Mutex cycle_mu_;
-  OverloadController overload_ DBAUGUR_GUARDED_BY(cycle_mu_);
   /// Written only under cycle_mu_ (by each cycle and by restore), read
-  /// lock-free by Health() and SchedulerLoop: completed cycles, the cycles
-  /// each shard has waited since its last retrain, and the overload ladder.
+  /// lock-free by Health(): completed cycles and the cycles each shard has
+  /// waited since its last retrain.
   std::atomic<uint64_t> cycles_done_{0};
   std::vector<std::atomic<uint64_t>> cycles_waited_;
-  std::atomic<uint64_t> overload_level_{0};
-  std::atomic<uint64_t> effective_budget_{0};
   std::atomic<uint64_t> retrains_cancelled_{0};
 
   /// Serializes Start/Stop/dtor: worker_ is not a thread-safe object, so

@@ -363,13 +363,11 @@ TEST_F(ChaosFaultTest, SlowStormUnderWideDeadlineCompletes) {
   EXPECT_TRUE(r.ok) << r.Summary();
 }
 
-TEST_F(ChaosFaultTest, OverloadUnitBudgetBacklogHoldsInvariants) {
+TEST_F(ChaosFaultTest, UnitBudgetLegHoldsExactIngestOracle) {
   // No faults (the fixture's SetUp disarms any env storm): a unit per-cycle
-  // budget forces the scheduler to carry a
-  // backlog across cycles (driving the overload controller), while the leg's
-  // conservation and per-shard snapshot invariants must still hold. The
-  // exact ingest oracle self-gates on bounded budgets (unscheduled shards'
-  // queues stay undrained at the end of the run).
+  // budget retrains one of three shards per cycle, and every cycle folds the
+  // other two shards' queues. So besides conservation and the per-shard
+  // snapshot invariants, the exact ingest oracle must hold bin for bin.
   ChaosOptions o = MatrixOptions(4248, StreamProfile::kSteady);
   o.service_shards = 3;
   o.service_workers = 2;

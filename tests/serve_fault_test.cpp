@@ -223,6 +223,33 @@ TEST_F(BackoffTest, FailuresAreRecordedOnceAndClearedOnSuccess) {
   for (const SnapshotCluster& c : snap->clusters) EXPECT_FALSE(c.degraded);
 }
 
+TEST_F(BackoffTest, ShardInBackoffHasItsQueueFoldedEveryCycle) {
+  // Three failed retrains back the shard off for 1 + 2 + 4 cycles. It is not
+  // scheduled in those cycles, but each of them still folds its queue, so no
+  // accepted event waits for the backoff to end.
+  ShardedForecastService svc(OneShard(FaultOptions()));
+  OfferScaledBins(&svc, 2, 0, 12);
+  ASSERT_TRUE(fault::Configure("serve.retrain.build=n:3").ok());
+  uint64_t skipped_in_backoff = 0;
+  for (int64_t b = 12; b < 30 && svc.stats().retrains_completed == 0; ++b) {
+    OfferScaledBins(&svc, 2, b, 1);
+    const bool backing_off = svc.stats().consecutive_failures > 0;
+    if (svc.RetrainCycle().empty() && backing_off) ++skipped_in_backoff;
+    EXPECT_EQ(svc.shard(0).queue_depth(), 0u) << "bin " << b;
+    const auto bins = svc.shard(0).BinContents();
+    ASSERT_EQ(bins.size(), 2u);
+    for (const auto& [template_id, by_bin] : bins) {
+      EXPECT_EQ(by_bin.size(), static_cast<size_t>(b + 1))
+          << "template " << template_id << " at bin " << b;
+    }
+  }
+  EXPECT_EQ(skipped_in_backoff, 7u);
+  ServeStats s = svc.stats();
+  EXPECT_EQ(s.retrains_failed, 3u);
+  EXPECT_EQ(s.retrains_completed, 1u);
+  EXPECT_EQ(s.events_dropped, 0u);
+}
+
 TEST_F(BackoffTest, UntrainedHealthBeforeAnyData) {
   ShardedForecastService svc(OneShard(FaultOptions()));
   ShardedServiceHealth h = svc.Health();

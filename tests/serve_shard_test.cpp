@@ -2,9 +2,10 @@
 // scheduling with a starvation bound, shard_count=1 bit-identity against a
 // bare ServiceShard, multi-shard per-cluster forecast identity against the
 // single-shard service, per-shard seed-stream positions across save/load,
-// re-hash migration key-set equality, a Health() that never waits behind a
-// cycle, option contracts, and a concurrent producers + readers + scheduler
-// smoke the sanitizer presets (ASan/TSan) exercise.
+// re-hash migration key-set equality, every accepted event binned within
+// one cycle whatever the budget, a Health() that never waits behind a
+// cycle, and a concurrent producers + readers + scheduler smoke the
+// sanitizer presets (ASan/TSan) exercise.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +29,8 @@ namespace dbaugur::serve {
 namespace {
 
 constexpr int64_t kInterval = 600;
+
+using BinMap = std::map<uint32_t, std::map<int64_t, double>>;
 
 ServeOptions FastOptions() {
   ServeOptions o;
@@ -65,6 +68,16 @@ std::vector<std::vector<uint32_t>> TemplatesByShard(size_t shard_count,
     if (done) break;
   }
   return groups;
+}
+
+/// Union of every shard's binned history (each template lives on one shard).
+BinMap AllBinContents(ShardedForecastService* svc) {
+  BinMap all;
+  for (size_t s = 0; s < svc->shard_count(); ++s) {
+    BinMap bins = svc->shard(s).BinContents();
+    all.insert(bins.begin(), bins.end());
+  }
+  return all;
 }
 
 /// member-name-set -> precomputed cluster forecast, for cross-run matching.
@@ -450,7 +463,6 @@ TEST(ShardedServiceTest, IdenticalStreamsYieldIdenticalRetrainOrder) {
     so.shard = FastOptions();
     so.shard_count = 4;
     so.retrain_budget = 2;
-    so.starvation_cycles = 3;
     ShardedForecastService svc(so);
     for (int64_t b = 0; b < 14; ++b) {
       for (uint32_t id = 0; id < 32; ++id) {
@@ -468,6 +480,67 @@ TEST(ShardedServiceTest, IdenticalStreamsYieldIdenticalRetrainOrder) {
   size_t scheduled = 0;
   for (const auto& o : first) scheduled += o.size();
   EXPECT_GT(scheduled, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// No event is dropped to shed retrain work: every cycle folds every queue.
+
+TEST(ShardedServiceTest, UnitBudgetFoldsEveryQueueAndDropsNothing) {
+  // One retrain per cycle over 16 shards, so a shard waits ~16 cycles
+  // between retrains. Each bin brings a shard an eighth of its queue, and 16
+  // bins bring it twice the queue: only a queue folded every cycle holds
+  // every event.
+  constexpr size_t kShards = 16;
+  constexpr int kPerTemplate = 8;
+  auto groups = TemplatesByShard(kShards, 4);
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard.queue_capacity = 256;
+  so.shard_count = kShards;
+  so.retrain_budget = 1;
+  ShardedForecastService svc(so);
+  BinMap accepted;
+  for (int64_t b = 0; b < 24; ++b) {
+    for (const auto& group : groups) {
+      for (uint32_t id : group) {
+        for (int k = 0; k < kPerTemplate; ++k) {
+          const double count = 1.0 + static_cast<double>((id + b + k) % 4);
+          if (svc.Offer(EventAt(id, b, count))) accepted[id][b] += count;
+        }
+      }
+    }
+    EXPECT_LE(svc.RetrainCycle().size(), 1u);
+    ASSERT_EQ(svc.Health().drops.full, 0u) << "bin " << b;
+    ASSERT_EQ(AllBinContents(&svc), accepted) << "bin " << b;
+  }
+}
+
+TEST(ShardedServiceTest, GrowingTrafficAtDefaultOptionsDropsNothing) {
+  // Per-shard traffic grows every bin, and no bin brings a shard half of the
+  // default queue. Growing traffic is not a service falling behind: every
+  // cycle retrains every pending shard and leaves no event unbinned.
+  constexpr size_t kShards = 4;
+  auto groups = TemplatesByShard(kShards, 3);
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard.queue_capacity = ServeOptions().queue_capacity;
+  so.shard_count = kShards;
+  ShardedForecastService svc(so);
+  BinMap accepted;
+  for (int64_t b = 0; b < 16; ++b) {
+    const int per_template = 40 * static_cast<int>(b + 1);
+    for (const auto& group : groups) {
+      for (uint32_t id : group) {
+        for (int k = 0; k < per_template; ++k) {
+          const double count = 1.0 + static_cast<double>((id + k) % 3);
+          if (svc.Offer(EventAt(id, b, count))) accepted[id][b] += count;
+        }
+      }
+    }
+    EXPECT_EQ(svc.RetrainCycle().size(), kShards) << "bin " << b;
+    ASSERT_EQ(svc.Health().drops.full, 0u) << "bin " << b;
+    ASSERT_EQ(AllBinContents(&svc), accepted) << "bin " << b;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -536,21 +609,6 @@ TEST(ShardedServiceTest, HealthDoesNotWaitForAnInFlightCycle) {
   fault::Reset();
   EXPECT_EQ(svc.cycles(), 1u);
   EXPECT_EQ(svc.Health().shards[0].generation, 1u);
-}
-
-TEST(ShardedServiceDeathTest, MaxLevelPastTheShiftWidthAborts) {
-  // The ladder's interval multiplier is 2^level, so a max_level of 64 or
-  // more would shift a uint64_t by its width once reached.
-  ShardedServeOptions so;
-  so.shard = FastOptions();
-  so.overload.max_level = 64;
-  EXPECT_DEATH({ ShardedForecastService svc(so); }, "max_level must be < 64");
-  OverloadOptions oo;
-  oo.max_level = 63;
-  EXPECT_EQ(OverloadController(oo).IntervalScale(), 1.0);
-  oo.max_level = 64;
-  EXPECT_DEATH({ OverloadController controller(oo); },
-               "max_level must be < 64");
 }
 
 // ---------------------------------------------------------------------------

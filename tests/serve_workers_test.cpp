@@ -1,10 +1,8 @@
 // Concurrent retrain execution tests: CancelToken latching semantics,
-// OverloadController's pinned escalate/recover schedule, RetrainWorkerPool
-// schedule-order + concurrency + watchdog behavior, the workers=N vs
-// sequential snapshot bit-identity contract, hang-storm degradation and
-// recovery through ShardedForecastService, the overload ladder end-to-end,
-// and a producers + cycles + checkpoints stress the sanitizer presets
-// (ASan/TSan) exercise.
+// RetrainWorkerPool schedule-order + concurrency + watchdog behavior, the
+// workers=N vs sequential snapshot bit-identity contract, hang-storm
+// degradation and recovery through ShardedForecastService, and a producers +
+// cycles + checkpoints stress the sanitizer presets (ASan/TSan) exercise.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +15,6 @@
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
-#include "serve/retrain_scheduler.h"
 #include "serve/retrain_workers.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
@@ -139,83 +136,6 @@ TEST(CancelTokenTest, CrossThreadLatchUnblocksAPoller) {
   poller.join();
   EXPECT_TRUE(unblocked.load(std::memory_order_acquire));
   EXPECT_EQ(token.reason(), "stop polling");
-}
-
-// ---------------------------------------------------------------------------
-// OverloadController: a pure state machine, so the exact escalate/recover
-// schedule is pinned.
-
-TEST(OverloadControllerTest, EscalatesOnSustainedGrowthRecoversOnDrain) {
-  OverloadOptions o;
-  o.grow_cycles = 2;
-  o.drain_cycles = 2;
-  o.max_level = 2;
-  OverloadController c(o);
-  EXPECT_EQ(c.level(), 0u);
-  // First observation has no predecessor: never "growing".
-  EXPECT_EQ(c.Observe(10), 0u);
-  EXPECT_EQ(c.Observe(11), 0u);  // growth streak 1
-  EXPECT_EQ(c.Observe(12), 1u);  // growth streak 2 -> level 1
-  EXPECT_EQ(c.Observe(13), 1u);
-  EXPECT_EQ(c.Observe(14), 2u);  // -> level 2 (the cap)
-  EXPECT_EQ(c.Observe(15), 2u);
-  EXPECT_EQ(c.Observe(16), 2u);  // capped: streak resets, level holds
-  // Flat backlog is "not growing": drain streaks walk the ladder back down.
-  EXPECT_EQ(c.Observe(16), 2u);  // drain streak 1
-  EXPECT_EQ(c.Observe(16), 1u);  // drain streak 2 -> level 1
-  EXPECT_EQ(c.Observe(5), 1u);
-  EXPECT_EQ(c.Observe(0), 0u);   // fully recovered
-  EXPECT_EQ(c.Observe(0), 0u);   // stays at the floor
-}
-
-TEST(OverloadControllerTest, GrowthStreakResetsOnAnyDrainCycle) {
-  OverloadOptions o;
-  o.grow_cycles = 3;
-  OverloadController c(o);
-  (void)c.Observe(1);
-  (void)c.Observe(2);  // streak 1
-  (void)c.Observe(3);  // streak 2
-  (void)c.Observe(3);  // flat: streak resets before reaching 3
-  (void)c.Observe(4);  // streak 1 again
-  (void)c.Observe(5);  // streak 2
-  EXPECT_EQ(c.level(), 0u);
-  EXPECT_EQ(c.Observe(6), 1u);  // streak 3 -> level 1
-}
-
-TEST(OverloadControllerTest, ZeroGrowCyclesDisablesAdaptation) {
-  OverloadOptions o;
-  o.grow_cycles = 0;
-  OverloadController c(o);
-  for (uint64_t backlog = 1; backlog <= 20; ++backlog) {
-    EXPECT_EQ(c.Observe(backlog), 0u);
-  }
-  EXPECT_EQ(c.IntervalScale(), 1.0);
-}
-
-TEST(OverloadControllerTest, DegradedBudgetHalvesPerLevelWithUnitFloor) {
-  OverloadOptions o;
-  o.grow_cycles = 1;
-  o.drain_cycles = 1;
-  o.max_level = 10;
-  OverloadController c(o);
-  // Level 0: an explicit budget passes through; 0 means "every shard".
-  EXPECT_EQ(c.DegradedBudget(8, 16), 8u);
-  EXPECT_EQ(c.DegradedBudget(0, 16), 16u);
-  EXPECT_EQ(c.IntervalScale(), 1.0);
-  uint64_t backlog = 0;
-  auto escalate = [&] { (void)c.Observe(++backlog); (void)c.Observe(++backlog); };
-  escalate();  // level 1 (first Observe seeds have_last)
-  EXPECT_EQ(c.level(), 1u);
-  EXPECT_EQ(c.DegradedBudget(8, 16), 4u);
-  EXPECT_EQ(c.DegradedBudget(0, 16), 8u);
-  EXPECT_EQ(c.IntervalScale(), 2.0);
-  (void)c.Observe(++backlog);  // level 2
-  EXPECT_EQ(c.DegradedBudget(8, 16), 2u);
-  (void)c.Observe(++backlog);  // level 3
-  EXPECT_EQ(c.DegradedBudget(8, 16), 1u);
-  (void)c.Observe(++backlog);  // level 4: floor holds at 1, never 0
-  EXPECT_EQ(c.DegradedBudget(8, 16), 1u);
-  EXPECT_EQ(c.IntervalScale(), 16.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,54 +370,6 @@ TEST_F(ServeWorkersFaultTest, SlowRetrainUnderWideDeadlineCompletes) {
   EXPECT_GE(h.shards[0].generation, 1u);
   // The injected ~200ms stall is visible in the retrain duration.
   EXPECT_GE(h.shards[0].last_retrain_seconds, 0.15);
-}
-
-// ---------------------------------------------------------------------------
-// Overload ladder end-to-end.
-
-TEST(ServeOverloadTest, LadderRisesUnderBacklogAndDrainsWhenIdle) {
-  constexpr size_t kShards = 4;
-  auto groups = TemplatesByShard(kShards, 2);
-  ShardedServeOptions so;
-  so.shard = FastOptions();
-  so.shard_count = kShards;
-  so.retrain_workers = 2;
-  so.retrain_budget = 4;
-  so.overload.grow_cycles = 1;  // escalate on every growth cycle
-  so.overload.drain_cycles = 1;
-  so.overload.max_level = 2;
-  ShardedForecastService svc(so);
-
-  ShardedServiceHealth h = svc.Health();
-  EXPECT_EQ(h.overload_level, 0u);
-  EXPECT_EQ(h.effective_budget, 4u);
-  EXPECT_EQ(h.interval_multiplier, 1.0);
-
-  // Strictly growing sampled backlog: each cycle offers a strictly larger
-  // block of fresh (monotonically advancing — never stale-dropped) bins than
-  // the service can drain under its shrinking budget. The first cycle seeds
-  // the controller; each later growth cycle escalates one level to the cap.
-  int64_t next_bin = 0;
-  for (int cycle = 0; cycle < 4; ++cycle) {
-    int64_t bins = 12 * (cycle + 1);
-    OfferGroupWave(&svc, groups, next_bin, bins);
-    next_bin += bins;
-    (void)svc.RetrainCycle();
-  }
-  h = svc.Health();
-  EXPECT_EQ(h.overload_level, 2u);   // capped
-  EXPECT_EQ(h.effective_budget, 1u);  // 4 >> 2
-  EXPECT_EQ(h.interval_multiplier, 4.0);
-
-  // Stop offering: backlog stops growing, the ladder walks back down, and
-  // the budget recovers.
-  for (int cycle = 0; cycle < 6 && svc.Health().overload_level > 0; ++cycle) {
-    (void)svc.RetrainCycle();
-  }
-  h = svc.Health();
-  EXPECT_EQ(h.overload_level, 0u);
-  EXPECT_EQ(h.effective_budget, 4u);
-  EXPECT_EQ(h.interval_multiplier, 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@
 #                          DBAUGUR_FAULT_SPEC storm armed from the environment)
 #   2c. Chaos harness     (end-to-end chaos slice re-run under ASan with a
 #                          fault storm armed, plus bench/chaos_soak --smoke)
-#   2d. Hang-storm smoke  (watchdog cancellation / degraded-stale / overload
-#                          slice re-run explicitly under ASan)
+#   2d. Hang-storm smoke  (watchdog cancellation / degraded-stale / unit
+#                          budget slice re-run explicitly under ASan)
 #   3. TSan               (skipped with a warning if the toolchain lacks it)
 #   3b. Workers stress    (serve_workers suite and the member-level fit tasks
 #                          repeated under TSan — worker pool, watchdog,
@@ -235,16 +235,16 @@ fi
 
 # --- 2d. Hang-storm watchdog smoke under ASan: the deadline/cancellation
 # slice — serve.retrain.hang|slow storms driving watchdog cancellation,
-# degraded-stale serving, overload adaptation, and checkpoint-vs-cancel
+# degraded-stale serving, the unit-budget chaos leg, and checkpoint-vs-cancel
 # races. These tests arm their own storms via fault::Configure; running
 # them by name keeps the recovery paths sanitizer-clean even if the
 # broader -R patterns above drift.
 if [[ "$FAST" == 1 ]]; then
   record "hang-storm-asan" "SKIPPED (--fast)"
 elif [[ -f build-asan/CTestTestfile.cmake ]]; then
-  note "hang-storm (ASan): watchdog cancellation + overload slice"
+  note "hang-storm (ASan): watchdog cancellation + unit-budget slice"
   if ctest --test-dir build-asan --output-on-failure -j "$JOBS" --timeout 600 \
-      -R 'HangStorm|SlowStorm|SlowRetrain|Overload|SavesDuringCancelledRetrain|ShardLevelSaveRaces'; then
+      -R 'HangStorm|SlowStorm|SlowRetrain|UnitBudgetLeg|SavesDuringCancelledRetrain|ShardLevelSaveRaces'; then
     record "hang-storm-asan" "OK"
   else
     record "hang-storm-asan" "FAIL"

@@ -174,7 +174,7 @@ int SmokeMode() {
   }
   {
     // Concurrent retrain drain: 2 workers over 3 shards, a deadline wide
-    // enough that only a genuine hang would trip the watchdog, and a unit
+    // enough that only a genuine hang would pass it, and a unit
     // budget so most cycles fold shards they do not retrain.
     ChaosOptions o = MatrixOptions(23, StreamProfile::kBurstySkewed);
     o.service_shards = 3;

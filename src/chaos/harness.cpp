@@ -484,7 +484,7 @@ class ChaosRun {
 
   /// Router conservation (every offered event accepted or dropped by exactly
   /// one shard, with or without fault storms) and, when neither faults nor a
-  /// watchdog are in play, no failed retrain.
+  /// retrain deadline are in play, no failed retrain.
   Status CheckService(const serve::ShardedForecastService& svc,
                       uint64_t offered, const char* which) const {
     uint64_t accounted = 0;
@@ -660,7 +660,7 @@ class ChaosRun {
     // Fault storms forfeit both exact oracles below.
     if (fault::Active()) return Status::OK();
 
-    // Resume equality. A watchdog rules it out (a cancellation depends on
+    // Resume equality. A deadline rules it out (a cancellation depends on
     // timing), and so does a bursty-skewed stream: the ingestor's lateness
     // reference is not checkpointed, so post-restore stale drops may
     // legitimately differ.

@@ -37,13 +37,13 @@ struct ChaosOptions {
   /// restores a midpoint checkpoint through SaveToFiles/LoadFromFiles into a
   /// second service and checks resume equality. Each exact oracle skips
   /// itself where the configuration makes it inexact (fault storms, skewed
-  /// streams, watchdogs).
+  /// streams, retrain deadlines).
   size_t service_shards = 0;
   /// Retrain workers for the sharded leg (>= 1). With > 1, scheduled shards
   /// retrain concurrently; the leg's invariants (generation monotonicity,
   /// snapshot finiteness, router conservation) must hold at any worker count.
   size_t service_workers = 1;
-  /// Per-retrain watchdog deadline for the sharded leg; <= 0 disables. Arm
+  /// Per-retrain deadline for the sharded leg; <= 0 disables. Arm
   /// together with a `serve.retrain.hang` fault storm to exercise the
   /// cancel → degraded-stale → recover path under chaos streams.
   double retrain_deadline_seconds = 0.0;

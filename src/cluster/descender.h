@@ -39,8 +39,9 @@ struct DescenderOptions {
   bool znormalize = true;
   /// Worker lanes for the batch AddTraces pairwise sweep when the caller
   /// passes no pool; core::BuildTrainedState sizes the one pool it builds
-  /// for the sweep and the fits from it too. Results are deterministic for
-  /// any value; 1 runs fully inline (no threads spawned).
+  /// for the sweep and the fits from it too, and the sharded service sizes
+  /// the one fit pool all of its shard retrains share from it. Results are
+  /// deterministic for any value; 1 runs fully inline (no threads spawned).
   size_t threads = DefaultThreadCount();
 };
 

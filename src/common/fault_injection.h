@@ -35,7 +35,7 @@
 //                          to NaN before validation (garbage-row simulation)
 //   serve.retrain.build    serve::Retrainer::Rebuild — fails the cycle
 //   serve.retrain.hang     serve::Retrainer::Rebuild — the cycle never
-//                          finishes until its CancelToken fires (watchdog
+//                          finishes until its CancelToken fires (deadline
 //                          exercise); with no token it fails fast instead of
 //                          deadlocking the caller
 //   serve.retrain.slow     serve::Retrainer::Rebuild — stalls the cycle

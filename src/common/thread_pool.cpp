@@ -1,12 +1,28 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
 #include <utility>
 
 #include "common/contracts.h"
 
 namespace dbaugur {
+
+/// One ParallelFor's shared state. The calling thread and every queued
+/// helper run hold a reference; a helper that starts after the range is
+/// fully claimed returns without reading `body`, which dies with the call.
+struct ThreadPool::Call {
+  Call(size_t n_in, size_t grain_in,
+       const std::function<void(size_t, size_t)>* body_in)
+      : n(n_in), grain(grain_in), body(body_in) {}
+  const size_t n;
+  const size_t grain;
+  const std::function<void(size_t, size_t)>* const body;
+  std::atomic<size_t> next{0};  ///< First unclaimed index.
+  std::atomic<size_t> done{0};  ///< Indices whose chunk has returned.
+  Mutex mu;                     ///< Pairs with cv for the caller's one wait.
+  CondVar cv;
+};
 
 size_t DefaultThreadCount() {
   unsigned hc = std::thread::hardware_concurrency();
@@ -31,37 +47,32 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  // Explicit predicate loop: the thread-safety analysis can't see through a
-  // lambda predicate reading guarded fields (see common/mutex.h).
-  while (!queue_.empty() || in_flight_ != 0) idle_cv_.Wait(&mu_);
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task;
+    std::shared_ptr<Call> call;
     {
       MutexLock lock(&mu_);
       while (!stop_ && queue_.empty()) work_cv_.Wait(&mu_);
       if (queue_.empty()) return;  // stop_ set and nothing left to drain
-      task = std::move(queue_.front());
+      call = std::move(queue_.front());
       queue_.pop_front();
-      ++in_flight_;
     }
-    task();
-    {
-      MutexLock lock(&mu_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) idle_cv_.NotifyAll();
+    RunChunks(call.get());
+  }
+}
+
+void ThreadPool::RunChunks(Call* call) {
+  for (;;) {
+    const size_t b =
+        call->next.fetch_add(call->grain, std::memory_order_relaxed);
+    if (b >= call->n) return;
+    const size_t len = std::min(call->grain, call->n - b);
+    (*call->body)(b, b + len);
+    // The release half publishes this chunk's writes to the caller, whose
+    // acquire load reads the last of these increments.
+    if (call->done.fetch_add(len, std::memory_order_acq_rel) + len == call->n) {
+      MutexLock lock(&call->mu);
+      call->cv.NotifyAll();
     }
   }
 }
@@ -70,30 +81,24 @@ void ThreadPool::ParallelFor(size_t n, size_t grain,
                              const std::function<void(size_t, size_t)>& body) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  if (workers_.empty()) {
-    for (size_t b = 0; b < n; b += grain) body(b, std::min(n, b + grain));
-    return;
-  }
-  // The contract "one ParallelFor at a time per pool" used to be a comment;
-  // a nested call from a body would deadlock in Wait() below, so abort with
-  // a readable message instead.
-  DBAUGUR_CHECK(!in_parallel_for_.exchange(true, std::memory_order_acq_rel),
-                "ThreadPool::ParallelFor is not reentrant (nested call on the "
-                "same pool)");
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  // Each runner pulls chunks until the range is exhausted; `body` stays alive
-  // until Wait() returns, so capturing it by reference is safe.
-  auto runner = [next, n, grain, &body] {
-    for (;;) {
-      size_t b = next->fetch_add(grain, std::memory_order_relaxed);
-      if (b >= n) return;
-      body(b, std::min(n, b + grain));
+  auto call = std::make_shared<Call>(n, grain, &body);
+  // The calling thread is one of the lanes, so one helper per further chunk
+  // at most; a one-lane pool has none and runs every chunk here, in order.
+  const size_t helpers = std::min(workers_.size(), (n - 1) / grain);
+  if (helpers > 0) {
+    {
+      MutexLock lock(&mu_);
+      queue_.insert(queue_.end(), helpers, call);
     }
-  };
-  for (size_t i = 0; i < workers_.size(); ++i) Submit(runner);
-  runner();  // the calling thread is one of the size() lanes
-  Wait();
-  in_parallel_for_.store(false, std::memory_order_release);
+    for (size_t i = 0; i < helpers; ++i) work_cv_.NotifyOne();
+  }
+  RunChunks(call.get());
+  // Every index is claimed; wait for the chunks other lanes still run. Those
+  // lanes are running, not queued, so this waits on work in progress only.
+  MutexLock lock(&call->mu);
+  while (call->done.load(std::memory_order_acquire) < n) {
+    call->cv.Wait(&call->mu);
+  }
 }
 
 }  // namespace dbaugur

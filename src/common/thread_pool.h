@@ -1,4 +1,4 @@
-// Small fixed-size thread pool used by the batch clustering sweep.
+// Small fixed-size thread pool: the only owner of worker threads in src/.
 //
 // Design constraints (see descender.cpp): the pool must be deterministic in
 // its *results* regardless of scheduling — callers write to disjoint
@@ -6,17 +6,24 @@
 // everything inline on the calling thread, spawning nothing, so single-core
 // configurations behave exactly like the pre-pool code.
 //
+// ParallelFor may be called from several threads at once and from inside a
+// body running on the same pool. Every call runs chunks on its calling
+// thread and waits only for the chunks of its own range, so concurrent and
+// nested calls complete: the sharded service drains a cycle's shards on one
+// pool while every concurrent shard retrain shares a second pool for its
+// clustering sweep and member fits.
+//
 // Locking discipline (compile-checked under Clang, see
-// common/thread_annotations.h): mu_ guards the task queue, the in-flight
-// count, and the stop flag; ParallelFor's non-reentrancy contract is enforced
-// at runtime by a DBAUGUR_CHECK on in_parallel_for_.
+// common/thread_annotations.h): mu_ guards the queue of pending helper runs
+// and the stop flag. Chunks are claimed and counted with atomics; a call
+// takes its own lock only once, to wait for its last chunk.
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -41,37 +48,32 @@ class ThreadPool {
   /// Configured parallelism (workers + calling thread).
   size_t size() const { return size_; }
 
-  /// Enqueues one task for a worker thread.
-  void Submit(std::function<void()> task) DBAUGUR_EXCLUDES(mu_);
-
-  /// Blocks until every submitted task has finished.
-  void Wait() DBAUGUR_EXCLUDES(mu_);
-
-  /// Runs body(begin, end) over chunks of `grain` indices covering [0, n).
-  /// Chunks are claimed dynamically (rows of a triangular sweep have uneven
-  /// cost), so bodies must not depend on execution order. With size() == 1
-  /// the chunks run inline, in order, on the calling thread. Not reentrant:
-  /// one ParallelFor at a time per pool — nesting (a body that calls back
-  /// into ParallelFor on the same pool) aborts via DBAUGUR_CHECK instead of
-  /// deadlocking in Wait().
+  /// Runs body(begin, end) over chunks of `grain` indices covering [0, n)
+  /// and returns once every chunk has run. Chunks are claimed in index
+  /// order, dynamically (rows of a triangular sweep have uneven cost), by the
+  /// calling thread and by any worker that is free, so bodies must not depend
+  /// on execution order. With size() == 1 the chunks run inline, in order,
+  /// on the calling thread. One caller never has more than size() bodies
+  /// running at once. Safe to call concurrently from several threads and
+  /// from inside a body on the same pool.
   void ParallelFor(size_t n, size_t grain,
                    const std::function<void(size_t, size_t)>& body)
       DBAUGUR_EXCLUDES(mu_);
 
  private:
+  struct Call;
+  /// Claims and runs chunks of `call` until its range is fully claimed.
+  static void RunChunks(Call* call);
   void WorkerLoop() DBAUGUR_EXCLUDES(mu_);
 
   size_t size_;
   std::vector<std::thread> workers_;  // set in ctor, joined in dtor only
   Mutex mu_;
-  std::deque<std::function<void()>> queue_ DBAUGUR_GUARDED_BY(mu_);
+  /// One entry per helper run a ParallelFor asked for. A worker that pops an
+  /// entry whose range is already claimed returns at once.
+  std::deque<std::shared_ptr<Call>> queue_ DBAUGUR_GUARDED_BY(mu_);
   CondVar work_cv_;
-  CondVar idle_cv_;
-  size_t in_flight_ DBAUGUR_GUARDED_BY(mu_) = 0;
   bool stop_ DBAUGUR_GUARDED_BY(mu_) = false;
-  // Runtime guard for the documented non-reentrancy contract (only the
-  // worker-backed path can deadlock; the size()==1 inline path is exempt).
-  std::atomic<bool> in_parallel_for_{false};
 };
 
 }  // namespace dbaugur

@@ -44,9 +44,8 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
 
   TrainedState state;
   // 1. Cluster with Descender. The sweep and the fits share one pool: the
-  // caller's (one per retrain worker in the sharded service, so the
-  // spawn/join cost is amortized across every shard build on that worker),
-  // else one built for this call.
+  // caller's (the sharded service's one fit pool, so the spawn/join cost is
+  // amortized across every shard build), else one built for this call.
   state.descender = std::make_unique<cluster::Descender>(opts.clustering);
   std::optional<ThreadPool> own_pool;
   ThreadPool* pool = fit_pool;
@@ -61,7 +60,7 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
     state.trace_proportion[i] = *prop;
   }
   // Clustering is the first long stage: re-check between it and the fits so
-  // a watchdog firing mid-cluster stops the build before any model trains.
+  // a deadline passing mid-cluster stops the build before any model trains.
   if (cancel != nullptr && cancel->cancelled()) {
     return CancelledStatus(*cancel, "DBAugur: training");
   }

@@ -82,8 +82,9 @@ struct TrainedState {
 /// Descender's pairwise sweep and the ensemble fits run on one pool: the
 /// caller-owned `fit_pool` when given, else one of clustering.threads lanes
 /// built for the call (one lane runs inline, spawning nothing). The sharded
-/// serving layer passes one long-lived pool per retrain worker so concurrent
-/// shard builds don't each pay thread spawn/join. The fits run as one task
+/// serving layer passes one long-lived pool that every concurrent shard
+/// build shares, so no build pays thread spawn/join; each build's thread is
+/// a lane of its own ParallelFor calls. The fits run as one task
 /// per (member, cluster) pair, every cluster's WFGAN before any TCN. The
 /// sweep merges in index order and each member is seeded and
 /// self-contained, so results are bit-identical at any lane count and on any
@@ -95,9 +96,9 @@ struct TrainedState {
 /// (member, cluster) fit task. When the token is observed latched the build
 /// returns Status::Cancelled (code kCancelled) carrying the token's reason;
 /// any fits already running finish their current member, later tasks are
-/// skipped, and no partial state escapes. The serve watchdog uses this to
-/// bound how long a hung or overrunning retrain can occupy a worker (see
-/// serve/retrain_workers.h).
+/// skipped, and no partial state escapes. The sharded service arms the token
+/// with each shard retrain's deadline to bound how long a hung or overrunning
+/// retrain can occupy a lane (see serve/sharded_service.h).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const std::vector<ts::Series>& traces,
                                          ThreadPool* fit_pool = nullptr,

@@ -16,7 +16,7 @@ namespace dbaugur::serve {
 
 namespace {
 
-// Fault-sleep quantum: small enough that a watchdog cancel is observed within
+// Fault-sleep quantum: small enough that a passed deadline is observed within
 // a few milliseconds, large enough not to spin.
 constexpr auto kFaultSliceMs = std::chrono::milliseconds(2);
 
@@ -59,13 +59,14 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
   // unaffected no matter how many cycles a storm kills.
   if (DBAUGUR_FAULT_POINT("serve.retrain.hang")) {
     if (cancel == nullptr) {
-      // Nothing can ever cancel this cycle (no watchdog above us); hanging
+      // Nothing can ever cancel this cycle (no deadline, no token); hanging
       // for real would deadlock the caller, so fail fast instead.
       return Status::Internal(
           "serve: injected retrain hang with no cancel token");
     }
-    // Simulated hang: never finishes on its own. Only the watchdog's cancel
-    // releases the worker — exactly the failure mode the deadline exists for.
+    // Simulated hang: never finishes on its own. Only the token's deadline
+    // (or an explicit Cancel) releases the thread — exactly the failure mode
+    // the deadline exists for.
     while (!cancel->cancelled()) std::this_thread::sleep_for(kFaultSliceMs);
     return CancelledStatus(*cancel, "serve: retrain (hung)");
   }

@@ -74,8 +74,9 @@ class Retrainer {
   /// the currently published snapshot; a diverged cluster falls back to its
   /// last-good model state, or the kernel baseline on first train.
   /// `fit_pool` (may be null) is a caller-owned thread pool for the
-  /// ensemble member fits — the sharded service passes one per retrain
-  /// worker; results are bit-identical with or without it.
+  /// Descender sweep and the ensemble member fits — the sharded service
+  /// passes the one fit pool every concurrent shard retrain shares; results
+  /// are bit-identical with or without it.
   ///
   /// `cancel` (may be null) is a cooperative cancellation token polled at
   /// member-fit granularity (see core::BuildTrainedState) and inside the

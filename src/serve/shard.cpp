@@ -47,7 +47,7 @@ void ServiceShard::Publish(std::shared_ptr<const ServiceSnapshot> snap,
   }
   generation_.store(gen, std::memory_order_release);
   last_publish_stamp_.store(NowNanos(), std::memory_order_relaxed);
-  // A fresh publish supersedes any watchdog-cancelled cycle: the shard is no
+  // A fresh publish supersedes any cancelled cycle: the shard is no
   // longer serving stale state, so drop the marker and its reason.
   if (degraded_stale_.load(std::memory_order_relaxed)) {
     {
@@ -80,7 +80,7 @@ Status ServiceShard::RetrainOnce(ThreadPool* fit_pool,
   uint64_t t0 = NowNanos();
   MutexLock lock(&retrain_mu_);
   // Drain + fold before any cancellation checkpoint: even a cycle the
-  // watchdog kills instantly moves its queued events into the binner, so
+  // deadline kills instantly moves its queued events into the binner, so
   // cancellation never loses data — the next successful cycle trains on them.
   // This attempt uses everything folded so far, so the traffic signal
   // restarts from zero whatever its outcome.

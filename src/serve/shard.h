@@ -137,16 +137,19 @@ class ServiceShard {
   /// A failure is recorded (stats + last_error, logged once) and returned;
   /// the published snapshot is untouched. Serialized against concurrent
   /// retrains and state install via retrain_mu_. `fit_pool` (may be null) is
-  /// a caller-owned pool for the ensemble member fits.
+  /// a caller-owned pool for the Descender sweep and the ensemble member
+  /// fits; the sharded service passes the one fit pool all of its shards
+  /// share.
   ///
-  /// `cancel` (may be null) is a cooperative deadline/watchdog token (see
-  /// common/cancellation.h) polled at member-fit granularity. A cancelled
-  /// cycle counts as a failure — it feeds the consecutive_failures backoff
-  /// streak and retrains_cancelled — and additionally marks the shard
-  /// degraded-stale: it keeps serving the last-good snapshot, with the cancel
-  /// reason surfaced through degraded_stale()/stale_reason() until the next
-  /// successful publish clears it. Events drained before the cancellation are
-  /// already folded into the binner, so no data is lost.
+  /// `cancel` (may be null) is a cooperative cancellation token, usually
+  /// carrying the retrain's deadline (see common/cancellation.h), polled at
+  /// member-fit granularity. A cancelled cycle counts as a failure — it
+  /// feeds the consecutive_failures backoff streak and retrains_cancelled —
+  /// and additionally marks the shard degraded-stale: it keeps serving the
+  /// last-good snapshot, with the cancel reason surfaced through
+  /// degraded_stale()/stale_reason() until the next successful publish
+  /// clears it. Events drained before the cancellation are already folded
+  /// into the binner, so no data is lost.
   Status RetrainOnce(ThreadPool* fit_pool = nullptr,
                      const CancelToken* cancel = nullptr)
       DBAUGUR_EXCLUDES(retrain_mu_);
@@ -176,8 +179,9 @@ class ServiceShard {
   uint64_t consecutive_failures() const {
     return consecutive_failures_.load(std::memory_order_relaxed);
   }
-  /// Retrain cycles that ended in cooperative cancellation (watchdog or
-  /// deadline; a subset of retrains_failed).
+  /// Retrain cycles that ended in cooperative cancellation (a passed
+  /// deadline or an explicit Cancel; a subset of retrains_failed), whoever
+  /// called RetrainOnce.
   uint64_t retrains_cancelled() const {
     return retrains_cancelled_.load(std::memory_order_relaxed);
   }

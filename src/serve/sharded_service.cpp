@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/binio.h"
+#include "common/cancellation.h"
 #include "common/contracts.h"
 #include "common/logging.h"
 #include "serve/retrain_scheduler.h"
@@ -19,33 +20,30 @@ constexpr uint32_t kShardedVersion = 1;
 // Cycles a pending shard waits before the scheduler promotes it ahead of
 // hotter shards (RetrainSchedulerOptions::starvation_cycles).
 constexpr uint64_t kStarvationCycles = 4;
+
+// Checked before the members are built, so a bad option aborts with its own
+// message rather than a thread pool's.
+const ShardedServeOptions& Validated(const ShardedServeOptions& opts) {
+  DBAUGUR_CHECK(opts.shard_count >= 1,
+                "ShardedForecastService shard_count must be >= 1");
+  DBAUGUR_CHECK(opts.retrain_workers >= 1,
+                "ShardedForecastService retrain_workers must be >= 1");
+  DBAUGUR_CHECK(opts.shard.retrain_interval_seconds > 0,
+                "ShardedForecastService retrain_interval_seconds must be "
+                "positive");
+  return opts;
+}
 }  // namespace
 
 ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
-    : opts_(opts), cycles_waited_(opts.shard_count) {
-  DBAUGUR_CHECK(opts_.shard_count >= 1,
-                "ShardedForecastService shard_count must be >= 1");
-  DBAUGUR_CHECK(opts_.retrain_workers >= 1,
-                "ShardedForecastService retrain_workers must be >= 1");
-  DBAUGUR_CHECK(opts_.shard.retrain_interval_seconds > 0,
-                "ShardedForecastService retrain_interval_seconds must be "
-                "positive");
+    : opts_(Validated(opts)),
+      shard_pool_(opts.retrain_workers),
+      fit_pool_(opts.shard.pipeline.clustering.threads),
+      cycles_waited_(opts.shard_count) {
   shards_.reserve(opts_.shard_count);
   for (size_t i = 0; i < opts_.shard_count; ++i) {
     shards_.push_back(std::make_unique<ServiceShard>(opts_.shard, i));
   }
-  // One long-lived fit pool per retrain worker: the member fits inside a
-  // shard rebuild parallelize on the worker's own pool instead of
-  // spawning a pool per build (see core::BuildTrainedState). Skipped when the
-  // pipeline is configured single-threaded — the serial path is identical.
-  size_t fit_threads = opts_.shard.pipeline.clustering.threads;
-  if (fit_threads > 1) {
-    fit_pools_.reserve(opts_.retrain_workers);
-    for (size_t w = 0; w < opts_.retrain_workers; ++w) {
-      fit_pools_.push_back(std::make_unique<ThreadPool>(fit_threads));
-    }
-  }
-  worker_pool_ = std::make_unique<RetrainWorkerPool>(opts_.retrain_workers);
 }
 
 ShardedForecastService::~ShardedForecastService() { Stop(); }
@@ -80,31 +78,18 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
         signals,
         RetrainSchedulerOptions{opts_.retrain_budget, kStarvationCycles});
 
-    RetrainCycleReport report;
-    if (!order.empty()) {
-      // The persistent pool's workers claim shards in schedule order, so the
-      // priority order is preserved at any worker count; shards share no
-      // mutable state, so concurrent RetrainOnce calls are independent. This
-      // thread watchdogs the cycle while RunCycle blocks: overrunning or hung
-      // retrains are cancelled within ~one deadline and recorded shard-side
-      // as cancelled failures (degraded-stale + backoff).
-      report = worker_pool_->RunCycle(
-          order, opts_.retrain_deadline_seconds,
-          [this](size_t shard_id, size_t worker_idx,
-                 const CancelToken* cancel) {
-            ThreadPool* pool = worker_idx < fit_pools_.size()
-                                   ? fit_pools_[worker_idx].get()
-                                   : nullptr;
-            return shards_[shard_id]->RetrainOnce(pool, cancel);
-          });
-      if (report.cancelled > 0) {
-        retrains_cancelled_.fetch_add(report.cancelled,
-                                      std::memory_order_relaxed);
-      }
-    }
+    // Shards are claimed in schedule order, so the priority order holds at
+    // any worker count; shards share no mutable state, so concurrent
+    // RetrainOnce calls are independent. A retrain that overruns its
+    // deadline is cancelled at its next checkpoint and recorded shard-side
+    // as a cancelled failure (degraded-stale + backoff).
+    std::vector<Status> outcomes(order.size());
+    shard_pool_.ParallelFor(order.size(), 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) outcomes[i] = RetrainShard(order[i]);
+    });
 
     // Every shard this cycle did not retrain waited one cycle longer, and
-    // has its queue folded now: RunCycle has returned, so no worker holds
+    // has its queue folded now: the retrains have returned, so no lane holds
     // its retrain_mu_. The budget and the backoff ration retrains, never
     // events: a queue overflows only when one cycle's traffic does.
     std::vector<char> retrained(shards_.size(), 0);
@@ -120,13 +105,19 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
 
     if (!order.empty()) {
       // One line per productive cycle (idle ticks stay silent), carrying the
-      // scheduler/watchdog telemetry. Built into a local buffer here and
-      // emitted after cycle_mu_ is released — no lock is held while the
+      // scheduler and cancellation telemetry. Built into a local buffer here
+      // and emitted after cycle_mu_ is released — no lock is held while the
       // logging backend runs.
+      size_t cancelled = 0;
+      const Status* first_cancelled = nullptr;
+      for (const Status& st : outcomes) {
+        if (st.code() != StatusCode::kCancelled) continue;
+        if (cancelled++ == 0) first_cancelled = &st;
+      }
       std::ostringstream line;
       line << "serve: cycle " << cycle << " retrained "
-           << report.completed << "/" << order.size() << " scheduled ("
-           << shards_.size() << " shards) [";
+           << order.size() - cancelled << "/" << order.size()
+           << " scheduled (" << shards_.size() << " shards) [";
       size_t shown = std::min<size_t>(order.size(), 8);
       for (size_t i = 0; i < shown; ++i) {
         if (i > 0) line << ' ';
@@ -134,20 +125,30 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       }
       if (order.size() > shown) line << " ...";
       line << "] pending=" << total_pending << " max_wait=" << max_wait;
-      if (report.cancelled > 0) {
-        line << " watchdog_cancelled=" << report.cancelled;
-        for (const RetrainTaskResult& t : report.tasks) {
-          if (t.cancelled) {
-            line << " [shard " << t.shard_id << ": " << t.cancel_reason << "]";
-            break;  // one example reason is enough for the log
-          }
-        }
+      if (first_cancelled != nullptr) {
+        // One example reason is enough for the log.
+        line << " cancelled=" << cancelled << " ["
+             << first_cancelled->message() << "]";
       }
       cycle_line = line.str();
     }
   }
   if (!cycle_line.empty()) DBAUGUR_INFO(cycle_line);
   return order;
+}
+
+Status ShardedForecastService::RetrainShard(size_t shard_id) {
+  const double deadline = opts_.retrain_deadline_seconds;
+  if (!(deadline > 0.0)) return shards_[shard_id]->RetrainOnce(&fit_pool_);
+  std::ostringstream reason;
+  reason << "watchdog: shard " << shard_id << " retrain exceeded its "
+         << deadline << "s deadline";
+  CancelToken token(
+      std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(deadline)),
+      reason.str());
+  return shards_[shard_id]->RetrainOnce(&fit_pool_, &token);
 }
 
 void ShardedForecastService::Start() {
@@ -229,7 +230,6 @@ ServeStats ShardedForecastService::stats() const {
 ShardedServiceHealth ShardedForecastService::Health() const {
   ShardedServiceHealth h;
   h.cycles = cycles_done_.load(std::memory_order_acquire);
-  h.retrains_cancelled = retrains_cancelled_.load(std::memory_order_relaxed);
   bool any_backoff = false;
   bool any_degraded = false;
   bool any_trained = false;
@@ -249,6 +249,7 @@ ShardedServiceHealth ShardedForecastService::Health() const {
     row.retrains_completed = s.retrains_completed;
     row.retrains_failed = s.retrains_failed;
     row.retrains_cancelled = shard.retrains_cancelled();
+    h.retrains_cancelled += row.retrains_cancelled;
     row.consecutive_failures = s.consecutive_failures;
     row.degraded_stale = shard.degraded_stale();
     if (row.degraded_stale) {

@@ -26,25 +26,30 @@
 // Retraining: each RetrainCycle samples per-shard signals (pending events,
 // cycles waited, failure streak), asks serve/retrain_scheduler.h for a
 // deterministic priority order (traffic × staleness, starvation-bounded,
-// failure-backoff in cycles), and drains that order through a persistent
-// RetrainWorkerPool (serve/retrain_workers.h) — workers claim shards in
-// schedule order, so hot shards go first regardless of worker count. Every
-// shard the schedule skipped (budget, backoff, no traffic) then has its
-// ingest queue folded into its binned history, so every cycle empties every
-// queue: the budget decides only which shards refit, never which events
-// survive. A shard's pending events are those still queued plus those folded
-// since its last retrain attempt. Reads are never blocked: they route to the
-// shard and copy its snapshot pointer.
+// failure-backoff in cycles), and drains that order on the service's shard
+// pool: a common::ThreadPool of retrain_workers lanes, one of which is the
+// thread calling RetrainCycle. ParallelFor claims shards in schedule order,
+// so hot shards go first regardless of worker count. Every concurrent
+// retrain runs its Descender sweep and member fits on one shared fit pool of
+// clustering.threads lanes, so a service spawns (W−1)+(L−1) pool threads for
+// W workers and L fit lanes, plus its scheduler thread. Every shard the
+// schedule skipped (budget, backoff, no traffic) then has its ingest queue
+// folded into its binned history, so every cycle empties every queue: the
+// budget decides only which shards refit, never which events survive. A
+// shard's pending events are those still queued plus those folded since its
+// last retrain attempt. Reads are never blocked: they route to the shard and
+// copy its snapshot pointer.
 //
-// Deadlines + watchdog: with retrain_deadline_seconds > 0, every shard
-// retrain runs under a per-task deadline with a cooperative CancelToken
-// polled at member-fit granularity. The scheduler thread watchdogs the cycle
-// while it waits: an overrunning or hung retrain (exercised by the
-// serve.retrain.hang / serve.retrain.slow fault points) is cancelled within
-// ~one deadline of the overrun, the shard keeps serving its last-good
-// snapshot marked degraded-stale (reason in Health()), and the cancellation
-// feeds the shard's failure-backoff streak. One stuck shard can therefore
-// never stall the publish loop for the others.
+// Deadlines: with retrain_deadline_seconds > 0, each shard retrain gets a
+// CancelToken whose deadline is armed when its task starts, polled at
+// member-fit granularity. A poll after the deadline reads cancelled, so no
+// thread supervises: an overrunning or hung retrain (exercised by the
+// serve.retrain.hang / serve.retrain.slow fault points) unwinds at its next
+// checkpoint, the shard keeps serving its last-good snapshot marked
+// degraded-stale (reason in Health()), and the cancellation feeds the shard's
+// failure-backoff streak. One stuck shard can therefore never stall the
+// publish loop for the others. Without a deadline a retrain gets no token,
+// since nothing could cancel it.
 //
 // Checkpoint manifest format (all through common/binio's CRC32-framed
 // write-temp → fsync → rename path, previous good file kept as `.bak`):
@@ -84,7 +89,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "serve/retrain_workers.h"
 #include "serve/shard.h"
 
 namespace dbaugur::serve {
@@ -95,11 +99,12 @@ struct ShardedServeOptions {
   /// Max shards retrained per scheduler cycle (0 = every eligible shard).
   /// Shards past the budget still have their queues folded that cycle.
   size_t retrain_budget = 0;
-  /// Worker threads draining one cycle's schedule (>= 1).
+  /// Shards retrained at once within one cycle (>= 1); the thread running
+  /// the cycle is one of them.
   size_t retrain_workers = 1;
-  /// Per-shard retrain deadline within a cycle, seconds (<= 0 disables the
-  /// watchdog). An overrunning retrain is cooperatively cancelled; the shard
-  /// serves last-good and backs off.
+  /// Per-shard retrain deadline within a cycle, seconds, counted from when
+  /// the shard's retrain starts (<= 0: no deadline). An overrunning retrain
+  /// is cooperatively cancelled; the shard serves last-good and backs off.
   double retrain_deadline_seconds = 0.0;
 };
 
@@ -125,7 +130,7 @@ struct ShardHealth {
   IngestDropStats drops;
   uint64_t retrains_completed = 0;
   uint64_t retrains_failed = 0;
-  uint64_t retrains_cancelled = 0;    ///< Watchdog/deadline cancellations.
+  uint64_t retrains_cancelled = 0;    ///< Deadline/token cancellations.
   uint64_t consecutive_failures = 0;
   /// True while the shard serves a last-good snapshot because its most
   /// recent retrain was cancelled mid-flight; `stale_reason` says why.
@@ -154,8 +159,8 @@ struct ShardedServiceHealth {
   uint64_t events_quarantined = 0;
   IngestDropStats drops;
 
-  /// Watchdog telemetry.
-  uint64_t retrains_cancelled = 0;  ///< Total watchdog cancellations.
+  /// Cancellation telemetry.
+  uint64_t retrains_cancelled = 0;  ///< Sum of the shard rows' counts.
   size_t stale_shards = 0;          ///< Shards currently degraded-stale.
 
   std::vector<ShardHealth> shards;
@@ -198,10 +203,10 @@ class ShardedForecastService {
   }
 
   /// Runs one scheduler cycle synchronously: samples signals, schedules
-  /// within the budget, drains the schedule through the persistent worker
-  /// pool — each retrain under the configured deadline, with this thread
-  /// watchdogging overruns — and then folds the queue of every shard it did
-  /// not schedule. Returns the scheduled shard ids in priority order —
+  /// within the budget, drains the schedule on the shard pool — this thread
+  /// is one of its lanes, and each retrain runs under the configured
+  /// deadline — and then folds the queue of every shard it did not
+  /// schedule. Returns the scheduled shard ids in priority order —
   /// determinism tests pin this. Per-shard failures (cancellations included)
   /// are recorded in the shard's stats and backed off in cycles by the
   /// scheduler; the cycle itself always runs to completion. Serialized
@@ -251,30 +256,29 @@ class ShardedForecastService {
 
  private:
   void SchedulerLoop() DBAUGUR_EXCLUDES(cycle_mu_, stop_mu_);
+  /// One scheduled shard's task: arms the shard's deadline token (none
+  /// without a deadline) and retrains it on the fit pool.
+  Status RetrainShard(size_t shard_id);
 
   ShardedServeOptions opts_;
   /// Immutable after construction (the vector and the shard objects' *
   /// identities; the shards synchronize internally).
   std::vector<std::unique_ptr<ServiceShard>> shards_;
-  /// One long-lived fit pool per retrain worker (empty when the pipeline is
-  /// single-threaded). Each pool is used by exactly one worker at a time —
-  /// worker w owns fit_pools_[w] for the duration of a cycle.
-  std::vector<std::unique_ptr<ThreadPool>> fit_pools_;
-  /// Persistent deadline-supervised workers draining each cycle's schedule.
-  /// RunCycle is only ever called under cycle_mu_ (its non-reentrancy
-  /// contract); the pool's internals synchronize themselves.
-  std::unique_ptr<RetrainWorkerPool> worker_pool_;
+  /// Drains each cycle's schedule: retrain_workers lanes, the thread
+  /// running the cycle being one. Used only under cycle_mu_.
+  ThreadPool shard_pool_;
+  /// clustering.threads lanes shared by every concurrent shard retrain's
+  /// Descender sweep and member fits.
+  ThreadPool fit_pool_;
 
   /// Serializes scheduler cycles and checkpoint restore. Retrain work runs
-  /// *under* this lock (on the pool's workers, supervised by this thread);
-  /// readers never take it.
+  /// *under* this lock (on the shard pool's lanes); readers never take it.
   mutable Mutex cycle_mu_;
   /// Written only under cycle_mu_ (by each cycle and by restore), read
   /// lock-free by Health(): completed cycles and the cycles each shard has
   /// waited since its last retrain.
   std::atomic<uint64_t> cycles_done_{0};
   std::vector<std::atomic<uint64_t>> cycles_waited_;
-  std::atomic<uint64_t> retrains_cancelled_{0};
 
   /// Serializes Start/Stop/dtor: worker_ is not a thread-safe object, so
   /// racing Start/Stop calls must not touch it unsynchronized.

@@ -1,7 +1,6 @@
 #include "ts/analysis.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/math_utils.h"
 
@@ -65,51 +64,6 @@ StatusOr<PeriodEstimate> DetectPeriod(const std::vector<double>& v,
     return Status::NotFound("DetectPeriod: no autocorrelation peak above threshold");
   }
   return best;
-}
-
-std::vector<double> RollingMean(const std::vector<double>& v, size_t radius) {
-  std::vector<double> out(v.size(), 0.0);
-  if (v.empty()) return out;
-  // Prefix sums for O(n).
-  std::vector<double> prefix(v.size() + 1, 0.0);
-  for (size_t i = 0; i < v.size(); ++i) prefix[i + 1] = prefix[i] + v[i];
-  for (size_t i = 0; i < v.size(); ++i) {
-    size_t lo = i > radius ? i - radius : 0;
-    size_t hi = std::min(v.size() - 1, i + radius);
-    out[i] = (prefix[hi + 1] - prefix[lo]) / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<double> RollingStdDev(const std::vector<double>& v, size_t radius) {
-  std::vector<double> out(v.size(), 0.0);
-  if (v.empty()) return out;
-  std::vector<double> prefix(v.size() + 1, 0.0);
-  std::vector<double> prefix2(v.size() + 1, 0.0);
-  for (size_t i = 0; i < v.size(); ++i) {
-    prefix[i + 1] = prefix[i] + v[i];
-    prefix2[i + 1] = prefix2[i] + v[i] * v[i];
-  }
-  for (size_t i = 0; i < v.size(); ++i) {
-    size_t lo = i > radius ? i - radius : 0;
-    size_t hi = std::min(v.size() - 1, i + radius);
-    double n = static_cast<double>(hi - lo + 1);
-    double mean = (prefix[hi + 1] - prefix[lo]) / n;
-    double mean2 = (prefix2[hi + 1] - prefix2[lo]) / n;
-    out[i] = std::sqrt(std::max(0.0, mean2 - mean * mean));
-  }
-  return out;
-}
-
-std::vector<size_t> DetectBursts(const std::vector<double>& v, size_t radius,
-                                 double k) {
-  std::vector<size_t> out;
-  auto mean = RollingMean(v, radius);
-  auto sd = RollingStdDev(v, radius);
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (sd[i] > 0.0 && std::fabs(v[i] - mean[i]) > k * sd[i]) out.push_back(i);
-  }
-  return out;
 }
 
 }  // namespace dbaugur::ts

@@ -1,6 +1,6 @@
-// Trace analysis utilities: autocorrelation, dominant-period detection, and
-// rolling statistics. Used to characterize workload patterns (Fig. 2) and to
-// pick sensible windows/horizons for unseen traces.
+// Trace analysis utilities: autocorrelation and dominant-period detection.
+// Used to characterize workload patterns (Fig. 2) and to pick sensible
+// windows/horizons for unseen traces.
 
 #pragma once
 
@@ -30,17 +30,5 @@ struct PeriodEstimate {
 StatusOr<PeriodEstimate> DetectPeriod(const std::vector<double>& v,
                                       size_t min_lag, size_t max_lag,
                                       double min_strength = 0.2);
-
-/// Rolling mean with a centered window of half-width `radius` (edges use the
-/// available samples).
-std::vector<double> RollingMean(const std::vector<double>& v, size_t radius);
-
-/// Rolling population standard deviation, same windowing as RollingMean.
-std::vector<double> RollingStdDev(const std::vector<double>& v, size_t radius);
-
-/// Indices where v deviates from its rolling mean by more than `k` rolling
-/// standard deviations — a simple burst detector for workload traces.
-std::vector<size_t> DetectBursts(const std::vector<double>& v, size_t radius,
-                                 double k);
 
 }  // namespace dbaugur::ts

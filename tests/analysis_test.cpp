@@ -1,11 +1,10 @@
-// Tests for trace analysis utilities and hyper-parameter grid search.
+// Tests for trace analysis utilities.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "models/grid_search.h"
 #include "ts/analysis.h"
 
 namespace dbaugur {
@@ -69,91 +68,6 @@ TEST(DetectPeriodTest, Validation) {
   EXPECT_FALSE(ts::DetectPeriod(v, 0, 20).ok());
   EXPECT_FALSE(ts::DetectPeriod(v, 30, 20).ok());
   EXPECT_FALSE(ts::DetectPeriod(v, 4, 99).ok());
-}
-
-TEST(RollingTest, MeanAndStd) {
-  std::vector<double> v = {1, 2, 3, 4, 5};
-  auto mean = ts::RollingMean(v, 1);
-  EXPECT_DOUBLE_EQ(mean[0], 1.5);  // edge uses available samples
-  EXPECT_DOUBLE_EQ(mean[2], 3.0);
-  EXPECT_DOUBLE_EQ(mean[4], 4.5);
-  auto sd = ts::RollingStdDev(v, 1);
-  EXPECT_NEAR(sd[2], std::sqrt(2.0 / 3.0), 1e-12);
-}
-
-TEST(RollingTest, EmptyInput) {
-  EXPECT_TRUE(ts::RollingMean({}, 3).empty());
-  EXPECT_TRUE(ts::RollingStdDev({}, 3).empty());
-}
-
-TEST(DetectBurstsTest, FlagsInjectedSpike) {
-  auto v = Sine(300, 24, 0.05, 11);
-  v[150] += 10.0;
-  auto bursts = ts::DetectBursts(v, 12, 4.0);
-  bool found = false;
-  for (size_t i : bursts) {
-    if (i == 150) found = true;
-  }
-  EXPECT_TRUE(found);
-  EXPECT_LT(bursts.size(), 10u);  // not flagging the whole series
-}
-
-TEST(GridSearchTest, PicksBetterWindowForSine) {
-  // With a period-24 sine and horizon 1, window 24 should beat window 2.
-  auto v = Sine(600, 24, 0.05, 13);
-  models::ForecasterOptions base;
-  base.horizon = 1;
-  models::ParameterGrid grid;
-  grid.windows = {2, 24};
-  auto result = models::GridSearch("LR", v, base, grid);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->best.window, 24u);
-  ASSERT_EQ(result->evaluated.size(), 2u);
-  EXPECT_LE(result->evaluated[0].validation_mse,
-            result->evaluated[1].validation_mse);
-}
-
-TEST(GridSearchTest, SweepsMultipleDimensions) {
-  auto v = Sine(400, 16, 0.1, 15);
-  models::ForecasterOptions base;
-  base.horizon = 1;
-  base.window = 16;
-  models::ParameterGrid grid;
-  grid.epochs = {2, 5};
-  grid.learning_rates = {1e-3, 1e-2};
-  auto result = models::GridSearch("MLP", v, base, grid);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->evaluated.size(), 4u);
-  EXPECT_EQ(result->best.window, 16u);  // untouched dimension preserved
-  EXPECT_DOUBLE_EQ(result->best_mse, result->evaluated[0].validation_mse);
-}
-
-TEST(GridSearchTest, InfeasiblePointsSkipped) {
-  auto v = Sine(120, 16, 0.1, 17);
-  models::ForecasterOptions base;
-  base.horizon = 1;
-  models::ParameterGrid grid;
-  grid.windows = {8, 5000};  // second is impossible for 120 samples
-  auto result = models::GridSearch("LR", v, base, grid);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->evaluated.size(), 1u);
-  EXPECT_EQ(result->best.window, 8u);
-}
-
-TEST(GridSearchTest, Validation) {
-  auto v = Sine(200, 16, 0.1, 19);
-  models::ForecasterOptions base;
-  models::ParameterGrid grid;
-  models::GridSearchOptions bad;
-  bad.validation_fraction = 0.0;
-  EXPECT_FALSE(models::GridSearch("LR", v, base, grid, bad).ok());
-  // Unknown model propagates NotFound.
-  auto unknown = models::GridSearch("Prophet", v, base, grid);
-  EXPECT_FALSE(unknown.ok());
-  // All-infeasible grid fails cleanly.
-  models::ParameterGrid impossible;
-  impossible.windows = {100000};
-  EXPECT_FALSE(models::GridSearch("LR", v, base, impossible).ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -239,16 +240,6 @@ TEST(ThreadPoolTest, ParallelForZeroItemsNeverInvokesBody) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ThreadPoolTest, SubmitAndWaitRunsAllTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) {
-    pool.Submit([&sum, i] { sum.fetch_add(i); });
-  }
-  pool.Wait();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
 // Sink capturing complete lines; the logging layer calls it under its mutex,
 // but the capture keeps its own lock so the test doesn't rely on that.
 struct LineCapture {
@@ -318,17 +309,78 @@ TEST(ThreadPoolTest, PoolIsReusableAcrossParallelForCalls) {
   EXPECT_DOUBLE_EQ(std::accumulate(acc.begin(), acc.end(), 0.0), 5.0 * 64);
 }
 
-TEST(ThreadPoolDeathTest, NestedParallelForAbortsInsteadOfDeadlocking) {
-  // The non-reentrancy contract used to be prose; now it is a DBAUGUR_CHECK.
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.ParallelFor(8, 1, [&pool](size_t, size_t) {
-          pool.ParallelFor(2, 1, [](size_t, size_t) {});
+TEST(ThreadPoolTest, OneLaneRunsChunksInIndexOrder) {
+  ThreadPool pool(1);
+  std::vector<size_t> begins;
+  pool.ParallelFor(10, 3, [&](size_t begin, size_t end) {
+    EXPECT_EQ(end, std::min<size_t>(begin + 3, 10));
+    begins.push_back(begin);
+  });
+  EXPECT_EQ(begins, (std::vector<size_t>{0, 3, 6, 9}));
+}
+
+// Two callers share one 4-lane pool at once, the way concurrent shard
+// retrains share the service's fit pool. Each call must cover its own range
+// exactly once and return, whichever lanes ran its chunks.
+TEST(ThreadPoolTest, ConcurrentCallsEachCoverEveryIndexExactlyOnce) {
+  constexpr size_t kN = 501;
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    std::vector<std::atomic<int>> hits_a(kN);
+    std::vector<std::atomic<int>> hits_b(kN);
+    auto run = [&pool](std::vector<std::atomic<int>>* hits) {
+      pool.ParallelFor(kN, 3, [hits](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) (*hits)[i].fetch_add(1);
+      });
+    };
+    std::thread other([&] { run(&hits_b); });
+    run(&hits_a);
+    other.join();
+    for (size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(hits_a[i].load(), 1) << "caller a, index " << i;
+      ASSERT_EQ(hits_b[i].load(), 1) << "caller b, index " << i;
+    }
+  }
+}
+
+// A body calls ParallelFor on its own pool, the way a shard retrain running
+// on a lane fans its fits out. The inner call runs on its caller and any
+// free lane, so it completes even when every lane is busy in the outer call.
+TEST(ThreadPoolTest, NestedCallsCoverEveryIndexExactlyOnce) {
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 37;
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    pool.ParallelFor(kOuter, 1, [&](size_t begin, size_t end) {
+      for (size_t o = begin; o < end; ++o) {
+        pool.ParallelFor(kInner, 2, [&, o](size_t b, size_t e) {
+          for (size_t i = b; i < e; ++i) hits[o * kInner + i].fetch_add(1);
         });
-      },
-      "not reentrant");
+      }
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrencyNeverExceedsLaneCount) {
+  constexpr size_t kLanes = 3;
+  ThreadPool pool(kLanes);
+  std::atomic<int> in_flight{0};
+  std::atomic<int> peak{0};
+  pool.ParallelFor(12, 1, [&](size_t, size_t) {
+    int now = in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
+    int prev = peak.load(std::memory_order_relaxed);
+    while (now > prev &&
+           !peak.compare_exchange_weak(prev, now, std::memory_order_relaxed)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  });
+  EXPECT_LE(peak.load(), static_cast<int>(kLanes));
+  EXPECT_GE(peak.load(), 1);
 }
 
 // The annotated wrappers must behave exactly like the std primitives they

@@ -33,11 +33,11 @@ class FixtureRepo:
         with open(path, "w", encoding="utf-8") as f:
             f.write(text)
 
-    def include_from_tests(self, *headers):
-        """Includes src-relative `headers` from a tests/ file, so fixtures
+    def include_from_bench(self, *headers):
+        """Includes src-relative `headers` from a bench/ file, so fixtures
         that are about another rule do not trip orphan-header."""
         self.write(
-            "tests/includes_test.cpp",
+            "bench/includes.cpp",
             "".join(f'#include "{h}"\n' for h in headers),
         )
 
@@ -165,7 +165,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <atomic>\n#include <memory>\n"
             "std::atomic<int> g_count;\nstd::shared_ptr<int> g_ptr;\n",
         )
-        self.repo.include_from_tests("a.h")
+        self.repo.include_from_bench("a.h")
         self.assert_clean(self.repo.run("src"))
 
     # -- raw-sync -----------------------------------------------------------
@@ -195,7 +195,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <mutex>\n"
             "class Mutex { std::mutex mu_; };\n",
         )
-        self.repo.include_from_tests("common/mutex.h")
+        self.repo.include_from_bench("common/mutex.h")
         self.assert_clean(self.repo.run("src"))
 
     def test_raw_sync_clean(self):
@@ -305,7 +305,7 @@ class LintRuleTest(unittest.TestCase):
             "#include <immintrin.h>\n"
             "inline __m128d Load(const double* p) { return _mm_loadu_pd(p); }\n",
         )
-        self.repo.include_from_tests("common/simd.h")
+        self.repo.include_from_bench("common/simd.h")
         self.assert_clean(self.repo.run("src"))
 
     def test_raw_intrinsics_clean(self):
@@ -342,6 +342,8 @@ class LintRuleTest(unittest.TestCase):
         )
 
     def test_raw_thread_owner_files_exempt(self):
+        # common/thread_pool is the one owner; the retrain worker pool that
+        # used to be a second one is an ordinary file now.
         self.repo.write(
             "src/common/thread_pool.h",
             "#include <thread>\n"
@@ -352,8 +354,12 @@ class LintRuleTest(unittest.TestCase):
             "#include <thread>\n"
             "void Spawn() { std::thread t([] {}); t.detach(); }\n",
         )
-        self.repo.include_from_tests("common/thread_pool.h")
-        self.assert_clean(self.repo.run("src"))
+        self.repo.include_from_bench("common/thread_pool.h")
+        result = self.repo.run("src")
+        self.assert_violation(
+            result, "raw-thread", "src/serve/retrain_workers.cpp"
+        )
+        self.assertNotIn("src/common/thread_pool.h", result.stdout)
 
     def test_raw_thread_clean(self):
         self.repo.write(
@@ -382,26 +388,44 @@ class LintRuleTest(unittest.TestCase):
     def test_orphan_header_violating(self):
         self.repo.write("src/common/used.h", "int Used();\n")
         self.repo.write(
-            "src/common/used.cpp",
+            "src/common/user.cpp",
             '#include "common/used.h"\n'
             '// #include "common/unused.h" is commented out: no include.\n'
-            "int Used() { return 1; }\n",
+            "int Twice() { return 2 * Used(); }\n",
         )
         self.repo.write("src/common/unused.h", "int Unused();\n")
         result = self.repo.run("src")
         self.assert_violation(result, "orphan-header", "src/common/unused.h")
         self.assertNotIn("src/common/used.h", result.stdout)
 
-    def test_orphan_header_clean(self):
-        # Includes count from all five directories even when only src/ is
-        # linted, resolved against src/ or the including file's directory.
-        for name in ("t", "b", "e", "p", "own"):
+    def test_orphan_header_used_only_by_tests_or_own_cpp_violating(self):
+        # A header that only its tests or its own .cpp include has no caller.
+        for name in ("t", "own"):
             self.repo.write(f"src/mod/{name}.h", "int F();\n")
         self.repo.write("tests/t_test.cpp", '#include "mod/t.h"\n')
+        self.repo.write("src/mod/own.cpp", '#include "own.h"\n')
+        self.repo.write("src/mod/t.cpp", '#include "mod/t.h"\n')
+        result = self.repo.run("src")
+        self.assert_violation(result, "orphan-header", "src/mod/t.h")
+        self.assert_violation(result, "orphan-header", "src/mod/own.h")
+
+    def test_orphan_header_clean(self):
+        # Includes count from src/ (another file than the header's own .cpp),
+        # bench/, examples/ and perfbench/ even when only src/ is linted,
+        # resolved against src/ or the including file's directory.
+        for name in ("s", "b", "e", "p"):
+            self.repo.write(f"src/mod/{name}.h", "int F();\n")
+        self.repo.write("src/other/user.cpp", '#include "mod/s.h"\n')
         self.repo.write("bench/b.cpp", '#include "mod/b.h"\n')
         self.repo.write("examples/e.cpp", '#include "mod/e.h"\n')
         self.repo.write("perfbench/src/p.cpp", '#include "mod/p.h"\n')
-        self.repo.write("src/mod/own.cpp", '#include "own.h"\n')
+        self.repo.write("src/mod/user.cpp", '#include "e.h"\n')
+        self.assert_clean(self.repo.run("src"))
+
+    def test_orphan_header_included_by_a_bench_clean(self):
+        self.repo.write("src/ts/analysis.h", "double Acf();\n")
+        self.repo.write("src/ts/analysis.cpp", '#include "ts/analysis.h"\n')
+        self.repo.write("bench/fig2.cpp", '#include "ts/analysis.h"\n')
         self.assert_clean(self.repo.run("src"))
 
     def test_orphan_header_scoped_to_src(self):

@@ -1,7 +1,7 @@
-// Concurrent retrain execution tests: CancelToken latching semantics,
-// RetrainWorkerPool schedule-order + concurrency + watchdog behavior, the
-// workers=N vs sequential snapshot bit-identity contract, hang-storm
-// degradation and recovery through ShardedForecastService, and a producers +
+// Concurrent retrain execution tests: CancelToken latching and deadline
+// semantics, the service's thread count, the workers=N vs sequential
+// snapshot bit-identity contract, hang-storm degradation and recovery
+// through ShardedForecastService, cancellation accounting, and a producers +
 // cycles + checkpoints stress the sanitizer presets (ASan/TSan) exercise.
 
 #include <gtest/gtest.h>
@@ -9,18 +9,18 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
-#include "serve/retrain_workers.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
 
 // Sanitizer builds run retrains an order of magnitude slower, so tests that
-// pin exact watchdog-cancellation counts against a tight deadline must widen
+// pin exact deadline-cancellation counts against a tight deadline must widen
 // it there — a genuine (healthy) retrain missing the deadline would inflate
 // the count. Armed hang faults stall until cancelled, so they are caught at
 // any deadline; only the wall-clock cost changes.
@@ -109,9 +109,6 @@ TEST(CancelTokenTest, LatchesOnceFirstReasonWins) {
   EXPECT_EQ(token.reason(), "deadline overrun");
   token.Cancel("second caller");  // first cancel wins
   EXPECT_EQ(token.reason(), "deadline overrun");
-  token.Reset();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_EQ(token.reason(), "");
 }
 
 TEST(CancelTokenTest, CancelledStatusCarriesCodeAndReason) {
@@ -138,117 +135,130 @@ TEST(CancelTokenTest, CrossThreadLatchUnblocksAPoller) {
   EXPECT_EQ(token.reason(), "stop polling");
 }
 
-// ---------------------------------------------------------------------------
-// RetrainWorkerPool.
+using SteadyClock = std::chrono::steady_clock;
 
-TEST(RetrainWorkerPoolTest, SingleWorkerRunsTasksInScheduleOrder) {
-  RetrainWorkerPool pool(1);
-  EXPECT_EQ(pool.workers(), 1u);
-  std::vector<size_t> ran;
-  std::vector<size_t> order{3, 1, 4, 1, 5};
-  RetrainCycleReport report = pool.RunCycle(
-      order, /*deadline_seconds=*/0.0,
-      [&](size_t shard_id, size_t worker_idx, const CancelToken* cancel) {
-        EXPECT_EQ(worker_idx, 0u);
-        EXPECT_NE(cancel, nullptr);
-        ran.push_back(shard_id);
-        return Status::OK();
-      });
-  EXPECT_EQ(ran, order);  // one worker: claim order IS execution order
-  EXPECT_EQ(report.completed, order.size());
-  EXPECT_EQ(report.cancelled, 0u);
-  ASSERT_EQ(report.tasks.size(), order.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(report.tasks[i].shard_id, order[i]);
-    EXPECT_FALSE(report.tasks[i].cancelled);
-    EXPECT_GE(report.tasks[i].seconds, 0.0);
+TEST(CancelTokenTest, DeadlineLatchesWithItsReasonOncePassed) {
+  CancelToken far(SteadyClock::now() + std::chrono::hours(1), "far off");
+  EXPECT_FALSE(far.cancelled());
+  EXPECT_EQ(far.reason(), "");
+
+  const auto deadline = SteadyClock::now() + std::chrono::milliseconds(50);
+  CancelToken token(deadline, "watchdog: shard 7 retrain exceeded its 0.05s "
+                              "deadline");
+  // Polled the way a hung retrain polls: every millisecond until cancelled.
+  // The 2s bound fails the test instead of hanging it on a broken deadline.
+  for (int i = 0; i < 2000; ++i) {
+    const bool cancelled = token.cancelled();
+    // Only a poll that ended before the deadline must read not cancelled.
+    if (SteadyClock::now() < deadline) {
+      EXPECT_FALSE(cancelled);
+    }
+    if (cancelled) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  ASSERT_TRUE(token.cancelled());
+  EXPECT_GE(SteadyClock::now(), deadline);
+  EXPECT_EQ(token.reason(),
+            "watchdog: shard 7 retrain exceeded its 0.05s deadline");
+  Status st = CancelledStatus(token, "serve: retrain (hung)");
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
+  EXPECT_NE(st.message().find("deadline"), std::string::npos);
 }
 
-TEST(RetrainWorkerPoolTest, EmptyOrderReturnsImmediately) {
-  RetrainWorkerPool pool(2);
-  RetrainCycleReport report = pool.RunCycle(
-      {}, 1.0, [&](size_t, size_t, const CancelToken*) {
-        ADD_FAILURE() << "work ran for an empty schedule";
-        return Status::OK();
-      });
-  EXPECT_TRUE(report.tasks.empty());
+TEST(CancelTokenTest, ReasonReadsAPassedDeadlineWithoutAPoll) {
+  CancelToken token(SteadyClock::now() - std::chrono::seconds(1), "expired");
+  EXPECT_EQ(token.reason(), "expired");
+  EXPECT_TRUE(token.cancelled());
+  token.Cancel("too late");  // the deadline came first
+  EXPECT_EQ(token.reason(), "expired");
 }
 
-TEST(RetrainWorkerPoolTest, ConcurrencyNeverExceedsWorkerCount) {
-  constexpr size_t kWorkers = 2;
-  RetrainWorkerPool pool(kWorkers);
-  std::atomic<int> in_flight{0};
-  std::atomic<int> peak{0};
-  std::vector<size_t> order(8);
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  RetrainCycleReport report = pool.RunCycle(
-      order, 0.0, [&](size_t, size_t, const CancelToken*) {
-        int now = in_flight.fetch_add(1, std::memory_order_acq_rel) + 1;
-        int prev = peak.load(std::memory_order_relaxed);
-        while (now > prev &&
-               !peak.compare_exchange_weak(prev, now,
-                                           std::memory_order_relaxed)) {
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        in_flight.fetch_sub(1, std::memory_order_acq_rel);
-        return Status::OK();
-      });
-  EXPECT_EQ(report.completed, order.size());
-  EXPECT_LE(peak.load(), static_cast<int>(kWorkers));
-  EXPECT_GE(peak.load(), 1);
+TEST(CancelTokenTest, TokenWithoutDeadlineNeverExpires) {
+  CancelToken token;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(token.cancelled());
+  EXPECT_EQ(token.reason(), "");
 }
 
-TEST(RetrainWorkerPoolTest, WatchdogCancelsAnOverrunningTask) {
-  RetrainWorkerPool pool(1);
-  const auto t0 = std::chrono::steady_clock::now();
-  RetrainCycleReport report = pool.RunCycle(
-      {7}, /*deadline_seconds=*/0.05,
-      [&](size_t, size_t, const CancelToken* cancel) {
-        // Cooperative hang: unwinds only when the watchdog latches the token.
-        // The 2s bound means a broken watchdog fails the test rather than
-        // hanging it.
-        for (int i = 0; i < 2000 && !cancel->cancelled(); ++i) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        EXPECT_TRUE(cancel->cancelled());
-        return CancelledStatus(*cancel, "test: hung task");
-      });
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  ASSERT_EQ(report.tasks.size(), 1u);
-  EXPECT_TRUE(report.tasks[0].cancelled);
-  EXPECT_EQ(report.cancelled, 1u);
-  EXPECT_EQ(report.completed, 0u);
-  EXPECT_NE(report.tasks[0].cancel_reason.find("watchdog"), std::string::npos);
-  EXPECT_NE(report.tasks[0].cancel_reason.find("deadline"), std::string::npos);
-  // Cancelled within ~one deadline of the overrun, not after the 2s bound.
-  EXPECT_LT(elapsed, 1.0);
+TEST(CancelTokenTest, CancelBeforeDeadlineKeepsItsOwnReason) {
+  const auto deadline = SteadyClock::now() + std::chrono::milliseconds(200);
+  CancelToken token(deadline, "deadline passed");
+  token.Cancel("shutting down");
+  ASSERT_LT(SteadyClock::now(), deadline);  // the Cancel came first
+  EXPECT_TRUE(token.cancelled());
+  std::this_thread::sleep_until(deadline + std::chrono::milliseconds(20));
+  EXPECT_TRUE(token.cancelled());
+  EXPECT_EQ(token.reason(), "shutting down");
 }
 
-TEST(RetrainWorkerPoolTest, ZeroDeadlineDisablesTheWatchdog) {
-  RetrainWorkerPool pool(2);
-  RetrainCycleReport report = pool.RunCycle(
-      {0, 1}, /*deadline_seconds=*/0.0,
-      [&](size_t, size_t, const CancelToken* cancel) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(40));
-        EXPECT_FALSE(cancel->cancelled());
-        return Status::OK();
-      });
-  EXPECT_EQ(report.completed, 2u);
-  EXPECT_EQ(report.cancelled, 0u);
+// ---------------------------------------------------------------------------
+// Thread ownership: W shard lanes and L fit lanes, the cycle's caller being
+// one lane of each, so a service spawns (W-1)+(L-1) pool threads, plus one
+// scheduler thread once started.
+
+size_t ProcessThreadCount() {
+  size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
 }
 
-TEST(RetrainWorkerPoolTest, FastTasksUnderDeadlineAreNeverCancelled) {
-  RetrainWorkerPool pool(4);
-  std::vector<size_t> order(16);
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  RetrainCycleReport report = pool.RunCycle(
-      order, /*deadline_seconds=*/5.0,
-      [&](size_t, size_t, const CancelToken*) { return Status::OK(); });
-  EXPECT_EQ(report.completed, order.size());
-  EXPECT_EQ(report.cancelled, 0u);
+/// A joined thread can stay listed for a moment after join returns; read
+/// until two reads 5ms apart agree.
+size_t SettledThreadCount() {
+  size_t n = ProcessThreadCount();
+  for (int i = 0; i < 200; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const size_t again = ProcessThreadCount();
+    if (again == n) break;
+    n = again;
+  }
+  return n;
+}
+
+TEST(ServeThreadsTest, ServiceSpawnsWorkersPlusFitLanesMinusTwo) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads";
+  }
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard_count = 8;
+  so.retrain_workers = 2;
+  so.shard.pipeline.clustering.threads = 4;
+  // A sanitizer runtime starts a helper thread at the process's first
+  // thread creation; create one here so `before` already counts it.
+  std::thread([] {}).join();
+  const size_t before = SettledThreadCount();
+  {
+    ShardedForecastService svc(so);
+    EXPECT_EQ(ProcessThreadCount() - before, (2u - 1) + (4u - 1));
+    svc.Start();
+    EXPECT_EQ(ProcessThreadCount() - before, (2u - 1) + (4u - 1) + 1);
+    svc.Stop();
+  }
+  EXPECT_EQ(SettledThreadCount(), before);
+}
+
+TEST(ServeWorkersTest, EmptyScheduleCompletesTheCycleWithoutARetrain) {
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard_count = 4;
+  so.retrain_workers = 2;
+  ShardedForecastService svc(so);
+  // No traffic: every shard is idle, so the schedule is empty and no lane
+  // runs a retrain, yet the cycle still counts as done.
+  EXPECT_TRUE(svc.RetrainCycle().empty());
+  EXPECT_EQ(svc.cycles(), 1u);
+  ServeStats st = svc.stats();
+  EXPECT_EQ(st.retrains_completed, 0u);
+  EXPECT_EQ(st.retrains_skipped, 0u);
+  EXPECT_EQ(st.retrains_failed, 0u);
+  for (size_t s = 0; s < so.shard_count; ++s) {
+    EXPECT_FALSE(svc.snapshot(s)->trained()) << "shard " << s;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -262,8 +272,12 @@ TEST(WorkerDeterminismTest, FourWorkersMatchSequentialSnapshotsBitIdentical) {
   seq.shard = FastOptions();
   seq.shard_count = kShards;
   seq.retrain_workers = 1;
+  seq.shard.pipeline.clustering.threads = 1;
+  // 4 workers x 4 fit lanes: concurrent retrains share one fit pool, and
+  // every lane of both pools is in play even on a host with few cores.
   ShardedServeOptions par = seq;
   par.retrain_workers = 4;
+  par.shard.pipeline.clustering.threads = 4;
   ShardedForecastService sequential(seq);
   ShardedForecastService concurrent(par);
 
@@ -287,7 +301,7 @@ TEST(WorkerDeterminismTest, FourWorkersMatchSequentialSnapshotsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Hang storm through the service: watchdog cancels, shards serve last-good
+// Hang storm through the service: deadlines cancel, shards serve last-good
 // marked degraded-stale, and a later clean cycle recovers.
 
 class ServeWorkersFaultTest : public ::testing::Test {
@@ -372,6 +386,40 @@ TEST_F(ServeWorkersFaultTest, SlowRetrainUnderWideDeadlineCompletes) {
   EXPECT_GE(h.shards[0].last_retrain_seconds, 0.15);
 }
 
+TEST_F(ServeWorkersFaultTest, CancelledRetrainOutsideACycleCountsInTheTotal) {
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard_count = 1;
+  ShardedForecastService svc(so);
+  OfferGroupWave(&svc, TemplatesByShard(1, 4), 0, 12);
+  CancelToken token;
+  token.Cancel("test: operator stopped the retrain");
+  Status st = svc.shard(0).RetrainOnce(nullptr, &token);
+  EXPECT_EQ(st.code(), StatusCode::kCancelled);
+  ShardedServiceHealth h = svc.Health();
+  EXPECT_EQ(h.shards[0].retrains_cancelled, 1u);
+  EXPECT_EQ(h.retrains_cancelled, 1u);  // the total is the rows' sum
+  EXPECT_EQ(h.stale_shards, 1u);
+}
+
+TEST_F(ServeWorkersFaultTest, HangWithoutDeadlineFailsInsteadOfBlocking) {
+  ShardedServeOptions so;
+  so.shard = FastOptions();
+  so.shard_count = 1;
+  so.retrain_deadline_seconds = 0.0;  // nothing could cancel a retrain
+  ShardedForecastService svc(so);
+  OfferGroupWave(&svc, TemplatesByShard(1, 4), 0, 12);
+  ASSERT_TRUE(fault::Configure("serve.retrain.hang=n:1").ok());
+  std::vector<size_t> order = svc.RetrainCycle();  // returns, no hang
+  ASSERT_EQ(order.size(), 1u);
+  ShardedServiceHealth h = svc.Health();
+  EXPECT_EQ(h.shards[0].retrains_failed, 1u);
+  EXPECT_EQ(h.retrains_cancelled, 0u);
+  EXPECT_NE(h.shards[0].last_error.find("no cancel token"), std::string::npos)
+      << h.shards[0].last_error;
+  EXPECT_EQ(h.shards[0].generation, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Health aggregates (previously only per-shard): accepted/dropped/quarantined
 // sums and the per-category drop breakdown.
@@ -405,7 +453,7 @@ TEST(ServeHealthAggregateTest, SumsIngestCountersAcrossShards) {
 
 // ---------------------------------------------------------------------------
 // Checkpoint-vs-cancellation stress (S3): concurrent producers, scheduler
-// cycles under a hang storm with an armed watchdog, and SaveToFiles racing
+// cycles under a hang storm with a retrain deadline, and SaveToFiles racing
 // both — every checkpoint written must be loadable and all-or-nothing.
 
 TEST_F(ServeWorkersFaultTest, CheckpointsStayLoadableUnderHangStormStress) {
@@ -420,7 +468,7 @@ TEST_F(ServeWorkersFaultTest, CheckpointsStayLoadableUnderHangStormStress) {
   OfferGroupWave(&svc, groups, 0, 12);
   (void)svc.RetrainCycle();  // one clean generation before the storm
 
-  // Every retrain for the rest of the test hangs until the watchdog fires.
+  // Every retrain for the rest of the test hangs until its deadline passes.
   ASSERT_TRUE(fault::Configure("serve.retrain.hang=n:1000").ok());
 
   const std::string base = ::testing::TempDir() + "dbaugur_workers_stress";
@@ -441,7 +489,7 @@ TEST_F(ServeWorkersFaultTest, CheckpointsStayLoadableUnderHangStormStress) {
     for (int i = 0; i < 8; ++i) (void)svc.RetrainCycle();
     stop.store(true, std::memory_order_release);
   });
-  // Checkpoints race retrains mid-hang and mid-watchdog-cancellation. Each
+  // Checkpoints race retrains mid-hang and mid-cancellation. Each
   // one must be complete and loadable the moment SaveToFiles returns.
   int saves = 0;
   while (!stop.load(std::memory_order_acquire)) {
@@ -457,7 +505,7 @@ TEST_F(ServeWorkersFaultTest, CheckpointsStayLoadableUnderHangStormStress) {
   producer.join();
   cycler.join();
   EXPECT_GE(saves, 1);
-  // The storm really ran: the watchdog cancelled hung retrains throughout.
+  // The storm really ran: deadlines cancelled hung retrains throughout.
   EXPECT_GT(svc.Health().retrains_cancelled, 0u);
 }
 

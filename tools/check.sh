@@ -12,13 +12,14 @@
 #                          DBAUGUR_FAULT_SPEC storm armed from the environment)
 #   2c. Chaos harness     (end-to-end chaos slice re-run under ASan with a
 #                          fault storm armed, plus bench/chaos_soak --smoke)
-#   2d. Hang-storm smoke  (watchdog cancellation / degraded-stale / unit
+#   2d. Hang-storm smoke  (deadline cancellation / degraded-stale / unit
 #                          budget slice re-run explicitly under ASan)
 #   3. TSan               (skipped with a warning if the toolchain lacks it)
-#   3b. Workers stress    (serve_workers suite and the member-level fit tasks
-#                          repeated under TSan — worker pool, watchdog,
-#                          checkpoint-vs-cancel races, one ensemble's members
-#                          fitting on different lanes)
+#   3b. Workers stress    (serve_workers suite, the member-level fit tasks
+#                          and the thread pool suite repeated under TSan —
+#                          deadline tokens, checkpoint-vs-cancel races, one
+#                          ensemble's members fitting on different lanes,
+#                          concurrent and nested ParallelFor calls)
 #   4. clang-tidy on src/ (skipped with a warning if clang-tidy is absent)
 #   5. thread-safety      (clang++ build with -Werror=thread-safety checking
 #                          the DBAUGUR_GUARDED_BY annotations; skipped with a
@@ -233,8 +234,8 @@ else
   fi
 fi
 
-# --- 2d. Hang-storm watchdog smoke under ASan: the deadline/cancellation
-# slice — serve.retrain.hang|slow storms driving watchdog cancellation,
+# --- 2d. Hang-storm smoke under ASan: the deadline/cancellation slice —
+# serve.retrain.hang|slow storms driving deadline cancellation,
 # degraded-stale serving, the unit-budget chaos leg, and checkpoint-vs-cancel
 # races. These tests arm their own storms via fault::Configure; running
 # them by name keeps the recovery paths sanitizer-clean even if the
@@ -242,7 +243,7 @@ fi
 if [[ "$FAST" == 1 ]]; then
   record "hang-storm-asan" "SKIPPED (--fast)"
 elif [[ -f build-asan/CTestTestfile.cmake ]]; then
-  note "hang-storm (ASan): watchdog cancellation + unit-budget slice"
+  note "hang-storm (ASan): deadline cancellation + unit-budget slice"
   if ctest --test-dir build-asan --output-on-failure -j "$JOBS" --timeout 600 \
       -R 'HangStorm|SlowStorm|SlowRetrain|UnitBudgetLeg|SavesDuringCancelledRetrain|ShardLevelSaveRaces'; then
     record "hang-storm-asan" "OK"
@@ -266,19 +267,23 @@ else
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DDBAUGUR_SANITIZE=thread \
       -DDBAUGUR_ENABLE_DCHECKS=ON
-    # --- 3b. Concurrent-retrain stress: repeat the worker-pool, watchdog,
-    # checkpoint-vs-cancel and member-level fit-task suites under the race
-    # detector. The plain ctest pass above ran them once; the repeats shake
-    # out interleavings a single run can miss (worker claim order,
-    # cancel-vs-publish, save-vs-cancel, members of one ensemble fitting on
-    # different lanes).
+    # --- 3b. Concurrent-retrain stress: repeat the cancel-token, deadline,
+    # checkpoint-vs-cancel, member-level fit-task and thread-pool suites
+    # under the race detector. The plain ctest pass above ran them once; the
+    # repeats shake out interleavings a single run can miss (shard claim
+    # order, cancel-vs-publish, save-vs-cancel, members of one ensemble
+    # fitting on different lanes, concurrent and nested ParallelFor calls on
+    # one pool).
     if [[ -x build-tsan/tests/serve_workers_test &&
-          -x build-tsan/tests/fit_tasks_test ]]; then
-      note "tsan: serve_workers + fit tasks stress (3 repeats)"
+          -x build-tsan/tests/fit_tasks_test &&
+          -x build-tsan/tests/common_test ]]; then
+      note "tsan: serve_workers + fit tasks + thread pool stress (3 repeats)"
       if ./build-tsan/tests/serve_workers_test \
-          --gtest_filter='RetrainWorkerPoolTest.*:WorkerDeterminismTest.*:ServeWorkersFaultTest.*' \
+          --gtest_filter='CancelTokenTest.*:WorkerDeterminismTest.*:ServeWorkersFaultTest.*' \
           --gtest_repeat=3 > /dev/null 2>&1 &&
          ./build-tsan/tests/fit_tasks_test --gtest_filter='FitTasksTest.*' \
+          --gtest_repeat=3 > /dev/null 2>&1 &&
+         ./build-tsan/tests/common_test --gtest_filter='ThreadPoolTest.*' \
           --gtest_repeat=3 > /dev/null 2>&1; then
         record "tsan-workers-stress" "OK"
       else
@@ -343,9 +348,9 @@ fi
 # Bans bare assert(), nondeterministic sources in src/, atomic<shared_ptr>,
 # raw std:: sync primitives outside common/mutex.h, undocumented NOLINTs,
 # allocation in the src/nn hot path, raw x86 intrinsics outside
-# common/simd.h, and bare std::thread outside the sanctioned thread owners
-# (common/thread_pool, serve/retrain_workers). Self-tests run first so a
-# broken linter cannot silently pass the tree.
+# common/simd.h, bare std::thread outside the sanctioned thread owner
+# (common/thread_pool), and src/ headers no program includes. Self-tests run
+# first so a broken linter cannot silently pass the tree.
 if [[ "$FAST" == 1 ]]; then
   record "lint" "SKIPPED (--fast)"
 elif command -v python3 > /dev/null 2>&1; then

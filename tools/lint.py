@@ -39,23 +39,24 @@ checks, so they cannot erode one "just this once" at a time:
                      wrapper so the scalar tier stays a complete, testable
                      mirror of every vector path and new ISAs are one-file
                      ports.
-  raw-thread         No bare `std::thread` in src/ outside common/thread_pool
-                     and serve/retrain_workers (the two sanctioned owners of
-                     worker threads). Ad-hoc threads dodge the pools' lifetime
-                     discipline (join-on-destruction, bounded concurrency,
-                     deadline supervision); lifecycle threads that a class
-                     owns 1:1 (e.g. a service's scheduler loop) go on the
-                     allowlist with a justification. `std::this_thread` is
-                     fine — the rule targets thread *ownership*, not sleeps
-                     or yields.
+  raw-thread         No bare `std::thread` in src/ outside common/thread_pool,
+                     the one sanctioned owner of worker threads. Ad-hoc
+                     threads dodge the pool's lifetime discipline
+                     (join-on-destruction, bounded concurrency); lifecycle
+                     threads that a class owns 1:1 (e.g. a service's
+                     scheduler loop) go on the allowlist with a
+                     justification. `std::this_thread` is fine — the rule
+                     targets thread *ownership*, not sleeps or yields.
   orphan-header      Every header under src/ is #included by at least one
-                     C++ file under src/, tests/, bench/, examples/ or
-                     perfbench/. The includes are collected from all five
-                     directories whatever targets are linted, and an include
-                     path resolves against src/ and against the including
-                     file's directory. No build compiles a header that
-                     nothing includes, so neither the compiler nor clang-tidy
-                     checks it: include it where it is used, or delete it.
+                     C++ file under src/ (other than the header's own .cpp),
+                     bench/, examples/ or perfbench/. Includes from tests/
+                     do not count: code that only its tests call is dead
+                     code with a test attached. The includes are collected
+                     from all four directories whatever targets are linted,
+                     and an include path resolves against src/ and against
+                     the including file's directory. A header no program
+                     uses is either untested scaffolding or never compiled:
+                     include it where it is used, or delete it.
 
 Exit codes: 0 clean, 1 violations found, 2 usage / IO error.
 
@@ -74,8 +75,9 @@ import sys
 
 SOURCE_EXTS = (".cpp", ".h", ".cc", ".hpp")
 HEADER_EXTS = (".h", ".hpp")
-# Where the orphan-header rule looks for includes, whatever is linted.
-INCLUDER_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+# Where the orphan-header rule looks for includes, whatever is linted. tests/
+# is left out on purpose: a header only tests include has no caller.
+INCLUDER_DIRS = ("src", "bench", "examples", "perfbench")
 
 # ---------------------------------------------------------------------------
 # Source preprocessing
@@ -384,8 +386,6 @@ def check_raw_intrinsics(relpath, raw, stripped):
 THREAD_OWNERS = {
     os.path.join("src", "common", "thread_pool.h"),
     os.path.join("src", "common", "thread_pool.cpp"),
-    os.path.join("src", "serve", "retrain_workers.h"),
-    os.path.join("src", "serve", "retrain_workers.cpp"),
 }
 
 # `std::thread` as a type (ownership), not `std::this_thread` (different
@@ -394,11 +394,11 @@ RAW_THREAD_RX = r"std::\s*thread(?![A-Za-z0-9_])(?!\s*::)"
 
 
 def check_raw_thread(relpath, raw, stripped):
-    """Bare std::thread outside the sanctioned worker-pool owners.
+    """Bare std::thread outside the sanctioned worker-pool owner.
 
-    common/thread_pool and serve/retrain_workers are the two places in src/
-    that may own raw threads: both join on destruction, bound concurrency,
-    and (for the retrain pool) supervise deadlines. A class that owns one
+    common/thread_pool is the one place in src/ that may own raw threads: it
+    joins on destruction and bounds concurrency. Retrain deadlines ride in
+    the CancelToken, so no thread supervises them. A class that owns one
     lifecycle thread 1:1 earns an allowlist entry with a justification
     instead of a free pass here.
     """
@@ -407,9 +407,8 @@ def check_raw_thread(relpath, raw, stripped):
     return _grep(
         stripped,
         RAW_THREAD_RX,
-        "bare std::thread — run work on common/thread_pool or "
-        "serve/retrain_workers (owned lifecycle threads: allowlist with a "
-        "justification)",
+        "bare std::thread — run work on common/thread_pool (owned "
+        "lifecycle threads: allowlist with a justification)",
     )
 
 
@@ -421,7 +420,9 @@ def included_headers(root):
 
     Each include path is resolved both against src/ (the project's include
     root) and against the including file's directory; both candidates are
-    recorded, since only the one that names a real header matters.
+    recorded, since only the one that names a real header matters. A .cpp
+    including its own header (same directory and stem) is not recorded for
+    it: a header only its implementation includes has no user.
     """
     included = set()
     for top in INCLUDER_DIRS:
@@ -432,10 +433,15 @@ def included_headers(root):
                 path = os.path.join(dirpath, name)
                 with open(path, encoding="utf-8") as f:
                     text = f.read()
-                here = os.path.dirname(os.path.relpath(path, root))
+                rel = os.path.relpath(path, root)
+                here = os.path.dirname(rel)
+                own_stem = os.path.splitext(os.path.normpath(rel))[0]
                 for inc in INCLUDE_RX.findall(text):
-                    included.add(os.path.normpath(os.path.join("src", inc)))
-                    included.add(os.path.normpath(os.path.join(here, inc)))
+                    for cand in (os.path.join("src", inc),
+                                 os.path.join(here, inc)):
+                        cand = os.path.normpath(cand)
+                        if os.path.splitext(cand)[0] != own_stem:
+                            included.add(cand)
     return included
 
 
@@ -452,9 +458,9 @@ def make_check_orphan_header(included):
         return [
             (
                 1,
-                "header that no file in src/, tests/, bench/, examples/ or "
-                "perfbench/ includes — no build compiles it; include it "
-                "where it is used or delete it",
+                "header that no file in src/ (other than its own .cpp), "
+                "bench/, examples/ or perfbench/ includes — only tests, if "
+                "anything, use it; include it where it is used or delete it",
             )
         ]
 

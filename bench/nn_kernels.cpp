@@ -1,6 +1,6 @@
 // GEMM kernel and training-hot-path benchmark with machine-readable output.
 //
-// Three families of cases:
+// Four families of cases:
 //   1. Microkernels: each fused GEMM variant vs the pre-PR naive kernel
 //      (nn::ref) including the fresh-allocation-per-call behavior of the old
 //      Matrix wrappers, at the shapes the WFGAN/LSTM/MLP hot paths hit.
@@ -9,6 +9,11 @@
 //   3. wfgan_train_epoch_ms / tcn_train_epoch_ms: one TrainEpoch of the real
 //      WfganForecaster and TcnForecaster on the paper-ensemble shape (window
 //      30, batch 32, 581 points), median over the timed epochs.
+//   4. fit_stage: core::BuildTrainedState on 5 clusters of 581-point traces
+//      at the same shape (3 epochs), on a 1-lane pool and on a pool of
+//      min(4, hardware_concurrency) lanes: median wall times and their ratio.
+//      Nearly all of it is the ensemble fits, so it shows how well the fit
+//      scheduler keeps the lanes busy.
 //
 // Output is a single JSON object (stdout, or --out FILE). `--smoke` shrinks
 // rep counts so CI can run it in seconds.
@@ -24,6 +29,8 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "core/dbaugur.h"
 #include "models/tcn.h"
 #include "models/wfgan.h"
 #include "nn/gemm.h"
@@ -270,9 +277,100 @@ ModelEpochResult RunModelEpochCase(bool smoke, Rng* rng) {
   return r;
 }
 
+struct FitStageResult {
+  size_t clusters = 5;
+  size_t points = 581;
+  size_t window = 30;
+  size_t batch = 32;
+  size_t epochs = 3;
+  int reps = 0;  // timed builds per pool, after one warm-up build
+  size_t lanes = 0;
+  double one_lane_ms = 0.0;
+  double lanes_ms = 0.0;
+  double speedup = 0.0;  // one_lane_ms / lanes_ms
+  bool ok = false;
+};
+
+// Five families of four traces each: one shape at four scales plus a little
+// noise, so Descender finds exactly five clusters.
+std::vector<ts::Series> FitStageTraces(size_t clusters, size_t points,
+                                       Rng* rng) {
+  std::vector<ts::Series> traces;
+  for (size_t f = 0; f < clusters; ++f) {
+    for (size_t m = 0; m < 4; ++m) {
+      std::vector<double> v(points);
+      const double scale = 10.0 * static_cast<double>(f + 1) + 2.0 * m;
+      for (size_t i = 0; i < points; ++i) {
+        const double x = static_cast<double>(i);
+        double shape = 0.0;
+        switch (f) {
+          case 0: shape = std::sin(2.0 * M_PI * x / 144.0); break;
+          case 1: shape = (i / 36) % 2 == 0 ? 1.0 : -1.0; break;
+          case 2: shape = static_cast<double>(i % 48) / 48.0; break;
+          case 3: shape = x / 300.0 + 0.1 * std::sin(2.0 * M_PI * x / 7.0); break;
+          default: shape = std::exp(-std::pow((x - 290.0) / 40.0, 2.0)); break;
+        }
+        v[i] = scale * (2.0 + shape) + 0.01 * rng->Gaussian();
+      }
+      traces.emplace_back(0, 600, std::move(v), "f" + std::to_string(f));
+    }
+  }
+  return traces;
+}
+
+// Median milliseconds of one BuildTrainedState on `pool`, after a warm-up
+// build; false in `ok` unless every build publishes `clusters` fitted
+// clusters.
+double MedianBuildMs(const core::DBAugurOptions& opts,
+                     const std::vector<ts::Series>& traces, ThreadPool* pool,
+                     int reps, size_t clusters, bool* ok) {
+  std::vector<double> ms;
+  for (int rep = 0; rep <= reps; ++rep) {
+    double t0 = NowSeconds();
+    auto st = core::BuildTrainedState(opts, traces, pool);
+    const double elapsed = (NowSeconds() - t0) * 1e3;
+    if (!st.ok() || st->forecasts.size() != clusters) *ok = false;
+    if (st.ok()) {
+      for (const core::ClusterForecast& cf : st->forecasts) {
+        if (!cf.fit_status.ok()) *ok = false;
+      }
+    }
+    if (rep > 0) ms.push_back(elapsed);
+  }
+  std::sort(ms.begin(), ms.end());
+  return ms[ms.size() / 2];
+}
+
+FitStageResult RunFitStageCase(bool smoke, Rng* rng) {
+  FitStageResult r;
+  if (smoke) {
+    r.points = 200;
+    r.epochs = 1;
+  }
+  r.reps = smoke ? 1 : 5;
+  r.lanes = std::min<size_t>(4, DefaultThreadCount());
+  core::DBAugurOptions opts;
+  opts.clustering.radius = 2.0;
+  opts.clustering.min_size = 3;
+  opts.clustering.dtw.window = 4;
+  opts.top_k = r.clusters;
+  opts.forecaster.window = r.window;
+  opts.forecaster.batch_size = r.batch;
+  opts.forecaster.epochs = r.epochs;
+  const std::vector<ts::Series> traces =
+      FitStageTraces(r.clusters, r.points, rng);
+  r.ok = true;
+  ThreadPool one(1);
+  r.one_lane_ms = MedianBuildMs(opts, traces, &one, r.reps, r.clusters, &r.ok);
+  ThreadPool many(r.lanes);
+  r.lanes_ms = MedianBuildMs(opts, traces, &many, r.reps, r.clusters, &r.ok);
+  r.speedup = r.lanes_ms > 0.0 ? r.one_lane_ms / r.lanes_ms : 0.0;
+  return r;
+}
+
 void WriteJson(std::FILE* out, bool smoke,
                const std::vector<CaseResult>& cases, const EpochResult& ep,
-               const ModelEpochResult& me) {
+               const ModelEpochResult& me, const FitStageResult& fs) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"nn_kernels\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
@@ -300,7 +398,14 @@ void WriteJson(std::FILE* out, bool smoke,
                "\"batch\": %zu, \"epochs\": %d},\n",
                me.points, me.window, me.batch, me.epochs);
   std::fprintf(out, "  \"wfgan_train_epoch_ms\": %.2f,\n", me.wfgan_ms);
-  std::fprintf(out, "  \"tcn_train_epoch_ms\": %.2f\n", me.tcn_ms);
+  std::fprintf(out, "  \"tcn_train_epoch_ms\": %.2f,\n", me.tcn_ms);
+  std::fprintf(out,
+               "  \"fit_stage\": {\"clusters\": %zu, \"points\": %zu, "
+               "\"window\": %zu, \"batch\": %zu, \"epochs\": %zu, "
+               "\"reps\": %d, \"lanes\": %zu, \"one_lane_ms\": %.1f, "
+               "\"lanes_ms\": %.1f, \"speedup\": %.3f}\n",
+               fs.clusters, fs.points, fs.window, fs.batch, fs.epochs, fs.reps,
+               fs.lanes, fs.one_lane_ms, fs.lanes_ms, fs.speedup);
   std::fprintf(out, "}\n");
 }
 
@@ -331,6 +436,16 @@ int Main(int argc, char** argv) {
   ModelEpochResult me = RunModelEpochCase(smoke, &rng);
   std::fprintf(stderr, "train_epoch        wfgan %10.2f ms  tcn %10.2f ms\n",
                me.wfgan_ms, me.tcn_ms);
+  FitStageResult fs = RunFitStageCase(smoke, &rng);
+  std::fprintf(stderr,
+               "fit_stage          1 lane %8.1f ms  %zu lanes %8.1f ms  "
+               "%5.2fx\n",
+               fs.one_lane_ms, fs.lanes, fs.lanes_ms, fs.speedup);
+  if (!fs.ok) {
+    std::fprintf(stderr, "fit_stage: a build did not fit %zu clusters\n",
+                 fs.clusters);
+    return 1;
+  }
 
   std::FILE* out = stdout;
   if (out_path != nullptr) {
@@ -340,7 +455,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  WriteJson(out, smoke, cases, ep, me);
+  WriteJson(out, smoke, cases, ep, me, fs);
   if (out != stdout) std::fclose(out);
   return 0;
 }

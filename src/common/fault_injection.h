@@ -43,7 +43,7 @@
 //                          normally unless cancelled first
 //   serve.retrain.diverge  snapshot build — marks one cluster's fit diverged
 //   core.fit.member        core::BuildTrainedState — fails one (member,
-//                          cluster) fit task before it trains
+//                          cluster) fit before its first epoch
 //   binio.save.write       binio::SaveToFile — torn half-write, then error
 //   binio.save.sync        binio::SaveToFile — fsync failure before rename
 //   binio.save.rename      binio::SaveToFile — rename failure (tmp left)

@@ -1,14 +1,85 @@
 #include "core/dbaugur.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
+#include "common/mutex.h"
 #include "common/thread_pool.h"
 #include "ensemble/presets.h"
 
 namespace dbaugur::core {
+
+namespace {
+
+// One (member, cluster) fit, resumable one epoch at a time. Only the lane
+// holding a job touches it; lanes hand jobs over through FitQueue's mutex.
+struct FitJob {
+  ensemble::TimeSensitiveEnsemble* model = nullptr;
+  size_t member = 0;
+  const std::vector<double>* series = nullptr;
+  size_t steps = 0;  // the member's FitSteps()
+  size_t done = 0;   // steps run so far
+  Status status;
+};
+
+// The fit stage's ready set. Each lane steps one job at a time and keeps it
+// after a step unless a ready job outranks it; the job it gives up is
+// suspended before it goes back, so at most one job per lane holds
+// workspaces. The ranking reads only member indices and steps left, never a
+// clock, and each job runs its own steps in order on its own model, so the
+// results do not depend on the lane count or the interleaving.
+class FitQueue {
+ public:
+  static constexpr size_t kNoJob = SIZE_MAX;
+
+  FitQueue(std::vector<FitJob>* jobs, std::vector<size_t> ready)
+      : jobs_(*jobs), ready_(std::move(ready)) {}
+
+  /// The job the calling lane steps next, or kNoJob when none is left.
+  /// `held` is the job the lane just stepped, or kNoJob if it has none.
+  size_t Next(size_t held) DBAUGUR_EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    auto best = ready_.end();
+    for (auto it = ready_.begin(); it != ready_.end(); ++it) {
+      if (best == ready_.end() || Before(*it, *best)) best = it;
+    }
+    if (best == ready_.end()) return held;
+    if (held != kNoJob && !Outranks(*best, held)) return held;
+    const size_t next = *best;
+    if (held == kNoJob) {
+      *best = ready_.back();
+      ready_.pop_back();
+    } else {
+      jobs_[held].model->SuspendMemberFit(jobs_[held].member);
+      *best = held;
+    }
+    return next;
+  }
+
+ private:
+  // A lower member index outranks: the preset lists its most expensive
+  // member first. Within a member, strictly more steps left outranks.
+  bool Outranks(size_t a, size_t b) const {
+    const FitJob& x = jobs_[a];
+    const FitJob& y = jobs_[b];
+    if (x.member != y.member) return x.member < y.member;
+    return x.steps - x.done > y.steps - y.done;
+  }
+  // Total order for picking among ready jobs: rank, then job index, so one
+  // lane starts the jobs in index order.
+  bool Before(size_t a, size_t b) const {
+    return Outranks(a, b) || (!Outranks(b, a) && a < b);
+  }
+
+  std::vector<FitJob>& jobs_;
+  Mutex mu_;
+  std::vector<size_t> ready_ DBAUGUR_GUARDED_BY(mu_);
+};
+
+}  // namespace
 
 Status DBAugurSystem::IngestQueryLog(
     const std::vector<trace::LogEntry>& entries) {
@@ -67,7 +138,7 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
 
   // 2. Fit one DBAugur ensemble per top-K cluster on its average trace.
   // Representatives and the K ensembles are built serially; the fits then
-  // run as one task per (member, cluster) pair.
+  // run as one resumable job per (member, cluster) pair.
   std::vector<cluster::ClusterInfo> top = state.descender->TopKClusters(opts.top_k);
   const size_t clusters = top.size();
   state.forecasts.resize(clusters);
@@ -89,36 +160,46 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
     models[rank] = std::move(model).value();
     members = std::max(members, models[rank]->member_count());
   }
-  // Task t fits member t / K of cluster t mod K. ParallelFor claims indices
-  // in order, so every cluster's WFGAN starts before any TCN and the short
-  // fits fill the lanes the long ones leave idle. This relies on the preset
-  // listing its members from most to least expensive. Each member owns an
-  // RNG seeded at construction and members share no mutable state, so the
-  // results are bit-identical at any lane count and on any pool.
-  const size_t tasks = clusters * members;
-  std::vector<Status> member_status(tasks);
-  auto fit_member = [&](size_t t) {
-    // Member-fit-granularity cancellation: a latched token skips every task
-    // not yet started. Fits mid-flight finish their member — cancellation is
-    // cooperative, and a single member fit is the polling quantum.
-    if (cancel != nullptr && cancel->cancelled()) {
-      member_status[t] = Status::Cancelled("fit skipped: build cancelled");
-      return;
+  // Job j fits member j / K of cluster j mod K, one epoch per step.
+  // min(lanes, jobs) lane loops share one FitQueue: every WFGAN ranks before
+  // any TCN (the preset lists members from most to least expensive), and a
+  // job takes over the lane of a same-member job with fewer epochs left, so
+  // K > lanes WFGANs share the lanes instead of the last one starting alone.
+  // Each member owns an RNG seeded at construction and members share no
+  // mutable state, so the results are bit-identical at any lane count and on
+  // any pool.
+  std::vector<FitJob> jobs(clusters * members);
+  std::vector<size_t> ready;
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    const size_t rank = j % clusters;
+    FitJob& job = jobs[j];
+    job.model = models[rank].get();
+    job.member = j / clusters;
+    if (job.model == nullptr || job.member >= job.model->member_count()) {
+      continue;
     }
-    if (DBAUGUR_FAULT_POINT("core.fit.member")) {
-      member_status[t] = Status::Internal("injected member fit failure");
-      return;
+    job.series = &state.forecasts[rank].representative.values();
+    job.steps = job.model->member(job.member).FitSteps();
+    ready.push_back(j);
+  }
+  FitQueue queue(&jobs, std::move(ready));
+  auto lane = [&](size_t, size_t) {
+    size_t j = FitQueue::kNoJob;
+    while ((j = queue.Next(j)) != FitQueue::kNoJob) {
+      // Epoch-granularity cancellation: a latched token stops every lane
+      // before its next step. A step mid-flight finishes its epoch.
+      if (cancel != nullptr && cancel->cancelled()) return;
+      FitJob& job = jobs[j];
+      if (job.done == 0 && DBAUGUR_FAULT_POINT("core.fit.member")) {
+        job.status = Status::Internal("injected member fit failure");
+        j = FitQueue::kNoJob;
+        continue;
+      }
+      job.status = job.model->FitMemberStep(job.member, job.done, *job.series);
+      if (!job.status.ok() || ++job.done == job.steps) j = FitQueue::kNoJob;
     }
-    const size_t rank = t % clusters;
-    const size_t member = t / clusters;
-    ensemble::TimeSensitiveEnsemble* model = models[rank].get();
-    if (model == nullptr || member >= model->member_count()) return;
-    member_status[t] =
-        model->FitMember(member, state.forecasts[rank].representative.values());
   };
-  pool->ParallelFor(tasks, 1, [&](size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t) fit_member(t);
-  });
+  pool->ParallelFor(std::min(pool->size(), jobs.size()), 1, lane);
   // A cancellation observed during the fits outranks tolerate_fit_failures:
   // the caller asked the build to stop, so it must not publish a snapshot
   // built from whatever subset of members happened to finish.
@@ -131,7 +212,7 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
     ClusterForecast& cf = state.forecasts[rank];
     if (models[rank] == nullptr) continue;
     for (size_t member = 0; member < members && cf.fit_status.ok(); ++member) {
-      cf.fit_status = member_status[member * clusters + rank];
+      cf.fit_status = jobs[member * clusters + rank].status;
     }
     if (cf.fit_status.ok()) cf.fit_status = models[rank]->FinishFit();
     if (cf.fit_status.ok()) cf.model = std::move(models[rank]);
@@ -145,6 +226,12 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
 }
 
 StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window) {
+  // A cluster kept past a failed fit (tolerate_fit_failures) has no model;
+  // why it has none is its answer.
+  if (cf.model == nullptr) {
+    if (!cf.fit_status.ok()) return cf.fit_status;
+    return Status::FailedPrecondition("DBAugur: cluster has no model");
+  }
   if (cf.representative.size() < window) {
     return Status::FailedPrecondition(
         "DBAugur: representative shorter than window");

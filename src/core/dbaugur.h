@@ -84,19 +84,24 @@ struct TrainedState {
 /// built for the call (one lane runs inline, spawning nothing). The sharded
 /// serving layer passes one long-lived pool that every concurrent shard
 /// build shares, so no build pays thread spawn/join; each build's thread is
-/// a lane of its own ParallelFor calls. The fits run as one task
-/// per (member, cluster) pair, every cluster's WFGAN before any TCN. The
-/// sweep merges in index order and each member is seeded and
-/// self-contained, so results are bit-identical at any lane count and on any
-/// pool. A cluster's fit_status is its first failing member's in member
-/// order, as TimeSensitiveEnsemble::Fit returns.
+/// a lane of its own ParallelFor calls. The fits run as one job per
+/// (member, cluster) pair, resumable one epoch at a time: min(lanes, jobs)
+/// lanes share a ready set in which a lower member index (every WFGAN before
+/// any TCN) and then more epochs left rank first, and after each epoch a
+/// lane keeps its job unless a ready job outranks it. A job that gives up
+/// its lane is suspended (models::Forecaster::SuspendFit), so fit memory
+/// grows with lanes, not clusters. The sweep merges in index order and each
+/// member is seeded, self-contained and runs its own epochs in order, so
+/// results are bit-identical at any lane count and on any pool. A cluster's
+/// fit_status is its first failing member's in member order, as
+/// TimeSensitiveEnsemble::Fit returns.
 ///
-/// `cancel` (may be null) is polled at member-fit granularity — before
-/// clustering, between clustering and the fits, and at the top of every
-/// (member, cluster) fit task. When the token is observed latched the build
+/// `cancel` (may be null) is polled at epoch granularity — before
+/// clustering, between clustering and the fits, and before every epoch of
+/// every (member, cluster) job. When the token is observed latched the build
 /// returns Status::Cancelled (code kCancelled) carrying the token's reason;
-/// any fits already running finish their current member, later tasks are
-/// skipped, and no partial state escapes. The sharded service arms the token
+/// epochs already running finish, no later epoch starts, and no partial
+/// state escapes. The sharded service arms the token
 /// with each shard retrain's deadline to bound how long a hung or overrunning
 /// retrain can occupy a lane (see serve/sharded_service.h).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
@@ -105,7 +110,9 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const CancelToken* cancel = nullptr);
 
 /// Predicts the representative trace's next value (H steps past its end):
-/// the trailing `window` values feed the cluster's ensemble.
+/// the trailing `window` values feed the cluster's ensemble. A cluster
+/// without a model (its fit failed under tolerate_fit_failures) answers
+/// with its fit_status.
 StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window);
 
 class DBAugurSystem {

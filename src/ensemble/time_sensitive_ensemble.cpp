@@ -22,26 +22,30 @@ void TimeSensitiveEnsemble::CheckDelta() const {
 }
 
 Status TimeSensitiveEnsemble::Fit(const std::vector<double>& series) {
+  CheckDelta();
   // The first member fit changes what the cache and the fitted flag vouch
   // for; a later member's failure must not leave them serving.
   cached_window_.clear();
   cached_preds_.clear();
   fitted_ = false;
-  for (size_t i = 0; i < members_.size(); ++i) {
-    DBAUGUR_RETURN_IF_ERROR(FitMember(i, series));
-  }
+  for (const auto& m : members_) DBAUGUR_RETURN_IF_ERROR(m->Fit(series));
   return FinishFit();
 }
 
-Status TimeSensitiveEnsemble::FitMember(size_t i,
-                                        const std::vector<double>& series) {
+Status TimeSensitiveEnsemble::FitMemberStep(size_t i, size_t step,
+                                            const std::vector<double>& series) {
   CheckDelta();
   DBAUGUR_CHECK_LT(i, members_.size(), "ensemble member index");
   if (fitted_) {
     return Status::FailedPrecondition(
-        "ensemble: FitMember on a fitted ensemble (refit with Fit)");
+        "ensemble: FitMemberStep on a fitted ensemble (refit with Fit)");
   }
-  return members_[i]->Fit(series);
+  return members_[i]->FitStep(step, series);
+}
+
+void TimeSensitiveEnsemble::SuspendMemberFit(size_t i) {
+  DBAUGUR_CHECK_LT(i, members_.size(), "ensemble member index");
+  members_[i]->SuspendFit();
 }
 
 Status TimeSensitiveEnsemble::FinishFit() {

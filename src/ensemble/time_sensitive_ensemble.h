@@ -41,21 +41,28 @@ class TimeSensitiveEnsemble : public models::Forecaster {
   const models::Forecaster& member(size_t i) const { return *members_[i]; }
 
   /// Fits every member on the training series and resets the error state:
-  /// FitMember for each member in order, then FinishFit. The ensemble counts
-  /// as unfitted from the first member fit on, so a refit that fails partway
+  /// each member's Fit in order, then FinishFit. The ensemble counts as
+  /// unfitted from the first member fit on, so a refit that fails partway
   /// leaves Predict failing with FailedPrecondition rather than serving a mix
   /// of two fits.
   Status Fit(const std::vector<double>& series) override;
 
-  /// Fits member `i` alone (i < member_count()). Members share no mutable
-  /// state, so distinct members of one ensemble may fit concurrently. The
-  /// ensemble must not be fitted yet (fresh, or its last Fit failed);
-  /// FailedPrecondition otherwise.
-  Status FitMember(size_t i, const std::vector<double>& series);
+  /// Runs fit step `step` of member `i` alone (i < member_count(); the
+  /// member's models::Forecaster::FitStep, member(i).FitSteps() steps in
+  /// order). Members share no mutable state, so distinct members of one
+  /// ensemble may step concurrently, and a scheduler may interleave their
+  /// steps with other models'. The ensemble must not be fitted yet (fresh,
+  /// or its last Fit failed); FailedPrecondition otherwise.
+  Status FitMemberStep(size_t i, size_t step,
+                       const std::vector<double>& series);
 
-  /// Completes a member-wise fit once every FitMember returned OK: resets Γ
-  /// and the prediction cache and marks the ensemble fitted.
-  /// FailedPrecondition when the ensemble has no members.
+  /// Frees member `i`'s fit workspaces between two of its steps
+  /// (models::Forecaster::SuspendFit).
+  void SuspendMemberFit(size_t i);
+
+  /// Completes a member-wise fit once every member's last FitMemberStep
+  /// returned OK: resets Γ and the prediction cache and marks the ensemble
+  /// fitted. FailedPrecondition when the ensemble has no members.
   Status FinishFit();
 
   /// Weighted fusion of member predictions using the current weights.

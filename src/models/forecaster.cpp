@@ -4,6 +4,11 @@
 
 namespace dbaugur::models {
 
+Status Forecaster::FitStep(size_t step, const std::vector<double>& series) {
+  DBAUGUR_CHECK_LT(step, FitSteps(), name(), ": fit step out of range");
+  return Fit(series);
+}
+
 StatusOr<EvalResult> EvaluateForecaster(const Forecaster& model,
                                         const std::vector<double>& series,
                                         size_t train_size, size_t window,

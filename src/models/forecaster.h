@@ -35,6 +35,19 @@ class Forecaster {
   /// Trains on the given raw-scale series. Must be called before Predict.
   virtual Status Fit(const std::vector<double>& series) = 0;
 
+  // Resumable fit: Fit is FitStep(0, series), ..., FitStep(FitSteps() - 1,
+  // series), and SuspendFit may run between any two steps without changing a
+  // bit of the result. A scheduler can so time-share few lanes among many
+  // fits. The default is one step that calls Fit.
+
+  /// Number of fit steps (>= 1).
+  virtual size_t FitSteps() const { return 1; }
+  /// Runs fit step `step`. Steps run in order from 0 on one series; a failed
+  /// step ends the fit.
+  virtual Status FitStep(size_t step, const std::vector<double>& series);
+  /// Frees what the next step rebuilds, keeping what it resumes from.
+  virtual void SuspendFit() {}
+
   /// Predicts the raw-scale value H steps after the end of `window`
   /// (window.size() must equal the configured T).
   virtual StatusOr<double> Predict(const std::vector<double>& window) const = 0;

@@ -12,20 +12,12 @@ namespace dbaugur::models {
 
 LstmForecaster::LstmForecaster(const ForecasterOptions& opts,
                                const LstmOptions& lstm)
-    : opts_(opts),
+    : NeuralForecaster(opts),
       lstm_opts_(lstm),
       rng_(opts.seed),
       lstm_(1, lstm.hidden, &rng_),
       head_(lstm.hidden, 1, nn::Activation::kIdentity, &rng_),
       adam_(opts.learning_rate) {}
-
-Status LstmForecaster::PrepareTraining(const std::vector<double>& series) {
-  auto ds = BuildScaledDataset(series, opts_);
-  if (!ds.ok()) return ds.status();
-  scaler_ = ds->scaler;
-  train_samples_ = std::move(ds->samples);
-  return Status::OK();
-}
 
 Status LstmForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
@@ -57,18 +49,7 @@ std::vector<nn::Param> LstmForecaster::Params() const {
   return params;
 }
 
-Status LstmForecaster::Fit(const std::vector<double>& series) {
-  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  for (size_t e = 0; e < opts_.epochs; ++e) {
-    DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
-  }
-  ReleaseTrainingBuffers();
-  fitted_ = true;
-  return Status::OK();
-}
-
-void LstmForecaster::ReleaseTrainingBuffers() {
-  train_samples_ = std::vector<ts::WindowSample>();
+void LstmForecaster::ReleaseWorkspaces() {
   for (nn::Matrix* m : {&xb_, &y_, &grad_}) *m = nn::Matrix();
   for (std::vector<nn::Matrix>* v : {&xs_, &grad_hs_}) {
     *v = std::vector<nn::Matrix>();

@@ -12,21 +12,13 @@ namespace dbaugur::models {
 
 MlpForecaster::MlpForecaster(const ForecasterOptions& opts,
                              const MlpOptions& mlp)
-    : opts_(opts),
+    : NeuralForecaster(opts),
       mlp_(mlp),
       rng_(opts.seed),
       l1_(opts.window, mlp.hidden1, nn::Activation::kRelu, &rng_),
       l2_(mlp.hidden1, mlp.hidden2, nn::Activation::kRelu, &rng_),
       l3_(mlp.hidden2, 1, nn::Activation::kIdentity, &rng_),
       adam_(opts.learning_rate) {}
-
-Status MlpForecaster::PrepareTraining(const std::vector<double>& series) {
-  auto ds = BuildScaledDataset(series, opts_);
-  if (!ds.ok()) return ds.status();
-  scaler_ = ds->scaler;
-  train_samples_ = std::move(ds->samples);
-  return Status::OK();
-}
 
 Status MlpForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
@@ -55,18 +47,7 @@ std::vector<nn::Param> MlpForecaster::Params() const {
   return params;
 }
 
-Status MlpForecaster::Fit(const std::vector<double>& series) {
-  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  for (size_t e = 0; e < opts_.epochs; ++e) {
-    DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
-  }
-  ReleaseTrainingBuffers();
-  fitted_ = true;
-  return Status::OK();
-}
-
-void MlpForecaster::ReleaseTrainingBuffers() {
-  train_samples_ = std::vector<ts::WindowSample>();
+void MlpForecaster::ReleaseWorkspaces() {
   for (nn::Matrix* m : {&x_, &y_, &grad_}) *m = nn::Matrix();
   l1_.ReleaseWorkspaces();
   l2_.ReleaseWorkspaces();

@@ -4,11 +4,9 @@
 #pragma once
 
 #include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -18,24 +16,17 @@ struct MlpOptions {
   size_t hidden2 = 16;
 };
 
-class MlpForecaster : public Forecaster {
+class MlpForecaster : public NeuralForecaster {
  public:
   MlpForecaster(const ForecasterOptions& opts, const MlpOptions& mlp);
   explicit MlpForecaster(const ForecasterOptions& opts)
       : MlpForecaster(opts, MlpOptions{}) {}
 
-  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
-  /// step-shaped buffer: a fitted model keeps only its parameters, their
-  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
-  /// keep their buffers (allocation-free steady state across epochs).
-  Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "MLP"; }
   int64_t StorageBytes() const override;
   int64_t ParameterCount() const override;
 
-  /// Builds the training dataset for TrainEpoch.
-  Status PrepareTraining(const std::vector<double>& series);
   /// Runs exactly one training epoch (used by Table II timing) on the dataset
   /// PrepareTraining built; FailedPrecondition without one (Fit frees its
   /// own).
@@ -50,19 +41,15 @@ class MlpForecaster : public Forecaster {
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& x) const;
-  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
-  void ReleaseTrainingBuffers();
+  Status RunEpoch() override { return TrainEpoch(); }
+  void ReleaseWorkspaces() override;
 
-  ForecasterOptions opts_;
   MlpOptions mlp_;
   mutable Rng rng_;
   mutable nn::Dense l1_, l2_, l3_;
   nn::Adam adam_;
   // Batch workspaces reused across batches.
   nn::Matrix x_, y_, grad_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
-  bool fitted_ = false;
 };
 
 }  // namespace dbaugur::models

@@ -1,8 +1,10 @@
 #include "models/neural_common.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/binio.h"
+#include "common/contracts.h"
 #include "nn/serialize.h"
 
 namespace dbaugur::models {
@@ -17,6 +19,38 @@ StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
   if (!samples.ok()) return samples.status();
   out.samples = std::move(samples).value();
   return out;
+}
+
+Status NeuralForecaster::Fit(const std::vector<double>& series) {
+  for (size_t step = 0; step < FitSteps(); ++step) {
+    DBAUGUR_RETURN_IF_ERROR(FitStep(step, series));
+  }
+  return Status::OK();
+}
+
+size_t NeuralForecaster::FitSteps() const {
+  return std::max<size_t>(1, opts_.epochs);
+}
+
+Status NeuralForecaster::FitStep(size_t step,
+                                 const std::vector<double>& series) {
+  DBAUGUR_CHECK_LT(step, FitSteps(), name(), ": fit step out of range");
+  if (step == 0) DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
+  if (step < opts_.epochs) DBAUGUR_RETURN_IF_ERROR(RunEpoch());
+  if (step + 1 == FitSteps()) {
+    train_samples_ = std::vector<ts::WindowSample>();
+    ReleaseWorkspaces();
+    fitted_ = true;
+  }
+  return Status::OK();
+}
+
+Status NeuralForecaster::PrepareTraining(const std::vector<double>& series) {
+  auto ds = BuildScaledDataset(series, opts_);
+  if (!ds.ok()) return ds.status();
+  scaler_ = ds->scaler;
+  train_samples_ = std::move(ds->samples);
+  return Status::OK();
 }
 
 nn::Matrix BatchWindows(const std::vector<ts::WindowSample>& samples,

@@ -1,5 +1,6 @@
-// Shared plumbing for the neural forecasters: min-max-scaled sliding-window
-// datasets and batch assembly in the layouts the nn substrate expects.
+// Shared plumbing for the neural forecasters: their common base and epoch
+// loop, min-max-scaled sliding-window datasets, and batch assembly in the
+// layouts the nn substrate expects.
 
 #pragma once
 
@@ -22,6 +23,43 @@ struct ScaledDataset {
 /// Fits a MinMaxScaler on `series` and extracts scaled (window, target) pairs.
 StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
                                            const ForecasterOptions& opts);
+
+/// Base of the epoch-trained forecasters (WFGAN, TCN, MLP, LSTM). It owns
+/// the dataset, the scaler and the fitted flag, and runs the one epoch loop
+/// they share: fit step 0 first builds the dataset, step e trains epoch e,
+/// and the last step frees the dataset and every batch- and step-shaped
+/// buffer and marks the model fitted. A fitted model so keeps only its
+/// parameters, their gradient and Adam buffers, and the scaler.
+class NeuralForecaster : public Forecaster {
+ public:
+  /// Runs every fit step in order.
+  Status Fit(const std::vector<double>& series) final;
+  /// max(1, epochs): with no epochs the one step builds and frees the
+  /// dataset.
+  size_t FitSteps() const final;
+  Status FitStep(size_t step, const std::vector<double>& series) final;
+  /// Frees the batch- and step-shaped workspaces, which the next epoch
+  /// rebuilds, and keeps the dataset, the weights and the Adam state.
+  void SuspendFit() final { ReleaseWorkspaces(); }
+
+  /// Builds the dataset TrainEpoch reads. Epoch-driven callers (benches,
+  /// tests) call it and then TrainEpoch, which keeps its buffers across
+  /// epochs (allocation-free steady state) and never marks the model fitted.
+  Status PrepareTraining(const std::vector<double>& series);
+
+ protected:
+  explicit NeuralForecaster(const ForecasterOptions& opts) : opts_(opts) {}
+
+  /// One epoch over the dataset (the model's TrainEpoch).
+  virtual Status RunEpoch() = 0;
+  /// Frees the batch workspaces and the layers' workspaces.
+  virtual void ReleaseWorkspaces() = 0;
+
+  ForecasterOptions opts_;
+  ts::MinMaxScaler scaler_;
+  std::vector<ts::WindowSample> train_samples_;
+  bool fitted_ = false;
+};
 
 /// Packs selected samples' windows into a [batch, T] matrix.
 nn::Matrix BatchWindows(const std::vector<ts::WindowSample>& samples,

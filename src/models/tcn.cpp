@@ -8,7 +8,7 @@ namespace dbaugur::models {
 
 TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
                              const TcnOptions& tcn)
-    : opts_(opts),
+    : NeuralForecaster(opts),
       tcn_opts_(tcn),
       rng_(opts.seed),
       head_(tcn.channels, 1, nn::Activation::kIdentity, &rng_),
@@ -45,14 +45,6 @@ std::vector<nn::Param> TcnForecaster::Params() const {
   return params;
 }
 
-Status TcnForecaster::PrepareTraining(const std::vector<double>& series) {
-  auto ds = BuildScaledDataset(series, opts_);
-  if (!ds.ok()) return ds.status();
-  scaler_ = ds->scaler;
-  train_samples_ = std::move(ds->samples);
-  return Status::OK();
-}
-
 Status TcnForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
     return Status::FailedPrecondition("TCN: PrepareTraining not called");
@@ -83,18 +75,7 @@ Status TcnForecaster::TrainEpoch() {
   return Status::OK();
 }
 
-Status TcnForecaster::Fit(const std::vector<double>& series) {
-  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  for (size_t e = 0; e < opts_.epochs; ++e) {
-    DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
-  }
-  ReleaseTrainingBuffers();
-  fitted_ = true;
-  return Status::OK();
-}
-
-void TcnForecaster::ReleaseTrainingBuffers() {
-  train_samples_ = std::vector<ts::WindowSample>();
+void TcnForecaster::ReleaseWorkspaces() {
   for (nn::Matrix* m : {&xb_, &y_, &grad_, &feats_}) *m = nn::Matrix();
   for (nn::Tensor3* t : {&t_in_, &dt_}) *t = nn::Tensor3();
   for (auto& b : blocks_) b->ReleaseWorkspaces();

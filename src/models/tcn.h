@@ -8,12 +8,10 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -24,23 +22,18 @@ struct TcnOptions {
   std::vector<size_t> dilations = {1, 2, 4, 8, 16};
 };
 
-class TcnForecaster : public Forecaster {
+class TcnForecaster : public NeuralForecaster {
  public:
   TcnForecaster(const ForecasterOptions& opts, const TcnOptions& tcn);
   explicit TcnForecaster(const ForecasterOptions& opts)
       : TcnForecaster(opts, TcnOptions{}) {}
 
-  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
-  /// step-shaped buffer: a fitted model keeps only its parameters, their
-  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
-  /// keep their buffers (allocation-free steady state across epochs).
-  Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "TCN"; }
   int64_t StorageBytes() const override;
   int64_t ParameterCount() const override;
 
-  Status PrepareTraining(const std::vector<double>& series);
+  /// One epoch over the PrepareTraining dataset.
   Status TrainEpoch();
 
   /// Receptive field in time steps: 1 + (k-1) * 2 * sum(dilations).
@@ -55,21 +48,17 @@ class TcnForecaster : public Forecaster {
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& xb) const;
-  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
-  void ReleaseTrainingBuffers();
+  Status RunEpoch() override { return TrainEpoch(); }
+  void ReleaseWorkspaces() override;
 
-  ForecasterOptions opts_;
   TcnOptions tcn_opts_;
   mutable Rng rng_;
   mutable std::vector<std::unique_ptr<nn::TCNBlock>> blocks_;
   mutable nn::Dense head_;
   nn::Adam adam_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
   // Batch workspaces reused across batches (mutable: Predict is const).
   mutable nn::Matrix xb_, y_, grad_, feats_;
   mutable nn::Tensor3 t_in_, dt_;
-  bool fitted_ = false;
 };
 
 }  // namespace dbaugur::models

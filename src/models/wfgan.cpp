@@ -11,7 +11,7 @@ namespace dbaugur::models {
 
 WfganForecaster::WfganForecaster(const ForecasterOptions& opts,
                                  const WfganOptions& gan)
-    : opts_(opts),
+    : NeuralForecaster(opts),
       gan_(gan),
       rng_(opts.seed),
       g_lstm_(1, gan.hidden, &rng_),
@@ -84,14 +84,6 @@ const nn::Matrix& WfganForecaster::DiscriminatorLastInputGrad(
   const nn::Matrix& dcontext = d_head_.InputGrad(grad_logit);
   return d_lstm_.LastStepInputGrad(
       gan_.use_attention ? d_attn_.LastStepInputGrad(dcontext) : dcontext);
-}
-
-Status WfganForecaster::PrepareTraining(const std::vector<double>& series) {
-  auto ds = BuildScaledDataset(series, opts_);
-  if (!ds.ok()) return ds.status();
-  scaler_ = ds->scaler;
-  train_samples_ = std::move(ds->samples);
-  return Status::OK();
 }
 
 StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
@@ -189,19 +181,7 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
   return stats;
 }
 
-Status WfganForecaster::Fit(const std::vector<double>& series) {
-  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  for (size_t e = 0; e < opts_.epochs; ++e) {
-    auto st = TrainEpoch();
-    if (!st.ok()) return st.status();
-  }
-  ReleaseTrainingBuffers();
-  fitted_ = true;
-  return Status::OK();
-}
-
-void WfganForecaster::ReleaseTrainingBuffers() {
-  train_samples_ = std::vector<ts::WindowSample>();
+void WfganForecaster::ReleaseWorkspaces() {
   for (nn::Matrix* m : {&xb_, &y_, &grad_pred_, &mse_grad_, &grad_real_,
                         &grad_fake_, &grad_logit_, &real_labels_,
                         &fake_labels_}) {

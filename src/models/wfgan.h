@@ -21,13 +21,11 @@
 #include <memory>
 
 #include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/attention.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -52,23 +50,18 @@ struct WfganEpochStats {
   double g_mse = 0.0;    ///< Mean generator supervised MSE (scaled space).
 };
 
-class WfganForecaster : public Forecaster {
+class WfganForecaster : public NeuralForecaster {
  public:
   WfganForecaster(const ForecasterOptions& opts, const WfganOptions& gan);
   explicit WfganForecaster(const ForecasterOptions& opts)
       : WfganForecaster(opts, WfganOptions{}) {}
 
-  /// Trains for `epochs` epochs, then frees the dataset and every batch- and
-  /// step-shaped buffer: a fitted model keeps only its parameters, their
-  /// gradient and Adam buffers, and the scaler. PrepareTraining/TrainEpoch
-  /// keep their buffers (allocation-free steady state across epochs).
-  Status Fit(const std::vector<double>& series) override;
   StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "WFGAN"; }
   int64_t StorageBytes() const override;
   int64_t ParameterCount() const override;
 
-  Status PrepareTraining(const std::vector<double>& series);
+  /// One epoch over the PrepareTraining dataset (Algorithm 2).
   StatusOr<WfganEpochStats> TrainEpoch();
 
   /// Discriminator probability that `window ∘ value` is a real trace
@@ -106,10 +99,9 @@ class WfganForecaster : public Forecaster {
       const nn::Matrix& grad_logit) const;
   std::vector<nn::Param> GeneratorParams() const;
   std::vector<nn::Param> DiscriminatorParams() const;
-  /// Frees train_samples_, the batch workspaces and the layers' workspaces.
-  void ReleaseTrainingBuffers();
+  Status RunEpoch() override { return TrainEpoch().status(); }
+  void ReleaseWorkspaces() override;
 
-  ForecasterOptions opts_;
   WfganOptions gan_;
   mutable Rng rng_;
   // Generator.
@@ -121,14 +113,11 @@ class WfganForecaster : public Forecaster {
   mutable nn::TemporalAttention d_attn_;
   mutable nn::Dense d_head_;
   nn::Adam g_adam_, d_adam_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
   // Batch workspaces reused across batches (mutable: used from const paths).
   mutable nn::Matrix xb_, y_, grad_pred_, mse_grad_, grad_real_, grad_fake_,
       grad_logit_, real_labels_, fake_labels_;
   mutable std::vector<nn::Matrix> xs_, xs_real_, xs_fake_;
   mutable std::vector<nn::Matrix> g_grad_hs_, d_grad_hs_;  // no-attention path
-  bool fitted_ = false;
 };
 
 }  // namespace dbaugur::models

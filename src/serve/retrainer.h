@@ -5,13 +5,14 @@
 // deterministic seed stream. Each successful Rebuild draws one per-cycle seed
 // from the stream, winsorizes the binned traces (median/MAD outlier clamp),
 // runs the full offline pipeline (Descender clustering on the thread pool +
-// one fit task per ensemble member) via core::BuildTrainedState, and returns
-// a fresh immutable snapshot for the service to publish — substituting a
-// last-good or kernel-baseline fallback for any cluster whose fit failed or
-// diverged (see serve/snapshot.h). Restart determinism: the cycle counter is
-// persisted, and InstallState fast-forwards the seed stream past the
-// consumed draws, so a restored service's *next* retrain uses exactly the
-// seed the original service would have used.
+// the ensemble member fits, stepped one epoch at a time) via
+// core::BuildTrainedState, and returns a fresh immutable snapshot for the
+// service to publish — substituting a last-good or kernel-baseline fallback
+// for any cluster whose fit failed or diverged (see serve/snapshot.h).
+// Restart determinism: the cycle counter is persisted, and InstallState
+// fast-forwards the seed stream past the consumed draws, so a restored
+// service's *next* retrain uses exactly the seed the original service would
+// have used.
 //
 // Thread ownership: a Retrainer has no locks of its own — it is single-
 // threaded state owned by the retrain loop. That contract is enforced at the
@@ -79,7 +80,7 @@ class Retrainer {
   /// are bit-identical with or without it.
   ///
   /// `cancel` (may be null) is a cooperative cancellation token polled at
-  /// member-fit granularity (see core::BuildTrainedState) and inside the
+  /// epoch granularity (see core::BuildTrainedState) and inside the
   /// `serve.retrain.hang` / `serve.retrain.slow` fault sleeps. A cancelled
   /// cycle returns Status::Cancelled with the token's reason; the binner keeps
   /// everything folded so far and the cycle counter does not advance. A

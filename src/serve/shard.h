@@ -143,7 +143,7 @@ class ServiceShard {
   ///
   /// `cancel` (may be null) is a cooperative cancellation token, usually
   /// carrying the retrain's deadline (see common/cancellation.h), polled at
-  /// member-fit granularity. A cancelled cycle counts as a failure — it
+  /// epoch granularity. A cancelled cycle counts as a failure — it
   /// feeds the consecutive_failures backoff streak and retrains_cancelled —
   /// and additionally marks the shard degraded-stale: it keeps serving the
   /// last-good snapshot, with the cancel reason surfaced through

@@ -41,8 +41,8 @@
 // copy its snapshot pointer.
 //
 // Deadlines: with retrain_deadline_seconds > 0, each shard retrain gets a
-// CancelToken whose deadline is armed when its task starts, polled at
-// member-fit granularity. A poll after the deadline reads cancelled, so no
+// CancelToken whose deadline is armed when its task starts, polled before
+// every member-fit epoch. A poll after the deadline reads cancelled, so no
 // thread supervises: an overrunning or hung retrain (exercised by the
 // serve.retrain.hang / serve.retrain.slow fault points) unwinds at its next
 // checkpoint, the shard keeps serving its last-good snapshot marked

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/fault_injection.h"
 #include "core/dbaugur.h"
 #include "workloads/generators.h"
 #include "workloads/query_log.h"
@@ -110,6 +111,66 @@ TEST(DBAugurSystemTest, TraceForecastsScaleWithProportion) {
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(big.ok());
   EXPECT_NEAR(*big / *small, 3.0, 0.2);
+}
+
+TEST(DBAugurSystemTest, ClusterWhoseFitFailedAnswersWithItsFitStatus) {
+  // "small" and "big" share a daily shape at 1:3 volume; "burst" fires for
+  // three hours a day.
+  std::vector<trace::LogEntry> log;
+  for (int64_t t = 0; t < 2 * 86400; t += 600) {
+    double phase = 2.0 * M_PI * static_cast<double>(t % 86400) / 86400.0;
+    int64_t n = static_cast<int64_t>(8.0 + 6.0 * std::sin(phase));
+    for (int64_t q = 0; q < n; ++q) {
+      log.push_back({t + q, "SELECT * FROM small WHERE id = 1"});
+      for (int k = 0; k < 3; ++k) {
+        log.push_back({t + q, "SELECT * FROM big WHERE id = 1"});
+      }
+    }
+    int64_t burst = t % 86400 < 3 * 3600 ? 20 : 1;
+    for (int64_t q = 0; q < burst; ++q) {
+      log.push_back({t + q, "SELECT * FROM burst WHERE id = 1"});
+    }
+  }
+  DBAugurOptions opts = FastOptions();
+  opts.top_k = 2;
+  opts.clustering.threads = 1;  // one lane: fault hit 0 is rank 0's WFGAN
+  opts.tolerate_fit_failures = true;
+  DBAugurSystem sys(opts);
+  ASSERT_TRUE(sys.IngestQueryLog(log).ok());
+  ASSERT_TRUE(fault::Configure("core.fit.member=at:0").ok());
+  const Status trained = sys.Train();
+  fault::Reset();
+  ASSERT_TRUE(trained.ok()) << trained.ToString();
+  ASSERT_EQ(sys.forecast_count(), 2u);
+  const ClusterForecast& failed = sys.forecast(0);
+  ASSERT_EQ(failed.model, nullptr);
+  ASSERT_EQ(failed.fit_status.code(), StatusCode::kInternal);
+  ASSERT_NE(sys.forecast(1).model, nullptr);
+
+  // The cluster without a model answers with its fit_status; the other one
+  // still forecasts.
+  for (const StatusOr<double>& v :
+       {NextClusterValue(failed, opts.forecaster.window),
+        sys.ForecastCluster(0)}) {
+    EXPECT_EQ(v.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(v.status().message(), failed.fit_status.message());
+  }
+  EXPECT_TRUE(NextClusterValue(sys.forecast(1), opts.forecaster.window).ok());
+  EXPECT_TRUE(sys.ForecastCluster(1).ok());
+  size_t in_failed = 0;
+  for (size_t i = 0; i < sys.trace_count(); ++i) {
+    auto v = sys.ForecastTrace(i);
+    const int label = sys.clustering()->label(i);
+    if (label == failed.cluster_id) {
+      ++in_failed;
+      EXPECT_EQ(v.status().code(), StatusCode::kInternal) << i;
+    } else if (label == sys.forecast(1).cluster_id) {
+      EXPECT_TRUE(v.ok()) << i;
+    } else {
+      EXPECT_EQ(v.status().code(), StatusCode::kNotFound) << i;
+    }
+  }
+  EXPECT_GE(in_failed, 1u);
 }
 
 TEST(DBAugurSystemTest, TrainWithoutDataFails) {

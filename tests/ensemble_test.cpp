@@ -192,8 +192,10 @@ TEST(EnsembleTest, MemberWiseFitMatchesFit) {
   }
   ASSERT_TRUE(whole.Fit(ConstSeries(20, 5.0)).ok());
   // Members fit in any order; the ensemble serves only after FinishFit.
-  ASSERT_TRUE(parts.FitMember(1, ConstSeries(20, 5.0)).ok());
-  ASSERT_TRUE(parts.FitMember(0, ConstSeries(20, 5.0)).ok());
+  for (size_t i : {1u, 0u}) {
+    ASSERT_EQ(parts.member(i).FitSteps(), 1u);
+    ASSERT_TRUE(parts.FitMemberStep(i, 0, ConstSeries(20, 5.0)).ok());
+  }
   EXPECT_EQ(parts.Predict(ConstSeries(8, 5.0)).status().code(),
             StatusCode::kFailedPrecondition);
   ASSERT_TRUE(parts.FinishFit().ok());
@@ -202,7 +204,7 @@ TEST(EnsembleTest, MemberWiseFitMatchesFit) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(*a, *b);
   // A fitted ensemble refits through Fit only.
-  EXPECT_EQ(parts.FitMember(0, ConstSeries(20, 5.0)).code(),
+  EXPECT_EQ(parts.FitMemberStep(0, 0, ConstSeries(20, 5.0)).code(),
             StatusCode::kFailedPrecondition);
   TimeSensitiveEnsemble empty(SmallOpts(), {0.9, true});
   EXPECT_EQ(empty.FinishFit().code(), StatusCode::kFailedPrecondition);

@@ -1,17 +1,22 @@
 // Tests for the fit stage of core::BuildTrainedState and for the training
 // buffers a fitted neural model frees.
 //
-// FitTasksTest: the fits run as one task per (member, cluster) pair. Every
-// rank's fit_status, SaveState bytes and NextClusterValue bits must not
-// depend on the lane count or on who owns the pool; a latched cancel token
-// stops the build with no model; a failed member leaves its cluster without
-// a model and every other cluster as it was.
+// FitTasksTest: the fits run as one job per (member, cluster) pair, which
+// lanes step one epoch at a time. Every rank's fit_status, SaveState bytes
+// and NextClusterValue bits must not depend on the lane count, on who owns
+// the pool or on another build sharing it; a latched cancel token stops the
+// build with no model; a failed member leaves its cluster without a model
+// and every other cluster as it was.
 //
 // FitReleaseTest: WFGAN, TCN, MLP and LSTM end Fit by freeing their dataset
 // and their batch- and step-shaped buffers. At the paper shape the heap a
 // fitted model keeps stays under 1 MB, and its predictions and state equal,
 // bit for bit, those of the same model trained epoch by epoch, which frees
 // nothing.
+//
+// ResumableFitTest: the same four models fit one epoch per FitStep, and a
+// SuspendFit between steps leaves the dataset and little else without
+// changing a bit of the result; every other model takes one step.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +26,7 @@
 #include <cstring>
 #include <memory>
 #include <numbers>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,8 +37,13 @@
 #include "common/thread_pool.h"
 #include "core/dbaugur.h"
 #include "ensemble/presets.h"
+#include "ensemble/shared_member.h"
+#include "models/arima.h"
+#include "models/kernel_regression.h"
+#include "models/linear_regression.h"
 #include "models/lstm_forecaster.h"
 #include "models/mlp.h"
+#include "models/neural_common.h"
 #include "models/tcn.h"
 #include "models/wfgan.h"
 
@@ -190,6 +201,27 @@ TEST(FitTasksTest, FiveClustersPublishTheSameBitsAtEveryLaneCount) {
 
 TEST(FitTasksTest, TwoClustersPublishTheSameBitsWithMoreLanesThanTasks) {
   ExpectLaneInvariant(2, 2);
+}
+
+TEST(FitTasksTest, TwoBuildsSharingAPoolWithFewerLanesThanClustersMatchSerial) {
+  // The sharded service's shape: concurrent shard builds share one fit pool.
+  // Two builds of 5 clusters (15 jobs each) time-share 3 lanes.
+  const std::vector<ts::Series> traces = FamilyTraces(5, 80);
+  auto serial = BuildTrainedState(PaperOptions(1), traces, nullptr);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_EQ(serial->forecasts.size(), 5u);
+  const std::vector<RankResult> want = Summarize(*serial, 30);
+  ThreadPool pool(3);
+  std::optional<StatusOr<TrainedState>> built[2];
+  std::thread other(
+      [&] { built[1].emplace(BuildTrainedState(PaperOptions(3), traces, &pool)); });
+  built[0].emplace(BuildTrainedState(PaperOptions(3), traces, &pool));
+  other.join();
+  for (size_t b = 0; b < 2; ++b) {
+    ASSERT_TRUE(built[b]->ok()) << built[b]->status().ToString();
+    ExpectSameResults(Summarize(**built[b], 30), want,
+                      "shared pool, build " + std::to_string(b));
+  }
 }
 
 TEST(FitTasksTest, EachClusterMatchesASequentialEnsembleFit) {
@@ -405,6 +437,137 @@ TEST(FitReleaseTest, ReleasedModelsPredictLikeModelsThatKeepTheirBuffers) {
   ExpectReleasedMatchesKept<models::TcnForecaster>("TCN");
   ExpectReleasedMatchesKept<models::MlpForecaster>("MLP");
   ExpectReleasedMatchesKept<models::LstmForecaster>("LSTM");
+}
+
+// --- Resumable fits. --------------------------------------------------------
+
+// Two Predict calls and SaveState of `got` equal those of `want`, bit for bit.
+void ExpectSameModel(const models::Forecaster& got,
+                     const models::Forecaster& want,
+                     const std::vector<double>& series) {
+  const std::vector<double> w1(series.end() - 30, series.end());
+  const std::vector<double> w2(series.begin() + 100, series.begin() + 130);
+  for (const std::vector<double>* w : {&w1, &w2}) {
+    auto a = got.Predict(*w);
+    auto b = want.Predict(*w);
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(Bits(*a), Bits(*b));
+  }
+  auto a = got.SaveState();
+  auto b = want.SaveState();
+  ASSERT_EQ(a.ok(), b.ok());
+  if (a.ok()) {
+    EXPECT_TRUE(*a == *b) << "SaveState bytes differ";
+  }
+}
+
+// Every FitStep, with a SuspendFit between any two, against Fit.
+template <typename Model>
+void ExpectSuspendedStepsMatchFit(const models::ForecasterOptions& opts,
+                                  const char* name) {
+  SCOPED_TRACE(name);
+  const std::vector<double> series = PaperSeries();
+  Model fitted(opts);
+  ASSERT_TRUE(fitted.Fit(series).ok());
+  Model stepped(opts);
+  const size_t steps = stepped.FitSteps();
+  EXPECT_EQ(steps, std::max<size_t>(1, opts.epochs));
+  for (size_t s = 0; s < steps; ++s) {
+    ASSERT_TRUE(stepped.FitStep(s, series).ok()) << "step " << s;
+    if (s + 1 < steps) stepped.SuspendFit();
+  }
+  ExpectSameModel(stepped, fitted, series);
+}
+
+TEST(ResumableFitTest, SuspendedStepsMatchFitBitForBit) {
+  const models::ForecasterOptions opts = PaperModelOptions();
+  ExpectSuspendedStepsMatchFit<models::WfganForecaster>(opts, "WFGAN");
+  ExpectSuspendedStepsMatchFit<models::TcnForecaster>(opts, "TCN");
+  ExpectSuspendedStepsMatchFit<models::MlpForecaster>(opts, "MLP");
+  ExpectSuspendedStepsMatchFit<models::LstmForecaster>(opts, "LSTM");
+}
+
+TEST(ResumableFitTest, ZeroEpochsTakeOneStepThatMatchesFit) {
+  models::ForecasterOptions opts = PaperModelOptions();
+  opts.epochs = 0;
+  ExpectSuspendedStepsMatchFit<models::WfganForecaster>(opts, "WFGAN");
+  ExpectSuspendedStepsMatchFit<models::TcnForecaster>(opts, "TCN");
+  ExpectSuspendedStepsMatchFit<models::MlpForecaster>(opts, "MLP");
+  ExpectSuspendedStepsMatchFit<models::LstmForecaster>(opts, "LSTM");
+}
+
+#if defined(DBAUGUR_FIT_TEST_MALLINFO2)
+// Heap a model holds after its first `steps` fit steps and a SuspendFit,
+// less the heap of its dataset alone.
+template <typename Model>
+int64_t HeapKeptWhileSuspended(const std::vector<double>& series,
+                               size_t steps) {
+  const models::ForecasterOptions opts = PaperModelOptions();
+  int64_t before = HeapInUse();
+  int64_t dataset = 0;
+  {
+    auto ds = models::BuildScaledDataset(series, opts);
+    EXPECT_TRUE(ds.ok());
+    dataset = HeapInUse() - before;
+  }
+  before = HeapInUse();
+  auto model = std::make_unique<Model>(opts);
+  for (size_t s = 0; s < steps; ++s) {
+    EXPECT_TRUE(model->FitStep(s, series).ok());
+  }
+  model->SuspendFit();
+  return HeapInUse() - before - dataset;
+}
+#endif
+
+TEST(ResumableFitTest, SuspendedFitKeepsItsDatasetAndUnderOneMegabyteMore) {
+#if !defined(DBAUGUR_FIT_TEST_MALLINFO2)
+  GTEST_SKIP() << "needs glibc mallinfo2 and the system allocator";
+#else
+  const std::vector<double> series = PaperSeries();
+  constexpr int64_t kLimit = int64_t{1} << 20;
+  for (size_t steps : {1u, 2u}) {
+    SCOPED_TRACE("steps " + std::to_string(steps));
+    EXPECT_LT(HeapKeptWhileSuspended<models::WfganForecaster>(series, steps),
+              kLimit);
+    EXPECT_LT(HeapKeptWhileSuspended<models::TcnForecaster>(series, steps),
+              kLimit);
+    EXPECT_LT(HeapKeptWhileSuspended<models::MlpForecaster>(series, steps),
+              kLimit);
+    EXPECT_LT(HeapKeptWhileSuspended<models::LstmForecaster>(series, steps),
+              kLimit);
+  }
+#endif
+}
+
+TEST(ResumableFitTest, OtherModelsTakeOneStepThatIsFit) {
+  const models::ForecasterOptions opts = PaperModelOptions();
+  const std::vector<double> series = PaperSeries();
+  auto expect_one_step = [&](models::Forecaster& stepped,
+                             models::Forecaster& fitted) {
+    SCOPED_TRACE(stepped.name());
+    EXPECT_EQ(stepped.FitSteps(), 1u);
+    ASSERT_TRUE(stepped.FitStep(0, series).ok());
+    stepped.SuspendFit();
+    ASSERT_TRUE(fitted.Fit(series).ok());
+    ExpectSameModel(stepped, fitted, series);
+  };
+  {
+    models::LinearRegressionForecaster a(opts), b(opts);
+    expect_one_step(a, b);
+  }
+  {
+    models::KernelRegressionForecaster a(opts), b(opts);
+    expect_one_step(a, b);
+  }
+  {
+    models::ArimaForecaster a(opts), b(opts);
+    expect_one_step(a, b);
+  }
+  models::MlpForecaster inner(opts);
+  ASSERT_TRUE(inner.Fit(series).ok());
+  ensemble::SharedMember a(&inner), b(&inner);
+  expect_one_step(a, b);
 }
 
 }  // namespace

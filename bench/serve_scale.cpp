@@ -193,9 +193,7 @@ ConfigResult RunConfig(const ScaleParams& p, size_t shard_count,
 
   // Wave 2: every shard pending again (the scheduler is work-conserving).
   r.ingest_seconds += OfferWave(&svc, p, p.bins_per_wave, &r.ingest_dropped);
-  for (size_t s = 0; s < shard_count; ++s) {
-    r.ingest_events += svc.shard(s).events_accepted();
-  }
+  r.ingest_events = svc.stats().events_accepted;
   r.ingest_events_per_sec =
       r.ingest_seconds > 0.0
           ? static_cast<double>(r.ingest_events) / r.ingest_seconds

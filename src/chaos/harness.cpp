@@ -27,6 +27,15 @@
 
 namespace dbaugur::chaos {
 
+namespace {
+// Production ingest settings of the events and service legs, mirrored into
+// the sequential reference.
+constexpr serve::IngestorOptions kIngest{
+    /*capacity=*/size_t{1} << 15, /*max_templates=*/512,
+    /*max_lateness_seconds=*/6 * 3600, /*min_timestamp_seconds=*/0,
+    /*max_timestamp_seconds=*/4102444800};
+}  // namespace
+
 size_t MinimizeFailingPrefix(size_t n,
                              const std::function<bool(size_t)>& fails_at) {
   if (n == 0) return 0;
@@ -282,11 +291,11 @@ class ChaosRun {
     for (const serve::TraceEvent& e : drained) bin->Fold(e);
   }
 
-  serve::IngestorOptions ProductionIngestOptions() const {
-    return serve::IngestorOptions{opts_.queue_capacity, opts_.max_templates,
-                                  opts_.max_lateness_seconds,
-                                  opts_.min_timestamp_seconds,
-                                  opts_.max_timestamp_seconds};
+  ReferenceOptions ReferenceIngestOptions() const {
+    return ReferenceOptions{kIngest.max_templates, kIngest.max_lateness_seconds,
+                            kIngest.min_timestamp_seconds,
+                            kIngest.max_timestamp_seconds,
+                            opts_.stream.interval_seconds};
   }
 
   Status EventsLeg() {
@@ -297,12 +306,8 @@ class ChaosRun {
     report_.events = events_.size();
     if (events_.empty()) return Status::OK();
 
-    const ReferenceOptions ropts{opts_.max_templates,
-                                 opts_.max_lateness_seconds,
-                                 opts_.min_timestamp_seconds,
-                                 opts_.max_timestamp_seconds,
-                                 opts_.stream.interval_seconds};
-    ing_ = std::make_unique<serve::TraceIngestor>(ProductionIngestOptions());
+    const ReferenceOptions ropts = ReferenceIngestOptions();
+    ing_ = std::make_unique<serve::TraceIngestor>(kIngest);
     bin_ = std::make_unique<serve::TraceBinner>(opts_.stream.interval_seconds);
     RunProduction(events_.size(), ing_.get(), bin_.get());
     const ReferenceResult ref = RunSequentialReference(events_, ropts);
@@ -313,7 +318,7 @@ class ChaosRun {
                       : CompareIngest(ref, *ing_, *bin_);
     if (!diff.ok()) {
       auto fails_at = [&](size_t n) {
-        serve::TraceIngestor ing(ProductionIngestOptions());
+        serve::TraceIngestor ing(kIngest);
         serve::TraceBinner bin(opts_.stream.interval_seconds);
         RunProduction(n, &ing, &bin);
         const std::vector<serve::TraceEvent> prefix(events_.begin(),
@@ -427,13 +432,13 @@ class ChaosRun {
     so.pipeline.forecaster.horizon = 1;
     so.pipeline.forecaster.epochs = 2;  // harness smoke, not accuracy
     so.pipeline.forecaster.batch_size = 8;
-    so.queue_capacity = opts_.queue_capacity;
-    so.max_templates = opts_.max_templates;
+    so.queue_capacity = kIngest.capacity;
+    so.max_templates = kIngest.max_templates;
     so.bin_interval_seconds = opts_.stream.interval_seconds;
     so.retrain_interval_seconds = 0.005;
-    so.max_lateness_seconds = opts_.max_lateness_seconds;
-    so.min_timestamp_seconds = opts_.min_timestamp_seconds;
-    so.max_timestamp_seconds = opts_.max_timestamp_seconds;
+    so.max_lateness_seconds = kIngest.max_lateness_seconds;
+    so.min_timestamp_seconds = kIngest.min_timestamp_seconds;
+    so.max_timestamp_seconds = kIngest.max_timestamp_seconds;
     so.seed = opts_.stream.seed;
     return so;
   }
@@ -487,19 +492,18 @@ class ChaosRun {
   /// retrain deadline are in play, no failed retrain.
   Status CheckService(const serve::ShardedForecastService& svc,
                       uint64_t offered, const char* which) const {
-    uint64_t accounted = 0;
-    for (size_t s = 0; s < svc.shard_count(); ++s) {
-      accounted +=
-          svc.shard(s).events_accepted() + svc.shard(s).drop_stats().total();
+    const serve::ShardedServiceHealth h = svc.Health();
+    for (const serve::ServeStats& row : h.shards) {
       // An armed deadline can legitimately cancel a slow (but healthy)
       // retrain on a loaded machine.
       if (!fault::Active() && opts_.retrain_deadline_seconds <= 0.0 &&
-          svc.shard(s).retrains_failed() != 0) {
-        return Fail(std::string(which) + " shard " + std::to_string(s) +
-                    " retrain failed without a fault storm: " +
-                    svc.stats().last_error);
+          row.retrains_failed != 0) {
+        return Fail(std::string(which) + " shard " +
+                    std::to_string(row.shard_id) +
+                    " retrain failed without a fault storm: " + row.last_error);
       }
     }
+    const uint64_t accounted = h.events_accepted + h.events_dropped;
     if (accounted != offered) {
       return Fail(std::string(which) + " conservation: shards accounted " +
                   std::to_string(accounted) + " events, offered " +
@@ -675,17 +679,14 @@ class ChaosRun {
     // timestamps), so the exact oracle self-gates on stale-free streams.
     // The final cycle folded every queue, retrained or not, so it holds at
     // any retrain budget.
-    const ReferenceOptions ropts{opts_.max_templates,
-                                 opts_.max_lateness_seconds,
-                                 opts_.min_timestamp_seconds,
-                                 opts_.max_timestamp_seconds,
-                                 opts_.stream.interval_seconds};
-    const ReferenceResult ref = RunSequentialReference(events_, ropts);
+    const ReferenceResult ref =
+        RunSequentialReference(events_, ReferenceIngestOptions());
     if (ref.drops.stale != 0) return Status::OK();
     std::vector<ShardIngestView> views(sso.shard_count);
     for (size_t s = 0; s < sso.shard_count; ++s) {
-      views[s].accepted = run.svc->shard(s).events_accepted();
-      views[s].drops = run.svc->shard(s).drop_stats();
+      const serve::ServeStats row = run.svc->shard(s).stats();
+      views[s].accepted = row.events_accepted;
+      views[s].drops = row.drops;
       views[s].bins = run.svc->shard(s).BinContents();
     }
     return CompareShardedIngest(ref, views);

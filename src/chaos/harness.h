@@ -51,12 +51,6 @@ struct ChaosOptions {
   /// budget leaves most shards unscheduled each cycle; their queues are
   /// folded all the same, so the exact ingest oracle still holds bin for bin.
   size_t retrain_budget = 0;
-  /// Production ingest settings (mirrored into the sequential reference).
-  size_t queue_capacity = 1 << 15;
-  size_t max_templates = 512;
-  int64_t max_lateness_seconds = 6 * 3600;
-  int64_t min_timestamp_seconds = 0;
-  int64_t max_timestamp_seconds = 4102444800;
 };
 
 /// Outcome of one chaos run.

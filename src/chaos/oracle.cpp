@@ -180,13 +180,7 @@ Status CompareShardedIngest(const ReferenceResult& ref,
   for (size_t s = 0; s < shards.size(); ++s) {
     const ShardIngestView& v = shards[s];
     accepted += v.accepted;
-    drops.full += v.drops.full;
-    drops.template_id += v.drops.template_id;
-    drops.nonfinite += v.drops.nonfinite;
-    drops.negative += v.drops.negative;
-    drops.stale += v.drops.stale;
-    drops.pre_epoch += v.drops.pre_epoch;
-    drops.future += v.drops.future;
+    drops += v.drops;
     for (const auto& [tmpl, bins] : v.bins) {
       const size_t owner = ShardOfKey(tmpl, shards.size());
       if (owner != s) {

@@ -225,6 +225,19 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   return state;
 }
 
+StatusOr<double> PredictNextValue(const ensemble::TimeSensitiveEnsemble& model,
+                                  const ts::Series& representative,
+                                  size_t window) {
+  if (representative.size() < window) {
+    return Status::FailedPrecondition(
+        "DBAugur: representative shorter than window");
+  }
+  const auto& vals = representative.values();
+  std::vector<double> w(vals.end() - static_cast<ptrdiff_t>(window),
+                        vals.end());
+  return model.Predict(w);
+}
+
 StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window) {
   // A cluster kept past a failed fit (tolerate_fit_failures) has no model;
   // why it has none is its answer.
@@ -232,14 +245,7 @@ StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window) {
     if (!cf.fit_status.ok()) return cf.fit_status;
     return Status::FailedPrecondition("DBAugur: cluster has no model");
   }
-  if (cf.representative.size() < window) {
-    return Status::FailedPrecondition(
-        "DBAugur: representative shorter than window");
-  }
-  const auto& vals = cf.representative.values();
-  std::vector<double> w(vals.end() - static_cast<ptrdiff_t>(window),
-                        vals.end());
-  return cf.model->Predict(w);
+  return PredictNextValue(*cf.model, cf.representative, window);
 }
 
 Status DBAugurSystem::Train() {

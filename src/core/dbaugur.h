@@ -109,10 +109,16 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          ThreadPool* fit_pool = nullptr,
                                          const CancelToken* cancel = nullptr);
 
-/// Predicts the representative trace's next value (H steps past its end):
-/// the trailing `window` values feed the cluster's ensemble. A cluster
-/// without a model (its fit failed under tolerate_fit_failures) answers
-/// with its fit_status.
+/// Predicts a representative trace's next value (H steps past its end): its
+/// trailing `window` values feed `model`. FailedPrecondition when the trace
+/// is shorter than the window.
+StatusOr<double> PredictNextValue(const ensemble::TimeSensitiveEnsemble& model,
+                                  const ts::Series& representative,
+                                  size_t window);
+
+/// PredictNextValue with the cluster's own ensemble. A cluster without a
+/// model (its fit failed under tolerate_fit_failures) answers with its
+/// fit_status.
 StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window);
 
 class DBAugurSystem {

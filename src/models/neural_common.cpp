@@ -53,22 +53,6 @@ Status NeuralForecaster::PrepareTraining(const std::vector<double>& series) {
   return Status::OK();
 }
 
-nn::Matrix BatchWindows(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count) {
-  nn::Matrix m;
-  BatchWindowsInto(samples, idx, begin, count, &m);
-  return m;
-}
-
-nn::Matrix BatchTargets(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count) {
-  nn::Matrix m;
-  BatchTargetsInto(samples, idx, begin, count, &m);
-  return m;
-}
-
 void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out) {
@@ -90,12 +74,6 @@ void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
   }
 }
 
-std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch) {
-  std::vector<nn::Matrix> xs;
-  ToTimeMajorInto(batch, &xs);
-  return xs;
-}
-
 void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs) {
   xs->resize(batch.cols());
   for (size_t t = 0; t < batch.cols(); ++t) {
@@ -103,12 +81,6 @@ void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs) {
     x.Resize(batch.rows(), 1);
     for (size_t r = 0; r < batch.rows(); ++r) x(r, 0) = batch(r, t);
   }
-}
-
-nn::Tensor3 ToTensor3(const nn::Matrix& batch) {
-  nn::Tensor3 t;
-  ToTensor3Into(batch, &t);
-  return t;
 }
 
 void ToTensor3Into(const nn::Matrix& batch, nn::Tensor3* out) {

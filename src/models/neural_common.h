@@ -61,41 +61,25 @@ class NeuralForecaster : public Forecaster {
   bool fitted_ = false;
 };
 
-/// Packs selected samples' windows into a [batch, T] matrix.
-nn::Matrix BatchWindows(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count);
+// Batch packing into the caller's buffers, so a training loop holds one batch
+// workspace across all batches of an epoch instead of reallocating.
 
-/// Packs selected samples' targets into a [batch, 1] matrix.
-nn::Matrix BatchTargets(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count);
-
-// Into-variants reuse the destination's buffer so training loops can hold one
-// batch workspace across all batches of an epoch instead of reallocating.
-
-/// BatchWindows writing into an existing matrix.
+/// Packs selected samples' windows into *out as a [batch, T] matrix.
 void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out);
 
-/// BatchTargets writing into an existing matrix.
+/// Packs selected samples' targets into *out as a [batch, 1] matrix.
 void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out);
 
 /// Converts a [batch, T] matrix into a time-major sequence of [batch, 1]
-/// matrices for recurrent layers.
-std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch);
-
-/// ToTimeMajor writing into an existing sequence (per-step buffers reused).
+/// matrices for recurrent layers (per-step buffers reused).
 void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs);
 
 /// Converts a [batch, T] matrix into a [batch, 1 channel, T] tensor for
 /// convolutional layers.
-nn::Tensor3 ToTensor3(const nn::Matrix& batch);
-
-/// ToTensor3 writing into an existing tensor.
 void ToTensor3Into(const nn::Matrix& batch, nn::Tensor3* out);
 
 /// dst = xs ++ [tail], reusing dst's buffers (a plain `dst = xs;

@@ -7,6 +7,7 @@
 
 #include "common/contracts.h"
 #include "common/fault_injection.h"
+#include "trace/extractor.h"
 
 namespace dbaugur::serve {
 
@@ -113,11 +114,6 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;
 }
-
-// Upper bound on the zero-filled range Traces() will materialize. With
-// quarantine upstream this should be unreachable; it is the defense-in-depth
-// stop against a garbage timestamp turning one Series into gigabytes.
-constexpr size_t kMaxMaterializedBins = 1u << 22;  // ~4M bins per template
 }  // namespace
 
 TraceBinner::TraceBinner(int64_t interval_seconds)
@@ -146,12 +142,7 @@ void TraceBinner::FoldBin(uint32_t template_id, int64_t bin, double count) {
 }
 
 size_t TraceBinner::bin_count() const {
-  if (!any_) return 0;
-  // Unsigned subtraction: a pathological [min, max] spread must not be
-  // signed-overflow UB, just a huge count that Traces() refuses.
-  uint64_t diff =
-      static_cast<uint64_t>(max_bin_) - static_cast<uint64_t>(min_bin_);
-  return static_cast<size_t>(diff + 1);
+  return any_ ? trace::BinSpan(min_bin_, max_bin_) : 0;
 }
 
 StatusOr<std::vector<ts::Series>> TraceBinner::Traces() const {
@@ -159,7 +150,9 @@ StatusOr<std::vector<ts::Series>> TraceBinner::Traces() const {
     return Status::FailedPrecondition("TraceBinner: no events folded yet");
   }
   size_t len = bin_count();
-  if (len > kMaxMaterializedBins) {
+  // With quarantine upstream this should be unreachable; it is the
+  // defense-in-depth stop against a garbage timestamp.
+  if (len > trace::kMaxMaterializedBins) {
     return Status::FailedPrecondition(
         "TraceBinner: bin range too large to materialize (" +
         std::to_string(len) + " bins) — garbage timestamp in the history?");

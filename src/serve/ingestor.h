@@ -72,6 +72,17 @@ struct IngestDropStats {
   uint64_t quarantined() const {
     return nonfinite + negative + stale + pre_epoch + future;
   }
+  /// Per-class sum (several queues' drops).
+  IngestDropStats& operator+=(const IngestDropStats& o) {
+    full += o.full;
+    template_id += o.template_id;
+    nonfinite += o.nonfinite;
+    negative += o.negative;
+    stale += o.stale;
+    pre_epoch += o.pre_epoch;
+    future += o.future;
+    return *this;
+  }
 };
 
 /// Bounded multi-producer single-consumer event queue. Offer never blocks;
@@ -149,7 +160,8 @@ class TraceBinner {
   void FoldBin(uint32_t template_id, int64_t bin, double count);
 
   /// Number of distinct intervals between the earliest and latest bin seen
-  /// (0 before any event). This is the common length Traces() will emit.
+  /// (0 before any event; trace::BinSpan). This is the common length
+  /// Traces() will emit.
   size_t bin_count() const;
 
   /// Number of distinct template ids seen.
@@ -159,7 +171,8 @@ class TraceBinner {
 
   /// Materializes one Series per template ("template<id>"), all covering
   /// [min_bin, max_bin] with zeros where a template had no arrivals.
-  /// FailedPrecondition before any event is folded.
+  /// FailedPrecondition before any event is folded, or when the range spans
+  /// more than trace::kMaxMaterializedBins bins.
   StatusOr<std::vector<ts::Series>> Traces() const;
 
   /// Appends the binner's full state (interval, bin range, per-template

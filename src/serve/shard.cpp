@@ -1,5 +1,6 @@
 #include "serve/shard.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -139,51 +140,89 @@ void ServiceShard::FoldQueued() {
   FoldQueuedLocked();
 }
 
-std::string ServiceShard::stale_reason() const {
-  MutexLock lock(&error_mu_);
-  return stale_reason_;
-}
-
-double ServiceShard::last_error_age_seconds() const {
-  uint64_t stamp = last_error_stamp_.load(std::memory_order_relaxed);
-  if (stamp == 0) return -1.0;
-  uint64_t now = NowNanos();
-  return now > stamp ? static_cast<double>(now - stamp) * 1e-9 : 0.0;
-}
-
 double ServiceShard::last_retrain_seconds() const {
   return static_cast<double>(
              last_retrain_nanos_.load(std::memory_order_relaxed)) *
          1e-9;
 }
 
-double ServiceShard::staleness_seconds() const {
-  uint64_t stamp = last_publish_stamp_.load(std::memory_order_relaxed);
-  if (stamp == 0) return 0.0;
-  uint64_t now = NowNanos();
-  return now > stamp ? static_cast<double>(now - stamp) * 1e-9 : 0.0;
-}
-
 ServeStats ServiceShard::stats() const {
+  // Seconds since a steady-clock stamp (`if_unset` before the first one).
+  const uint64_t now = NowNanos();
+  auto age = [now](const std::atomic<uint64_t>& stamp, double if_unset) {
+    const uint64_t t = stamp.load(std::memory_order_relaxed);
+    if (t == 0) return if_unset;
+    return now > t ? static_cast<double>(now - t) * 1e-9 : 0.0;
+  };
   ServeStats s;
+  s.shard_id = shard_id_;
+  const auto snap = snapshot();
+  s.generation = snap->generation;
+  s.cluster_count = snap->cluster_count();
+  s.degraded_clusters = snap->degraded_count();
+  s.queue_depth = ingestor_.size();
   s.events_accepted = ingestor_.accepted();
-  IngestDropStats drops = ingestor_.drop_stats();
-  s.events_dropped = drops.total();
-  s.events_quarantined = drops.quarantined();
+  s.drops = ingestor_.drop_stats();
+  s.events_dropped = s.drops.total();
   s.values_winsorized = values_winsorized_.load(std::memory_order_relaxed);
   s.retrains_completed = retrains_completed_.load(std::memory_order_relaxed);
   s.retrains_skipped = retrains_skipped_.load(std::memory_order_relaxed);
   s.retrains_failed = retrains_failed_.load(std::memory_order_relaxed);
-  s.consecutive_failures =
-      consecutive_failures_.load(std::memory_order_relaxed);
-  s.generation = generation();
+  s.retrains_cancelled = retrains_cancelled_.load(std::memory_order_relaxed);
+  s.consecutive_failures = consecutive_failures();
+  s.degraded_stale = degraded_stale();
+  s.last_retrain_seconds = last_retrain_seconds();
+  s.staleness_seconds = age(last_publish_stamp_, 0.0);
+  s.last_error_age_seconds = age(last_error_stamp_, -1.0);
   {
     MutexLock lock(&error_mu_);
+    if (s.degraded_stale) s.stale_reason = stale_reason_;
     s.last_error = last_error_;
     s.last_error_cycles = last_error_cycles_;
     s.last_error_generation = last_error_generation_;
   }
+  if (s.consecutive_failures > 0) {
+    s.state = HealthState::kBackoff;
+  } else if (s.degraded_clusters > 0) {
+    s.state = HealthState::kDegraded;
+  } else if (snap->trained()) {
+    s.state = HealthState::kHealthy;
+  }
   return s;
+}
+
+void ServeStats::Fold(const ServeStats& row) {
+  state = std::max(state, row.state);
+  generation = std::max(generation, row.generation);
+  cluster_count += row.cluster_count;
+  degraded_clusters += row.degraded_clusters;
+  queue_depth += row.queue_depth;
+  events_accepted += row.events_accepted;
+  drops += row.drops;
+  events_dropped += row.events_dropped;
+  values_winsorized += row.values_winsorized;
+  retrains_completed += row.retrains_completed;
+  retrains_skipped += row.retrains_skipped;
+  retrains_failed += row.retrains_failed;
+  retrains_cancelled += row.retrains_cancelled;
+  consecutive_failures =
+      std::max(consecutive_failures, row.consecutive_failures);
+  if (row.degraded_stale && !degraded_stale) {
+    degraded_stale = true;
+    stale_reason = row.stale_reason;
+  }
+  last_retrain_seconds =
+      std::max(last_retrain_seconds, row.last_retrain_seconds);
+  staleness_seconds = std::max(staleness_seconds, row.staleness_seconds);
+  cycles_waited = std::max(cycles_waited, row.cycles_waited);
+  if (!row.last_error.empty() &&
+      (last_error.empty() ||
+       row.last_error_generation > last_error_generation)) {
+    last_error = row.last_error;
+    last_error_cycles = row.last_error_cycles;
+    last_error_generation = row.last_error_generation;
+    last_error_age_seconds = row.last_error_age_seconds;
+  }
 }
 
 Status ServiceShard::SaveStateSection(BufWriter* w) {

@@ -80,28 +80,62 @@ struct ServeOptions {
   double divergence_multiple = 10.0;
 };
 
-/// Monotonic service counters (relaxed reads; values may trail by an event).
+/// Serving state of one shard, or the worst of all shards. Ordered from
+/// best to worst, so the service-wide state is the max over the shards.
+enum class HealthState {
+  kUntrained,  ///< No generation published yet.
+  kHealthy,    ///< Serving, no degraded clusters, no active failures.
+  kDegraded,   ///< Serving, but >= 1 cluster is on a fallback model.
+  kBackoff,    ///< Last retrain failed; the scheduler is backing off.
+};
+
+/// The one status record: a shard's row, or the fold of every row into the
+/// service-wide record (ShardedForecastService::stats() and the base of its
+/// Health()). ServiceShard::stats() fills every field but cycles_waited,
+/// which the service adds. Point-in-time reads that never wait behind a
+/// retrain; counters are monotonic and relaxed, so they may trail by an
+/// event. "Fold:" says what the service-wide record holds.
 struct ServeStats {
-  uint64_t events_accepted = 0;
-  uint64_t events_dropped = 0;     ///< All drops, including queue-full.
-  /// Malformed-input drops only (IngestDropStats::quarantined()): non-finite
-  /// or negative count, stale, pre-epoch or far-future timestamp.
-  /// Out-of-range template ids and queue-full drops count only in
-  /// events_dropped.
-  uint64_t events_quarantined = 0;
-  uint64_t values_winsorized = 0;  ///< Trace values clamped before training.
-  uint64_t retrains_completed = 0;
-  uint64_t retrains_skipped = 0;   ///< Cycles with too little data to train.
-  uint64_t retrains_failed = 0;
-  uint64_t consecutive_failures = 0;  ///< 0 after any successful cycle.
-  uint64_t generation = 0;
-  /// Most recent retrain failure (empty message if none yet). The cycle /
-  /// generation fields say *when*: the failure was observed after
+  size_t shard_id = 0;  ///< Fold: 0.
+  /// kBackoff while failures are unanswered, else kDegraded with a fallback
+  /// cluster, else kHealthy once trained. Fold: the worst.
+  HealthState state = HealthState::kUntrained;
+  uint64_t generation = 0;         ///< Published snapshot. Fold: max.
+  size_t cluster_count = 0;        ///< Fold: sum.
+  size_t degraded_clusters = 0;    ///< On a fallback model. Fold: sum.
+  size_t queue_depth = 0;          ///< Events queued, not folded. Fold: sum.
+  uint64_t events_accepted = 0;    ///< Fold: sum.
+  /// Every drop by class; drops.quarantined() counts the malformed-input
+  /// ones. Fold: per-class sum.
+  IngestDropStats drops;
+  uint64_t events_dropped = 0;     ///< drops.total(). Fold: sum.
+  uint64_t values_winsorized = 0;  ///< Trace values clamped. Fold: sum.
+  uint64_t retrains_completed = 0;  ///< Fold: sum.
+  uint64_t retrains_skipped = 0;   ///< Too little data to train. Fold: sum.
+  uint64_t retrains_failed = 0;    ///< Fold: sum.
+  /// Cancelled retrains (a passed deadline or an explicit Cancel; a subset
+  /// of retrains_failed). Fold: sum.
+  uint64_t retrains_cancelled = 0;
+  uint64_t consecutive_failures = 0;  ///< 0 after a success. Fold: max.
+  /// Serving last-good because the latest retrain was cancelled, and why;
+  /// cleared by the next publish. Fold: any, with the lowest such shard's
+  /// reason.
+  bool degraded_stale = false;
+  std::string stale_reason;
+  double last_retrain_seconds = 0.0;  ///< Last retrain's length. Fold: max.
+  double staleness_seconds = 0.0;     ///< Since the last publish. Fold: max.
+  uint64_t cycles_waited = 0;  ///< Scheduler cycles since a pick. Fold: max.
+  /// Most recent retrain failure (empty message if none yet): observed after
   /// `last_error_cycles` completed cycles, while generation
-  /// `last_error_generation` was being served.
+  /// `last_error_generation` was served, `last_error_age_seconds` ago (< 0:
+  /// never failed). Fold: the record with the newest generation.
   std::string last_error;
   uint64_t last_error_cycles = 0;
   uint64_t last_error_generation = 0;
+  double last_error_age_seconds = -1.0;
+
+  /// Folds one shard's row into this service-wide record.
+  void Fold(const ServeStats& row);
 };
 
 class ServiceShard {
@@ -146,10 +180,9 @@ class ServiceShard {
   /// epoch granularity. A cancelled cycle counts as a failure — it
   /// feeds the consecutive_failures backoff streak and retrains_cancelled —
   /// and additionally marks the shard degraded-stale: it keeps serving the
-  /// last-good snapshot, with the cancel reason surfaced through
-  /// degraded_stale()/stale_reason() until the next successful publish
-  /// clears it. Events drained before the cancellation are already folded
-  /// into the binner, so no data is lost.
+  /// last-good snapshot, with the cancel reason in stats().stale_reason,
+  /// until the next successful publish clears it. Events drained before the
+  /// cancellation are already folded into the binner, so no data is lost.
   Status RetrainOnce(ThreadPool* fit_pool = nullptr,
                      const CancelToken* cancel = nullptr)
       DBAUGUR_EXCLUDES(retrain_mu_);
@@ -159,10 +192,12 @@ class ServiceShard {
   /// so a queue never holds more than about one cycle of traffic.
   void FoldQueued() DBAUGUR_EXCLUDES(retrain_mu_);
 
-  ServeStats stats() const;
+  /// This shard's status row (every field but cycles_waited). Reads the
+  /// snapshot pointer, the error record and the queue depth; never takes
+  /// retrain_mu_, so it never waits behind an in-flight rebuild.
+  ServeStats stats() const DBAUGUR_EXCLUDES(snapshot_mu_, error_mu_);
 
-  /// Per-shard scheduler signals / health extras (all cheap; none take
-  /// retrain_mu_, so they never block behind an in-flight rebuild).
+  /// Scheduler signals and bench probes (cheap; none take retrain_mu_).
   size_t queue_depth() const { return ingestor_.size(); }
   /// The scheduler's traffic signal: events still queued plus events folded
   /// since the last retrain attempt (or save). Counting the folded ones
@@ -171,19 +206,8 @@ class ServiceShard {
     return folded_since_retrain_.load(std::memory_order_relaxed) +
            ingestor_.size();
   }
-  uint64_t events_accepted() const { return ingestor_.accepted(); }
-  IngestDropStats drop_stats() const { return ingestor_.drop_stats(); }
-  uint64_t retrains_failed() const {
-    return retrains_failed_.load(std::memory_order_relaxed);
-  }
   uint64_t consecutive_failures() const {
     return consecutive_failures_.load(std::memory_order_relaxed);
-  }
-  /// Retrain cycles that ended in cooperative cancellation (a passed
-  /// deadline or an explicit Cancel; a subset of retrains_failed), whoever
-  /// called RetrainOnce.
-  uint64_t retrains_cancelled() const {
-    return retrains_cancelled_.load(std::memory_order_relaxed);
   }
   /// True while the shard serves a last-good snapshot because its most recent
   /// retrain was cancelled mid-flight. Cleared by the next successful publish
@@ -191,15 +215,8 @@ class ServiceShard {
   bool degraded_stale() const {
     return degraded_stale_.load(std::memory_order_acquire);
   }
-  /// Why the shard is degraded-stale (empty when it is not).
-  std::string stale_reason() const DBAUGUR_EXCLUDES(error_mu_);
-  /// Seconds since the most recent retrain failure was recorded (negative
-  /// when no retrain has ever failed).
-  double last_error_age_seconds() const;
   /// Duration of the most recent RetrainOnce call, seconds (0 before any).
   double last_retrain_seconds() const;
-  /// Seconds since the last snapshot publish (since construction before one).
-  double staleness_seconds() const;
 
   /// Serializes this shard's full state — binned history, retrain-cycle
   /// position, and the published snapshot with every model parameter in
@@ -284,7 +301,7 @@ class ServiceShard {
   std::atomic<bool> degraded_stale_{false};
 
   /// Monotonic-clock nanosecond stamps (steady_clock since-epoch) for the
-  /// Health() staleness / duration fields. Stamp 0 means "not yet".
+  /// stats() staleness / duration fields. Stamp 0 means "not yet".
   std::atomic<uint64_t> last_retrain_nanos_{0};
   std::atomic<uint64_t> last_publish_stamp_{0};
   std::atomic<uint64_t> last_error_stamp_{0};

@@ -200,99 +200,18 @@ void ShardedForecastService::SchedulerLoop() {
   }
 }
 
-ServeStats ShardedForecastService::stats() const {
-  ServeStats agg;
-  uint64_t best_error_generation = 0;
-  for (const auto& shard : shards_) {
-    ServeStats s = shard->stats();
-    agg.events_accepted += s.events_accepted;
-    agg.events_dropped += s.events_dropped;
-    agg.events_quarantined += s.events_quarantined;
-    agg.values_winsorized += s.values_winsorized;
-    agg.retrains_completed += s.retrains_completed;
-    agg.retrains_skipped += s.retrains_skipped;
-    agg.retrains_failed += s.retrains_failed;
-    agg.consecutive_failures =
-        std::max(agg.consecutive_failures, s.consecutive_failures);
-    agg.generation = std::max(agg.generation, s.generation);
-    if (!s.last_error.empty() &&
-        (agg.last_error.empty() ||
-         s.last_error_generation > best_error_generation)) {
-      best_error_generation = s.last_error_generation;
-      agg.last_error = s.last_error;
-      agg.last_error_cycles = s.last_error_cycles;
-      agg.last_error_generation = s.last_error_generation;
-    }
-  }
-  return agg;
-}
+ServeStats ShardedForecastService::stats() const { return Health(); }
 
 ShardedServiceHealth ShardedForecastService::Health() const {
   ShardedServiceHealth h;
   h.cycles = cycles_done_.load(std::memory_order_acquire);
-  bool any_backoff = false;
-  bool any_degraded = false;
-  bool any_trained = false;
   h.shards.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const ServiceShard& shard = *shards_[i];
-    ShardHealth row;
-    row.shard_id = i;
-    auto snap = shard.snapshot();
-    ServeStats s = shard.stats();
-    row.generation = snap->generation;
-    row.cluster_count = snap->cluster_count();
-    row.degraded_clusters = snap->degraded_count();
-    row.queue_depth = shard.queue_depth();
-    row.events_accepted = s.events_accepted;
-    row.drops = shard.drop_stats();
-    row.retrains_completed = s.retrains_completed;
-    row.retrains_failed = s.retrains_failed;
-    row.retrains_cancelled = shard.retrains_cancelled();
-    h.retrains_cancelled += row.retrains_cancelled;
-    row.consecutive_failures = s.consecutive_failures;
-    row.degraded_stale = shard.degraded_stale();
-    if (row.degraded_stale) {
-      row.stale_reason = shard.stale_reason();
-      ++h.stale_shards;
-    }
-    row.last_retrain_seconds = shard.last_retrain_seconds();
-    row.staleness_seconds = shard.staleness_seconds();
-    row.last_error_age_seconds = shard.last_error_age_seconds();
+    ServeStats row = shards_[i]->stats();
     row.cycles_waited = cycles_waited_[i].load(std::memory_order_relaxed);
-    row.last_error = s.last_error;
-    h.events_accepted += s.events_accepted;
-    h.events_dropped += s.events_dropped;
-    h.events_quarantined += s.events_quarantined;
-    h.drops.full += row.drops.full;
-    h.drops.template_id += row.drops.template_id;
-    h.drops.nonfinite += row.drops.nonfinite;
-    h.drops.negative += row.drops.negative;
-    h.drops.stale += row.drops.stale;
-    h.drops.pre_epoch += row.drops.pre_epoch;
-    h.drops.future += row.drops.future;
-    if (s.consecutive_failures > 0) {
-      row.state = HealthState::kBackoff;
-      any_backoff = true;
-    } else if (snap->degraded_count() > 0) {
-      row.state = HealthState::kDegraded;
-      any_degraded = true;
-    } else if (snap->trained()) {
-      row.state = HealthState::kHealthy;
-    } else {
-      row.state = HealthState::kUntrained;
-    }
-    if (snap->trained()) any_trained = true;
+    h.Fold(row);
+    if (row.degraded_stale) ++h.stale_shards;
     h.shards.push_back(std::move(row));
-  }
-  if (any_backoff) {
-    h.state = HealthState::kBackoff;
-  } else if (any_degraded) {
-    h.state = HealthState::kDegraded;
-  } else if (any_trained) {
-    h.state = HealthState::kHealthy;
-  } else {
-    h.state = HealthState::kUntrained;
   }
   return h;
 }

@@ -108,62 +108,13 @@ struct ShardedServeOptions {
   double retrain_deadline_seconds = 0.0;
 };
 
-/// Serving state of one shard, or the worst of all shards.
-enum class HealthState {
-  kUntrained,  ///< No generation published yet.
-  kHealthy,    ///< Serving, no degraded clusters, no active failures.
-  kDegraded,   ///< Serving, but >= 1 cluster is on a fallback model.
-  kBackoff,    ///< Last retrain failed; the scheduler is backing off.
-};
-
-/// One shard's row in Health(): identity, serving state, queue pressure,
-/// retrain recency. All point-in-time, none block behind a retrain.
-/// Per-cluster degradation is on the snapshot (SnapshotCluster::degraded).
-struct ShardHealth {
-  size_t shard_id = 0;
-  HealthState state = HealthState::kUntrained;
-  uint64_t generation = 0;
-  size_t cluster_count = 0;
-  size_t degraded_clusters = 0;
-  size_t queue_depth = 0;
-  uint64_t events_accepted = 0;
-  IngestDropStats drops;
-  uint64_t retrains_completed = 0;
-  uint64_t retrains_failed = 0;
-  uint64_t retrains_cancelled = 0;    ///< Deadline/token cancellations.
-  uint64_t consecutive_failures = 0;
-  /// True while the shard serves a last-good snapshot because its most
-  /// recent retrain was cancelled mid-flight; `stale_reason` says why.
-  bool degraded_stale = false;
-  std::string stale_reason;
-  double last_retrain_seconds = 0.0;  ///< Duration of the last retrain.
-  double staleness_seconds = 0.0;     ///< Since the last snapshot publish.
-  /// Wall-clock age of the last recorded retrain failure (< 0: never failed).
-  double last_error_age_seconds = -1.0;
-  uint64_t cycles_waited = 0;         ///< Scheduler cycles since last pick.
-  std::string last_error;
-};
-
-struct ShardedServiceHealth {
-  /// Worst-of aggregate: kBackoff if any shard is backing off, else
-  /// kDegraded if any cluster anywhere is degraded, else kHealthy if any
-  /// shard serves a trained snapshot, else kUntrained.
-  HealthState state = HealthState::kUntrained;
-  uint64_t cycles = 0;  ///< Completed scheduler cycles.
-
-  /// Service-wide ingest aggregates: accepted events, total drops, the
-  /// quarantined subset, and the full per-category drop breakdown summed
-  /// across shards.
-  uint64_t events_accepted = 0;
-  uint64_t events_dropped = 0;
-  uint64_t events_quarantined = 0;
-  IngestDropStats drops;
-
-  /// Cancellation telemetry.
-  uint64_t retrains_cancelled = 0;  ///< Sum of the shard rows' counts.
-  size_t stale_shards = 0;          ///< Shards currently degraded-stale.
-
-  std::vector<ShardHealth> shards;
+/// Service-wide status: the fold of every shard's row (the ServeStats base;
+/// each field's comment there says how it folds) plus what only the service
+/// knows.
+struct ShardedServiceHealth : ServeStats {
+  uint64_t cycles = 0;             ///< Completed scheduler cycles.
+  size_t stale_shards = 0;         ///< Shards currently degraded-stale.
+  std::vector<ServeStats> shards;  ///< One row per shard, by shard id.
 };
 
 class ShardedForecastService {
@@ -222,14 +173,13 @@ class ShardedForecastService {
   /// Completed scheduler cycles.
   uint64_t cycles() const { return cycles_done_.load(std::memory_order_acquire); }
 
-  /// Counters summed across shards (generation is the max; the error record
-  /// is the most recently observed one by generation).
+  /// The service-wide record: Health() without the rows.
   ServeStats stats() const;
 
-  /// Per-shard health rows + worst-of aggregate state. Takes no service
-  /// lock, so it never waits behind an in-flight cycle; the scheduler fields
-  /// (cycles, cycles_waited) are read from mirrors the last completed cycle
-  /// wrote.
+  /// Every shard's stats() row with its cycles_waited, and their fold. Takes
+  /// no service lock, so it never waits behind an in-flight cycle; the
+  /// scheduler fields (cycles, cycles_waited) are read from mirrors the last
+  /// completed cycle wrote.
   ShardedServiceHealth Health() const;
 
   /// Writes the sharded checkpoint: one crash-safe file per shard, manifest

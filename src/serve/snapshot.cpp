@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
+#include "common/contracts.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
 #include "ensemble/presets.h"
@@ -64,20 +68,6 @@ bool ForecastSane(double value, const ts::Series& representative,
   if (!(span > 0.0)) span = std::max(1.0, std::abs(hi));
   return value >= lo - multiple * span && value <= hi + multiple * span;
 }
-
-// Predicts the representative's next value (same windowing as
-// core::NextClusterValue, without transferring model ownership).
-StatusOr<double> PredictNext(const ensemble::TimeSensitiveEnsemble& model,
-                             const ts::Series& representative, size_t window) {
-  const auto& vals = representative.values();
-  if (vals.size() < window) {
-    return Status::FailedPrecondition(
-        "serve: representative shorter than window");
-  }
-  std::vector<double> w(vals.end() - static_cast<ptrdiff_t>(window),
-                        vals.end());
-  return model.Predict(w);
-}
 }  // namespace
 
 StatusOr<double> ServiceSnapshot::ForecastCluster(size_t rank) const {
@@ -109,36 +99,71 @@ StatusOr<double> ServiceSnapshot::ForecastTrace(size_t trace_index) const {
 }
 
 namespace {
+// The `last_good` cluster (may be null) that shares the most member
+// templates, by trace name, with cluster `cluster_id` of `snap`; ties go to
+// the larger volume, which comes first. Null when none shares one or has a
+// model. Never matched by cluster id (see MakeSnapshot).
+const SnapshotCluster* MatchLastGood(const ServiceSnapshot* last_good,
+                                     const ServiceSnapshot& snap,
+                                     int cluster_id) {
+  if (last_good == nullptr) return nullptr;
+  std::unordered_set<std::string_view> members;
+  for (size_t i = 0; i < snap.trace_names.size(); ++i) {
+    if (snap.trace_cluster[i] == cluster_id) {
+      members.insert(snap.trace_names[i]);
+    }
+  }
+  std::unordered_map<int, size_t> shared;  // last-good cluster id -> members
+  for (size_t i = 0; i < last_good->trace_names.size(); ++i) {
+    if (members.count(last_good->trace_names[i]) != 0) {
+      ++shared[last_good->trace_cluster[i]];
+    }
+  }
+  const SnapshotCluster* best = nullptr;
+  size_t best_shared = 0;
+  for (const SnapshotCluster& prev : last_good->clusters) {
+    auto it = shared.find(prev.cluster_id);
+    if (prev.model == nullptr || it == shared.end()) continue;
+    if (it->second > best_shared) {
+      best = &prev;
+      best_shared = it->second;
+    }
+  }
+  return best;
+}
+
 // Fills `sc` with a fallback model for a cluster whose fresh fit failed or
-// diverged: first the last-good snapshot's model for the same cluster_id
-// (cloned, then revalidated on the new representative), else a freshly fit
-// kernel-regression baseline. `cause` describes the original failure.
+// diverged: first the model of its MatchLastGood cluster (cloned, then
+// revalidated on the new representative), else a freshly fit
+// kernel-regression baseline. `snap` is the snapshot being built (its trace
+// tables name `sc`'s members); `cause` describes the failure.
 Status ApplyFallback(const SnapshotFallback& fb, size_t window,
-                     const std::string& cause, SnapshotCluster* sc) {
+                     const ServiceSnapshot& snap, const std::string& cause,
+                     SnapshotCluster* sc) {
   sc->degraded = true;
-  if (fb.last_good != nullptr) {
-    for (const SnapshotCluster& prev : fb.last_good->clusters) {
-      if (prev.cluster_id != sc->cluster_id || prev.model == nullptr) continue;
-      auto clone = CloneModel(*fb.opts, prev.model_kind, *prev.model);
-      if (!clone.ok()) break;  // unclonable last-good: fall through to KR
-      auto next = PredictNext(**clone, sc->representative, window);
+  const SnapshotCluster* prev =
+      MatchLastGood(fb.last_good, snap, sc->cluster_id);
+  if (prev != nullptr) {
+    // An unclonable or (on the new data) insane last-good falls through to KR.
+    auto clone = CloneModel(*fb.opts, prev->model_kind, *prev->model);
+    if (clone.ok()) {
+      auto next = core::PredictNextValue(**clone, sc->representative, window);
       if (next.ok() &&
           ForecastSane(*next, sc->representative, fb.divergence_multiple)) {
         sc->model = std::move(clone).value();
-        sc->model_kind = prev.model_kind;
+        sc->model_kind = prev->model_kind;
         sc->next_value = *next;
         sc->degraded_reason =
             cause + "; serving last-good generation " +
             std::to_string(fb.last_good->generation) + " model";
         return Status::OK();
       }
-      break;  // last-good also insane on the new data: fall through to KR
     }
   }
   auto baseline = ensemble::MakeKernelBaseline(fb.opts->forecaster);
   if (!baseline.ok()) return baseline.status();
   DBAUGUR_RETURN_IF_ERROR((*baseline)->Fit(sc->representative.values()));
-  auto next = PredictNext(**baseline, sc->representative, window);
+  auto next = core::PredictNextValue(**baseline, sc->representative, window);
   if (!next.ok()) return next.status();
   if (!std::isfinite(*next)) {
     return Status::Internal(
@@ -155,6 +180,8 @@ Status ApplyFallback(const SnapshotFallback& fb, size_t window,
 StatusOr<std::shared_ptr<const ServiceSnapshot>> MakeSnapshot(
     core::TrainedState state, const std::vector<std::string>& trace_names,
     size_t window, uint64_t generation, const SnapshotFallback& fallback) {
+  DBAUGUR_CHECK(fallback.opts != nullptr,
+                "MakeSnapshot needs the pipeline options for its fallbacks");
   auto snap = std::make_shared<ServiceSnapshot>();
   snap->generation = generation;
   snap->trace_names = trace_names;
@@ -167,21 +194,11 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> MakeSnapshot(
     sc.volume = cf.volume;
     sc.member_count = cf.member_count;
     sc.representative = std::move(cf.representative);
-    if (fallback.opts == nullptr) {
-      // No degraded-mode policy: any failure is the caller's problem.
-      if (!cf.fit_status.ok()) return cf.fit_status;
-      auto next = PredictNext(*cf.model, sc.representative, window);
-      if (!next.ok()) return next.status();
-      sc.next_value = *next;
-      sc.model = std::move(cf.model);
-      snap->clusters.push_back(std::move(sc));
-      continue;
-    }
     std::string cause;
     if (!cf.fit_status.ok()) {
       cause = std::string("fit failed: ") + cf.fit_status.message();
     } else {
-      auto next = PredictNext(*cf.model, sc.representative, window);
+      auto next = core::PredictNextValue(*cf.model, sc.representative, window);
       if (!next.ok()) {
         cause = std::string("forecast failed: ") + next.status().message();
       } else if (DBAUGUR_FAULT_POINT("serve.retrain.diverge")) {
@@ -197,7 +214,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> MakeSnapshot(
         continue;
       }
     }
-    DBAUGUR_RETURN_IF_ERROR(ApplyFallback(fallback, window, cause, &sc));
+    DBAUGUR_RETURN_IF_ERROR(ApplyFallback(fallback, window, *snap, cause, &sc));
     DBAUGUR_WARN("serve: cluster " << sc.cluster_id << " degraded ("
                                    << sc.degraded_reason << ")");
     snap->clusters.push_back(std::move(sc));
@@ -312,8 +329,8 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
 
     // Prove the restore: the rebuilt model must reproduce the forecast that
     // was being served when the snapshot was taken, bit for bit.
-    auto recomputed =
-        PredictNext(*c.model, c.representative, opts.forecaster.window);
+    auto recomputed = core::PredictNextValue(*c.model, c.representative,
+                                             opts.forecaster.window);
     if (!recomputed.ok()) return recomputed.status();
     if (*recomputed != c.next_value) {
       return Status::InvalidArgument(

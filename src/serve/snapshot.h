@@ -98,15 +98,14 @@ class ServiceSnapshot {
   StatusOr<double> ForecastTrace(size_t trace_index) const;
 };
 
-/// Degraded-mode policy for MakeSnapshot. With `opts` null, validation and
-/// fallbacks are disabled and any per-cluster fit failure is a hard error
-/// (the pre-robustness behavior).
+/// Degraded-mode policy for MakeSnapshot.
 struct SnapshotFallback {
-  /// Pipeline options, needed to rebuild fallback models. Must outlive the
-  /// MakeSnapshot call.
+  /// Pipeline options, needed to rebuild fallback models. Required; must
+  /// outlive the MakeSnapshot call.
   const core::DBAugurOptions* opts = nullptr;
   /// Previously published snapshot whose per-cluster models serve as
-  /// last-good fallbacks (matched by cluster_id). May be null (first train).
+  /// last-good fallbacks (matched by member templates). May be null (first
+  /// train).
   const ServiceSnapshot* last_good = nullptr;
   /// A forecast is "sane" when it is finite and within this multiple of the
   /// representative's observed span beyond its min/max. <= 0 disables the
@@ -115,19 +114,21 @@ struct SnapshotFallback {
 };
 
 /// Builds a snapshot from a trained pipeline state, precomputing each
-/// cluster's next value with core::NextClusterValue. Consumes `state`.
+/// cluster's next value with core::PredictNextValue. Consumes `state`.
+/// Aborts (DBAUGUR_CHECK) when `fallback.opts` is null.
 ///
-/// With a SnapshotFallback carrying non-null `opts`, each cluster's forecast
-/// is validated; a cluster whose fit failed (fit_status) or whose forecast is
-/// non-finite / outside divergence_multiple × the representative's observed
-/// range falls back to its last-good model state (cloned from `last_good`,
-/// matched by cluster_id) or, failing that, to a freshly fit
-/// kernel-regression baseline — and is marked degraded with a reason. Healthy
-/// clusters are unaffected.
+/// Each cluster's forecast is validated: a cluster whose fit failed
+/// (fit_status) or whose forecast is non-finite / outside
+/// divergence_multiple × the representative's observed range falls back to
+/// its last-good model state or, failing that, to a freshly fit
+/// kernel-regression baseline — and is marked degraded with a reason. Its
+/// last-good model is the one of the `last_good` cluster sharing the most
+/// member templates (trace names), never one picked by cluster_id: that is
+/// Descender::Relabel's ordinal, which shifts whenever an earlier cluster
+/// forms, merges or dissolves. Healthy clusters are unaffected.
 StatusOr<std::shared_ptr<const ServiceSnapshot>> MakeSnapshot(
     core::TrainedState state, const std::vector<std::string>& trace_names,
-    size_t window, uint64_t generation,
-    const SnapshotFallback& fallback = SnapshotFallback{});
+    size_t window, uint64_t generation, const SnapshotFallback& fallback);
 
 /// Appends the snapshot's persistent fields (everything except the Descender,
 /// which the retrainer rebuilds from the binner) to *w.

@@ -146,7 +146,12 @@ StatusOr<std::vector<ts::Series>> TraceExtractor::TemplateTraces() const {
   if (entry_count_ == 0) {
     return Status::FailedPrecondition("no log entries ingested");
   }
-  size_t len = static_cast<size_t>(max_bin_ - min_bin_ + 1);
+  const size_t len = BinSpan(min_bin_, max_bin_);
+  if (len > kMaxMaterializedBins) {
+    return Status::FailedPrecondition(
+        "trace: bin range too large to materialize (" + std::to_string(len) +
+        " bins) — garbage timestamp in the log?");
+  }
   std::vector<ts::Series> out;
   out.reserve(bins_.size());
   for (size_t id = 0; id < bins_.size(); ++id) {
@@ -158,51 +163,6 @@ StatusOr<std::vector<ts::Series>> TraceExtractor::TemplateTraces() const {
                      std::move(values), "template_" + std::to_string(id));
   }
   return out;
-}
-
-StatusOr<ts::Series> TraceExtractor::TotalTrace() const {
-  auto traces = TemplateTraces();
-  if (!traces.ok()) return traces.status();
-  auto total = ts::Series::Sum(*traces);
-  if (!total.ok()) return total.status();
-  total->set_name("total");
-  return total;
-}
-
-StatusOr<ts::Series> BinResourceSamples(
-    const std::vector<ResourceSample>& samples, int64_t interval_seconds,
-    std::string name) {
-  if (samples.empty()) return Status::InvalidArgument("no resource samples");
-  if (interval_seconds <= 0) {
-    return Status::InvalidArgument("interval must be positive");
-  }
-  int64_t min_bin = samples[0].timestamp / interval_seconds;
-  int64_t max_bin = min_bin;
-  for (const auto& s : samples) {
-    int64_t bin = s.timestamp / interval_seconds;
-    min_bin = std::min(min_bin, bin);
-    max_bin = std::max(max_bin, bin);
-  }
-  size_t len = static_cast<size_t>(max_bin - min_bin + 1);
-  std::vector<double> sums(len, 0.0);
-  std::vector<int64_t> counts(len, 0);
-  for (const auto& s : samples) {
-    size_t i = static_cast<size_t>(s.timestamp / interval_seconds - min_bin);
-    sums[i] += s.value;
-    counts[i] += 1;
-  }
-  std::vector<double> values(len, 0.0);
-  double last = 0.0;
-  bool seen = false;
-  for (size_t i = 0; i < len; ++i) {
-    if (counts[i] > 0) {
-      last = sums[i] / static_cast<double>(counts[i]);
-      seen = true;
-    }
-    values[i] = seen ? last : 0.0;
-  }
-  return ts::Series(min_bin * interval_seconds, interval_seconds,
-                    std::move(values), std::move(name));
 }
 
 }  // namespace dbaugur::trace

@@ -1,10 +1,11 @@
 // Workload trace extraction (paper §IV-A): parses timestamped query logs,
 // maps each statement to its SQL template, and bins occurrences per template
-// at the forecasting interval to produce arrival-rate traces. Resource
-// samples (CPU/memory/disk ratios) are binned to utilization traces.
+// at the forecasting interval to produce arrival-rate traces.
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -53,6 +54,21 @@ ParsedQueryLog ParseQueryLogLenient(const std::string& text);
 /// int64 are InvalidArgument (never an exception).
 StatusOr<ts::Timestamp> ParseTimestamp(const std::string& text);
 
+/// Most bins one materialized trace may span, here and in
+/// serve::TraceBinner::Traces. A wider range fails instead of being
+/// zero-filled: one garbage timestamp must not turn every template's trace
+/// into gigabytes.
+constexpr size_t kMaxMaterializedBins = size_t{1} << 22;  // ~4M bins
+
+/// Number of bins in [min_bin, max_bin] (min_bin <= max_bin). Unsigned
+/// arithmetic, so no spread is signed-overflow UB; the one count past size_t
+/// (all of int64) saturates instead of wrapping to 0.
+inline size_t BinSpan(int64_t min_bin, int64_t max_bin) {
+  const uint64_t diff =
+      static_cast<uint64_t>(max_bin) - static_cast<uint64_t>(min_bin);
+  return diff >= SIZE_MAX ? SIZE_MAX : static_cast<size_t>(diff + 1);
+}
+
 /// Extraction configuration.
 struct ExtractionOptions {
   int64_t interval_seconds = 600;  ///< Forecasting interval I (paper: 10 min).
@@ -75,11 +91,9 @@ class TraceExtractor {
   bool IngestLenient(const LogEntry& entry);
 
   /// One arrival-rate Series per template id, all aligned to the same start
-  /// and length (bins with no occurrences are zero).
+  /// and length (bins with no occurrences are zero). FailedPrecondition
+  /// before any entry, or when the bins span more than kMaxMaterializedBins.
   StatusOr<std::vector<ts::Series>> TemplateTraces() const;
-
-  /// Total arrival-rate trace across all templates.
-  StatusOr<ts::Series> TotalTrace() const;
 
   const sql::TemplateRegistry& registry() const { return registry_; }
   size_t entry_count() const { return entry_count_; }
@@ -95,18 +109,5 @@ class TraceExtractor {
   size_t entry_count_ = 0;
   uint64_t rejected_statements_ = 0;
 };
-
-/// One resource-utilization sample.
-struct ResourceSample {
-  ts::Timestamp timestamp = 0;
-  double value = 0.0;
-};
-
-/// Bins resource samples to a utilization Series by averaging within each
-/// interval; empty bins carry the previous bin's value (metrics are sampled
-/// state, not counts).
-StatusOr<ts::Series> BinResourceSamples(const std::vector<ResourceSample>& samples,
-                                        int64_t interval_seconds,
-                                        std::string name = "resource");
 
 }  // namespace dbaugur::trace

@@ -33,24 +33,18 @@ StatusOr<Series> Series::AggregateMean(size_t factor) const {
   return std::move(summed).value();
 }
 
-StatusOr<Series> Series::Sum(const std::vector<Series>& traces) {
-  if (traces.empty()) return Status::InvalidArgument("Sum: no traces");
+StatusOr<Series> Series::Average(const std::vector<Series>& traces) {
+  if (traces.empty()) return Status::InvalidArgument("Average: no traces");
   Series out = traces[0];
   for (size_t k = 1; k < traces.size(); ++k) {
     if (traces[k].size() != out.size()) {
-      return Status::InvalidArgument("Sum: trace length mismatch");
+      return Status::InvalidArgument("Average: trace length mismatch");
     }
     for (size_t i = 0; i < out.size(); ++i) out[i] += traces[k][i];
   }
+  const double n = static_cast<double>(traces.size());
+  for (double& v : out.mutable_values()) v /= n;
   return out;
-}
-
-StatusOr<Series> Series::Average(const std::vector<Series>& traces) {
-  auto summed = Sum(traces);
-  if (!summed.ok()) return summed.status();
-  double n = static_cast<double>(traces.size());
-  for (double& v : summed->mutable_values()) v /= n;
-  return std::move(summed).value();
 }
 
 std::vector<double> Difference(const std::vector<double>& v, int d) {

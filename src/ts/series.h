@@ -60,11 +60,8 @@ class Series {
   /// Same as AggregateSum but averaging (appropriate for utilization ratios).
   StatusOr<Series> AggregateMean(size_t factor) const;
 
-  /// Element-wise sum of equally-shaped series (used when merging template
-  /// traces into a cluster trace). Returns InvalidArgument on shape mismatch.
-  static StatusOr<Series> Sum(const std::vector<Series>& traces);
-
   /// Element-wise mean of equally-shaped series (cluster representative).
+  /// InvalidArgument when empty or on a length mismatch.
   static StatusOr<Series> Average(const std::vector<Series>& traces);
 
  private:

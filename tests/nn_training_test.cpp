@@ -147,16 +147,20 @@ TEST(NeuralCommonTest, BatchLayouts) {
     samples[i].target = static_cast<double>(10 * i);
   }
   std::vector<size_t> idx = {2, 0, 1};
-  Matrix xb = models::BatchWindows(samples, idx, 0, 3);
-  Matrix yb = models::BatchTargets(samples, idx, 0, 3);
+  Matrix xb;
+  Matrix yb;
+  models::BatchWindowsInto(samples, idx, 0, 3, &xb);
+  models::BatchTargetsInto(samples, idx, 0, 3, &yb);
   EXPECT_DOUBLE_EQ(xb(0, 0), 2.0);  // sample 2 first
   EXPECT_DOUBLE_EQ(xb(1, 1), 1.0);
   EXPECT_DOUBLE_EQ(yb(0, 0), 20.0);
-  auto tm = models::ToTimeMajor(xb);
+  std::vector<Matrix> tm;
+  models::ToTimeMajorInto(xb, &tm);
   ASSERT_EQ(tm.size(), 2u);
   EXPECT_DOUBLE_EQ(tm[0](0, 0), 2.0);
   EXPECT_DOUBLE_EQ(tm[1](2, 0), 2.0);
-  auto t3 = models::ToTensor3(xb);
+  Tensor3 t3;
+  models::ToTensor3Into(xb, &t3);
   EXPECT_EQ(t3.batch(), 3u);
   EXPECT_EQ(t3.channels(), 1u);
   EXPECT_EQ(t3.time(), 2u);

@@ -288,7 +288,7 @@ TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
   fault::Reset();
 
   ServeStats ds = dirty.stats();
-  EXPECT_EQ(ds.events_quarantined, 7u);
+  EXPECT_EQ(ds.drops.quarantined(), 7u);
   EXPECT_EQ(ds.events_dropped, 7u);
 
   ASSERT_TRUE(clean.shard(0).RetrainOnce().ok());
@@ -316,7 +316,7 @@ TEST_F(QuarantineTest, FiniteOutlierIsWinsorizedBeforeTraining) {
   ASSERT_TRUE(svc.Offer({0, 13 * kInterval + 60, 1e12}));
   ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
   ServeStats s = svc.stats();
-  EXPECT_EQ(s.events_quarantined, 0u);
+  EXPECT_EQ(s.drops.quarantined(), 0u);
   EXPECT_GE(s.values_winsorized, 1u);
   auto snap = svc.snapshot(0);
   ASSERT_TRUE(snap->trained());
@@ -428,6 +428,79 @@ TEST_F(DegradedModeTest, DivergedClusterServesLastGoodModelAfterFirstTrain) {
   ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());
   EXPECT_EQ(svc.snapshot(0)->degraded_count(), 0u);
   EXPECT_EQ(svc.Health().state, HealthState::kHealthy);
+}
+
+// The snapshot cluster that serves template `name` (null outside the top-K).
+const SnapshotCluster* ClusterOf(const ServiceSnapshot& snap,
+                                 const std::string& name) {
+  for (size_t i = 0; i < snap.trace_names.size(); ++i) {
+    if (snap.trace_names[i] != name) continue;
+    for (const SnapshotCluster& c : snap.clusters) {
+      if (c.cluster_id == snap.trace_cluster[i]) return &c;
+    }
+  }
+  return nullptr;
+}
+
+std::vector<uint8_t> ModelBytes(const SnapshotCluster& c) {
+  auto bytes = c.model->SaveState();
+  EXPECT_TRUE(bytes.ok());
+  return bytes.ok() ? *bytes : std::vector<uint8_t>{};
+}
+
+TEST_F(DegradedModeTest, RenumberedClusterServesItsOwnLastGoodModel) {
+  // Cluster ids are Descender::Relabel's ordinals: a cluster is numbered by
+  // its lowest member, and traces are ordered by template id. Twin templates
+  // 0 and 1 appear in generation 2 and form the new cluster 0, so the
+  // clusters of templates 2 and 3 move from ids 0 and 1 to ids 1 and 2.
+  ServeOptions opts = FaultOptions();
+  // Any finite forecast passes, so only the matching decides which model a
+  // degraded cluster serves.
+  opts.divergence_multiple = 0.0;
+  ShardedForecastService svc(OneShard(opts));
+  auto offer = [&svc](uint32_t id, int64_t bin, double count) {
+    ASSERT_TRUE(svc.Offer({id, bin * kInterval + 30, count}));
+  };
+  auto offer_pair = [&offer](int64_t bin) {
+    const double wave = 5.0 * std::sin(static_cast<double>(bin) * 0.4);
+    offer(2, bin, 300.0 + wave);
+    offer(3, bin, 150.0 - wave);
+  };
+  for (int64_t b = 0; b < 14; ++b) offer_pair(b);
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());  // generation 1
+  const auto gen1 = svc.snapshot(0);
+  const SnapshotCluster* a1 = ClusterOf(*gen1, "template2");
+  const SnapshotCluster* b1 = ClusterOf(*gen1, "template3");
+  ASSERT_TRUE(a1 != nullptr && b1 != nullptr && a1 != b1);
+  const std::vector<uint8_t> own = ModelBytes(*a1);
+  const std::vector<uint8_t> neighbour = ModelBytes(*b1);
+  ASSERT_NE(own, neighbour);
+
+  for (int64_t b = 14; b < 18; ++b) {
+    offer(0, b, 20.0);
+    offer(1, b, 20.0);
+    offer_pair(b);
+  }
+  // Template 2's cluster has the largest volume, so the snapshot build
+  // examines (and diverges) it first.
+  ASSERT_TRUE(fault::Configure("serve.retrain.diverge=at:0").ok());
+  ASSERT_TRUE(svc.shard(0).RetrainOnce().ok());  // generation 2
+  fault::Reset();
+
+  const auto gen2 = svc.snapshot(0);
+  ASSERT_EQ(gen2->generation, 2u);
+  const SnapshotCluster* a2 = ClusterOf(*gen2, "template2");
+  ASSERT_NE(a2, nullptr);
+  // The renumbering: template 2's cluster now has template 3's old id.
+  EXPECT_EQ(a2->cluster_id, b1->cluster_id);
+  EXPECT_EQ(gen2->degraded_count(), 1u);
+  ASSERT_TRUE(a2->degraded);
+  EXPECT_EQ(a2->model_kind, SnapshotCluster::ModelKind::kEnsemble);
+  EXPECT_NE(a2->degraded_reason.find("last-good generation 1"),
+            std::string::npos);
+  const std::vector<uint8_t> served = ModelBytes(*a2);
+  EXPECT_EQ(served, own);
+  EXPECT_NE(served, neighbour);
 }
 
 // --------------------------------------------------------------------------

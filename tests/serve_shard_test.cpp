@@ -121,7 +121,7 @@ TEST(ShardRoutingTest, OfferRoutesToTheShardShardOfReports) {
   }
   uint64_t accepted = 0;
   for (size_t s = 0; s < svc.shard_count(); ++s) {
-    accepted += svc.shard(s).events_accepted();
+    accepted += svc.shard(s).stats().events_accepted;
   }
   EXPECT_EQ(accepted, 64u);
 }

@@ -168,6 +168,17 @@ TEST(TraceBinnerTest, BinIndexIsEpochOriginStableAcrossSaveLoad) {
   EXPECT_DOUBLE_EQ((*ft)[0].values()[2], 1.0);  // the original bin-9 event
 }
 
+TEST(TraceBinnerTest, RangeSpanningAllOfInt64IsRefusedNotWrapped) {
+  // The count of bins from INT64_MIN to INT64_MAX does not fit size_t. It
+  // saturates, so Traces() refuses the range instead of writing through an
+  // empty buffer, and a retrain fails instead of skipping for lack of bins.
+  TraceBinner binner(1);
+  binner.FoldBin(0, std::numeric_limits<int64_t>::min(), 1.0);
+  binner.FoldBin(0, std::numeric_limits<int64_t>::max(), 1.0);
+  EXPECT_EQ(binner.bin_count(), std::numeric_limits<size_t>::max());
+  EXPECT_EQ(binner.Traces().status().code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(TraceBinnerTest, StateRoundTripAndTruncationRejection) {
   TraceBinner binner(kInterval);
   binner.Fold({1, 5 * kInterval, 4.0});
@@ -473,7 +484,7 @@ TEST(ForecastServiceTest, SkewBoundsPassThroughToIngest) {
   const ServeStats stats = svc.stats();
   EXPECT_EQ(stats.events_accepted, 1u);
   EXPECT_EQ(stats.events_dropped, 3u);
-  EXPECT_EQ(stats.events_quarantined, 2u);
+  EXPECT_EQ(stats.drops.quarantined(), 2u);
 }
 
 }  // namespace

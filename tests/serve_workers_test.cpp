@@ -337,7 +337,7 @@ TEST_F(ServeWorkersFaultTest, HangStormWatchdogDegradesThenRecovers) {
   ShardedServiceHealth h = svc.Health();
   EXPECT_EQ(h.retrains_cancelled, kShards);
   EXPECT_EQ(h.stale_shards, kShards);
-  for (const ShardHealth& row : h.shards) {
+  for (const ServeStats& row : h.shards) {
     EXPECT_EQ(row.retrains_cancelled, 1u);
     EXPECT_TRUE(row.degraded_stale);
     EXPECT_NE(row.stale_reason.find("watchdog"), std::string::npos);
@@ -358,7 +358,7 @@ TEST_F(ServeWorkersFaultTest, HangStormWatchdogDegradesThenRecovers) {
   h = svc.Health();
   EXPECT_EQ(h.stale_shards, 0u);
   EXPECT_EQ(h.retrains_cancelled, kShards);  // history, not current state
-  for (const ShardHealth& row : h.shards) {
+  for (const ServeStats& row : h.shards) {
     EXPECT_FALSE(row.degraded_stale);
     EXPECT_EQ(row.stale_reason, "");
     EXPECT_GE(row.generation, 1u) << "shard " << row.shard_id;
@@ -445,7 +445,7 @@ TEST(ServeHealthAggregateTest, SumsIngestCountersAcrossShards) {
   ShardedServiceHealth h = svc.Health();
   EXPECT_EQ(h.events_accepted, offered);
   EXPECT_EQ(h.events_dropped, 2u);
-  EXPECT_EQ(h.events_quarantined, 2u);
+  EXPECT_EQ(h.drops.quarantined(), 2u);
   EXPECT_EQ(h.drops.nonfinite, 1u);
   EXPECT_EQ(h.drops.negative, 1u);
   EXPECT_EQ(h.drops.total(), 2u);

@@ -1,7 +1,9 @@
-// Tests for query-log parsing, trace extraction, and resource binning.
+// Tests for query-log parsing and trace extraction.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "trace/extractor.h"
@@ -72,10 +74,6 @@ TEST(TraceExtractorTest, BinsPerTemplate) {
   const auto& b = (*traces)[1];
   EXPECT_DOUBLE_EQ(b[2], 1.0);
   EXPECT_EQ(a.interval_seconds(), 60);
-  auto total = ex.TotalTrace();
-  ASSERT_TRUE(total.ok());
-  EXPECT_DOUBLE_EQ((*total)[0], 2.0);
-  EXPECT_DOUBLE_EQ((*total)[2], 1.0);
 }
 
 TEST(TraceExtractorTest, SimilarStatementsShareTemplate) {
@@ -90,7 +88,36 @@ TEST(TraceExtractorTest, SimilarStatementsShareTemplate) {
 TEST(TraceExtractorTest, EmptyExtractorFails) {
   TraceExtractor ex(ExtractionOptions{});
   EXPECT_FALSE(ex.TemplateTraces().ok());
-  EXPECT_FALSE(ex.TotalTrace().ok());
+}
+
+TEST(TraceExtractorTest, FarFutureTimestampFailsInsteadOfZeroFilling) {
+  // One far-future line spreads the default 600 s bins over ~1.5e10
+  // intervals; zero-filling them would allocate ~120 GB per template.
+  TraceExtractor ex(ExtractionOptions{});
+  ASSERT_TRUE(ex.Ingest({1600000000, "SELECT a FROM t WHERE id = 1"}).ok());
+  ASSERT_TRUE(ex.Ingest({9000000000000, "SELECT a FROM t WHERE id = 2"}).ok());
+  auto traces = ex.TemplateTraces();
+  ASSERT_FALSE(traces.ok());
+  EXPECT_EQ(traces.status().code(), StatusCode::kFailedPrecondition);
+
+  // A range wider than int64 is refused the same way, not wrapped.
+  ExtractionOptions unit;
+  unit.interval_seconds = 1;
+  TraceExtractor wide(unit);
+  const int64_t far = std::numeric_limits<int64_t>::max();
+  ASSERT_TRUE(wide.Ingest({-far, "SELECT a FROM t WHERE id = 1"}).ok());
+  ASSERT_TRUE(wide.Ingest({far, "SELECT a FROM t WHERE id = 2"}).ok());
+  EXPECT_EQ(wide.TemplateTraces().status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The widest range the bound allows still materializes.
+  TraceExtractor edge(unit);
+  const auto last = static_cast<int64_t>(kMaxMaterializedBins) - 1;
+  ASSERT_TRUE(edge.Ingest({0, "SELECT a FROM t WHERE id = 1"}).ok());
+  ASSERT_TRUE(edge.Ingest({last, "SELECT a FROM t WHERE id = 2"}).ok());
+  auto fit = edge.TemplateTraces();
+  ASSERT_TRUE(fit.ok());
+  EXPECT_EQ((*fit)[0].size(), kMaxMaterializedBins);
 }
 
 TEST(TraceExtractorTest, RejectsBadInterval) {
@@ -98,24 +125,6 @@ TEST(TraceExtractorTest, RejectsBadInterval) {
   opts.interval_seconds = 0;
   TraceExtractor ex(opts);
   EXPECT_FALSE(ex.Ingest({0, "SELECT 1 FROM t"}).ok());
-}
-
-TEST(BinResourceSamplesTest, AveragesWithinBins) {
-  std::vector<ResourceSample> samples = {
-      {0, 0.2}, {30, 0.4}, {70, 0.6}, {200, 0.8}};
-  auto s = BinResourceSamples(samples, 60, "cpu");
-  ASSERT_TRUE(s.ok());
-  ASSERT_EQ(s->size(), 4u);
-  EXPECT_DOUBLE_EQ((*s)[0], 0.3);   // (0.2+0.4)/2
-  EXPECT_DOUBLE_EQ((*s)[1], 0.6);
-  EXPECT_DOUBLE_EQ((*s)[2], 0.6);   // gap carries previous value
-  EXPECT_DOUBLE_EQ((*s)[3], 0.8);
-  EXPECT_EQ(s->name(), "cpu");
-}
-
-TEST(BinResourceSamplesTest, Validation) {
-  EXPECT_FALSE(BinResourceSamples({}, 60).ok());
-  EXPECT_FALSE(BinResourceSamples({{0, 1.0}}, 0).ok());
 }
 
 TEST(QueryLogGeneratorTest, ProducesOrderedParsableLog) {

@@ -60,20 +60,18 @@ TEST(SeriesTest, AggregateZeroFactorFails) {
   EXPECT_FALSE(s.AggregateSum(0).ok());
 }
 
-TEST(SeriesTest, SumAndAverage) {
+TEST(SeriesTest, AverageIsElementwiseMean) {
   std::vector<Series> traces = {Series(0, 60, {1, 2}), Series(0, 60, {3, 4})};
-  auto sum = Series::Sum(traces);
-  ASSERT_TRUE(sum.ok());
-  EXPECT_DOUBLE_EQ((*sum)[0], 4.0);
   auto avg = Series::Average(traces);
   ASSERT_TRUE(avg.ok());
+  EXPECT_DOUBLE_EQ((*avg)[0], 2.0);
   EXPECT_DOUBLE_EQ((*avg)[1], 3.0);
 }
 
-TEST(SeriesTest, SumLengthMismatchFails) {
+TEST(SeriesTest, AverageLengthMismatchFails) {
   std::vector<Series> traces = {Series(0, 60, {1, 2}), Series(0, 60, {3})};
-  EXPECT_FALSE(Series::Sum(traces).ok());
-  EXPECT_FALSE(Series::Sum({}).ok());
+  EXPECT_FALSE(Series::Average(traces).ok());
+  EXPECT_FALSE(Series::Average({}).ok());
 }
 
 TEST(SeriesTest, DifferenceAndUndifference) {

@@ -8,21 +8,13 @@
 #include <numeric>
 
 #include "common/math_utils.h"
+#include "ts/analysis.h"
 #include "workloads/generators.h"
 
 namespace dbaugur::workloads {
 namespace {
 
-// Autocorrelation of v at the given lag.
-double Autocorrelation(const std::vector<double>& v, size_t lag) {
-  double mean = Mean(v);
-  double num = 0.0, den = 0.0;
-  for (size_t i = 0; i + lag < v.size(); ++i) {
-    num += (v[i] - mean) * (v[i + lag] - mean);
-  }
-  for (double x : v) den += (x - mean) * (x - mean);
-  return den > 0 ? num / den : 0.0;
-}
+using ts::Autocorrelation;
 
 TEST(BusTrackerGenTest, DeterministicInSeed) {
   BusTrackerOptions opts;

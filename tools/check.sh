@@ -15,11 +15,13 @@
 #   2d. Hang-storm smoke  (deadline cancellation / degraded-stale / unit
 #                          budget slice re-run explicitly under ASan)
 #   3. TSan               (skipped with a warning if the toolchain lacks it)
-#   3b. Workers stress    (serve_workers suite, the member-level fit tasks
-#                          and the thread pool suite repeated under TSan —
-#                          deadline tokens, checkpoint-vs-cancel races, one
-#                          ensemble's members fitting on different lanes,
-#                          concurrent and nested ParallelFor calls)
+#   3b. Workers stress    (serve_workers suite, the status reads, the
+#                          member-level fit tasks and the thread pool suite
+#                          repeated under TSan — deadline tokens,
+#                          checkpoint-vs-cancel races, stats()/Health()
+#                          against cycles and readers, one ensemble's members
+#                          fitting on different lanes, concurrent and nested
+#                          ParallelFor calls)
 #   4. clang-tidy on src/ (skipped with a warning if clang-tidy is absent)
 #   5. thread-safety      (clang++ build with -Werror=thread-safety checking
 #                          the DBAUGUR_GUARDED_BY annotations; skipped with a
@@ -268,18 +270,23 @@ else
       -DDBAUGUR_SANITIZE=thread \
       -DDBAUGUR_ENABLE_DCHECKS=ON
     # --- 3b. Concurrent-retrain stress: repeat the cancel-token, deadline,
-    # checkpoint-vs-cancel, member-level fit-task and thread-pool suites
-    # under the race detector. The plain ctest pass above ran them once; the
-    # repeats shake out interleavings a single run can miss (shard claim
-    # order, cancel-vs-publish, save-vs-cancel, members of one ensemble
-    # fitting on different lanes, concurrent and nested ParallelFor calls on
-    # one pool).
+    # checkpoint-vs-cancel, status-read, member-level fit-task and
+    # thread-pool suites under the race detector. The plain ctest pass above
+    # ran them once; the repeats shake out interleavings a single run can
+    # miss (shard claim order, cancel-vs-publish, save-vs-cancel, a stats()
+    # call reading a shard's snapshot pointer, error record and queue while
+    # cycles publish, members of one ensemble fitting on different lanes,
+    # concurrent and nested ParallelFor calls on one pool).
     if [[ -x build-tsan/tests/serve_workers_test &&
+          -x build-tsan/tests/serve_shard_test &&
           -x build-tsan/tests/fit_tasks_test &&
           -x build-tsan/tests/common_test ]]; then
-      note "tsan: serve_workers + fit tasks + thread pool stress (3 repeats)"
+      note "tsan: serve_workers + status reads + fit tasks + thread pool stress (3 repeats)"
       if ./build-tsan/tests/serve_workers_test \
-          --gtest_filter='CancelTokenTest.*:WorkerDeterminismTest.*:ServeWorkersFaultTest.*' \
+          --gtest_filter='CancelTokenTest.*:WorkerDeterminismTest.*:ServeWorkersFaultTest.*:ServeHealthAggregateTest.*' \
+          --gtest_repeat=3 > /dev/null 2>&1 &&
+         ./build-tsan/tests/serve_shard_test \
+          --gtest_filter='ShardedServiceTest.HealthDoesNotWaitForAnInFlightCycle:ShardedServiceTest.ConcurrentProducersReadersSchedulerSmoke' \
           --gtest_repeat=3 > /dev/null 2>&1 &&
          ./build-tsan/tests/fit_tasks_test --gtest_filter='FitTasksTest.*' \
           --gtest_repeat=3 > /dev/null 2>&1 &&

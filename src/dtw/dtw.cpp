@@ -313,6 +313,4 @@ StatusOr<double> CascadingDtw::Distance(const std::vector<double>& query,
                   query_env != nullptr ? &qv : nullptr);
 }
 
-void CascadingDtw::ResetCounters() { stats_ = PruningStats(); }
-
 }  // namespace dbaugur::dtw

@@ -176,7 +176,6 @@ class CascadingDtw {
   int64_t kim_rejections() const { return stats_.kim_rejections; }
   int64_t keogh_rejections() const { return stats_.keogh_rejections; }
   int64_t full_computations() const { return stats_.full_dtw; }
-  void ResetCounters();
 
  private:
   DtwOptions opts_;

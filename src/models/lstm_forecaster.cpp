@@ -6,7 +6,6 @@
 
 #include "models/neural_common.h"
 #include "nn/loss.h"
-#include "nn/serialize.h"
 
 namespace dbaugur::models {
 
@@ -14,7 +13,6 @@ LstmForecaster::LstmForecaster(const ForecasterOptions& opts,
                                const LstmOptions& lstm)
     : NeuralForecaster(opts),
       lstm_opts_(lstm),
-      rng_(opts.seed),
       lstm_(1, lstm.hidden, &rng_),
       head_(lstm.hidden, 1, nn::Activation::kIdentity, &rng_),
       adam_(opts.learning_rate) {}
@@ -58,39 +56,10 @@ void LstmForecaster::ReleaseWorkspaces() {
   head_.ReleaseWorkspaces();
 }
 
-StatusOr<double> LstmForecaster::Predict(
-    const std::vector<double>& window) const {
-  if (!fitted_) return Status::FailedPrecondition("LSTM: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("LSTM: window size mismatch");
-  }
-  std::vector<nn::Matrix> xs(window.size(), nn::Matrix(1, 1));
-  for (size_t t = 0; t < window.size(); ++t) {
-    xs[t](0, 0) = scaler_.Transform(window[t]);
-  }
-  const std::vector<nn::Matrix>& hs = lstm_.ForwardSequence(xs);
-  const nn::Matrix& pred = head_.Forward(hs.back());
-  return scaler_.Inverse(pred(0, 0));
-}
-
-StatusOr<std::vector<uint8_t>> LstmForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
-}
-
-Status LstmForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  fitted_ = true;
-  return Status::OK();
-}
-
-int64_t LstmForecaster::StorageBytes() const {
-  return nn::StorageBytes(Params());
-}
-
-int64_t LstmForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (auto& p : Params()) n += static_cast<int64_t>(p.value->size());
-  return n;
+const nn::Matrix& LstmForecaster::ForwardBatch(const nn::Matrix& x) const {
+  std::vector<nn::Matrix> xs;
+  ToTimeMajorInto(x, &xs);
+  return head_.Forward(lstm_.ForwardSequence(xs).back());
 }
 
 }  // namespace dbaugur::models

@@ -3,7 +3,6 @@
 
 #pragma once
 
-#include "common/rng.h"
 #include "models/neural_common.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
@@ -22,27 +21,20 @@ class LstmForecaster : public NeuralForecaster {
   explicit LstmForecaster(const ForecasterOptions& opts)
       : LstmForecaster(opts, LstmOptions{}) {}
 
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "LSTM"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
 
   /// One epoch over the PrepareTraining dataset.
   Status TrainEpoch();
 
-  /// Parameter tensors in layer order (lstm, head) — used by serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  /// The LSTM, then the head.
+  std::vector<nn::Param> Params() const override;
 
  private:
+  const nn::Matrix& ForwardBatch(const nn::Matrix& x) const override;
   Status RunEpoch() override { return TrainEpoch(); }
   void ReleaseWorkspaces() override;
 
   LstmOptions lstm_opts_;
-  mutable Rng rng_;
   mutable nn::LSTM lstm_;
   mutable nn::Dense head_;
   nn::Adam adam_;

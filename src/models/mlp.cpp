@@ -6,15 +6,12 @@
 
 #include "models/neural_common.h"
 #include "nn/loss.h"
-#include "nn/serialize.h"
 
 namespace dbaugur::models {
 
 MlpForecaster::MlpForecaster(const ForecasterOptions& opts,
                              const MlpOptions& mlp)
     : NeuralForecaster(opts),
-      mlp_(mlp),
-      rng_(opts.seed),
       l1_(opts.window, mlp.hidden1, nn::Activation::kRelu, &rng_),
       l2_(mlp.hidden1, mlp.hidden2, nn::Activation::kRelu, &rng_),
       l3_(mlp.hidden2, 1, nn::Activation::kIdentity, &rng_),
@@ -56,40 +53,6 @@ void MlpForecaster::ReleaseWorkspaces() {
 
 const nn::Matrix& MlpForecaster::ForwardBatch(const nn::Matrix& x) const {
   return l3_.Forward(l2_.Forward(l1_.Forward(x)));
-}
-
-StatusOr<double> MlpForecaster::Predict(
-    const std::vector<double>& window) const {
-  if (!fitted_) return Status::FailedPrecondition("MLP: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("MLP: window size mismatch");
-  }
-  nn::Matrix x(1, window.size());
-  for (size_t j = 0; j < window.size(); ++j) {
-    x(0, j) = scaler_.Transform(window[j]);
-  }
-  const nn::Matrix& pred = ForwardBatch(x);
-  return scaler_.Inverse(pred(0, 0));
-}
-
-StatusOr<std::vector<uint8_t>> MlpForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
-}
-
-Status MlpForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  fitted_ = true;
-  return Status::OK();
-}
-
-int64_t MlpForecaster::StorageBytes() const {
-  return nn::StorageBytes(Params());
-}
-
-int64_t MlpForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (auto& p : Params()) n += static_cast<int64_t>(p.value->size());
-  return n;
 }
 
 }  // namespace dbaugur::models

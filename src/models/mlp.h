@@ -3,7 +3,6 @@
 
 #pragma once
 
-#include "common/rng.h"
 #include "models/neural_common.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
@@ -22,30 +21,21 @@ class MlpForecaster : public NeuralForecaster {
   explicit MlpForecaster(const ForecasterOptions& opts)
       : MlpForecaster(opts, MlpOptions{}) {}
 
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "MLP"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
 
   /// Runs exactly one training epoch (used by Table II timing) on the dataset
   /// PrepareTraining built; FailedPrecondition without one (Fit frees its
   /// own).
   Status TrainEpoch();
 
-  /// Parameter tensors in layer order (l1, l2, l3) — used by serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  /// l1, l2, l3.
+  std::vector<nn::Param> Params() const override;
 
  private:
-  const nn::Matrix& ForwardBatch(const nn::Matrix& x) const;
+  const nn::Matrix& ForwardBatch(const nn::Matrix& x) const override;
   Status RunEpoch() override { return TrainEpoch(); }
   void ReleaseWorkspaces() override;
 
-  MlpOptions mlp_;
-  mutable Rng rng_;
   mutable nn::Dense l1_, l2_, l3_;
   nn::Adam adam_;
   // Batch workspaces reused across batches.

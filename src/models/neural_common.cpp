@@ -53,6 +53,44 @@ Status NeuralForecaster::PrepareTraining(const std::vector<double>& series) {
   return Status::OK();
 }
 
+Status NeuralForecaster::CheckWindow(const std::vector<double>& window) const {
+  if (!fitted_) return Status::FailedPrecondition(name() + ": Fit not called");
+  if (window.size() != opts_.window) {
+    return Status::InvalidArgument(name() + ": window size mismatch");
+  }
+  return Status::OK();
+}
+
+StatusOr<double> NeuralForecaster::Predict(
+    const std::vector<double>& window) const {
+  DBAUGUR_RETURN_IF_ERROR(CheckWindow(window));
+  nn::Matrix x(1, window.size());
+  for (size_t j = 0; j < window.size(); ++j) {
+    x(0, j) = scaler_.Transform(window[j]);
+  }
+  return scaler_.Inverse(ForwardBatch(x)(0, 0));
+}
+
+int64_t NeuralForecaster::StorageBytes() const {
+  return nn::StorageBytes(Params());
+}
+
+int64_t NeuralForecaster::ParameterCount() const {
+  int64_t n = 0;
+  for (const nn::Param& p : Params()) n += static_cast<int64_t>(p.value->size());
+  return n;
+}
+
+StatusOr<std::vector<uint8_t>> NeuralForecaster::SaveState() const {
+  return SerializeNeuralState({&scaler_}, Params());
+}
+
+Status NeuralForecaster::LoadState(const std::vector<uint8_t>& buffer) {
+  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
+  fitted_ = true;
+  return Status::OK();
+}
+
 void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out) {

@@ -1,11 +1,13 @@
-// Shared plumbing for the neural forecasters: their common base and epoch
-// loop, min-max-scaled sliding-window datasets, and batch assembly in the
-// layouts the nn substrate expects.
+// Shared plumbing for the neural forecasters: their common base, which owns
+// the model contract (epoch loop, Predict, state and size accounting),
+// min-max-scaled sliding-window datasets, and batch assembly in the layouts
+// the nn substrate expects.
 
 #pragma once
 
 #include <vector>
 
+#include "common/rng.h"
 #include "models/forecaster.h"
 #include "nn/layer.h"
 #include "nn/matrix.h"
@@ -24,12 +26,16 @@ struct ScaledDataset {
 StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
                                            const ForecasterOptions& opts);
 
-/// Base of the epoch-trained forecasters (WFGAN, TCN, MLP, LSTM). It owns
-/// the dataset, the scaler and the fitted flag, and runs the one epoch loop
-/// they share: fit step 0 first builds the dataset, step e trains epoch e,
-/// and the last step frees the dataset and every batch- and step-shaped
-/// buffer and marks the model fitted. A fitted model so keeps only its
-/// parameters, their gradient and Adam buffers, and the scaler.
+/// Base of the epoch-trained forecasters (WFGAN, TCN, MLP, LSTM). A model
+/// supplies its layers: Params(), ForwardBatch on scaled windows, TrainEpoch
+/// (through RunEpoch) and ReleaseWorkspaces. The base owns the rest of the
+/// Forecaster contract: the rng_ seeded from opts.seed that the layers draw
+/// their initial weights from, Predict, state and size accounting over
+/// Params(), and the one epoch loop. Fit step 0 first builds the dataset,
+/// step e trains epoch e, and the last step frees the dataset and every
+/// batch- and step-shaped buffer and marks the model fitted. A fitted model
+/// so keeps only its parameters, their gradient and Adam buffers, and the
+/// scaler.
 class NeuralForecaster : public Forecaster {
  public:
   /// Runs every fit step in order.
@@ -42,20 +48,45 @@ class NeuralForecaster : public Forecaster {
   /// rebuilds, and keeps the dataset, the weights and the Adam state.
   void SuspendFit() final { ReleaseWorkspaces(); }
 
+  /// FailedPrecondition before a fit or LoadState, InvalidArgument unless
+  /// the window holds T values; else the raw-scale forecast of ForwardBatch
+  /// on the min-max-scaled window as a [1, T] row.
+  StatusOr<double> Predict(const std::vector<double>& window) const final;
+  /// nn::StorageBytes of Params() (Table II's Storage column).
+  int64_t StorageBytes() const final;
+  /// Scalars in Params().
+  int64_t ParameterCount() const final;
+  /// SerializeNeuralState of the scaler and Params().
+  StatusOr<std::vector<uint8_t>> SaveState() const final;
+  /// Restores a SaveState blob and marks the model fitted.
+  Status LoadState(const std::vector<uint8_t>& buffer) final;
+
+  /// Parameter tensors in the model's layer order: what SaveState writes
+  /// and StorageBytes and ParameterCount count.
+  virtual std::vector<nn::Param> Params() const = 0;
+
   /// Builds the dataset TrainEpoch reads. Epoch-driven callers (benches,
   /// tests) call it and then TrainEpoch, which keeps its buffers across
   /// epochs (allocation-free steady state) and never marks the model fitted.
   Status PrepareTraining(const std::vector<double>& series);
 
  protected:
-  explicit NeuralForecaster(const ForecasterOptions& opts) : opts_(opts) {}
+  explicit NeuralForecaster(const ForecasterOptions& opts)
+      : opts_(opts), rng_(opts.seed) {}
 
+  /// Predict's guard: OK once fitted and when `window` holds T values.
+  Status CheckWindow(const std::vector<double>& window) const;
+  /// Forecasts for the scaled windows in the rows of x ([batch, T]), as a
+  /// [batch, 1] matrix in scaled space (network-owned workspace, valid until
+  /// the next forward).
+  virtual const nn::Matrix& ForwardBatch(const nn::Matrix& x) const = 0;
   /// One epoch over the dataset (the model's TrainEpoch).
   virtual Status RunEpoch() = 0;
   /// Frees the batch workspaces and the layers' workspaces.
   virtual void ReleaseWorkspaces() = 0;
 
   ForecasterOptions opts_;
+  Rng rng_;
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
   bool fitted_ = false;

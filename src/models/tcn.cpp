@@ -2,7 +2,6 @@
 
 #include "models/neural_common.h"
 #include "nn/loss.h"
-#include "nn/serialize.h"
 
 namespace dbaugur::models {
 
@@ -10,7 +9,6 @@ TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
                              const TcnOptions& tcn)
     : NeuralForecaster(opts),
       tcn_opts_(tcn),
-      rng_(opts.seed),
       head_(tcn.channels, 1, nn::Activation::kIdentity, &rng_),
       adam_(opts.learning_rate) {
   size_t in_ch = 1;
@@ -96,40 +94,6 @@ const nn::Matrix& TcnForecaster::ForwardBatch(const nn::Matrix& xb) const {
     }
   }
   return head_.Forward(feats_);
-}
-
-StatusOr<double> TcnForecaster::Predict(
-    const std::vector<double>& window) const {
-  if (!fitted_) return Status::FailedPrecondition("TCN: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("TCN: window size mismatch");
-  }
-  nn::Matrix x(1, opts_.window);
-  for (size_t j = 0; j < window.size(); ++j) {
-    x(0, j) = scaler_.Transform(window[j]);
-  }
-  const nn::Matrix& pred = ForwardBatch(x);
-  return scaler_.Inverse(pred(0, 0));
-}
-
-StatusOr<std::vector<uint8_t>> TcnForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
-}
-
-Status TcnForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  fitted_ = true;
-  return Status::OK();
-}
-
-int64_t TcnForecaster::StorageBytes() const {
-  return nn::StorageBytes(Params());
-}
-
-int64_t TcnForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (auto& p : Params()) n += static_cast<int64_t>(p.value->size());
-  return n;
 }
 
 }  // namespace dbaugur::models

@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
 #include "models/neural_common.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
@@ -28,10 +27,7 @@ class TcnForecaster : public NeuralForecaster {
   explicit TcnForecaster(const ForecasterOptions& opts)
       : TcnForecaster(opts, TcnOptions{}) {}
 
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "TCN"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
 
   /// One epoch over the PrepareTraining dataset.
   Status TrainEpoch();
@@ -39,20 +35,15 @@ class TcnForecaster : public NeuralForecaster {
   /// Receptive field in time steps: 1 + (k-1) * 2 * sum(dilations).
   size_t ReceptiveField() const;
 
-  /// Parameter tensors in layer order (blocks, head) — used by serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  /// The blocks in order, then the head.
+  std::vector<nn::Param> Params() const override;
 
  private:
-  const nn::Matrix& ForwardBatch(const nn::Matrix& xb) const;
+  const nn::Matrix& ForwardBatch(const nn::Matrix& xb) const override;
   Status RunEpoch() override { return TrainEpoch(); }
   void ReleaseWorkspaces() override;
 
   TcnOptions tcn_opts_;
-  mutable Rng rng_;
   mutable std::vector<std::unique_ptr<nn::TCNBlock>> blocks_;
   mutable nn::Dense head_;
   nn::Adam adam_;

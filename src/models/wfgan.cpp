@@ -5,7 +5,6 @@
 #include "common/math_utils.h"
 #include "models/neural_common.h"
 #include "nn/loss.h"
-#include "nn/serialize.h"
 
 namespace dbaugur::models {
 
@@ -13,7 +12,6 @@ WfganForecaster::WfganForecaster(const ForecasterOptions& opts,
                                  const WfganOptions& gan)
     : NeuralForecaster(opts),
       gan_(gan),
-      rng_(opts.seed),
       g_lstm_(1, gan.hidden, &rng_),
       g_attn_(gan.hidden, gan.attn_dim, &rng_),
       g_head_(gan.hidden, 1, nn::Activation::kIdentity, &rng_),
@@ -199,26 +197,15 @@ void WfganForecaster::ReleaseWorkspaces() {
   d_head_.ReleaseWorkspaces();
 }
 
-StatusOr<double> WfganForecaster::Predict(
-    const std::vector<double>& window) const {
-  if (!fitted_) return Status::FailedPrecondition("WFGAN: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("WFGAN: window size mismatch");
-  }
-  std::vector<nn::Matrix> xs(window.size(), nn::Matrix(1, 1));
-  for (size_t t = 0; t < window.size(); ++t) {
-    xs[t](0, 0) = scaler_.Transform(window[t]);
-  }
-  const nn::Matrix& pred = GeneratorForward(xs);
-  return scaler_.Inverse(pred(0, 0));
+const nn::Matrix& WfganForecaster::ForwardBatch(const nn::Matrix& x) const {
+  std::vector<nn::Matrix> xs;
+  ToTimeMajorInto(x, &xs);
+  return GeneratorForward(xs);
 }
 
 StatusOr<double> WfganForecaster::DiscriminatorScore(
     const std::vector<double>& window, double value) const {
-  if (!fitted_) return Status::FailedPrecondition("WFGAN: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("WFGAN: window size mismatch");
-  }
+  DBAUGUR_RETURN_IF_ERROR(CheckWindow(window));
   std::vector<nn::Matrix> xs(window.size() + 1, nn::Matrix(1, 1));
   for (size_t t = 0; t < window.size(); ++t) {
     xs[t](0, 0) = scaler_.Transform(window[t]);
@@ -232,29 +219,6 @@ std::vector<nn::Param> WfganForecaster::Params() const {
   std::vector<nn::Param> params = GeneratorParams();
   for (auto& p : DiscriminatorParams()) params.push_back(p);
   return params;
-}
-
-StatusOr<std::vector<uint8_t>> WfganForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
-}
-
-Status WfganForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  fitted_ = true;
-  return Status::OK();
-}
-
-int64_t WfganForecaster::StorageBytes() const {
-  return nn::StorageBytes(Params());
-}
-
-int64_t WfganForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (auto& p : GeneratorParams()) n += static_cast<int64_t>(p.value->size());
-  for (auto& p : DiscriminatorParams()) {
-    n += static_cast<int64_t>(p.value->size());
-  }
-  return n;
 }
 
 }  // namespace dbaugur::models

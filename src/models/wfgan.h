@@ -20,7 +20,6 @@
 
 #include <memory>
 
-#include "common/rng.h"
 #include "models/neural_common.h"
 #include "nn/attention.h"
 #include "nn/dense.h"
@@ -56,10 +55,7 @@ class WfganForecaster : public NeuralForecaster {
   explicit WfganForecaster(const ForecasterOptions& opts)
       : WfganForecaster(opts, WfganOptions{}) {}
 
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "WFGAN"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
 
   /// One epoch over the PrepareTraining dataset (Algorithm 2).
   StatusOr<WfganEpochStats> TrainEpoch();
@@ -69,14 +65,12 @@ class WfganForecaster : public NeuralForecaster {
   StatusOr<double> DiscriminatorScore(const std::vector<double>& window,
                                       double value) const;
 
-  /// All parameter tensors (generator then discriminator) — serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of both networks + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  /// The generator, then the discriminator (attention only when used).
+  std::vector<nn::Param> Params() const override;
 
  private:
+  /// The generator's forecasts (time-major through GeneratorForward).
+  const nn::Matrix& ForwardBatch(const nn::Matrix& x) const override;
   /// Generator forward on a time-major batch; returns [batch, 1] forecasts
   /// in scaled space (network-owned workspace, valid until the next call).
   const nn::Matrix& GeneratorForward(const std::vector<nn::Matrix>& xs) const;
@@ -103,7 +97,6 @@ class WfganForecaster : public NeuralForecaster {
   void ReleaseWorkspaces() override;
 
   WfganOptions gan_;
-  mutable Rng rng_;
   // Generator.
   mutable nn::LSTM g_lstm_;
   mutable nn::TemporalAttention g_attn_;

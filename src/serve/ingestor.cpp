@@ -200,7 +200,11 @@ Status TraceBinner::Load(BufReader* r) {
       !r->I64(&max_bin) || !r->U64(&templates)) {
     return corrupt();
   }
-  if (interval <= 0 || any > 1 || (any == 1 && max_bin < min_bin)) {
+  // Save writes no template before something is folded. Stored bins under
+  // any = 0 would sit outside the range the next Fold starts, where Traces()
+  // would write them past the end of its zero-filled vectors.
+  if (interval <= 0 || any > 1 || (any == 1 && max_bin < min_bin) ||
+      (any == 0 && templates != 0)) {
     return Status::InvalidArgument("TraceBinner: invalid header fields");
   }
   std::map<uint32_t, std::map<int64_t, double>> bins;

@@ -282,12 +282,4 @@ StatusOr<size_t> TemplateRegistry::Lookup(const std::string& tmpl) const {
   return it->second;
 }
 
-std::vector<size_t> TemplateRegistry::ByFrequency() const {
-  std::vector<size_t> ids(templates_.size());
-  for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
-  std::sort(ids.begin(), ids.end(),
-            [&](size_t a, size_t b) { return counts_[a] > counts_[b]; });
-  return ids;
-}
-
 }  // namespace dbaugur::sql

@@ -46,9 +46,6 @@ class TemplateRegistry {
   const std::string& template_text(size_t id) const { return templates_[id]; }
   int64_t count(size_t id) const { return counts_[id]; }
 
-  /// Template ids ordered by descending occurrence count.
-  std::vector<size_t> ByFrequency() const;
-
  private:
   TemplateOptions opts_;
   std::map<std::string, size_t> index_;

@@ -1,17 +1,8 @@
 #include "ts/series.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace dbaugur::ts {
-
-Series Series::Slice(size_t begin, size_t end) const {
-  begin = std::min(begin, values_.size());
-  end = std::min(end, values_.size());
-  if (end < begin) end = begin;
-  std::vector<double> vals(values_.begin() + static_cast<ptrdiff_t>(begin),
-                           values_.begin() + static_cast<ptrdiff_t>(end));
-  return Series(TimeAt(begin), interval_, std::move(vals), name_);
-}
 
 StatusOr<Series> Series::AggregateSum(size_t factor) const {
   if (factor == 0) return Status::InvalidArgument("aggregate factor must be > 0");
@@ -55,10 +46,6 @@ std::vector<double> Difference(const std::vector<double>& v, int d) {
     cur = std::move(next);
   }
   return cur;
-}
-
-double UndifferenceStep(double diff_prediction, double last_level) {
-  return last_level + diff_prediction;
 }
 
 }  // namespace dbaugur::ts

@@ -41,17 +41,6 @@ class Series {
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Timestamp of the i-th sample.
-  Timestamp TimeAt(size_t i) const {
-    return start_ + static_cast<Timestamp>(i) * interval_;
-  }
-
-  /// Appends one value at the next interval boundary.
-  void Append(double v) { values_.push_back(v); }
-
-  /// Sub-series [begin, end) keeping timestamps consistent.
-  Series Slice(size_t begin, size_t end) const;
-
   /// Re-bins this series into a coarser interval by summing each group of
   /// `factor` consecutive samples (the paper aggregates counts when enlarging
   /// the forecasting interval). A trailing partial group is dropped.
@@ -74,8 +63,5 @@ class Series {
 /// Applies first-order differencing d times (ARIMA's "I"). Output is shorter
 /// by d samples.
 std::vector<double> Difference(const std::vector<double>& v, int d);
-
-/// Inverts one step of differencing given the last observed level.
-double UndifferenceStep(double diff_prediction, double last_level);
 
 }  // namespace dbaugur::ts

@@ -1,7 +1,5 @@
 #include "ts/window_dataset.h"
 
-#include <algorithm>
-
 namespace dbaugur::ts {
 
 StatusOr<std::vector<WindowSample>> MakeWindows(
@@ -24,15 +22,6 @@ StatusOr<std::vector<WindowSample>> MakeWindows(
     out.push_back(std::move(s));
   }
   return out;
-}
-
-void TrainTestSplit(const std::vector<double>& values, double train_fraction,
-                    std::vector<double>* train, std::vector<double>* test) {
-  train_fraction = std::clamp(train_fraction, 0.0, 1.0);
-  size_t cut = static_cast<size_t>(static_cast<double>(values.size()) *
-                                   train_fraction);
-  train->assign(values.begin(), values.begin() + static_cast<ptrdiff_t>(cut));
-  test->assign(values.begin() + static_cast<ptrdiff_t>(cut), values.end());
 }
 
 }  // namespace dbaugur::ts

@@ -35,9 +35,4 @@ struct WindowDatasetOptions {
 StatusOr<std::vector<WindowSample>> MakeWindows(
     const std::vector<double>& values, const WindowDatasetOptions& opts);
 
-/// Splits values into train/test by fraction (the paper uses 70/30): the
-/// first `train_fraction` goes to `train`, the remainder to `test`.
-void TrainTestSplit(const std::vector<double>& values, double train_fraction,
-                    std::vector<double>* train, std::vector<double>* test);
-
 }  // namespace dbaugur::ts

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "models/lstm_forecaster.h"
@@ -77,15 +80,42 @@ TEST(MlpForecasterTest, ParameterCountMatchesArchitecture) {
   EXPECT_GT(mlp.StorageBytes(), 4 * mlp.ParameterCount());
 }
 
-TEST(MlpForecasterTest, PredictGuards) {
+// The guard NeuralForecaster::Predict runs for every neural model, and
+// WFGAN's DiscriminatorScore shares it.
+TEST(NeuralForecasterTest, PredictGuards) {
   ForecasterOptions opts = FastOpts();
-  MlpForecaster mlp(opts);
-  EXPECT_EQ(mlp.Predict(std::vector<double>(24, 0.0)).status().code(),
-            StatusCode::kFailedPrecondition);
+  opts.epochs = 1;
   auto series = SineSeries(400, 48.0, 0.1, 22);
-  ASSERT_TRUE(mlp.Fit(series).ok());
-  EXPECT_EQ(mlp.Predict(std::vector<double>(3, 0.0)).status().code(),
+  auto wfgan = std::make_unique<WfganForecaster>(opts);
+  const WfganForecaster& gan = *wfgan;
+  std::vector<std::unique_ptr<Forecaster>> models;
+  models.push_back(std::move(wfgan));
+  models.push_back(std::make_unique<TcnForecaster>(opts));
+  models.push_back(std::make_unique<MlpForecaster>(opts));
+  models.push_back(std::make_unique<LstmForecaster>(opts));
+  const std::vector<double> window(24, 0.0);
+  EXPECT_EQ(gan.DiscriminatorScore(window, 0.0).status().code(),
+            StatusCode::kFailedPrecondition);
+  for (auto& model : models) {
+    SCOPED_TRACE(model->name());
+    Status unfitted = model->Predict(window).status();
+    EXPECT_EQ(unfitted.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(unfitted.message().rfind(model->name() + ": ", 0), 0u)
+        << unfitted.message();
+    ASSERT_TRUE(model->Fit(series).ok());
+    for (size_t size : {3u, 25u}) {
+      Status wrong = model->Predict(std::vector<double>(size, 0.0)).status();
+      EXPECT_EQ(wrong.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(wrong.message().rfind(model->name() + ": ", 0), 0u)
+          << wrong.message();
+    }
+    EXPECT_TRUE(model->Predict(window).ok());
+  }
+  EXPECT_EQ(gan.DiscriminatorScore(std::vector<double>(3, 0.0), 0.0)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
+  EXPECT_TRUE(gan.DiscriminatorScore(window, 0.0).ok());
 }
 
 TEST(LstmForecasterTest, LearnsSineBeatsPersistence) {
@@ -95,6 +125,12 @@ TEST(LstmForecasterTest, LearnsSineBeatsPersistence) {
   double mse = TrainedMse(lstm, series, 700, opts);
   double naive = PersistenceMse(series, 700, opts.horizon);
   EXPECT_LT(mse, naive * 0.5) << "mse=" << mse << " naive=" << naive;
+}
+
+TEST(LstmForecasterTest, ParameterCountMatchesArchitecture) {
+  LstmForecaster lstm(FastOpts());  // LSTM(1 -> 16), dense 16 -> 1
+  EXPECT_EQ(lstm.ParameterCount(), 4 * 16 * (1 + 16) + 4 * 16 + 16 + 1);
+  EXPECT_GT(lstm.StorageBytes(), 4 * lstm.ParameterCount());
 }
 
 TEST(LstmForecasterTest, DeterministicAcrossRuns) {
@@ -124,6 +160,16 @@ TEST(TcnForecasterTest, ReceptiveFieldCoversPaperWindow) {
   EXPECT_GE(tcn.ReceptiveField(), 30u);
 }
 
+TEST(TcnForecasterTest, ParameterCountMatchesArchitecture) {
+  TcnForecaster tcn(FastOpts());  // 16 channels, kernel 2, 5 blocks
+  // A causal conv in -> out with kernel k holds out * in * k + out scalars.
+  const int64_t first = (16 * 1 * 2 + 16) + (16 * 16 * 2 + 16) +
+                        (16 * 1 * 1 + 16);  // conv1, conv2, 1x1 downsample
+  const int64_t later = 2 * (16 * 16 * 2 + 16);
+  EXPECT_EQ(tcn.ParameterCount(), first + 4 * later + 16 + 1);
+  EXPECT_GT(tcn.StorageBytes(), 4 * tcn.ParameterCount());
+}
+
 TEST(TcnForecasterTest, CustomDilations) {
   ForecasterOptions opts = FastOpts();
   TcnOptions topts;
@@ -142,6 +188,23 @@ TEST(WfganTest, LearnsSineBeatsPersistence) {
   double mse = TrainedMse(gan, series, 700, opts);
   double naive = PersistenceMse(series, 700, opts.horizon);
   EXPECT_LT(mse, naive * 0.5) << "mse=" << mse << " naive=" << naive;
+}
+
+TEST(WfganTest, ParameterCountMatchesArchitecture) {
+  // Generator and discriminator alike: LSTM(1 -> 30), attention 30 -> 16,
+  // dense 30 -> 1. Without attention neither network holds its attention
+  // parameters.
+  const int64_t lstm = 4 * 30 * (1 + 30) + 4 * 30;
+  const int64_t attention = 30 * 16 + 16 + 16;
+  const int64_t head = 30 + 1;
+  WfganForecaster gan(FastOpts());
+  EXPECT_EQ(gan.ParameterCount(), 2 * (lstm + attention + head));
+  EXPECT_GT(gan.StorageBytes(), 4 * gan.ParameterCount());
+  WfganOptions gopts;
+  gopts.use_attention = false;
+  WfganForecaster plain(FastOpts(), gopts);
+  EXPECT_EQ(plain.ParameterCount(), 2 * (lstm + head));
+  EXPECT_LT(plain.StorageBytes(), gan.StorageBytes());
 }
 
 TEST(WfganTest, DiscriminatorSeparatesRealFromGeneratorEarly) {

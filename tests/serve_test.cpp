@@ -208,6 +208,45 @@ TEST(TraceBinnerTest, StateRoundTripAndTruncationRejection) {
   EXPECT_EQ(untouched.template_count(), 1u);
 }
 
+TEST(TraceBinnerTest, HeaderWithNothingFoldedRefusesStoredBins) {
+  // An empty binner saves "nothing folded" and no templates; that loads.
+  BufWriter empty;
+  TraceBinner(kInterval).Save(&empty);
+  std::vector<uint8_t> empty_blob = empty.Take();
+  TraceBinner fresh(kInterval);
+  BufReader er(empty_blob);
+  ASSERT_TRUE(fresh.Load(&er).ok());
+  EXPECT_EQ(fresh.bin_count(), 0u);
+
+  // The same header with a stored bin: the next Fold would start the range
+  // at its own bin, and Traces() would write bin -1000000 outside it.
+  BufWriter w;
+  w.I64(kInterval);
+  w.U8(0);  // nothing folded
+  w.I64(0);
+  w.I64(0);
+  w.U64(1);  // one template
+  w.U32(7);
+  w.U64(1);  // one bin
+  w.I64(-1000000);
+  w.F64(1.0);
+  std::vector<uint8_t> blob = w.Take();
+  TraceBinner binner(kInterval);
+  binner.Fold({3, 5 * kInterval, 2.0});
+  BufReader r(blob);
+  EXPECT_EQ(binner.Load(&r).code(), StatusCode::kInvalidArgument);
+
+  // Refused whole: the binner keeps its own state and still materializes.
+  EXPECT_EQ(binner.template_count(), 1u);
+  EXPECT_EQ(binner.bin_count(), 1u);
+  for (int i = 0; i < 4; ++i) binner.Fold({3, (6 + i) * kInterval, 1.0});
+  auto traces = binner.Traces();
+  ASSERT_TRUE(traces.ok());
+  ASSERT_EQ(traces->size(), 1u);
+  EXPECT_EQ((*traces)[0].values(),
+            (std::vector<double>{2.0, 1.0, 1.0, 1.0, 1.0}));
+}
+
 TEST(ForecastServiceTest, EmptySnapshotBeforeTraining) {
   ShardedForecastService svc(OneShard(FastOptions()));
   auto snap = svc.snapshot(0);

@@ -222,8 +222,6 @@ TEST(RegistryTest, CountsAndFrequencyOrder) {
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.count(0), 5);
   EXPECT_EQ(reg.count(1), 2);
-  auto order = reg.ByFrequency();
-  EXPECT_EQ(order[0], 0u);
   auto found = reg.Lookup(reg.template_text(1));
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, 1u);

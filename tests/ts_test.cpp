@@ -19,22 +19,6 @@ TEST(SeriesTest, BasicAccessors) {
   EXPECT_EQ(s.interval_seconds(), 60);
   EXPECT_EQ(s.name(), "q0");
   EXPECT_DOUBLE_EQ(s[1], 2.0);
-  EXPECT_EQ(s.TimeAt(2), 1120);
-}
-
-TEST(SeriesTest, SliceKeepsTimestamps) {
-  Series s(0, 10, {0, 1, 2, 3, 4});
-  Series sub = s.Slice(2, 4);
-  EXPECT_EQ(sub.size(), 2u);
-  EXPECT_EQ(sub.start(), 20);
-  EXPECT_DOUBLE_EQ(sub[0], 2.0);
-}
-
-TEST(SeriesTest, SliceClampsOutOfRange) {
-  Series s(0, 10, {0, 1, 2});
-  EXPECT_EQ(s.Slice(5, 9).size(), 0u);
-  EXPECT_EQ(s.Slice(2, 1).size(), 0u);
-  EXPECT_EQ(s.Slice(1, 99).size(), 2u);
 }
 
 TEST(SeriesTest, AggregateSum) {
@@ -83,7 +67,6 @@ TEST(SeriesTest, DifferenceAndUndifference) {
   auto d2 = Difference(v, 2);
   ASSERT_EQ(d2.size(), 2u);
   EXPECT_DOUBLE_EQ(d2[0], 1.0);
-  EXPECT_DOUBLE_EQ(UndifferenceStep(4.0, 10.0), 14.0);
 }
 
 TEST(MetricsTest, MseMaeRmse) {
@@ -171,25 +154,6 @@ TEST(WindowDatasetTest, DegenerateOptionsFail) {
   EXPECT_FALSE(MakeWindows(v, {2, 0, 1}).ok());
   EXPECT_FALSE(MakeWindows(v, {2, 1, 0}).ok());
   EXPECT_FALSE(MakeWindows(v, {4, 1, 1}).ok());
-}
-
-TEST(WindowDatasetTest, TrainTestSplit) {
-  std::vector<double> v = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
-  std::vector<double> train, test;
-  TrainTestSplit(v, 0.7, &train, &test);
-  EXPECT_EQ(train.size(), 7u);
-  EXPECT_EQ(test.size(), 3u);
-  EXPECT_DOUBLE_EQ(test[0], 7.0);
-}
-
-TEST(WindowDatasetTest, SplitClampsFraction) {
-  std::vector<double> v = {1, 2};
-  std::vector<double> train, test;
-  TrainTestSplit(v, 1.5, &train, &test);
-  EXPECT_EQ(train.size(), 2u);
-  EXPECT_TRUE(test.empty());
-  TrainTestSplit(v, -0.5, &train, &test);
-  EXPECT_TRUE(train.empty());
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 #                          (cluster labels identical on scalar and SIMD tiers),
 #                          and the clustering oracle and table2_efficiency
 #                          again at DBAUGUR_SIMD=sse2
+#   1a. Forced scalar     (the Release ctest suite again at DBAUGUR_SIMD=off,
+#                          as CI's blocking forced-scalar job runs it; no
+#                          rebuild, the tier is picked at run time)
 #   1f. perfbench checks  (every repository-benchmark workload, traced, with
 #                          its output checks; needs python3)
 #   2. ASan + UBSan       (-fno-sanitize-recover=all, DCHECKs forced on)
@@ -75,6 +78,21 @@ build_and_test() {
 
 # --- 1. Release: the configuration users actually run. -----------------------
 build_and_test "release" build-release -DCMAKE_BUILD_TYPE=Release
+
+# --- 1a. Forced scalar: the whole Release suite with SIMD dispatch off, the
+# configuration every non-x86 or pre-SSE2 host runs. The scalar kernels must
+# stay a complete, bit-identical mirror of the vector ones.
+if [[ -x build-release/tests/common_test ]]; then
+  note "ctest (Release, DBAUGUR_SIMD=off)"
+  if DBAUGUR_SIMD=off ctest --test-dir build-release --output-on-failure \
+      -j "$JOBS" --timeout 600; then
+    record "release-scalar" "OK"
+  else
+    record "release-scalar" "FAIL (tests)"
+  fi
+else
+  record "release-scalar" "SKIPPED (Release build failed)"
+fi
 
 # --- 1b. NN kernel bench smoke: the fused-GEMM fast path must run end to end
 # and emit valid JSON (full numbers are committed as BENCH_nn_kernels.json).

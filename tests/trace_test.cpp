@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "trace/extractor.h"
 #include "workloads/query_log.h"
@@ -216,6 +217,98 @@ TEST(ParseQueryLogTest, StrictParseFailsWithTheFirstLenientError) {
   ASSERT_FALSE(strict.ok());
   ParsedQueryLog lenient = ParseQueryLogLenient(text);
   EXPECT_EQ(strict.status().message(), lenient.first_error);
+}
+
+// Pins of the lenient parser's exact output: entries, counters and the
+// first error, line numbers counting blank and CRLF lines.
+void ExpectEntries(const ParsedQueryLog& parsed,
+                   const std::vector<LogEntry>& want) {
+  ASSERT_EQ(parsed.entries.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(parsed.entries[i].timestamp, want[i].timestamp) << "entry " << i;
+    EXPECT_EQ(parsed.entries[i].sql, want[i].sql) << "entry " << i;
+  }
+}
+
+TEST(ParseQueryLogLenientTest, CrlfLinesLoseTheirCarriageReturn) {
+  ParsedQueryLog parsed =
+      ParseQueryLogLenient("100 SELECT 1\r\n\r\n101 SELECT  2 \r\n102\r\n");
+  ExpectEntries(parsed, {{100, "SELECT 1"}, {101, "SELECT  2"}});
+  EXPECT_EQ(parsed.rejected.no_sql, 1u);
+  EXPECT_EQ(parsed.rejected.bad_timestamp, 0u);
+  EXPECT_EQ(parsed.first_bad_line, 4u);
+  EXPECT_EQ(parsed.first_error, "log line 4: no SQL after timestamp");
+}
+
+TEST(ParseQueryLogLenientTest, BlankLinesAreSkippedButCounted) {
+  ParsedQueryLog parsed =
+      ParseQueryLogLenient("\n  \t \n100 SELECT 1\n\nnot-a-time SELECT 2\n\n");
+  ExpectEntries(parsed, {{100, "SELECT 1"}});
+  EXPECT_EQ(parsed.rejected.no_sql, 0u);
+  EXPECT_EQ(parsed.rejected.bad_timestamp, 1u);
+  EXPECT_EQ(parsed.first_bad_line, 5u);
+  EXPECT_EQ(parsed.first_error, "log line 5: bad timestamp");
+  ParsedQueryLog empty = ParseQueryLogLenient("");
+  EXPECT_TRUE(empty.entries.empty());
+  EXPECT_EQ(empty.rejected.total(), 0u);
+}
+
+TEST(ParseQueryLogLenientTest, MissingFinalNewlineKeepsTheLastLine) {
+  ParsedQueryLog parsed = ParseQueryLogLenient("100 SELECT 1\n101 SELECT 2");
+  ExpectEntries(parsed, {{100, "SELECT 1"}, {101, "SELECT 2"}});
+  EXPECT_EQ(parsed.rejected.total(), 0u);
+  ParsedQueryLog last_bad = ParseQueryLogLenient("100 SELECT 1\n101");
+  ExpectEntries(last_bad, {{100, "SELECT 1"}});
+  EXPECT_EQ(last_bad.first_error, "log line 2: no SQL after timestamp");
+}
+
+TEST(ParseQueryLogLenientTest, TwoFieldDatetimes) {
+  ParsedQueryLog parsed = ParseQueryLogLenient(
+      "2024-01-02 03:04:05 SELECT 1\n"
+      "2024-01-02T03:04:05 SELECT 2\n"
+      "2016-11-29 10:00:00 UPDATE t SET x = 1\n"
+      "2024-01-02 junk SELECT 3\n"
+      "2024-13-02 03:04:05 SELECT 4\n"
+      "2024-01-02 03:04:05\n");
+  ExpectEntries(parsed, {{1704164645, "SELECT 1"},
+                         {1704164645, "SELECT 2"},
+                         {1480413600, "UPDATE t SET x = 1"}});
+  // A date and time with nothing after them is two fields that do not parse
+  // as one: a bad timestamp, not a missing statement.
+  EXPECT_EQ(parsed.rejected.bad_timestamp, 3u);
+  EXPECT_EQ(parsed.rejected.no_sql, 0u);
+  EXPECT_EQ(parsed.first_bad_line, 4u);
+  EXPECT_EQ(parsed.first_error, "log line 4: bad timestamp");
+}
+
+TEST(ParseQueryLogLenientTest, OverflowingAndSignedEpochsAreBadTimestamps) {
+  ParsedQueryLog parsed = ParseQueryLogLenient(
+      "9223372036854775807 SELECT 1\n"
+      "9223372036854775808 SELECT 2\n"
+      "99999999999999999999999 SELECT * FROM c\n"
+      "-5 SELECT 3\n"
+      "+5 SELECT 4\n"
+      "0005 SELECT 5\n");
+  ExpectEntries(parsed, {{9223372036854775807, "SELECT 1"}, {5, "SELECT 5"}});
+  EXPECT_EQ(parsed.rejected.bad_timestamp, 4u);
+  EXPECT_EQ(parsed.first_bad_line, 2u);
+  EXPECT_EQ(parsed.first_error, "log line 2: bad timestamp");
+}
+
+TEST(ParseQueryLogLenientTest, MissingSqlField) {
+  ParsedQueryLog parsed = ParseQueryLogLenient(
+      "100\n"
+      "100   \n"
+      "100\t\n"
+      "100\tSELECT 1\n"
+      "100  SELECT 2\n");
+  // Only a space separates the fields: after a tab the line has one field
+  // too many to be a timestamp, and a second space stays in the statement.
+  ExpectEntries(parsed, {{100, " SELECT 2"}});
+  EXPECT_EQ(parsed.rejected.no_sql, 3u);
+  EXPECT_EQ(parsed.rejected.bad_timestamp, 1u);
+  EXPECT_EQ(parsed.first_bad_line, 1u);
+  EXPECT_EQ(parsed.first_error, "log line 1: no SQL after timestamp");
 }
 
 TEST(TraceExtractorTest, IngestLenientCountsRejectedStatements) {

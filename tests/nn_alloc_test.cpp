@@ -1,6 +1,7 @@
-// Verifies the zero-allocation contract of the layer workspaces: after a
-// warm-up pass, steady-state Forward/Backward on every layer type performs no
-// heap allocation.
+// Verifies the zero-allocation contracts: after a warm-up pass,
+// steady-state Forward/Backward on every layer type performs no heap
+// allocation, and neither does recording a statement whose SQL template is
+// already registered.
 //
 // A global operator new/delete override counts allocations. This is safe to
 // do in exactly one test binary (the override is process-wide); gtest's own
@@ -13,6 +14,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -26,6 +28,7 @@
 #include "nn/loss.h"
 #include "nn/lstm.h"
 #include "nn/matrix.h"
+#include "sql/templater.h"
 
 namespace {
 std::atomic<long> g_alloc_count{0};
@@ -310,6 +313,46 @@ TEST(AllocTest, LossGradReuseIsAllocationFree) {
   }
   long n = AllocCount();
   EXPECT_EQ(n, 0) << "loss grads allocated " << n << " times";
+}
+
+TEST(AllocTest, KnownTemplateRecordIsAllocationFree) {
+  // Every path of the templater: IN-list collapse, operand order, select
+  // list, join order and the WHERE conjunct sort.
+  const char* const kWarmup[] = {
+      "SELECT * FROM trips WHERE route_id = 12345 AND service_day = 'v12345'",
+      "SELECT route_id, short_name FROM routes WHERE route_id IN (12345, 67890)",
+      "SELECT name, lat, lon FROM Stops WHERE 12345 = route_id;",
+      "SELECT s.name, t.arrival FROM stops s JOIN stop_times t ON t.stop_id = "
+      "s.stop_id WHERE t.trip_id = 12345 AND t.day > 12345",
+      "UPDATE vehicles SET last_seen = 12345.5 WHERE vehicle_id = 12345",
+      "SELECT * FROM b INNER JOIN a ON b.x = a.x WHERE c IN () AND d = 1",
+  };
+  // The same templates, with fresh and shorter literals.
+  const char* const kKnown[] = {
+      "SELECT * FROM trips WHERE service_day = 'v1' AND route_id = 7",
+      "SELECT short_name, route_id FROM routes WHERE route_id IN (3)",
+      "select name, lat, lon from stops where route_id = 9",
+      "SELECT s.name, t.arrival FROM stops s JOIN stop_times t ON s.stop_id = "
+      "t.stop_id WHERE t.day > 4 AND t.trip_id = 5",
+      "UPDATE vehicles SET last_seen = 1.5 WHERE vehicle_id = 2",
+      "SELECT * FROM a INNER JOIN b ON a.x = b.x WHERE d = 2 AND c IN ()",
+  };
+  sql::TemplateRegistry reg;
+  for (const char* s : kWarmup) ASSERT_TRUE(reg.Record(s).ok()) << s;
+  ASSERT_EQ(reg.size(), std::size(kWarmup));
+  const std::vector<std::string> known(std::begin(kKnown), std::end(kKnown));
+  std::vector<size_t> ids(known.size() * 3);
+  ResetAllocCount();
+  size_t recorded = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto id = reg.Record(known[i % known.size()]);
+    if (id.ok()) ids[recorded++] = *id;
+  }
+  long n = AllocCount();
+  EXPECT_EQ(n, 0) << "recording known templates allocated " << n << " times";
+  ASSERT_EQ(recorded, ids.size());
+  EXPECT_EQ(reg.size(), std::size(kWarmup));
+  for (size_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i % known.size());
 }
 
 }  // namespace

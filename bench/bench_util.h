@@ -79,6 +79,25 @@ inline void WriteSimdProvenance(std::FILE* out) {
                std::thread::hardware_concurrency());
 }
 
+#ifndef DBAUGUR_BUILD_TYPE
+#define DBAUGUR_BUILD_TYPE "unknown"
+#endif
+
+/// Writes the build a bench result came from: the CMake build type, the
+/// compiler and the commit (`git_sha`, which the caller takes from a flag;
+/// the binary cannot know it). Emits three `"key": value,` lines.
+inline void WriteBuildProvenance(std::FILE* out, const char* git_sha) {
+#if defined(__VERSION__)
+  const char* compiler = __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(out,
+               "  \"build_type\": \"%s\",\n  \"compiler\": \"%s\",\n"
+               "  \"git_sha\": \"%s\",\n",
+               DBAUGUR_BUILD_TYPE, compiler, git_sha);
+}
+
 /// Default bench hyper-parameters (paper: window 30, lr 1e-3; epochs reduced
 /// for single-core runtime — see file header).
 inline models::ForecasterOptions BenchOptions(size_t horizon,

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -52,7 +53,7 @@ ParsedQueryLog ParseQueryLogLenient(const std::string& text);
 
 /// Parses one timestamp in the formats above. Digit strings that overflow
 /// int64 are InvalidArgument (never an exception).
-StatusOr<ts::Timestamp> ParseTimestamp(const std::string& text);
+StatusOr<ts::Timestamp> ParseTimestamp(std::string_view text);
 
 /// Most bins one materialized trace may span, here and in
 /// serve::TraceBinner::Traces. A wider range fails instead of being

@@ -3,9 +3,12 @@
 // RunSequentialReference is a deliberately independent, single-threaded,
 // fault-free reimplementation of the serve ingest semantics (validation
 // order, quarantine bounds, lateness cutoff, epoch-origin binning). The
-// production path — serve::TraceIngestor + serve::TraceBinner, with their
+// production path — serve::TraceIngestor + trace::TraceBinner, with their
 // locks, atomics and fault hooks — must agree with it event for event on the
 // identical stream; CompareIngest checks counters and binned totals exactly.
+// The binner is the one trace store, shared by every shard and the offline
+// trace::TraceExtractor, so this also checks the binning the template leg's
+// extractor does; the reference keeps its own floor division for that reason.
 //
 // Under an armed DBAUGUR_FAULT_SPEC storm exact equality is forfeit (an
 // injected corruption legitimately moves events between categories), so the

@@ -83,10 +83,6 @@ class FitQueue {
 
 Status DBAugurSystem::IngestQueryLog(
     const std::vector<trace::LogEntry>& entries) {
-  if (!extractor_initialized_) {
-    extractor_ = trace::TraceExtractor(opts_.extraction);
-    extractor_initialized_ = true;
-  }
   return extractor_.IngestLog(entries);
 }
 
@@ -268,41 +264,42 @@ Status DBAugurSystem::Train() {
   }
   auto state = BuildTrainedState(opts_, traces);
   if (!state.ok()) return state.status();
-  descender_ = std::move(state->descender);
-  forecasts_ = std::move(state->forecasts);
-  trace_cluster_ = std::move(state->trace_cluster);
-  trace_proportion_ = std::move(state->trace_proportion);
-  trained_ = true;
+  state_ = std::move(state).value();
   return Status::OK();
 }
 
 dtw::PruningStats DBAugurSystem::clustering_pruning_stats() const {
-  return descender_ ? descender_->pruning_stats() : dtw::PruningStats();
+  return state_.descender ? state_.descender->pruning_stats()
+                          : dtw::PruningStats();
 }
 
 StatusOr<double> DBAugurSystem::ForecastCluster(size_t rank) const {
-  if (!trained_) return Status::FailedPrecondition("DBAugur: Train not called");
-  if (rank >= forecasts_.size()) {
+  if (!state_.descender) {
+    return Status::FailedPrecondition("DBAugur: Train not called");
+  }
+  if (rank >= state_.forecasts.size()) {
     return Status::OutOfRange("DBAugur: cluster rank out of range");
   }
-  return NextClusterValue(forecasts_[rank], opts_.forecaster.window);
+  return NextClusterValue(state_.forecasts[rank], opts_.forecaster.window);
 }
 
 StatusOr<double> DBAugurSystem::ForecastTrace(size_t trace_index) const {
-  if (!trained_) return Status::FailedPrecondition("DBAugur: Train not called");
-  if (trace_index >= trace_cluster_.size()) {
+  if (!state_.descender) {
+    return Status::FailedPrecondition("DBAugur: Train not called");
+  }
+  if (trace_index >= state_.trace_cluster.size()) {
     return Status::OutOfRange("DBAugur: trace index out of range");
   }
-  int cid = trace_cluster_[trace_index];
-  for (size_t rank = 0; rank < forecasts_.size(); ++rank) {
-    if (forecasts_[rank].cluster_id == cid) {
+  int cid = state_.trace_cluster[trace_index];
+  for (size_t rank = 0; rank < state_.forecasts.size(); ++rank) {
+    const ClusterForecast& cf = state_.forecasts[rank];
+    if (cf.cluster_id == cid) {
       auto cluster_pred = ForecastCluster(rank);
       if (!cluster_pred.ok()) return cluster_pred.status();
       // The representative is the cluster *average*; scale to the cluster
       // total, then to this trace via its volume proportion.
-      double total = *cluster_pred *
-                     static_cast<double>(forecasts_[rank].member_count);
-      return total * trace_proportion_[trace_index];
+      double total = *cluster_pred * static_cast<double>(cf.member_count);
+      return total * state_.trace_proportion[trace_index];
     }
   }
   return Status::NotFound(

@@ -31,7 +31,7 @@ namespace dbaugur::core {
 
 /// End-to-end configuration.
 struct DBAugurOptions {
-  trace::ExtractionOptions extraction;       ///< Log parsing + templating.
+  trace::ExtractionOptions extraction;       ///< Trace binning interval.
   cluster::DescenderOptions clustering;      ///< DTW density clustering.
   size_t top_k = 5;                          ///< Clusters to forecast.
   models::ForecasterOptions forecaster;      ///< Shared model hyper-params.
@@ -123,7 +123,10 @@ StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window);
 
 class DBAugurSystem {
  public:
-  explicit DBAugurSystem(const DBAugurOptions& opts) : opts_(opts) {}
+  /// Aborts (trace::TraceBinner's DBAUGUR_CHECK) when
+  /// opts.extraction.interval_seconds <= 0.
+  explicit DBAugurSystem(const DBAugurOptions& opts)
+      : opts_(opts), extractor_(opts.extraction) {}
 
   /// Feeds raw query-log entries through SQL2Template.
   Status IngestQueryLog(const std::vector<trace::LogEntry>& entries);
@@ -140,10 +143,14 @@ class DBAugurSystem {
   /// Number of traces the processor produced (templates + resources).
   size_t trace_count() const { return trace_refs_.size(); }
   const TraceRef& trace_ref(size_t i) const { return trace_refs_[i]; }
-  const cluster::Descender* clustering() const { return descender_.get(); }
+  const cluster::Descender* clustering() const {
+    return state_.descender.get();
+  }
   const trace::TraceExtractor& extractor() const { return extractor_; }
-  size_t forecast_count() const { return forecasts_.size(); }
-  const ClusterForecast& forecast(size_t rank) const { return forecasts_[rank]; }
+  size_t forecast_count() const { return state_.forecasts.size(); }
+  const ClusterForecast& forecast(size_t rank) const {
+    return state_.forecasts[rank];
+  }
 
   /// Neighbor-search pruning telemetry from the clustering stage (LB_Kim /
   /// LB_Keogh rejections, full DTW count). Zeros before Train.
@@ -160,15 +167,10 @@ class DBAugurSystem {
 
  private:
   DBAugurOptions opts_;
-  trace::TraceExtractor extractor_{trace::ExtractionOptions()};
-  bool extractor_initialized_ = false;
+  trace::TraceExtractor extractor_;
   std::vector<ts::Series> resource_traces_;
   std::vector<TraceRef> trace_refs_;
-  std::unique_ptr<cluster::Descender> descender_;
-  std::vector<ClusterForecast> forecasts_;
-  std::vector<int> trace_cluster_;      // cluster id per trace
-  std::vector<double> trace_proportion_;
-  bool trained_ = false;
+  TrainedState state_;  // The last successful Train; no descender before.
 };
 
 }  // namespace dbaugur::core

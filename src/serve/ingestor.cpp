@@ -2,12 +2,9 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
-#include <utility>
 
 #include "common/contracts.h"
 #include "common/fault_injection.h"
-#include "trace/extractor.h"
 
 namespace dbaugur::serve {
 
@@ -101,134 +98,6 @@ size_t TraceIngestor::Drain(std::vector<TraceEvent>* out) {
   }
   out->insert(out->end(), batch.begin(), batch.end());
   return batch.size();
-}
-
-namespace {
-// Floor division so pre-epoch timestamps bin consistently. The origin is
-// fixed at the epoch: binning must not depend on the first event a
-// particular service instance happened to see, or indices would shift after
-// a Save/Load into a service with a different start (boundary events would
-// then land one bin off).
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-}  // namespace
-
-TraceBinner::TraceBinner(int64_t interval_seconds)
-    : interval_(interval_seconds) {
-  DBAUGUR_CHECK(interval_ > 0, "TraceBinner interval must be positive, got ",
-                interval_);
-}
-
-int64_t TraceBinner::BinIndex(ts::Timestamp timestamp) const {
-  return FloorDiv(timestamp, interval_);
-}
-
-void TraceBinner::Fold(const TraceEvent& event) {
-  FoldBin(event.template_id, BinIndex(event.timestamp), event.count);
-}
-
-void TraceBinner::FoldBin(uint32_t template_id, int64_t bin, double count) {
-  bins_[template_id][bin] += count;
-  if (!any_) {
-    any_ = true;
-    min_bin_ = max_bin_ = bin;
-  } else {
-    if (bin < min_bin_) min_bin_ = bin;
-    if (bin > max_bin_) max_bin_ = bin;
-  }
-}
-
-size_t TraceBinner::bin_count() const {
-  return any_ ? trace::BinSpan(min_bin_, max_bin_) : 0;
-}
-
-StatusOr<std::vector<ts::Series>> TraceBinner::Traces() const {
-  if (!any_) {
-    return Status::FailedPrecondition("TraceBinner: no events folded yet");
-  }
-  size_t len = bin_count();
-  // With quarantine upstream this should be unreachable; it is the
-  // defense-in-depth stop against a garbage timestamp.
-  if (len > trace::kMaxMaterializedBins) {
-    return Status::FailedPrecondition(
-        "TraceBinner: bin range too large to materialize (" +
-        std::to_string(len) + " bins) — garbage timestamp in the history?");
-  }
-  ts::Timestamp start = min_bin_ * interval_;
-  std::vector<ts::Series> traces;
-  traces.reserve(bins_.size());
-  for (const auto& [tid, tbins] : bins_) {
-    std::vector<double> values(len, 0.0);
-    for (const auto& [bin, count] : tbins) {
-      values[static_cast<size_t>(bin - min_bin_)] = count;
-    }
-    traces.emplace_back(start, interval_, std::move(values),
-                        "template" + std::to_string(tid));
-  }
-  return traces;
-}
-
-void TraceBinner::Save(BufWriter* w) const {
-  w->I64(interval_);
-  w->U8(any_ ? 1 : 0);
-  w->I64(min_bin_);
-  w->I64(max_bin_);
-  w->U64(bins_.size());
-  for (const auto& [tid, tbins] : bins_) {
-    w->U32(tid);
-    w->U64(tbins.size());
-    for (const auto& [bin, count] : tbins) {
-      w->I64(bin);
-      w->F64(count);
-    }
-  }
-}
-
-Status TraceBinner::Load(BufReader* r) {
-  auto corrupt = [] {
-    return Status::InvalidArgument("TraceBinner: truncated or corrupt state");
-  };
-  int64_t interval = 0;
-  uint8_t any = 0;
-  int64_t min_bin = 0;
-  int64_t max_bin = 0;
-  uint64_t templates = 0;
-  if (!r->I64(&interval) || !r->U8(&any) || !r->I64(&min_bin) ||
-      !r->I64(&max_bin) || !r->U64(&templates)) {
-    return corrupt();
-  }
-  // Save writes no template before something is folded. Stored bins under
-  // any = 0 would sit outside the range the next Fold starts, where Traces()
-  // would write them past the end of its zero-filled vectors.
-  if (interval <= 0 || any > 1 || (any == 1 && max_bin < min_bin) ||
-      (any == 0 && templates != 0)) {
-    return Status::InvalidArgument("TraceBinner: invalid header fields");
-  }
-  std::map<uint32_t, std::map<int64_t, double>> bins;
-  for (uint64_t t = 0; t < templates; ++t) {
-    uint32_t tid = 0;
-    uint64_t n = 0;
-    if (!r->U32(&tid) || !r->U64(&n)) return corrupt();
-    auto& tbins = bins[tid];
-    for (uint64_t i = 0; i < n; ++i) {
-      int64_t bin = 0;
-      double count = 0.0;
-      if (!r->I64(&bin) || !r->F64(&count)) return corrupt();
-      if (any == 1 && (bin < min_bin || bin > max_bin)) {
-        return Status::InvalidArgument("TraceBinner: bin outside saved range");
-      }
-      tbins[bin] = count;
-    }
-  }
-  interval_ = interval;
-  any_ = any == 1;
-  min_bin_ = min_bin;
-  max_bin_ = max_bin;
-  bins_ = std::move(bins);
-  return Status::OK();
 }
 
 }  // namespace dbaugur::serve

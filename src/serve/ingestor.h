@@ -6,33 +6,25 @@
 // critical section and never blocks — when the queue is full the event is
 // counted as dropped and the producer moves on (load shedding beats
 // backpressure for telemetry). The retrain thread periodically Drain()s the
-// queue and Fold()s the events into a TraceBinner, which accumulates
-// per-template arrival counts into fixed-interval bins exactly like the
-// offline trace::TraceExtractor does for parsed query logs.
+// queue and Fold()s the events into a trace::TraceBinner, the same trace
+// store the offline trace::TraceExtractor bins parsed query logs into.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "common/binio.h"
 #include "common/mutex.h"
-#include "common/status.h"
 #include "common/thread_annotations.h"
+#include "trace/extractor.h"
 #include "ts/series.h"
 
 namespace dbaugur::serve {
 
-/// One workload observation: `count` arrivals of template `template_id`
-/// at `timestamp`. Counts are doubles so pre-aggregated sources (per-second
-/// rates, sampled logs with weights) can feed the same path.
-struct TraceEvent {
-  uint32_t template_id = 0;
-  ts::Timestamp timestamp = 0;
-  double count = 1.0;
-};
+// The serving layer's names for the shared trace store.
+using trace::TraceBinner;
+using trace::TraceEvent;
 
 /// Ingest queue configuration.
 struct IngestorOptions {
@@ -133,70 +125,6 @@ class TraceIngestor {
   std::atomic<uint64_t> dropped_stale_{0};
   std::atomic<uint64_t> dropped_pre_epoch_{0};
   std::atomic<uint64_t> dropped_future_{0};
-};
-
-/// Accumulates drained events into per-template fixed-interval bins and
-/// materializes them as equal-length, zero-filled ts::Series traces (the
-/// workload collection BuildTrainedState expects). Single-threaded: owned by
-/// the retrain loop.
-class TraceBinner {
- public:
-  /// Aborts (DBAUGUR_CHECK) when interval_seconds <= 0.
-  explicit TraceBinner(int64_t interval_seconds);
-
-  /// The bin an event at `timestamp` lands in: floor(timestamp / interval).
-  /// The origin is the epoch — never the first event seen — so the mapping is
-  /// stable across Save/Load and across services whose first events differ,
-  /// including events landing exactly on a bin boundary.
-  int64_t BinIndex(ts::Timestamp timestamp) const;
-
-  /// Adds one event's count to its template's bin (BinIndex above).
-  void Fold(const TraceEvent& event);
-
-  /// Adds `count` directly to (template_id, bin) — the re-hash migration path
-  /// replays another binner's sparse bins without round-tripping through
-  /// timestamps (whose bin mapping is already applied). Maintains the same
-  /// [min_bin, max_bin] bookkeeping as Fold.
-  void FoldBin(uint32_t template_id, int64_t bin, double count);
-
-  /// Number of distinct intervals between the earliest and latest bin seen
-  /// (0 before any event; trace::BinSpan). This is the common length
-  /// Traces() will emit.
-  size_t bin_count() const;
-
-  /// Number of distinct template ids seen.
-  size_t template_count() const { return bins_.size(); }
-
-  int64_t interval_seconds() const { return interval_; }
-
-  /// Materializes one Series per template ("template<id>"), all covering
-  /// [min_bin, max_bin] with zeros where a template had no arrivals.
-  /// FailedPrecondition before any event is folded, or when the range spans
-  /// more than trace::kMaxMaterializedBins bins.
-  StatusOr<std::vector<ts::Series>> Traces() const;
-
-  /// Appends the binner's full state (interval, bin range, per-template
-  /// sparse bins) to *w for service snapshots.
-  void Save(BufWriter* w) const;
-
-  /// Restores a Save blob in place; on failure the binner is unchanged.
-  Status Load(BufReader* r);
-
-  /// Sparse per-template bins (template id -> bin index -> summed count).
-  /// Read-only view for shard-count migration, which re-partitions templates
-  /// across binners by re-hashing their ids.
-  const std::map<uint32_t, std::map<int64_t, double>>& bins() const {
-    return bins_;
-  }
-
- private:
-  int64_t interval_ = 600;
-  bool any_ = false;
-  int64_t min_bin_ = 0;
-  int64_t max_bin_ = 0;
-  // template id -> (bin index -> summed count); sparse so idle templates
-  // cost nothing until Traces() zero-fills.
-  std::map<uint32_t, std::map<int64_t, double>> bins_;
 };
 
 }  // namespace dbaugur::serve

@@ -1,6 +1,12 @@
 // Workload trace extraction (paper §IV-A): parses timestamped query logs,
 // maps each statement to its SQL template, and bins occurrences per template
 // at the forecasting interval to produce arrival-rate traces.
+//
+// TraceBinner is the one trace store: TraceExtractor (the offline pipeline)
+// and every serving shard (serve::Retrainer) fold their arrivals into it, so
+// both bin by the same rules — epoch-origin floor division, one
+// [min_bin, max_bin] range, zero-fill, the kMaxMaterializedBins refusal and
+// the "template<id>" trace name.
 
 #pragma once
 
@@ -11,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/status.h"
 #include "sql/templater.h"
 #include "ts/series.h"
@@ -55,10 +62,9 @@ ParsedQueryLog ParseQueryLogLenient(const std::string& text);
 /// int64 are InvalidArgument (never an exception).
 StatusOr<ts::Timestamp> ParseTimestamp(std::string_view text);
 
-/// Most bins one materialized trace may span, here and in
-/// serve::TraceBinner::Traces. A wider range fails instead of being
-/// zero-filled: one garbage timestamp must not turn every template's trace
-/// into gigabytes.
+/// Most bins one materialized trace may span (TraceBinner::Traces). A wider
+/// range fails instead of being zero-filled: one garbage timestamp must not
+/// turn every template's trace into gigabytes.
 constexpr size_t kMaxMaterializedBins = size_t{1} << 22;  // ~4M bins
 
 /// Number of bins in [min_bin, max_bin] (min_bin <= max_bin). Unsigned
@@ -70,17 +76,91 @@ inline size_t BinSpan(int64_t min_bin, int64_t max_bin) {
   return diff >= SIZE_MAX ? SIZE_MAX : static_cast<size_t>(diff + 1);
 }
 
+/// One workload observation: `count` arrivals of template `template_id`
+/// at `timestamp`. Counts are doubles so pre-aggregated sources (per-second
+/// rates, sampled logs with weights) can feed the same path.
+struct TraceEvent {
+  uint32_t template_id = 0;
+  ts::Timestamp timestamp = 0;
+  double count = 1.0;
+};
+
+/// Accumulates events into per-template fixed-interval bins and
+/// materializes them as equal-length, zero-filled ts::Series traces (the
+/// workload collection BuildTrainedState expects). Single-threaded: owned by
+/// one extractor or one shard's retrain loop.
+class TraceBinner {
+ public:
+  /// Aborts (DBAUGUR_CHECK) when interval_seconds <= 0.
+  explicit TraceBinner(int64_t interval_seconds);
+
+  /// The bin an event at `timestamp` lands in: floor(timestamp / interval).
+  /// The origin is the epoch — never the first event seen — so the mapping is
+  /// stable across Save/Load and across services whose first events differ,
+  /// including events landing exactly on a bin boundary.
+  int64_t BinIndex(ts::Timestamp timestamp) const;
+
+  /// Adds one event's count to its template's bin (BinIndex above).
+  void Fold(const TraceEvent& event);
+
+  /// Adds `count` directly to (template_id, bin) — the re-hash migration path
+  /// replays another binner's sparse bins without round-tripping through
+  /// timestamps (whose bin mapping is already applied). Maintains the same
+  /// [min_bin, max_bin] bookkeeping as Fold.
+  void FoldBin(uint32_t template_id, int64_t bin, double count);
+
+  /// Number of distinct intervals between the earliest and latest bin seen
+  /// (0 before any event; BinSpan). This is the common length Traces() will
+  /// emit.
+  size_t bin_count() const;
+
+  /// Number of distinct template ids seen.
+  size_t template_count() const { return bins_.size(); }
+
+  int64_t interval_seconds() const { return interval_; }
+
+  /// Materializes one Series per template ("template<id>"), all covering
+  /// [min_bin, max_bin] with zeros where a template had no arrivals.
+  /// FailedPrecondition before any event is folded, or when the range spans
+  /// more than kMaxMaterializedBins bins.
+  StatusOr<std::vector<ts::Series>> Traces() const;
+
+  /// Appends the binner's full state (interval, bin range, per-template
+  /// sparse bins) to *w for service snapshots.
+  void Save(BufWriter* w) const;
+
+  /// Restores a Save blob in place; on failure the binner is unchanged.
+  Status Load(BufReader* r);
+
+  /// Sparse per-template bins (template id -> bin index -> summed count).
+  /// Read-only view for shard-count migration, which re-partitions templates
+  /// across binners by re-hashing their ids.
+  const std::map<uint32_t, std::map<int64_t, double>>& bins() const {
+    return bins_;
+  }
+
+ private:
+  int64_t interval_ = 600;
+  bool any_ = false;
+  int64_t min_bin_ = 0;
+  int64_t max_bin_ = 0;
+  // template id -> (bin index -> summed count); sparse so idle templates
+  // cost nothing until Traces() zero-fills.
+  std::map<uint32_t, std::map<int64_t, double>> bins_;
+};
+
 /// Extraction configuration.
 struct ExtractionOptions {
   int64_t interval_seconds = 600;  ///< Forecasting interval I (paper: 10 min).
-  sql::TemplateOptions template_opts;
 };
 
-/// Streaming extractor: ingest log entries, then materialize per-template
-/// arrival-rate traces over the observed time range.
+/// Streaming extractor: a template registry in front of a TraceBinner. Each
+/// statement is templated and folded as one arrival at its timestamp.
 class TraceExtractor {
  public:
-  explicit TraceExtractor(const ExtractionOptions& opts) : opts_(opts) {}
+  /// Aborts (TraceBinner's DBAUGUR_CHECK) when opts.interval_seconds <= 0.
+  explicit TraceExtractor(const ExtractionOptions& opts)
+      : binner_(opts.interval_seconds) {}
 
   /// Templates the statement and counts it in its time bin.
   Status Ingest(const LogEntry& entry);
@@ -91,10 +171,13 @@ class TraceExtractor {
   /// instead of failing — returns whether the entry was ingested.
   bool IngestLenient(const LogEntry& entry);
 
-  /// One arrival-rate Series per template id, all aligned to the same start
-  /// and length (bins with no occurrences are zero). FailedPrecondition
-  /// before any entry, or when the bins span more than kMaxMaterializedBins.
-  StatusOr<std::vector<ts::Series>> TemplateTraces() const;
+  /// The binner's Traces(): one "template<id>" Series per template id, in id
+  /// order, all aligned to the same start and length (bins with no
+  /// occurrences are zero). FailedPrecondition before any entry, or when the
+  /// bins span more than kMaxMaterializedBins.
+  StatusOr<std::vector<ts::Series>> TemplateTraces() const {
+    return binner_.Traces();
+  }
 
   const sql::TemplateRegistry& registry() const { return registry_; }
   size_t entry_count() const { return entry_count_; }
@@ -102,11 +185,8 @@ class TraceExtractor {
   uint64_t rejected_statements() const { return rejected_statements_; }
 
  private:
-  ExtractionOptions opts_;
-  sql::TemplateRegistry registry_{sql::TemplateOptions()};
-  // template id -> (bin index -> count); bin = floor(ts / interval).
-  std::vector<std::map<int64_t, double>> bins_;
-  int64_t min_bin_ = 0, max_bin_ = -1;
+  sql::TemplateRegistry registry_;
+  TraceBinner binner_;
   size_t entry_count_ = 0;
   uint64_t rejected_statements_ = 0;
 };

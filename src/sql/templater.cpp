@@ -192,16 +192,24 @@ void Templater::CanonicalizeWhereConjunction() {
     if (IsPunct(t[end], ')')) --depth;
     if (depth == 0 && (IsPunct(t[end], ';') || IsClauseEnd(t[end]))) break;
   }
-  // Split into AND-separated spans at depth 0; bail on OR at top level.
+  // Split into AND-separated spans at depth 0; bail on OR at top level. The
+  // first AND after a BETWEEN (or NOT BETWEEN) joins its bounds, so it stays
+  // inside that conjunct.
   terms_.clear();
   size_t term_begin = begin;
   depth = 0;
+  bool in_between = false;
   for (size_t i = begin; i < end; ++i) {
     if (IsPunct(t[i], '(')) ++depth;
     if (IsPunct(t[i], ')')) --depth;
     if (depth != 0) continue;
     if (IsKeyword(t[i], "OR")) return;
+    if (IsKeyword(t[i], "BETWEEN")) in_between = true;
     if (IsKeyword(t[i], "AND")) {
+      if (in_between) {
+        in_between = false;
+        continue;
+      }
       if (i == term_begin) return;  // malformed
       terms_.push_back({term_begin, i});
       term_begin = i + 1;

@@ -137,8 +137,8 @@ fi
 
 # --- 1d. Sharded-serve bench smoke: every shard of the ShardedForecastService
 # must complete snapshot reads while its retrain cycle is in flight (the
-# binary exits non-zero if any shard's reads stall) and emit valid JSON (full
-# numbers are committed as BENCH_serve_scale.json).
+# binary exits non-zero if any shard's reads stall) and emit valid JSON (the
+# full run's numbers get a committed file once its gates pass; ROADMAP item 9).
 if [[ -x build-release/bench/serve_scale ]]; then
   note "bench/serve_scale --smoke (Release)"
   if ./build-release/bench/serve_scale --smoke > /dev/null; then

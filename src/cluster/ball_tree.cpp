@@ -1,22 +1,10 @@
 #include "cluster/ball_tree.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/contracts.h"
 
 namespace dbaugur::cluster {
-
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b) {
-  double s = 0.0;
-  size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    double d = a[i] - b[i];
-    s += d * d;
-  }
-  return std::sqrt(s);
-}
 
 StatusOr<BallTree> BallTree::Build(std::vector<std::vector<double>> points,
                                    DistanceFn distance, BallTreeOptions opts) {
@@ -126,42 +114,6 @@ void BallTree::RangeSearch(const Node* node, const std::vector<double>& query,
   }
   RangeSearch(node->left.get(), query, radius, out);
   RangeSearch(node->right.get(), query, radius, out);
-}
-
-StatusOr<std::pair<size_t, double>> BallTree::Nearest(
-    const std::vector<double>& query) const {
-  if (!root_) return Status::NotFound("BallTree: empty tree");
-  size_t best_idx = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  NearestSearch(root_.get(), query, &best_idx, &best_dist);
-  return std::make_pair(best_idx, best_dist);
-}
-
-void BallTree::NearestSearch(const Node* node, const std::vector<double>& query,
-                             size_t* best_idx, double* best_dist) const {
-  ++distance_evals_;
-  double dc = distance_(query, node->centroid);
-  if (dc - node->radius > *best_dist) return;
-  if (node->is_leaf()) {
-    for (size_t i : node->indices) {
-      ++distance_evals_;
-      double d = distance_(query, points_[i]);
-      if (d < *best_dist) {
-        *best_dist = d;
-        *best_idx = i;
-      }
-    }
-    return;
-  }
-  // Visit the closer child first for tighter pruning.
-  ++distance_evals_;
-  double dl = distance_(query, node->left->centroid);
-  ++distance_evals_;
-  double dr = distance_(query, node->right->centroid);
-  const Node* first = dl <= dr ? node->left.get() : node->right.get();
-  const Node* second = dl <= dr ? node->right.get() : node->left.get();
-  NearestSearch(first, query, best_idx, best_dist);
-  NearestSearch(second, query, best_idx, best_dist);
 }
 
 }  // namespace dbaugur::cluster

@@ -23,10 +23,6 @@ namespace dbaugur::cluster {
 using DistanceFn =
     std::function<double(const std::vector<double>&, const std::vector<double>&)>;
 
-/// Plain Euclidean distance (the exact-metric default).
-double EuclideanDistance(const std::vector<double>& a,
-                         const std::vector<double>& b);
-
 /// Options controlling Ball-tree construction.
 struct BallTreeOptions {
   size_t leaf_size = 8;  ///< Max points per leaf.
@@ -44,11 +40,6 @@ class BallTree {
   /// when `distance` is a metric).
   std::vector<size_t> RangeQuery(const std::vector<double>& query,
                                  double radius) const;
-
-  /// Index and distance of the nearest point (brute-force fallback when the
-  /// tree is empty returns NotFound).
-  StatusOr<std::pair<size_t, double>> Nearest(
-      const std::vector<double>& query) const;
 
   size_t size() const { return points_.size(); }
   const std::vector<double>& point(size_t i) const { return points_[i]; }
@@ -76,8 +67,6 @@ class BallTree {
   std::unique_ptr<Node> BuildNode(std::vector<size_t> idx, size_t leaf_size);
   void RangeSearch(const Node* node, const std::vector<double>& query,
                    double radius, std::vector<size_t>* out) const;
-  void NearestSearch(const Node* node, const std::vector<double>& query,
-                     size_t* best_idx, double* best_dist) const;
 
   std::vector<std::vector<double>> points_;
   DistanceFn distance_;

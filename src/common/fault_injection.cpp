@@ -194,15 +194,4 @@ StatusOr<SiteStats> Stats(const std::string& site) {
   return it->second.stats;
 }
 
-std::vector<std::pair<std::string, SiteStats>> AllStats() {
-  Registry& reg = GetRegistry();
-  MutexLock lock(&reg.mu);
-  std::vector<std::pair<std::string, SiteStats>> out;
-  out.reserve(reg.sites.size());
-  for (const auto& [name, sched] : reg.sites) {
-    out.emplace_back(name, sched.stats);
-  }
-  return out;
-}
-
 }  // namespace dbaugur::fault

@@ -53,8 +53,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
 
@@ -86,9 +84,6 @@ bool Active();
 /// Counters for one site (NotFound when the site has never been hit while
 /// active and has no schedule).
 StatusOr<SiteStats> Stats(const std::string& site);
-
-/// All known sites (scheduled or hit-while-active) with their counters.
-std::vector<std::pair<std::string, SiteStats>> AllStats();
 
 namespace internal {
 

@@ -29,21 +29,6 @@ double Median(std::vector<double> v) {
   return v[mid];
 }
 
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b) {
-  if (a.size() != b.size() || a.size() < 2) return 0.0;
-  double ma = Mean(a), mb = Mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  double denom = std::sqrt(da * db);
-  if (denom <= 0.0) return 0.0;
-  return num / denom;
-}
-
 StatusOr<std::vector<double>> SolveLinearSystem(std::vector<double> a,
                                                 std::vector<double> b,
                                                 size_t n) {
@@ -110,19 +95,6 @@ StatusOr<std::vector<double>> LeastSquares(const std::vector<double>& x,
     xtx[i * cols + i] += ridge;
   }
   return SolveLinearSystem(std::move(xtx), std::move(xty), cols);
-}
-
-std::vector<double> Softmax(const std::vector<double>& v) {
-  std::vector<double> out(v.size(), 0.0);
-  if (v.empty()) return out;
-  double mx = *std::max_element(v.begin(), v.end());
-  double sum = 0.0;
-  for (size_t i = 0; i < v.size(); ++i) {
-    out[i] = std::exp(v[i] - mx);
-    sum += out[i];
-  }
-  for (double& o : out) o /= sum;
-  return out;
 }
 
 }  // namespace dbaugur

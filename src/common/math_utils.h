@@ -19,10 +19,6 @@ double Variance(const std::vector<double>& v);
 /// Population standard deviation.
 double StdDev(const std::vector<double>& v);
 
-/// Pearson correlation of two equal-length vectors; 0 when undefined.
-double PearsonCorrelation(const std::vector<double>& a,
-                          const std::vector<double>& b);
-
 /// Median (0 for empty input). Takes a copy: selection reorders elements.
 /// Even-length inputs use the lower middle element, which keeps the result an
 /// actual sample value — what the MAD-based outlier clamp wants.
@@ -60,8 +56,5 @@ StatusOr<std::vector<double>> LeastSquares(const std::vector<double>& x,
                                            const std::vector<double>& y,
                                            size_t rows, size_t cols,
                                            double ridge = 1e-8);
-
-/// Softmax over a vector (numerically stable).
-std::vector<double> Softmax(const std::vector<double>& v);
 
 }  // namespace dbaugur

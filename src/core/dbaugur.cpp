@@ -245,26 +245,28 @@ StatusOr<double> NextClusterValue(const ClusterForecast& cf, size_t window) {
 }
 
 Status DBAugurSystem::Train() {
-  // Materialize the workload collection W = W(Q) ∪ W(R).
+  // Materialize the workload collection W = W(Q) ∪ W(R). The refs and the
+  // state are committed together, so a failed Train keeps describing the
+  // traces of the last one that succeeded.
   std::vector<ts::Series> traces;
-  trace_refs_.clear();
+  std::vector<TraceRef> refs;
   if (extractor_.entry_count() > 0) {
     auto templates = extractor_.TemplateTraces();
     if (!templates.ok()) return templates.status();
     for (size_t id = 0; id < templates->size(); ++id) {
-      trace_refs_.push_back({TraceRef::Kind::kQueryTemplate, id,
-                             extractor_.registry().template_text(id)});
+      refs.push_back({TraceRef::Kind::kQueryTemplate, id,
+                      extractor_.registry().template_text(id)});
       traces.push_back(std::move((*templates)[id]));
     }
   }
   for (size_t r = 0; r < resource_traces_.size(); ++r) {
-    trace_refs_.push_back(
-        {TraceRef::Kind::kResource, r, resource_traces_[r].name()});
+    refs.push_back({TraceRef::Kind::kResource, r, resource_traces_[r].name()});
     traces.push_back(resource_traces_[r]);
   }
   auto state = BuildTrainedState(opts_, traces);
   if (!state.ok()) return state.status();
   state_ = std::move(state).value();
+  trace_refs_ = std::move(refs);
   return Status::OK();
 }
 

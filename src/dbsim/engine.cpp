@@ -236,10 +236,4 @@ StatusOr<ExecResult> Database::Execute(const std::string& sql) {
   return Execute(*spec);
 }
 
-std::vector<std::string> Database::TableNames() const {
-  std::vector<std::string> out;
-  for (const auto& [name, t] : tables_) out.push_back(name);
-  return out;
-}
-
 }  // namespace dbaugur::dbsim

@@ -66,8 +66,6 @@ class Database {
       const QuerySpec& spec,
       const std::set<HypotheticalIndex>& hypothetical = {}) const;
 
-  std::vector<std::string> TableNames() const;
-
  private:
   /// Selectivity of one predicate on a table in [0, 1].
   StatusOr<double> Selectivity(const Table& t, const Predicate& p) const;

@@ -33,10 +33,4 @@ StatusOr<std::unique_ptr<Forecaster>> MakeForecaster(
   return model;
 }
 
-const std::vector<std::string>& KnownModelNames() {
-  static const std::vector<std::string> kNames = {
-      "LR", "ARIMA", "MLP", "LSTM", "TCN", "KR", "WFGAN"};
-  return kNames;
-}
-
 }  // namespace dbaugur::models

@@ -15,7 +15,4 @@ namespace dbaugur::models {
 StatusOr<std::unique_ptr<Forecaster>> MakeForecaster(
     const std::string& name, const ForecasterOptions& opts);
 
-/// All model names MakeForecaster accepts, in the paper's baseline order.
-const std::vector<std::string>& KnownModelNames();
-
 }  // namespace dbaugur::models

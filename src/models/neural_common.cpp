@@ -148,7 +148,7 @@ void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
 }
 
 namespace {
-// Distinct from the nn parameter magics so a params blob handed to the model
+// Distinct from the nn parameter magic so a params blob handed to the model
 // state path (or vice versa) is rejected, not misparsed.
 constexpr uint32_t kModelStateMagic = 0xDBA65AE1;
 }  // namespace

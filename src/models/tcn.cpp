@@ -28,12 +28,6 @@ TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
   }
 }
 
-size_t TcnForecaster::ReceptiveField() const {
-  size_t sum = 0;
-  for (size_t d : tcn_opts_.dilations) sum += d;
-  return 1 + (tcn_opts_.kernel - 1) * 2 * sum;
-}
-
 std::vector<nn::Param> TcnForecaster::Params() const {
   std::vector<nn::Param> params;
   for (auto& b : blocks_) {

@@ -32,9 +32,6 @@ class TcnForecaster : public NeuralForecaster {
   /// One epoch over the PrepareTraining dataset.
   Status TrainEpoch();
 
-  /// Receptive field in time steps: 1 + (k-1) * 2 * sum(dilations).
-  size_t ReceptiveField() const;
-
   /// The blocks in order, then the head.
   std::vector<nn::Param> Params() const override;
 

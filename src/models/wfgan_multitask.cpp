@@ -226,24 +226,4 @@ int64_t MultiTaskWfgan::SharedParameterCount() const {
   return n;
 }
 
-std::vector<nn::Param> MultiTaskWfgan::Params() const {
-  std::vector<nn::Param> params = shared_lstm_.Params();
-  for (auto& t : tasks_) {
-    for (auto& p : TaskGenParams(const_cast<TaskNet&>(t))) params.push_back(p);
-    for (auto& p : DiscParams(const_cast<TaskNet&>(t))) params.push_back(p);
-  }
-  return params;
-}
-
-StatusOr<std::vector<uint8_t>> MultiTaskWfgan::SaveState() const {
-  return SerializeNeuralState({&tasks_[0].scaler, &tasks_[1].scaler}, Params());
-}
-
-Status MultiTaskWfgan::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(
-      buffer, {&tasks_[0].scaler, &tasks_[1].scaler}, Params()));
-  fitted_ = true;
-  return Status::OK();
-}
-
 }  // namespace dbaugur::models

@@ -40,16 +40,6 @@ class MultiTaskWfgan {
   /// Parameters in the shared trunk only (tests assert sharing is real).
   int64_t SharedParameterCount() const;
 
-  /// All parameter tensors (shared trunk, then per-task generator heads and
-  /// discriminators in task order) — serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of the trunk, both task networks, and both task
-  /// scalers, restorable into a same-options MultiTaskWfgan without
-  /// retraining (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const;
-  Status LoadState(const std::vector<uint8_t>& buffer);
-
  private:
   struct TaskNet {
     std::unique_ptr<nn::TemporalAttention> attn;

@@ -2,8 +2,8 @@
 //
 // Layers own their parameters and accumulated gradients. Training code calls
 // Forward, then Backward with the loss gradient, then hands the layer's
-// parameter list to an Optimizer. Gradients accumulate across Backward calls
-// until ZeroGrad().
+// parameter list to Adam (nn/optimizer.h). Gradients accumulate across
+// Backward calls until ZeroGrad().
 
 #pragma once
 

@@ -1,9 +1,6 @@
 #include "nn/matrix.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "nn/gemm.h"
@@ -32,18 +29,6 @@ void Matrix::AddScaled(const Matrix& other, double alpha) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
 }
 
-void Matrix::Sub(const Matrix& other) {
-  DBAUGUR_CHECK(SameShape(other), "Matrix::Sub shape mismatch: ", rows_, "x",
-                cols_, " vs ", other.rows_, "x", other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-}
-
-void Matrix::Hadamard(const Matrix& other) {
-  DBAUGUR_CHECK(SameShape(other), "Matrix::Hadamard shape mismatch: ", rows_,
-                "x", cols_, " vs ", other.rows_, "x", other.cols_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-}
-
 void Matrix::Scale(double alpha) {
   for (double& x : data_) x *= alpha;
 }
@@ -59,24 +44,6 @@ void CheckNoAlias(const Matrix& dest, const Matrix& a, const Matrix& b,
 }
 
 }  // namespace
-
-Matrix Matrix::MatMul(const Matrix& other) const {
-  Matrix out;
-  out.MatMulInto(*this, other);
-  return out;
-}
-
-Matrix Matrix::TransposeMatMul(const Matrix& other) const {
-  Matrix out;
-  out.TransposeMatMulInto(*this, other);
-  return out;
-}
-
-Matrix Matrix::MatMulTranspose(const Matrix& other) const {
-  Matrix out;
-  out.MatMulTransposeInto(*this, other);
-  return out;
-}
 
 void Matrix::MatMulInto(const Matrix& a, const Matrix& b) {
   DBAUGUR_CHECK_EQ(a.cols_, b.rows_, "Matrix::MatMul inner dimensions");
@@ -129,39 +96,12 @@ void Matrix::AddMatMulTranspose(const Matrix& a, const Matrix& b) {
   GemmNT(a.rows_, a.cols_, b.rows_, a.data(), b.data(), data(), true);
 }
 
-Matrix Matrix::Transposed() const {
-  Matrix out(cols_, rows_);
-  // Blocked so both the read and write side stay within a few cache lines
-  // per tile instead of striding the full matrix on one side.
-  constexpr size_t kTile = 32;
-  const double* src = data();
-  double* dst = out.data();
-  for (size_t ib = 0; ib < rows_; ib += kTile) {
-    const size_t ie = std::min(rows_, ib + kTile);
-    for (size_t jb = 0; jb < cols_; jb += kTile) {
-      const size_t je = std::min(cols_, jb + kTile);
-      for (size_t i = ib; i < ie; ++i) {
-        for (size_t j = jb; j < je; ++j) {
-          dst[j * rows_ + i] = src[i * cols_ + j];
-        }
-      }
-    }
-  }
-  return out;
-}
-
 void Matrix::AddRowVector(const Matrix& v) {
   DBAUGUR_CHECK_EQ(v.size(), cols_, "Matrix::AddRowVector width mismatch");
   for (size_t i = 0; i < rows_; ++i) {
     double* r = row(i);
     for (size_t j = 0; j < cols_; ++j) r[j] += v.data_[j];
   }
-}
-
-Matrix Matrix::ColSum() const {
-  Matrix out(1, cols_, 0.0);
-  out.AddColSumOf(*this);
-  return out;
 }
 
 void Matrix::AddColSumOf(const Matrix& other) {
@@ -188,30 +128,8 @@ bool Matrix::BitwiseEqual(const Matrix& o) const {
                       data_.size() * sizeof(double)) == 0);
 }
 
-std::string Matrix::ToString(int precision) const {
-  std::ostringstream oss;
-  oss.setf(std::ios::fixed);
-  oss.precision(precision);
-  for (size_t i = 0; i < rows_; ++i) {
-    oss << '[';
-    for (size_t j = 0; j < cols_; ++j) {
-      oss << (*this)(i, j);
-      if (j + 1 < cols_) oss << ", ";
-    }
-    oss << "]\n";
-  }
-  return oss.str();
-}
-
 void Tensor3::Fill(double v) {
   for (double& x : data_) x = v;
-}
-
-void Tensor3::Add(const Tensor3& other) {
-  DBAUGUR_CHECK(SameShape(other), "Tensor3::Add shape mismatch: ", batch_,
-                "x", channels_, "x", time_, " vs ", other.batch_, "x",
-                other.channels_, "x", other.time_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
 }
 
 }  // namespace dbaugur::nn

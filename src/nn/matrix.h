@@ -1,16 +1,14 @@
 // Dense row-major matrix used throughout the neural-net substrate.
 //
 // Matmuls route through the register-blocked kernels in nn/gemm.h. Every
-// product has an allocating convenience form (MatMul & friends) plus
-// into/accumulate variants (MatMulInto, AddMatMul, ...) that write into an
-// existing matrix, so training loops can run with zero steady-state heap
-// allocation: Resize() reuses the underlying buffer whenever capacity
+// product is an into/accumulate form (MatMulInto, AddMatMul, ...) that writes
+// into an existing matrix, so training loops can run with zero steady-state
+// heap allocation: Resize() reuses the underlying buffer whenever capacity
 // suffices, exactly like std::vector.
 
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "common/contracts.h"
@@ -72,21 +70,8 @@ class Matrix {
   void Add(const Matrix& other);
   /// this += alpha * other.
   void AddScaled(const Matrix& other, double alpha);
-  /// this -= other.
-  void Sub(const Matrix& other);
-  /// Element-wise multiply in place.
-  void Hadamard(const Matrix& other);
   /// Scale all elements.
   void Scale(double alpha);
-
-  /// Returns this * other.
-  Matrix MatMul(const Matrix& other) const;
-  /// Returns this^T * other (avoids materializing the transpose).
-  Matrix TransposeMatMul(const Matrix& other) const;
-  /// Returns this * other^T.
-  Matrix MatMulTranspose(const Matrix& other) const;
-  /// Returns the transpose.
-  Matrix Transposed() const;
 
   // Fused into/accumulate products. The destination (this) is resized as
   // needed by the Into forms and must already have the product shape for the
@@ -107,10 +92,7 @@ class Matrix {
 
   /// Adds a row vector (1 x cols or plain cols-length matrix row) to each row.
   void AddRowVector(const Matrix& v);
-  /// Column-wise sum producing a 1 x cols matrix (bias gradients).
-  Matrix ColSum() const;
-  /// this (1 x n) += column-wise sum of other (m x n); fuses the
-  /// db.Add(g.ColSum()) pattern without the temporary.
+  /// this (1 x n) += column-wise sum of other (m x n): the bias gradient.
   void AddColSumOf(const Matrix& other);
 
   /// Applies f element-wise in place.
@@ -121,9 +103,6 @@ class Matrix {
 
   /// Frobenius-norm squared (used in tests and gradient clipping).
   double SquaredNorm() const;
-
-  /// Debug rendering.
-  std::string ToString(int precision = 3) const;
 
   bool SameShape(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_;
@@ -181,7 +160,6 @@ class Tensor3 {
   }
 
   void Fill(double v);
-  void Add(const Tensor3& other);
 
   /// Reshapes, reusing the buffer when capacity suffices; element values are
   /// unspecified afterwards (see Matrix::Resize).
@@ -190,11 +168,6 @@ class Tensor3 {
     channels_ = channels;
     time_ = time;
     data_.resize(batch * channels * time);
-  }
-
-  template <typename F>
-  void Apply(F f) {
-    for (double& x : data_) x = f(x);
   }
 
   bool SameShape(const Tensor3& o) const {

@@ -4,10 +4,6 @@
 
 namespace dbaugur::nn {
 
-void SGD::Step(std::vector<Param>& params) {
-  for (Param& p : params) p.value->AddScaled(*p.grad, -lr_);
-}
-
 void Adam::Step(std::vector<Param>& params) {
   bool needs_init = m_.size() != params.size();
   if (!needs_init) {
@@ -47,12 +43,6 @@ void Adam::Step(std::vector<Param>& params) {
           value.data()[i] - lr_ * mhat / (std::sqrt(vhat) + eps_);
     }
   }
-}
-
-void Adam::Reset() {
-  m_.clear();
-  v_.clear();
-  t_ = 0;
 }
 
 }  // namespace dbaugur::nn

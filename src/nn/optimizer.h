@@ -1,4 +1,4 @@
-// Gradient-based optimizers. The paper trains all neural models with Adam.
+// The optimizer. The paper trains all neural models with Adam.
 
 #pragma once
 
@@ -8,38 +8,18 @@
 
 namespace dbaugur::nn {
 
-/// Optimizer interface: applies accumulated gradients to parameter values.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-  /// Updates each parameter in place from its gradient. Gradients are NOT
-  /// zeroed — callers do that via Layer::ZeroGrad between steps.
-  virtual void Step(std::vector<Param>& params) = 0;
-};
-
-/// Plain stochastic gradient descent (used as a baseline in tests).
-class SGD : public Optimizer {
- public:
-  explicit SGD(double lr) : lr_(lr) {}
-  void Step(std::vector<Param>& params) override;
-
- private:
-  double lr_;
-};
-
 /// Adam (Kingma & Ba, 2015) with per-parameter first/second moment buffers.
 /// Buffers are keyed by position in the param list, so Step must always be
 /// called with the same parameter ordering.
-class Adam : public Optimizer {
+class Adam {
  public:
   explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8)
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-  void Step(std::vector<Param>& params) override;
-
-  /// Resets the moment buffers and the step counter.
-  void Reset();
+  /// Updates each parameter in place from its gradient. Gradients are NOT
+  /// zeroed — callers do that via Layer::ZeroGrad between steps.
+  void Step(std::vector<Param>& params);
 
  private:
   double lr_, beta1_, beta2_, eps_;

@@ -5,7 +5,6 @@
 namespace dbaugur::nn {
 
 namespace {
-constexpr uint32_t kMagicF32 = 0xDBA6A0F1;
 constexpr uint32_t kMagicF64 = 0xDBA6A0F2;
 
 void PutU32(std::vector<uint8_t>* buf, uint32_t v) {
@@ -22,49 +21,32 @@ bool GetU32(const std::vector<uint8_t>& buf, size_t* pos, uint32_t* v) {
   return true;
 }
 
-std::vector<uint8_t> SerializeImpl(const std::vector<Param>& params, bool f64) {
+}  // namespace
+
+std::vector<uint8_t> SerializeParamsF64(const std::vector<Param>& params) {
   std::vector<uint8_t> buf;
-  PutU32(&buf, f64 ? kMagicF64 : kMagicF32);
+  PutU32(&buf, kMagicF64);
   PutU32(&buf, static_cast<uint32_t>(params.size()));
   for (const Param& p : params) {
     PutU32(&buf, static_cast<uint32_t>(p.value->rows()));
     PutU32(&buf, static_cast<uint32_t>(p.value->cols()));
     for (size_t i = 0; i < p.value->size(); ++i) {
-      if (f64) {
-        double d = p.value->data()[i];
-        uint8_t bytes[8];
-        std::memcpy(bytes, &d, 8);
-        buf.insert(buf.end(), bytes, bytes + 8);
-      } else {
-        float f = static_cast<float>(p.value->data()[i]);
-        uint8_t bytes[4];
-        std::memcpy(bytes, &f, 4);
-        buf.insert(buf.end(), bytes, bytes + 4);
-      }
+      double d = p.value->data()[i];
+      uint8_t bytes[8];
+      std::memcpy(bytes, &d, 8);
+      buf.insert(buf.end(), bytes, bytes + 8);
     }
   }
   return buf;
-}
-
-}  // namespace
-
-std::vector<uint8_t> SerializeParams(const std::vector<Param>& params) {
-  return SerializeImpl(params, /*f64=*/false);
-}
-
-std::vector<uint8_t> SerializeParamsF64(const std::vector<Param>& params) {
-  return SerializeImpl(params, /*f64=*/true);
 }
 
 Status DeserializeParams(const std::vector<uint8_t>& buffer,
                          std::vector<Param>& params) {
   size_t pos = 0;
   uint32_t magic = 0, count = 0;
-  if (!GetU32(buffer, &pos, &magic) ||
-      (magic != kMagicF32 && magic != kMagicF64)) {
+  if (!GetU32(buffer, &pos, &magic) || magic != kMagicF64) {
     return Status::InvalidArgument("bad magic in parameter buffer");
   }
-  const size_t width = magic == kMagicF64 ? 8 : 4;
   if (!GetU32(buffer, &pos, &count) || count != params.size()) {
     return Status::InvalidArgument("parameter count mismatch");
   }
@@ -80,25 +62,19 @@ Status DeserializeParams(const std::vector<uint8_t>& buffer,
       return Status::InvalidArgument("parameter shape mismatch");
     }
     size_t n = static_cast<size_t>(rows) * cols;
-    if (pos + width * n > buffer.size()) {
+    if (pos + 8 * n > buffer.size()) {
       return Status::InvalidArgument("truncated parameter data");
     }
-    pos += width * n;
+    pos += 8 * n;
   }
   pos = first_tensor;
   for (Param& p : params) {
     pos += 8;  // rows and cols, checked above
     for (size_t i = 0; i < p.value->size(); ++i) {
-      if (width == 8) {
-        double d;
-        std::memcpy(&d, &buffer[pos], 8);
-        p.value->data()[i] = d;
-      } else {
-        float f;
-        std::memcpy(&f, &buffer[pos], 4);
-        p.value->data()[i] = f;
-      }
-      pos += width;
+      double d;
+      std::memcpy(&d, &buffer[pos], 8);
+      p.value->data()[i] = d;
+      pos += 8;
     }
   }
   return Status::OK();

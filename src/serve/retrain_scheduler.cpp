@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/contracts.h"
-
 namespace dbaugur::serve {
 
 uint64_t BackoffCycles(uint64_t consecutive_failures) {
@@ -13,9 +11,7 @@ uint64_t BackoffCycles(uint64_t consecutive_failures) {
 }
 
 std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
-                                     const RetrainSchedulerOptions& opts) {
-  DBAUGUR_CHECK(opts.starvation_cycles >= 1,
-                "ScheduleRetrains: starvation_cycles must be >= 1");
+                                     size_t budget) {
   struct Candidate {
     size_t shard_id;
     uint64_t waited;
@@ -30,7 +26,7 @@ std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
     Candidate c;
     c.shard_id = s.shard_id;
     c.waited = s.cycles_waited;
-    c.starved = s.cycles_waited >= opts.starvation_cycles;
+    c.starved = s.cycles_waited >= kStarvationCycles;
     c.priority = static_cast<unsigned __int128>(s.pending_events) *
                  (static_cast<unsigned __int128>(s.cycles_waited) + 1);
     eligible.push_back(c);
@@ -45,8 +41,8 @@ std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
               if (a.priority != b.priority) return a.priority > b.priority;
               return a.shard_id < b.shard_id;
             });
-  size_t take = opts.budget == 0 ? eligible.size()
-                                 : std::min(opts.budget, eligible.size());
+  size_t take =
+      budget == 0 ? eligible.size() : std::min(budget, eligible.size());
   std::vector<size_t> order;
   order.reserve(take);
   for (size_t i = 0; i < take; ++i) order.push_back(eligible[i].shard_id);

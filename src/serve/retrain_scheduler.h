@@ -4,7 +4,7 @@
 // per-cycle schedule: every cycle it samples each shard's signals (pending
 // events, cycles since last retrain, failure streak) and asks
 // ScheduleRetrains for the ordered subset of shards to retrain this cycle.
-// The function is pure — same signals, same options, same schedule — so the
+// The function is pure — same signals, same budget, same schedule — so the
 // retrain order is reproducible run-to-run and testable in isolation.
 //
 // Policy:
@@ -14,11 +14,11 @@
 //     by staleness, so hot shards retrain first but waiting inflates cold
 //     shards until they win. Computed in 128-bit so extreme queues cannot
 //     overflow-invert the order. Ties break toward the lower shard id.
-//   - Starvation bound: a shard that has waited >= starvation_cycles with
+//   - Starvation bound: a shard that has waited >= kStarvationCycles with
 //     pending traffic is force-promoted ahead of every non-starved shard
 //     (longest wait first). With S eligible shards and budget B, every
 //     pending shard is therefore scheduled at least once every
-//     starvation_cycles + ceil(S/B) cycles.
+//     kStarvationCycles + ceil(S/B) cycles.
 //   - Failure backoff in cycles: after f consecutive failures a shard is
 //     ineligible until it has waited 2^(f-1) cycles (capped), so a
 //     persistently failing shard cannot monopolize the budget — and the
@@ -41,12 +41,8 @@ struct ShardSignal {
   uint64_t consecutive_failures = 0;  ///< 0 after any successful retrain.
 };
 
-struct RetrainSchedulerOptions {
-  /// Max shards scheduled per cycle (0 = every eligible shard).
-  size_t budget = 0;
-  /// Waited-cycle threshold for forced promotion (>= 1).
-  uint64_t starvation_cycles = 4;
-};
+/// Cycles a pending shard waits before it is promoted ahead of hotter shards.
+inline constexpr uint64_t kStarvationCycles = 4;
 
 /// Cycles a shard must wait after `consecutive_failures` failures before it
 /// is eligible again: 0 for a healthy shard, else 2^(failures-1) capped at
@@ -55,10 +51,11 @@ struct RetrainSchedulerOptions {
 /// so tests can recompute the exact schedule.
 uint64_t BackoffCycles(uint64_t consecutive_failures);
 
-/// Returns the shard ids to retrain this cycle, highest priority first.
-/// Deterministic: a pure function of (signals, opts) with total ordering
-/// (ties broken by shard id).
+/// Returns the shard ids to retrain this cycle, highest priority first, at
+/// most `budget` of them (0 = every eligible shard). Deterministic: a pure
+/// function of (signals, budget) with total ordering (ties broken by shard
+/// id).
 std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
-                                     const RetrainSchedulerOptions& opts);
+                                     size_t budget);
 
 }  // namespace dbaugur::serve

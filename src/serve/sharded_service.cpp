@@ -17,9 +17,6 @@ namespace {
 constexpr uint32_t kShardFileMagic = 0xDBA65EF7;
 constexpr uint32_t kManifestMagic = 0xDBA65EF8;
 constexpr uint32_t kShardedVersion = 1;
-// Cycles a pending shard waits before the scheduler promotes it ahead of
-// hotter shards (RetrainSchedulerOptions::starvation_cycles).
-constexpr uint64_t kStarvationCycles = 4;
 
 // Checked before the members are built, so a bad option aborts with its own
 // message rather than a thread pool's.
@@ -74,9 +71,7 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       if (s.pending_events > 0) max_wait = std::max(max_wait, s.cycles_waited);
       signals.push_back(s);
     }
-    order = ScheduleRetrains(
-        signals,
-        RetrainSchedulerOptions{opts_.retrain_budget, kStarvationCycles});
+    order = ScheduleRetrains(signals, opts_.retrain_budget);
 
     // Shards are claimed in schedule order, so the priority order holds at
     // any worker count; shards share no mutable state, so concurrent

@@ -246,13 +246,11 @@ StatusOr<std::string_view> Templater::Apply(std::string_view sql) {
   DBAUGUR_RETURN_IF_ERROR(
       Lex(sql, /*literals_as_placeholders=*/true, &tokens_, &folded_));
   if (tokens_.empty()) return Status::InvalidArgument("empty statement");
-  if (opts_.collapse_in_lists) CollapseInLists();
-  if (opts_.canonicalize_semantics) {
-    CanonicalizeComparisons();
-    CanonicalizeSelectList();
-    CanonicalizeJoinOrder();
-    CanonicalizeWhereConjunction();
-  }
+  CollapseInLists();
+  CanonicalizeComparisons();
+  CanonicalizeSelectList();
+  CanonicalizeJoinOrder();
+  CanonicalizeWhereConjunction();
   // Drop a trailing semicolon so "...;" and "..." unify.
   if (!tokens_.empty() && IsPunct(tokens_.back(), ';')) tokens_.pop_back();
   text_.clear();
@@ -260,9 +258,8 @@ StatusOr<std::string_view> Templater::Apply(std::string_view sql) {
   return std::string_view(text_);
 }
 
-StatusOr<std::string> ToTemplate(const std::string& sql,
-                                 const TemplateOptions& opts) {
-  Templater templater(opts);
+StatusOr<std::string> ToTemplate(const std::string& sql) {
+  Templater templater;
   auto tmpl = templater.Apply(sql);
   if (!tmpl.ok()) return tmpl.status();
   return std::string(*tmpl);

@@ -22,21 +22,14 @@
 
 namespace dbaugur::sql {
 
-/// Template extraction knobs.
-struct TemplateOptions {
-  bool collapse_in_lists = true;       ///< IN (?, ?, ?) -> IN (?)
-  bool canonicalize_semantics = true;  ///< column order, commutativity, joins
-};
-
 /// Templates statements one at a time in buffers it keeps: once they have
 /// grown to the longest statement seen, a call allocates nothing. No view
 /// survives from one call to the next, so copies and moves are safe.
 class Templater {
  public:
-  explicit Templater(const TemplateOptions& opts = TemplateOptions())
-      : opts_(opts) {}
-
-  /// The statement's template. The view points into this Templater and is
+  /// The statement's template: IN lists collapse to IN (?), and the
+  /// comparison, select-list, join-order and WHERE-conjunct passes
+  /// canonicalize it. The view points into this Templater and is
   /// valid until its next Apply.
   StatusOr<std::string_view> Apply(std::string_view sql);
 
@@ -54,7 +47,6 @@ class Templater {
   void CanonicalizeJoinOrder();
   void CanonicalizeWhereConjunction();
 
-  TemplateOptions opts_;
   std::vector<TokenView> tokens_;
   std::string folded_;                     ///< lowercased identifiers
   std::vector<std::string_view> columns_;  ///< select list being sorted
@@ -65,8 +57,7 @@ class Templater {
 };
 
 /// Converts one SQL statement to its template string.
-StatusOr<std::string> ToTemplate(
-    const std::string& sql, const TemplateOptions& opts = TemplateOptions());
+StatusOr<std::string> ToTemplate(const std::string& sql);
 
 /// Stable 64-bit fingerprint of a template string (FNV-1a).
 uint64_t Fingerprint(const std::string& tmpl);
@@ -74,9 +65,6 @@ uint64_t Fingerprint(const std::string& tmpl);
 /// Registry assigning dense ids to templates and counting occurrences.
 class TemplateRegistry {
  public:
-  explicit TemplateRegistry(const TemplateOptions& opts = TemplateOptions())
-      : templater_(opts) {}
-
   /// Templates the statement and records one occurrence; returns the
   /// template's dense id. Recording a statement whose template is already
   /// registered allocates nothing once the templater's buffers have grown.

@@ -35,13 +35,6 @@ StatusOr<double> MAE(const std::vector<double>& predicted,
   return s / static_cast<double>(predicted.size());
 }
 
-StatusOr<double> RMSE(const std::vector<double>& predicted,
-                      const std::vector<double>& actual) {
-  auto mse = MSE(predicted, actual);
-  if (!mse.ok()) return mse.status();
-  return std::sqrt(*mse);
-}
-
 StatusOr<double> SMAPE(const std::vector<double>& predicted,
                        const std::vector<double>& actual) {
   DBAUGUR_RETURN_IF_ERROR(CheckShapes(predicted, actual));

@@ -16,10 +16,6 @@ StatusOr<double> MSE(const std::vector<double>& predicted,
 StatusOr<double> MAE(const std::vector<double>& predicted,
                      const std::vector<double>& actual);
 
-/// Root mean squared error.
-StatusOr<double> RMSE(const std::vector<double>& predicted,
-                      const std::vector<double>& actual);
-
 /// Symmetric mean absolute percentage error in [0, 2].
 StatusOr<double> SMAPE(const std::vector<double>& predicted,
                        const std::vector<double>& actual);

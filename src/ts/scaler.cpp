@@ -1,9 +1,6 @@
 #include "ts/scaler.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/math_utils.h"
 
 namespace dbaugur::ts {
 
@@ -41,37 +38,6 @@ double MinMaxScaler::Inverse(double x) const {
 std::vector<double> MinMaxScaler::Transform(const std::vector<double>& v) const {
   std::vector<double> out(v.size());
   for (size_t i = 0; i < v.size(); ++i) out[i] = Transform(v[i]);
-  return out;
-}
-
-std::vector<double> MinMaxScaler::Inverse(const std::vector<double>& v) const {
-  std::vector<double> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = Inverse(v[i]);
-  return out;
-}
-
-Status StandardScaler::Fit(const std::vector<double>& v) {
-  if (v.empty()) return Status::InvalidArgument("StandardScaler: empty input");
-  mean_ = Mean(v);
-  stddev_ = StdDev(v);
-  if (stddev_ <= 0.0) stddev_ = 1.0;
-  fitted_ = true;
-  return Status::OK();
-}
-
-double StandardScaler::Transform(double x) const { return (x - mean_) / stddev_; }
-double StandardScaler::Inverse(double x) const { return x * stddev_ + mean_; }
-
-std::vector<double> StandardScaler::Transform(
-    const std::vector<double>& v) const {
-  std::vector<double> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = Transform(v[i]);
-  return out;
-}
-
-std::vector<double> StandardScaler::Inverse(const std::vector<double>& v) const {
-  std::vector<double> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = Inverse(v[i]);
   return out;
 }
 

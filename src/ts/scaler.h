@@ -1,4 +1,4 @@
-// Value scalers. Neural models train on normalized traces; predictions are
+// The value scaler. Neural models train on normalized traces; predictions are
 // mapped back to the original scale before computing MSE so reported errors
 // are comparable across models.
 
@@ -19,7 +19,6 @@ class MinMaxScaler {
   double Transform(double x) const;
   double Inverse(double x) const;
   std::vector<double> Transform(const std::vector<double>& v) const;
-  std::vector<double> Inverse(const std::vector<double>& v) const;
 
   /// Restores a previously fitted range (snapshot load path). `lo > hi` is
   /// rejected; `lo == hi` reproduces the constant-series behavior.
@@ -33,26 +32,6 @@ class MinMaxScaler {
   bool fitted_ = false;
   double min_ = 0.0;
   double max_ = 1.0;
-};
-
-/// Standard (z-score) scaler.
-class StandardScaler {
- public:
-  Status Fit(const std::vector<double>& v);
-
-  double Transform(double x) const;
-  double Inverse(double x) const;
-  std::vector<double> Transform(const std::vector<double>& v) const;
-  std::vector<double> Inverse(const std::vector<double>& v) const;
-
-  bool fitted() const { return fitted_; }
-  double mean() const { return mean_; }
-  double stddev() const { return stddev_; }
-
- private:
-  bool fitted_ = false;
-  double mean_ = 0.0;
-  double stddev_ = 1.0;
 };
 
 }  // namespace dbaugur::ts

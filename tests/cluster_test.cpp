@@ -17,6 +17,14 @@
 namespace dbaugur::cluster {
 namespace {
 
+// The exact metric the tree's pruning is checked under.
+double EuclideanDistance(const std::vector<double>& a,
+                         const std::vector<double>& b) {
+  double s = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) s += (a[i] - b[i]) * (a[i] - b[i]);
+  return std::sqrt(s);
+}
+
 std::vector<std::vector<double>> RandomPoints(size_t n, size_t dim,
                                               uint64_t seed) {
   Rng rng(seed);
@@ -51,30 +59,6 @@ TEST(BallTreeTest, RangeQueryMatchesBruteForceEuclidean) {
   }
 }
 
-TEST(BallTreeTest, NearestMatchesBruteForce) {
-  auto pts = RandomPoints(200, 5, 19);
-  auto tree = BallTree::Build(pts, EuclideanDistance, {8});
-  ASSERT_TRUE(tree.ok());
-  Rng rng(20);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q(5);
-    for (double& x : q) x = rng.Gaussian();
-    auto got = tree->Nearest(q);
-    ASSERT_TRUE(got.ok());
-    size_t best = 0;
-    double bd = 1e300;
-    for (size_t i = 0; i < pts.size(); ++i) {
-      double d = EuclideanDistance(pts[i], q);
-      if (d < bd) {
-        bd = d;
-        best = i;
-      }
-    }
-    EXPECT_EQ(got->first, best);
-    EXPECT_NEAR(got->second, bd, 1e-12);
-  }
-}
-
 TEST(BallTreeTest, PruningActuallySkipsDistanceEvals) {
   auto pts = RandomPoints(2000, 4, 21);
   auto tree = BallTree::Build(pts, EuclideanDistance, {16});
@@ -89,7 +73,6 @@ TEST(BallTreeTest, EmptyAndErrorCases) {
   auto empty = BallTree::Build({}, EuclideanDistance);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->RangeQuery({1.0}, 1.0).empty());
-  EXPECT_FALSE(empty->Nearest({1.0}).ok());
   EXPECT_FALSE(BallTree::Build({{1.0}}, nullptr).ok());
   EXPECT_FALSE(BallTree::Build({{1.0}, {1.0, 2.0}}, EuclideanDistance).ok());
 }

@@ -121,14 +121,6 @@ TEST(MathTest, MeanVarianceStd) {
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
 }
 
-TEST(MathTest, PearsonPerfectCorrelation) {
-  std::vector<double> a = {1, 2, 3, 4};
-  std::vector<double> b = {2, 4, 6, 8};
-  EXPECT_NEAR(PearsonCorrelation(a, b), 1.0, 1e-12);
-  std::vector<double> c = {8, 6, 4, 2};
-  EXPECT_NEAR(PearsonCorrelation(a, c), -1.0, 1e-12);
-}
-
 TEST(MathTest, SigmoidStableAtExtremes) {
   EXPECT_NEAR(Sigmoid(0.0), 0.5, 1e-12);
   EXPECT_NEAR(Sigmoid(1000.0), 1.0, 1e-12);
@@ -172,20 +164,6 @@ TEST(MathTest, LeastSquaresRecoversLine) {
 TEST(MathTest, LeastSquaresUnderdetermined) {
   auto beta = LeastSquares({1, 2}, {1}, 1, 2);
   EXPECT_FALSE(beta.ok());
-}
-
-TEST(MathTest, SoftmaxSumsToOne) {
-  auto s = Softmax({1.0, 2.0, 3.0});
-  double sum = s[0] + s[1] + s[2];
-  EXPECT_NEAR(sum, 1.0, 1e-12);
-  EXPECT_GT(s[2], s[1]);
-  EXPECT_GT(s[1], s[0]);
-}
-
-TEST(MathTest, SoftmaxStableForLargeInputs) {
-  auto s = Softmax({1000.0, 1000.0});
-  EXPECT_NEAR(s[0], 0.5, 1e-12);
-  EXPECT_NEAR(s[1], 0.5, 1e-12);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

@@ -189,6 +189,47 @@ TEST(DBAugurSystemTest, MisalignedResourceTraceRejected) {
   EXPECT_EQ(sys.Train().code(), StatusCode::kInvalidArgument);
 }
 
+// A Train that fails commits nothing: the traces, their refs and the
+// forecasts stay those of the last Train that succeeded.
+TEST(DBAugurSystemTest, FailedTrainKeepsTheLastTrainedTraces) {
+  workloads::QueryLogOptions lopts;
+  lopts.days = 2;
+  lopts.seed = 61;
+  auto log =
+      workloads::GenerateQueryLog(workloads::BusTrackerTemplates(), lopts);
+  DBAugurSystem sys(FastOptions());
+  ASSERT_TRUE(sys.IngestQueryLog(log).ok());
+  ASSERT_TRUE(sys.Train().ok());
+  ASSERT_EQ(sys.trace_count(), 6u);
+  std::vector<TraceRef> refs;
+  std::vector<StatusOr<double>> forecasts;
+  for (size_t i = 0; i < sys.trace_count(); ++i) {
+    refs.push_back(sys.trace_ref(i));
+    forecasts.push_back(sys.ForecastTrace(i));
+  }
+
+  // A one-day resource trace beside a two-day log: its length mismatches.
+  workloads::AlibabaOptions aopts;
+  aopts.days = 1;
+  aopts.interval_seconds = 600;
+  sys.AddResourceTrace(workloads::GenerateAlibabaDisk(aopts));
+  ASSERT_EQ(sys.Train().code(), StatusCode::kInvalidArgument);
+
+  ASSERT_NE(sys.clustering(), nullptr);
+  EXPECT_EQ(sys.trace_count(), sys.clustering()->trace_count());
+  ASSERT_EQ(sys.trace_count(), refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    EXPECT_EQ(sys.trace_ref(i).kind, refs[i].kind) << i;
+    EXPECT_EQ(sys.trace_ref(i).index, refs[i].index) << i;
+    EXPECT_EQ(sys.trace_ref(i).name, refs[i].name) << i;
+    auto now = sys.ForecastTrace(i);
+    ASSERT_EQ(now.status().code(), forecasts[i].status().code()) << i;
+    if (now.ok()) {
+      EXPECT_EQ(*now, *forecasts[i]) << i;
+    }
+  }
+}
+
 TEST(DBAugurSystemTest, ForecastGuards) {
   DBAugurSystem sys(FastOptions());
   EXPECT_EQ(sys.ForecastCluster(0).status().code(),

@@ -224,7 +224,11 @@ TEST(BusTrackerDbTest, SchemaAndTemplatesExecutable) {
   opts.trips = 1000;
   auto db = MakeBusTrackerDatabase(opts);
   ASSERT_TRUE(db.ok());
-  EXPECT_EQ(db->TableNames().size(), 4u);
+  for (const char* table : {"positions", "schedules", "tickets", "trips"}) {
+    auto t = db->GetTable(table);
+    ASSERT_TRUE(t.ok()) << table;
+    EXPECT_EQ((*t)->row_count(), 1000u) << table;
+  }
   // Every generated template shape must execute.
   Rng rng(50);
   for (auto& spec : workloads::BusTrackerTemplates()) {

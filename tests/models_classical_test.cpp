@@ -201,7 +201,7 @@ TEST(EvaluateForecasterTest, RejectsDegenerateSetups) {
 }
 
 TEST(FactoryTest, BuildsEveryKnownModel) {
-  for (const auto& name : KnownModelNames()) {
+  for (const char* name : {"LR", "ARIMA", "MLP", "LSTM", "TCN", "KR", "WFGAN"}) {
     auto m = MakeForecaster(name, Opts());
     ASSERT_TRUE(m.ok()) << name;
     EXPECT_EQ((*m)->name(), name);

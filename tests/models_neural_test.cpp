@@ -153,11 +153,22 @@ TEST(TcnForecasterTest, LearnsSineBeatsPersistence) {
   EXPECT_LT(mse, naive * 0.5) << "mse=" << mse << " naive=" << naive;
 }
 
+// The head reads only the last output step, so a TCN's forecast depends on
+// the last 1 + (kernel - 1) * 2 * sum(dilations) steps of its window and on
+// none before them.
 TEST(TcnForecasterTest, ReceptiveFieldCoversPaperWindow) {
   ForecasterOptions opts = FastOpts();
-  TcnForecaster tcn(opts);  // dilations 1..16, kernel 2
-  EXPECT_EQ(tcn.ReceptiveField(), 1 + 2 * (1 + 2 + 4 + 8 + 16));  // 63 >= 30
-  EXPECT_GE(tcn.ReceptiveField(), 30u);
+  opts.window = 30;  // the paper's window
+  opts.epochs = 1;
+  TcnForecaster tcn(opts);  // dilations 1..16, kernel 2: 63 steps
+  auto series = SineSeries(400, 24.0, 0.1, 28);
+  ASSERT_TRUE(tcn.Fit(series).ok());
+  std::vector<double> w(series.end() - 30, series.end());
+  auto base = tcn.Predict(w);
+  w[0] += 5.0;  // the oldest step of the window
+  auto moved = tcn.Predict(w);
+  ASSERT_TRUE(base.ok() && moved.ok());
+  EXPECT_NE(*base, *moved);
 }
 
 TEST(TcnForecasterTest, ParameterCountMatchesArchitecture) {
@@ -176,9 +187,22 @@ TEST(TcnForecasterTest, CustomDilations) {
   topts.dilations = {1, 2};
   topts.channels = 4;
   TcnForecaster tcn(opts, topts);
-  EXPECT_EQ(tcn.ReceptiveField(), 1 + 2 * 3);
   auto series = SineSeries(400, 24.0, 0.1, 29);
-  EXPECT_TRUE(tcn.Fit(series).ok());
+  ASSERT_TRUE(tcn.Fit(series).ok());
+  // Receptive field 1 + 2 * (1 + 2) = 7 of the 24-step window.
+  std::vector<double> w(series.end() - 24, series.end());
+  auto base = tcn.Predict(w);
+  ASSERT_TRUE(base.ok());
+  std::vector<double> older = w;
+  for (size_t i = 0; i + 7 < older.size(); ++i) older[i] += 5.0;
+  auto same = tcn.Predict(older);
+  ASSERT_TRUE(same.ok());
+  EXPECT_EQ(*same, *base);
+  std::vector<double> inside = w;
+  inside[24 - 7] += 5.0;
+  auto moved = tcn.Predict(inside);
+  ASSERT_TRUE(moved.ok());
+  EXPECT_NE(*moved, *base);
 }
 
 TEST(WfganTest, LearnsSineBeatsPersistence) {
@@ -327,37 +351,6 @@ TEST(MultiTaskWfganTest, SharedTrunkIsCounted) {
   // Shared LSTM: 4*h*(in+h+1) with in=1, h=30.
   EXPECT_EQ(mtl.SharedParameterCount(), 4 * 30 * (1 + 30) + 4 * 30);
   EXPECT_GT(mtl.ParameterCount(), 2 * mtl.SharedParameterCount());
-}
-
-TEST(MultiTaskWfganTest, StateRoundTripRestoresBothTasksExactly) {
-  auto query = SineSeries(200, 48.0, 0.1, 47);
-  std::vector<double> resource(query.size());
-  for (size_t i = 0; i < query.size(); ++i) resource[i] = 0.3 + 0.04 * query[i];
-  ForecasterOptions opts = FastOpts(1);
-  opts.epochs = 2;
-  MultiTaskWfgan mtl(opts, WfganOptions{});
-  ASSERT_TRUE(mtl.Fit(query, resource).ok());
-  auto blob = mtl.SaveState();
-  ASSERT_TRUE(blob.ok());
-
-  MultiTaskWfgan restored(opts, WfganOptions{});
-  ASSERT_TRUE(restored.LoadState(*blob).ok());
-  std::vector<double> qw(query.end() - 24, query.end());
-  std::vector<double> rw(resource.end() - 24, resource.end());
-  auto qa = mtl.Predict(WorkloadTask::kQuery, qw);
-  auto qb = restored.Predict(WorkloadTask::kQuery, qw);
-  auto ra = mtl.Predict(WorkloadTask::kResource, rw);
-  auto rb = restored.Predict(WorkloadTask::kResource, rw);
-  ASSERT_TRUE(qa.ok() && qb.ok() && ra.ok() && rb.ok());
-  EXPECT_EQ(*qa, *qb);  // float64 state: bit-identical, not merely close
-  EXPECT_EQ(*ra, *rb);
-
-  // Corrupt blobs leave the target usable and un-fitted.
-  MultiTaskWfgan fresh(opts, WfganOptions{});
-  std::vector<uint8_t> cut(blob->begin(), blob->begin() + 16);
-  EXPECT_FALSE(fresh.LoadState(cut).ok());
-  EXPECT_EQ(fresh.Predict(WorkloadTask::kQuery, qw).status().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(MultiTaskWfganTest, PredictBeforeFitFails) {

@@ -1,9 +1,5 @@
-// Round-trip tests for nn/serialize.cpp through real trained models.
-//
-// Weights are stored as float32, so a serialize/deserialize round trip
-// truncates doubles. The tests therefore compare two models that both carry
-// the same truncated weights (deserializing a model's own buffer back into
-// itself makes it bit-comparable with a restored copy).
+// Round-trip tests for nn/serialize.cpp through real trained models. The
+// float64 form is lossless, so a restored model forecasts bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -45,8 +41,7 @@ TEST(SerializeTest, MlpRoundTripRestoresForecasts) {
 
   models::MlpForecaster trained(opts);
   ASSERT_TRUE(trained.Fit(series).ok());
-  std::vector<uint8_t> buf = SerializeParams(trained.Params());
-  EXPECT_EQ(static_cast<int64_t>(buf.size()), trained.StorageBytes());
+  std::vector<uint8_t> buf = SerializeParamsF64(trained.Params());
 
   // Restore into a model with different initial weights (different seed) but
   // the same architecture and scaler (fitted on the same series).
@@ -55,10 +50,6 @@ TEST(SerializeTest, MlpRoundTripRestoresForecasts) {
   ASSERT_TRUE(restored.Fit(series).ok());
   std::vector<Param> restored_params = restored.Params();
   ASSERT_TRUE(DeserializeParams(buf, restored_params).ok());
-
-  // Truncate the trained model to float32 too, so both hold identical bits.
-  std::vector<Param> trained_params = trained.Params();
-  ASSERT_TRUE(DeserializeParams(buf, trained_params).ok());
 
   std::vector<double> window(series.end() - static_cast<long>(opts.window),
                              series.end());
@@ -69,7 +60,7 @@ TEST(SerializeTest, MlpRoundTripRestoresForecasts) {
   EXPECT_EQ(*a, *b) << "restored MLP forecast differs from the original";
 
   // Re-serializing the restored model reproduces the buffer byte for byte.
-  EXPECT_EQ(SerializeParams(restored.Params()), buf);
+  EXPECT_EQ(SerializeParamsF64(restored.Params()), buf);
 }
 
 TEST(SerializeTest, LstmRoundTripRestoresForecasts) {
@@ -80,16 +71,13 @@ TEST(SerializeTest, LstmRoundTripRestoresForecasts) {
 
   models::LstmForecaster trained(opts, lopts);
   ASSERT_TRUE(trained.Fit(series).ok());
-  std::vector<uint8_t> buf = SerializeParams(trained.Params());
-  EXPECT_EQ(static_cast<int64_t>(buf.size()), trained.StorageBytes());
+  std::vector<uint8_t> buf = SerializeParamsF64(trained.Params());
 
   opts.seed = 9;
   models::LstmForecaster restored(opts, lopts);
   ASSERT_TRUE(restored.Fit(series).ok());
   std::vector<Param> restored_params = restored.Params();
   ASSERT_TRUE(DeserializeParams(buf, restored_params).ok());
-  std::vector<Param> trained_params = trained.Params();
-  ASSERT_TRUE(DeserializeParams(buf, trained_params).ok());
 
   std::vector<double> window(series.end() - static_cast<long>(opts.window),
                              series.end());
@@ -99,13 +87,13 @@ TEST(SerializeTest, LstmRoundTripRestoresForecasts) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b) << "restored LSTM forecast differs from the original";
 
-  EXPECT_EQ(SerializeParams(restored.Params()), buf);
+  EXPECT_EQ(SerializeParamsF64(restored.Params()), buf);
 }
 
 TEST(SerializeTest, RejectsBadMagic) {
   Matrix v(2, 3, 1.5), g(2, 3);
   std::vector<Param> params = {{&v, &g, "w"}};
-  std::vector<uint8_t> buf = SerializeParams(params);
+  std::vector<uint8_t> buf = SerializeParamsF64(params);
   buf[0] ^= 0xFF;
   Status st = DeserializeParams(buf, params);
   EXPECT_FALSE(st.ok());
@@ -115,7 +103,7 @@ TEST(SerializeTest, RejectsCountMismatch) {
   Matrix v(2, 3, 1.5), g(2, 3);
   Matrix v2(1, 4, 0.5), g2(1, 4);
   std::vector<Param> both = {{&v, &g, "w"}, {&v2, &g2, "b"}};
-  std::vector<uint8_t> buf = SerializeParams(both);
+  std::vector<uint8_t> buf = SerializeParamsF64(both);
   std::vector<Param> fewer = {{&v, &g, "w"}};
   EXPECT_FALSE(DeserializeParams(buf, fewer).ok());
 }
@@ -123,7 +111,7 @@ TEST(SerializeTest, RejectsCountMismatch) {
 TEST(SerializeTest, RejectsShapeMismatch) {
   Matrix v(2, 3, 1.5), g(2, 3);
   std::vector<Param> src = {{&v, &g, "w"}};
-  std::vector<uint8_t> buf = SerializeParams(src);
+  std::vector<uint8_t> buf = SerializeParamsF64(src);
   Matrix w(3, 2, 0.0), gw(3, 2);
   std::vector<Param> dst = {{&w, &gw, "w"}};
   EXPECT_FALSE(DeserializeParams(buf, dst).ok());
@@ -132,11 +120,10 @@ TEST(SerializeTest, RejectsShapeMismatch) {
 // A two-tensor buffer whose first tensor is valid and whose last is cut
 // short, or has another shape than its destination, is rejected before any
 // destination tensor is written.
-void ExpectFailedLoadLeavesParamsUnchanged(bool f64) {
+void ExpectFailedLoadLeavesParamsUnchanged() {
   Matrix v(2, 3, 1.0), g(2, 3), v2(4, 4, 1.5), g2(4, 4);
   std::vector<Param> src = {{&v, &g, "w"}, {&v2, &g2, "b"}};
-  std::vector<uint8_t> buf =
-      f64 ? SerializeParamsF64(src) : SerializeParams(src);
+  std::vector<uint8_t> buf = SerializeParamsF64(src);
   std::vector<uint8_t> cut(buf.begin(), buf.end() - 5);  // inside tensor 2
   Matrix w(2, 3, 7.0), gw(2, 3), w2(4, 4, 9.0), gw2(4, 4);
   std::vector<Param> dst = {{&w, &gw, "w"}, {&w2, &gw2, "b"}};
@@ -156,14 +143,13 @@ void ExpectFailedLoadLeavesParamsUnchanged(bool f64) {
 TEST(SerializeTest, RejectsTruncatedBuffer) {
   Matrix v(4, 4, 2.0), g(4, 4);
   std::vector<Param> params = {{&v, &g, "w"}};
-  std::vector<uint8_t> buf = SerializeParams(params);
+  std::vector<uint8_t> buf = SerializeParamsF64(params);
   buf.resize(buf.size() - 5);
   EXPECT_FALSE(DeserializeParams(buf, params).ok());
-  ExpectFailedLoadLeavesParamsUnchanged(/*f64=*/false);
 }
 
 TEST(SerializeTest, F64RoundTripIsBitExact) {
-  // Values chosen to lose bits under a float32 round trip.
+  // Values a float32 form would lose bits on.
   Matrix v(2, 2);
   v(0, 0) = 1.0 / 3.0;
   v(0, 1) = 1e-300;
@@ -175,18 +161,8 @@ TEST(SerializeTest, F64RoundTripIsBitExact) {
 
   Matrix w(2, 2, 0.0), gw(2, 2);
   std::vector<Param> dst = {{&w, &gw, "w"}};
-  ASSERT_TRUE(DeserializeParams(f64, dst).ok());  // dispatches on magic
-  for (size_t r = 0; r < 2; ++r) {
-    for (size_t c = 0; c < 2; ++c) {
-      EXPECT_EQ(w(r, c), v(r, c)) << r << "," << c;
-    }
-  }
-  // The float32 format loses precision on the same values.
-  std::vector<uint8_t> f32 = SerializeParams(src);
-  Matrix w32(2, 2, 0.0), gw32(2, 2);
-  std::vector<Param> dst32 = {{&w32, &gw32, "w"}};
-  ASSERT_TRUE(DeserializeParams(f32, dst32).ok());
-  EXPECT_NE(w32(0, 1), v(0, 1));  // 1e-300 underflows float32
+  ASSERT_TRUE(DeserializeParams(f64, dst).ok());
+  EXPECT_TRUE(w.BitwiseEqual(v));
 }
 
 TEST(SerializeTest, F64RejectsTruncationAndShapeMismatch) {
@@ -199,7 +175,7 @@ TEST(SerializeTest, F64RejectsTruncationAndShapeMismatch) {
   Matrix w(3, 2, 0.0), gw(3, 2);
   std::vector<Param> bad = {{&w, &gw, "w"}};
   EXPECT_FALSE(DeserializeParams(buf, bad).ok());
-  ExpectFailedLoadLeavesParamsUnchanged(/*f64=*/true);
+  ExpectFailedLoadLeavesParamsUnchanged();
 }
 
 // Model-level state round trips: every ensemble member must restore to

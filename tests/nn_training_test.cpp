@@ -1,4 +1,4 @@
-// Tests for the optimizers and end-to-end layer training dynamics.
+// Tests for the optimizer and end-to-end layer training dynamics.
 
 #include <gtest/gtest.h>
 
@@ -13,16 +13,6 @@
 
 namespace dbaugur::nn {
 namespace {
-
-TEST(SgdTest, SingleStepMatchesHandComputed) {
-  Matrix v(1, 2, {1.0, 2.0});
-  Matrix g(1, 2, {0.5, -1.0});
-  std::vector<Param> params = {{&v, &g, "p"}};
-  SGD sgd(0.1);
-  sgd.Step(params);
-  EXPECT_DOUBLE_EQ(v(0, 0), 0.95);
-  EXPECT_DOUBLE_EQ(v(0, 1), 2.1);
-}
 
 TEST(AdamTest, FirstStepIsLearningRateSized) {
   // With bias correction, Adam's first step is ~lr * sign(grad).
@@ -46,21 +36,6 @@ TEST(AdamTest, MinimizesQuadratic) {
     adam.Step(params);
   }
   EXPECT_NEAR(v(0, 0), 3.0, 0.05);
-}
-
-TEST(AdamTest, ResetClearsState) {
-  Matrix v(1, 1, {0.0});
-  Matrix g(1, 1, {1.0});
-  std::vector<Param> params = {{&v, &g, "x"}};
-  Adam adam(0.1);
-  adam.Step(params);
-  double after_one = v(0, 0);
-  adam.Reset();
-  Matrix v2(1, 1, {0.0});
-  Matrix g2(1, 1, {1.0});
-  std::vector<Param> params2 = {{&v2, &g2, "x"}};
-  adam.Step(params2);
-  EXPECT_DOUBLE_EQ(v2(0, 0), after_one);
 }
 
 TEST(AdamTest, RebindsWhenParamSetChanges) {

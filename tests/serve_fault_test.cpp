@@ -167,7 +167,13 @@ TEST_F(FaultInjectionTest, MultiSiteSpecAndUnknownSiteStats) {
   EXPECT_FALSE(DBAUGUR_FAULT_POINT("c.d"));
   EXPECT_TRUE(DBAUGUR_FAULT_POINT("c.d"));
   EXPECT_EQ(fault::Stats("never.hit").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(fault::AllStats().size(), 2u);
+  auto ab = fault::Stats("a.b");
+  auto cd = fault::Stats("c.d");
+  ASSERT_TRUE(ab.ok() && cd.ok());
+  EXPECT_EQ(ab->hits, 1u);
+  EXPECT_EQ(ab->fires, 1u);
+  EXPECT_EQ(cd->hits, 2u);
+  EXPECT_EQ(cd->fires, 1u);
 }
 
 // --------------------------------------------------------------------------

@@ -144,11 +144,9 @@ TEST(RetrainSchedulerTest, OrdersByPendingTimesStalenessWithIdTieBreak) {
       {2, 0, 9, 0},   // no pending: never scheduled (work-conserving)
       {3, 10, 1, 0},  // priority 20 — ties toward lower id, after shard 1
   };
-  RetrainSchedulerOptions o;
-  o.starvation_cycles = 100;  // no forced promotion in this test
-  EXPECT_EQ(ScheduleRetrains(s, o), (std::vector<size_t>{1, 3, 0}));
-  o.budget = 2;
-  EXPECT_EQ(ScheduleRetrains(s, o), (std::vector<size_t>{1, 3}));
+  // Every eligible shard has waited fewer than kStarvationCycles cycles.
+  EXPECT_EQ(ScheduleRetrains(s, 0), (std::vector<size_t>{1, 3, 0}));
+  EXPECT_EQ(ScheduleRetrains(s, 2), (std::vector<size_t>{1, 3}));
 }
 
 TEST(RetrainSchedulerTest, StarvedShardsPromoteAheadOfHotOnes) {
@@ -157,9 +155,17 @@ TEST(RetrainSchedulerTest, StarvedShardsPromoteAheadOfHotOnes) {
       {1, 1, 5, 0},        // starved (waited >= 4)
       {2, 1, 7, 0},        // starved longer — first
   };
-  RetrainSchedulerOptions o;
-  o.starvation_cycles = 4;
-  EXPECT_EQ(ScheduleRetrains(s, o), (std::vector<size_t>{2, 1, 0}));
+  EXPECT_EQ(ScheduleRetrains(s, 0), (std::vector<size_t>{2, 1, 0}));
+}
+
+TEST(RetrainSchedulerTest, PromotesAtExactlyFourCyclesWaited) {
+  ASSERT_EQ(kStarvationCycles, 4u);
+  std::vector<ShardSignal> s = {
+      {0, 1000000, 0, 0},  // hottest by far
+      {1, 1, 3, 0},        // one cycle short of the threshold: by priority
+      {2, 1, 4, 0},        // at the threshold: promoted
+  };
+  EXPECT_EQ(ScheduleRetrains(s, 0), (std::vector<size_t>{2, 0, 1}));
 }
 
 TEST(RetrainSchedulerTest, FailureBackoffGatesEligibilityInCycles) {
@@ -170,27 +176,25 @@ TEST(RetrainSchedulerTest, FailureBackoffGatesEligibilityInCycles) {
   EXPECT_EQ(BackoffCycles(8), 64u);  // capped at 64 cycles
   EXPECT_EQ(BackoffCycles(64), 64u);
 
-  RetrainSchedulerOptions o;
   // 2 failures -> backoff 2 cycles: ineligible at waited 1, eligible at 2.
   std::vector<ShardSignal> waiting = {{0, 50, 1, 2}};
-  EXPECT_TRUE(ScheduleRetrains(waiting, o).empty());
+  EXPECT_TRUE(ScheduleRetrains(waiting, 0).empty());
   std::vector<ShardSignal> ready = {{0, 50, 2, 2}};
-  EXPECT_EQ(ScheduleRetrains(ready, o), (std::vector<size_t>{0}));
-  // Starvation promotion never overrides the backoff gate.
-  std::vector<ShardSignal> starved_but_failing = {{0, 50, 3, 4}};
-  EXPECT_TRUE(ScheduleRetrains(starved_but_failing, o).empty());
+  EXPECT_EQ(ScheduleRetrains(ready, 0), (std::vector<size_t>{0}));
+  // Starvation promotion never overrides the backoff gate: 4 failures back
+  // off 8 cycles, and waited 5 is past the starvation threshold.
+  std::vector<ShardSignal> starved_but_failing = {{0, 50, 5, 4}};
+  EXPECT_TRUE(ScheduleRetrains(starved_but_failing, 0).empty());
 }
 
 TEST(RetrainSchedulerTest, StarvationBoundHoldsUnderConstantPressure) {
-  // 6 shards, all always pending, budget 2, starvation threshold 3: every
-  // shard must be scheduled at least once every K = 3 + ceil(6/2) = 6 cycles.
+  // 6 shards, all always pending, budget 2, starvation threshold 4: every
+  // shard must be scheduled at least once every K = 4 + ceil(6/2) = 7 cycles.
   constexpr size_t kShards = 6;
-  constexpr uint64_t kStarvation = 3;
   constexpr size_t kBudget = 2;
-  constexpr uint64_t kBound = kStarvation + (kShards + kBudget - 1) / kBudget;
-  RetrainSchedulerOptions o;
-  o.budget = kBudget;
-  o.starvation_cycles = kStarvation;
+  constexpr uint64_t kBound =
+      kStarvationCycles + (kShards + kBudget - 1) / kBudget;
+  static_assert(kBound == 7);
   std::vector<uint64_t> waited(kShards, 0);
   for (int cycle = 0; cycle < 60; ++cycle) {
     std::vector<ShardSignal> signals;
@@ -199,7 +203,7 @@ TEST(RetrainSchedulerTest, StarvationBoundHoldsUnderConstantPressure) {
       uint64_t pending = i == 0 ? 1000000 : 10 + static_cast<uint64_t>(i);
       signals.push_back({i, pending, waited[i], 0});
     }
-    std::vector<size_t> order = ScheduleRetrains(signals, o);
+    std::vector<size_t> order = ScheduleRetrains(signals, kBudget);
     EXPECT_LE(order.size(), kBudget);
     for (size_t i = 0; i < kShards; ++i) ++waited[i];
     for (size_t id : order) waited[id] = 0;

@@ -185,16 +185,6 @@ TEST(TemplateTest, InListCollapsed) {
   EXPECT_EQ(*a, *b);
 }
 
-TEST(TemplateTest, InListCollapseCanBeDisabled) {
-  TemplateOptions opts;
-  opts.collapse_in_lists = false;
-  auto a = ToTemplate("SELECT * FROM t WHERE id IN (1, 2, 3)", opts);
-  auto b = ToTemplate("SELECT * FROM t WHERE id IN (7)", opts);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(*a, *b);
-}
-
 TEST(TemplateTest, TrailingSemicolonIgnored) {
   auto a = ToTemplate("SELECT * FROM t;");
   auto b = ToTemplate("SELECT * FROM t");
@@ -385,7 +375,6 @@ TEST(TokenizerHardeningTest, TruncatedStatementsRejectCleanly) {
 struct GoldenEntry {
   size_t line = 0;
   char kind = 'T';  // T template, E error message, S/B changed on purpose
-  TemplateOptions opts;
   std::string sql;
   std::string expected;
 };
@@ -439,13 +428,11 @@ std::vector<GoldenEntry> LoadGolden() {
     fields.push_back(rest);
     GoldenEntry e;
     e.line = line_no;
-    if (fields.size() < 4 || fields[0].size() != 1 || fields[1].size() != 1) {
+    if (fields.size() < 4 || fields[0].size() != 1 || fields[1] != "-") {
       ADD_FAILURE() << "malformed golden line " << line_no;
       continue;
     }
     e.kind = fields[0][0];
-    if (fields[1][0] == 'I') e.opts.collapse_in_lists = false;
-    if (fields[1][0] == 'C') e.opts.canonicalize_semantics = false;
     e.sql = Unescape(fields[2]);
     e.expected = Unescape(fields[3]);
     out.push_back(std::move(e));
@@ -453,16 +440,12 @@ std::vector<GoldenEntry> LoadGolden() {
   return out;
 }
 
-bool DefaultOptions(const TemplateOptions& o) {
-  return o.collapse_in_lists && o.canonicalize_semantics;
-}
-
 TEST(GoldenCorpusTest, EveryEntryTemplatesByteForByte) {
   const std::vector<GoldenEntry> corpus = LoadGolden();
-  ASSERT_GT(corpus.size(), 2500u) << "golden corpus missing or truncated";
+  ASSERT_EQ(corpus.size(), 2402u) << "golden corpus missing or truncated";
   size_t mismatches = 0;
   for (const GoldenEntry& e : corpus) {
-    auto t = ToTemplate(e.sql, e.opts);
+    auto t = ToTemplate(e.sql);
     std::string got = t.ok() ? *t : t.status().message();
     bool match = (e.kind == 'E') != t.ok() && got == e.expected;
     if (!match && ++mismatches <= 20) {
@@ -478,7 +461,6 @@ TEST(GoldenCorpusTest, EveryEntryTemplatesByteForByte) {
 TEST(GoldenCorpusTest, TokenizeRejectsWithTheTemplatersMessage) {
   size_t mismatches = 0;
   for (const GoldenEntry& e : LoadGolden()) {
-    if (!DefaultOptions(e.opts)) continue;
     auto toks = Tokenize(e.sql);
     // "empty statement" is the templater's own verdict on zero tokens.
     bool match;
@@ -501,7 +483,6 @@ TEST(GoldenCorpusTest, RegistryAssignsIdsInFirstSeenOrder) {
   std::map<std::string, size_t> ids;
   std::vector<int64_t> counts;
   for (const GoldenEntry& e : LoadGolden()) {
-    if (!DefaultOptions(e.opts)) continue;
     auto id = reg.Record(e.sql);
     if (e.kind == 'E') {
       EXPECT_FALSE(id.ok()) << "sql_golden.txt line " << e.line;

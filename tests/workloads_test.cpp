@@ -16,6 +16,18 @@ namespace {
 
 using ts::Autocorrelation;
 
+double PearsonCorrelation(const std::vector<double>& a,
+                          const std::vector<double>& b) {
+  const double ma = Mean(a), mb = Mean(b);
+  double num = 0.0, da = 0.0, db = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    num += (a[i] - ma) * (b[i] - mb);
+    da += (a[i] - ma) * (a[i] - ma);
+    db += (b[i] - mb) * (b[i] - mb);
+  }
+  return num / std::sqrt(da * db);
+}
+
 TEST(BusTrackerGenTest, DeterministicInSeed) {
   BusTrackerOptions opts;
   opts.days = 2;

@@ -1,7 +1,7 @@
 // Online serving benchmark: ingest throughput and read latency under an
 // active retrain, with machine-readable output.
 //
-// Four measurements:
+// Five measurements:
 //   1. ingest: N producer threads Offer() synthetic events into a
 //      TraceIngestor while one consumer drains, reporting sustained
 //      events/sec and the drop count under the bounded queue.
@@ -23,6 +23,12 @@
 //      run FAILS (exit 1) if the disabled hook costs more than
 //      kMaxHookOverheadNs per call — the hooks on the ingest/retrain/save
 //      paths must stay one relaxed load + a predicted branch, never a lock.
+//   5. trace_store: one trace::TraceBinner folds 20000 templates x 64 bins,
+//      one event per template per bin with 2% of them 1-2 bins late, as a
+//      shard's history does. Reports fold ns per event, Traces(), Save and
+//      Load milliseconds, the saved bytes and, where glibc's mallinfo2
+//      reports the system allocator, heap bytes per (template, bin) entry.
+//      No gate.
 //
 // Output is a single JSON object (stdout, or --out FILE). `--smoke` shrinks
 // the workload so CI can run it in seconds. `--git-sha SHA` records the
@@ -40,12 +46,24 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/binio.h"
 #include "common/fault_injection.h"
+#include "common/rng.h"
 #include "serve/ingestor.h"
 #include "serve/sharded_service.h"
 #include "sql/templater.h"
 #include "trace/extractor.h"
 #include "workloads/query_log.h"
+
+// Heap accounting for the trace_store leg: glibc 2.33+'s mallinfo2, and only
+// with the system allocator (a sanitizer's does not report through it).
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#include <malloc.h>
+#if __GLIBC_PREREQ(2, 33)
+#define DBAUGUR_BENCH_HEAP_IN_USE 1
+#endif
+#endif
 
 namespace dbaugur::bench {
 namespace {
@@ -327,9 +345,101 @@ HookResult RunFaultHookCase(bool smoke) {
   return r;
 }
 
+struct TraceStoreResult {
+  uint32_t templates = 0;
+  int64_t bins = 0;
+  uint64_t events = 0;
+  uint64_t late_events = 0;
+  uint64_t entries = 0;  // distinct (template, bin) pairs held
+  double fold_ns = 0.0;  // per event
+  double traces_ms = 0.0;
+  double save_ms = 0.0;
+  double load_ms = 0.0;
+  size_t saved_bytes = 0;
+  double heap_bytes_per_entry = -1.0;  // < 0: not measured
+};
+
+#if defined(DBAUGUR_BENCH_HEAP_IN_USE)
+int64_t HeapInUse() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<int64_t>(mi.uordblks + mi.hblkhd);
+}
+#endif
+
+TraceStoreResult RunTraceStoreCase(bool smoke) {
+  TraceStoreResult r;
+  r.templates = smoke ? 2000 : 20000;
+  r.bins = 64;
+  // The events in arrival order: bin by bin, every template once, 2% of
+  // them for a bin 1-2 behind.
+  Rng rng(29);
+  std::vector<serve::TraceEvent> events;
+  events.reserve(static_cast<size_t>(r.templates) *
+                 static_cast<size_t>(r.bins));
+  for (int64_t bin = 0; bin < r.bins; ++bin) {
+    for (uint32_t t = 0; t < r.templates; ++t) {
+      int64_t at = bin;
+      if (bin >= 2 && rng.Bernoulli(0.02)) {
+        at -= rng.UniformInt(1, 2);
+        ++r.late_events;
+      }
+      events.push_back({t, at * kInterval, 1.0});
+    }
+  }
+  r.events = events.size();
+
+#if defined(DBAUGUR_BENCH_HEAP_IN_USE)
+  const int64_t heap_before = HeapInUse();
+#endif
+  trace::TraceBinner binner(kInterval);
+  double t0 = NowSeconds();
+  for (const serve::TraceEvent& e : events) binner.Fold(e);
+  r.fold_ns = (NowSeconds() - t0) * 1e9 / static_cast<double>(r.events);
+#if defined(DBAUGUR_BENCH_HEAP_IN_USE)
+  const int64_t heap_bytes = HeapInUse() - heap_before;
+#endif
+
+  t0 = NowSeconds();
+  auto traces = binner.Traces();
+  r.traces_ms = (NowSeconds() - t0) * 1e3;
+  if (traces.ok()) {
+    // Every count is positive, so the non-zero values are the entries.
+    for (const ts::Series& t : *traces) {
+      r.entries += static_cast<uint64_t>(
+          std::count_if(t.values().begin(), t.values().end(),
+                        [](double v) { return v != 0.0; }));
+    }
+  }
+#if defined(DBAUGUR_BENCH_HEAP_IN_USE)
+  if (r.entries > 0) {
+    r.heap_bytes_per_entry =
+        static_cast<double>(heap_bytes) / static_cast<double>(r.entries);
+  }
+#endif
+
+  t0 = NowSeconds();
+  BufWriter w;
+  binner.Save(&w);
+  std::vector<uint8_t> blob = w.Take();
+  r.save_ms = (NowSeconds() - t0) * 1e3;
+  r.saved_bytes = blob.size();
+
+  trace::TraceBinner restored(kInterval);
+  BufReader reader(blob);
+  t0 = NowSeconds();
+  Status loaded = restored.Load(&reader);
+  r.load_ms = (NowSeconds() - t0) * 1e3;
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "serve_throughput: trace_store load failed: %s\n",
+                 loaded.ToString().c_str());
+  }
+  return r;
+}
+
 void WriteJson(std::FILE* out, bool smoke, const char* git_sha,
                const IngestResult& ing, const LogIngestResult& li,
-               const ReadResult& rd, const HookResult& hk) {
+               const ReadResult& rd, const HookResult& hk,
+               const TraceStoreResult& tsr) {
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"benchmark\": \"serve_throughput\",\n");
   std::fprintf(out, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
@@ -361,10 +471,24 @@ void WriteJson(std::FILE* out, bool smoke, const char* git_sha,
   std::fprintf(out,
                "  \"fault_hook\": {\"iters\": %llu, "
                "\"baseline_ns_per_op\": %.3f, \"hook_ns_per_op\": %.3f, "
-               "\"overhead_ns_per_op\": %.3f}\n",
+               "\"overhead_ns_per_op\": %.3f},\n",
                static_cast<unsigned long long>(hk.iters), hk.baseline_ns,
                hk.hook_ns, hk.overhead_ns);
-  std::fprintf(out, "}\n");
+  std::fprintf(out,
+               "  \"trace_store\": {\"templates\": %u, \"bins\": %lld, "
+               "\"events\": %llu, \"late_events\": %llu, \"entries\": %llu, "
+               "\"fold_ns_per_event\": %.1f, \"traces_ms\": %.2f, "
+               "\"save_ms\": %.2f, \"load_ms\": %.2f, \"saved_bytes\": %zu",
+               tsr.templates, static_cast<long long>(tsr.bins),
+               static_cast<unsigned long long>(tsr.events),
+               static_cast<unsigned long long>(tsr.late_events),
+               static_cast<unsigned long long>(tsr.entries), tsr.fold_ns,
+               tsr.traces_ms, tsr.save_ms, tsr.load_ms, tsr.saved_bytes);
+  if (tsr.heap_bytes_per_entry >= 0.0) {
+    std::fprintf(out, ", \"heap_bytes_per_entry\": %.1f",
+                 tsr.heap_bytes_per_entry);
+  }
+  std::fprintf(out, "}\n}\n");
 }
 
 int Main(int argc, char** argv) {
@@ -429,6 +553,17 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
+  TraceStoreResult tsr = RunTraceStoreCase(smoke);
+  std::fprintf(stderr,
+               "trace_store        fold %5.1f ns/event  traces %7.2f ms  save "
+               "%6.2f ms  load %6.2f ms  %zu bytes",
+               tsr.fold_ns, tsr.traces_ms, tsr.save_ms, tsr.load_ms,
+               tsr.saved_bytes);
+  if (tsr.heap_bytes_per_entry >= 0.0) {
+    std::fprintf(stderr, "  %.1f heap B/entry", tsr.heap_bytes_per_entry);
+  }
+  std::fprintf(stderr, "\n");
+
   std::FILE* out = stdout;
   if (out_path != nullptr) {
     out = std::fopen(out_path, "w");
@@ -437,7 +572,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  WriteJson(out, smoke, git_sha, ing, li, rd, hk);
+  WriteJson(out, smoke, git_sha, ing, li, rd, hk, tsr);
   if (out != stdout) std::fclose(out);
   return 0;
 }

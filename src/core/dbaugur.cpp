@@ -91,7 +91,7 @@ void DBAugurSystem::AddResourceTrace(ts::Series series) {
 }
 
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces,
+                                         std::vector<ts::Series> traces,
                                          ThreadPool* fit_pool,
                                          const CancelToken* cancel) {
   if (cancel != nullptr && cancel->cancelled()) {
@@ -117,10 +117,11 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   std::optional<ThreadPool> own_pool;
   ThreadPool* pool = fit_pool;
   if (pool == nullptr) pool = &own_pool.emplace(opts.clustering.threads);
-  DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(traces, pool));
-  state.trace_cluster.resize(traces.size());
-  state.trace_proportion.resize(traces.size());
-  for (size_t i = 0; i < traces.size(); ++i) {
+  const size_t n = traces.size();
+  DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(std::move(traces), pool));
+  state.trace_cluster.resize(n);
+  state.trace_proportion.resize(n);
+  for (size_t i = 0; i < n; ++i) {
     state.trace_cluster[i] = state.descender->label(i);
     auto prop = state.descender->TraceProportion(i);
     if (!prop.ok()) return prop.status();
@@ -263,7 +264,7 @@ Status DBAugurSystem::Train() {
     refs.push_back({TraceRef::Kind::kResource, r, resource_traces_[r].name()});
     traces.push_back(resource_traces_[r]);
   }
-  auto state = BuildTrainedState(opts_, traces);
+  auto state = BuildTrainedState(opts_, std::move(traces));
   if (!state.ok()) return state.status();
   state_ = std::move(state).value();
   trace_refs_ = std::move(refs);

@@ -77,7 +77,8 @@ struct TrainedState {
 /// Runs the processor + forecaster pipeline on already-materialized traces:
 /// clusters with Descender, selects the top-K clusters by volume, and fits
 /// one DBAugur ensemble per cluster on the cluster's average trace. All
-/// traces must share one length (InvalidArgument otherwise).
+/// traces must share one length (InvalidArgument otherwise). The Descender
+/// keeps the traces, so a caller done with them moves them in.
 ///
 /// Descender's pairwise sweep and the ensemble fits run on one pool: the
 /// caller-owned `fit_pool` when given, else one of clustering.threads lanes
@@ -105,7 +106,7 @@ struct TrainedState {
 /// with each shard retrain's deadline to bound how long a hung or overrunning
 /// retrain can occupy a lane (see serve/sharded_service.h).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces,
+                                         std::vector<ts::Series> traces,
                                          ThreadPool* fit_pool = nullptr,
                                          const CancelToken* cancel = nullptr);
 

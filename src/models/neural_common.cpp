@@ -81,12 +81,70 @@ int64_t NeuralForecaster::ParameterCount() const {
   return n;
 }
 
+namespace {
+// Distinct from the nn parameter magic so a params blob handed to the model
+// state path (or vice versa) is rejected, not misparsed.
+constexpr uint32_t kModelStateMagic = 0xDBA65AE1;
+// A model has one scaler. The blob still records the count, so its bytes
+// stay those of the checkpoints already written.
+constexpr uint32_t kScalerCount = 1;
+
+// Magic, scaler count, the scaler's state, then Params() as a lossless
+// float64 nn::SerializeParamsF64 blob.
+std::vector<uint8_t> SerializeNeuralState(const ts::MinMaxScaler& scaler,
+                                          const std::vector<nn::Param>& params) {
+  BufWriter w;
+  w.U32(kModelStateMagic);
+  w.U32(kScalerCount);
+  w.U8(scaler.fitted() ? 1 : 0);
+  w.F64(scaler.min());
+  w.F64(scaler.max());
+  w.Bytes(nn::SerializeParamsF64(params));
+  return w.Take();
+}
+
+// Restores a SerializeNeuralState blob into a model of the saving model's
+// layout; rejects a corrupt, truncated or mismatched blob with
+// InvalidArgument before the scaler or any parameter changes.
+Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
+                              ts::MinMaxScaler* scaler,
+                              std::vector<nn::Param> params) {
+  BufReader r(buffer);
+  uint32_t magic = 0, nscalers = 0;
+  if (!r.U32(&magic) || magic != kModelStateMagic) {
+    return Status::InvalidArgument("bad magic in model state buffer");
+  }
+  if (!r.U32(&nscalers) || nscalers != kScalerCount) {
+    return Status::InvalidArgument("model state scaler count mismatch");
+  }
+  uint8_t fitted = 0;
+  double lo = 0.0, hi = 0.0;
+  if (!r.U8(&fitted) || !r.F64(&lo) || !r.F64(&hi)) {
+    return Status::InvalidArgument("truncated model state scaler section");
+  }
+  if (fitted != 0 && !(lo <= hi)) {
+    return Status::InvalidArgument("model state scaler range invalid");
+  }
+  std::vector<uint8_t> param_blob;
+  if (!r.Bytes(&param_blob)) {
+    return Status::InvalidArgument("truncated model state parameter section");
+  }
+  // Reuses nn/serialize's magic / count / shape / truncation rejection,
+  // which leaves every parameter untouched unless the whole blob is valid.
+  DBAUGUR_RETURN_IF_ERROR(nn::DeserializeParams(param_blob, params));
+  // The scaler is only touched once every fallible step has passed.
+  if (fitted != 0) return scaler->Restore(lo, hi);
+  return Status::OK();
+}
+
+}  // namespace
+
 StatusOr<std::vector<uint8_t>> NeuralForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
+  return SerializeNeuralState(scaler_, Params());
 }
 
 Status NeuralForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
+  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, &scaler_, Params()));
   fitted_ = true;
   return Status::OK();
 }
@@ -145,72 +203,6 @@ void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
     (*dst)[t].Fill(0.0);
   }
   dst->back() = dlast;
-}
-
-namespace {
-// Distinct from the nn parameter magic so a params blob handed to the model
-// state path (or vice versa) is rejected, not misparsed.
-constexpr uint32_t kModelStateMagic = 0xDBA65AE1;
-}  // namespace
-
-std::vector<uint8_t> SerializeNeuralState(
-    const std::vector<const ts::MinMaxScaler*>& scalers,
-    const std::vector<nn::Param>& params) {
-  BufWriter w;
-  w.U32(kModelStateMagic);
-  w.U32(static_cast<uint32_t>(scalers.size()));
-  for (const ts::MinMaxScaler* s : scalers) {
-    w.U8(s->fitted() ? 1 : 0);
-    w.F64(s->min());
-    w.F64(s->max());
-  }
-  w.Bytes(nn::SerializeParamsF64(params));
-  return w.Take();
-}
-
-Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
-                              const std::vector<ts::MinMaxScaler*>& scalers,
-                              std::vector<nn::Param> params) {
-  BufReader r(buffer);
-  uint32_t magic = 0, nscalers = 0;
-  if (!r.U32(&magic) || magic != kModelStateMagic) {
-    return Status::InvalidArgument("bad magic in model state buffer");
-  }
-  if (!r.U32(&nscalers) || nscalers != scalers.size()) {
-    return Status::InvalidArgument("model state scaler count mismatch");
-  }
-  struct ScalerState {
-    bool fitted;
-    double lo, hi;
-  };
-  std::vector<ScalerState> restored;
-  restored.reserve(nscalers);
-  for (uint32_t i = 0; i < nscalers; ++i) {
-    uint8_t fitted = 0;
-    double lo = 0.0, hi = 0.0;
-    if (!r.U8(&fitted) || !r.F64(&lo) || !r.F64(&hi)) {
-      return Status::InvalidArgument("truncated model state scaler section");
-    }
-    if (fitted != 0 && !(lo <= hi)) {
-      return Status::InvalidArgument("model state scaler range invalid");
-    }
-    restored.push_back({fitted != 0, lo, hi});
-  }
-  std::vector<uint8_t> param_blob;
-  if (!r.Bytes(&param_blob)) {
-    return Status::InvalidArgument("truncated model state parameter section");
-  }
-  // Reuses nn/serialize's magic / count / shape / truncation rejection,
-  // which leaves every parameter untouched unless the whole blob is valid.
-  DBAUGUR_RETURN_IF_ERROR(nn::DeserializeParams(param_blob, params));
-  // Scalers are only touched once every fallible step has passed.
-  for (size_t i = 0; i < scalers.size(); ++i) {
-    if (restored[i].fitted) {
-      DBAUGUR_RETURN_IF_ERROR(
-          scalers[i]->Restore(restored[i].lo, restored[i].hi));
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace dbaugur::models

@@ -56,9 +56,12 @@ class NeuralForecaster : public Forecaster {
   int64_t StorageBytes() const final;
   /// Scalars in Params().
   int64_t ParameterCount() const final;
-  /// SerializeNeuralState of the scaler and Params().
+  /// One blob: a magic, the scaler count (always 1), the scaler's state and
+  /// a lossless float64 nn::SerializeParamsF64 blob of Params().
   StatusOr<std::vector<uint8_t>> SaveState() const final;
-  /// Restores a SaveState blob and marks the model fitted.
+  /// Restores a SaveState blob and marks the model fitted. A corrupt,
+  /// truncated or mismatched blob is InvalidArgument and changes neither
+  /// the scaler nor any parameter.
   Status LoadState(const std::vector<uint8_t>& buffer) final;
 
   /// Parameter tensors in the model's layer order: what SaveState writes
@@ -124,25 +127,5 @@ void CopySequenceWithTail(const std::vector<nn::Matrix>& xs,
 /// (no-attention ablation path of the WFGAN backward).
 void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
                           size_t hidden, std::vector<nn::Matrix>* dst);
-
-// --- Model state (scalers + weights) for snapshot persistence. -------------
-//
-// A neural model's Predict path depends on its parameter tensors and the
-// min-max scalers fitted on its training series. SerializeNeuralState packs
-// `scalers` followed by a lossless float64 nn::SerializeParamsF64 blob;
-// DeserializeNeuralState validates magic / scaler count / params (reusing
-// nn/serialize's count+shape+truncation rejection) and restores in place.
-
-/// Packs scaler states and parameter values into one self-describing blob.
-std::vector<uint8_t> SerializeNeuralState(
-    const std::vector<const ts::MinMaxScaler*>& scalers,
-    const std::vector<nn::Param>& params);
-
-/// Restores a SerializeNeuralState blob. `scalers` and `params` must match
-/// the saving model's layout; corrupt/truncated/mismatched blobs are
-/// rejected with InvalidArgument before any scaler or parameter changes.
-Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
-                              const std::vector<ts::MinMaxScaler*>& scalers,
-                              std::vector<nn::Param> params);
 
 }  // namespace dbaugur::models

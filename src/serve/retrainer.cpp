@@ -1,5 +1,6 @@
 #include "serve/retrainer.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -10,7 +11,6 @@
 #include "common/contracts.h"
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "common/math_utils.h"
 
 namespace dbaugur::serve {
 
@@ -92,13 +92,25 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
   // the raw values — the clamp is per-cycle, so late events can still refine
   // a bin and be re-judged next cycle.
   if (opts_.winsorize_k > 0.0) {
+    // Both order statistics select in one scratch buffer, by the same
+    // nth_element on the same sequence as math_utils' Median, so every
+    // median and MAD keeps its bits without a copy per call.
+    std::vector<double> scratch;
+    auto lower_median = [&scratch] {
+      const auto mid = scratch.begin() +
+                       static_cast<ptrdiff_t>((scratch.size() - 1) / 2);
+      std::nth_element(scratch.begin(), mid, scratch.end());
+      return *mid;
+    };
     for (ts::Series& t : *traces) {
       std::vector<double>& vals = t.mutable_values();
-      double med = Median(vals);
-      std::vector<double> dev;
-      dev.reserve(vals.size());
-      for (double v : vals) dev.push_back(std::abs(v - med));
-      double mad = Median(std::move(dev));
+      if (vals.empty()) continue;
+      scratch.assign(vals.begin(), vals.end());
+      const double med = lower_median();
+      for (size_t i = 0; i < vals.size(); ++i) {
+        scratch[i] = std::abs(vals[i] - med);
+      }
+      const double mad = lower_median();
       if (!(mad > 0.0)) continue;
       double radius = opts_.winsorize_k * 1.4826 * mad;
       double lo = med - radius, hi = med + radius;
@@ -129,7 +141,8 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
   opts.forecaster.seed = seed_rng_.engine()();
   opts.tolerate_fit_failures = true;
 
-  auto state = core::BuildTrainedState(opts, *traces, fit_pool, cancel);
+  auto state =
+      core::BuildTrainedState(opts, std::move(*traces), fit_pool, cancel);
   if (!state.ok()) return state.status();
   SnapshotFallback fb;
   fb.opts = &opts;

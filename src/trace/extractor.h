@@ -7,6 +7,15 @@
 // both bin by the same rules — epoch-origin floor division, one
 // [min_bin, max_bin] range, zero-fill, the kMaxMaterializedBins refusal and
 // the "template<id>" trace name.
+//
+// The store keeps each template's history as one contiguous run of 16-byte
+// (bin, count) pairs in ascending bin order, in a map keyed by template id.
+// An in-order arrival appends or adds to the run's last pair; a late one
+// binary-searches its run. Runs grow by a quarter, not by doubling, so an
+// entry costs its 16 bytes, at most a quarter more of spare capacity and a
+// share of its template's map node: 20-23 heap bytes per entry at 17-100
+// bins per template (glibc mallinfo2), where the map of maps it replaced
+// cost 65-70.
 
 #pragma once
 
@@ -115,7 +124,7 @@ class TraceBinner {
   size_t bin_count() const;
 
   /// Number of distinct template ids seen.
-  size_t template_count() const { return bins_.size(); }
+  size_t template_count() const { return runs_.size(); }
 
   int64_t interval_seconds() const { return interval_; }
 
@@ -130,23 +139,29 @@ class TraceBinner {
   void Save(BufWriter* w) const;
 
   /// Restores a Save blob in place; on failure the binner is unchanged.
+  /// Template ids must be strictly ascending, and so must the bins within
+  /// each template, as Save writes them; anything else is InvalidArgument.
   Status Load(BufReader* r);
 
-  /// Sparse per-template bins (template id -> bin index -> summed count).
-  /// Read-only view for shard-count migration, which re-partitions templates
-  /// across binners by re-hashing their ids.
-  const std::map<uint32_t, std::map<int64_t, double>>& bins() const {
-    return bins_;
-  }
+  /// Copy of the sparse per-template bins (template id -> bin index ->
+  /// summed count), built on each call. Shard-count migration reads it to
+  /// re-partition templates across binners by re-hashing their ids.
+  std::map<uint32_t, std::map<int64_t, double>> bins() const;
 
  private:
+  struct BinCount {
+    int64_t bin = 0;
+    double count = 0.0;
+  };
+  /// One template's history in ascending bin order; sparse, so an idle
+  /// template costs nothing until Traces() zero-fills.
+  using Run = std::vector<BinCount>;
+
   int64_t interval_ = 600;
   bool any_ = false;
   int64_t min_bin_ = 0;
   int64_t max_bin_ = 0;
-  // template id -> (bin index -> summed count); sparse so idle templates
-  // cost nothing until Traces() zero-fills.
-  std::map<uint32_t, std::map<int64_t, double>> bins_;
+  std::map<uint32_t, Run> runs_;
 };
 
 /// Extraction configuration.

@@ -38,6 +38,7 @@
 #include "core/dbaugur.h"
 #include "ensemble/presets.h"
 #include "ensemble/shared_member.h"
+#include "heap_in_use.h"
 #include "models/arima.h"
 #include "models/kernel_regression.h"
 #include "models/linear_regression.h"
@@ -47,21 +48,6 @@
 #include "models/tcn.h"
 #include "models/wfgan.h"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define DBAUGUR_FIT_TEST_SANITIZED 1
-#endif
-#if !defined(DBAUGUR_FIT_TEST_SANITIZED) && defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define DBAUGUR_FIT_TEST_SANITIZED 1
-#endif
-#endif
-#if defined(__GLIBC__) && !defined(DBAUGUR_FIT_TEST_SANITIZED)
-#include <malloc.h>
-#if __GLIBC_PREREQ(2, 33)
-#define DBAUGUR_FIT_TEST_MALLINFO2 1
-#endif
-#endif
 
 namespace dbaugur::core {
 namespace {
@@ -373,12 +359,7 @@ std::vector<double> PaperSeries() {
   return v;
 }
 
-#if defined(DBAUGUR_FIT_TEST_MALLINFO2)
-int64_t HeapInUse() {
-  const struct mallinfo2 mi = mallinfo2();
-  return static_cast<int64_t>(mi.uordblks + mi.hblkhd);
-}
-
+#if defined(DBAUGUR_TEST_HEAP_IN_USE)
 template <typename Model>
 int64_t HeapKeptAfterFit(const std::vector<double>& series) {
   const int64_t before = HeapInUse();
@@ -389,7 +370,7 @@ int64_t HeapKeptAfterFit(const std::vector<double>& series) {
 #endif
 
 TEST(FitReleaseTest, FittedModelKeepsUnderOneMegabyte) {
-#if !defined(DBAUGUR_FIT_TEST_MALLINFO2)
+#if !defined(DBAUGUR_TEST_HEAP_IN_USE)
   GTEST_SKIP() << "needs glibc mallinfo2 and the system allocator";
 #else
   const std::vector<double> series = PaperSeries();
@@ -496,7 +477,7 @@ TEST(ResumableFitTest, ZeroEpochsTakeOneStepThatMatchesFit) {
   ExpectSuspendedStepsMatchFit<models::LstmForecaster>(opts, "LSTM");
 }
 
-#if defined(DBAUGUR_FIT_TEST_MALLINFO2)
+#if defined(DBAUGUR_TEST_HEAP_IN_USE)
 // Heap a model holds after its first `steps` fit steps and a SuspendFit,
 // less the heap of its dataset alone.
 template <typename Model>
@@ -521,7 +502,7 @@ int64_t HeapKeptWhileSuspended(const std::vector<double>& series,
 #endif
 
 TEST(ResumableFitTest, SuspendedFitKeepsItsDatasetAndUnderOneMegabyteMore) {
-#if !defined(DBAUGUR_FIT_TEST_MALLINFO2)
+#if !defined(DBAUGUR_TEST_HEAP_IN_USE)
   GTEST_SKIP() << "needs glibc mallinfo2 and the system allocator";
 #else
   const std::vector<double> series = PaperSeries();

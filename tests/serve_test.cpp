@@ -13,11 +13,14 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/binio.h"
+#include "common/rng.h"
+#include "heap_in_use.h"
 #include "serve/ingestor.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
@@ -245,6 +248,209 @@ TEST(TraceBinnerTest, HeaderWithNothingFoldedRefusesStoredBins) {
   ASSERT_EQ(traces->size(), 1u);
   EXPECT_EQ((*traces)[0].values(),
             (std::vector<double>{2.0, 1.0, 1.0, 1.0, 1.0}));
+}
+
+using BinMap = std::map<uint32_t, std::map<int64_t, double>>;
+
+// A TraceBinner with the map-of-maps store and Save format it documents:
+// each (template, bin) sums its counts in arrival order onto a
+// value-initialized 0.0.
+struct ReferenceBinner {
+  BinMap bins;
+  bool any = false;
+  int64_t min_bin = 0;
+  int64_t max_bin = 0;
+
+  void FoldBin(uint32_t template_id, int64_t bin, double count) {
+    bins[template_id][bin] += count;
+    min_bin = any ? std::min(min_bin, bin) : bin;
+    max_bin = any ? std::max(max_bin, bin) : bin;
+    any = true;
+  }
+
+  std::vector<uint8_t> Save(int64_t interval) const {
+    BufWriter w;
+    w.I64(interval);
+    w.U8(any ? 1 : 0);
+    w.I64(min_bin);
+    w.I64(max_bin);
+    w.U64(bins.size());
+    for (const auto& [tid, per_bin] : bins) {
+      w.U32(tid);
+      w.U64(per_bin.size());
+      for (const auto& [bin, count] : per_bin) {
+        w.I64(bin);
+        w.F64(count);
+      }
+    }
+    return w.Take();
+  }
+};
+
+std::vector<uint8_t> SavedBytes(const TraceBinner& binner) {
+  BufWriter w;
+  binner.Save(&w);
+  return w.Take();
+}
+
+void ExpectMatchesReference(const TraceBinner& binner,
+                            const ReferenceBinner& ref) {
+  EXPECT_EQ(binner.template_count(), ref.bins.size());
+  EXPECT_EQ(binner.bin_count(), trace::BinSpan(ref.min_bin, ref.max_bin));
+  EXPECT_EQ(binner.bins(), ref.bins);
+  EXPECT_EQ(SavedBytes(binner), ref.Save(kInterval));
+  auto traces = binner.Traces();
+  ASSERT_TRUE(traces.ok());
+  ASSERT_EQ(traces->size(), ref.bins.size());
+  const size_t len = trace::BinSpan(ref.min_bin, ref.max_bin);
+  size_t i = 0;
+  for (const auto& [tid, per_bin] : ref.bins) {
+    const ts::Series& t = (*traces)[i++];
+    EXPECT_EQ(t.name(), "template" + std::to_string(tid));
+    EXPECT_EQ(t.start(), ref.min_bin * kInterval);
+    EXPECT_EQ(t.interval_seconds(), kInterval);
+    std::vector<double> want(len, 0.0);
+    for (const auto& [bin, count] : per_bin) {
+      want[static_cast<size_t>(bin - ref.min_bin)] = count;
+    }
+    ASSERT_EQ(t.size(), len);
+    EXPECT_EQ(std::memcmp(t.values().data(), want.data(),
+                          len * sizeof(double)),
+              0)
+        << t.name();
+  }
+}
+
+TEST(TraceBinnerTest, MatchesAMapReference) {
+  TraceBinner binner(kInterval);
+  ReferenceBinner ref;
+  Rng rng(29);
+  auto fold = [&](uint32_t tid, int64_t bin, double count) {
+    const ts::Timestamp at =
+        bin * kInterval + rng.UniformInt(0, kInterval - 1);
+    binner.Fold({tid, at, count});
+    ref.FoldBin(tid, bin, count);
+  };
+  // New templates arrive in descending id order, one more every few bins;
+  // most events land in the current bin (repeats included), some 1-3 bins
+  // late, and a few carry -0.0 or 1e300.
+  std::vector<uint32_t> live;
+  for (int64_t bin = -4; bin < 40; ++bin) {
+    if (bin % 3 == 0 || live.empty()) {
+      live.push_back(900 - 7 * static_cast<uint32_t>(live.size()));
+    }
+    for (int e = 0; e < 30; ++e) {
+      const uint32_t tid = live[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))];
+      int64_t at = bin;
+      if (rng.Bernoulli(0.2)) at -= rng.UniformInt(1, 3);
+      double count = static_cast<double>(rng.UniformInt(1, 5));
+      if (rng.Bernoulli(0.05)) count = -0.0;
+      if (rng.Bernoulli(0.02)) count = 1e300;
+      fold(tid, at, count);
+    }
+  }
+  // A template whose only count is -0.0 saves +0.0, as the map's sum did.
+  fold(5, 10, -0.0);
+  ExpectMatchesReference(binner, ref);
+
+  // FoldBin in shard-count migration order: each old shard's templates in
+  // id order with their bins ascending, the shards one after the other, so
+  // ids interleave.
+  TraceBinner migrated(kInterval);
+  ReferenceBinner migrated_ref;
+  for (uint32_t parity : {1u, 0u}) {
+    for (const auto& [tid, per_bin] : ref.bins) {
+      if (tid % 2 != parity) continue;
+      for (const auto& [bin, count] : per_bin) {
+        migrated.FoldBin(tid, bin, count);
+        migrated_ref.FoldBin(tid, bin, count);
+      }
+    }
+  }
+  ExpectMatchesReference(migrated, migrated_ref);
+  EXPECT_EQ(SavedBytes(migrated), SavedBytes(binner));
+}
+
+// A Save-format blob over bins [0, 10] with the given (template, bins)
+// records.
+std::vector<uint8_t> BinnerBlob(
+    const std::vector<std::pair<uint32_t, std::vector<int64_t>>>& records) {
+  BufWriter w;
+  w.I64(kInterval);
+  w.U8(1);
+  w.I64(0);
+  w.I64(10);
+  w.U64(records.size());
+  for (const auto& [tid, bins] : records) {
+    w.U32(tid);
+    w.U64(bins.size());
+    for (int64_t bin : bins) {
+      w.I64(bin);
+      w.F64(1.0);
+    }
+  }
+  return w.Take();
+}
+
+TEST(TraceBinnerTest, LoadRejectsUnorderedTemplatesAndBins) {
+  TraceBinner binner(kInterval);
+  binner.Fold({3, 5 * kInterval, 2.0});
+  const std::vector<uint8_t> before = SavedBytes(binner);
+
+  const std::vector<uint8_t> ordered = BinnerBlob({{7, {2, 5}}, {9, {1}}});
+  TraceBinner fresh(kInterval);
+  BufReader ok(ordered);
+  ASSERT_TRUE(fresh.Load(&ok).ok());
+  EXPECT_EQ(SavedBytes(fresh), ordered);
+
+  const std::vector<std::vector<uint8_t>> bad = {
+      BinnerBlob({{7, {5, 2}}}),            // descending bin
+      BinnerBlob({{7, {5, 5}}}),            // repeated bin
+      BinnerBlob({{9, {1}}, {7, {2, 5}}}),  // descending template id
+      BinnerBlob({{7, {2}}, {7, {5}}}),     // repeated template id
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    BufReader r(bad[i]);
+    EXPECT_EQ(binner.Load(&r).code(), StatusCode::kInvalidArgument) << i;
+    EXPECT_EQ(SavedBytes(binner), before) << i;
+  }
+
+  // A count past the bytes left is refused before anything is reserved.
+  BufWriter huge;
+  huge.I64(kInterval);
+  huge.U8(1);
+  huge.I64(0);
+  huge.I64(10);
+  huge.U64(1);
+  huge.U32(7);
+  huge.U64(uint64_t{1} << 60);
+  huge.I64(0);
+  huge.F64(1.0);
+  const std::vector<uint8_t> huge_blob = huge.Take();
+  BufReader hr(huge_blob);
+  EXPECT_EQ(binner.Load(&hr).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(SavedBytes(binner), before);
+}
+
+TEST(TraceBinnerTest, HeapPerEntry) {
+#if !defined(DBAUGUR_TEST_HEAP_IN_USE)
+  GTEST_SKIP() << "needs glibc mallinfo2 and the system allocator";
+#else
+  // 2000 templates x 100 bins, folded bin by bin as a stream arrives. Each
+  // entry holds 16 bytes of data; the map of maps spent ~65 B on it.
+  constexpr uint32_t kTemplates = 2000;
+  constexpr int64_t kBins = 100;
+  const int64_t before = HeapInUse();
+  TraceBinner binner(kInterval);
+  for (int64_t bin = 0; bin < kBins; ++bin) {
+    for (uint32_t t = 0; t < kTemplates; ++t) binner.FoldBin(t, bin, 1.0);
+  }
+  const double per_entry = static_cast<double>(HeapInUse() - before) /
+                           static_cast<double>(kTemplates * kBins);
+  EXPECT_LE(per_entry, 32.0);
+  RecordProperty("heap_bytes_per_entry", std::to_string(per_entry));
+#endif
 }
 
 TEST(ForecastServiceTest, EmptySnapshotBeforeTraining) {

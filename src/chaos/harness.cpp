@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "chaos/oracle.h"
-#include "chaos/partition.h"
 #include "cluster/descender.h"
 #include "common/fault_injection.h"
 #include "common/thread_pool.h"
@@ -391,30 +390,20 @@ class ChaosRun {
     if (!st.ok()) return Fail("batch AddTraces failed: " + st.message());
 
     const size_t n = traces->size();
-    std::vector<int> seq_labels(n);
-    std::vector<int> batch_labels(n);
     for (size_t i = 0; i < n; ++i) {
-      seq_labels[i] = seq.label(i);
-      batch_labels[i] = batch.label(i);
       if (seq.is_core(i) != batch.is_core(i)) {
         return Fail("core flag diverges at trace " + std::to_string(i) +
                     ": sequential " + std::to_string(seq.is_core(i)) +
                     ", batch " + std::to_string(batch.is_core(i)));
       }
     }
-    // AddTraces documents label identity with the AddTrace loop; check that
-    // first, then the relabel-invariant comparison as the weaker oracle the
-    // corpus would fall back to if the contract ever loosened.
+    // AddTraces documents label identity with the AddTrace loop.
     for (size_t i = 0; i < n; ++i) {
-      if (seq_labels[i] != batch_labels[i]) {
+      if (seq.label(i) != batch.label(i)) {
         return Fail("label diverges at trace " + std::to_string(i) +
-                    ": sequential " + std::to_string(seq_labels[i]) +
-                    ", batch " + std::to_string(batch_labels[i]));
+                    ": sequential " + std::to_string(seq.label(i)) +
+                    ", batch " + std::to_string(batch.label(i)));
       }
-    }
-    std::string mismatch;
-    if (!PartitionsEquivalent(seq_labels, batch_labels, &mismatch)) {
-      return Fail("partitions not equivalent: " + mismatch);
     }
     return Status::OK();
   }

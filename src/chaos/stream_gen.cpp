@@ -39,6 +39,9 @@ std::vector<StreamProfile> AllProfiles() {
 
 namespace {
 
+// Timestamp of the stream's first bin.
+constexpr int64_t kStartSeconds = 0;
+
 // Gaussian bump on the day fraction, wrapping midnight (same shape as the
 // workloads::BusTrackerTemplates diurnal rates).
 double Bump(double day_frac, double center, double sd) {
@@ -308,7 +311,7 @@ GeneratedStream GenerateStream(const StreamOptions& opts) {
   bool have_last_ts = false;
   for (size_t bin = 0; bin < opts.bins; ++bin) {
     const int64_t bin_start =
-        opts.start_seconds + static_cast<int64_t>(bin) * opts.interval_seconds;
+        kStartSeconds + static_cast<int64_t>(bin) * opts.interval_seconds;
     const double day_frac =
         static_cast<double>(((bin_start % 86400) + 86400) % 86400) / 86400.0;
     const double burst_mul = burst[bin] ? 6.0 : 1.0;

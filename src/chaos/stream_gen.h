@@ -59,7 +59,6 @@ struct StreamOptions {
   int64_t interval_seconds = 600;  ///< Forecast interval (bin width).
   size_t templates = 8;            ///< Grammar slots used (clamped to catalog).
   double mean_rate = 3.0;          ///< Mean events per template per bin.
-  int64_t start_seconds = 0;       ///< Timestamp of the stream's first bin.
 };
 
 /// One generated item: a log line, a pre-parsed event, or both.

@@ -13,15 +13,15 @@
 namespace dbaugur {
 
 void BufWriter::U32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  uint8_t bytes[4];
+  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  buf_.insert(buf_.end(), bytes, bytes + 4);
 }
 
 void BufWriter::U64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  uint8_t bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  buf_.insert(buf_.end(), bytes, bytes + 8);
 }
 
 void BufWriter::F64(double v) {

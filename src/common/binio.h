@@ -35,6 +35,9 @@ class BufWriter {
   void Str(const std::string& s);
   /// u32 length prefix + raw bytes (nested blobs, e.g. model states).
   void Bytes(const std::vector<uint8_t>& b);
+  /// Makes room for `n` more bytes, so the appends that follow do not
+  /// reallocate.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }

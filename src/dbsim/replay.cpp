@@ -5,12 +5,17 @@
 
 namespace dbaugur::dbsim {
 
+namespace {
+constexpr double kPagesPerSecond = 4000.0;  // Server I/O capacity.
+constexpr double kPageTimeMs = 0.25;        // Service time per page.
+}  // namespace
+
 StatusOr<std::vector<WindowStats>> ReplayWorkload(
     Database* db, const std::vector<trace::LogEntry>& log,
     std::vector<IndexAction> actions, const ReplayOptions& opts) {
   if (db == nullptr) return Status::InvalidArgument("replay: null database");
   if (log.empty()) return Status::InvalidArgument("replay: empty log");
-  if (opts.window_seconds <= 0 || opts.pages_per_second <= 0.0) {
+  if (opts.window_seconds <= 0) {
     return Status::InvalidArgument("replay: bad capacity options");
   }
   std::sort(actions.begin(), actions.end(),
@@ -61,7 +66,7 @@ StatusOr<std::vector<WindowStats>> ReplayWorkload(
     }
     stats.demand_pages += query_pages;
     double capacity =
-        opts.pages_per_second * static_cast<double>(opts.window_seconds);
+        kPagesPerSecond * static_cast<double>(opts.window_seconds);
     double utilization = stats.demand_pages / capacity;
     stats.avg_cost_pages =
         stats.queries > 0 ? query_pages / static_cast<double>(stats.queries) : 0.0;
@@ -73,11 +78,11 @@ StatusOr<std::vector<WindowStats>> ReplayWorkload(
       // rate; the paper's closed-loop throughput corresponds to what the
       // server could serve, which is what physical design changes move.
       stats.throughput_qps = stats.avg_cost_pages > 0.0
-                                 ? opts.pages_per_second / stats.avg_cost_pages
+                                 ? kPagesPerSecond / stats.avg_cost_pages
                                  : arrival_qps;
       // M/M/1-style queueing inflation, capped at 95% utilization.
       double u = std::min(utilization, 0.95);
-      stats.avg_latency_ms = stats.avg_cost_pages * opts.page_time_ms / (1.0 - u);
+      stats.avg_latency_ms = stats.avg_cost_pages * kPageTimeMs / (1.0 - u);
     }
     out.push_back(stats);
   }

@@ -15,11 +15,10 @@
 
 namespace dbaugur::dbsim {
 
-/// Capacity / timing model.
+/// Replay windowing. The server it models reads 4000 pages per second at
+/// 0.25 ms per page.
 struct ReplayOptions {
   int64_t window_seconds = 1800;
-  double pages_per_second = 4000.0;  ///< Server I/O capacity.
-  double page_time_ms = 0.25;        ///< Service time per page.
 };
 
 /// Per-window measurements.

@@ -22,9 +22,7 @@ struct ForecasterOptions {
   size_t horizon = 1;        ///< H — steps ahead of the window's end.
   size_t epochs = 50;        ///< Training epochs (neural models).
   size_t batch_size = 32;    ///< Minibatch size (neural models).
-  double learning_rate = 1e-3;
   uint64_t seed = 42;        ///< RNG seed for weight init & batch order.
-  double grad_clip = 5.0;    ///< Global-norm gradient clip (0 disables).
 };
 
 /// Abstract single-trace forecaster.

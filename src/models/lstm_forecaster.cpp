@@ -15,7 +15,7 @@ LstmForecaster::LstmForecaster(const ForecasterOptions& opts,
       lstm_opts_(lstm),
       lstm_(1, lstm.hidden, &rng_),
       head_(lstm.hidden, 1, nn::Activation::kIdentity, &rng_),
-      adam_(opts.learning_rate) {}
+      adam_(kLearningRate) {}
 
 Status LstmForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
@@ -35,7 +35,7 @@ Status LstmForecaster::TrainEpoch() {
     LastStepGradSequence(head_.Backward(grad_), hs.size(), count,
                          lstm_opts_.hidden, &grad_hs_);
     lstm_.BackwardSequence(grad_hs_);
-    nn::ClipGradNorm(params, opts_.grad_clip);
+    nn::ClipGradNorm(params, kGradClip);
     adam_.Step(params);
   }
   return Status::OK();

@@ -9,13 +9,18 @@
 
 namespace dbaugur::models {
 
-MlpForecaster::MlpForecaster(const ForecasterOptions& opts,
-                             const MlpOptions& mlp)
+namespace {
+// Hidden layer widths (paper: 32 and 16 units).
+constexpr size_t kHidden1 = 32;
+constexpr size_t kHidden2 = 16;
+}  // namespace
+
+MlpForecaster::MlpForecaster(const ForecasterOptions& opts)
     : NeuralForecaster(opts),
-      l1_(opts.window, mlp.hidden1, nn::Activation::kRelu, &rng_),
-      l2_(mlp.hidden1, mlp.hidden2, nn::Activation::kRelu, &rng_),
-      l3_(mlp.hidden2, 1, nn::Activation::kIdentity, &rng_),
-      adam_(opts.learning_rate) {}
+      l1_(opts.window, kHidden1, nn::Activation::kRelu, &rng_),
+      l2_(kHidden1, kHidden2, nn::Activation::kRelu, &rng_),
+      l3_(kHidden2, 1, nn::Activation::kIdentity, &rng_),
+      adam_(kLearningRate) {}
 
 Status MlpForecaster::TrainEpoch() {
   if (train_samples_.empty()) {
@@ -31,7 +36,7 @@ Status MlpForecaster::TrainEpoch() {
     nn::MSELoss(pred, y_, &grad_);
     for (auto& p : params) p.grad->Fill(0.0);
     l1_.Backward(l2_.Backward(l3_.Backward(grad_)));
-    nn::ClipGradNorm(params, opts_.grad_clip);
+    nn::ClipGradNorm(params, kGradClip);
     adam_.Step(params);
   }
   return Status::OK();

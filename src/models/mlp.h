@@ -9,17 +9,9 @@
 
 namespace dbaugur::models {
 
-/// MLP-specific sizes (paper: 32 and 16 units).
-struct MlpOptions {
-  size_t hidden1 = 32;
-  size_t hidden2 = 16;
-};
-
 class MlpForecaster : public NeuralForecaster {
  public:
-  MlpForecaster(const ForecasterOptions& opts, const MlpOptions& mlp);
-  explicit MlpForecaster(const ForecasterOptions& opts)
-      : MlpForecaster(opts, MlpOptions{}) {}
+  explicit MlpForecaster(const ForecasterOptions& opts);
 
   std::string name() const override { return "MLP"; }
 

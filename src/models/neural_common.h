@@ -16,6 +16,11 @@
 
 namespace dbaugur::models {
 
+/// Adam learning rate of every neural model's optimizers.
+inline constexpr double kLearningRate = 1e-3;
+/// Global-norm gradient clip applied before each optimizer step.
+inline constexpr double kGradClip = 5.0;
+
 /// Window samples in [0,1] scale plus the scaler that maps back to raw scale.
 struct ScaledDataset {
   std::vector<ts::WindowSample> samples;

@@ -5,16 +5,21 @@
 
 namespace dbaugur::models {
 
+namespace {
+// Taps of every block's dilated causal convolutions.
+constexpr size_t kKernel = 2;
+}  // namespace
+
 TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
                              const TcnOptions& tcn)
     : NeuralForecaster(opts),
       tcn_opts_(tcn),
       head_(tcn.channels, 1, nn::Activation::kIdentity, &rng_),
-      adam_(opts.learning_rate) {
+      adam_(kLearningRate) {
   size_t in_ch = 1;
   for (size_t d : tcn_opts_.dilations) {
     blocks_.push_back(std::make_unique<nn::TCNBlock>(
-        in_ch, tcn_opts_.channels, tcn_opts_.kernel, d, &rng_));
+        in_ch, tcn_opts_.channels, kKernel, d, &rng_));
     in_ch = tcn_opts_.channels;
   }
   // The head reads only the last step of the last block. Walking that step's
@@ -61,7 +66,7 @@ Status TcnForecaster::TrainEpoch() {
     }
     const nn::Tensor3* dt = &dt_;
     for (size_t b = blocks_.size(); b-- > 0;) dt = &blocks_[b]->Backward(*dt);
-    nn::ClipGradNorm(params, opts_.grad_clip);
+    nn::ClipGradNorm(params, kGradClip);
     adam_.Step(params);
   }
   return Status::OK();

@@ -17,7 +17,6 @@ namespace dbaugur::models {
 /// TCN sizes; dilations default to the paper's 1,2,4,8,16.
 struct TcnOptions {
   size_t channels = 16;
-  size_t kernel = 2;
   std::vector<size_t> dilations = {1, 2, 4, 8, 16};
 };
 

@@ -13,13 +13,13 @@ WfganForecaster::WfganForecaster(const ForecasterOptions& opts,
     : NeuralForecaster(opts),
       gan_(gan),
       g_lstm_(1, gan.hidden, &rng_),
-      g_attn_(gan.hidden, gan.attn_dim, &rng_),
+      g_attn_(gan.hidden, kAttnDim, &rng_),
       g_head_(gan.hidden, 1, nn::Activation::kIdentity, &rng_),
       d_lstm_(1, gan.hidden, &rng_),
-      d_attn_(gan.hidden, gan.attn_dim, &rng_),
+      d_attn_(gan.hidden, kAttnDim, &rng_),
       d_head_(gan.hidden, 1, nn::Activation::kIdentity, &rng_),
-      g_adam_(opts.learning_rate),
-      d_adam_(opts.learning_rate) {}
+      g_adam_(kLearningRate),
+      d_adam_(kLearningRate) {}
 
 std::vector<nn::Param> WfganForecaster::GeneratorParams() const {
   std::vector<nn::Param> params = g_lstm_.Params();
@@ -107,31 +107,29 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
     // G-step, which reuses it.
     const nn::Matrix* fake = nullptr;
     if (gan_.adversarial) {
-      // --- D-steps (Algorithm 2, lines 5-7): fake forecasts are detached.
+      // --- D-step (Algorithm 2, lines 5-7): fake forecasts are detached.
       fake = &GeneratorForward(xs_);
       CopySequenceWithTail(xs_, y_, &xs_real_);
       CopySequenceWithTail(xs_, *fake, &xs_fake_);
       real_labels_.Resize(count, 1);
-      real_labels_.Fill(gan_.real_label);
+      real_labels_.Fill(kRealLabel);
       fake_labels_.Resize(count, 1);
       fake_labels_.Fill(0.0);
       // The fake batch equals the real one before its tail, and D does not
       // change between the two passes: the fake pass starts at the tail.
       const size_t tail = xs_.size();
-      for (size_t s = 0; s < gan_.d_steps; ++s) {
-        zero(dparams);
-        const nn::Matrix& real_logits = DiscriminatorForward(xs_real_);
-        double loss_real =
-            nn::BCEWithLogitsLoss(real_logits, real_labels_, &grad_real_);
-        DiscriminatorBackward(grad_real_, xs_real_.size(), count);
-        const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_, tail);
-        double loss_fake =
-            nn::BCEWithLogitsLoss(fake_logits, fake_labels_, &grad_fake_);
-        DiscriminatorBackward(grad_fake_, xs_fake_.size(), count);
-        nn::ClipGradNorm(dparams, opts_.grad_clip);
-        d_adam_.Step(dparams);
-        stats.d_loss += loss_real + loss_fake;
-      }
+      zero(dparams);
+      const nn::Matrix& real_logits = DiscriminatorForward(xs_real_);
+      double loss_real =
+          nn::BCEWithLogitsLoss(real_logits, real_labels_, &grad_real_);
+      DiscriminatorBackward(grad_real_, xs_real_.size(), count);
+      const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_, tail);
+      double loss_fake =
+          nn::BCEWithLogitsLoss(fake_logits, fake_labels_, &grad_fake_);
+      DiscriminatorBackward(grad_fake_, xs_fake_.size(), count);
+      nn::ClipGradNorm(dparams, kGradClip);
+      d_adam_.Step(dparams);
+      stats.d_loss += loss_real + loss_fake;
     }
 
     // --- G-steps (Algorithm 2, lines 8-10) plus the supervised MSE term.
@@ -160,19 +158,17 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
       }
 
       GeneratorBackward(grad_pred_, xs_.size(), count);
-      nn::ClipGradNorm(gparams, opts_.grad_clip);
+      nn::ClipGradNorm(gparams, kGradClip);
       g_adam_.Step(gparams);
       fake = nullptr;  // the step changed the generator
     }
     ++batches;
   }
   if (batches > 0) {
-    // With no D- or G-steps the sums stay 0; max(1, .) keeps them off 0/0.
-    const double d_div =
-        static_cast<double>(batches * std::max<size_t>(1, gan_.d_steps));
+    // With no G-steps the sums stay 0; max(1, .) keeps them off 0/0.
     const double g_div =
         static_cast<double>(batches * std::max<size_t>(1, gan_.g_steps));
-    stats.d_loss /= d_div;
+    stats.d_loss /= static_cast<double>(batches);
     stats.g_adv /= g_div;
     stats.g_mse /= g_div;
   }

@@ -5,7 +5,7 @@
 // length-(T+1) concatenations X ∘ x_{T+H} (real) and X ∘ x̂_{T+H} (fake).
 // Both networks are an LSTM (paper: 30 cells) followed by a temporal
 // attention layer (paper Eq. 2-3) and a dense head. Training alternates
-// D-steps and G-steps per the paper's Algorithm 2.
+// one D-step and g_steps G-steps per minibatch, per the paper's Algorithm 2.
 //
 // Two deliberate implementation choices beyond the paper's text, both
 // standard for forecasting GANs and both exposed for ablation:
@@ -28,15 +28,17 @@
 
 namespace dbaugur::models {
 
+/// Attention projection width of every WFGAN attention layer.
+inline constexpr size_t kAttnDim = 16;
+/// Label smoothing for real samples in the discriminator loss.
+inline constexpr double kRealLabel = 0.9;
+
 /// WFGAN architecture / training knobs.
 struct WfganOptions {
   size_t hidden = 30;       ///< LSTM cells (paper: one LSTM layer, 30 cells).
-  size_t attn_dim = 16;     ///< Attention projection width.
-  size_t d_steps = 1;       ///< Discriminator updates per minibatch.
   size_t g_steps = 1;       ///< Generator updates per minibatch.
   double adversarial_weight = 0.2;  ///< Weight of the GAN term in G's loss.
   double supervised_weight = 1.0;   ///< Weight of the MSE term in G's loss.
-  double real_label = 0.9;          ///< Label smoothing for real samples.
   bool use_attention = true;        ///< Disable to ablate Eq. 2-3.
   bool adversarial = true;          ///< Disable to ablate GAN training.
   bool saturating_g_loss = false;   ///< Use the paper's Eq. 5 G loss.

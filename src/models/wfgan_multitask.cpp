@@ -13,16 +13,16 @@ MultiTaskWfgan::MultiTaskWfgan(const ForecasterOptions& opts,
       gan_(gan),
       rng_(opts.seed),
       shared_lstm_(1, gan.hidden, &rng_),
-      g_adam_(opts.learning_rate),
-      d_adams_{nn::Adam(opts.learning_rate), nn::Adam(opts.learning_rate)} {
+      g_adam_(kLearningRate),
+      d_adams_{nn::Adam(kLearningRate), nn::Adam(kLearningRate)} {
   for (auto& t : tasks_) {
-    t.attn = std::make_unique<nn::TemporalAttention>(gan.hidden, gan.attn_dim,
+    t.attn = std::make_unique<nn::TemporalAttention>(gan.hidden, kAttnDim,
                                                      &rng_);
     t.head = std::make_unique<nn::Dense>(gan.hidden, 1,
                                          nn::Activation::kIdentity, &rng_);
     t.d_lstm = std::make_unique<nn::LSTM>(1, gan.hidden, &rng_);
     t.d_attn = std::make_unique<nn::TemporalAttention>(gan.hidden,
-                                                       gan.attn_dim, &rng_);
+                                                       kAttnDim, &rng_);
     t.d_head = std::make_unique<nn::Dense>(gan.hidden, 1,
                                            nn::Activation::kIdentity, &rng_);
   }
@@ -143,7 +143,7 @@ Status MultiTaskWfgan::TrainEpoch() {
         std::vector<nn::Param> dparams = DiscParams(t);
         zero(dparams);
         real_labels_.Resize(count, 1);
-        real_labels_.Fill(gan_.real_label);
+        real_labels_.Fill(kRealLabel);
         fake_labels_.Resize(count, 1);
         fake_labels_.Fill(0.0);
         nn::BCEWithLogitsLoss(DiscForward(t, xs_real_), real_labels_,
@@ -152,7 +152,7 @@ Status MultiTaskWfgan::TrainEpoch() {
         nn::BCEWithLogitsLoss(DiscForward(t, xs_fake_), fake_labels_,
                               &grad_fake_);
         DiscBackward(t, grad_fake_, xs_fake_.size(), count);
-        nn::ClipGradNorm(dparams, opts_.grad_clip);
+        nn::ClipGradNorm(dparams, kGradClip);
         d_adams_[ti].Step(dparams);
       }
     }
@@ -184,7 +184,7 @@ Status MultiTaskWfgan::TrainEpoch() {
       }
       GenBackward(t, grad_pred_, xs_[ti].size(), count);
     }
-    nn::ClipGradNorm(gparams, opts_.grad_clip);
+    nn::ClipGradNorm(gparams, kGradClip);
     g_adam_.Step(gparams);
   }
   return Status::OK();

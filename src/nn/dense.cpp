@@ -93,4 +93,9 @@ std::vector<Param> Dense::Params() {
   return {{&w_, &dw_, "dense.w"}, {&b_, &db_, "dense.b"}};
 }
 
+void Dense::ZeroGrad() {
+  dw_.Fill(0.0);
+  db_.Fill(0.0);
+}
+
 }  // namespace dbaugur::nn

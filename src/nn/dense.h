@@ -10,17 +10,28 @@ namespace dbaugur::nn {
 /// Supported activations for Dense.
 enum class Activation { kIdentity, kRelu, kTanh, kSigmoid };
 
-/// y = act(x W + b); W is (in x out), b is (1 x out).
-class Dense : public Layer {
+/// y = act(x W + b) for [batch, in] inputs; W is (in x out), b is (1 x out).
+///
+/// Forward/Backward return references to layer-owned workspaces, so a
+/// steady-state training step performs no heap allocation inside the layer;
+/// the referenced matrix stays valid until the next call on the same layer.
+/// Callers that need the value beyond that must copy it.
+class Dense {
  public:
   Dense(size_t in, size_t out, Activation act, Rng* rng);
 
-  const Matrix& Forward(const Matrix& input) override;
-  const Matrix& Backward(const Matrix& grad_output) override;
+  /// Computes the output and caches whatever Backward needs.
+  const Matrix& Forward(const Matrix& input);
+  /// Given dLoss/dOutput, accumulates parameter gradients and returns
+  /// dLoss/dInput. Must be called after Forward on the same input.
+  const Matrix& Backward(const Matrix& grad_output);
   /// dLoss/dInput alone: Backward without the parameter gradients (same
   /// result and workspace).
   const Matrix& InputGrad(const Matrix& grad_output);
-  std::vector<Param> Params() override;
+  /// Weight, then bias.
+  std::vector<Param> Params();
+  /// Resets the accumulated gradients to zero.
+  void ZeroGrad();
   /// Frees the forward caches and backward workspaces; parameters and
   /// gradient accumulators stay. The next Forward re-sizes them, and a
   /// Backward before it fails its shape check.

@@ -18,7 +18,8 @@ class Adam {
       : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
   /// Updates each parameter in place from its gradient. Gradients are NOT
-  /// zeroed — callers do that via Layer::ZeroGrad between steps.
+  /// zeroed — callers do that between steps (each layer's ZeroGrad, or
+  /// Fill(0.0) on every Param::grad).
   void Step(std::vector<Param>& params);
 
  private:

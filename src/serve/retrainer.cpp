@@ -163,11 +163,6 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> Retrainer::Rebuild(
   return snap;
 }
 
-void Retrainer::SaveState(BufWriter* w) const {
-  w->U64(cycles_);
-  binner_.Save(w);
-}
-
 void Retrainer::InstallState(TraceBinner binner, uint64_t cycles) {
   DBAUGUR_CHECK(binner.interval_seconds() == binner_.interval_seconds(),
                 "Retrainer: InstallState interval mismatch");

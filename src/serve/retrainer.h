@@ -27,7 +27,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/binio.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/dbaugur.h"
@@ -99,10 +98,6 @@ class Retrainer {
 
   /// Total trace values clamped by the winsorizer across all cycles.
   uint64_t values_winsorized() const { return values_winsorized_; }
-
-  /// Appends binner contents + cycle count to *w (part of a shard's
-  /// checkpoint section; ServiceShard::ParseStateSection reads it back).
-  void SaveState(BufWriter* w) const;
 
   /// Commits an already-validated state: swaps in `binner` and fast-forwards
   /// the seed stream past `cycles` draws, so the next cycle draws the seed

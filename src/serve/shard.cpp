@@ -235,7 +235,8 @@ Status ServiceShard::SaveStateSection(BufWriter* w) {
 
   w->U64(generation_.load(std::memory_order_acquire));
   BufWriter rw;
-  retrainer_.SaveState(&rw);
+  rw.U64(retrainer_.cycles());
+  retrainer_.binner().Save(&rw);
   w->Bytes(rw.Take());
   auto snap = snapshot();
   w->U8(snap->trained() ? 1 : 0);

@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/cancellation.h"
 #include "common/mutex.h"
 #include "common/status.h"
@@ -223,8 +224,9 @@ class ServiceShard {
   /// lossless float64 — appended to *w. Pending queued events are folded in
   /// first so nothing is lost across a restart, and pending_events() restarts
   /// from the queue depth, as on a restored shard. The sharded checkpoint wraps
-  /// it in its per-shard file header. Layout: U64 generation, Bytes(retrainer
-  /// state), U8 trained flag, then Bytes(snapshot) when trained.
+  /// it in its per-shard file header. Layout: U64 generation, Bytes(U64
+  /// retrain cycles + TraceBinner::Save), U8 trained flag, then
+  /// Bytes(snapshot) when trained.
   Status SaveStateSection(BufWriter* w) DBAUGUR_EXCLUDES(retrain_mu_);
 
   /// A fully parsed + validated SaveStateSection, not yet installed. Restore

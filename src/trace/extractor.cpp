@@ -129,6 +129,13 @@ int64_t FloorDiv(int64_t a, int64_t b) {
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;
 }
+
+// Save's layout: a header of I64 interval, U8 any, I64 min and max bin and
+// U64 template count; per template a U32 id and a U64 bin count; per bin an
+// I64 bin and an F64 count.
+constexpr size_t kHeaderBytes = 8 + 1 + 8 + 8 + 8;
+constexpr size_t kTemplateRecordBytes = 4 + 8;
+constexpr size_t kBinRecordBytes = 8 + 8;
 }  // namespace
 
 TraceBinner::TraceBinner(int64_t interval_seconds)
@@ -211,6 +218,11 @@ StatusOr<std::vector<ts::Series>> TraceBinner::Traces() const {
 }
 
 void TraceBinner::Save(BufWriter* w) const {
+  size_t bytes = kHeaderBytes;
+  for (const auto& [tid, run] : runs_) {
+    bytes += kTemplateRecordBytes + kBinRecordBytes * run.size();
+  }
+  w->Reserve(bytes);
   w->I64(interval_);
   w->U8(any_ ? 1 : 0);
   w->I64(min_bin_);
@@ -246,7 +258,6 @@ Status TraceBinner::Load(BufReader* r) {
       (any == 0 && templates != 0)) {
     return Status::InvalidArgument("TraceBinner: invalid header fields");
   }
-  constexpr size_t kBinRecordBytes = 16;  // I64 bin + F64 count
   std::map<uint32_t, Run> runs;
   for (uint64_t t = 0; t < templates; ++t) {
     uint32_t tid = 0;

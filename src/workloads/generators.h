@@ -22,12 +22,6 @@ namespace dbaugur::workloads {
 struct BusTrackerOptions {
   size_t days = 28;
   int64_t interval_seconds = 60;   ///< Real trace records per-minute counts.
-  double base_rate = 60.0;         ///< Mean off-peak queries per interval.
-  double daily_amplitude = 2.0;    ///< Peak-hour multiplier on top of base.
-  double weekend_factor = 0.55;    ///< Traffic scaling on Sat/Sun.
-  double burst_rate_per_day = 3.0; ///< Expected crests/troughs per day.
-  double burst_magnitude = 2.5;    ///< Multiplier during a crest.
-  double trough_magnitude = 0.25;  ///< Multiplier during a trough.
   uint64_t seed = 1;
 };
 ts::Series GenerateBusTracker(const BusTrackerOptions& opts);
@@ -36,13 +30,6 @@ ts::Series GenerateBusTracker(const BusTrackerOptions& opts);
 struct AlibabaOptions {
   size_t days = 6;
   int64_t interval_seconds = 300;
-  double base_utilization = 0.45;
-  double long_period_hours = 57.0;  ///< Longer, less-obvious cycle.
-  double long_amplitude = 0.08;
-  double drift_smoothness = 0.97;   ///< AR(1) coefficient of the local drift
-                                    ///< (closer to 1 => better local linearity).
-  double burst_rate_per_day = 10.0; ///< Heavy bursts from complex queries.
-  double burst_height = 0.3;
   uint64_t seed = 2;
 };
 ts::Series GenerateAlibabaDisk(const AlibabaOptions& opts);
@@ -51,8 +38,6 @@ ts::Series GenerateAlibabaDisk(const AlibabaOptions& opts);
 struct PeriodicOptions {
   size_t periods = 30;
   size_t steps_per_period = 48;
-  double base = 100.0;
-  double amplitude = 60.0;
   double noise_sd = 2.0;
   uint64_t seed = 3;
 };
@@ -63,12 +48,7 @@ ts::Series GeneratePeriodic(const PeriodicOptions& opts);
 struct ComplexOptions {
   size_t days = 30;
   size_t steps_per_day = 48;
-  double base = 100.0;
-  double trend_per_day = 1.5;
-  double season_amplitude = 40.0;
-  double weekday_factor = 1.25;    ///< Mon-Fri multiplier.
   double holiday_prob = 0.07;      ///< Chance a day is a holiday.
-  double holiday_factor = 0.4;     ///< Traffic multiplier on holidays.
   double noise_sd = 6.0;
   uint64_t seed = 4;
 };
@@ -80,8 +60,6 @@ ts::Series GenerateComplex(const ComplexOptions& opts);
 /// clustering ablation bench.
 struct WarpedFamilyOptions {
   size_t members = 10;
-  size_t length = 96;
-  double period = 32.0;
   double max_shift = 6.0;      ///< Uniform time shift in steps.
   double amp_low = 0.8;
   double amp_high = 1.2;

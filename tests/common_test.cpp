@@ -7,12 +7,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
 #include "common/mutex.h"
@@ -164,6 +168,125 @@ TEST(MathTest, LeastSquaresRecoversLine) {
 TEST(MathTest, LeastSquaresUnderdetermined) {
   auto beta = LeastSquares({1, 2}, {1}, 1, 2);
   EXPECT_FALSE(beta.ok());
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// The checkpoint byte layout: every scalar least-significant byte first on
+// any host, doubles by their bit pattern, strings and blobs behind a u32
+// length.
+TEST(BinIoTest, ScalarsAreLittleEndianAndBitExact) {
+  static constexpr uint64_t kNanBits = 0x7FF8000000000123ull;  // quiet NaN
+  double nan = 0.0;
+  std::memcpy(&nan, &kNanBits, sizeof(nan));
+  const std::vector<uint8_t> blob = {0xDE, 0xAD, 0xBE};
+
+  BufWriter w;
+  w.U8(0xAB);
+  w.U32(0x01020304u);
+  w.U64(0x0102030405060708ull);
+  w.I32(-1);
+  w.I64(std::numeric_limits<int64_t>::min());
+  w.F64(-0.0);
+  w.F64(nan);
+  w.Str("ab");
+  w.Bytes(blob);
+  const std::vector<uint8_t> expected = {
+      0xAB,                                            // U8
+      0x04, 0x03, 0x02, 0x01,                          // U32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // U64
+      0xFF, 0xFF, 0xFF, 0xFF,                          // I32 -1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // I64 min
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // F64 -0.0
+      0x23, 0x01, 0x00, 0x00, 0x00, 0x00, 0xF8, 0x7F,  // F64 NaN
+      0x02, 0x00, 0x00, 0x00, 'a',  'b',               // Str
+      0x03, 0x00, 0x00, 0x00, 0xDE, 0xAD, 0xBE,        // Bytes
+  };
+  EXPECT_EQ(w.buffer(), expected);
+
+  // Each field's encoded size and a reader that checks the value it reads;
+  // a reader returns false only when BufReader refuses the read.
+  struct Field {
+    size_t bytes;
+    std::function<bool(BufReader&)> read;
+  };
+  const std::vector<Field> fields = {
+      {1, [](BufReader& r) {
+         uint8_t v = 0;
+         if (!r.U8(&v)) return false;
+         EXPECT_EQ(v, 0xAB);
+         return true;
+       }},
+      {4, [](BufReader& r) {
+         uint32_t v = 0;
+         if (!r.U32(&v)) return false;
+         EXPECT_EQ(v, 0x01020304u);
+         return true;
+       }},
+      {8, [](BufReader& r) {
+         uint64_t v = 0;
+         if (!r.U64(&v)) return false;
+         EXPECT_EQ(v, 0x0102030405060708ull);
+         return true;
+       }},
+      {4, [](BufReader& r) {
+         int32_t v = 0;
+         if (!r.I32(&v)) return false;
+         EXPECT_EQ(v, -1);
+         return true;
+       }},
+      {8, [](BufReader& r) {
+         int64_t v = 0;
+         if (!r.I64(&v)) return false;
+         EXPECT_EQ(v, std::numeric_limits<int64_t>::min());
+         return true;
+       }},
+      {8, [](BufReader& r) {
+         double v = 1.0;
+         if (!r.F64(&v)) return false;
+         EXPECT_EQ(Bits(v), Bits(-0.0));
+         return true;
+       }},
+      {8, [](BufReader& r) {
+         double v = 0.0;
+         if (!r.F64(&v)) return false;
+         EXPECT_EQ(Bits(v), kNanBits);
+         return true;
+       }},
+      {6, [](BufReader& r) {
+         std::string v;
+         if (!r.Str(&v)) return false;
+         EXPECT_EQ(v, "ab");
+         return true;
+       }},
+      {7, [&blob](BufReader& r) {
+         std::vector<uint8_t> v;
+         if (!r.Bytes(&v)) return false;
+         EXPECT_EQ(v, blob);
+         return true;
+       }},
+  };
+
+  BufReader r(expected);
+  for (const Field& f : fields) EXPECT_TRUE(f.read(r));
+  EXPECT_TRUE(r.AtEnd());
+
+  // One byte short of each field: the fields before it read back, and the
+  // field itself is refused.
+  size_t end = 0;
+  for (size_t k = 0; k < fields.size(); ++k) {
+    end += fields[k].bytes;
+    const std::vector<uint8_t> cut(
+        expected.begin(), expected.begin() + static_cast<ptrdiff_t>(end - 1));
+    BufReader cr(cut);
+    for (size_t j = 0; j < k; ++j) ASSERT_TRUE(fields[j].read(cr));
+    EXPECT_FALSE(fields[k].read(cr)) << "field " << k;
+  }
+  EXPECT_EQ(end, expected.size());
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

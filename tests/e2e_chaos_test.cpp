@@ -26,7 +26,6 @@
 
 #include "chaos/harness.h"
 #include "chaos/oracle.h"
-#include "chaos/partition.h"
 #include "common/fault_injection.h"
 #include "common/hashing.h"
 #include "serve/ingestor.h"
@@ -526,23 +525,6 @@ TEST(ChaosMinimizeTest, FallsBackOnNonMonotonePredicates) {
   EXPECT_EQ(MinimizeFailingPrefix(100, [](size_t n) { return n == 5; }), 5u);
   EXPECT_EQ(MinimizeFailingPrefix(8, [](size_t) { return true; }), 1u);
   EXPECT_EQ(MinimizeFailingPrefix(0, [](size_t) { return true; }), 0u);
-}
-
-TEST(ChaosPartitionTest, AcceptsRelabeledPartitions) {
-  EXPECT_TRUE(PartitionsEquivalent({0, 0, 1, 2}, {5, 5, 9, 7}));
-  EXPECT_TRUE(PartitionsEquivalent({}, {}));
-}
-
-TEST(ChaosPartitionTest, RejectsDifferentGroupings) {
-  std::string why;
-  EXPECT_FALSE(PartitionsEquivalent({0, 0, 1}, {0, 1, 1}, &why));
-  EXPECT_FALSE(why.empty());
-  why.clear();
-  EXPECT_FALSE(PartitionsEquivalent({0, 1}, {0, 0}, &why));
-  EXPECT_NE(why.find("maps to both"), std::string::npos) << why;
-  why.clear();
-  EXPECT_FALSE(PartitionsEquivalent({0, 1}, {0}, &why));
-  EXPECT_NE(why.find("size mismatch"), std::string::npos) << why;
 }
 
 }  // namespace

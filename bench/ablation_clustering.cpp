@@ -122,9 +122,10 @@ void CascadeStats() {
     if (within.ok() && *within) ++neighbors;
   }
   TablePrinter t({"tier", "decided"});
-  t.AddRow({"LB_Kim rejections", std::to_string(cascade.kim_rejections())});
-  t.AddRow({"LB_Keogh rejections", std::to_string(cascade.keogh_rejections())});
-  t.AddRow({"full DTW computations", std::to_string(cascade.full_computations())});
+  const dtw::PruningStats& st = cascade.stats();
+  t.AddRow({"LB_Kim rejections", std::to_string(st.kim_rejections)});
+  t.AddRow({"LB_Keogh rejections", std::to_string(st.keogh_rejections)});
+  t.AddRow({"full DTW computations", std::to_string(st.full_dtw)});
   t.AddRow({"neighbors found", std::to_string(neighbors)});
   t.Print();
   std::printf("\n");

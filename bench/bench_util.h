@@ -134,7 +134,7 @@ inline StatusOr<double> EnsembleScore(
   ensemble::EnsembleOptions eopts;
   eopts.dynamic = dynamic;
   eopts.delta = delta;
-  ensemble::TimeSensitiveEnsemble ens(opts, eopts);
+  ensemble::TimeSensitiveEnsemble ens(eopts);
   for (const models::Forecaster* m : members) {
     ens.AddMember(std::make_unique<ensemble::SharedMember>(m));
   }

@@ -29,7 +29,7 @@ int main() {
     CheckOk(tcn.status(), "TCN");
     CheckOk(mlp.status(), "MLP");
     ensemble::EnsembleOptions eopts;
-    ensemble::TimeSensitiveEnsemble ens(opts, eopts);
+    ensemble::TimeSensitiveEnsemble ens(eopts);
     ens.AddMember(std::make_unique<ensemble::SharedMember>(wfgan->first.get()));
     ens.AddMember(std::make_unique<ensemble::SharedMember>(tcn->first.get()));
     ens.AddMember(std::make_unique<ensemble::SharedMember>(mlp->first.get()));

@@ -16,7 +16,6 @@
 #include "chaos/oracle.h"
 #include "cluster/descender.h"
 #include "common/fault_injection.h"
-#include "common/thread_pool.h"
 #include "dbsim/bustracker_db.h"
 #include "dbsim/query.h"
 #include "dbsim/replay.h"
@@ -625,24 +624,17 @@ class ChaosRun {
       }
     }
 
-    // The uninterrupted run carries the tail on this thread while the
-    // restored one loads the checkpoint and carries the same tail on a
-    // second lane: the two share nothing. Under a fault storm both run here
-    // in order, so which run an injected fault hits stays reproducible.
+    // The uninterrupted run carries the tail, then the restored one loads
+    // the checkpoint and carries the same tail. They run in this order, so
+    // which run an injected fault hits stays reproducible under a storm.
     ServiceRun resumed;
     std::array<Status, 2> tail;
     const size_t resumed_since = since;
-    ThreadPool lanes(!base.empty() && !fault::Active() ? 2 : 1);
-    lanes.ParallelFor(2, 1, [&](size_t begin, size_t end) {
-      for (size_t lane = begin; lane < end; ++lane) {
-        if (lane == 0) {
-          tail[0] = Feed(&run, mid, events_.size(), chunk, &since);
-          if (tail[0].ok()) tail[0] = Cycle(&run);
-        } else if (!base.empty()) {
-          tail[1] = Resume(base, sso, mid, chunk, resumed_since, &resumed);
-        }
-      }
-    });
+    tail[0] = Feed(&run, mid, events_.size(), chunk, &since);
+    if (tail[0].ok()) tail[0] = Cycle(&run);
+    if (!base.empty()) {
+      tail[1] = Resume(base, sso, mid, chunk, resumed_since, &resumed);
+    }
     for (const Status& st : tail) DBAUGUR_RETURN_IF_ERROR(st);
     DBAUGUR_RETURN_IF_ERROR(CheckService(*run.svc, events_.size(), "service"));
     if (resumed.svc != nullptr) {

@@ -30,7 +30,6 @@ std::unique_ptr<BallTree::Node> BallTree::BuildNode(std::vector<size_t> idx,
   DBAUGUR_CHECK(!idx.empty(), "BallTree::BuildNode on an empty partition");
   DBAUGUR_CHECK_GE(leaf_size, 1u, "BallTree leaf size must be positive");
   auto node = std::make_unique<Node>();
-  node->count = idx.size();
   // Centroid = coordinate-wise mean (fine even for non-Euclidean distances:
   // it only needs to be *some* pivot; correctness comes from the radius).
   size_t dim = points_[idx[0]].size();
@@ -101,10 +100,7 @@ void BallTree::RangeSearch(const Node* node, const std::vector<double>& query,
                            double radius, std::vector<size_t>* out) const {
   ++distance_evals_;
   double dc = distance_(query, node->centroid);
-  if (dc > radius + node->radius) {  // ball cannot intersect query ball
-    pruned_points_ += static_cast<int64_t>(node->count);
-    return;
-  }
+  if (dc > radius + node->radius) return;  // ball cannot intersect query ball
   if (node->is_leaf()) {
     for (size_t i : node->indices) {
       ++distance_evals_;

@@ -41,22 +41,13 @@ class BallTree {
   std::vector<size_t> RangeQuery(const std::vector<double>& query,
                                  double radius) const;
 
-  size_t size() const { return points_.size(); }
-  const std::vector<double>& point(size_t i) const { return points_[i]; }
-
   /// Distance computations performed by queries so far (pruning telemetry).
   int64_t distance_evals() const { return distance_evals_; }
-
-  /// Points skipped by ball pruning across all range queries so far: whenever
-  /// a node's ball provably cannot intersect the query ball, its whole
-  /// subtree's point count is added here.
-  int64_t pruned_points() const { return pruned_points_; }
 
  private:
   struct Node {
     std::vector<double> centroid;
     double radius = 0.0;
-    size_t count = 0;  ///< Points in this subtree (pruning telemetry).
     // Leaf: point indices. Internal: children.
     std::vector<size_t> indices;
     std::unique_ptr<Node> left, right;
@@ -72,7 +63,6 @@ class BallTree {
   DistanceFn distance_;
   std::unique_ptr<Node> root_;
   mutable int64_t distance_evals_ = 0;
-  mutable int64_t pruned_points_ = 0;
 };
 
 }  // namespace dbaugur::cluster

@@ -241,9 +241,9 @@ void SyncParentDir(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t n) {
+uint32_t Crc32(const uint8_t* data, size_t n, uint32_t crc) {
   const uint32_t* table = Crc32Table();
-  uint32_t c = 0xFFFFFFFFu;
+  uint32_t c = crc ^ 0xFFFFFFFFu;
   for (size_t i = 0; i < n; ++i) {
     c = table[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   }
@@ -251,16 +251,15 @@ uint32_t Crc32(const uint8_t* data, size_t n) {
 }
 
 Status SaveToFile(const std::string& path, const std::vector<uint8_t>& blob) {
-  BufWriter w;
-  w.U32(kFileMagic);
-  w.U32(kFileVersion);
-  w.U64(blob.size());
-  std::vector<uint8_t> image = w.Take();
-  image.insert(image.end(), blob.begin(), blob.end());
-  uint32_t crc = Crc32(image.data(), image.size());
-  for (int i = 0; i < 4; ++i) {
-    image.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-  }
+  // The frame goes out in three writes, with no copy of the payload.
+  BufWriter head, foot;
+  head.U32(kFileMagic);
+  head.U32(kFileVersion);
+  head.U64(blob.size());
+  const std::vector<uint8_t> header = head.Take();
+  foot.U32(
+      Crc32(blob.data(), blob.size(), Crc32(header.data(), header.size())));
+  const std::vector<uint8_t> footer = foot.Take();
 
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -268,11 +267,14 @@ Status SaveToFile(const std::string& path, const std::vector<uint8_t>& blob) {
   if (DBAUGUR_FAULT_POINT("binio.save.write")) {
     // Simulated crash / ENOSPC mid-write: leave a torn temp file behind. The
     // installed `path` is untouched, so last-good recovery still works.
-    WriteAll(fd, image.data(), image.size() / 2);
+    WriteAll(fd, header.data(), header.size());
+    WriteAll(fd, blob.data(), blob.size() / 2);
     ::close(fd);
     return Status::Internal("injected write failure for " + tmp);
   }
-  if (!WriteAll(fd, image.data(), image.size())) {
+  if (!WriteAll(fd, header.data(), header.size()) ||
+      !WriteAll(fd, blob.data(), blob.size()) ||
+      !WriteAll(fd, footer.data(), footer.size())) {
     Status st = Status::Internal(ErrnoMessage("write", tmp));
     ::close(fd);
     return st;

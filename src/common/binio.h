@@ -69,8 +69,10 @@ class BufReader {
   size_t pos_ = 0;
 };
 
-/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) of `n` bytes.
-uint32_t Crc32(const uint8_t* data, size_t n);
+/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) of `n` bytes. `crc` is
+/// the CRC of the bytes before them, so one CRC runs across buffers:
+/// Crc32(b, nb, Crc32(a, na)) is the CRC of a followed by b.
+uint32_t Crc32(const uint8_t* data, size_t n, uint32_t crc = 0);
 
 /// Result of LoadFromFile: the verified payload plus whether it came from the
 /// `.bak` fallback rather than the primary file.

@@ -21,9 +21,7 @@
 //
 // Cost model: when no schedule is installed the hook is one relaxed atomic
 // load and a predicted-not-taken branch (sub-nanosecond; measured by
-// bench/serve_throughput). Compiling with -DDBAUGUR_FAULT_INJECTION=0
-// replaces every hook with the constant `false`, a branch-free no-op the
-// optimizer deletes entirely.
+// bench/serve_throughput).
 //
 // Thread safety: Configure/Reset/Stats serialize on an internal mutex; the
 // hot-path gate is an atomic flag. Hits on an *active* registry also take the
@@ -55,10 +53,6 @@
 #include <string>
 
 #include "common/status.h"
-
-#ifndef DBAUGUR_FAULT_INJECTION
-#define DBAUGUR_FAULT_INJECTION 1
-#endif
 
 namespace dbaugur::fault {
 
@@ -95,11 +89,7 @@ bool Hit(const char* site);
 }  // namespace internal
 }  // namespace dbaugur::fault
 
-#if DBAUGUR_FAULT_INJECTION
 #define DBAUGUR_FAULT_POINT(site)                                        \
   (::dbaugur::fault::internal::g_active.load(std::memory_order_acquire) \
        ? ::dbaugur::fault::internal::Hit(site)                           \
        : false)
-#else
-#define DBAUGUR_FAULT_POINT(site) (false)
-#endif

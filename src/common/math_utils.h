@@ -34,9 +34,6 @@ inline double Sigmoid(double x) {
   return z / (1.0 + z);
 }
 
-/// Hyperbolic tangent passthrough (kept for symmetry with Sigmoid).
-inline double Tanh(double x) { return std::tanh(x); }
-
 /// Clamps x into [lo, hi].
 inline double Clamp(double x, double lo, double hi) {
   return x < lo ? lo : (x > hi ? hi : x);

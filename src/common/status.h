@@ -65,10 +65,6 @@ class Status {
   /// Renders e.g. "InvalidArgument: window must be positive".
   std::string ToString() const;
 
-  bool operator==(const Status& other) const {
-    return code_ == other.code_ && msg_ == other.msg_;
-  }
-
  private:
   StatusCode code_;
   std::string msg_;

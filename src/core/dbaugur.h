@@ -147,7 +147,6 @@ class DBAugurSystem {
   const cluster::Descender* clustering() const {
     return state_.descender.get();
   }
-  const trace::TraceExtractor& extractor() const { return extractor_; }
   size_t forecast_count() const { return state_.forecasts.size(); }
   const ClusterForecast& forecast(size_t rank) const {
     return state_.forecasts[rank];

@@ -101,7 +101,7 @@ Status Table::CreateIndex(const std::string& column) {
   auto ci = ColumnIndex(column);
   if (!ci.ok()) return ci.status();
   if (indexes_.count(column)) return Status::OK();
-  auto idx = std::make_unique<Index>(column);
+  auto idx = std::make_unique<Index>();
   for (size_t r = 0; r < rows_.size(); ++r) idx->Insert(rows_[r][*ci], r);
   indexes_[column] = std::move(idx);
   return Status::OK();

@@ -19,14 +19,10 @@ struct Column {
   ColumnType type = ColumnType::kInt;
 };
 
-/// B-tree-style secondary index (ordered multimap of key -> row id).
+/// B-tree-style secondary index (ordered multimap of key -> row id). The
+/// owning Table keys its indexes by column name.
 class Index {
  public:
-  explicit Index(std::string column) : column_(std::move(column)) {}
-
-  const std::string& column() const { return column_; }
-  size_t size() const { return entries_.size(); }
-
   void Insert(const Value& key, size_t row_id) { entries_.emplace(key, row_id); }
   void Erase(const Value& key, size_t row_id);
 
@@ -40,7 +36,6 @@ class Index {
   double DescentCost() const;
 
  private:
-  std::string column_;
   std::multimap<Value, size_t, ValueLess> entries_;
 };
 
@@ -49,8 +44,6 @@ class Table {
  public:
   Table(std::string name, std::vector<Column> columns);
 
-  const std::string& name() const { return name_; }
-  const std::vector<Column>& columns() const { return columns_; }
   size_t row_count() const { return rows_.size(); }
   const std::vector<Value>& row(size_t i) const { return rows_[i]; }
 

@@ -136,12 +136,6 @@ StatusOr<double> DtwDistance(std::span<const double> a,
   return std::sqrt(result);
 }
 
-StatusOr<double> DtwDistance(const std::vector<double>& a,
-                             const std::vector<double>& b,
-                             const DtwOptions& opts, double upper_bound) {
-  return DtwDistance(std::span<const double>(a), b, opts, upper_bound);
-}
-
 void BuildEnvelope(std::span<const double> seq, int window,
                    std::span<double> lower, std::span<double> upper) {
   size_t n = seq.size();
@@ -200,11 +194,6 @@ double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env) {
   return std::sqrt(LbKeoghSum(query, cand_env));
 }
 
-double LbKeogh(const std::vector<double>& query, const Envelope& cand_env) {
-  return LbKeogh(std::span<const double>(query),
-                 EnvelopeView{cand_env.lower, cand_env.upper});
-}
-
 double LbKeoghSymmetric(const std::vector<double>& a, const Envelope& env_a,
                         const std::vector<double>& b, const Envelope& env_b) {
   return std::max(LbKeogh(a, env_b), LbKeogh(b, env_a));
@@ -224,10 +213,6 @@ double LbKim(std::span<const double> a, std::span<const double> b) {
     return std::max(df, dl);
   }
   return std::sqrt(df * df + dl * dl);
-}
-
-double LbKim(const std::vector<double>& a, const std::vector<double>& b) {
-  return LbKim(std::span<const double>(a), b);
 }
 
 double SquaredRadiusThreshold(double radius) {
@@ -253,19 +238,6 @@ StatusOr<bool> CascadingDtw::WithinRadius(std::span<const double> query,
   auto d = Distance(query, candidate, cand_env, radius, query_env);
   if (!d.ok()) return d.status();
   return *d <= radius;
-}
-
-StatusOr<bool> CascadingDtw::WithinRadius(const std::vector<double>& query,
-                                          const std::vector<double>& candidate,
-                                          const Envelope& cand_env,
-                                          double radius,
-                                          const Envelope* query_env) {
-  const EnvelopeView qv = query_env != nullptr
-                              ? EnvelopeView{query_env->lower, query_env->upper}
-                              : EnvelopeView{};
-  return WithinRadius(std::span<const double>(query), candidate,
-                      {cand_env.lower, cand_env.upper}, radius,
-                      query_env != nullptr ? &qv : nullptr);
 }
 
 StatusOr<double> CascadingDtw::Distance(std::span<const double> query,
@@ -298,19 +270,6 @@ StatusOr<double> CascadingDtw::Distance(std::span<const double> query,
   }
   ++stats_.full_dtw;
   return DtwDistance(query, candidate, opts_, upper_bound);
-}
-
-StatusOr<double> CascadingDtw::Distance(const std::vector<double>& query,
-                                        const std::vector<double>& candidate,
-                                        const Envelope& cand_env,
-                                        double upper_bound,
-                                        const Envelope* query_env) {
-  const EnvelopeView qv = query_env != nullptr
-                              ? EnvelopeView{query_env->lower, query_env->upper}
-                              : EnvelopeView{};
-  return Distance(std::span<const double>(query), candidate,
-                  {cand_env.lower, cand_env.upper}, upper_bound,
-                  query_env != nullptr ? &qv : nullptr);
 }
 
 }  // namespace dbaugur::dtw

@@ -37,23 +37,21 @@ struct DtwOptions {
 StatusOr<double> DtwDistance(std::span<const double> a,
                              std::span<const double> b, const DtwOptions& opts,
                              double upper_bound = kNoBound);
-StatusOr<double> DtwDistance(const std::vector<double>& a,
-                             const std::vector<double>& b,
-                             const DtwOptions& opts,
-                             double upper_bound = kNoBound);
-
-/// Per-position min/max of a trace over a sliding band of half-width
-/// `window` — the Keogh envelope used by LB_Keogh.
-struct Envelope {
-  std::vector<double> lower;
-  std::vector<double> upper;
-};
 
 /// Non-owning view of a Keogh envelope, whether held by an Envelope or by
 /// other storage (Descender keeps every trace's envelope in one flat arena).
 struct EnvelopeView {
   std::span<const double> lower;
   std::span<const double> upper;
+};
+
+/// Per-position min/max of a trace over a sliding band of half-width
+/// `window` — the Keogh envelope used by LB_Keogh. Converts to its view.
+struct Envelope {
+  std::vector<double> lower;
+  std::vector<double> upper;
+
+  operator EnvelopeView() const { return {lower, upper}; }
 };
 
 /// Builds the Keogh envelope of `seq` for band half-width `window`.
@@ -86,7 +84,6 @@ double LbKeoghSum(std::span<const double> query, const EnvelopeView& cand_env);
 /// Equal lengths required; returns 0 — a trivially valid bound — when
 /// lengths differ.
 double LbKeogh(std::span<const double> query, const EnvelopeView& cand_env);
-double LbKeogh(const std::vector<double>& query, const Envelope& cand_env);
 
 /// The largest double t with √t ≤ ρ (−∞ when ρ < 0, +∞ when ρ = +∞, NaN when
 /// ρ is NaN). √ is correctly rounded and monotone, so for every double s —
@@ -118,13 +115,12 @@ double LbKeoghSymmetric(const std::vector<double>& a, const Envelope& env_a,
 
 /// LB_Kim-style constant-time lower bound from the first and last points.
 double LbKim(std::span<const double> a, std::span<const double> b);
-double LbKim(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Per-tier telemetry for the neighbor-search cascade: how many candidates
 /// each lower-bound tier rejected and how many paid for a full DTW. Every
 /// candidate pair is decided at exactly one tier. Threaded from CascadingDtw
 /// and Descender's batch sweep through core::DBAugurSystem into the
-/// efficiency benches. (BallTree keeps its own pruned_points() counter.)
+/// efficiency benches. (BallTree counts its own distance_evals().)
 struct PruningStats {
   /// Candidates rejected by LB_Kim. Descender's batch sweep counts here the
   /// pairs its endpoint grid never hands to the cascade: exactly the pairs
@@ -156,10 +152,6 @@ class CascadingDtw {
                               std::span<const double> candidate,
                               const EnvelopeView& cand_env, double radius,
                               const EnvelopeView* query_env = nullptr);
-  StatusOr<bool> WithinRadius(const std::vector<double>& query,
-                              const std::vector<double>& candidate,
-                              const Envelope& cand_env, double radius,
-                              const Envelope* query_env = nullptr);
 
   /// Exact distance with the cascade used as a fast reject against
   /// `upper_bound`; returns +infinity if the bound proves distance > bound.
@@ -167,15 +159,8 @@ class CascadingDtw {
                             std::span<const double> candidate,
                             const EnvelopeView& cand_env, double upper_bound,
                             const EnvelopeView* query_env = nullptr);
-  StatusOr<double> Distance(const std::vector<double>& query,
-                            const std::vector<double>& candidate,
-                            const Envelope& cand_env, double upper_bound,
-                            const Envelope* query_env = nullptr);
 
   const PruningStats& stats() const { return stats_; }
-  int64_t kim_rejections() const { return stats_.kim_rejections; }
-  int64_t keogh_rejections() const { return stats_.keogh_rejections; }
-  int64_t full_computations() const { return stats_.full_dtw; }
 
  private:
   DtwOptions opts_;

@@ -8,7 +8,7 @@ namespace {
 StatusOr<std::unique_ptr<TimeSensitiveEnsemble>> Build(
     const models::ForecasterOptions& opts, const EnsembleOptions& ens,
     const std::vector<std::string>& names) {
-  auto out = std::make_unique<TimeSensitiveEnsemble>(opts, ens);
+  auto out = std::make_unique<TimeSensitiveEnsemble>(ens);
   for (const auto& name : names) {
     auto m = models::MakeForecaster(name, opts);
     if (!m.ok()) return m.status();

@@ -11,7 +11,6 @@
 
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,9 +30,7 @@ struct EnsembleOptions {
 /// weights evolve as Observe() feeds back realized values.
 class TimeSensitiveEnsemble : public models::Forecaster {
  public:
-  TimeSensitiveEnsemble(const models::ForecasterOptions& opts,
-                        const EnsembleOptions& ens)
-      : opts_(opts), ens_(ens) {}
+  explicit TimeSensitiveEnsemble(const EnsembleOptions& ens) : ens_(ens) {}
 
   /// Adds a member model (before Fit).
   void AddMember(std::unique_ptr<models::Forecaster> member);
@@ -103,7 +100,6 @@ class TimeSensitiveEnsemble : public models::Forecaster {
   /// Aborts on δ outside (0,1).
   void CheckDelta() const;
 
-  models::ForecasterOptions opts_;
   EnsembleOptions ens_;
   std::vector<std::unique_ptr<models::Forecaster>> members_;
   std::vector<double> gamma_;

@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,10 +73,6 @@ class Forecaster {
     return Status::Unimplemented(name() + ": state serialization not supported");
   }
 };
-
-/// Factory signature used by benches to build fresh models per configuration.
-using ForecasterFactory =
-    std::unique_ptr<Forecaster> (*)(const ForecasterOptions&);
 
 /// Rolling evaluation: walks the test region of `series` (everything after
 /// `train_size`), predicting each reachable target from its trailing window

@@ -10,7 +10,6 @@ namespace dbaugur::nn {
 
 TemporalAttention::TemporalAttention(size_t hidden, size_t attn_dim, Rng* rng)
     : hidden_(hidden),
-      attn_(attn_dim),
       wa_(hidden, attn_dim),
       ba_(1, attn_dim),
       v_(attn_dim, 1),

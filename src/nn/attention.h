@@ -66,7 +66,6 @@ class TemporalAttention {
   void ProjectionGrad(size_t t, bool param_grads);
 
   size_t hidden_;
-  size_t attn_;
   Matrix wa_;  // [hidden, attn]
   Matrix ba_;  // [1, attn]
   Matrix v_;   // [attn, 1]

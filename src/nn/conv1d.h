@@ -57,11 +57,6 @@ class CausalConv1D {
   /// them, and a Backward before it fails its shape check.
   void ReleaseWorkspaces();
 
-  size_t in_channels() const { return in_ch_; }
-  size_t out_channels() const { return out_ch_; }
-  size_t kernel() const { return kernel_; }
-  size_t dilation() const { return dilation_; }
-
  private:
   /// Unrolls `input` at the active steps into col_
   /// ([batch*steps, in_ch*kernel]) so forward and both backward products

@@ -5,7 +5,6 @@
 namespace dbaugur::nn {
 
 void ClipGradNorm(std::vector<Param>& params, double max_norm) {
-  if (max_norm <= 0.0) return;
   double total = 0.0;
   for (Param& p : params) total += p.grad->SquaredNorm();
   double norm = std::sqrt(total);

@@ -23,8 +23,8 @@ struct Param {
 };
 
 /// Clips every gradient in `params` so the global L2 norm is at most
-/// `max_norm` (no-op if already within bounds). Guards LSTM training against
-/// exploding gradients.
+/// `max_norm` > 0 (no-op if already within bounds). Guards LSTM training
+/// against exploding gradients.
 void ClipGradNorm(std::vector<Param>& params, double max_norm);
 
 }  // namespace dbaugur::nn

@@ -63,9 +63,6 @@ class LSTM {
   /// LastStepInputGrad before it fails its DBAUGUR_CHECK.
   void ReleaseWorkspaces();
 
-  size_t input_size() const { return input_; }
-  size_t hidden_size() const { return hidden_; }
-
  private:
   // h_prev/c_prev are not stored per step: backward reads hs_[t-1] /
   // cache_[t-1].c (zeros_ at t == 0) instead of keeping copies.

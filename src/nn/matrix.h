@@ -27,7 +27,6 @@ class Matrix {
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
   size_t size() const { return data_.size(); }
-  bool empty() const { return data_.empty(); }
 
   // Element access is the innermost loop of every kernel, so the bounds
   // checks are DCHECK-tier: free in Release, active in debug and sanitizer
@@ -133,7 +132,6 @@ class Tensor3 {
   size_t batch() const { return batch_; }
   size_t channels() const { return channels_; }
   size_t time() const { return time_; }
-  size_t size() const { return data_.size(); }
 
   double& operator()(size_t b, size_t c, size_t t) {
     DBAUGUR_DCHECK(b < batch_ && c < channels_ && t < time_, "Tensor3(", b,

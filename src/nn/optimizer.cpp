@@ -24,8 +24,8 @@ void Adam::Step(std::vector<Param>& params) {
     t_ = 0;
   }
   ++t_;
-  double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  double bc1 = 1.0 - std::pow(kBeta1, static_cast<double>(t_));
+  double bc2 = 1.0 - std::pow(kBeta2, static_cast<double>(t_));
   for (size_t k = 0; k < params.size(); ++k) {
     Matrix& value = *params[k].value;
     const Matrix& grad = *params[k].grad;
@@ -33,14 +33,14 @@ void Adam::Step(std::vector<Param>& params) {
     Matrix& v = v_[k];
     for (size_t i = 0; i < value.size(); ++i) {
       double g = grad.data()[i];
-      double mi = beta1_ * m.data()[i] + (1.0 - beta1_) * g;
-      double vi = beta2_ * v.data()[i] + (1.0 - beta2_) * g * g;
+      double mi = kBeta1 * m.data()[i] + (1.0 - kBeta1) * g;
+      double vi = kBeta2 * v.data()[i] + (1.0 - kBeta2) * g * g;
       m.data()[i] = mi;
       v.data()[i] = vi;
       double mhat = mi / bc1;
       double vhat = vi / bc2;
       value.data()[i] =
-          value.data()[i] - lr_ * mhat / (std::sqrt(vhat) + eps_);
+          value.data()[i] - lr_ * mhat / (std::sqrt(vhat) + kEps);
     }
   }
 }

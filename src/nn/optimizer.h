@@ -8,14 +8,17 @@
 
 namespace dbaugur::nn {
 
-/// Adam (Kingma & Ba, 2015) with per-parameter first/second moment buffers.
-/// Buffers are keyed by position in the param list, so Step must always be
-/// called with the same parameter ordering.
+/// Adam (Kingma & Ba, 2015) with per-parameter first/second moment buffers
+/// and that paper's default decay rates and epsilon. Buffers are keyed by
+/// position in the param list, so Step must always be called with the same
+/// parameter ordering.
 class Adam {
  public:
-  explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8)
-      : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
+
+  explicit Adam(double lr) : lr_(lr) {}
 
   /// Updates each parameter in place from its gradient. Gradients are NOT
   /// zeroed — callers do that between steps (each layer's ZeroGrad, or
@@ -23,7 +26,7 @@ class Adam {
   void Step(std::vector<Param>& params);
 
  private:
-  double lr_, beta1_, beta2_, eps_;
+  double lr_;
   int64_t t_ = 0;
   std::vector<Matrix> m_, v_;
 };

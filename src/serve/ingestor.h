@@ -108,8 +108,6 @@ class TraceIngestor {
   /// Buffered events awaiting Drain (point-in-time; takes the queue lock).
   size_t size() const DBAUGUR_EXCLUDES(mu_);
 
-  size_t capacity() const { return opts_.capacity; }
-
  private:
   IngestorOptions opts_;
   mutable Mutex mu_;

@@ -94,7 +94,6 @@ class Retrainer {
   /// Completed training cycles (drives the deterministic seed stream).
   uint64_t cycles() const { return cycles_; }
   const TraceBinner& binner() const { return binner_; }
-  size_t min_bins() const { return min_bins_; }
 
   /// Total trace values clamped by the winsorizer across all cycles.
   uint64_t values_winsorized() const { return values_winsorized_; }

@@ -147,8 +147,6 @@ class ServiceShard {
   ServiceShard(const ServiceShard&) = delete;
   ServiceShard& operator=(const ServiceShard&) = delete;
 
-  size_t shard_id() const { return shard_id_; }
-
   /// Thread-safe, non-blocking event ingest (see TraceIngestor::Offer).
   bool Offer(const TraceEvent& event) { return ingestor_.Offer(event); }
 
@@ -256,8 +254,6 @@ class ServiceShard {
   /// events offered since the last fold are still queued and not included.
   std::map<uint32_t, std::map<int64_t, double>> BinContents()
       DBAUGUR_EXCLUDES(retrain_mu_);
-
-  const ServeOptions& options() const { return opts_; }
 
  private:
   /// Swaps in a new snapshot + generation under snapshot_mu_ and clears any

@@ -149,9 +149,6 @@ class ShardedForecastService {
 
   /// Direct shard access (stats, tests, manual RetrainOnce).
   ServiceShard& shard(size_t shard_id) { return *shards_[shard_id]; }
-  const ServiceShard& shard(size_t shard_id) const {
-    return *shards_[shard_id];
-  }
 
   /// Runs one scheduler cycle synchronously: samples signals, schedules
   /// within the budget, drains the schedule on the shard pool — this thread
@@ -201,8 +198,6 @@ class ShardedForecastService {
   static std::string ShardPath(const std::string& base_path, size_t shard_id) {
     return base_path + ".shard" + std::to_string(shard_id);
   }
-
-  const ShardedServeOptions& options() const { return opts_; }
 
  private:
   void SchedulerLoop() DBAUGUR_EXCLUDES(cycle_mu_, stop_mu_);

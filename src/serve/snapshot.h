@@ -81,7 +81,6 @@ class ServiceSnapshot {
 
   bool trained() const { return !clusters.empty(); }
   size_t cluster_count() const { return clusters.size(); }
-  size_t trace_count() const { return trace_names.size(); }
   size_t degraded_count() const {
     size_t n = 0;
     for (const SnapshotCluster& c : clusters) n += c.degraded ? 1 : 0;

@@ -28,10 +28,6 @@ enum class TokenType {
 struct Token {
   TokenType type = TokenType::kPunct;
   std::string text;
-
-  bool operator==(const Token& o) const {
-    return type == o.type && text == o.text;
-  }
 };
 
 /// A token that owns no text: `text` views the statement, the lexer's

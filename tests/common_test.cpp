@@ -7,8 +7,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -287,6 +290,42 @@ TEST(BinIoTest, ScalarsAreLittleEndianAndBitExact) {
     EXPECT_FALSE(fields[k].read(cr)) << "field " << k;
   }
   EXPECT_EQ(end, expected.size());
+}
+
+TEST(BinIoTest, SaveToFileWritesTheDocumentedFrame) {
+  // The CRC-32 check value, whole and carried across a split.
+  const std::string check = "123456789";
+  const auto* digits = reinterpret_cast<const uint8_t*>(check.data());
+  EXPECT_EQ(Crc32(digits, check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(digits + 4, check.size() - 4, Crc32(digits, 4)),
+            0xCBF43926u);
+
+  const std::vector<uint8_t> payload = {0x00, 0x11, 0x22, 0xFF, 0x7E};
+  const std::string path = ::testing::TempDir() + "dbaugur_binio_frame";
+  std::remove(path.c_str());
+  std::remove((path + ".bak").c_str());
+  ASSERT_TRUE(SaveToFile(path, payload).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+
+  std::vector<uint8_t> expected = {
+      0x1E, 0xF1, 0xA6, 0xDB,                          // magic 0xDBA6F11E
+      0x01, 0x00, 0x00, 0x00,                          // version 1
+      0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // U64 payload length
+  };
+  expected.insert(expected.end(), payload.begin(), payload.end());
+  const uint32_t crc = Crc32(expected.data(), expected.size());
+  for (int i = 0; i < 4; ++i) {
+    expected.push_back(static_cast<uint8_t>(crc >> (8 * i)));  // footer, LE
+  }
+  EXPECT_EQ(file, expected);
+
+  auto loaded = LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->blob, payload);
+  EXPECT_FALSE(loaded->recovered_from_backup);
+  std::remove(path.c_str());
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

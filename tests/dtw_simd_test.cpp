@@ -164,11 +164,12 @@ TEST_F(DtwTierTest, CascadeMatchesPlainDtwOnEveryTier) {
       auto c = RandomTrace(kN, ++seed);
       Envelope q_env = BuildEnvelope(q, kWindow);
       Envelope c_env = BuildEnvelope(c, kWindow);
+      const EnvelopeView q_view = q_env;
       double exact = *DtwDistance(q, c, opts);
       // Radii below and above the true distance: the cascade's accept /
       // reject must equal the plain-DTW comparison on every tier.
       for (double radius : {exact * 0.25, exact * 0.9, exact * 1.1}) {
-        auto within = cascade.WithinRadius(q, c, c_env, radius, &q_env);
+        auto within = cascade.WithinRadius(q, c, c_env, radius, &q_view);
         ASSERT_TRUE(within.ok()) << simd::TierName(t);
         EXPECT_EQ(*within, exact <= radius)
             << simd::TierName(t) << " radius=" << radius
@@ -176,7 +177,7 @@ TEST_F(DtwTierTest, CascadeMatchesPlainDtwOnEveryTier) {
         ++calls;
       }
       // Distance with a generous bound must be the exact distance.
-      auto d = cascade.Distance(q, c, c_env, exact * 2.0, &q_env);
+      auto d = cascade.Distance(q, c, c_env, exact * 2.0, &q_view);
       ASSERT_TRUE(d.ok()) << simd::TierName(t);
       EXPECT_EQ(*d, exact) << simd::TierName(t);
       ++calls;

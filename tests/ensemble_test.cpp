@@ -43,7 +43,7 @@ std::vector<double> ConstSeries(size_t n, double v) {
 }
 
 TEST(EnsembleTest, EqualWeightsBeforeAnyObservation) {
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble ens({0.9, true});
   ens.AddMember(std::make_unique<BiasedNaive>(0.0));
   ens.AddMember(std::make_unique<BiasedNaive>(1.0));
   ens.AddMember(std::make_unique<BiasedNaive>(2.0));
@@ -58,7 +58,7 @@ TEST(EnsembleTest, EqualWeightsBeforeAnyObservation) {
 }
 
 TEST(EnsembleTest, WeightsShiftTowardAccurateMember) {
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble ens({0.9, true});
   ens.AddMember(std::make_unique<BiasedNaive>(0.0));  // perfect on const series
   ens.AddMember(std::make_unique<BiasedNaive>(3.0));
   ASSERT_TRUE(ens.Fit(ConstSeries(20, 5.0)).ok());
@@ -76,7 +76,7 @@ TEST(EnsembleTest, WeightsShiftTowardAccurateMember) {
 }
 
 TEST(EnsembleTest, WeightsMatchEquation8ForThreeMembers) {
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble ens({0.9, true});
   ens.AddMember(std::make_unique<BiasedNaive>(1.0));
   ens.AddMember(std::make_unique<BiasedNaive>(2.0));
   ens.AddMember(std::make_unique<BiasedNaive>(3.0));
@@ -98,7 +98,7 @@ TEST(EnsembleTest, WeightsMatchEquation8ForThreeMembers) {
 TEST(EnsembleTest, AttenuationForgetsOldErrors) {
   // Member 0 starts bad then becomes perfect; with delta < 1 its weight must
   // recover.
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.5, true});
+  TimeSensitiveEnsemble ens({0.5, true});
   ens.AddMember(std::make_unique<BiasedNaive>(0.0));
   ens.AddMember(std::make_unique<BiasedNaive>(1.0));
   ASSERT_TRUE(ens.Fit(ConstSeries(20, 0.0)).ok());
@@ -117,7 +117,7 @@ TEST(EnsembleTest, AttenuationForgetsOldErrors) {
 }
 
 TEST(EnsembleTest, FixedModeKeepsEqualWeights) {
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, false});
+  TimeSensitiveEnsemble ens({0.9, false});
   ens.AddMember(std::make_unique<BiasedNaive>(0.0));
   ens.AddMember(std::make_unique<BiasedNaive>(2.0));
   ASSERT_TRUE(ens.Fit(ConstSeries(20, 0.0)).ok());
@@ -130,9 +130,9 @@ TEST(EnsembleTest, FixedModeKeepsEqualWeights) {
 }
 
 TEST(EnsembleTest, GuardsAndErrors) {
-  TimeSensitiveEnsemble empty(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble empty({0.9, true});
   EXPECT_FALSE(empty.Fit(ConstSeries(20, 0.0)).ok());
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble ens({0.9, true});
   ens.AddMember(std::make_unique<BiasedNaive>(0.0));
   EXPECT_FALSE(ens.Predict(ConstSeries(8, 0.0)).ok());
   EXPECT_FALSE(ens.Observe(ConstSeries(8, 0.0), 1.0).ok());
@@ -161,7 +161,7 @@ class CountingMember : public models::Forecaster {
 };
 
 TEST(EnsembleTest, FailedRefitStopsServing) {
-  TimeSensitiveEnsemble ens(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble ens({0.9, true});
   ens.AddMember(std::make_unique<CountingMember>(0));
   ens.AddMember(std::make_unique<CountingMember>(2));
   const std::vector<double> w = ConstSeries(8, 1.0);
@@ -184,8 +184,8 @@ TEST(EnsembleTest, FailedRefitStopsServing) {
 }
 
 TEST(EnsembleTest, MemberWiseFitMatchesFit) {
-  TimeSensitiveEnsemble whole(SmallOpts(), {0.9, true});
-  TimeSensitiveEnsemble parts(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble whole({0.9, true});
+  TimeSensitiveEnsemble parts({0.9, true});
   for (TimeSensitiveEnsemble* e : {&whole, &parts}) {
     e->AddMember(std::make_unique<BiasedNaive>(0.0));
     e->AddMember(std::make_unique<BiasedNaive>(2.0));
@@ -206,7 +206,7 @@ TEST(EnsembleTest, MemberWiseFitMatchesFit) {
   // A fitted ensemble refits through Fit only.
   EXPECT_EQ(parts.FitMemberStep(0, 0, ConstSeries(20, 5.0)).code(),
             StatusCode::kFailedPrecondition);
-  TimeSensitiveEnsemble empty(SmallOpts(), {0.9, true});
+  TimeSensitiveEnsemble empty({0.9, true});
   EXPECT_EQ(empty.FinishFit().code(), StatusCode::kFailedPrecondition);
 }
 
@@ -220,7 +220,7 @@ TEST(EnsembleTest, DynamicBeatsWorstMemberOnRegimeShift) {
     series.push_back(10.0 + 0.05 * i + rng.Gaussian(0, 0.05));
   }
   models::ForecasterOptions opts = SmallOpts();
-  TimeSensitiveEnsemble dyn(opts, {0.9, true});
+  TimeSensitiveEnsemble dyn({0.9, true});
   dyn.AddMember(std::make_unique<BiasedNaive>(0.0));   // good on flat part
   dyn.AddMember(std::make_unique<BiasedNaive>(0.05));  // good on trend part
   ASSERT_TRUE(dyn.Fit(series).ok());

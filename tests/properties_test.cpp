@@ -234,9 +234,7 @@ class FixedPrediction : public models::Forecaster {
 
 TEST_P(EnsembleSizeProperty, WeightsSumToOneAfterObservations) {
   size_t n = GetParam();
-  models::ForecasterOptions opts;
-  opts.window = 4;
-  ensemble::TimeSensitiveEnsemble ens(opts, {0.9, true});
+  ensemble::TimeSensitiveEnsemble ens({0.9, true});
   for (size_t i = 0; i < n; ++i) {
     ens.AddMember(std::make_unique<FixedPrediction>(static_cast<double>(i)));
   }

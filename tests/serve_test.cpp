@@ -474,7 +474,7 @@ TEST(ForecastServiceTest, PublishesGenerationsAndKeepsOldSnapshotsFrozen) {
   EXPECT_EQ(svc.shard(0).generation(), 1u);
   auto gen1 = svc.snapshot(0);
   ASSERT_TRUE(gen1->trained());
-  EXPECT_EQ(gen1->trace_count(), 3u);
+  EXPECT_EQ(gen1->trace_names.size(), 3u);
   auto f1 = gen1->ForecastCluster(0);
   ASSERT_TRUE(f1.ok());
   EXPECT_TRUE(std::isfinite(*f1));
@@ -491,7 +491,7 @@ TEST(ForecastServiceTest, PublishesGenerationsAndKeepsOldSnapshotsFrozen) {
   EXPECT_EQ(*f1_again, *f1);
 
   // Trace-level forecasts scale the cluster forecast; every trace resolves.
-  for (size_t i = 0; i < gen2->trace_count(); ++i) {
+  for (size_t i = 0; i < gen2->trace_names.size(); ++i) {
     auto ft = gen2->ForecastTrace(i);
     if (ft.ok()) {
       EXPECT_TRUE(std::isfinite(*ft));
@@ -521,8 +521,8 @@ TEST(ForecastServiceTest, SaveLoadRoundTripServesIdenticalForecasts) {
     ASSERT_TRUE(fa.ok() && fb.ok());
     EXPECT_EQ(*fa, *fb);  // bit-identical, not merely close
   }
-  ASSERT_EQ(a->trace_count(), b->trace_count());
-  for (size_t i = 0; i < a->trace_count(); ++i) {
+  ASSERT_EQ(a->trace_names.size(), b->trace_names.size());
+  for (size_t i = 0; i < a->trace_names.size(); ++i) {
     auto fa = a->ForecastTrace(i);
     auto fb = b->ForecastTrace(i);
     ASSERT_EQ(fa.ok(), fb.ok());

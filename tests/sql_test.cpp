@@ -275,8 +275,10 @@ TEST(TokenizerTest, SignStaysItsOwnToken) {
   auto toks = Tokenize("SELECT * FROM t WHERE id = -5");
   ASSERT_TRUE(toks.ok());
   ASSERT_EQ(toks->size(), 9u);
-  EXPECT_EQ((*toks)[7], (Token{TokenType::kOperator, "-"}));
-  EXPECT_EQ((*toks)[8], (Token{TokenType::kNumber, "5"}));
+  EXPECT_EQ((*toks)[7].type, TokenType::kOperator);
+  EXPECT_EQ((*toks)[7].text, "-");
+  EXPECT_EQ((*toks)[8].type, TokenType::kNumber);
+  EXPECT_EQ((*toks)[8].text, "5");
 }
 
 TEST(TemplateTest, EmptyStatementRejected) {

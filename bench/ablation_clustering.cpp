@@ -222,7 +222,7 @@ void BallTreeRecall() {
     auto d = dtw::DtwDistance(a, b, dopts);
     return d.ok() ? *d : 1e300;
   };
-  auto tree = cluster::BallTree::Build(pts, dist, {4});
+  auto tree = cluster::BallTree::Build(pts, dist);
   if (!tree.ok()) return;
   size_t found = 0, expected = 0;
   for (size_t q = 0; q < pts.size(); ++q) {

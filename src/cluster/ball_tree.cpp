@@ -6,8 +6,13 @@
 
 namespace dbaugur::cluster {
 
+namespace {
+// Max points per leaf.
+constexpr size_t kLeafSize = 4;
+}  // namespace
+
 StatusOr<BallTree> BallTree::Build(std::vector<std::vector<double>> points,
-                                   DistanceFn distance, BallTreeOptions opts) {
+                                   DistanceFn distance) {
   if (!distance) return Status::InvalidArgument("BallTree: null distance fn");
   for (const auto& p : points) {
     if (p.size() != points[0].size()) {
@@ -20,15 +25,13 @@ StatusOr<BallTree> BallTree::Build(std::vector<std::vector<double>> points,
   if (!tree.points_.empty()) {
     std::vector<size_t> idx(tree.points_.size());
     for (size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-    tree.root_ = tree.BuildNode(std::move(idx), std::max<size_t>(1, opts.leaf_size));
+    tree.root_ = tree.BuildNode(std::move(idx));
   }
   return tree;
 }
 
-std::unique_ptr<BallTree::Node> BallTree::BuildNode(std::vector<size_t> idx,
-                                                    size_t leaf_size) {
+std::unique_ptr<BallTree::Node> BallTree::BuildNode(std::vector<size_t> idx) {
   DBAUGUR_CHECK(!idx.empty(), "BallTree::BuildNode on an empty partition");
-  DBAUGUR_CHECK_GE(leaf_size, 1u, "BallTree leaf size must be positive");
   auto node = std::make_unique<Node>();
   // Centroid = coordinate-wise mean (fine even for non-Euclidean distances:
   // it only needs to be *some* pivot; correctness comes from the radius).
@@ -47,7 +50,7 @@ std::unique_ptr<BallTree::Node> BallTree::BuildNode(std::vector<size_t> idx,
   DBAUGUR_CHECK(node->radius >= 0.0,
                 "BallTree: distance function produced invalid ball radius ",
                 node->radius);
-  if (idx.size() <= leaf_size) {
+  if (idx.size() <= kLeafSize) {
     node->indices = std::move(idx);
     return node;
   }
@@ -83,8 +86,8 @@ std::unique_ptr<BallTree::Node> BallTree::BuildNode(std::vector<size_t> idx,
   }
   DBAUGUR_DCHECK_EQ(left.size() + right.size(), idx.size(),
                     "BallTree: split lost or duplicated points");
-  node->left = BuildNode(std::move(left), leaf_size);
-  node->right = BuildNode(std::move(right), leaf_size);
+  node->left = BuildNode(std::move(left));
+  node->right = BuildNode(std::move(right));
   return node;
 }
 

@@ -23,18 +23,13 @@ namespace dbaugur::cluster {
 using DistanceFn =
     std::function<double(const std::vector<double>&, const std::vector<double>&)>;
 
-/// Options controlling Ball-tree construction.
-struct BallTreeOptions {
-  size_t leaf_size = 8;  ///< Max points per leaf.
-};
-
 /// Ball-tree over a fixed point set.
 class BallTree {
  public:
-  /// Builds the tree. Points must all share one dimensionality.
+  /// Builds the tree, at most four points per leaf. Points must all share
+  /// one dimensionality.
   static StatusOr<BallTree> Build(std::vector<std::vector<double>> points,
-                                  DistanceFn distance,
-                                  BallTreeOptions opts = BallTreeOptions());
+                                  DistanceFn distance);
 
   /// Indices of all points within `radius` of `query` (pruned search; exact
   /// when `distance` is a metric).
@@ -55,7 +50,7 @@ class BallTree {
   };
 
   BallTree() = default;
-  std::unique_ptr<Node> BuildNode(std::vector<size_t> idx, size_t leaf_size);
+  std::unique_ptr<Node> BuildNode(std::vector<size_t> idx);
   void RangeSearch(const Node* node, const std::vector<double>& query,
                    double radius, std::vector<size_t>* out) const;
 

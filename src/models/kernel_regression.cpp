@@ -23,7 +23,7 @@ double SquaredDistance(const std::vector<double>& a,
 }  // namespace
 
 Status KernelRegressionForecaster::Fit(const std::vector<double>& series) {
-  ts::WindowDatasetOptions wopts{opts_.window, opts_.horizon, 1};
+  ts::WindowDatasetOptions wopts{opts_.window, opts_.horizon};
   auto samples = ts::MakeWindows(series, wopts);
   if (!samples.ok()) return samples.status();
 

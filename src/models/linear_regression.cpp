@@ -6,7 +6,7 @@
 namespace dbaugur::models {
 
 Status LinearRegressionForecaster::Fit(const std::vector<double>& series) {
-  ts::WindowDatasetOptions wopts{opts_.window, opts_.horizon, 1};
+  ts::WindowDatasetOptions wopts{opts_.window, opts_.horizon};
   auto samples = ts::MakeWindows(series, wopts);
   if (!samples.ok()) return samples.status();
   size_t rows = samples->size();

@@ -6,7 +6,6 @@
 #include "models/neural_common.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
-#include "nn/optimizer.h"
 
 namespace dbaugur::models {
 
@@ -23,24 +22,19 @@ class LstmForecaster : public NeuralForecaster {
 
   std::string name() const override { return "LSTM"; }
 
-  /// One epoch over the PrepareTraining dataset.
-  Status TrainEpoch();
-
   /// The LSTM, then the head.
   std::vector<nn::Param> Params() const override;
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& x) const override;
-  Status RunEpoch() override { return TrainEpoch(); }
+  void Backward(const nn::Matrix& grad_pred) override;
   void ReleaseWorkspaces() override;
 
-  LstmOptions lstm_opts_;
   mutable nn::LSTM lstm_;
   mutable nn::Dense head_;
-  nn::Adam adam_;
-  // Batch workspaces reused across batches.
-  nn::Matrix xb_, y_, grad_;
-  std::vector<nn::Matrix> xs_, grad_hs_;
+  // Batch workspaces reused across batches (mutable: Predict is const).
+  mutable std::vector<nn::Matrix> xs_;
+  std::vector<nn::Matrix> grad_hs_;
 };
 
 }  // namespace dbaugur::models

@@ -5,7 +5,6 @@
 
 #include "models/neural_common.h"
 #include "nn/dense.h"
-#include "nn/optimizer.h"
 
 namespace dbaugur::models {
 
@@ -15,23 +14,15 @@ class MlpForecaster : public NeuralForecaster {
 
   std::string name() const override { return "MLP"; }
 
-  /// Runs exactly one training epoch (used by Table II timing) on the dataset
-  /// PrepareTraining built; FailedPrecondition without one (Fit frees its
-  /// own).
-  Status TrainEpoch();
-
   /// l1, l2, l3.
   std::vector<nn::Param> Params() const override;
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& x) const override;
-  Status RunEpoch() override { return TrainEpoch(); }
+  void Backward(const nn::Matrix& grad_pred) override;
   void ReleaseWorkspaces() override;
 
   mutable nn::Dense l1_, l2_, l3_;
-  nn::Adam adam_;
-  // Batch workspaces reused across batches.
-  nn::Matrix x_, y_, grad_;
 };
 
 }  // namespace dbaugur::models

@@ -5,6 +5,7 @@
 
 #include "common/binio.h"
 #include "common/contracts.h"
+#include "nn/loss.h"
 #include "nn/serialize.h"
 
 namespace dbaugur::models {
@@ -14,7 +15,7 @@ StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
   ScaledDataset out;
   DBAUGUR_RETURN_IF_ERROR(out.scaler.Fit(series));
   std::vector<double> scaled = out.scaler.Transform(series);
-  ts::WindowDatasetOptions wopts{opts.window, opts.horizon, 1};
+  ts::WindowDatasetOptions wopts{opts.window, opts.horizon};
   auto samples = ts::MakeWindows(scaled, wopts);
   if (!samples.ok()) return samples.status();
   out.samples = std::move(samples).value();
@@ -36,10 +37,10 @@ Status NeuralForecaster::FitStep(size_t step,
                                  const std::vector<double>& series) {
   DBAUGUR_CHECK_LT(step, FitSteps(), name(), ": fit step out of range");
   if (step == 0) DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  if (step < opts_.epochs) DBAUGUR_RETURN_IF_ERROR(RunEpoch());
+  if (step < opts_.epochs) DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
   if (step + 1 == FitSteps()) {
     train_samples_ = std::vector<ts::WindowSample>();
-    ReleaseWorkspaces();
+    FreeWorkspaces();
     fitted_ = true;
   }
   return Status::OK();
@@ -51,6 +52,55 @@ Status NeuralForecaster::PrepareTraining(const std::vector<double>& series) {
   scaler_ = ds->scaler;
   train_samples_ = std::move(ds->samples);
   return Status::OK();
+}
+
+Status NeuralForecaster::TrainEpoch() {
+  if (train_samples_.empty()) {
+    return Status::FailedPrecondition(name() + ": PrepareTraining not called");
+  }
+  std::vector<size_t> order = rng_.Permutation(train_samples_.size());
+  TrainedParams params = GatherTrainedParams();
+  for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
+    size_t count = std::min(opts_.batch_size, order.size() - begin);
+    BatchWindowsInto(train_samples_, order, begin, count, &xb_);
+    BatchTargetsInto(train_samples_, order, begin, count, &y_);
+    TrainBatch(params);
+  }
+  return Status::OK();
+}
+
+NeuralForecaster::TrainedParams NeuralForecaster::GatherTrainedParams() const {
+  TrainedParams params;
+  params.forecaster = Params();
+  return params;
+}
+
+void NeuralForecaster::TrainBatch(TrainedParams& params) {
+  nn::MSELoss(ForwardBatch(xb_), y_, &grad_);
+  StepForecaster(params.forecaster, grad_);
+}
+
+void NeuralForecaster::StepForecaster(std::vector<nn::Param>& params,
+                                      const nn::Matrix& grad_pred) {
+  ZeroGrads(params);
+  Backward(grad_pred);
+  nn::ClipGradNorm(params, kGradClip);
+  adam_.Step(params);
+}
+
+void NeuralForecaster::FreeWorkspaces() {
+  for (nn::Matrix* m : {&xb_, &y_, &grad_}) *m = nn::Matrix();
+  ReleaseWorkspaces();
+}
+
+void ZeroGrads(const std::vector<nn::Param>& params) {
+  for (const nn::Param& p : params) p.grad->Fill(0.0);
+}
+
+int64_t ScalarCount(const std::vector<nn::Param>& params) {
+  int64_t n = 0;
+  for (const nn::Param& p : params) n += static_cast<int64_t>(p.value->size());
+  return n;
 }
 
 Status NeuralForecaster::CheckWindow(const std::vector<double>& window) const {
@@ -76,9 +126,7 @@ int64_t NeuralForecaster::StorageBytes() const {
 }
 
 int64_t NeuralForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (const nn::Param& p : Params()) n += static_cast<int64_t>(p.value->size());
-  return n;
+  return ScalarCount(Params());
 }
 
 namespace {
@@ -195,11 +243,11 @@ void CopySequenceWithTail(const std::vector<nn::Matrix>& xs,
   dst->back() = tail;
 }
 
-void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
-                          size_t hidden, std::vector<nn::Matrix>* dst) {
+void LastStepGradSequence(const nn::Matrix& dlast, size_t steps,
+                          std::vector<nn::Matrix>* dst) {
   dst->resize(steps);
   for (size_t t = 0; t + 1 < steps; ++t) {
-    (*dst)[t].Resize(batch, hidden);
+    (*dst)[t].Resize(dlast.rows(), dlast.cols());
     (*dst)[t].Fill(0.0);
   }
   dst->back() = dlast;

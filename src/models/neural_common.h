@@ -11,6 +11,7 @@
 #include "models/forecaster.h"
 #include "nn/layer.h"
 #include "nn/matrix.h"
+#include "nn/optimizer.h"
 #include "ts/scaler.h"
 #include "ts/window_dataset.h"
 
@@ -32,14 +33,16 @@ StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
                                            const ForecasterOptions& opts);
 
 /// Base of the epoch-trained forecasters (WFGAN, TCN, MLP, LSTM). A model
-/// supplies its layers: Params(), ForwardBatch on scaled windows, TrainEpoch
-/// (through RunEpoch) and ReleaseWorkspaces. The base owns the rest of the
+/// supplies its layers: Params(), ForwardBatch on scaled windows, Backward
+/// from dLoss/dForecast and ReleaseWorkspaces. The base owns the rest of the
 /// Forecaster contract: the rng_ seeded from opts.seed that the layers draw
 /// their initial weights from, Predict, state and size accounting over
-/// Params(), and the one epoch loop. Fit step 0 first builds the dataset,
-/// step e trains epoch e, and the last step frees the dataset and every
-/// batch- and step-shaped buffer and marks the model fitted. A fitted model
-/// so keeps only its parameters, their gradient and Adam buffers, and the
+/// Params(), and the one epoch loop with its minibatch buffers and the
+/// optimizer of the forecasting network. Its minibatch step is supervised
+/// (MSE); WFGAN supplies its own. Fit step 0 first builds the dataset, step
+/// e trains epoch e, and the last step frees the dataset and every batch-
+/// and step-shaped buffer and marks the model fitted. A fitted model so
+/// keeps only its parameters, their gradient and Adam buffers, and the
 /// scaler.
 class NeuralForecaster : public Forecaster {
  public:
@@ -51,7 +54,7 @@ class NeuralForecaster : public Forecaster {
   Status FitStep(size_t step, const std::vector<double>& series) final;
   /// Frees the batch- and step-shaped workspaces, which the next epoch
   /// rebuilds, and keeps the dataset, the weights and the Adam state.
-  void SuspendFit() final { ReleaseWorkspaces(); }
+  void SuspendFit() final { FreeWorkspaces(); }
 
   /// FailedPrecondition before a fit or LoadState, InvalidArgument unless
   /// the window holds T values; else the raw-scale forecast of ForwardBatch
@@ -74,13 +77,24 @@ class NeuralForecaster : public Forecaster {
   virtual std::vector<nn::Param> Params() const = 0;
 
   /// Builds the dataset TrainEpoch reads. Epoch-driven callers (benches,
-  /// tests) call it and then TrainEpoch, which keeps its buffers across
-  /// epochs (allocation-free steady state) and never marks the model fitted.
+  /// tests) call it and then TrainEpoch.
   Status PrepareTraining(const std::vector<double>& series);
+  /// One epoch over the PrepareTraining dataset (Table II's timed unit):
+  /// one shuffle, the parameter lists gathered once, then TrainBatch on
+  /// each minibatch in shuffled order. FailedPrecondition without a dataset
+  /// (Fit frees its own). Keeps its buffers across epochs, so it allocates
+  /// nothing per batch, and never marks the model fitted.
+  Status TrainEpoch();
 
  protected:
+  /// The parameter lists one epoch's optimizer steps update.
+  struct TrainedParams {
+    std::vector<nn::Param> forecaster;     ///< What adam_ steps.
+    std::vector<nn::Param> discriminator;  ///< WFGAN's D; else empty.
+  };
+
   explicit NeuralForecaster(const ForecasterOptions& opts)
-      : opts_(opts), rng_(opts.seed) {}
+      : opts_(opts), rng_(opts.seed), adam_(kLearningRate) {}
 
   /// Predict's guard: OK once fitted and when `window` holds T values.
   Status CheckWindow(const std::vector<double>& window) const;
@@ -88,9 +102,21 @@ class NeuralForecaster : public Forecaster {
   /// [batch, 1] matrix in scaled space (network-owned workspace, valid until
   /// the next forward).
   virtual const nn::Matrix& ForwardBatch(const nn::Matrix& x) const = 0;
-  /// One epoch over the dataset (the model's TrainEpoch).
-  virtual Status RunEpoch() = 0;
-  /// Frees the batch workspaces and the layers' workspaces.
+  /// Backpropagates dLoss/dForecast ([batch, 1]) through the last
+  /// ForwardBatch, accumulating the parameter gradients.
+  virtual void Backward(const nn::Matrix& grad_pred) = 0;
+  /// Gathers the lists TrainBatch steps, once per epoch (a gather
+  /// allocates): Params() as the forecaster's list by default.
+  virtual TrainedParams GatherTrainedParams() const;
+  /// One minibatch step on the windows in xb_ and the targets in y_. By
+  /// default the supervised step: the MSE gradient of ForwardBatch, then
+  /// StepForecaster.
+  virtual void TrainBatch(TrainedParams& params);
+  /// Zeroes the gradients in `params`, runs Backward(grad_pred), clips them
+  /// to kGradClip and takes one adam_ step.
+  void StepForecaster(std::vector<nn::Param>& params,
+                      const nn::Matrix& grad_pred);
+  /// Frees the model's own batch workspaces and its layers' workspaces.
   virtual void ReleaseWorkspaces() = 0;
 
   ForecasterOptions opts_;
@@ -98,7 +124,21 @@ class NeuralForecaster : public Forecaster {
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
   bool fitted_ = false;
+  nn::Adam adam_;  // the forecasting network's (WFGAN: the generator's)
+  // The minibatch, reused across batches: windows [batch, T], targets.
+  nn::Matrix xb_, y_;
+
+ private:
+  /// Frees the minibatch buffers, then ReleaseWorkspaces().
+  void FreeWorkspaces();
+
+  nn::Matrix grad_;  // the supervised step's dLoss/dForecast
 };
+
+/// Zeroes every gradient accumulator in `params`.
+void ZeroGrads(const std::vector<nn::Param>& params);
+/// Scalars in `params`.
+int64_t ScalarCount(const std::vector<nn::Param>& params);
 
 // Batch packing into the caller's buffers, so a training loop holds one batch
 // workspace across all batches of an epoch instead of reallocating.
@@ -128,9 +168,9 @@ void CopySequenceWithTail(const std::vector<nn::Matrix>& xs,
                           const nn::Matrix& tail,
                           std::vector<nn::Matrix>* dst);
 
-/// Zero gradient sequence with only the last step set to `dlast`
-/// (no-attention ablation path of the WFGAN backward).
-void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
-                          size_t hidden, std::vector<nn::Matrix>* dst);
+/// A `steps`-long gradient sequence that is zero but for its last step,
+/// `dlast` (backward into an LSTM whose last state alone was read).
+void LastStepGradSequence(const nn::Matrix& dlast, size_t steps,
+                          std::vector<nn::Matrix>* dst);
 
 }  // namespace dbaugur::models

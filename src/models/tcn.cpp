@@ -1,8 +1,5 @@
 #include "models/tcn.h"
 
-#include "models/neural_common.h"
-#include "nn/loss.h"
-
 namespace dbaugur::models {
 
 namespace {
@@ -14,8 +11,7 @@ TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
                              const TcnOptions& tcn)
     : NeuralForecaster(opts),
       tcn_opts_(tcn),
-      head_(tcn.channels, 1, nn::Activation::kIdentity, &rng_),
-      adam_(kLearningRate) {
+      head_(tcn.channels, 1, nn::Activation::kIdentity, &rng_) {
   size_t in_ch = 1;
   for (size_t d : tcn_opts_.dilations) {
     blocks_.push_back(std::make_unique<nn::TCNBlock>(
@@ -42,38 +38,8 @@ std::vector<nn::Param> TcnForecaster::Params() const {
   return params;
 }
 
-Status TcnForecaster::TrainEpoch() {
-  if (train_samples_.empty()) {
-    return Status::FailedPrecondition("TCN: PrepareTraining not called");
-  }
-  std::vector<size_t> order = rng_.Permutation(train_samples_.size());
-  std::vector<nn::Param> params = Params();
-  for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
-    size_t count = std::min(opts_.batch_size, order.size() - begin);
-    BatchWindowsInto(train_samples_, order, begin, count, &xb_);
-    BatchTargetsInto(train_samples_, order, begin, count, &y_);
-    const nn::Matrix& pred = ForwardBatch(xb_);
-    nn::MSELoss(pred, y_, &grad_);
-    for (auto& p : params) p.grad->Fill(0.0);
-    const nn::Matrix& dfeats = head_.Backward(grad_);
-    const size_t last = xb_.cols() - 1;
-    dt_.Resize(count, tcn_opts_.channels, last + 1);
-    dt_.Fill(0.0);
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t c = 0; c < tcn_opts_.channels; ++c) {
-        dt_(r, c, last) = dfeats(r, c);
-      }
-    }
-    const nn::Tensor3* dt = &dt_;
-    for (size_t b = blocks_.size(); b-- > 0;) dt = &blocks_[b]->Backward(*dt);
-    nn::ClipGradNorm(params, kGradClip);
-    adam_.Step(params);
-  }
-  return Status::OK();
-}
-
 void TcnForecaster::ReleaseWorkspaces() {
-  for (nn::Matrix* m : {&xb_, &y_, &grad_, &feats_}) *m = nn::Matrix();
+  feats_ = nn::Matrix();
   for (nn::Tensor3* t : {&t_in_, &dt_}) *t = nn::Tensor3();
   for (auto& b : blocks_) b->ReleaseWorkspaces();
   head_.ReleaseWorkspaces();
@@ -93,6 +59,21 @@ const nn::Matrix& TcnForecaster::ForwardBatch(const nn::Matrix& xb) const {
     }
   }
   return head_.Forward(feats_);
+}
+
+void TcnForecaster::Backward(const nn::Matrix& grad_pred) {
+  // Only the last step fed the head, so only it gets a gradient.
+  const nn::Matrix& dfeats = head_.Backward(grad_pred);
+  const size_t count = grad_pred.rows(), last = t_in_.time() - 1;
+  dt_.Resize(count, tcn_opts_.channels, last + 1);
+  dt_.Fill(0.0);
+  for (size_t r = 0; r < count; ++r) {
+    for (size_t c = 0; c < tcn_opts_.channels; ++c) {
+      dt_(r, c, last) = dfeats(r, c);
+    }
+  }
+  const nn::Tensor3* dt = &dt_;
+  for (size_t b = blocks_.size(); b-- > 0;) dt = &blocks_[b]->Backward(*dt);
 }
 
 }  // namespace dbaugur::models

@@ -10,7 +10,6 @@
 #include "models/neural_common.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
-#include "nn/optimizer.h"
 
 namespace dbaugur::models {
 
@@ -28,24 +27,21 @@ class TcnForecaster : public NeuralForecaster {
 
   std::string name() const override { return "TCN"; }
 
-  /// One epoch over the PrepareTraining dataset.
-  Status TrainEpoch();
-
   /// The blocks in order, then the head.
   std::vector<nn::Param> Params() const override;
 
  private:
   const nn::Matrix& ForwardBatch(const nn::Matrix& xb) const override;
-  Status RunEpoch() override { return TrainEpoch(); }
+  void Backward(const nn::Matrix& grad_pred) override;
   void ReleaseWorkspaces() override;
 
   TcnOptions tcn_opts_;
   mutable std::vector<std::unique_ptr<nn::TCNBlock>> blocks_;
   mutable nn::Dense head_;
-  nn::Adam adam_;
   // Batch workspaces reused across batches (mutable: Predict is const).
-  mutable nn::Matrix xb_, y_, grad_, feats_;
-  mutable nn::Tensor3 t_in_, dt_;
+  mutable nn::Matrix feats_;
+  mutable nn::Tensor3 t_in_;
+  nn::Tensor3 dt_;
 };
 
 }  // namespace dbaugur::models

@@ -3,9 +3,11 @@
 // A conditional GAN where the generator receives the length-T condition
 // window X and emits the forecast x̂_{T+H}; the discriminator scores the
 // length-(T+1) concatenations X ∘ x_{T+H} (real) and X ∘ x̂_{T+H} (fake).
-// Both networks are an LSTM (paper: 30 cells) followed by a temporal
-// attention layer (paper Eq. 2-3) and a dense head. Training alternates
-// one D-step and g_steps G-steps per minibatch, per the paper's Algorithm 2.
+// Both networks are a WfganTower: an LSTM (paper: 30 cells) followed by a
+// temporal attention layer (paper Eq. 2-3) and a dense head. Training
+// alternates one D-step and one G-step per minibatch, per the paper's
+// Algorithm 2; WfganSteps writes both steps once for this model and the
+// multi-task one (models/wfgan_multitask.h).
 //
 // Two deliberate implementation choices beyond the paper's text, both
 // standard for forecasting GANs and both exposed for ablation:
@@ -36,7 +38,6 @@ inline constexpr double kRealLabel = 0.9;
 /// WFGAN architecture / training knobs.
 struct WfganOptions {
   size_t hidden = 30;       ///< LSTM cells (paper: one LSTM layer, 30 cells).
-  size_t g_steps = 1;       ///< Generator updates per minibatch.
   double adversarial_weight = 0.2;  ///< Weight of the GAN term in G's loss.
   double supervised_weight = 1.0;   ///< Weight of the MSE term in G's loss.
   bool use_attention = true;        ///< Disable to ablate Eq. 2-3.
@@ -44,11 +45,74 @@ struct WfganOptions {
   bool saturating_g_loss = false;   ///< Use the paper's Eq. 5 G loss.
 };
 
-/// Per-epoch training diagnostics.
-struct WfganEpochStats {
-  double d_loss = 0.0;   ///< Mean discriminator BCE.
-  double g_adv = 0.0;    ///< Mean generator adversarial loss.
-  double g_mse = 0.0;    ///< Mean generator supervised MSE (scaled space).
+/// One WFGAN network: an LSTM over a time-major sequence of [batch, 1]
+/// inputs, a temporal attention layer over its states (skipped unless
+/// use_attention) and a dense head giving one [batch, 1] output. Every
+/// generator and discriminator of both WFGAN models is one. A tower may run
+/// over an LSTM it does not own: the multi-task generators share one trunk.
+class WfganTower {
+ public:
+  /// Draws the weights of its own LSTM (none when `shared` is given), then
+  /// the attention layer's (drawn even when unused), then the head's.
+  WfganTower(size_t hidden, bool use_attention, Rng* rng,
+             nn::LSTM* shared = nullptr);
+
+  /// Outputs for the batch xs (tower-owned workspace, valid until the next
+  /// forward). With first_step > 0 the steps before it are reused from the
+  /// previous call, under the contract of nn::LSTM::ForwardSequence (same
+  /// weights, equal inputs there).
+  const nn::Matrix& Forward(const std::vector<nn::Matrix>& xs,
+                            size_t first_step = 0);
+  /// Backward from dLoss/dOutput through the last forward: accumulates the
+  /// parameter gradients of every layer, a shared LSTM's too.
+  void Backward(const nn::Matrix& grad_out);
+  /// dLoss/dInput of the last step alone, without any parameter gradient
+  /// (layer-owned workspace, valid until the next backward call).
+  const nn::Matrix& LastStepInputGrad(const nn::Matrix& grad_out);
+  /// Its own LSTM's parameters, the attention's when used, then the head's.
+  std::vector<nn::Param> Params();
+  /// Frees the workspaces of every layer it owns.
+  void ReleaseWorkspaces();
+
+ private:
+  bool use_attention_;
+  std::unique_ptr<nn::LSTM> own_lstm_;  // null over a shared LSTM
+  nn::LSTM* lstm_;
+  nn::TemporalAttention attn_;
+  nn::Dense head_;
+  size_t steps_ = 0;                  // of the last forward
+  std::vector<nn::Matrix> grad_hs_;   // no-attention backward
+};
+
+/// Algorithm 2's two minibatch steps, written once for both WFGAN models,
+/// with the batch buffers they reuse. xs is the time-major condition
+/// batch, y the targets and fake the generator's forecasts for xs.
+class WfganSteps {
+ public:
+  explicit WfganSteps(const WfganOptions& gan) : gan_(gan) {}
+
+  /// D-step (Algorithm 2, lines 5-7) with detached fakes: BCE of d on the
+  /// real batch xs ∘ y (labels kRealLabel) and the fake batch xs ∘ fake
+  /// (labels 0), then one Adam step on d's clipped gradients. `dparams` is
+  /// d's Params().
+  void DiscriminatorStep(WfganTower* d, std::vector<nn::Param>& dparams,
+                         nn::Adam* adam, const std::vector<nn::Matrix>& xs,
+                         const nn::Matrix& y, const nn::Matrix& fake);
+  /// The generator's dLoss/dForecast (Algorithm 2, lines 8-10):
+  /// supervised_weight times the MSE gradient, plus, when adversarial,
+  /// adversarial_weight times d's last-step input gradient of the generator
+  /// loss on xs ∘ fake. Forms no parameter gradient of d. Valid until the
+  /// next call.
+  const nn::Matrix& GeneratorLossGrad(WfganTower* d,
+                                      const std::vector<nn::Matrix>& xs,
+                                      const nn::Matrix& y,
+                                      const nn::Matrix& fake);
+  void ReleaseWorkspaces();
+
+ private:
+  WfganOptions gan_;
+  nn::Matrix labels_, grad_logit_, mse_grad_, grad_pred_;
+  std::vector<nn::Matrix> xs_real_, xs_fake_;
 };
 
 class WfganForecaster : public NeuralForecaster {
@@ -59,9 +123,6 @@ class WfganForecaster : public NeuralForecaster {
 
   std::string name() const override { return "WFGAN"; }
 
-  /// One epoch over the PrepareTraining dataset (Algorithm 2).
-  StatusOr<WfganEpochStats> TrainEpoch();
-
   /// Discriminator probability that `window ∘ value` is a real trace
   /// (inputs in raw scale). Exposed for tests and examples.
   StatusOr<double> DiscriminatorScore(const std::vector<double>& window,
@@ -71,48 +132,21 @@ class WfganForecaster : public NeuralForecaster {
   std::vector<nn::Param> Params() const override;
 
  private:
-  /// The generator's forecasts (time-major through GeneratorForward).
+  /// The generator's forecasts; leaves the time-major batch in xs_.
   const nn::Matrix& ForwardBatch(const nn::Matrix& x) const override;
-  /// Generator forward on a time-major batch; returns [batch, 1] forecasts
-  /// in scaled space (network-owned workspace, valid until the next call).
-  const nn::Matrix& GeneratorForward(const std::vector<nn::Matrix>& xs) const;
-  /// Generator backward from dLoss/dForecast.
-  void GeneratorBackward(const nn::Matrix& grad_pred, size_t steps,
-                         size_t batch) const;
-  /// Discriminator forward on a time-major batch of length T+1. With
-  /// first_step > 0 the steps before it are reused from the previous call,
-  /// under the contract of nn::LSTM::ForwardSequence (same weights, equal
-  /// inputs there).
-  const nn::Matrix& DiscriminatorForward(const std::vector<nn::Matrix>& xs,
-                                         size_t first_step = 0) const;
-  /// Discriminator backward: accumulates D's parameter gradients.
-  void DiscriminatorBackward(const nn::Matrix& grad_logit, size_t steps,
-                             size_t batch) const;
-  /// dLoss/dInput of the last step alone (what the G-step reads), without
-  /// any parameter gradient; network-owned workspace, valid until the next
-  /// discriminator call.
-  const nn::Matrix& DiscriminatorLastInputGrad(
-      const nn::Matrix& grad_logit) const;
-  std::vector<nn::Param> GeneratorParams() const;
-  std::vector<nn::Param> DiscriminatorParams() const;
-  Status RunEpoch() override { return TrainEpoch().status(); }
+  void Backward(const nn::Matrix& grad_pred) override;
+  /// The generator's list, then the discriminator's.
+  TrainedParams GatherTrainedParams() const override;
+  /// A D-step, then the G-step through the same generator pass (nothing
+  /// changes the generator in between).
+  void TrainBatch(TrainedParams& params) override;
   void ReleaseWorkspaces() override;
 
   WfganOptions gan_;
-  // Generator.
-  mutable nn::LSTM g_lstm_;
-  mutable nn::TemporalAttention g_attn_;
-  mutable nn::Dense g_head_;
-  // Discriminator.
-  mutable nn::LSTM d_lstm_;
-  mutable nn::TemporalAttention d_attn_;
-  mutable nn::Dense d_head_;
-  nn::Adam g_adam_, d_adam_;
-  // Batch workspaces reused across batches (mutable: used from const paths).
-  mutable nn::Matrix xb_, y_, grad_pred_, mse_grad_, grad_real_, grad_fake_,
-      grad_logit_, real_labels_, fake_labels_;
-  mutable std::vector<nn::Matrix> xs_, xs_real_, xs_fake_;
-  mutable std::vector<nn::Matrix> g_grad_hs_, d_grad_hs_;  // no-attention path
+  mutable WfganTower g_, d_;  // generator, discriminator
+  nn::Adam d_adam_;
+  WfganSteps steps_;
+  mutable std::vector<nn::Matrix> xs_;  // time-major batch
 };
 
 }  // namespace dbaugur::models

@@ -4,16 +4,17 @@
 // attention layer, dense head, and discriminator ("the shallow network
 // parameters in the hidden layer will be shared by both forecasting models,
 // while their deep network parameters will be optimized separately").
+// Each generator is a WfganTower over the shared trunk, and training runs
+// WFGAN's own Algorithm 2 steps (WfganSteps) for each task.
 
 #pragma once
 
 #include <array>
+#include <memory>
 
 #include "common/rng.h"
 #include "models/forecaster.h"
 #include "models/wfgan.h"
-#include "nn/attention.h"
-#include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/optimizer.h"
 #include "ts/scaler.h"
@@ -28,7 +29,8 @@ class MultiTaskWfgan {
  public:
   MultiTaskWfgan(const ForecasterOptions& opts, const WfganOptions& gan);
 
-  /// Jointly trains on the query trace and the resource trace.
+  /// Jointly trains on the query trace and the resource trace. The model
+  /// counts as unfitted from the start of the call until it succeeds.
   Status Fit(const std::vector<double>& query_series,
              const std::vector<double>& resource_series);
 
@@ -41,44 +43,37 @@ class MultiTaskWfgan {
   int64_t SharedParameterCount() const;
 
  private:
-  struct TaskNet {
-    std::unique_ptr<nn::TemporalAttention> attn;
-    std::unique_ptr<nn::Dense> head;
-    std::unique_ptr<nn::LSTM> d_lstm;
-    std::unique_ptr<nn::TemporalAttention> d_attn;
-    std::unique_ptr<nn::Dense> d_head;
+  /// One task's networks, dataset and minibatch.
+  struct Task {
+    /// Draws the generator's attention and head (over `trunk`), then the
+    /// discriminator's LSTM, attention and head.
+    Task(const WfganOptions& gan, Rng* rng, nn::LSTM* trunk)
+        : gen(gan.hidden, gan.use_attention, rng, trunk),
+          disc(gan.hidden, gan.use_attention, rng),
+          d_adam(kLearningRate) {}
+
+    WfganTower gen;   // over the shared trunk
+    WfganTower disc;
+    nn::Adam d_adam;
     ts::MinMaxScaler scaler;
     std::vector<ts::WindowSample> samples;
+    nn::Matrix y;                 // minibatch targets
+    std::vector<nn::Matrix> xs;   // time-major minibatch windows
   };
 
-  const nn::Matrix& GenForward(TaskNet& t,
-                               const std::vector<nn::Matrix>& xs) const;
-  void GenBackward(TaskNet& t, const nn::Matrix& grad_pred, size_t steps,
-                   size_t batch) const;
-  const nn::Matrix& DiscForward(TaskNet& t,
-                                const std::vector<nn::Matrix>& xs) const;
-  const std::vector<nn::Matrix>& DiscBackward(TaskNet& t,
-                                              const nn::Matrix& grad,
-                                              size_t steps,
-                                              size_t batch) const;
-  std::vector<nn::Param> TaskGenParams(TaskNet& t) const;
-  std::vector<nn::Param> DiscParams(TaskNet& t) const;
-
+  /// One epoch of minibatches from both tasks: each batch takes a D-step
+  /// per task, then one joint G-step in which both tasks' gradients add up
+  /// in the trunk before a single Adam step.
   Status TrainEpoch();
 
   ForecasterOptions opts_;
   WfganOptions gan_;
-  mutable Rng rng_;
-  mutable nn::LSTM shared_lstm_;  // shared shallow trunk
-  mutable std::array<TaskNet, 2> tasks_;
+  Rng rng_;
+  std::unique_ptr<nn::LSTM> trunk_;  // shared shallow generator LSTM
+  mutable std::array<Task, 2> tasks_;
   nn::Adam g_adam_;
-  std::array<nn::Adam, 2> d_adams_;
-  // Batch workspaces reused across batches (mutable: used from const paths).
-  mutable nn::Matrix xb_, grad_pred_, mse_grad_, grad_real_, grad_fake_,
-      grad_logit_, real_labels_, fake_labels_;
-  mutable std::array<nn::Matrix, 2> ys_;
-  mutable std::array<std::vector<nn::Matrix>, 2> xs_;
-  mutable std::vector<nn::Matrix> xs_real_, xs_fake_, grad_hs_;
+  WfganSteps steps_;
+  nn::Matrix xb_;  // batch-major windows, packed per task
   bool fitted_ = false;
 };
 

@@ -26,10 +26,10 @@ struct WindowSample {
 struct WindowDatasetOptions {
   size_t window = 30;   ///< T — condition window length.
   size_t horizon = 1;   ///< H — steps ahead of the window's end.
-  size_t stride = 1;    ///< Step between consecutive windows.
 };
 
-/// Extracts all complete (window, target) pairs from `values`.
+/// Extracts every complete (window, target) pair from `values`, one per
+/// start index.
 /// Returns InvalidArgument when values are too short for even one sample or
 /// when options are degenerate.
 StatusOr<std::vector<WindowSample>> MakeWindows(

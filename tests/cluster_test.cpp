@@ -46,7 +46,7 @@ std::vector<size_t> BruteRange(const std::vector<std::vector<double>>& pts,
 
 TEST(BallTreeTest, RangeQueryMatchesBruteForceEuclidean) {
   auto pts = RandomPoints(300, 8, 17);
-  auto tree = BallTree::Build(pts, EuclideanDistance, {4});
+  auto tree = BallTree::Build(pts, EuclideanDistance);
   ASSERT_TRUE(tree.ok());
   Rng rng(18);
   for (int trial = 0; trial < 20; ++trial) {
@@ -61,7 +61,7 @@ TEST(BallTreeTest, RangeQueryMatchesBruteForceEuclidean) {
 
 TEST(BallTreeTest, PruningActuallySkipsDistanceEvals) {
   auto pts = RandomPoints(2000, 4, 21);
-  auto tree = BallTree::Build(pts, EuclideanDistance, {16});
+  auto tree = BallTree::Build(pts, EuclideanDistance);
   ASSERT_TRUE(tree.ok());
   std::vector<double> q(4, 0.0);
   tree->RangeQuery(q, 0.3);
@@ -79,7 +79,7 @@ TEST(BallTreeTest, EmptyAndErrorCases) {
 
 TEST(BallTreeTest, DuplicatePointsHandled) {
   std::vector<std::vector<double>> pts(50, std::vector<double>{1.0, 2.0});
-  auto tree = BallTree::Build(pts, EuclideanDistance, {4});
+  auto tree = BallTree::Build(pts, EuclideanDistance);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(tree->RangeQuery({1.0, 2.0}, 0.1).size(), 50u);
 }
@@ -106,7 +106,7 @@ TEST(BallTreeTest, DtwRangeQueryRecallRegression) {
     auto d = dtw::DtwDistance(a, b, dopts);
     return d.ok() ? *d : 1e300;
   };
-  auto tree = BallTree::Build(pts, dist, {4});
+  auto tree = BallTree::Build(pts, dist);
   ASSERT_TRUE(tree.ok());
   size_t found = 0, expected = 0, false_positives = 0;
   for (size_t q = 0; q < pts.size(); ++q) {

@@ -264,23 +264,27 @@ TEST(WfganTest, DiscriminatorSeparatesRealFromGeneratorEarly) {
   EXPECT_GT(real_sum / count, fake_sum / count);
 }
 
-TEST(WfganTest, EpochStatsAreFinite) {
+TEST(WfganTest, EpochMovesEveryParameterToFiniteValues) {
+  // One epoch of Algorithm 2 steps both networks: every tensor of the
+  // generator and the discriminator moves, and none leaves the finite range.
   auto series = SineSeries(400, 24.0, 0.1, 35);
-  ForecasterOptions opts = FastOpts(1);
-  opts.epochs = 2;
-  // g_steps = 0 trains D alone; the G means must not become 0/0.
-  for (size_t g_steps : {1u, 0u}) {
-    SCOPED_TRACE(testing::Message() << "g_steps " << g_steps);
-    WfganOptions gopts;
-    gopts.g_steps = g_steps;
-    WfganForecaster gan(opts, gopts);
-    ASSERT_TRUE(gan.PrepareTraining(series).ok());
-    auto stats = gan.TrainEpoch();
-    ASSERT_TRUE(stats.ok());
-    EXPECT_TRUE(std::isfinite(stats->d_loss));
-    EXPECT_TRUE(std::isfinite(stats->g_adv));
-    EXPECT_TRUE(std::isfinite(stats->g_mse));
-    EXPECT_GT(stats->d_loss, 0.0);
+  WfganForecaster gan(FastOpts(1));
+  EXPECT_EQ(gan.TrainEpoch().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(gan.PrepareTraining(series).ok());
+  std::vector<nn::Matrix> before;
+  for (const nn::Param& p : gan.Params()) before.push_back(*p.value);
+  ASSERT_TRUE(gan.TrainEpoch().ok());
+  const std::vector<nn::Param> params = gan.Params();
+  ASSERT_EQ(params.size(), before.size());
+  for (size_t k = 0; k < params.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "param " << k << " " << params[k].name);
+    const nn::Matrix& now = *params[k].value;
+    bool moved = false;
+    for (size_t i = 0; i < now.size(); ++i) {
+      ASSERT_TRUE(std::isfinite(now.data()[i])) << i;
+      moved = moved || now.data()[i] != before[k].data()[i];
+    }
+    EXPECT_TRUE(moved);
   }
 }
 
@@ -316,33 +320,43 @@ TEST(MultiTaskWfganTest, JointTrainingLearnsBothTasks) {
   }
   ForecasterOptions opts = FastOpts(1);
   opts.epochs = 20;
-  MultiTaskWfgan mtl(opts, WfganOptions{});
   std::vector<double> qtrain(query.begin(), query.begin() + 500);
   std::vector<double> rtrain(resource.begin(), resource.begin() + 500);
-  ASSERT_TRUE(mtl.Fit(qtrain, rtrain).ok());
+  // The full model and the two ablations, one per branch of the shared
+  // tower and steps.
+  WfganOptions no_attention, no_adversarial;
+  no_attention.use_attention = false;
+  no_adversarial.adversarial = false;
+  for (const WfganOptions& gopts :
+       {WfganOptions{}, no_attention, no_adversarial}) {
+    SCOPED_TRACE(testing::Message() << "attention " << gopts.use_attention
+                                    << " adversarial " << gopts.adversarial);
+    MultiTaskWfgan mtl(opts, gopts);
+    ASSERT_TRUE(mtl.Fit(qtrain, rtrain).ok());
 
-  // Evaluate both tasks on the held-out tail.
-  std::vector<double> qpred, qact, rpred, ract;
-  for (size_t t = 500; t < query.size(); ++t) {
-    std::vector<double> qw(query.begin() + static_cast<ptrdiff_t>(t - 24),
-                           query.begin() + static_cast<ptrdiff_t>(t));
-    std::vector<double> rw(resource.begin() + static_cast<ptrdiff_t>(t - 24),
-                           resource.begin() + static_cast<ptrdiff_t>(t));
-    auto qp = mtl.Predict(WorkloadTask::kQuery, qw);
-    auto rp = mtl.Predict(WorkloadTask::kResource, rw);
-    ASSERT_TRUE(qp.ok());
-    ASSERT_TRUE(rp.ok());
-    qpred.push_back(*qp);
-    qact.push_back(query[t]);
-    rpred.push_back(*rp);
-    ract.push_back(resource[t]);
+    // Evaluate both tasks on the held-out tail.
+    std::vector<double> qpred, qact, rpred, ract;
+    for (size_t t = 500; t < query.size(); ++t) {
+      std::vector<double> qw(query.begin() + static_cast<ptrdiff_t>(t - 24),
+                             query.begin() + static_cast<ptrdiff_t>(t));
+      std::vector<double> rw(resource.begin() + static_cast<ptrdiff_t>(t - 24),
+                             resource.begin() + static_cast<ptrdiff_t>(t));
+      auto qp = mtl.Predict(WorkloadTask::kQuery, qw);
+      auto rp = mtl.Predict(WorkloadTask::kResource, rw);
+      ASSERT_TRUE(qp.ok());
+      ASSERT_TRUE(rp.ok());
+      qpred.push_back(*qp);
+      qact.push_back(query[t]);
+      rpred.push_back(*rp);
+      ract.push_back(resource[t]);
+    }
+    double qmse = *ts::MSE(qpred, qact);
+    double rmse = *ts::MSE(rpred, ract);
+    double qnaive = PersistenceMse(query, 500, 1);
+    double rnaive = PersistenceMse(resource, 500, 1);
+    EXPECT_LT(qmse, qnaive) << qmse << " vs " << qnaive;
+    EXPECT_LT(rmse, rnaive) << rmse << " vs " << rnaive;
   }
-  double qmse = *ts::MSE(qpred, qact);
-  double rmse = *ts::MSE(rpred, ract);
-  double qnaive = PersistenceMse(query, 500, 1);
-  double rnaive = PersistenceMse(resource, 500, 1);
-  EXPECT_LT(qmse, qnaive) << qmse << " vs " << qnaive;
-  EXPECT_LT(rmse, rnaive) << rmse << " vs " << rnaive;
 }
 
 TEST(MultiTaskWfganTest, SharedTrunkIsCounted) {
@@ -359,6 +373,29 @@ TEST(MultiTaskWfganTest, PredictBeforeFitFails) {
   EXPECT_EQ(mtl.Predict(WorkloadTask::kQuery, std::vector<double>(24, 0.0))
                 .status()
                 .code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(MultiTaskWfganTest, FailedRefitLeavesPredictFailing) {
+  // A refit replaces the scalers before it trains. When it fails, Predict
+  // must not answer with the new scalers over the old weights.
+  ForecasterOptions opts;
+  opts.window = 8;
+  opts.batch_size = 16;
+  opts.epochs = 1;
+  MultiTaskWfgan mtl(opts, WfganOptions{});
+  auto query = SineSeries(200, 24.0, 0.1, 45);
+  ASSERT_TRUE(mtl.Fit(query, query).ok());
+  const std::vector<double> window(query.begin(), query.begin() + 8);
+  ASSERT_TRUE(mtl.Predict(WorkloadTask::kQuery, window).ok());
+
+  std::vector<double> scaled = query;
+  for (double& v : scaled) v *= 100.0;
+  // 20 points give 12 windows: fewer than one batch.
+  const std::vector<double> short_resource(query.begin(), query.begin() + 20);
+  EXPECT_EQ(mtl.Fit(scaled, short_resource).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(mtl.Predict(WorkloadTask::kQuery, window).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

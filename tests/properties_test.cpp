@@ -149,7 +149,7 @@ TEST_P(WindowProperty, TargetsAlignedWithSource) {
   auto [w, h] = GetParam();
   std::vector<double> v(100);
   for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
-  auto ws = ts::MakeWindows(v, {w, h, 1});
+  auto ws = ts::MakeWindows(v, {w, h});
   ASSERT_TRUE(ws.ok());
   EXPECT_EQ(ws->size(), v.size() - w - h + 1);
   for (const auto& s : *ws) {

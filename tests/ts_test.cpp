@@ -111,7 +111,7 @@ TEST(ScalerTest, MinMaxEmptyFails) {
 
 TEST(WindowDatasetTest, ShapesAndTargets) {
   std::vector<double> v = {0, 1, 2, 3, 4, 5};
-  auto ws = MakeWindows(v, {3, 2, 1});
+  auto ws = MakeWindows(v, {3, 2});
   ASSERT_TRUE(ws.ok());
   // Windows [0,1,2]->4, [1,2,3]->5.
   ASSERT_EQ(ws->size(), 2u);
@@ -121,21 +121,11 @@ TEST(WindowDatasetTest, ShapesAndTargets) {
   EXPECT_DOUBLE_EQ((*ws)[1].target, 5.0);
 }
 
-TEST(WindowDatasetTest, StrideSkipsWindows) {
-  std::vector<double> v(10);
-  for (size_t i = 0; i < v.size(); ++i) v[i] = static_cast<double>(i);
-  auto ws = MakeWindows(v, {3, 1, 2});
-  ASSERT_TRUE(ws.ok());
-  EXPECT_EQ(ws->size(), 4u);
-  EXPECT_DOUBLE_EQ((*ws)[1].window[0], 2.0);
-}
-
 TEST(WindowDatasetTest, DegenerateOptionsFail) {
   std::vector<double> v = {1, 2, 3, 4};
-  EXPECT_FALSE(MakeWindows(v, {0, 1, 1}).ok());
-  EXPECT_FALSE(MakeWindows(v, {2, 0, 1}).ok());
-  EXPECT_FALSE(MakeWindows(v, {2, 1, 0}).ok());
-  EXPECT_FALSE(MakeWindows(v, {4, 1, 1}).ok());
+  EXPECT_FALSE(MakeWindows(v, {0, 1}).ok());
+  EXPECT_FALSE(MakeWindows(v, {2, 0}).ok());
+  EXPECT_FALSE(MakeWindows(v, {4, 1}).ok());
 }
 
 }  // namespace
